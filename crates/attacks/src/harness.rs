@@ -4,12 +4,13 @@
 //! The harness is the third host of the shared engine-hosting layer: like
 //! the simulator and the threaded runtime it drives engines through
 //! [`flexitrust_host::Dispatcher`], implementing only its environment
-//! primitives — routing messages through the adversary's [`FaultPlan`] into
-//! per-replica queues and recording client-visible observations.
+//! primitives — routing messages by the [`Fate`] the adversary's
+//! [`ChaosPlan`] decides (the [`ChaosState::fate`] the simulator consults)
+//! into per-replica queues and recording client-visible observations.
 
 use flexitrust_host::{Dispatcher, EngineHost, TimerToken};
 use flexitrust_protocol::{ClientReply, ConsensusEngine, SharedMessage, TimerKind};
-use flexitrust_sim::{DeliveryFate, FaultPlan};
+use flexitrust_sim::{ChaosPlan, ChaosState, Fate};
 use flexitrust_types::{ReplicaId, Transaction};
 use std::sync::Arc;
 
@@ -28,26 +29,30 @@ pub struct Observations {
 
 /// The harness's [`EngineHost`]: the adversary's network. Sends are routed
 /// through the fault plan into prompt or delayed queues (or dropped); the
-/// synchronous harness has no clock, so timers are never scheduled — the
-/// driver fires them explicitly to model client complaints.
-struct RecordingEnv<'a> {
-    faults: &'a FaultPlan,
+/// synchronous harness has no clock, so a late message arrives after
+/// everything else, duplicate copies are not replayed (the engines are
+/// idempotent) and timers are never scheduled — the driver fires them
+/// explicitly to model client complaints.
+struct RecordingEnv {
+    /// The bound fault plan; `None` for an empty plan.
+    chaos: Option<ChaosState>,
     queues: Vec<Vec<(ReplicaId, SharedMessage)>>,
     delayed: Vec<Vec<(ReplicaId, SharedMessage)>>,
     obs: Observations,
 }
 
-impl RecordingEnv<'_> {
+impl RecordingEnv {
     fn route(&mut self, from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
-        match self.faults.fate(from, to, &msg) {
-            DeliveryFate::Deliver => self.queues[to.as_usize()].push((from, msg)),
-            DeliveryFate::Delay(_) => self.delayed[to.as_usize()].push((from, msg)),
-            DeliveryFate::Drop => self.obs.dropped_messages += 1,
+        let chaos = self.chaos.as_mut();
+        match chaos.map_or(Fate::PROMPT, |c| c.fate(from, to, &msg)) {
+            Fate::Deliver { extra_ns: 0, .. } => self.queues[to.as_usize()].push((from, msg)),
+            Fate::Deliver { .. } => self.delayed[to.as_usize()].push((from, msg)),
+            Fate::Drop => self.obs.dropped_messages += 1,
         }
     }
 }
 
-impl EngineHost for RecordingEnv<'_> {
+impl EngineHost for RecordingEnv {
     fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
         if msg.kind() == "ViewChange" {
             self.obs.view_change_votes += 1;
@@ -83,22 +88,28 @@ impl EngineHost for RecordingEnv<'_> {
 }
 
 /// Drives `engines` until quiescence, delivering messages according to
-/// `faults` (delayed messages are treated as arriving after everything else;
-/// dropped messages never arrive). Client requests in `inject` are handed to
-/// the listed replica first; `fire_timers` lists replicas whose view-change
-/// timer is fired once after the network quiesces (modelling the client
-/// complaint / timeout path).
+/// `plan` as it stands at t = 0 (delayed messages are treated as arriving
+/// after everything else; dropped messages never arrive). Client requests
+/// in `inject` are handed to the listed replica first; `fire_timers` lists
+/// replicas whose view-change timer is fired once after the network
+/// quiesces (modelling the client complaint / timeout path).
 pub fn drive(
     engines: &mut [Box<dyn ConsensusEngine>],
-    faults: &FaultPlan,
+    plan: &ChaosPlan,
     inject: Vec<(usize, Vec<Transaction>)>,
     fire_timers: &[usize],
     max_rounds: usize,
 ) -> Observations {
     let n = engines.len();
     let mut dispatcher = Dispatcher::new(n);
+    let mut chaos = ChaosState::new(plan, n);
+    if let Some(chaos) = chaos.as_mut() {
+        // The harness has no clock: the plan's t = 0 events (whole-run
+        // crashes, a standing partition) are all it ever applies.
+        while chaos.advance(0).is_some() {}
+    }
     let mut env = RecordingEnv {
-        faults,
+        chaos,
         queues: vec![Vec::new(); n],
         delayed: vec![Vec::new(); n],
         obs: Observations::default(),
@@ -114,7 +125,8 @@ pub fn drive(
         for _ in 0..max_rounds {
             let mut any = false;
             for (i, engine) in engines.iter_mut().enumerate() {
-                if faults.is_failed(ReplicaId(i as u32)) {
+                let id = ReplicaId(i as u32);
+                if env.chaos.as_ref().is_some_and(|c| c.is_down(id)) {
                     env.queues[i].clear();
                     continue;
                 }

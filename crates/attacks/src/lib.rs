@@ -17,9 +17,11 @@
 //!   while FlexiTrust replicas accept out-of-order proposals and merely
 //!   delay execution.
 //!
-//! The scenario drivers use the same fault plans as the simulator
-//! ([`flexitrust_sim::FaultPlan`]) so the attack can also be replayed at
-//! scale inside the discrete-event simulation (Figure 2).
+//! The scenario drivers use the simulator's one fault model
+//! ([`flexitrust_sim::ChaosPlan`], interpreted by the same
+//! [`flexitrust_sim::ChaosState::fate`]), so an attack plan can also be
+//! replayed at scale inside the discrete-event simulation (Figure 2) and
+//! composed with crashes, partitions and link chaos.
 
 pub mod harness;
 pub mod responsiveness;

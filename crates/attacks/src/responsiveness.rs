@@ -15,7 +15,7 @@
 
 use crate::harness::{drive, max_matching_replies};
 use flexitrust_protocol::ConsensusEngine;
-use flexitrust_sim::{build_replicas, FaultPlan, ScenarioSpec};
+use flexitrust_sim::{build_replicas, ChaosPlan, ScenarioSpec};
 use flexitrust_types::{ClientId, KvOp, ProtocolId, ReplicaId, RequestId, Transaction};
 
 /// Outcome of the responsiveness scenario for one protocol.
@@ -68,8 +68,8 @@ pub fn responsiveness_attack(protocol: ProtocolId, f: usize) -> ResponsivenessRe
     let victims: Vec<ReplicaId> = ((n - f) as u32..n as u32).map(ReplicaId).collect();
     // The delayed honest replica r: the first replica outside F and D.
     let delayed = ReplicaId(f as u32);
-    let faults =
-        FaultPlan::responsiveness_attack(byzantine.clone(), victims.clone(), delayed, 10_000_000);
+    let plan =
+        ChaosPlan::responsiveness_attack(byzantine.clone(), victims.clone(), delayed, 10_000_000);
 
     let mut engines: Vec<Box<dyn ConsensusEngine>> = build_replicas(&spec)
         .into_iter()
@@ -90,7 +90,7 @@ pub fn responsiveness_attack(protocol: ProtocolId, f: usize) -> ResponsivenessRe
     let timer_targets: Vec<usize> = victims.iter().map(|r| r.as_usize()).collect();
     let obs = drive(
         &mut engines,
-        &faults,
+        &plan,
         vec![(0, vec![txn])],
         &timer_targets,
         200,

@@ -6,7 +6,6 @@
 //! unaffected.
 
 use flexitrust::prelude::*;
-use flexitrust::sim::FaultPlan;
 use flexitrust_bench::{eval_spec, print_table, run};
 
 fn main() {
@@ -26,7 +25,7 @@ fn main() {
             spec.duration_us = 300_000;
             spec.warmup_us = 75_000;
             let victim = ReplicaId((spec.replicas() - 1) as u32);
-            spec.faults = FaultPlan::single_failure(victim);
+            spec.chaos = ChaosPlan::single_failure(victim);
             let failed = run(spec);
             rows.push(format!(
                 "{:<11} f={:<2} healthy tput={:>9.0}  failed tput={:>9.0}  ({:>5.1}% kept)  lat {:>6.2} -> {:>6.2} ms",

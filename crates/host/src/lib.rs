@@ -22,6 +22,16 @@
 //! Environments implement only what is genuinely environment-specific:
 //! scheduling an event (simulator), sending on a channel (runtime), or
 //! recording into an observation log (attack harness).
+//!
+//! Two more things every host needs exist once, here: [`build_replica`],
+//! the `ProtocolId` → engine factory, and [`CrashWindow`] / [`WindowPhase`],
+//! the commit-progress-triggered crash-recovery state machine.
+
+mod factory;
+mod window;
+
+pub use factory::{build_replica, ReplicaSetup};
+pub use window::{recovery_request, CrashWindow, WindowEvent, WindowPhase};
 
 use flexitrust_protocol::{
     unshare, Action, ClientReply, ConsensusEngine, Message, Outbox, SharedMessage, TimerKind,

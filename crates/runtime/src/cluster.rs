@@ -6,13 +6,14 @@
 //! reply physically leaves the replica thread.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use flexitrust_baselines::{CheapBft, MinBft, MinZz, OpbftEa, Pbft, PbftEa, Zyzzyva};
-use flexitrust_core::{FlexiBft, FlexiZz};
-use flexitrust_host::{CommittedTxn, Dispatcher, EngineHost, TimerToken};
-use flexitrust_protocol::{
-    ClientLibrary, ClientReply, ConsensusEngine, Message, RequestStatus, SharedMessage, TimerKind,
+use flexitrust_host::{
+    build_replica, recovery_request, CommittedTxn, CrashWindow, Dispatcher, EngineHost, TimerToken,
+    WindowEvent, WindowPhase,
 };
-use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry};
+use flexitrust_protocol::{
+    ClientLibrary, ClientReply, ConsensusEngine, RequestStatus, SharedMessage, TimerKind,
+};
+use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
 use flexitrust_types::{ClientId, ProtocolId, ReplicaId, RequestId, SystemConfig, Transaction};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -91,25 +92,6 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// A commit-progress-triggered crash/recover window for one replica,
-/// mirroring the simulator's `CrashAtSeq` chaos knob: the replica crashes
-/// once its *own* last-executed sequence reaches `crash_at_seq` (discarding
-/// all input and timers while down) and rejoins once the *rest* of the
-/// cluster's frontier reaches `recover_at_seq`, asking every peer for the
-/// latest stable checkpoint via `CheckpointRequest`. Keying on sequence
-/// numbers instead of wall-clock time makes the same window comparable
-/// between the simulator and a threaded cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashWindow {
-    /// The replica that crashes and later rejoins.
-    pub replica: ReplicaId,
-    /// Crash once this replica's own last-executed sequence reaches this.
-    pub crash_at_seq: u64,
-    /// Recover once the max last-executed over the other replicas reaches
-    /// this.
-    pub recover_at_seq: u64,
-}
-
 /// Per-replica chaos state threaded through [`replica_loop`]: the shared
 /// frontier board every replica publishes its last-executed sequence to,
 /// and this replica's crash window (if any).
@@ -162,63 +144,6 @@ pub struct Cluster {
     dropped: Arc<AtomicU64>,
     frontiers: Arc<Vec<AtomicU64>>,
     handles: Vec<JoinHandle<()>>,
-}
-
-pub(crate) fn build_engine(
-    protocol: ProtocolId,
-    config: &Arc<SystemConfig>,
-    id: ReplicaId,
-    registry: &EnclaveRegistry,
-) -> Box<dyn ConsensusEngine> {
-    let counter_enclave =
-        || Enclave::shared(EnclaveConfig::counter_only(id, AttestationMode::Real));
-    let log_enclave = || Enclave::shared(EnclaveConfig::log_based(id, AttestationMode::Real));
-    match protocol {
-        ProtocolId::Pbft => Box::new(Pbft::engine(Arc::clone(config), id)),
-        ProtocolId::Zyzzyva => Box::new(Zyzzyva::engine(Arc::clone(config), id)),
-        ProtocolId::PbftEa => Box::new(PbftEa::engine(
-            Arc::clone(config),
-            id,
-            log_enclave(),
-            registry.clone(),
-        )),
-        ProtocolId::OpbftEa => Box::new(OpbftEa::engine(
-            Arc::clone(config),
-            id,
-            log_enclave(),
-            registry.clone(),
-        )),
-        ProtocolId::MinBft => Box::new(MinBft::engine(
-            Arc::clone(config),
-            id,
-            counter_enclave(),
-            registry.clone(),
-        )),
-        ProtocolId::MinZz => Box::new(MinZz::engine(
-            Arc::clone(config),
-            id,
-            counter_enclave(),
-            registry.clone(),
-        )),
-        ProtocolId::CheapBft => Box::new(CheapBft::engine(
-            Arc::clone(config),
-            id,
-            counter_enclave(),
-            registry.clone(),
-        )),
-        ProtocolId::FlexiBft | ProtocolId::OFlexiBft => Box::new(FlexiBft::new(
-            Arc::clone(config),
-            id,
-            counter_enclave(),
-            registry.clone(),
-        )),
-        ProtocolId::FlexiZz | ProtocolId::OFlexiZz => Box::new(FlexiZz::new(
-            Arc::clone(config),
-            id,
-            counter_enclave(),
-            registry.clone(),
-        )),
-    }
 }
 
 /// Builds the standard cluster configuration for a threaded deployment.
@@ -287,7 +212,14 @@ impl Cluster {
         let mut handles = Vec::with_capacity(config.n);
         for (i, rx) in inbox_rxs.into_iter().enumerate() {
             let id = ReplicaId(i as u32);
-            let mut engine = build_engine(protocol, &config, id, &registry);
+            let mut engine = build_replica(
+                protocol,
+                Arc::clone(&config),
+                id,
+                registry.clone(),
+                TrustedHardware::default_enclave(),
+            )
+            .engine;
             let transport = ChannelTransport {
                 peers: inbox_txs.clone(),
                 replies: reply_tx.clone(),
@@ -509,16 +441,6 @@ impl<T: Transport> EngineHost for ThreadEnv<T> {
     }
 }
 
-/// Where a replica's [`CrashWindow`] currently stands.
-enum WindowPhase {
-    /// Waiting for our own frontier to reach the crash sequence.
-    Armed,
-    /// Down: all input is discarded, no timers fire.
-    Down,
-    /// Recovered (or never had a window); normal operation.
-    Done,
-}
-
 /// One replica's event loop, shared by the channel and TCP deployments.
 pub(crate) fn replica_loop<T: Transport>(
     engine: &mut dyn ConsensusEngine,
@@ -534,10 +456,7 @@ pub(crate) fn replica_loop<T: Transport>(
         transport,
         timers: Vec::new(),
     };
-    let mut phase = match chaos.window {
-        Some(_) => WindowPhase::Armed,
-        None => WindowPhase::Done,
-    };
+    let mut window = chaos.window.map(|w| (w, WindowPhase::Armed));
     loop {
         // Work out how long we may sleep before the next timer fires.
         let now = Instant::now();
@@ -547,7 +466,7 @@ pub(crate) fn replica_loop<T: Transport>(
             .unwrap_or(Duration::from_millis(5))
             .min(Duration::from_millis(5));
 
-        let down = matches!(phase, WindowPhase::Down);
+        let down = matches!(window, Some((_, WindowPhase::Down)));
         match rx.recv_timeout(wait) {
             Ok(Input::Shutdown) => return,
             // A crashed replica hears nothing: peer traffic and client
@@ -578,43 +497,23 @@ pub(crate) fn replica_loop<T: Transport>(
         if let Some(slot) = chaos.frontiers.get(id.as_usize()) {
             slot.store(engine.last_executed().0, Ordering::Relaxed);
         }
-        if let Some(window) = chaos.window {
-            match phase {
-                WindowPhase::Armed if engine.last_executed().0 >= window.crash_at_seq => {
-                    // Going down: a crashed host's pending timers die with
-                    // it (fresh ones are armed by whatever runs after
-                    // recovery).
-                    env.timers.clear();
-                    phase = WindowPhase::Down;
-                }
-                WindowPhase::Down => {
-                    let others_frontier = chaos
-                        .frontiers
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != id.as_usize())
-                        .map(|(_, f)| f.load(Ordering::Relaxed))
-                        .max()
-                        .unwrap_or(0);
-                    if others_frontier >= window.recover_at_seq {
-                        // Rejoin via state transfer: ask every peer for
-                        // the latest stable checkpoint past our frontier.
-                        let request = Arc::new(Message::CheckpointRequest {
-                            last_executed: engine.last_executed(),
-                        });
-                        for to in 0..n {
-                            if to != id.as_usize() {
-                                env.transport.send_peer(
-                                    id,
-                                    ReplicaId(to as u32),
-                                    Arc::clone(&request),
-                                );
-                            }
-                        }
-                        phase = WindowPhase::Done;
+        if let Some((window, phase)) = window.as_mut() {
+            let frontiers = chaos.frontiers.iter().map(|f| f.load(Ordering::Relaxed));
+            let others = window.others_frontier(frontiers);
+            match phase.step(window, engine.last_executed().0, others) {
+                // Going down: a crashed host's pending timers die with it
+                // (fresh ones are armed by whatever runs after recovery).
+                Some(WindowEvent::Crash) => env.timers.clear(),
+                // Rejoin via state transfer: ask every peer for the latest
+                // stable checkpoint past our frontier.
+                Some(WindowEvent::Recover) => {
+                    let request = recovery_request(engine);
+                    for to in (0..n).filter(|to| *to != id.as_usize()) {
+                        env.transport
+                            .send_peer(id, ReplicaId(to as u32), Arc::clone(&request));
                     }
                 }
-                _ => {}
+                None => {}
             }
         }
 

@@ -27,6 +27,6 @@ pub mod cluster;
 pub mod primary;
 pub mod tcp;
 
-pub use cluster::{Cluster, ClusterSummary, CrashWindow};
+pub use cluster::{Cluster, ClusterSummary};
 pub use primary::PrimaryTracker;
 pub use tcp::TcpCluster;

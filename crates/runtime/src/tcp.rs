@@ -24,8 +24,9 @@
 //! dedicated reply listener every replica connects back to.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
+use flexitrust_host::build_replica;
 use flexitrust_protocol::{ClientReply, SharedMessage};
-use flexitrust_trusted::{AttestationMode, EnclaveRegistry};
+use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
 use flexitrust_types::{ProtocolId, ReplicaId, SystemConfig, Transaction};
 use flexitrust_wire::{read_frame, write_frame, Frame};
 use std::collections::HashMap;
@@ -37,8 +38,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::cluster::{
-    build_engine, cluster_config, drive_workload, replica_loop, ClusterSummary, Input,
-    ReplicaChaos, Transport,
+    cluster_config, drive_workload, replica_loop, ClusterSummary, Input, ReplicaChaos, Transport,
 };
 use crate::primary::PrimaryTracker;
 
@@ -248,7 +248,14 @@ impl TcpCluster {
                 reply_writer: reply_wtx,
                 dropped: Arc::clone(&dropped),
             };
-            let mut engine = build_engine(protocol, &config, id, &registry);
+            let mut engine = build_replica(
+                protocol,
+                Arc::clone(&config),
+                id,
+                registry.clone(),
+                TrustedHardware::default_enclave(),
+            )
+            .engine;
             let thread_tracker = tracker.clone();
             let chaos = ReplicaChaos::inert(config.n);
             replica_handles.push(std::thread::spawn(move || {

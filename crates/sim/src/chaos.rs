@@ -1,18 +1,21 @@
-//! Deterministic chaos scenario engine: time-scripted partitions and
-//! crash/recover events, seeded per-link drop/duplicate/reorder, and
-//! commit-progress-triggered crash windows.
+//! Deterministic chaos scenario engine, the simulator's one fault model:
+//! time-scripted partitions and crash/recover events, seeded per-link
+//! drop/duplicate/reorder, commit-progress-triggered crash windows and the
+//! §5 withhold/delay adversary.
 //!
-//! A [`ChaosPlan`] grows [`crate::faults::FaultPlan`] into a *schedule*: the
-//! runner consults it at every send with the current virtual time, applies
-//! scripted events as the clock passes them, and draws probabilistic link
-//! fates from the plan's own seeded ChaCha stream — never the thread RNG —
-//! so an identical plan reproduces a bit-identical event schedule. Recovery
-//! rejoins through the checkpoint state-transfer path (`CheckpointRequest` /
-//! `CheckpointState`), replaying from the latest stable checkpoint.
+//! A [`ChaosPlan`] is declarative; [`ChaosState`] is the plan bound to one
+//! cluster. Hosts advance the state as their clock passes scripted events
+//! and ask it the fate of every send; probabilistic link fates come from
+//! the plan's own seeded ChaCha stream — never the thread RNG — so an
+//! identical plan reproduces a bit-identical event schedule. Recovery
+//! rejoins through the checkpoint state-transfer path (`CheckpointRequest`
+//! / `CheckpointState`), replaying from the latest stable checkpoint.
 
-use crate::faults::MessageClass;
+use flexitrust_host::{CrashWindow, WindowEvent, WindowPhase};
 use flexitrust_protocol::Message;
 use flexitrust_types::ReplicaId;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha12Rng;
 use std::collections::BTreeSet;
 
 /// A scripted chaos event, applied when virtual time reaches `at_ns`.
@@ -62,22 +65,45 @@ impl ChaosEvent {
             | ChaosEvent::Recover { at_ns, .. } => *at_ns,
         }
     }
+}
 
-    /// Whether applying this event ends a disruption (heals a partition or
-    /// recovers a replica) — the instants the liveness bound is measured
-    /// from.
-    pub fn is_restorative(&self) -> bool {
-        matches!(
-            self,
-            ChaosEvent::PartitionHeal { .. } | ChaosEvent::Recover { .. }
-        )
+/// Coarse classes of protocol traffic, so link chaos can target (say) only
+/// vote messages while proposals and checkpoints flow untouched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum MessageClass {
+    /// Primary proposals (`PrePrepare`).
+    Proposal,
+    /// Replica votes (`Prepare` / `Commit`).
+    Vote,
+    /// Checkpoint votes and crash-recovery state transfer.
+    Checkpoint,
+    /// View-change traffic (`ViewChange` / `NewView`).
+    ViewChange,
+    /// Client-path traffic (`ClientRetry` / `ForwardRequest`).
+    Client,
+}
+
+impl MessageClass {
+    /// The class of a protocol message.
+    pub fn of(msg: &Message) -> MessageClass {
+        match msg {
+            Message::PrePrepare { .. } => MessageClass::Proposal,
+            Message::Prepare { .. } | Message::Commit { .. } => MessageClass::Vote,
+            Message::Checkpoint { .. }
+            | Message::CheckpointRequest { .. }
+            | Message::CheckpointState { .. } => MessageClass::Checkpoint,
+            Message::ViewChange { .. } | Message::NewView { .. } => MessageClass::ViewChange,
+            Message::ClientRetry { .. } | Message::ForwardRequest { .. } => MessageClass::Client,
+        }
     }
 }
 
 /// Per-link probabilistic chaos. Rates are integral events-per-10 000
 /// messages so plans stay exactly serialisable; draws come from the plan's
 /// seeded ChaCha stream in a fixed order, so the same plan over the same
-/// traffic yields the same fates.
+/// traffic yields the same fates. A replica's copy of its own broadcast
+/// crosses no link and is exempt: it is never dropped, duplicated or
+/// reordered, and costs no draw.
 ///
 /// Duplicates are always survivable (the engines are idempotent). Drops
 /// and reorders may *legitimately* cost liveness: votes are never
@@ -117,23 +143,27 @@ impl LinkChaos {
     }
 }
 
-/// A crash/recover window keyed on commit progress rather than virtual
-/// time, so the same plan pins behaviour across the simulator and the
-/// threaded cluster (whose wall clocks are incomparable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashAtSeq {
-    /// The replica that crashes and later rejoins.
-    pub replica: ReplicaId,
-    /// Crash once this replica's own last-executed sequence reaches this.
-    pub crash_at_seq: u64,
-    /// Recover once the rest of the cluster's frontier (max last-executed
-    /// over the other replicas) reaches this.
-    pub recover_at_seq: u64,
+/// The §5 restricted-responsiveness adversary: Byzantine replicas silently
+/// withhold every message from a set of honest victims, and the network
+/// delays the remaining honest senders' messages towards those victims
+/// (partial synchrony).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WithholdRule {
+    /// Byzantine replicas whose messages to `victims` are dropped.
+    pub withholding: BTreeSet<ReplicaId>,
+    /// The replicas being kept in the dark.
+    pub victims: BTreeSet<ReplicaId>,
+    /// Honest replicas whose messages to `victims` arrive `delay_us` late.
+    pub delayed_senders: BTreeSet<ReplicaId>,
+    /// Extra delay on messages from `delayed_senders` to `victims`.
+    pub delay_us: u64,
 }
 
 /// A declarative, time-scripted chaos plan: a sorted schedule of partition
-/// and crash/recover events, per-link probabilistic faults, and
-/// commit-triggered crash windows, all reproducible from `seed`.
+/// and crash/recover events, per-link probabilistic faults, commit-triggered
+/// crash windows and an optional withhold/delay adversary, all reproducible
+/// from `seed`. Entries naming replicas outside the cluster the plan is run
+/// on are ignored.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosPlan {
     /// Scripted events, sorted ascending by `at_ns` (constructors sort;
@@ -142,7 +172,9 @@ pub struct ChaosPlan {
     /// Per-link probabilistic drop/duplicate/reorder.
     pub link: LinkChaos,
     /// Commit-progress-triggered crash/recover windows.
-    pub crash_windows: Vec<CrashAtSeq>,
+    pub crash_windows: Vec<CrashWindow>,
+    /// The §5 withhold/delay adversary, if any.
+    pub withhold: Option<WithholdRule>,
     /// Seed of the plan's private ChaCha stream (independent of the
     /// workload seed, so adding chaos never perturbs the workload).
     pub seed: u64,
@@ -158,7 +190,37 @@ impl ChaosPlan {
     /// bookkeeping and the schedule stays bit-identical to a run without
     /// a plan.
     pub fn is_empty(&self) -> bool {
-        self.schedule.is_empty() && self.link.is_empty() && self.crash_windows.is_empty()
+        self.schedule.is_empty()
+            && self.link.is_empty()
+            && self.crash_windows.is_empty()
+            && self.withhold.is_none()
+    }
+
+    /// A single replica down for the whole run, as in Figure 7: a crash at
+    /// t = 0 that never recovers.
+    pub fn single_failure(replica: ReplicaId) -> Self {
+        Self::scripted(0, vec![ChaosEvent::Crash { at_ns: 0, replica }])
+    }
+
+    /// The §5 responsiveness scenario: the Byzantine set `byzantine`
+    /// withholds everything from the honest set `victims`, and the one
+    /// remaining honest replica's (`delayed`) messages to the victims are
+    /// delayed by `delay_us`.
+    pub fn responsiveness_attack(
+        byzantine: impl IntoIterator<Item = ReplicaId>,
+        victims: impl IntoIterator<Item = ReplicaId>,
+        delayed: ReplicaId,
+        delay_us: u64,
+    ) -> Self {
+        ChaosPlan {
+            withhold: Some(WithholdRule {
+                withholding: byzantine.into_iter().collect(),
+                victims: victims.into_iter().collect(),
+                delayed_senders: BTreeSet::from([delayed]),
+                delay_us,
+            }),
+            ..ChaosPlan::default()
+        }
     }
 
     /// A plan from an explicit schedule; events are sorted by time.
@@ -248,10 +310,236 @@ impl ChaosPlan {
     }
 
     /// Attaches commit-progress-triggered crash windows to the plan.
-    pub fn with_crash_windows(mut self, windows: Vec<CrashAtSeq>) -> Self {
+    pub fn with_crash_windows(mut self, windows: Vec<CrashWindow>) -> Self {
         self.crash_windows = windows;
         self
     }
+}
+
+/// What happens to one message in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// Never deliver (crashed endpoint, partition boundary, withheld by the
+    /// adversary, or a seeded link drop).
+    Drop,
+    /// Deliver, possibly late and possibly twice.
+    Deliver {
+        /// Extra delay, nanoseconds (adversarial delay plus reorder draw).
+        extra_ns: u64,
+        /// When set, a duplicate copy arrives this much later than the
+        /// message itself, nanoseconds.
+        duplicate_extra_ns: Option<u64>,
+    },
+}
+
+impl Fate {
+    /// Delivered once, on time.
+    pub const PROMPT: Fate = Fate::Deliver {
+        extra_ns: 0,
+        duplicate_extra_ns: None,
+    };
+}
+
+/// A [`ChaosPlan`] bound to one cluster: the one interpreter of fault
+/// plans, shared by the simulator and the attack harness.
+#[derive(Debug)]
+pub struct ChaosState {
+    /// The plan, minus entries naming replicas outside the cluster.
+    plan: ChaosPlan,
+    n: usize,
+    /// Index of the next scripted event to apply.
+    cursor: usize,
+    down: BTreeSet<ReplicaId>,
+    /// The groups of the active partition, if any.
+    partition: Option<Vec<Vec<ReplicaId>>>,
+    windows: Vec<(CrashWindow, WindowPhase)>,
+    /// The plan's private seeded stream for link-chaos draws.
+    rng: ChaCha12Rng,
+    /// Disruptive events applied (partitions formed, crashes).
+    pub disruptions: u64,
+    /// Time of the last restorative event (heal / recover), nanoseconds.
+    pub last_restore_ns: u64,
+    /// Client completions at or after the last restorative event — the
+    /// liveness checker's progress signal.
+    pub completed_after_restore: u64,
+}
+
+impl ChaosState {
+    /// Binds `plan` to a cluster of `n` replicas. An empty plan builds no
+    /// state, so fault-free runs consult nothing and draw nothing. Crashes,
+    /// recoveries and windows naming a replica `>= n` are removed here,
+    /// once (unknown partition members never match a sender anyway), so a
+    /// plan written for a larger cluster degrades to its applicable subset
+    /// instead of indexing out of range mid-run.
+    pub fn new(plan: &ChaosPlan, n: usize) -> Option<ChaosState> {
+        if plan.is_empty() {
+            return None;
+        }
+        let known = |replica: &ReplicaId| replica.as_usize() < n;
+        let mut plan = plan.clone();
+        plan.schedule.retain(|event| match event {
+            ChaosEvent::Crash { replica, .. } | ChaosEvent::Recover { replica, .. } => {
+                known(replica)
+            }
+            _ => true,
+        });
+        plan.crash_windows.retain(|window| known(&window.replica));
+        let windows = plan.crash_windows.iter();
+        Some(ChaosState {
+            n,
+            cursor: 0,
+            down: BTreeSet::new(),
+            partition: None,
+            windows: windows.map(|w| (*w, WindowPhase::Armed)).collect(),
+            rng: ChaCha12Rng::seed_from_u64(plan.seed),
+            disruptions: 0,
+            last_restore_ns: 0,
+            completed_after_restore: 0,
+            plan,
+        })
+    }
+
+    /// Whether `replica` is currently crashed.
+    pub fn is_down(&self, replica: ReplicaId) -> bool {
+        self.down.contains(&replica)
+    }
+
+    /// Applies the scripted events due at `now`, in schedule order, and
+    /// returns as soon as one recovers a replica — `(recovery time,
+    /// replica)` — so the host can send that replica's recovery request
+    /// before later events change who is up. Call until it returns `None`.
+    pub fn advance(&mut self, now: u64) -> Option<(u64, ReplicaId)> {
+        while let Some(event) = self.plan.schedule.get(self.cursor) {
+            let at = event.at_ns();
+            if at > now {
+                break;
+            }
+            self.cursor += 1;
+            match event {
+                ChaosEvent::PartitionForm { groups, .. } => {
+                    self.partition = Some(groups.clone());
+                    self.disruptions += 1;
+                }
+                ChaosEvent::PartitionHeal { .. } => {
+                    self.partition = None;
+                    self.mark_restored(at);
+                }
+                ChaosEvent::Crash { replica, .. } => {
+                    self.down.insert(*replica);
+                    self.disruptions += 1;
+                }
+                ChaosEvent::Recover { replica, .. } => {
+                    let replica = *replica;
+                    self.down.remove(&replica);
+                    self.mark_restored(at);
+                    return Some((at, replica));
+                }
+            }
+        }
+        None
+    }
+
+    /// Steps every crash window at time `now` against the cluster's
+    /// execution frontiers (`frontier(i)` is replica `i`'s last-executed
+    /// sequence); returns the replicas that just recovered, for the host to
+    /// send their recovery requests.
+    pub fn poll_windows(&mut self, now: u64, frontier: impl Fn(usize) -> u64) -> Vec<ReplicaId> {
+        let mut recovered = Vec::new();
+        for i in 0..self.windows.len() {
+            let (window, mut phase) = self.windows[i];
+            let others = window.others_frontier((0..self.n).map(&frontier));
+            match phase.step(&window, frontier(window.replica.as_usize()), others) {
+                Some(WindowEvent::Crash) => {
+                    self.down.insert(window.replica);
+                    self.disruptions += 1;
+                }
+                Some(WindowEvent::Recover) => {
+                    self.down.remove(&window.replica);
+                    self.mark_restored(now);
+                    recovered.push(window.replica);
+                }
+                None => {}
+            }
+            self.windows[i].1 = phase;
+        }
+        recovered
+    }
+
+    /// Decides the fate of `msg` sent from `from` to `to` right now.
+    pub fn fate(&mut self, from: ReplicaId, to: ReplicaId, msg: &Message) -> Fate {
+        if self.is_down(from) || self.is_down(to) {
+            return Fate::Drop;
+        }
+        if from == to {
+            // Loopback crosses no link: no partition, adversary or link
+            // chaos applies, and no draw is spent on it.
+            return Fate::PROMPT;
+        }
+        if let Some(groups) = &self.partition {
+            // Replicas named in no group share the implicit extra one.
+            let group = |r| groups.iter().position(|members| members.contains(&r));
+            if group(from) != group(to) {
+                return Fate::Drop;
+            }
+        }
+        let mut extra_ns = 0;
+        let rule = self.plan.withhold.as_ref();
+        if let Some(rule) = rule.filter(|r| r.victims.contains(&to)) {
+            if rule.withholding.contains(&from) {
+                return Fate::Drop;
+            }
+            if rule.delayed_senders.contains(&from) {
+                extra_ns = rule.delay_us * 1_000;
+            }
+        }
+        let (link, rng) = (&self.plan.link, &mut self.rng);
+        let mut duplicate_extra_ns = None;
+        if !link.is_empty() && link.applies_to(msg) {
+            // Fixed draw order — drop, duplicate, reorder, each gated on
+            // its configured rate — so the plan's ChaCha stream is a pure
+            // function of the traffic it sees and the schedule reproduces
+            // bit-identically from the seed.
+            if draw_hit(link.drop_per_10k, rng) {
+                return Fate::Drop;
+            }
+            if draw_hit(link.duplicate_per_10k, rng) {
+                duplicate_extra_ns = Some(draw_delay_ns(link, rng));
+            }
+            if draw_hit(link.reorder_per_10k, rng) {
+                extra_ns += draw_delay_ns(link, rng);
+            }
+        }
+        Fate::Deliver {
+            extra_ns,
+            duplicate_extra_ns,
+        }
+    }
+
+    /// A client request completed at `at`.
+    pub fn record_completion(&mut self, at: u64) {
+        if at >= self.last_restore_ns {
+            self.completed_after_restore += 1;
+        }
+    }
+
+    /// A restorative event (heal / recover) was applied: restart the
+    /// liveness clock the invariant checker measures progress from.
+    fn mark_restored(&mut self, at: u64) {
+        self.last_restore_ns = at;
+        self.completed_after_restore = 0;
+    }
+}
+
+/// One rate draw; a zero rate draws nothing.
+fn draw_hit(per_10k: u32, rng: &mut ChaCha12Rng) -> bool {
+    per_10k > 0 && rng.gen_range(0..10_000u32) < per_10k
+}
+
+fn draw_delay_ns(link: &LinkChaos, rng: &mut ChaCha12Rng) -> u64 {
+    if link.reorder_max_delay_us == 0 {
+        return 0;
+    }
+    rng.gen_range(0..=link.reorder_max_delay_us) * 1_000
 }
 
 #[cfg(test)]
@@ -269,7 +557,7 @@ mod tests {
             })
             .is_empty());
         assert!(!ChaosPlan::none()
-            .with_crash_windows(vec![CrashAtSeq {
+            .with_crash_windows(vec![CrashWindow {
                 replica: ReplicaId(2),
                 crash_at_seq: 40,
                 recover_at_seq: 120,
@@ -291,8 +579,6 @@ mod tests {
         );
         assert_eq!(plan.schedule[0].at_ns(), 100);
         assert_eq!(plan.schedule[1].at_ns(), 500);
-        assert!(plan.schedule[1].is_restorative());
-        assert!(!plan.schedule[0].is_restorative());
     }
 
     #[test]
@@ -315,6 +601,158 @@ mod tests {
         for pair in plan.schedule.windows(2) {
             assert!(pair[0].at_ns() <= pair[1].at_ns());
         }
+    }
+
+    fn vote() -> Message {
+        Message::Prepare {
+            view: flexitrust_types::View(0),
+            seq: flexitrust_types::SeqNum(1),
+            digest: flexitrust_types::Digest::ZERO,
+            attestation: None,
+        }
+    }
+
+    /// Binds `plan` to `n` replicas and applies its t = 0 events.
+    fn bound(plan: &ChaosPlan, n: usize) -> ChaosState {
+        let mut state = ChaosState::new(plan, n).expect("non-empty plan");
+        while state.advance(0).is_some() {}
+        state
+    }
+
+    #[test]
+    fn empty_plan_builds_no_state() {
+        assert!(ChaosState::new(&ChaosPlan::none(), 4).is_none());
+    }
+
+    #[test]
+    fn failed_replicas_neither_send_nor_receive() {
+        let mut state = bound(&ChaosPlan::single_failure(ReplicaId(2)), 4);
+        assert!(state.is_down(ReplicaId(2)));
+        assert!(!state.is_down(ReplicaId(0)));
+        assert_eq!(state.fate(ReplicaId(2), ReplicaId(0), &vote()), Fate::Drop);
+        assert_eq!(state.fate(ReplicaId(0), ReplicaId(2), &vote()), Fate::Drop);
+        assert_eq!(state.fate(ReplicaId(2), ReplicaId(2), &vote()), Fate::Drop);
+        assert_eq!(
+            state.fate(ReplicaId(0), ReplicaId(1), &vote()),
+            Fate::PROMPT
+        );
+    }
+
+    #[test]
+    fn responsiveness_attack_partitions_the_victims() {
+        // MinBFT with f = 1, n = 3: byzantine primary r0, victim r2,
+        // delayed honest replica r1.
+        let plan = ChaosPlan::responsiveness_attack(
+            [ReplicaId(0)],
+            [ReplicaId(2)],
+            ReplicaId(1),
+            5_000_000,
+        );
+        let mut state = bound(&plan, 3);
+        assert_eq!(state.fate(ReplicaId(0), ReplicaId(2), &vote()), Fate::Drop);
+        assert_eq!(
+            state.fate(ReplicaId(1), ReplicaId(2), &vote()),
+            Fate::Deliver {
+                extra_ns: 5_000_000_000,
+                duplicate_extra_ns: None,
+            }
+        );
+        assert_eq!(
+            state.fate(ReplicaId(0), ReplicaId(1), &vote()),
+            Fate::PROMPT
+        );
+        assert_eq!(
+            state.fate(ReplicaId(1), ReplicaId(0), &vote()),
+            Fate::PROMPT
+        );
+        assert_eq!(
+            state.fate(ReplicaId(2), ReplicaId(2), &vote()),
+            Fate::PROMPT
+        );
+    }
+
+    #[test]
+    fn class_targeted_link_chaos_only_touches_matching_traffic() {
+        // Drop every vote: Prepare is dropped, but PrePrepare (a Proposal)
+        // still flows.
+        let votes_only = LinkChaos {
+            drop_per_10k: 10_000,
+            classes: BTreeSet::from([MessageClass::Vote]),
+            ..LinkChaos::default()
+        };
+        let proposal = Message::PrePrepare {
+            view: flexitrust_types::View(0),
+            seq: flexitrust_types::SeqNum(1),
+            batch: flexitrust_crypto::make_batch(Vec::new()),
+            attestation: None,
+        };
+        let mut state = bound(&ChaosPlan::none().with_link(votes_only.clone()), 4);
+        assert_eq!(state.fate(ReplicaId(0), ReplicaId(2), &vote()), Fate::Drop);
+        assert_eq!(
+            state.fate(ReplicaId(0), ReplicaId(2), &proposal),
+            Fate::PROMPT
+        );
+        // Crashes ignore targeting: a dead host drops everything.
+        let crashed = ChaosPlan::single_failure(ReplicaId(2)).with_link(votes_only);
+        let mut state = bound(&crashed, 4);
+        assert_eq!(
+            state.fate(ReplicaId(0), ReplicaId(2), &proposal),
+            Fate::Drop
+        );
+    }
+
+    #[test]
+    fn link_chaos_spares_loopback() {
+        // Every link drops everything, yet a replica still hears itself:
+        // its own copy of a broadcast crosses no link.
+        let plan = ChaosPlan::none().with_link(LinkChaos {
+            drop_per_10k: 10_000,
+            ..LinkChaos::default()
+        });
+        let mut state = bound(&plan, 4);
+        for r in 0..4 {
+            assert_eq!(
+                state.fate(ReplicaId(r), ReplicaId(r), &vote()),
+                Fate::PROMPT
+            );
+            let peer = ReplicaId((r + 1) % 4);
+            assert_eq!(state.fate(ReplicaId(r), peer, &vote()), Fate::Drop);
+        }
+    }
+
+    #[test]
+    fn entries_naming_unknown_replicas_are_skipped() {
+        let mut plan = ChaosPlan::scripted(
+            1,
+            vec![
+                ChaosEvent::Crash {
+                    at_ns: 0,
+                    replica: ReplicaId(9),
+                },
+                ChaosEvent::PartitionForm {
+                    at_ns: 0,
+                    groups: vec![vec![ReplicaId(0), ReplicaId(7)], vec![ReplicaId(1)]],
+                },
+                ChaosEvent::Recover {
+                    at_ns: 0,
+                    replica: ReplicaId(9),
+                },
+            ],
+        );
+        plan.crash_windows = vec![CrashWindow {
+            replica: ReplicaId(4),
+            crash_at_seq: 0,
+            recover_at_seq: 0,
+        }];
+        let mut state = ChaosState::new(&plan, 4).expect("non-empty plan");
+        assert_eq!(state.advance(0), None, "the unknown recovery is gone");
+        assert!(state.poll_windows(0, |_| 100).is_empty());
+        assert_eq!(state.disruptions, 1, "only the partition applied");
+        assert_eq!(state.fate(ReplicaId(0), ReplicaId(1), &vote()), Fate::Drop);
+        assert_eq!(
+            state.fate(ReplicaId(2), ReplicaId(3), &vote()),
+            Fate::PROMPT
+        );
     }
 
     #[test]

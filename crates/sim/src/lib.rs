@@ -26,7 +26,6 @@
 
 pub mod chaos;
 pub mod cost;
-pub mod faults;
 pub mod link;
 pub mod metrics;
 pub mod net;
@@ -34,9 +33,8 @@ pub mod registry;
 pub mod runner;
 pub mod spec;
 
-pub use chaos::{ChaosEvent, ChaosPlan, CrashAtSeq, LinkChaos};
+pub use chaos::{ChaosEvent, ChaosPlan, ChaosState, Fate, LinkChaos, MessageClass, WithholdRule};
 pub use cost::CostModel;
-pub use faults::{DeliveryFate, FaultPlan, MessageClass};
 pub use link::{Direction, LinkClass, LinkQueues, LinkUsage, Nic};
 pub use metrics::{CommittedTxn, SimReport};
 pub use net::NetworkModel;

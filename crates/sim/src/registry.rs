@@ -1,21 +1,11 @@
 //! Builds engine clusters for every protocol in the repository.
 
 use crate::spec::ScenarioSpec;
-use flexitrust_baselines::{CheapBft, MinBft, MinZz, OpbftEa, Pbft, PbftEa, Zyzzyva};
-use flexitrust_core::{FlexiBft, FlexiZz};
-use flexitrust_protocol::ConsensusEngine;
-use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave};
-use flexitrust_types::{ProtocolId, ReplicaId, SystemConfig};
+use flexitrust_host::build_replica;
+pub use flexitrust_host::ReplicaSetup;
+use flexitrust_trusted::{AttestationMode, EnclaveRegistry};
+use flexitrust_types::ReplicaId;
 use std::sync::Arc;
-
-/// One simulated replica: its engine and (when the protocol uses one) its
-/// trusted component, which the simulator observes to charge access latency.
-pub struct ReplicaSetup {
-    /// The protocol engine.
-    pub engine: Box<dyn ConsensusEngine>,
-    /// The replica's trusted component, if the protocol uses one.
-    pub enclave: Option<SharedEnclave>,
-}
 
 /// Builds the full replica set for a scenario.
 ///
@@ -27,114 +17,17 @@ pub fn build_replicas(spec: &ScenarioSpec) -> Vec<ReplicaSetup> {
     // The one allocation the whole cluster shares: every engine holds this
     // same `Arc`, and the registry's key table is itself Arc-backed, so
     // replica construction is reference-count bumps from here on.
-    let config: Arc<SystemConfig> = Arc::new(spec.system_config());
+    let config = Arc::new(spec.system_config());
     let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
-    let make_enclave = |id: ReplicaId, logs: bool| -> SharedEnclave {
-        let base = if logs {
-            EnclaveConfig::log_based(id, AttestationMode::Counting)
-        } else {
-            EnclaveConfig::counter_only(id, AttestationMode::Counting)
-        };
-        Enclave::shared(base.with_hardware(spec.hardware))
-    };
-
     (0..config.n)
         .map(|i| {
-            let id = ReplicaId(i as u32);
-            match spec.protocol {
-                ProtocolId::Pbft => ReplicaSetup {
-                    engine: Box::new(Pbft::engine(Arc::clone(&config), id)),
-                    enclave: None,
-                },
-                ProtocolId::Zyzzyva => ReplicaSetup {
-                    engine: Box::new(Zyzzyva::engine(Arc::clone(&config), id)),
-                    enclave: None,
-                },
-                ProtocolId::PbftEa => {
-                    let enclave = make_enclave(id, true);
-                    ReplicaSetup {
-                        engine: Box::new(PbftEa::engine(
-                            Arc::clone(&config),
-                            id,
-                            enclave.clone(),
-                            registry.clone(),
-                        )),
-                        enclave: Some(enclave),
-                    }
-                }
-                ProtocolId::OpbftEa => {
-                    let enclave = make_enclave(id, true);
-                    ReplicaSetup {
-                        engine: Box::new(OpbftEa::engine(
-                            Arc::clone(&config),
-                            id,
-                            enclave.clone(),
-                            registry.clone(),
-                        )),
-                        enclave: Some(enclave),
-                    }
-                }
-                ProtocolId::MinBft => {
-                    let enclave = make_enclave(id, false);
-                    ReplicaSetup {
-                        engine: Box::new(MinBft::engine(
-                            Arc::clone(&config),
-                            id,
-                            enclave.clone(),
-                            registry.clone(),
-                        )),
-                        enclave: Some(enclave),
-                    }
-                }
-                ProtocolId::MinZz => {
-                    let enclave = make_enclave(id, false);
-                    ReplicaSetup {
-                        engine: Box::new(MinZz::engine(
-                            Arc::clone(&config),
-                            id,
-                            enclave.clone(),
-                            registry.clone(),
-                        )),
-                        enclave: Some(enclave),
-                    }
-                }
-                ProtocolId::CheapBft => {
-                    let enclave = make_enclave(id, false);
-                    ReplicaSetup {
-                        engine: Box::new(CheapBft::engine(
-                            Arc::clone(&config),
-                            id,
-                            enclave.clone(),
-                            registry.clone(),
-                        )),
-                        enclave: Some(enclave),
-                    }
-                }
-                ProtocolId::FlexiBft | ProtocolId::OFlexiBft => {
-                    let enclave = make_enclave(id, false);
-                    ReplicaSetup {
-                        engine: Box::new(FlexiBft::new(
-                            Arc::clone(&config),
-                            id,
-                            enclave.clone(),
-                            registry.clone(),
-                        )),
-                        enclave: Some(enclave),
-                    }
-                }
-                ProtocolId::FlexiZz | ProtocolId::OFlexiZz => {
-                    let enclave = make_enclave(id, false);
-                    ReplicaSetup {
-                        engine: Box::new(FlexiZz::new(
-                            Arc::clone(&config),
-                            id,
-                            enclave.clone(),
-                            registry.clone(),
-                        )),
-                        enclave: Some(enclave),
-                    }
-                }
-            }
+            build_replica(
+                spec.protocol,
+                Arc::clone(&config),
+                ReplicaId(i as u32),
+                registry.clone(),
+                spec.hardware,
+            )
         })
         .collect()
 }
@@ -142,6 +35,7 @@ pub fn build_replicas(spec: &ScenarioSpec) -> Vec<ReplicaSetup> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexitrust_types::ProtocolId;
 
     #[test]
     fn every_protocol_builds_the_right_cluster_size() {

@@ -27,15 +27,14 @@
 //! timeout plus an extra round trip when the full-replica quorum cannot be
 //! reached), after which the client immediately submits a fresh transaction.
 
-use crate::chaos::{ChaosEvent, CrashAtSeq, LinkChaos};
+use crate::chaos::{ChaosState, Fate};
 use crate::cost::CostModel;
-use crate::faults::{DeliveryFate, FaultPlan};
 use crate::link::{Direction, LinkClass, LinkQueues, Nic};
 use crate::metrics::{latency_stats_ms, CommittedTxn, SimReport};
 use crate::net::NetworkModel;
 use crate::registry::{build_replicas, ReplicaSetup};
 use crate::spec::ScenarioSpec;
-use flexitrust_host::{Dispatcher, EngineHost, TimerToken};
+use flexitrust_host::{recovery_request, Dispatcher, EngineHost, TimerToken};
 use flexitrust_protocol::{
     result_key, result_matches_key, ClientReply, ConsensusEngine, KvResultKey, Message,
     SharedMessage, TimerKind,
@@ -43,11 +42,8 @@ use flexitrust_protocol::{
 use flexitrust_trusted::SharedEnclave;
 use flexitrust_types::{ClientId, QuorumRule, ReplicaId, RequestId, SeqNum, Transaction};
 use flexitrust_workload::WorkloadGenerator;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha12Rng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::Arc;
 
 type Ns = u64;
 
@@ -249,85 +245,6 @@ impl RequestTracker {
     }
 }
 
-/// The outcome of consulting the chaos plan for one send.
-enum ChaosFate {
-    /// Never deliver (crashed endpoint, partition boundary, or a seeded
-    /// link drop).
-    Drop,
-    /// Deliver, possibly delayed (reorder) and possibly twice (duplicate).
-    Deliver {
-        /// Extra delay on the primary copy, nanoseconds (reorder draw).
-        extra_ns: u64,
-        /// When set, a duplicate copy arrives this much later than the
-        /// primary copy would have, nanoseconds.
-        duplicate_extra_ns: Option<u64>,
-    },
-}
-
-/// The send-path view of the chaos state: membership drops (crashed
-/// endpoints, partition boundaries) plus seeded per-link drop/dup/reorder.
-/// Built only when the scenario carries a non-empty plan, so fault-free
-/// runs make zero RNG draws and schedule zero extra events.
-struct ChaosLinkCtx<'a> {
-    down: &'a BTreeSet<ReplicaId>,
-    /// Group id per replica index while a partition is active.
-    partition: Option<&'a [u32]>,
-    link: &'a LinkChaos,
-    rng: &'a mut ChaCha12Rng,
-}
-
-impl ChaosLinkCtx<'_> {
-    fn consult(&mut self, from: ReplicaId, to: ReplicaId, msg: &Message) -> ChaosFate {
-        if self.down.contains(&from) || self.down.contains(&to) {
-            return ChaosFate::Drop;
-        }
-        if let Some(groups) = self.partition {
-            let group = |r: ReplicaId| groups.get(r.as_usize()).copied().unwrap_or(u32::MAX);
-            if group(from) != group(to) {
-                return ChaosFate::Drop;
-            }
-        }
-        if self.link.is_empty() || !self.link.applies_to(msg) {
-            return ChaosFate::Deliver {
-                extra_ns: 0,
-                duplicate_extra_ns: None,
-            };
-        }
-        // Fixed draw order — drop, duplicate, reorder, each gated on its
-        // configured rate — so a plan's ChaCha stream is a pure function of
-        // the traffic it sees and the schedule reproduces bit-identically
-        // from the seed.
-        if self.link.drop_per_10k > 0 && self.rng.gen_range(0..10_000u32) < self.link.drop_per_10k {
-            return ChaosFate::Drop;
-        }
-        let duplicate_extra_ns = if self.link.duplicate_per_10k > 0
-            && self.rng.gen_range(0..10_000u32) < self.link.duplicate_per_10k
-        {
-            Some(self.draw_delay_ns())
-        } else {
-            None
-        };
-        let extra_ns = if self.link.reorder_per_10k > 0
-            && self.rng.gen_range(0..10_000u32) < self.link.reorder_per_10k
-        {
-            self.draw_delay_ns()
-        } else {
-            0
-        };
-        ChaosFate::Deliver {
-            extra_ns,
-            duplicate_extra_ns,
-        }
-    }
-
-    fn draw_delay_ns(&mut self) -> u64 {
-        if self.link.reorder_max_delay_us == 0 {
-            return 0;
-        }
-        self.rng.gen_range(0..=self.link.reorder_max_delay_us) * 1_000
-    }
-}
-
 /// The simulator's [`EngineHost`] implementation: one engine invocation's
 /// view of the world. Effects are buffered (events to schedule, replies to
 /// account) and applied by the simulation loop once the dispatch batch
@@ -343,10 +260,9 @@ struct SimEnv<'a> {
     worker: &'a mut Ns,
     cost: &'a CostModel,
     net: &'a NetworkModel,
-    faults: &'a FaultPlan,
-    /// Chaos membership/link state; `None` whenever the plan is empty (the
+    /// The bound fault plan; `None` whenever the plan is empty (the
     /// zero-cost fault-free path).
-    chaos: Option<ChaosLinkCtx<'a>>,
+    chaos: Option<&'a mut ChaosState>,
     /// Departure time of the current dispatch batch (set by `begin_batch`).
     at: Ns,
     events: Vec<(Ns, EventKind)>,
@@ -355,36 +271,28 @@ struct SimEnv<'a> {
 
 impl EngineHost for SimEnv<'_> {
     fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
-        let mut extra_ns = match self.faults.fate(from, to, &msg) {
-            DeliveryFate::Drop => return,
-            DeliveryFate::Deliver => 0,
-            DeliveryFate::Delay(extra_us) => extra_us * 1_000,
-        };
-        if let Some(chaos) = self.chaos.as_mut() {
-            match chaos.consult(from, to, &msg) {
-                ChaosFate::Drop => return,
-                ChaosFate::Deliver {
-                    extra_ns: chaos_extra_ns,
+        let chaos = self.chaos.as_mut();
+        let (extra_ns, duplicate_extra_ns) =
+            match chaos.map_or(Fate::PROMPT, |c| c.fate(from, to, &msg)) {
+                Fate::Drop => return,
+                Fate::Deliver {
+                    extra_ns,
                     duplicate_extra_ns,
-                } => {
-                    extra_ns += chaos_extra_ns;
-                    if let Some(dup_extra_ns) = duplicate_extra_ns {
-                        // The duplicate copy bypasses the bandwidth model
-                        // (pure latency) — chaos duplicates are rare
-                        // injected traffic, not part of the throughput
-                        // accounting the link model exists for.
-                        let latency_ns = self.net.replica_latency_us(from, to) * 1_000;
-                        self.events.push((
-                            self.at + latency_ns + extra_ns + dup_extra_ns,
-                            EventKind::Deliver {
-                                to,
-                                from,
-                                msg: msg.clone(),
-                            },
-                        ));
-                    }
-                }
-            }
+                } => (extra_ns, duplicate_extra_ns),
+            };
+        if let Some(dup_extra_ns) = duplicate_extra_ns {
+            // The duplicate copy bypasses the bandwidth model (pure
+            // latency) — chaos duplicates are rare injected traffic, not
+            // part of the throughput accounting the link model exists for.
+            let latency_ns = self.net.replica_latency_us(from, to) * 1_000;
+            self.events.push((
+                self.at + latency_ns + extra_ns + dup_extra_ns,
+                EventKind::Deliver {
+                    to,
+                    from,
+                    msg: msg.clone(),
+                },
+            ));
         }
         let bytes = msg.wire_size_bytes();
         let transmit_ns = self.net.replica_transmit_ns(from, to, bytes);
@@ -524,40 +432,10 @@ pub struct Simulation {
     /// own deadline: several clients completing in one event drain must not
     /// clobber each other's resubmit time.
     pending_resubmits: Vec<(Ns, Transaction)>,
-    /// Whether the scenario carries a non-empty chaos plan; all chaos
-    /// bookkeeping below is inert when false, so the event schedule stays
-    /// bit-identical to a run without a plan.
-    chaos_active: bool,
-    /// Index of the next scripted chaos event to apply.
-    chaos_cursor: usize,
-    /// Replicas currently crashed by the chaos plan (distinct from
-    /// `FaultPlan::failed`, which is down for the whole run).
-    chaos_down: BTreeSet<ReplicaId>,
-    /// Group id per replica index while a partition is active.
-    chaos_partition: Option<Vec<u32>>,
-    /// The plan's private seeded stream for link-chaos draws.
-    chaos_rng: ChaCha12Rng,
-    /// Commit-progress-triggered crash windows and their phase.
-    chaos_windows: Vec<(CrashAtSeq, WindowPhase)>,
-    /// Disruptive chaos events applied (partitions formed, crashes).
-    chaos_disruptions: u64,
-    /// Virtual time of the last restorative event (heal / recover).
-    last_restore_ns: Ns,
-    /// Client completions at or after the last restorative event — the
-    /// liveness checker's progress signal.
-    completed_after_restore: u64,
-}
-
-/// Lifecycle of one commit-progress-triggered crash window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WindowPhase {
-    /// Waiting for the replica's own frontier to reach `crash_at_seq`.
-    Armed,
-    /// Crashed; waiting for the rest of the cluster to reach
-    /// `recover_at_seq`.
-    Down,
-    /// Recovered; the window is spent.
-    Done,
+    /// The scenario's fault plan bound to this cluster; `None` when the
+    /// plan is empty, so the event schedule stays bit-identical to a run
+    /// without one.
+    chaos: Option<ChaosState>,
 }
 
 impl Simulation {
@@ -629,20 +507,7 @@ impl Simulation {
             fallback_quorum,
             all_replicas_rule: properties.reply_quorum == QuorumRule::AllReplicas,
             pending_resubmits: Vec::new(),
-            chaos_active: !spec.chaos.is_empty(),
-            chaos_cursor: 0,
-            chaos_down: BTreeSet::new(),
-            chaos_partition: None,
-            chaos_rng: ChaCha12Rng::seed_from_u64(spec.chaos.seed),
-            chaos_windows: spec
-                .chaos
-                .crash_windows
-                .iter()
-                .map(|w| (*w, WindowPhase::Armed))
-                .collect(),
-            chaos_disruptions: 0,
-            last_restore_ns: 0,
-            completed_after_restore: 0,
+            chaos: ChaosState::new(&spec.chaos, config.n),
             spec,
         }
     }
@@ -667,10 +532,9 @@ impl Simulation {
         )
     }
 
-    /// Whether a replica is currently unresponsive: crashed for the whole
-    /// run by the fault plan, or temporarily down under the chaos plan.
+    /// Whether a replica is currently crashed under the fault plan.
     fn is_down(&self, replica: ReplicaId) -> bool {
-        self.spec.faults.is_failed(replica) || self.chaos_down.contains(&replica)
+        self.chaos.as_ref().is_some_and(|c| c.is_down(replica))
     }
 
     fn current_primary(&self) -> ReplicaId {
@@ -696,9 +560,7 @@ impl Simulation {
             if event.at > total_ns {
                 break;
             }
-            if self.chaos_active {
-                self.apply_chaos_until(event.at);
-            }
+            self.advance_chaos(event.at);
             self.now = event.at;
             self.events_processed += 1;
             match event.kind {
@@ -750,9 +612,7 @@ impl Simulation {
                 }
             }
             self.flush_resubmits();
-            if self.chaos_active && !self.chaos_windows.is_empty() {
-                self.poll_crash_windows();
-            }
+            self.poll_crash_windows();
         }
 
         self.report(total_ns, warmup_ns)
@@ -763,67 +623,32 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Applies every scripted chaos event whose time has come (the clock is
-    /// about to advance to `upto`).
-    fn apply_chaos_until(&mut self, upto: Ns) {
-        while let Some(event) = self.spec.chaos.schedule.get(self.chaos_cursor) {
-            if event.at_ns() > upto {
-                break;
-            }
-            let event = event.clone();
-            self.chaos_cursor += 1;
-            self.apply_chaos_event(event);
+    /// about to advance to `upto`), rejoining each replica it recovers.
+    fn advance_chaos(&mut self, upto: Ns) {
+        while let Some((at, replica)) = self.chaos.as_mut().and_then(|c| c.advance(upto)) {
+            self.inject_recovery(replica, at);
         }
     }
 
-    fn apply_chaos_event(&mut self, event: ChaosEvent) {
-        let at = event.at_ns();
-        match event {
-            ChaosEvent::PartitionForm { groups, .. } => {
-                let n = self.hosts.len();
-                // Unnamed replicas share the implicit extra group.
-                let mut membership = vec![groups.len() as u32; n];
-                for (g, members) in groups.iter().enumerate() {
-                    for replica in members {
-                        if let Some(slot) = membership.get_mut(replica.as_usize()) {
-                            *slot = g as u32;
-                        }
-                    }
-                }
-                self.chaos_partition = Some(membership);
-                self.chaos_disruptions += 1;
-            }
-            ChaosEvent::PartitionHeal { .. } => {
-                self.chaos_partition = None;
-                self.mark_restored(at);
-            }
-            ChaosEvent::Crash { replica, .. } => {
-                self.chaos_down.insert(replica);
-                self.chaos_disruptions += 1;
-            }
-            ChaosEvent::Recover { replica, .. } => {
-                self.chaos_down.remove(&replica);
-                self.mark_restored(at);
-                self.inject_recovery(replica, at);
-            }
+    /// Steps the commit-progress-triggered crash windows against the
+    /// engines' execution frontiers, rejoining each replica that recovers.
+    fn poll_crash_windows(&mut self) {
+        let Some(chaos) = self.chaos.as_mut() else {
+            return;
+        };
+        let hosts = &self.hosts;
+        let recovered = chaos.poll_windows(self.now, |i| hosts[i].engine.last_executed().0);
+        for replica in recovered {
+            self.inject_recovery(replica, self.now);
         }
-    }
-
-    /// A restorative event (heal / recover) was applied: restart the
-    /// liveness clock the invariant checker measures progress from.
-    fn mark_restored(&mut self, at: Ns) {
-        self.last_restore_ns = at.max(self.now);
-        self.completed_after_restore = 0;
     }
 
     /// A recovered replica immediately asks every live peer for the latest
-    /// stable checkpoint; peers answer with `CheckpointState` (snapshot plus
-    /// replay batches) through the normal engine path. The injected requests
-    /// bypass the bandwidth model — they are header-only and rare, not part
-    /// of the throughput the link model accounts.
+    /// stable checkpoint. The injected requests bypass the bandwidth model —
+    /// they are header-only and rare, not part of the throughput the link
+    /// model accounts.
     fn inject_recovery(&mut self, replica: ReplicaId, at: Ns) {
-        let last_executed = self.hosts[replica.as_usize()].engine.last_executed();
-        let msg: SharedMessage = Arc::new(Message::CheckpointRequest { last_executed });
-        let at = at.max(self.now);
+        let msg = recovery_request(&*self.hosts[replica.as_usize()].engine);
         for peer in 0..self.hosts.len() {
             let to = ReplicaId(peer as u32);
             if to == replica || self.is_down(to) {
@@ -838,47 +663,6 @@ impl Simulation {
                     msg: msg.clone(),
                 },
             );
-        }
-    }
-
-    /// Commit-progress-triggered crash windows: crash once the replica's
-    /// own frontier reaches `crash_at_seq`, recover once the rest of the
-    /// cluster reaches `recover_at_seq`. Keyed on sequence numbers, not
-    /// virtual time, so the same window pins identical behaviour on the
-    /// threaded cluster (whose wall clock is incomparable).
-    fn poll_crash_windows(&mut self) {
-        for i in 0..self.chaos_windows.len() {
-            let (window, phase) = self.chaos_windows[i];
-            match phase {
-                WindowPhase::Armed => {
-                    let own = self.hosts[window.replica.as_usize()]
-                        .engine
-                        .last_executed()
-                        .0;
-                    if own >= window.crash_at_seq && !self.is_down(window.replica) {
-                        self.chaos_down.insert(window.replica);
-                        self.chaos_disruptions += 1;
-                        self.chaos_windows[i].1 = WindowPhase::Down;
-                    }
-                }
-                WindowPhase::Down => {
-                    let others_frontier = self
-                        .hosts
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| *j != window.replica.as_usize())
-                        .map(|(_, h)| h.engine.last_executed().0)
-                        .max()
-                        .unwrap_or(0);
-                    if others_frontier >= window.recover_at_seq {
-                        self.chaos_down.remove(&window.replica);
-                        self.mark_restored(self.now);
-                        self.chaos_windows[i].1 = WindowPhase::Done;
-                        self.inject_recovery(window.replica, self.now);
-                    }
-                }
-                WindowPhase::Done => {}
-            }
         }
     }
 
@@ -968,16 +752,6 @@ impl Simulation {
             tc_free,
             tc_seen,
         } = host;
-        let chaos = if self.chaos_active {
-            Some(ChaosLinkCtx {
-                down: &self.chaos_down,
-                partition: self.chaos_partition.as_deref(),
-                link: &self.spec.chaos.link,
-                rng: &mut self.chaos_rng,
-            })
-        } else {
-            None
-        };
         let mut env = SimEnv {
             start,
             base_cost_ns,
@@ -988,8 +762,7 @@ impl Simulation {
             worker: &mut workers[widx],
             cost: &self.spec.cost,
             net: &self.net,
-            faults: &self.spec.faults,
-            chaos,
+            chaos: self.chaos.as_mut(),
             at: start + base_cost_ns,
             events: Vec::new(),
             replies: Vec::new(),
@@ -1514,8 +1287,8 @@ impl Simulation {
             self.latencies.push(at - submit);
             self.completed_txns += 1;
         }
-        if self.chaos_active && at >= self.last_restore_ns {
-            self.completed_after_restore += 1;
+        if let Some(chaos) = self.chaos.as_mut() {
+            chaos.record_completion(at);
         }
         // The closed-loop client immediately submits its next transaction
         // after one client round trip to the replica it actually contacts —
@@ -1550,6 +1323,7 @@ impl Simulation {
             })
             .collect();
         let config = self.spec.system_config();
+        let chaos = self.chaos.as_ref();
         let mut commit_log = self.commit_log;
         commit_log.sort_unstable();
         SimReport {
@@ -1582,9 +1356,9 @@ impl Simulation {
                 .iter()
                 .map(|h| (h.engine.last_executed().0, h.engine.state_digest()))
                 .collect(),
-            chaos_disruptions: self.chaos_disruptions,
-            last_restore_ns: self.last_restore_ns,
-            completed_after_restore: self.completed_after_restore,
+            chaos_disruptions: chaos.map_or(0, |c| c.disruptions),
+            last_restore_ns: chaos.map_or(0, |c| c.last_restore_ns),
+            completed_after_restore: chaos.map_or(0, |c| c.completed_after_restore),
             commit_log,
         }
     }
@@ -1604,10 +1378,11 @@ mod tests {
     fn arrivals_at_a_failed_primary_are_retransmitted_not_dropped() {
         let mut spec = ScenarioSpec::quick_test(ProtocolId::FlexiBft);
         spec.clients = 3;
-        spec.faults = crate::faults::FaultPlan::single_failure(ReplicaId(0));
+        spec.chaos = crate::chaos::ChaosPlan::single_failure(ReplicaId(0));
         let timeout_ns = spec.system_config().client_timeout_us * 1_000;
         let mut sim = Simulation::new(spec);
         sim.now = 5_000;
+        sim.advance_chaos(sim.now);
         let txns: Vec<Transaction> = (0..3).map(|c| sim.fresh_txn(c)).collect();
         let retry = txns.clone();
         sim.on_client_arrival(txns);
@@ -1791,6 +1566,29 @@ mod tests {
     }
 
     #[test]
+    fn empty_plan_allocates_no_chaos_state() {
+        let sim = Simulation::new(ScenarioSpec::quick_test(ProtocolId::FlexiBft));
+        assert!(sim.chaos.is_none());
+    }
+
+    #[test]
+    fn plan_written_for_a_larger_cluster_runs_to_completion() {
+        use crate::chaos::ChaosPlan;
+        // A churn rotation over 7 replicas on an n = 4 cluster: the rounds
+        // naming replicas 4..=6 are skipped instead of indexing out of
+        // range on recovery.
+        let mut spec = ScenarioSpec::quick_test(ProtocolId::FlexiBft);
+        assert_eq!(spec.replicas(), 4);
+        spec.checkpoint_interval = Some(10);
+        spec.chaos = ChaosPlan::churn(3, 7, 20_000_000, 20_000_000, 10_000_000, 7);
+        let report = Simulation::new(spec).run();
+        assert_eq!(report.chaos_disruptions, 4, "rounds 0..=3 crash a replica");
+        if let Err(violation) = report.check_chaos_invariants() {
+            assert!(violation.starts_with("liveness"), "{violation}");
+        }
+    }
+
+    #[test]
     fn identical_chaos_seeds_reproduce_identical_runs() {
         use crate::chaos::{ChaosPlan, LinkChaos};
         let spec_with = |seed: u64| {
@@ -1959,7 +1757,7 @@ mod tests {
             spec.warmup_us = 100_000;
             if fail {
                 let victim = ReplicaId((spec.replicas() - 1) as u32);
-                spec.faults = crate::faults::FaultPlan::single_failure(victim);
+                spec.chaos = crate::chaos::ChaosPlan::single_failure(victim);
             }
             Simulation::new(spec).run()
         };

@@ -2,7 +2,6 @@
 
 use crate::chaos::ChaosPlan;
 use crate::cost::CostModel;
-use crate::faults::FaultPlan;
 use flexitrust_trusted::TrustedHardware;
 use flexitrust_types::{BandwidthConfig, ProtocolId, SystemConfig};
 use flexitrust_workload::WorkloadConfig;
@@ -41,11 +40,10 @@ pub struct ScenarioSpec {
     pub warmup_us: u64,
     /// Workload mix.
     pub workload: WorkloadConfig,
-    /// Fault / adversary plan.
-    pub faults: FaultPlan,
-    /// Time-scripted chaos plan (partitions, seeded drop/dup/reorder,
-    /// crash-recovery via checkpoint rejoin). Empty plans cost nothing: the
-    /// event schedule stays bit-identical to a run without one.
+    /// The fault / adversary plan: whole-run and time-scripted crashes,
+    /// partitions, seeded drop/dup/reorder, crash-recovery via checkpoint
+    /// rejoin, the §5 withhold/delay adversary. Empty plans cost nothing:
+    /// the event schedule stays bit-identical to a run without one.
     pub chaos: ChaosPlan,
     /// Overrides the protocol's checkpoint interval when set; chaos
     /// scenarios shorten it so crash-recovery exercises state transfer
@@ -84,7 +82,6 @@ impl ScenarioSpec {
             duration_us: 400_000,
             warmup_us: 100_000,
             workload: WorkloadConfig::tiny(),
-            faults: FaultPlan::none(),
             chaos: ChaosPlan::none(),
             checkpoint_interval: None,
             seed: 42,

@@ -55,17 +55,14 @@ pub use flexitrust_workload as workload;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use flexitrust_core::{FlexiBft, FlexiZz};
-    pub use flexitrust_host::{Dispatcher, EngineHost};
+    pub use flexitrust_host::{CrashWindow, Dispatcher, EngineHost};
     pub use flexitrust_protocol::{
         ClientLibrary, ConsensusEngine, Message, Outbox, ProtocolProperties, TimerKind,
     };
-    pub use flexitrust_runtime::{
-        Cluster, ClusterSummary, CrashWindow, PrimaryTracker, TcpCluster,
-    };
+    pub use flexitrust_runtime::{Cluster, ClusterSummary, PrimaryTracker, TcpCluster};
     pub use flexitrust_sim::{
-        ChaosEvent, ChaosPlan, CostModel, CrashAtSeq, Direction, FaultPlan, LinkChaos, LinkClass,
-        LinkQueues, LinkUsage, MessageClass, NetworkModel, Nic, ScenarioSpec, SimReport,
-        Simulation,
+        ChaosEvent, ChaosPlan, CostModel, Direction, LinkChaos, LinkClass, LinkQueues, LinkUsage,
+        MessageClass, NetworkModel, Nic, ScenarioSpec, SimReport, Simulation,
     };
     pub use flexitrust_trusted::{Enclave, EnclaveConfig, EnclaveRegistry, TrustedHardware};
     pub use flexitrust_types::{

@@ -131,6 +131,12 @@ const CHAOS_CLIENTS: usize = 1600;
 const CHAOS_SEQS: u64 = (CHAOS_CLIENTS / BATCH) as u64;
 const CRASH_AT: u64 = 40;
 const RECOVER_AT: u64 = 120;
+/// The one window value both hosts are handed.
+const CRASH_WINDOW: CrashWindow = CrashWindow {
+    replica: ReplicaId(2),
+    crash_at_seq: CRASH_AT,
+    recover_at_seq: RECOVER_AT,
+};
 /// Shortened checkpoint interval so recovery has a stable checkpoint to
 /// transfer well before the workload drains.
 const CHAOS_CHECKPOINT: u64 = 20;
@@ -143,11 +149,7 @@ fn simulator_commits_with_crash(protocol: ProtocolId) -> (Vec<CommittedTxn>, u64
     spec.batch_size = BATCH;
     spec.clients = CHAOS_CLIENTS;
     spec.checkpoint_interval = Some(CHAOS_CHECKPOINT);
-    spec.chaos = ChaosPlan::none().with_crash_windows(vec![CrashAtSeq {
-        replica: ReplicaId(2),
-        crash_at_seq: CRASH_AT,
-        recover_at_seq: RECOVER_AT,
-    }]);
+    spec.chaos = ChaosPlan::none().with_crash_windows(vec![CRASH_WINDOW]);
     let report = Simulation::new(spec).run();
     report
         .check_chaos_invariants()
@@ -171,11 +173,7 @@ fn cluster_commits_with_crash(protocol: ProtocolId) -> (Vec<CommittedTxn>, u64) 
         BATCH,
         1,
         Some(CHAOS_CHECKPOINT),
-        Some(CrashWindow {
-            replica: ReplicaId(2),
-            crash_at_seq: CRASH_AT,
-            recover_at_seq: RECOVER_AT,
-        }),
+        Some(CRASH_WINDOW),
     );
     let summary = cluster.run_workload(CHAOS_CLIENTS, CHAOS_CLIENTS, Duration::from_secs(120));
     // The workload completes on the client quorum; give replica 2's thread

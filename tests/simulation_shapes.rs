@@ -3,7 +3,6 @@
 //! are irrelevant here; orderings and crossovers are what the paper claims.
 
 use flexitrust::prelude::*;
-use flexitrust::sim::FaultPlan;
 
 fn quick(protocol: ProtocolId, f: usize) -> SimReport {
     let mut spec = ScenarioSpec::quick_test(protocol);
@@ -95,7 +94,7 @@ fn single_replica_failure_only_hurts_all_reply_protocols() {
         spec.duration_us = 400_000;
         spec.warmup_us = 100_000;
         let victim = ReplicaId((spec.replicas() - 1) as u32);
-        spec.faults = FaultPlan::single_failure(victim);
+        spec.chaos = ChaosPlan::single_failure(victim);
         Simulation::new(spec).run()
     };
     let healthy_flexi = quick(ProtocolId::FlexiZz, 1);
@@ -108,6 +107,50 @@ fn single_replica_failure_only_hurts_all_reply_protocols() {
         failed_minzz.avg_latency_ms > healthy_minzz.avg_latency_ms,
         "MinZZ latency should rise under a failure"
     );
+}
+
+/// Golden pin of the whole-run-crash path: `(events_processed,
+/// messages_delivered, completed_txns, commit_log.len())` with the last
+/// replica failed for the whole run, recorded at commit a060ca4 — the last
+/// one where a whole-run crash was a static crash set in a second fault
+/// model. The `ChaosPlan` preset must reproduce that schedule bit for bit.
+#[test]
+fn single_failure_preset_reproduces_the_recorded_schedule() {
+    // (protocol, quick_test as is, the 400 ms scenario of the test above)
+    let pins = [
+        (
+            ProtocolId::FlexiBft,
+            (33_976, 31_393, 21_900, 26_120),
+            (95_081, 87_804, 58_570, 73_100),
+        ),
+        (
+            ProtocolId::MinZz,
+            (5_001, 360, 1_200, 1_600),
+            (14_189, 950, 3_600, 4_600),
+        ),
+    ];
+    for (protocol, quick_pin, long_pin) in pins {
+        for (long, pin) in [(false, quick_pin), (true, long_pin)] {
+            let mut spec = ScenarioSpec::quick_test(protocol);
+            if long {
+                spec.duration_us = 400_000;
+                spec.warmup_us = 100_000;
+            }
+            let victim = ReplicaId((spec.replicas() - 1) as u32);
+            spec.chaos = ChaosPlan::single_failure(victim);
+            let report = Simulation::new(spec).run();
+            assert_eq!(
+                (
+                    report.events_processed,
+                    report.messages_delivered,
+                    report.completed_txns,
+                    report.commit_log.len(),
+                ),
+                pin,
+                "{protocol} (long = {long})"
+            );
+        }
+    }
 }
 
 #[test]
