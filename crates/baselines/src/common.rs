@@ -248,13 +248,32 @@ impl PbftFamilyEngine {
         }
     }
 
-    fn verify_attestation(&self, attestation: &Option<Attestation>) -> bool {
-        match (self.style.primary_attest, attestation, &self.registry) {
-            (PrimaryAttest::None, _, _) => true,
-            (_, Some(att), Some(registry)) => registry.verify(att).is_ok(),
-            (_, Some(_), None) => true,
-            (_, None, _) => false,
+    /// Whether `attestation` is what a trust-bft primary must staple to its
+    /// proposal of `digest` at `seq`: issued by the sender's own trusted
+    /// component for exactly this sequence number and digest, and (when a
+    /// registry is present) carrying a valid enclave signature. Without the
+    /// binding a valid attestation for `(k, A)` could ride on a `PrePrepare`
+    /// for `(k, B)` — the equivocation the trusted counter exists to prevent.
+    fn verify_attestation(
+        &self,
+        from: ReplicaId,
+        seq: SeqNum,
+        digest: Digest,
+        attestation: &Option<Attestation>,
+    ) -> bool {
+        if self.style.primary_attest == PrimaryAttest::None {
+            return true;
         }
+        let Some(att) = attestation else {
+            return false;
+        };
+        att.host == from
+            && att.value == seq.0
+            && att.digest == digest
+            && self
+                .registry
+                .as_ref()
+                .is_none_or(|registry| registry.verify(att).is_ok())
     }
 
     // ------------------------------------------------------------------
@@ -276,7 +295,8 @@ impl PbftFamilyEngine {
         if seq <= self.core.low_water_mark() {
             return;
         }
-        if !self.verify_attestation(&attestation) {
+        let digest = batch.digest();
+        if !self.verify_attestation(from, seq, digest, &attestation) {
             return;
         }
         let slot = self.slots.entry(seq.0).or_default();
@@ -284,7 +304,6 @@ impl PbftFamilyEngine {
             // Already accepted a proposal for this slot in this view.
             return;
         }
-        let digest = batch.digest();
         slot.batch = Some(batch.clone());
         slot.digest = Some(digest);
         slot.view = view;
@@ -1046,6 +1065,58 @@ mod tests {
     }
 
     #[test]
+    fn trust_bft_backup_binds_the_attestation_to_the_proposal() {
+        let cfg = SystemConfig::for_protocol(ProtocolId::MinBft, 1);
+        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
+        let counter = |id| {
+            Enclave::shared(EnclaveConfig::counter_only(
+                ReplicaId(id),
+                AttestationMode::Counting,
+            ))
+        };
+        let mut backup = PbftFamilyEngine::new(
+            cfg,
+            ReplicaId(1),
+            minbft_style(),
+            Some(counter(1)),
+            Some(registry),
+        );
+        // A Byzantine primary holds two *valid* attestations from its own
+        // trusted counter: (1, A) and (2, A).
+        let primary_enclave = counter(0);
+        let a = flexitrust_crypto::make_batch(txns(1));
+        let b = flexitrust_crypto::make_batch(txns(2));
+        let for_1_a = primary_enclave
+            .append(0, 1, a.digest())
+            .expect("attest (1, A)");
+        let for_2_a = primary_enclave
+            .append(0, 2, a.digest())
+            .expect("attest (2, A)");
+        let mut propose = |batch: &Batch, attestation: &Attestation| {
+            let mut out = Outbox::new();
+            backup.on_message(
+                ReplicaId(0),
+                Message::PrePrepare {
+                    view: View(0),
+                    seq: SeqNum(1),
+                    batch: batch.clone(),
+                    attestation: Some(attestation.clone()),
+                },
+                &mut out,
+            );
+            out
+        };
+        // Stapled onto (1, B): issued for another digest.
+        assert!(propose(&b, &for_1_a).is_empty());
+        // Stapled onto (1, A): issued for another sequence number.
+        assert!(propose(&a, &for_2_a).is_empty());
+        // The genuine pair is accepted and voted on.
+        let out = propose(&a, &for_1_a);
+        assert_eq!(out.broadcasts().len(), 1);
+        assert_eq!(out.broadcasts()[0].kind(), "Prepare");
+    }
+
+    #[test]
     fn view_change_replaces_a_silent_primary() {
         let mut cluster = build_cluster(pbft_style(), 1);
         // Deliver nothing; instead, fire the view-change timer at every
@@ -1102,14 +1173,15 @@ mod tests {
             ReplicaId(0),
             AttestationMode::Counting,
         ));
-        let att = primary_enclave.append(0, 1, Digest::from_u64_tag(1)).ok();
+        let batch = flexitrust_crypto::make_batch(txns(1));
+        let att = primary_enclave.append(0, 1, batch.digest()).ok();
         let mut out = Outbox::new();
         passive.on_message(
             ReplicaId(0),
             Message::PrePrepare {
                 view: View(0),
                 seq: SeqNum(1),
-                batch: flexitrust_crypto::make_batch(txns(1)),
+                batch,
                 attestation: att,
             },
             &mut out,

@@ -22,10 +22,10 @@ pub enum BenchScale {
     /// `FLEXITRUST_BENCH_SCALE=full`: larger windows closer to the paper's
     /// setup.
     Full,
-    /// `FLEXITRUST_BENCH_SCALE=smoke`: the CI smoke configuration — each
-    /// bench shrinks its sweeps to a representative handful of points so a
-    /// regression in the models fails fast without burning CI minutes on
-    /// full figures.
+    /// `FLEXITRUST_BENCH_SCALE=smoke`: the CI smoke configuration —
+    /// `fig6vi_wan` shrinks its sweeps to a representative handful of points
+    /// so a regression in the models fails fast without burning CI minutes
+    /// on full figures.
     Smoke,
 }
 
@@ -100,82 +100,6 @@ pub fn mixed_elephant_rx_spec(mut spec: ScenarioSpec) -> ScenarioSpec {
     spec.warmup_us = 300_000;
     spec.clients = 100;
     spec
-}
-
-/// The broadcast-heavy large-n scenario of the PR 5 message-plane harness:
-/// n = 25, batch 50, 4 KiB update payloads, chunked finite links and
-/// constrained replica ingress — the message plane's worst case. One
-/// definition shared by the `throughput` events/sec floor and the
-/// `chaos_sweep` fault-free-overhead gate, so the two CI gates cannot
-/// drift onto different scenarios.
-pub fn broadcast_heavy_spec(duration_us: u64, warmup_us: u64) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::paper_default(ProtocolId::FlexiBft);
-    spec.f = 8; // n = 25
-    spec.batch_size = 50;
-    spec.clients = 2_000;
-    spec.duration_us = duration_us;
-    spec.warmup_us = warmup_us;
-    spec.record_commit_log = false;
-    spec.workload = WorkloadConfig {
-        value_size: 4096,
-        read_proportion: 0.0,
-        update_proportion: 1.0,
-        insert_proportion: 0.0,
-        rmw_proportion: 0.0,
-        scan_proportion: 0.0,
-        max_scan_len: 1,
-        record_count: 1_000,
-        distribution: flexitrust::workload::KeyDistribution::Uniform,
-    };
-    let mut bandwidth = BandwidthConfig::unlimited();
-    bandwidth.local_mbps = Some(10_000);
-    bandwidth.ingress_mbps = Some(10_000);
-    bandwidth.chunk_bytes = Some(9_000);
-    spec.bandwidth = bandwidth;
-    spec
-}
-
-/// Returns the balanced `{...}` object following `"key"` in `json`,
-/// verbatim — the hand-rolled row extractor the trajectory-writing benches
-/// (`exec_scaling`, `chaos_sweep`) use to carry committed history rows
-/// forward (the benches are as dependency-free as the lint).
-pub fn extract_object(json: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    // Only `"key": {` counts — a committed `"key": null` must fall through
-    // to the caller's default, not capture the next object in the file.
-    let after = json[at + needle.len()..].trim_start().strip_prefix(':')?;
-    if !after.trim_start().starts_with('{') {
-        return None;
-    }
-    let open = at + json[at..].find('{')?;
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in json[open..].char_indices() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(json[open..=open + i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// The standard evaluation scenario used by the figure benches.

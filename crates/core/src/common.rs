@@ -231,11 +231,20 @@ impl FlexiCore {
     // ------------------------------------------------------------------
 
     /// Records a checkpoint vote and garbage-collects accepted proposals
-    /// below the new stable checkpoint.
-    pub fn on_checkpoint(&mut self, from: ReplicaId, seq: SeqNum, state_digest: Digest) {
-        if let Some(stable) = self.replica.record_checkpoint_vote(from, seq, state_digest) {
-            self.accepted.retain(|s, _| *s > stable.0);
-        }
+    /// below the new stable checkpoint. Returns the checkpoint's sequence
+    /// number when this vote made it stable, so the engine can prune its
+    /// own per-sequence state the same way.
+    pub fn on_checkpoint(
+        &mut self,
+        from: ReplicaId,
+        seq: SeqNum,
+        state_digest: Digest,
+    ) -> Option<SeqNum> {
+        let stable = self
+            .replica
+            .record_checkpoint_vote(from, seq, state_digest)?;
+        self.accepted.retain(|s, _| *s > stable.0);
+        Some(stable)
     }
 
     /// Serves a peer's `CheckpointRequest`: when this replica's stable

@@ -126,6 +126,11 @@ impl FlexiBft {
         if view != self.flexi.replica.view() || self.flexi.in_view_change() {
             return;
         }
+        if seq <= self.flexi.replica.low_water_mark() {
+            // Below the stable checkpoint the vote state is pruned; a late
+            // Prepare must not recreate it.
+            return;
+        }
         if !self.prepare_votes.vote((view, seq, digest), from) {
             return;
         }
@@ -149,6 +154,14 @@ impl FlexiBft {
             self.flexi.replica.maybe_emit_checkpoint(done.seq, out);
             self.flexi.instance_finished(done.seq, out);
         }
+    }
+
+    /// Garbage-collects the per-sequence vote state at or below a stable
+    /// checkpoint (`FlexiCore` prunes its accepted proposals itself).
+    fn forget_through(&mut self, stable: SeqNum) {
+        self.prepare_votes.retain(|(_, s, _)| *s > stable);
+        self.prepare_sent.retain(|s| *s > stable.0);
+        self.committed.retain(|s| *s > stable.0);
     }
 
     fn adopt_proposals(
@@ -216,7 +229,11 @@ impl ConsensusEngine for FlexiBft {
             }
             Message::Checkpoint {
                 seq, state_digest, ..
-            } => self.flexi.on_checkpoint(from, seq, state_digest),
+            } => {
+                if let Some(stable) = self.flexi.on_checkpoint(from, seq, state_digest) {
+                    self.forget_through(stable);
+                }
+            }
             Message::ViewChange {
                 new_view,
                 last_stable,
@@ -282,8 +299,7 @@ impl ConsensusEngine for FlexiBft {
                 {
                     // Committed/prepared bookkeeping below the installed
                     // checkpoint is superseded by the transferred state.
-                    self.committed.retain(|s| *s > seq.0);
-                    self.prepare_sent.retain(|s| *s > seq.0);
+                    self.forget_through(seq);
                 }
             }
         }
@@ -516,6 +532,29 @@ mod tests {
         assert_eq!(engines[1].last_executed(), SeqNum(1));
         assert_eq!(out.replies().len(), 1);
         assert!(!out.replies()[0].speculative);
+    }
+
+    #[test]
+    fn stable_checkpoints_prune_the_vote_state() {
+        let mut cfg = FlexiBft::config(1);
+        cfg.batch_size = 1;
+        cfg.checkpoint_interval = 2;
+        let mut engines = build_cluster(&cfg);
+        run(&mut engines, vec![(0, txns(10))]);
+        for e in &engines {
+            assert_eq!(e.last_executed(), SeqNum(10), "replica {}", e.id());
+            let stable = e.flexi.replica.low_water_mark();
+            assert!(
+                stable > SeqNum(0),
+                "replica {} has no stable checkpoint",
+                e.id()
+            );
+            // Only sequences above the stable checkpoint may still be tracked.
+            let live = (e.last_executed().0 - stable.0) as usize;
+            assert!(e.prepare_votes.tracked_keys() <= live, "replica {}", e.id());
+            assert!(e.prepare_sent.len() <= live, "replica {}", e.id());
+            assert!(e.committed.len() <= live, "replica {}", e.id());
+        }
     }
 
     #[test]

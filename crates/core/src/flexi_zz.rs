@@ -243,13 +243,10 @@ impl ConsensusEngine for FlexiZz {
             Message::Checkpoint {
                 seq, state_digest, ..
             } => {
-                let before = self.flexi.replica.low_water_mark();
-                self.flexi.on_checkpoint(from, seq, state_digest);
-                let after = self.flexi.replica.low_water_mark();
-                if after > before {
+                if let Some(stable) = self.flexi.on_checkpoint(from, seq, state_digest) {
                     // The stable checkpoint is the new speculative rollback
                     // point: everything at or below it is durable.
-                    self.rollback_point = (after, self.flexi.replica.exec().store().clone());
+                    self.rollback_point = (stable, self.flexi.replica.exec().store().clone());
                 }
             }
             Message::ViewChange {

@@ -24,34 +24,11 @@
 
 use crate::kvstore::{mutation_hash, KvStore};
 use flexitrust_types::{KvOp, KvResult, ValueBytes};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::mem;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
-use std::time::Instant;
-
-/// Timing counters accumulated across every executed op group.
-///
-/// `busy_nanos` is the sum of shard-job execution time (the work itself);
-/// `critical_nanos` models the group's parallel span: the longest
-/// per-worker lane plus whatever the group's wall time spent outside the
-/// lanes (dispatch, map moves, gather). On a host with fewer cores than
-/// workers the wall clock cannot show scaling, but the lanes are still
-/// measured individually, so `critical_nanos` reports what the partition
-/// would cost with one core per worker — the number the scaling bench
-/// records alongside raw wall-clock throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Number of op groups executed (inline or scattered).
-    pub groups: u64,
-    /// Total shard-lane execution time, summed over all lanes, in ns.
-    pub busy_nanos: u64,
-    /// Modeled parallel span: per group, `max(lane) + (wall - sum(lanes))`,
-    /// summed over groups, in ns. Equal to `busy_nanos` on the inline path.
-    pub critical_nanos: u64,
-}
 
 /// One worker's slice of an execution group: every shard assigned to the
 /// worker (`shard % workers`), each with its map (moved out of the store
@@ -60,10 +37,7 @@ pub struct ExecStats {
 /// of a worker's shards travel in ONE job, so a group costs each worker a
 /// single send/recv wakeup no matter how many shards it owns. Op clones
 /// share value buffers (refcount bumps, no byte copies).
-struct LaneJob {
-    worker: usize,
-    shards: Vec<LaneShard>,
-}
+type LaneJob = Vec<LaneShard>;
 
 /// One shard within a [`LaneJob`]: its index, its map, and its ops in
 /// group order tagged `(result slot, op, mutation index)`.
@@ -72,20 +46,13 @@ type LaneShard = (usize, BTreeMap<u64, ValueBytes>, Vec<(usize, KvOp, u64)>);
 /// What a worker hands back: the updated shard maps, per-slot results, and
 /// the lane's contribution to the store's mutation counter/fingerprint.
 struct LaneOutcome {
-    worker: usize,
     shards: Vec<(usize, BTreeMap<u64, ValueBytes>)>,
     results: Vec<(usize, KvResult)>,
     mutations: u64,
     fingerprint_delta: u64,
-    /// Time this job spent executing, in ns (measured inside the worker).
-    busy_nanos: u64,
 }
 
-fn run_lane(job: LaneJob) -> LaneOutcome {
-    // lint:allow(D02): lane busy-time feeds ExecStats (bench reporting
-    // only); results, digests and commit order never depend on it.
-    let started = Instant::now();
-    let LaneJob { worker, shards } = job;
+fn run_lane(shards: LaneJob) -> LaneOutcome {
     let mut done = Vec::with_capacity(shards.len());
     let mut results = Vec::with_capacity(shards.iter().map(|(_, _, ops)| ops.len()).sum());
     let mut mutations = 0u64;
@@ -119,12 +86,10 @@ fn run_lane(job: LaneJob) -> LaneOutcome {
         done.push((shard, map));
     }
     LaneOutcome {
-        worker,
         shards: done,
         results,
         mutations,
         fingerprint_delta,
-        busy_nanos: started.elapsed().as_nanos() as u64,
     }
 }
 
@@ -136,7 +101,6 @@ pub struct ShardedExecutor {
     job_lanes: Vec<Sender<LaneJob>>,
     handles: Vec<JoinHandle<()>>,
     results_rx: Receiver<LaneOutcome>,
-    stats: Cell<ExecStats>,
 }
 
 impl ShardedExecutor {
@@ -171,7 +135,6 @@ impl ShardedExecutor {
             job_lanes,
             handles,
             results_rx,
-            stats: Cell::new(ExecStats::default()),
         }
     }
 
@@ -180,27 +143,9 @@ impl ShardedExecutor {
         self.job_lanes.len().max(1)
     }
 
-    /// Timing counters accumulated since construction.
-    pub fn exec_stats(&self) -> ExecStats {
-        self.stats.get()
-    }
-
-    fn record_group(&self, busy_nanos: u64, critical_nanos: u64) {
-        let mut stats = self.stats.get();
-        stats.groups += 1;
-        stats.busy_nanos += busy_nanos;
-        stats.critical_nanos += critical_nanos;
-        self.stats.set(stats);
-    }
-
     /// Serial reference path: applies the ops inline through the store.
-    fn run_inline(&self, store: &mut KvStore, ops: &[&KvOp]) -> Vec<KvResult> {
-        // lint:allow(D02): ExecStats timing only; never affects results.
-        let started = Instant::now();
-        let results = ops.iter().map(|op| store.apply(op)).collect();
-        let nanos = started.elapsed().as_nanos() as u64;
-        self.record_group(nanos, nanos);
-        results
+    fn run_inline(store: &mut KvStore, ops: &[&KvOp]) -> Vec<KvResult> {
+        ops.iter().map(|op| store.apply(op)).collect()
     }
 
     /// Executes a group of single-key ops against `store` and returns the
@@ -215,10 +160,8 @@ impl ShardedExecutor {
             "Scan must take the serial lane"
         );
         if self.job_lanes.is_empty() || ops.len() < 2 {
-            return self.run_inline(store, ops);
+            return Self::run_inline(store, ops);
         }
-        // lint:allow(D02): ExecStats timing only; never affects results.
-        let started = Instant::now();
 
         // Assign mutation indices in group order (exactly the indices the
         // serial path would assign), then partition by shard.
@@ -241,7 +184,7 @@ impl ShardedExecutor {
                     next_index += 1;
                     (*key, index)
                 }
-                KvOp::Scan { .. } => return self.run_inline(store, ops),
+                KvOp::Scan { .. } => return Self::run_inline(store, ops),
             };
             // lint:allow(X02): shard_of reduces modulo shard_count, per_shard's exact length
             per_shard[store.shard_of(key)].push((slot, (*op).clone(), indexed));
@@ -251,7 +194,7 @@ impl ShardedExecutor {
         // a worker's shards coalesced into one job (one wakeup per lane).
         let mut shards = store.take_shards();
         let lanes = self.job_lanes.len();
-        let mut per_worker: Vec<Vec<LaneShard>> = vec![Vec::new(); lanes];
+        let mut per_worker: Vec<LaneJob> = vec![Vec::new(); lanes];
         for (shard, shard_ops) in per_shard.into_iter().enumerate() {
             if shard_ops.is_empty() {
                 continue;
@@ -265,12 +208,8 @@ impl ShardedExecutor {
             if lane_shards.is_empty() {
                 continue;
             }
-            let job = LaneJob {
-                worker,
-                shards: lane_shards,
-            };
             // lint:allow(X02): worker enumerates per_worker, built with exactly job_lanes.len() entries
-            match self.job_lanes[worker].send(job) {
+            match self.job_lanes[worker].send(lane_shards) {
                 Ok(()) => outstanding += 1,
                 // A dead worker hands the un-run job back inside the send
                 // error: execute its lanes on this thread instead of
@@ -283,7 +222,6 @@ impl ShardedExecutor {
         // order is irrelevant) and scatter results back into their slots.
         let mut mutations = 0u64;
         let mut fingerprint_delta = 0u64;
-        let mut lane_busy = vec![0u64; lanes];
         let received = (0..outstanding).map(|_| {
             // lint:allow(P01): a worker that dies after taking a job takes
             // its shard maps with it — there is no way to keep executing
@@ -291,8 +229,6 @@ impl ShardedExecutor {
             self.results_rx.recv().expect("execution worker alive")
         });
         for outcome in salvaged.into_iter().chain(received) {
-            // lint:allow(X02): outcome.worker echoes the LaneJob.worker index we assigned, < lanes = lane_busy.len()
-            lane_busy[outcome.worker] += outcome.busy_nanos;
             for (shard, map) in outcome.shards {
                 // lint:allow(X02): shard ids round-trip through the job unchanged and were < shards.len() at scatter
                 shards[shard] = map;
@@ -306,13 +242,6 @@ impl ShardedExecutor {
         }
         store.restore_shards(shards);
         store.fold_parallel_run(mutations, fingerprint_delta);
-        let wall_nanos = started.elapsed().as_nanos() as u64;
-        let busy_nanos: u64 = lane_busy.iter().sum();
-        let longest_lane = lane_busy.iter().copied().max().unwrap_or(0);
-        // Dispatch/gather work is serialized on the caller; everything the
-        // wall clock saw beyond the lanes themselves counts against the span.
-        let critical_nanos = longest_lane + wall_nanos.saturating_sub(busy_nanos);
-        self.record_group(busy_nanos, critical_nanos);
         results
             .into_iter()
             // lint:allow(P01): slot coverage is a structural invariant of
@@ -396,27 +325,6 @@ mod tests {
         let refs: Vec<&KvOp> = ops.iter().collect();
         assert_eq!(executor.execute_group(&mut store, &refs), want_results);
         assert_eq!(store.state_digest(), want_digest);
-    }
-
-    #[test]
-    fn exec_stats_accumulate_per_group() {
-        let ops = ops_mixed(50);
-        let refs: Vec<&KvOp> = ops.iter().collect();
-        for workers in [1usize, 4] {
-            let executor = ShardedExecutor::new(workers);
-            let mut store = KvStore::with_dataset(97, 16);
-            assert_eq!(executor.exec_stats(), ExecStats::default());
-            executor.execute_group(&mut store, &refs);
-            executor.execute_group(&mut store, &refs);
-            let stats = executor.exec_stats();
-            assert_eq!(stats.groups, 2, "workers={workers}");
-            assert!(stats.busy_nanos > 0, "workers={workers}");
-            assert!(stats.critical_nanos > 0, "workers={workers}");
-            if workers == 1 {
-                // Inline groups have no parallel lanes: span == work.
-                assert_eq!(stats.critical_nanos, stats.busy_nanos);
-            }
-        }
     }
 
     #[test]

@@ -19,6 +19,6 @@ pub mod kvstore;
 pub mod queue;
 
 pub use checkpoint::{Checkpoint, CheckpointLog};
-pub use executor::{ExecStats, ShardedExecutor};
+pub use executor::ShardedExecutor;
 pub use kvstore::KvStore;
 pub use queue::{ExecutedBatch, ExecutionQueue};

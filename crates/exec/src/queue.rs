@@ -7,7 +7,7 @@
 //! transaction to the [`KvStore`], and returns the per-transaction outcomes
 //! that are sent back to clients.
 
-use crate::executor::{ExecStats, ShardedExecutor};
+use crate::executor::ShardedExecutor;
 use crate::kvstore::KvStore;
 use flexitrust_types::{Batch, Digest, KvOp, SeqNum, TxnOutcome};
 use std::collections::BTreeMap;
@@ -76,13 +76,6 @@ impl ExecutionQueue {
     /// Number of shard workers executing committed batches.
     pub fn worker_count(&self) -> usize {
         self.executor.worker_count()
-    }
-
-    /// Timing counters accumulated by the sharded executor (op groups only;
-    /// the serial `Scan` lane applies directly through the store and is not
-    /// counted).
-    pub fn exec_stats(&self) -> ExecStats {
-        self.executor.exec_stats()
     }
 
     /// The highest sequence number executed so far (0 = nothing executed).

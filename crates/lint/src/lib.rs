@@ -354,7 +354,7 @@ mod tests {
         assert!(!c.deterministic && !c.library);
         let c = classify("tests/cross_host.rs");
         assert!(!c.deterministic && !c.library);
-        let c = classify("crates/bench/benches/throughput.rs");
+        let c = classify("crates/bench/benches/fig6vi_wan.rs");
         assert!(!c.library);
         let c = classify("src/lib.rs");
         assert!(!c.deterministic && c.library);

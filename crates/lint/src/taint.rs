@@ -14,18 +14,19 @@
 //! (or a bounds check the pragma cites) does not.
 //!
 //! **N-rules — determinism leaks.** The D-rules ban wall-clock and
-//! entropy *sources* in deterministic crates, but 17 pragmas legitimately
-//! excuse stats plumbing (`ExecStats` timers, key generation). **N01**
-//! proves those excused values stay out of the protocol's deterministic
-//! surface: a value whose dataflow originates at `Instant::now`, RNG, or
-//! a stats timer must not reach `Message` construction, wire encoding
+//! entropy *sources* in deterministic crates, but `runtime` sits outside
+//! them and reads the clock freely (workload timing, timer deadlines),
+//! and a pragma excuses key generation in `crypto`. **N01** proves those
+//! values stay out of the protocol's deterministic surface: a value
+//! whose dataflow originates at `Instant::now`, `.elapsed()` or an RNG
+//! must not reach `Message` construction, wire encoding
 //! (`encode_*`/`write_frame`/`write_message_body`), or `state_digest`
 //! input. Taint is tracked per function (let-bindings and assignments to
 //! a fixpoint) and across calls via return summaries computed bottom-up
 //! over the graph's SCC condensation — a function returning
 //! `started.elapsed()` taints its callers' bindings. Struct-literal
-//! returns carry *field-level* taint (`LaneOutcome { busy_nanos, .. }`
-//! taints only reads of `.busy_nanos`), and method calls on a
+//! returns carry *field-level* taint (`ClusterSummary { elapsed, .. }`
+//! taints only reads of `.elapsed`), and method calls on a
 //! field-tainted receiver do not propagate it — `KeyStore::generate`'s
 //! entropy stays inside the keys unless a tainted field is read out.
 
@@ -326,10 +327,6 @@ struct Taint {
     fields: BTreeMap<String, BTreeSet<String>>,
 }
 
-/// Identifier names that *are* timer values wherever they appear —
-/// `ExecStats` plumbing today excused by D-rule pragmas.
-const SOURCE_NAMES: &[&str] = &["busy_nanos", "critical_nanos"];
-
 /// Whether token `k` is a nondeterminism source.
 fn source_at(tokens: &[Token], k: usize) -> bool {
     let t = &tokens[k];
@@ -339,9 +336,8 @@ fn source_at(tokens: &[Token], k: usize) -> bool {
     let callish = |k: usize| tokens.get(k + 1).is_some_and(|n| n.is_punct('('));
     match t.text.as_str() {
         "SystemTime" | "OsRng" => true,
-        s if SOURCE_NAMES.contains(&s) => true,
         "now" => k >= 2 && tokens[k - 1].is_op("::") && tokens[k - 2].is_ident("Instant"),
-        "elapsed" | "exec_stats" => k >= 1 && tokens[k - 1].is_punct('.') && callish(k),
+        "elapsed" => k >= 1 && tokens[k - 1].is_punct('.') && callish(k),
         "thread_rng" | "from_entropy" => callish(k),
         "random" => k >= 2 && tokens[k - 1].is_op("::") && tokens[k - 2].is_ident("rand"),
         _ => false,
@@ -409,9 +405,6 @@ fn analyse(
     let (b0, b1) = n.body;
     let mut taint = Taint::default();
 
-    // Destructured timer fields (`let LaneOutcome { busy_nanos, .. }`) are
-    // caught by name: SOURCE_NAMES idents taint themselves at use sites,
-    // so only let/assignment propagation needs the fixpoint.
     for _ in 0..4 {
         let before = (taint.idents.len(), taint.fields.len());
         let mut k = b0;
@@ -665,9 +658,7 @@ fn struct_literal_fields(
             }
             vend = q;
         }
-        if SOURCE_NAMES.contains(&name.as_str())
-            || expr_taint(tokens, (vstart, vend), &ctx).is_some()
-        {
+        if expr_taint(tokens, (vstart, vend), &ctx).is_some() {
             fields.insert(name);
         }
         p = vend + 2;

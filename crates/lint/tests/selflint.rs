@@ -68,13 +68,14 @@ fn workspace_is_clean_under_each_graph_rule_family() {
             report.human()
         );
     }
-    // The T01/T02/X02 pragmas carrying the wire and executor bounds
-    // proofs are load-bearing: the full run must honour them all beyond
-    // the 17 committed before the dataflow analyses landed.
+    // The floor is the number of `lint:allow` pragmas committed in the
+    // tree. A clean report alone cannot tell "no violations" from "a rule
+    // stopped scanning"; every pragma honoured proves its rule still
+    // reaches and flags the line the pragma excuses.
     let full = flexilint::run(&root).expect("workspace scan");
     assert!(
-        full.suppressions_used >= 33,
-        "expected the dataflow-rule pragmas to be exercised, got {}",
+        full.suppressions_used >= 30,
+        "expected every committed pragma to be exercised, got {}",
         full.suppressions_used
     );
 }
