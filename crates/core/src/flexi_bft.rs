@@ -113,6 +113,16 @@ impl FlexiBft {
                 attestation: None,
             });
         }
+        // Links are not FIFO across senders: the backups' Prepares can
+        // overtake the proposal they vote for (over TCP even the primary's
+        // own loopback copy). The tracker reports a quorum exactly once, so
+        // one that formed before the proposal arrived is re-evaluated here.
+        if self
+            .prepare_votes
+            .is_complete(&(view, seq, accepted.digest))
+        {
+            self.try_commit(seq, accepted.digest, out);
+        }
     }
 
     fn on_prepare(
@@ -532,6 +542,41 @@ mod tests {
         assert_eq!(engines[1].last_executed(), SeqNum(1));
         assert_eq!(out.replies().len(), 1);
         assert!(!out.replies()[0].speculative);
+    }
+
+    #[test]
+    fn prepares_that_overtake_the_preprepare_still_commit() {
+        let mut cfg = FlexiBft::config(1);
+        cfg.batch_size = 1;
+        let mut engines = build_cluster(&cfg);
+        let mut out = Outbox::new();
+        engines[0].on_client_request(txns(1), &mut out);
+        let preprepare = out.broadcasts()[0].clone();
+        let digest = match &preprepare {
+            Message::PrePrepare { batch, .. } => batch.digest(),
+            _ => unreachable!(),
+        };
+        // 2f + 1 Prepares reach replica 1 before the proposal they vote
+        // for: the quorum forms with nothing to commit yet.
+        for voter in [0u32, 2, 3] {
+            let mut out = Outbox::new();
+            engines[1].on_message(
+                ReplicaId(voter),
+                Message::Prepare {
+                    view: View(0),
+                    seq: SeqNum(1),
+                    digest,
+                    attestation: None,
+                },
+                &mut out,
+            );
+        }
+        assert_eq!(engines[1].last_executed(), SeqNum(0));
+        // Accepting the late proposal must pick the recorded quorum up.
+        let mut out = Outbox::new();
+        engines[1].on_message(ReplicaId(0), preprepare, &mut out);
+        assert_eq!(engines[1].last_executed(), SeqNum(1));
+        assert_eq!(out.replies().len(), 1);
     }
 
     #[test]

@@ -58,6 +58,12 @@ pub(crate) trait Transport {
 
     /// Queue a client reply emitted by `from`.
     fn send_reply(&mut self, from: ReplicaId, reply: ClientReply);
+
+    /// Hand over whatever the calls above held back to batch. The replica
+    /// loop calls this once per iteration, before it blocks for input, so
+    /// nothing a delivery emitted waits for the next one. A transport that
+    /// holds nothing back keeps the default.
+    fn flush(&mut self) {}
 }
 
 /// The channel-network transport: peers are reached through their bounded
@@ -491,6 +497,9 @@ pub(crate) fn replica_loop<T: Transport>(
         for (timer, token) in due {
             dispatcher.timer_expired(engine, timer, token, &mut env);
         }
+        // Everything this iteration will emit is out: release what the
+        // transport batched before the loop blocks for input again.
+        env.transport.flush();
 
         // Publish our execution frontier so crash windows (and tests) can
         // key on commit progress across threads.

@@ -29,4 +29,4 @@ pub mod tcp;
 
 pub use cluster::{Cluster, ClusterSummary};
 pub use primary::PrimaryTracker;
-pub use tcp::TcpCluster;
+pub use tcp::{TcpCluster, TcpIoStats};

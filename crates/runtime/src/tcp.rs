@@ -10,7 +10,7 @@
 //! * one **writer thread per peer** (its own listener included, so
 //!   self-addressed broadcast copies cross the loopback like everything
 //!   else) and one for the client's reply socket, each owning a connected
-//!   `TcpStream` and draining a bounded byte queue.
+//!   `TcpStream` and draining a bounded queue of encoded frames.
 //!
 //! The replica thread itself never touches a socket and never blocks on a
 //! full queue: sends go through `try_send` and shed load into the shared
@@ -22,6 +22,34 @@
 //! primary — resolved through the shared [`PrimaryTracker`], not a
 //! hard-coded replica 0 — and collects [`Frame::Reply`] frames through a
 //! dedicated reply listener every replica connects back to.
+//!
+//! # Batched socket I/O
+//!
+//! A socket call costs far more than the frame it moves, so every hop
+//! moves frames in batches; the bytes on each connection, and their order,
+//! are exactly what one `write` per frame would have produced.
+//!
+//! * **Writers** (`writer_loop`) copy everything their queue already
+//!   holds into one buffer and hand it to the socket in one `write`.
+//! * **Readers** (`buffered_reader`) pull whatever the socket holds into
+//!   one buffer and decode frames out of it, instead of three `read`s a
+//!   frame.
+//! * **Replies** of one delivery (a committed batch answers every one of
+//!   its transactions at once) travel to the reply writer as one buffer of
+//!   concatenated frames, handed over by `Transport::flush`.
+//!
+//! Two invariants keep this invisible to the protocols:
+//!
+//! 1. **Flush before blocking.** A writer flushes its buffer whenever its
+//!    queue runs empty, immediately before the blocking `recv`, and the
+//!    replica loop flushes its replies before it waits for input: batching
+//!    only ever merges frames that were already waiting, a lone frame is
+//!    never held back for company.
+//! 2. **Counted drops.** A failed `write` loses every frame the buffer
+//!    held and a rejected reply buffer every reply in it; the drop counter
+//!    grows by that number of *frames*, never by one per buffer.
+//!
+//! [`TcpCluster::io_stats`] reports how many frames each socket call moved.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use flexitrust_host::build_replica;
@@ -30,7 +58,7 @@ use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
 use flexitrust_types::{ProtocolId, ReplicaId, SystemConfig, Transaction};
 use flexitrust_wire::{read_frame, write_frame, Frame};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -42,55 +70,167 @@ use crate::cluster::{
 };
 use crate::primary::PrimaryTracker;
 
-/// Depth of each writer thread's byte queue; overflow is dropped and
-/// counted, mirroring the channel transport's inbox bound.
+/// Depth of each writer thread's queue; overflow is dropped and counted,
+/// mirroring the channel transport's inbox bound.
 const WRITER_QUEUE: usize = 1 << 16;
 
+/// Capacity of the buffer between each socket and its reader or writer
+/// loop: the most bytes one `read` or `write` moves. A frame larger than
+/// this (a big `PrePrepare`) goes to the socket directly, uncopied.
+const IO_BUFFER_BYTES: usize = 64 << 10;
+
+/// One or more complete encoded frames back to back, and how many: the
+/// number a drop of these bytes adds to the drop counter.
+#[derive(Debug, Default)]
+struct Frames {
+    bytes: Vec<u8>,
+    count: u64,
+}
+
+/// What a writer queue carries. Shared, so a broadcast encodes its frame
+/// once for every destination; and one pointer wide, because each of the
+/// 5n queues allocates all `WRITER_QUEUE` slots up front.
+type Outbound = Arc<Frames>;
+
+fn outbound(bytes: Vec<u8>, count: u64) -> Outbound {
+    Arc::new(Frames { bytes, count })
+}
+
+/// Socket-level totals of a [`TcpCluster`], all connections together
+/// (peer links, client submissions and the reply path).
+///
+/// `frames_written / write_calls` and `frames_read / read_calls` are the
+/// batching factors of the socket path; unbatched they would be 1 and ⅓.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TcpIoStats {
+    /// Frames handed to a socket by a `write` that succeeded.
+    pub frames_written: u64,
+    /// Successful `write` calls on a socket.
+    pub write_calls: u64,
+    /// Bytes those calls moved.
+    pub bytes_written: u64,
+    /// Frames decoded off a socket.
+    pub frames_read: u64,
+    /// Successful `read` calls on a socket (the one reporting EOF
+    /// included).
+    pub read_calls: u64,
+    /// Bytes those calls moved.
+    pub bytes_read: u64,
+}
+
+/// The live counters behind [`TcpIoStats`]. Statistics only: nothing is
+/// published through them, so every access is `Relaxed`.
+#[derive(Default)]
+struct IoCounters {
+    frames_written: AtomicU64,
+    write_calls: AtomicU64,
+    bytes_written: AtomicU64,
+    frames_read: AtomicU64,
+    read_calls: AtomicU64,
+    bytes_read: AtomicU64,
+}
+
+impl IoCounters {
+    fn snapshot(&self) -> TcpIoStats {
+        TcpIoStats {
+            frames_written: self.frames_written.load(Ordering::Relaxed),
+            write_calls: self.write_calls.load(Ordering::Relaxed),
+            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            frames_read: self.frames_read.load(Ordering::Relaxed),
+            read_calls: self.read_calls.load(Ordering::Relaxed),
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A stream that counts the `read`/`write` calls reaching it and the bytes
+/// they move: wrapped *inside* the buffered reader or writer, it sees the
+/// calls that reach the socket, not the ones the buffer absorbs.
+struct Counted<S> {
+    inner: S,
+    io: Arc<IoCounters>,
+}
+
+impl<S: Write> Write for Counted<S> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.io.write_calls.fetch_add(1, Ordering::Relaxed);
+        self.io.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl<S: Read> Read for Counted<S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.io.read_calls.fetch_add(1, Ordering::Relaxed);
+        self.io.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(n)
+    }
+}
+
 /// The socket transport: encodes outbound traffic to wire frames and hands
-/// the bytes to the per-destination writer threads. Queues carry
-/// `Arc<Vec<u8>>` so a broadcast encodes its frame once and every
-/// destination shares the same buffer.
+/// the bytes to the per-destination writer threads.
 struct SocketTransport {
     /// One queue per peer listener (self included).
-    writers: Vec<Sender<Arc<Vec<u8>>>>,
+    writers: Vec<Sender<Outbound>>,
     /// The queue towards the client's reply listener.
-    reply_writer: Sender<Arc<Vec<u8>>>,
+    reply_writer: Sender<Outbound>,
+    /// The reply frames emitted since the last [`Transport::flush`].
+    pending_replies: Frames,
     dropped: Arc<AtomicU64>,
 }
 
 impl SocketTransport {
-    fn push(&self, to: usize, bytes: Arc<Vec<u8>>) {
-        // An out-of-range destination (a corrupt replica id) is a drop,
-        // not a panic: the worker thread must outlive bad input.
-        match self.writers.get(to) {
-            Some(writer) if writer.try_send(bytes).is_ok() => {}
-            _ => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Queues `frames` for a writer thread without blocking. What the
+    /// queue cannot take — it is full, its writer is gone, or there is no
+    /// such writer (a corrupt replica id must be a drop, not a panic: the
+    /// worker thread outlives bad input) — is dropped and counted, frame
+    /// by frame.
+    fn queue_or_drop(&self, writer: Option<&Sender<Outbound>>, frames: Outbound) {
+        let count = frames.count;
+        if writer.is_none_or(|writer| writer.try_send(frames).is_err()) {
+            self.dropped.fetch_add(count, Ordering::Relaxed);
         }
     }
 }
 
 impl Transport for SocketTransport {
     fn send_peer(&mut self, from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
-        let bytes = Arc::new(flexitrust_wire::encode_message(from, &msg));
-        self.push(to.as_usize(), bytes);
+        let frame = outbound(flexitrust_wire::encode_message(from, &msg), 1);
+        self.queue_or_drop(self.writers.get(to.as_usize()), frame);
     }
 
     fn broadcast_peer(&mut self, from: ReplicaId, replicas: usize, msg: SharedMessage) {
         // One serialisation per broadcast, not per destination: every
         // writer queue shares the same encoded frame.
-        let bytes = Arc::new(flexitrust_wire::encode_message(from, &msg));
+        let frame = outbound(flexitrust_wire::encode_message(from, &msg), 1);
         for to in 0..replicas {
-            self.push(to, Arc::clone(&bytes));
+            self.queue_or_drop(self.writers.get(to), Arc::clone(&frame));
         }
     }
 
     fn send_reply(&mut self, _from: ReplicaId, reply: ClientReply) {
-        let bytes = Arc::new(flexitrust_wire::encode_frame(&Frame::Reply { reply }));
-        if self.reply_writer.try_send(bytes).is_err() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let frame = flexitrust_wire::encode_frame(&Frame::Reply { reply });
+        self.pending_replies.bytes.extend_from_slice(&frame);
+        self.pending_replies.count += 1;
+    }
+
+    fn flush(&mut self) {
+        if self.pending_replies.count == 0 {
+            return;
         }
+        // The next delivery's replies most likely fill what these did.
+        let next = Frames {
+            bytes: Vec::with_capacity(self.pending_replies.bytes.len()),
+            count: 0,
+        };
+        let batch = std::mem::replace(&mut self.pending_replies, next);
+        self.queue_or_drop(Some(&self.reply_writer), Arc::new(batch));
     }
 }
 
@@ -103,11 +243,12 @@ pub struct TcpCluster {
     reply_addr: SocketAddr,
     tracker: PrimaryTracker,
     dropped: Arc<AtomicU64>,
+    io: Arc<IoCounters>,
     shutdown: Arc<AtomicBool>,
     replica_handles: Vec<JoinHandle<()>>,
     io_handles: Vec<JoinHandle<()>>,
     /// Cached client→replica submission connections, keyed by replica.
-    submit_streams: Mutex<HashMap<u32, TcpStream>>,
+    submit_streams: Mutex<HashMap<u32, Counted<TcpStream>>>,
 }
 
 impl TcpCluster {
@@ -132,6 +273,7 @@ impl TcpCluster {
         let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
         let tracker = PrimaryTracker::new(config.n);
         let dropped = Arc::new(AtomicU64::new(0));
+        let io = Arc::new(IoCounters::default());
         let shutdown = Arc::new(AtomicBool::new(false));
 
         // Bind every listener before any thread connects anywhere: a
@@ -155,22 +297,27 @@ impl TcpCluster {
         // The client-side reply ingestion: accept one connection per
         // replica, decode reply frames, feed the shared reply channel.
         let reply_dropped = Arc::clone(&dropped);
+        let reply_io = Arc::clone(&io);
         io_handles.push(spawn_acceptor(
             reply_listener,
             Arc::clone(&shutdown),
             move |stream| {
                 let reply_tx = reply_tx.clone();
                 let dropped = Arc::clone(&reply_dropped);
+                let io = Arc::clone(&reply_io);
                 std::thread::spawn(move || {
-                    let mut stream = stream;
+                    let mut stream = buffered_reader(stream, Arc::clone(&io));
                     loop {
                         match read_frame(&mut stream) {
-                            Ok(Some(Frame::Reply { reply })) => {
+                            Ok(Some(frame)) => {
+                                io.frames_read.fetch_add(1, Ordering::Relaxed);
+                                let Frame::Reply { reply } = frame else {
+                                    continue;
+                                };
                                 if reply_tx.send(reply).is_err() {
                                     return;
                                 }
                             }
-                            Ok(Some(_)) => {}
                             Ok(None) => return,
                             Err(_) => {
                                 // A torn or malformed frame severs the
@@ -194,14 +341,16 @@ impl TcpCluster {
 
             // Inbound: acceptor + per-connection readers feeding the inbox.
             let reader_dropped = Arc::clone(&dropped);
+            let reader_io = Arc::clone(&io);
             io_handles.push(spawn_acceptor(
                 listener,
                 Arc::clone(&shutdown),
                 move |stream| {
                     let inbox = inbox_tx.clone();
                     let dropped = Arc::clone(&reader_dropped);
+                    let io = Arc::clone(&reader_io);
                     std::thread::spawn(move || {
-                        let mut stream = stream;
+                        let mut stream = buffered_reader(stream, Arc::clone(&io));
                         loop {
                             let frame = match read_frame(&mut stream) {
                                 Ok(Some(frame)) => frame,
@@ -215,6 +364,7 @@ impl TcpCluster {
                                     return;
                                 }
                             };
+                            io.frames_read.fetch_add(1, Ordering::Relaxed);
                             // Blocking sends: a full inbox exerts TCP
                             // backpressure on the sender instead of
                             // dropping on the receive side.
@@ -236,16 +386,27 @@ impl TcpCluster {
             // Outbound: one writer thread per destination listener.
             let mut writers = Vec::with_capacity(config.n);
             for &peer_addr in &addrs {
-                let (wtx, wrx) = bounded::<Arc<Vec<u8>>>(WRITER_QUEUE);
+                let (wtx, wrx) = bounded::<Outbound>(WRITER_QUEUE);
                 writers.push(wtx);
-                io_handles.push(spawn_writer(peer_addr, wrx, Arc::clone(&dropped)));
+                io_handles.push(spawn_writer(
+                    peer_addr,
+                    wrx,
+                    Arc::clone(&dropped),
+                    Arc::clone(&io),
+                ));
             }
-            let (reply_wtx, reply_wrx) = bounded::<Arc<Vec<u8>>>(WRITER_QUEUE);
-            io_handles.push(spawn_writer(reply_addr, reply_wrx, Arc::clone(&dropped)));
+            let (reply_wtx, reply_wrx) = bounded::<Outbound>(WRITER_QUEUE);
+            io_handles.push(spawn_writer(
+                reply_addr,
+                reply_wrx,
+                Arc::clone(&dropped),
+                Arc::clone(&io),
+            ));
 
             let transport = SocketTransport {
                 writers,
                 reply_writer: reply_wtx,
+                pending_replies: Frames::default(),
                 dropped: Arc::clone(&dropped),
             };
             let mut engine = build_replica(
@@ -271,6 +432,7 @@ impl TcpCluster {
             reply_addr,
             tracker,
             dropped,
+            io,
             shutdown,
             replica_handles,
             io_handles,
@@ -287,6 +449,13 @@ impl TcpCluster {
     /// advanced view any replica has published).
     pub fn current_primary(&self) -> ReplicaId {
         self.tracker.current_primary()
+    }
+
+    /// Socket calls, frames and bytes of every connection so far. Frames
+    /// still in a queue or a socket buffer are in neither direction's
+    /// totals yet, so the two sides agree only once the cluster is idle.
+    pub fn io_stats(&self) -> TcpIoStats {
+        self.io.snapshot()
     }
 
     /// Submits a batch of transactions over TCP to the current primary.
@@ -320,12 +489,16 @@ impl TcpCluster {
                         continue;
                     };
                     match TcpStream::connect(addr) {
-                        Ok(stream) => entry.insert(stream),
+                        Ok(stream) => entry.insert(Counted {
+                            inner: stream,
+                            io: Arc::clone(&self.io),
+                        }),
                         Err(_) => continue,
                     }
                 }
             };
             if write_frame(stream, &frame).is_ok() {
+                self.io.frames_written.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             streams.remove(&primary.0);
@@ -399,51 +572,409 @@ fn spawn_acceptor(
     })
 }
 
-/// Spawns a writer thread: connects to `addr` and drains `queue` onto the
-/// socket until the queue disconnects or the socket dies. Frames that
-/// cannot reach the wire are *counted*: a failed connect or a dead socket
-/// tallies every frame still in (or later pushed into) the queue as a
-/// drop until the queue disconnects, and once the thread exits the
+/// Spawns a writer thread: connects to `addr` and runs [`writer_loop`] on
+/// the socket until the queue disconnects or the socket dies. A failed
+/// connect tallies every frame in (or later pushed into) the queue as a
+/// drop until the queue disconnects.
+fn spawn_writer(
+    addr: SocketAddr,
+    queue: Receiver<Outbound>,
+    dropped: Arc<AtomicU64>,
+    io: Arc<IoCounters>,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || match TcpStream::connect(addr) {
+        Ok(stream) => {
+            let _ = stream.set_nodelay(true);
+            writer_loop(stream, &queue, &dropped, io);
+        }
+        Err(_) => count_drain(&queue, &dropped),
+    })
+}
+
+/// Tallies every frame still in (or later pushed into) `queue` as a drop
+/// until the queue disconnects. Once the writer thread then exits, the
 /// dropped receiver makes every subsequent `try_send` fail into the same
 /// counter — traffic to an unreachable peer must show up as counted
 /// drops, never drain silently into the void.
-fn spawn_writer(
-    addr: SocketAddr,
-    queue: Receiver<Arc<Vec<u8>>>,
-    dropped: Arc<AtomicU64>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let count_drain = |queue: &Receiver<Arc<Vec<u8>>>| {
-            while queue.recv().is_ok() {
-                dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        let Ok(mut stream) = TcpStream::connect(addr) else {
-            count_drain(&queue);
-            return;
-        };
-        let _ = stream.set_nodelay(true);
-        while let Ok(bytes) = queue.recv() {
-            if stream.write_all(&bytes).is_err() {
-                dropped.fetch_add(1, Ordering::Relaxed);
-                count_drain(&queue);
-                return;
-            }
+fn count_drain(queue: &Receiver<Outbound>, dropped: &AtomicU64) {
+    while let Ok(lost) = queue.recv() {
+        dropped.fetch_add(lost.count, Ordering::Relaxed);
+    }
+}
+
+/// The buffered end of a writer: a `BufWriter` that knows how many frames
+/// its buffer holds, so a failed write can be charged exactly.
+struct FrameSink<W: Write> {
+    out: BufWriter<Counted<W>>,
+    /// Frames copied into `out` that no `write` has carried yet.
+    held: u64,
+}
+
+impl<W: Write> FrameSink<W> {
+    /// Buffers `next`, or writes it straight through when it is larger
+    /// than the whole buffer. Makes room first when it does not fit, rather
+    /// than let the `BufWriter` flush unseen inside `write_all`: `held`
+    /// stays exact, and every `write` carries whole frames.
+    fn push(&mut self, next: &Outbound) -> io::Result<()> {
+        if self.out.buffer().len() + next.bytes.len() > self.out.capacity() {
+            self.flush()?;
         }
-    })
+        self.out.write_all(&next.bytes)?;
+        self.held += next.count;
+        if self.out.buffer().is_empty() {
+            self.written();
+        }
+        Ok(())
+    }
+
+    /// Hands the buffer to the sink in one `write`.
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()?;
+        self.written();
+        Ok(())
+    }
+
+    fn written(&mut self) {
+        let io = &self.out.get_ref().io;
+        io.frames_written.fetch_add(self.held, Ordering::Relaxed);
+        self.held = 0;
+    }
+}
+
+/// Drains `queue` onto `sink` until the queue disconnects or a write
+/// fails, one `write` per wake-up: whatever the queue already holds is
+/// copied into one buffer, which is flushed when the queue runs empty —
+/// immediately before blocking on it, so a frame never waits in the buffer
+/// for a successor — or when the next frame no longer fits. Frames reach
+/// `sink` in queue order.
+///
+/// Frames that cannot reach the sink are *counted*: a failed write adds
+/// every frame the buffer held to `dropped`, then everything still queued
+/// (see [`count_drain`]).
+fn writer_loop<W: Write>(
+    sink: W,
+    queue: &Receiver<Outbound>,
+    dropped: &AtomicU64,
+    io: Arc<IoCounters>,
+) {
+    let mut sink = FrameSink {
+        out: BufWriter::with_capacity(IO_BUFFER_BYTES, Counted { inner: sink, io }),
+        held: 0,
+    };
+    let in_hand = loop {
+        let next = match queue.try_recv() {
+            Ok(next) => next,
+            Err(_) => {
+                if sink.flush().is_err() {
+                    break 0;
+                }
+                match queue.recv() {
+                    Ok(next) => next,
+                    Err(_) => return,
+                }
+            }
+        };
+        if sink.push(&next).is_err() {
+            break next.count;
+        }
+    };
+    // The sink is dead: what the buffer held and the frame in hand are
+    // lost (dropping the `BufWriter` would try to write them once more).
+    dropped.fetch_add(sink.held + in_hand, Ordering::Relaxed);
+    drop(sink.out.into_parts());
+    count_drain(queue, dropped);
+}
+
+/// The reading end of a connection: `read_frame` on this takes its
+/// bytes out of one buffer, refilled by one `read` of whatever the socket
+/// holds, instead of three `read`s on the socket per frame. End-of-stream
+/// and torn-frame results are those of the unbuffered stream.
+fn buffered_reader<R: Read>(stream: R, io: Arc<IoCounters>) -> BufReader<Counted<R>> {
+    BufReader::with_capacity(IO_BUFFER_BYTES, Counted { inner: stream, io })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::TryRecvError;
+    use flexitrust_protocol::Message;
+    use flexitrust_types::{ClientId, Digest, KvResult, RequestId, SeqNum, View};
+
+    /// An in-memory sink that records every `write` call it accepts and
+    /// refuses call number `fail_at` (counting from 1).
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+        calls: usize,
+        fail_at: Option<usize>,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.fail_at == Some(self.calls) {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `len` bytes of `tag` standing for `frames` frames: the writer loop
+    /// never looks inside what it moves.
+    fn filled(tag: u8, len: usize, frames: u64) -> Outbound {
+        outbound(vec![tag; len], frames)
+    }
+
+    /// Runs the writer loop to completion over a closed queue holding
+    /// `items`, on the calling thread.
+    fn drain_into(sink: &mut Recorder, items: Vec<Outbound>) -> (u64, TcpIoStats) {
+        let (tx, rx) = bounded(items.len().max(1));
+        for item in items {
+            assert!(tx.try_send(item).is_ok());
+        }
+        drop(tx);
+        let dropped = AtomicU64::new(0);
+        let io = Arc::new(IoCounters::default());
+        writer_loop(sink, &rx, &dropped, Arc::clone(&io));
+        (dropped.load(Ordering::Relaxed), io.snapshot())
+    }
+
+    fn prepare(seq: u64) -> Vec<u8> {
+        flexitrust_wire::encode_message(
+            ReplicaId(2),
+            &Message::Prepare {
+                view: View(0),
+                seq: SeqNum(seq),
+                digest: Digest::from_u64_tag(seq),
+                attestation: None,
+            },
+        )
+    }
+
+    fn reply(request: u64) -> ClientReply {
+        ClientReply {
+            client: ClientId(3),
+            request: RequestId(request),
+            seq: SeqNum(9),
+            view: View(0),
+            replica: ReplicaId(1),
+            result: KvResult::Written,
+            speculative: false,
+        }
+    }
+
+    #[test]
+    fn a_backlog_is_one_write_and_the_bytes_are_the_frames_in_order() {
+        let mut items: Vec<Outbound> = (0..100).map(|i| filled(i, 100, 1)).collect();
+        // Larger than the whole buffer: flushes what precedes it, then
+        // goes to the sink as it is.
+        items.push(filled(200, IO_BUFFER_BYTES + 1, 1));
+        items.extend((201..206).map(|i| filled(i, 100, 1)));
+        let expected: Vec<u8> = items.iter().flat_map(|o| o.bytes.iter().copied()).collect();
+
+        let mut sink = Recorder::default();
+        let (dropped, io) = drain_into(&mut sink, items);
+        let sizes: Vec<usize> = sink.writes.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [100 * 100, IO_BUFFER_BYTES + 1, 5 * 100]);
+        assert_eq!(sink.writes.concat(), expected);
+        assert_eq!(dropped, 0);
+        assert_eq!((io.frames_written, io.write_calls), (106, 3));
+        assert_eq!(io.bytes_written, expected.len() as u64);
+    }
+
+    #[test]
+    fn a_failed_write_drops_every_frame_it_held_and_every_frame_still_queued() {
+        // 200 buffers of three frames each; `per_write` of them fill one
+        // write. The second write fails: its buffers, the one in hand that
+        // triggered it and everything behind them are lost, frame by frame.
+        let per_write = IO_BUFFER_BYTES / 1000;
+        let items = (0..200).map(|i| filled(i as u8, 1000, 3)).collect();
+        let mut sink = Recorder {
+            fail_at: Some(2),
+            ..Recorder::default()
+        };
+        let (dropped, io) = drain_into(&mut sink, items);
+        assert_eq!(sink.writes.len(), 1);
+        assert_eq!(sink.writes[0].len(), per_write * 1000);
+        assert_eq!(sink.calls, 2, "nothing is written after the failure");
+        assert_eq!(io.frames_written, 3 * per_write as u64);
+        assert_eq!(dropped, 3 * (200 - per_write as u64));
+    }
+
+    #[test]
+    fn a_failed_flush_before_blocking_drops_what_the_buffer_held() {
+        let items = (0..7).map(|i| filled(i, 100, 1)).collect();
+        let mut sink = Recorder {
+            fail_at: Some(1),
+            ..Recorder::default()
+        };
+        let (dropped, io) = drain_into(&mut sink, items);
+        assert!(sink.writes.is_empty());
+        assert_eq!(dropped, 7);
+        assert_eq!(io.frames_written, 0);
+    }
+
+    #[test]
+    fn a_closing_queue_leaves_nothing_behind_in_the_buffer() {
+        // The writer is (or soon will be) parked in `recv` on an empty
+        // queue; frames pushed then, and the disconnect after them, must
+        // still put every byte on the sink before the loop returns.
+        struct Shared(Arc<Mutex<Vec<u8>>>);
+        impl Write for Shared {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let written = Arc::new(Mutex::new(Vec::new()));
+        let dropped = Arc::new(AtomicU64::new(0));
+        let (tx, rx) = bounded::<Outbound>(16);
+        let writer = {
+            let sink = Shared(Arc::clone(&written));
+            let dropped = Arc::clone(&dropped);
+            std::thread::spawn(move || writer_loop(sink, &rx, &dropped, Arc::default()))
+        };
+        for i in 0..5 {
+            tx.send(filled(i, 50, 1)).unwrap();
+        }
+        drop(tx);
+        writer.join().unwrap();
+        let expected: Vec<u8> = (0..5).flat_map(|i| [i; 50]).collect();
+        assert_eq!(*written.lock().unwrap(), expected);
+        assert_eq!(dropped.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn queued_frames_cross_a_socket_in_one_write_and_a_lone_frame_is_not_held_back() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dropped = Arc::new(AtomicU64::new(0));
+        let io = Arc::new(IoCounters::default());
+        // 100 frames are waiting before the writer thread exists.
+        let (tx, rx) = bounded::<Outbound>(256);
+        let frames: Vec<Vec<u8>> = (0..=100).map(prepare).collect();
+        let queued = |i: usize| outbound(frames[i].clone(), 1);
+        for i in 0..100 {
+            assert!(tx.try_send(queued(i)).is_ok());
+        }
+        let writer = spawn_writer(
+            listener.local_addr().unwrap(),
+            rx,
+            Arc::clone(&dropped),
+            Arc::clone(&io),
+        );
+        let (mut inbound, _) = listener.accept().unwrap();
+        let mut received = vec![0u8; 100 * frames[0].len()];
+        inbound.read_exact(&mut received).unwrap();
+        assert_eq!(received, frames[..100].concat());
+
+        // The writer has flushed and is parked on its empty queue (or about
+        // to be). One more frame must arrive on its own, with no successor
+        // to push it out: the read below would hang otherwise.
+        tx.send(queued(100)).unwrap();
+        let mut received = vec![0u8; frames[100].len()];
+        inbound.read_exact(&mut received).unwrap();
+        assert_eq!(received, frames[100]);
+
+        drop(tx);
+        writer.join().unwrap();
+        assert_eq!(inbound.read(&mut [0u8; 1]).unwrap(), 0, "nothing follows");
+        let stats = io.snapshot();
+        assert_eq!(stats.write_calls, 2, "one write per wake-up");
+        assert_eq!(stats.frames_written, 101);
+        assert_eq!(stats.bytes_written, 101 * frames[0].len() as u64);
+        assert_eq!(dropped.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn buffered_reader_decodes_many_frames_per_read() {
+        let stream: Vec<u8> = (0..100).flat_map(prepare).collect();
+        let io = Arc::new(IoCounters::default());
+        let mut reader = buffered_reader(&stream[..], Arc::clone(&io));
+        for seq in 0..100 {
+            match read_frame(&mut reader).unwrap() {
+                Some(Frame::Peer {
+                    msg: Message::Prepare { seq: read, .. },
+                    ..
+                }) => assert_eq!(read, SeqNum(seq)),
+                other => panic!("frame {seq}: {other:?}"),
+            }
+        }
+        assert_eq!(read_frame(&mut reader).unwrap(), None);
+        let stats = io.snapshot();
+        assert_eq!(stats.bytes_read, stream.len() as u64);
+        // One read for the data, one that reports the end of the stream.
+        assert_eq!(stats.read_calls, 2);
+    }
+
+    /// A transport with no peers and a reply queue of `capacity` buffers.
+    fn reply_transport(capacity: usize) -> (SocketTransport, Receiver<Outbound>) {
+        let (reply_writer, queue) = bounded(capacity);
+        let transport = SocketTransport {
+            writers: Vec::new(),
+            reply_writer,
+            pending_replies: Frames::default(),
+            dropped: Arc::new(AtomicU64::new(0)),
+        };
+        (transport, queue)
+    }
+
+    #[test]
+    fn replies_are_held_until_flush_then_travel_as_one_buffer() {
+        let (mut transport, queue) = reply_transport(4);
+        transport.flush();
+        assert_eq!(queue.try_recv().err(), Some(TryRecvError::Empty));
+
+        let mut expected = Vec::new();
+        for request in 1..=3 {
+            transport.send_reply(ReplicaId(1), reply(request));
+            expected.extend(flexitrust_wire::encode_frame(&Frame::Reply {
+                reply: reply(request),
+            }));
+        }
+        assert_eq!(queue.try_recv().err(), Some(TryRecvError::Empty));
+
+        transport.flush();
+        let batch = queue.try_recv().expect("one buffer per flush");
+        assert_eq!(batch.bytes, expected);
+        assert_eq!(batch.count, 3);
+        // Nothing more now, and nothing from a flush with nothing pending.
+        transport.flush();
+        assert_eq!(queue.try_recv().err(), Some(TryRecvError::Empty));
+        assert_eq!(transport.dropped.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_rejected_reply_buffer_counts_every_reply_in_it() {
+        let (mut transport, _queue) = reply_transport(1);
+        transport.send_reply(ReplicaId(1), reply(1));
+        transport.flush();
+        for request in 2..=6 {
+            transport.send_reply(ReplicaId(1), reply(request));
+        }
+        transport.flush();
+        assert_eq!(transport.dropped.load(Ordering::Relaxed), 5);
+    }
 
     #[test]
     fn flexi_bft_commits_over_loopback_sockets() {
         let cluster = TcpCluster::start(ProtocolId::FlexiBft, 1, 10).expect("cluster starts");
         let summary = cluster.run_workload(100, 4, Duration::from_secs(60));
+        let io = cluster.io_stats();
         cluster.shutdown();
         assert_eq!(summary.completed_txns, 100);
         assert!(summary.throughput_tps > 0.0);
+        // Every frame is counted before it is handed on, so what the run
+        // needed to complete is already in the totals: ten submissions and
+        // a reply quorum of f + 1 per transaction.
+        assert!(io.frames_read >= 10 + 2 * 100, "{io:?}");
     }
 
     #[test]

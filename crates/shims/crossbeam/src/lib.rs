@@ -29,6 +29,15 @@ pub mod channel {
         Disconnected,
     }
 
+    /// Error returned by [`Receiver::try_recv`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TryRecvError {
+        /// The channel is currently empty.
+        Empty,
+        /// Every sender disconnected and the channel is drained.
+        Disconnected,
+    }
+
     /// The sending half of a bounded channel.
     pub struct Sender<T> {
         inner: mpsc::SyncSender<T>,
@@ -70,6 +79,14 @@ pub mod channel {
             self.inner.recv_timeout(timeout).map_err(|e| match e {
                 mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
                 mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
+            })
+        }
+
+        /// Takes a message if one is already queued, without blocking.
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            self.inner.try_recv().map_err(|e| match e {
+                mpsc::TryRecvError::Empty => TryRecvError::Empty,
+                mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
             })
         }
 
@@ -116,6 +133,21 @@ mod tests {
         tx.try_send(3).unwrap();
         drop(rx);
         assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
+    }
+
+    #[test]
+    fn try_recv_never_blocks_on_empty_non_empty_or_disconnected_channels() {
+        use super::channel::TryRecvError;
+        let (tx, rx) = bounded(2);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.try_recv(), Ok(1));
+        // Queued messages outlive their senders; only a drained channel
+        // reports the disconnect.
+        drop(tx);
+        assert_eq!(rx.try_recv(), Ok(2));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

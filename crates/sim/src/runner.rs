@@ -1648,6 +1648,39 @@ mod tests {
     }
 
     #[test]
+    fn votes_that_overtake_a_chunked_proposal_leave_no_straggler() {
+        // The broadcast-heavy shape at f = 1: a 200 KiB PrePrepare crosses
+        // a chunked 10 Gbps link behind the ingress lane while the
+        // 100-byte Prepares voting for it arrive first. A replica that
+        // only checks its quorum when a vote lands never commits such a
+        // batch and falls behind for good (171/171/171/48 before the fix).
+        let mut spec = ScenarioSpec::paper_default(ProtocolId::FlexiBft);
+        spec.f = 1;
+        spec.batch_size = 50;
+        spec.clients = 2_000;
+        spec.warmup_us = 20_000;
+        spec.duration_us = 100_000;
+        spec.workload = flexitrust_workload::WorkloadConfig {
+            value_size: 4096,
+            record_count: 1_000,
+            distribution: flexitrust_workload::KeyDistribution::Uniform,
+            ..flexitrust_workload::WorkloadConfig::update_only()
+        };
+        spec.bandwidth = BandwidthConfig::unlimited();
+        spec.bandwidth.local_mbps = Some(10_000);
+        spec.bandwidth.ingress_mbps = Some(10_000);
+        spec.bandwidth.chunk_bytes = Some(9_000);
+        spec.seed = 42;
+        let report = Simulation::new(spec).run();
+        let frontiers: Vec<u64> = report.replica_frontiers.iter().map(|f| f.0).collect();
+        assert!(frontiers[0] > 0, "{frontiers:?}");
+        assert!(
+            frontiers.iter().all(|f| *f == frontiers[0]),
+            "replicas ended at different frontiers: {frontiers:?}"
+        );
+    }
+
+    #[test]
     fn flexi_zz_quick_scenario_makes_progress() {
         let report = run_quick(ProtocolId::FlexiZz);
         assert!(report.completed_txns > 0, "{report:?}");

@@ -420,6 +420,81 @@ mod tests {
         assert!(read_frame(&mut cursor).is_err());
     }
 
+    /// A stream that hands out its bytes in reads of the given sizes
+    /// (cycled), the way a socket returns whatever has arrived.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        sizes: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = size.min(buf.len()).min(self.data.len());
+            let (head, tail) = self.data.split_at(n);
+            buf[..n].copy_from_slice(head);
+            self.data = tail;
+            Ok(n)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// However the bytes arrive — arbitrary chunk sizes, a 1-byte
+        /// dribble, through a `BufReader` of any capacity or none —
+        /// `read_frame` yields the frames of the contiguous stream, reports
+        /// a clean end only at a frame boundary and an error on a torn tail.
+        #[test]
+        fn chunked_reads_yield_the_contiguous_frame_sequence(
+            sizes in proptest::collection::vec(1usize..97, 1..12),
+            dribble in proptest::any::<bool>(),
+            capacity in 0usize..80,
+            cut in proptest::any::<u64>(),
+        ) {
+            let mut frames: Vec<Frame> = sample_messages()
+                .into_iter()
+                .map(|msg| Frame::Peer { from: ReplicaId(1), msg })
+                .collect();
+            frames.insert(3, Frame::Submit { txns: vec![txn(8), txn(0)] });
+            let mut stream = Vec::new();
+            let mut boundaries = vec![0];
+            for frame in &frames {
+                write_frame(&mut stream, frame).unwrap();
+                boundaries.push(stream.len());
+            }
+            // The stream ends anywhere, at a boundary one time in four.
+            let cut = match cut % 4 {
+                0 => boundaries[(cut / 4) as usize % boundaries.len()],
+                _ => (cut / 4) as usize % (stream.len() + 1),
+            };
+            let whole = boundaries.iter().filter(|b| **b <= cut).count() - 1;
+
+            let chunked = Chunked {
+                data: &stream[..cut],
+                sizes: if dribble { vec![1] } else { sizes },
+                reads: 0,
+            };
+            let mut reader: Box<dyn Read + '_> = match capacity {
+                0 => Box::new(chunked),
+                _ => Box::new(io::BufReader::with_capacity(capacity, chunked)),
+            };
+            for frame in &frames[..whole] {
+                let read = read_frame(&mut reader)
+                    .map_err(|e| proptest::TestCaseError::fail(e.to_string()))?;
+                proptest::prop_assert_eq!(read.as_ref(), Some(frame));
+            }
+            let end = read_frame(&mut reader);
+            if boundaries.contains(&cut) {
+                proptest::prop_assert!(matches!(end, Ok(None)), "boundary {cut}: {end:?}");
+            } else {
+                proptest::prop_assert!(end.is_err(), "torn at {cut}: {end:?}");
+            }
+        }
+    }
+
     #[test]
     fn standalone_attestation_and_transaction_codecs_round_trip() {
         let att = attestation();

@@ -59,7 +59,7 @@ pub mod prelude {
     pub use flexitrust_protocol::{
         ClientLibrary, ConsensusEngine, Message, Outbox, ProtocolProperties, TimerKind,
     };
-    pub use flexitrust_runtime::{Cluster, ClusterSummary, PrimaryTracker, TcpCluster};
+    pub use flexitrust_runtime::{Cluster, ClusterSummary, PrimaryTracker, TcpCluster, TcpIoStats};
     pub use flexitrust_sim::{
         ChaosEvent, ChaosPlan, CostModel, Direction, LinkChaos, LinkClass, LinkQueues, LinkUsage,
         MessageClass, NetworkModel, Nic, ScenarioSpec, SimReport, Simulation,

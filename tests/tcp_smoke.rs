@@ -47,3 +47,22 @@ fn flexi_bft_smoke_workload_over_real_sockets() {
     assert_eq!(summary.dropped_messages, 0);
     done.store(true, Ordering::SeqCst);
 }
+
+/// ROADMAP 1(a), Flexi-BFT: a burst deep enough that backups' `Prepare`s
+/// routinely overtake the `PrePrepare` they vote for (the primary's own
+/// loopback copy included) used to wedge about every other run. Three out
+/// of three must commit, with nothing shed on the way.
+#[test]
+fn flexi_bft_commits_large_bursts_whatever_order_the_sockets_deliver() {
+    let done = Arc::new(AtomicBool::new(false));
+    watchdog(Duration::from_secs(180), Arc::clone(&done));
+
+    for attempt in 1..=3 {
+        let cluster = TcpCluster::start(ProtocolId::FlexiBft, 1, 100).expect("cluster starts");
+        let summary = cluster.run_workload(48_000, 64, Duration::from_secs(45));
+        cluster.shutdown();
+        assert_eq!(summary.completed_txns, 48_000, "attempt {attempt}");
+        assert_eq!(summary.dropped_messages, 0, "attempt {attempt}");
+    }
+    done.store(true, Ordering::SeqCst);
+}
