@@ -7,12 +7,30 @@
 //! `n` for Zyzzyva and MinZZ's single-round fast path. [`ClientLibrary`]
 //! implements that matching/counting logic once, including the retry and
 //! fast-path-fallback behaviour the harnesses need.
+//!
+//! # State per request
+//!
+//! A request the application [began](ClientLibrary::begin) holds a list of
+//! *candidates*: one `(seq, result)` pair per distinct answer seen, each
+//! with the set of replicas that gave it. Failure-free there is exactly one
+//! candidate, stored inline; a reply probes the list with
+//! [`result_matches_key`] and sets one bit, so the hit path neither
+//! allocates nor clones. The first candidate to reach the threshold is the
+//! request's outcome.
+//!
+//! * **Late replies** — any reply for a completed request — report the
+//!   agreed `(result, seq, matching)` again, whatever they carry themselves:
+//!   a divergent straggler cannot change what the client was told.
+//! * **Unknown requests** — never begun, or already
+//!   [forgotten](ClientLibrary::forget) — report `Pending` with no matching
+//!   replies and leave no state: a replica cannot grow a client's memory or
+//!   pre-load votes for a request id the client has yet to issue.
 
 use crate::messages::ClientReply;
 use flexitrust_types::{
     ClientId, KvResult, QuorumRule, ReplicaId, RequestId, SeqNum, SystemConfig, ValueBytes,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Progress of one outstanding request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,12 +53,57 @@ pub enum RequestStatus {
     },
 }
 
+/// The replicas that voted for one candidate: ids below 128 as bits of an
+/// inline mask, larger ones (no deployment has that many replicas, but the
+/// id arrives off the wire) in a list.
+#[derive(Debug, Default)]
+struct Voters {
+    low: u128,
+    high: Vec<ReplicaId>,
+}
+
+impl Voters {
+    fn insert(&mut self, replica: ReplicaId) {
+        if replica.0 < u128::BITS {
+            self.low |= 1 << replica.0;
+        } else if !self.high.contains(&replica) {
+            self.high.push(replica);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.low.count_ones() as usize + self.high.len()
+    }
+}
+
+/// One distinct answer to a request and who gave it.
+#[derive(Debug)]
+struct Candidate {
+    seq: SeqNum,
+    key: KvResultKey,
+    /// The first reply's result for this key, reported on completion.
+    result: KvResult,
+    voters: Voters,
+}
+
+impl Candidate {
+    fn complete(&self) -> RequestStatus {
+        RequestStatus::Complete {
+            result: self.result.clone(),
+            seq: self.seq,
+            matching: self.voters.len(),
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct PendingRequest {
-    /// Votes per (seq, result) candidate.
-    votes: BTreeMap<(SeqNum, KvResultKey), BTreeSet<ReplicaId>>,
-    results: BTreeMap<(SeqNum, KvResultKey), KvResult>,
-    complete: bool,
+    /// The first candidate, inline; divergent ones (a faulty or lagging
+    /// replica answered differently) go to `rest`.
+    first: Option<Candidate>,
+    rest: Vec<Candidate>,
+    /// Once complete: the `Complete` status every later reply repeats.
+    outcome: Option<RequestStatus>,
 }
 
 /// Hashable, ordered fingerprint of a [`KvResult`] used for reply
@@ -143,7 +206,10 @@ impl ClientLibrary {
 
     /// Number of requests still waiting for replies.
     pub fn outstanding(&self) -> usize {
-        self.pending.values().filter(|p| !p.complete).count()
+        self.pending
+            .values()
+            .filter(|p| p.outcome.is_none())
+            .count()
     }
 
     /// Registers a new outstanding request.
@@ -154,7 +220,8 @@ impl ClientLibrary {
     /// Processes one reply; returns the updated status of that request.
     ///
     /// Replies for unknown or already completed requests return their status
-    /// without changing anything (late replies are normal in BFT systems).
+    /// without changing anything (late replies are normal in BFT systems);
+    /// see the module docs for what that status is.
     pub fn on_reply(&mut self, reply: &ClientReply) -> RequestStatus {
         self.on_reply_with_threshold(reply, self.needed)
     }
@@ -168,38 +235,44 @@ impl ClientLibrary {
 
     fn on_reply_with_threshold(&mut self, reply: &ClientReply, needed: usize) -> RequestStatus {
         debug_assert_eq!(reply.client, self.client);
-        let entry = self.pending.entry(reply.request).or_default();
-        let key = (reply.seq, result_key(&reply.result));
-        if !entry.complete {
-            entry
-                .results
-                .entry(key.clone())
-                .or_insert_with(|| reply.result.clone());
-            entry
-                .votes
-                .entry(key.clone())
-                .or_default()
-                .insert(reply.replica);
-        }
-        let matching = entry.votes.get(&key).map(BTreeSet::len).unwrap_or(0);
-        if entry.complete {
-            return RequestStatus::Complete {
-                result: reply.result.clone(),
-                seq: reply.seq,
-                matching,
+        let Some(entry) = self.pending.get_mut(&reply.request) else {
+            return RequestStatus::Pending {
+                matching: 0,
+                needed,
             };
+        };
+        if let Some(outcome) = &entry.outcome {
+            return outcome.clone();
         }
-        if matching >= needed {
-            entry.complete = true;
-            self.completed += 1;
-            RequestStatus::Complete {
-                result: entry.results[&key].clone(),
-                seq: reply.seq,
-                matching,
+        let hit = (entry.first.iter_mut().chain(&mut entry.rest))
+            .find(|c| c.seq == reply.seq && result_matches_key(&reply.result, &c.key));
+        let candidate = match hit {
+            Some(candidate) => candidate,
+            None => {
+                let candidate = Candidate {
+                    seq: reply.seq,
+                    key: result_key(&reply.result),
+                    result: reply.result.clone(),
+                    voters: Voters::default(),
+                };
+                match entry.first {
+                    None => entry.first.insert(candidate),
+                    Some(_) => {
+                        entry.rest.push(candidate);
+                        entry.rest.last_mut().expect("just pushed")
+                    }
+                }
             }
-        } else {
-            RequestStatus::Pending { matching, needed }
+        };
+        candidate.voters.insert(reply.replica);
+        let matching = candidate.voters.len();
+        if matching < needed {
+            return RequestStatus::Pending { matching, needed };
         }
+        let status = candidate.complete();
+        entry.outcome = Some(status.clone());
+        self.completed += 1;
+        status
     }
 
     /// Checks whether an outstanding request would complete under the
@@ -207,26 +280,19 @@ impl ClientLibrary {
     /// harnesses when a fast-path timer expires.
     pub fn try_fallback_complete(&mut self, request: RequestId) -> Option<RequestStatus> {
         let entry = self.pending.get_mut(&request)?;
-        if entry.complete {
+        if entry.outcome.is_some() {
             return None;
         }
-        let best = entry
-            .votes
-            .iter()
-            .max_by_key(|(_, voters)| voters.len())
-            .map(|(k, voters)| (k.clone(), voters.len()))?;
-        if best.1 >= self.fallback_needed {
-            entry.complete = true;
-            self.completed += 1;
-            let (seq, _) = best.0;
-            Some(RequestStatus::Complete {
-                result: entry.results[&best.0].clone(),
-                seq,
-                matching: best.1,
-            })
-        } else {
-            None
+        // Most voters wins; a tie goes to the greatest `(seq, key)`.
+        let best = (entry.first.iter().chain(&entry.rest))
+            .max_by_key(|c| (c.voters.len(), c.seq, &c.key))?;
+        if best.voters.len() < self.fallback_needed {
+            return None;
         }
+        let status = best.complete();
+        entry.outcome = Some(status.clone());
+        self.completed += 1;
+        Some(status)
     }
 
     /// Drops state for a completed request (bounded-memory clients).
@@ -399,5 +465,299 @@ mod tests {
         assert_eq!(lib.completed(), 1);
         lib.forget(RequestId(1));
         assert_eq!(lib.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_late_divergent_reply_reports_the_agreed_outcome_not_its_own() {
+        let mut lib = library(ProtocolId::FlexiBft, QuorumRule::FPlusOne);
+        lib.begin(RequestId(1));
+        lib.on_reply(&reply(0, 1, 5, 9));
+        lib.on_reply(&reply(1, 1, 5, 9));
+        let agreed = lib.on_reply(&reply(2, 1, 5, 9));
+        assert_eq!(
+            agreed,
+            RequestStatus::Complete {
+                result: KvResult::Value(Some(vec![9].into())),
+                seq: SeqNum(5),
+                matching: 3,
+            }
+        );
+        // A fourth replica answers with another value at another sequence:
+        // the client is told what it was told before, under either rule.
+        assert_eq!(lib.on_reply(&reply(3, 1, 6, 7)), agreed);
+        assert_eq!(lib.on_reply_fallback(&reply(3, 1, 6, 7)), agreed);
+        assert_eq!(lib.on_reply(&reply(4, 1, 5, 9)), agreed);
+        assert_eq!(lib.completed(), 1);
+    }
+
+    #[test]
+    fn replies_for_requests_never_begun_leave_no_state() {
+        let mut lib = library(ProtocolId::FlexiBft, QuorumRule::FPlusOne);
+        lib.begin(RequestId(1));
+        for i in 0..1000u64 {
+            // Request ids the client has not issued (2 is next), from every
+            // replica, all agreeing: votes a pre-loading replica would want
+            // counted later.
+            let status = lib.on_reply(&reply((i % 5) as u32, 2 + i % 50, 5, 9));
+            assert_eq!(
+                status,
+                RequestStatus::Pending {
+                    matching: 0,
+                    needed: 3
+                }
+            );
+        }
+        assert_eq!(lib.outstanding(), 1);
+        assert_eq!(lib.completed(), 0);
+        assert!(lib.try_fallback_complete(RequestId(2)).is_none());
+
+        // Request 2, once begun, starts from nothing and needs its own
+        // f + 1 replies.
+        lib.begin(RequestId(2));
+        assert_eq!(lib.outstanding(), 2);
+        for r in 0..2 {
+            assert_eq!(
+                lib.on_reply(&reply(r, 2, 5, 9)),
+                RequestStatus::Pending {
+                    matching: r as usize + 1,
+                    needed: 3
+                }
+            );
+        }
+        assert!(matches!(
+            lib.on_reply(&reply(2, 2, 5, 9)),
+            RequestStatus::Complete { matching: 3, .. }
+        ));
+        // A forgotten request is unknown again.
+        lib.forget(RequestId(2));
+        assert_eq!(
+            lib.on_reply(&reply(3, 2, 5, 9)),
+            RequestStatus::Pending {
+                matching: 0,
+                needed: 3
+            }
+        );
+        assert_eq!(lib.outstanding(), 1);
+    }
+
+    #[test]
+    fn voters_beyond_the_inline_mask_count_once_each() {
+        let mut voters = Voters::default();
+        for id in [0, 127, 128, 128, 4_000_000_000, 127, 0] {
+            voters.insert(ReplicaId(id));
+        }
+        assert_eq!(voters.len(), 4);
+    }
+
+    /// The implementation this module had before candidates became an
+    /// inline list: two `BTreeMap`s and a `BTreeSet` per request. Kept as
+    /// the reference the model-based test below compares against; it still
+    /// has the two defects the list-based one fixed (a late reply echoes
+    /// itself, a reply for an unknown request creates one).
+    mod oracle {
+        use super::super::{result_key, KvResultKey, RequestStatus};
+        use crate::messages::ClientReply;
+        use flexitrust_types::{KvResult, ReplicaId, RequestId, SeqNum};
+        use std::collections::{BTreeMap, BTreeSet};
+
+        #[derive(Default)]
+        struct PendingRequest {
+            votes: BTreeMap<(SeqNum, KvResultKey), BTreeSet<ReplicaId>>,
+            results: BTreeMap<(SeqNum, KvResultKey), KvResult>,
+            complete: bool,
+        }
+
+        pub(super) struct ClientLibrary {
+            fallback_needed: usize,
+            pending: BTreeMap<RequestId, PendingRequest>,
+            pub(super) completed: u64,
+        }
+
+        impl ClientLibrary {
+            pub(super) fn new(fallback_needed: usize) -> Self {
+                ClientLibrary {
+                    fallback_needed,
+                    pending: BTreeMap::new(),
+                    completed: 0,
+                }
+            }
+
+            pub(super) fn outstanding(&self) -> usize {
+                self.pending.values().filter(|p| !p.complete).count()
+            }
+
+            pub(super) fn begin(&mut self, request: RequestId) {
+                self.pending.entry(request).or_default();
+            }
+
+            pub(super) fn on_reply(&mut self, reply: &ClientReply, needed: usize) -> RequestStatus {
+                let entry = self.pending.entry(reply.request).or_default();
+                let key = (reply.seq, result_key(&reply.result));
+                if !entry.complete {
+                    entry
+                        .results
+                        .entry(key.clone())
+                        .or_insert_with(|| reply.result.clone());
+                    entry
+                        .votes
+                        .entry(key.clone())
+                        .or_default()
+                        .insert(reply.replica);
+                }
+                let matching = entry.votes.get(&key).map(BTreeSet::len).unwrap_or(0);
+                if entry.complete {
+                    return RequestStatus::Complete {
+                        result: reply.result.clone(),
+                        seq: reply.seq,
+                        matching,
+                    };
+                }
+                if matching >= needed {
+                    entry.complete = true;
+                    self.completed += 1;
+                    RequestStatus::Complete {
+                        result: entry.results[&key].clone(),
+                        seq: reply.seq,
+                        matching,
+                    }
+                } else {
+                    RequestStatus::Pending { matching, needed }
+                }
+            }
+
+            pub(super) fn try_fallback_complete(
+                &mut self,
+                request: RequestId,
+            ) -> Option<RequestStatus> {
+                let entry = self.pending.get_mut(&request)?;
+                if entry.complete {
+                    return None;
+                }
+                let best = entry
+                    .votes
+                    .iter()
+                    .max_by_key(|(_, voters)| voters.len())
+                    .map(|(k, voters)| (k.clone(), voters.len()))?;
+                if best.1 >= self.fallback_needed {
+                    entry.complete = true;
+                    self.completed += 1;
+                    let (seq, _) = best.0;
+                    Some(RequestStatus::Complete {
+                        result: entry.results[&best.0].clone(),
+                        seq,
+                        matching: best.1,
+                    })
+                } else {
+                    None
+                }
+            }
+
+            pub(super) fn forget(&mut self, request: RequestId) {
+                self.pending.remove(&request);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Any interleaving of begins, replies (duplicates, divergent values
+        /// and sequences, lossy-equal range results, replica ids past the
+        /// inline voter mask, stragglers after completion), fallback
+        /// completions and forgets, under each reply rule, gets from the
+        /// candidate list what the per-request trees gave — except where
+        /// the trees were wrong, and there each fix is asserted on its own.
+        #[test]
+        fn the_candidate_list_answers_like_the_per_request_trees(
+            rule in 0usize..3,
+            ops in proptest::collection::vec(proptest::any::<u64>(), 1..160),
+        ) {
+            let (protocol, rule) = [
+                (ProtocolId::FlexiBft, QuorumRule::FPlusOne),
+                (ProtocolId::FlexiZz, QuorumRule::TwoFPlusOne),
+                (ProtocolId::Zyzzyva, QuorumRule::AllReplicas),
+            ][rule];
+            let config = SystemConfig::for_protocol(protocol, 1);
+            let mut lib = ClientLibrary::new(ClientId(1), &config, rule);
+            let mut old = oracle::ClientLibrary::new(lib.fallback_needed());
+            // What the test itself knows: which requests are begun and not
+            // forgotten, and the status each completed one completed with.
+            let mut agreed: BTreeMap<RequestId, Option<RequestStatus>> = BTreeMap::new();
+            let results = [
+                KvResult::Value(Some(vec![1].into())),
+                KvResult::Value(Some(vec![2].into())),
+                KvResult::Written,
+                // Two different scans with one fingerprint.
+                KvResult::Range(vec![(1, vec![9].into()), (4, vec![8].into())]),
+                KvResult::Range(vec![(2, vec![9].into()), (3, vec![8].into())]),
+            ];
+            for op in ops {
+                let request = RequestId(1 + (op >> 8) % 3);
+                match op % 16 {
+                    0 | 1 => {
+                        lib.begin(request);
+                        old.begin(request);
+                        agreed.entry(request).or_insert(None);
+                    }
+                    2 => {
+                        lib.forget(request);
+                        old.forget(request);
+                        agreed.remove(&request);
+                    }
+                    3 | 4 => {
+                        let status = lib.try_fallback_complete(request);
+                        proptest::prop_assert_eq!(&status, &old.try_fallback_complete(request));
+                        if let Some(status) = status {
+                            agreed.insert(request, Some(status));
+                        }
+                    }
+                    kind => {
+                        let replica = match (op >> 16) % 8 {
+                            7 => 200 + (op >> 20) as u32 % 2,
+                            id => id as u32 % config.n as u32,
+                        };
+                        let reply = ClientReply {
+                            seq: SeqNum(5 + (op >> 24) % 2),
+                            result: results[(op >> 28) as usize % results.len()].clone(),
+                            ..reply(replica, request.0, 0, 0)
+                        };
+                        let fallback = kind == 5;
+                        let needed = if fallback { lib.fallback_needed() } else { lib.needed() };
+                        let status = if fallback {
+                            lib.on_reply_fallback(&reply)
+                        } else {
+                            lib.on_reply(&reply)
+                        };
+                        match agreed.get(&request) {
+                            // Fix 2: unknown request, nothing counted and
+                            // nothing created (the trees are not asked:
+                            // they would create it).
+                            None => proptest::prop_assert_eq!(
+                                status,
+                                RequestStatus::Pending { matching: 0, needed }
+                            ),
+                            // Fix 1: completed request, the agreed outcome
+                            // again (the trees echo the straggler).
+                            Some(Some(outcome)) => {
+                                proptest::prop_assert_eq!(&status, outcome);
+                                let echoed = old.on_reply(&reply, needed);
+                                proptest::prop_assert!(
+                                    matches!(echoed, RequestStatus::Complete { .. }),
+                                    "{echoed:?}"
+                                );
+                            }
+                            Some(None) => {
+                                proptest::prop_assert_eq!(&status, &old.on_reply(&reply, needed));
+                                if matches!(status, RequestStatus::Complete { .. }) {
+                                    agreed.insert(request, Some(status));
+                                }
+                            }
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(lib.completed(), old.completed);
+                proptest::prop_assert_eq!(lib.outstanding(), old.outstanding());
+            }
+        }
     }
 }

@@ -56,21 +56,20 @@ pub(crate) trait Transport {
         }
     }
 
-    /// Queue a client reply emitted by `from`.
-    fn send_reply(&mut self, from: ReplicaId, reply: ClientReply);
-
-    /// Hand over whatever the calls above held back to batch. The replica
-    /// loop calls this once per iteration, before it blocks for input, so
-    /// nothing a delivery emitted waits for the next one. A transport that
-    /// holds nothing back keeps the default.
-    fn flush(&mut self) {}
+    /// Queue the client replies of one delivery, in the order the engine
+    /// emitted them. The replica loop collects them and calls this once per
+    /// iteration, before it blocks for input: a committed batch answers
+    /// every one of its transactions at once, and the whole hand-off to the
+    /// client costs one queue operation, not one per transaction. Never
+    /// called with an empty `replies`.
+    fn send_replies(&mut self, replies: Vec<ClientReply>);
 }
 
 /// The channel-network transport: peers are reached through their bounded
 /// inboxes, clients through a shared reply channel.
 pub(crate) struct ChannelTransport {
     pub(crate) peers: Vec<Sender<Input>>,
-    pub(crate) replies: Sender<ClientReply>,
+    pub(crate) replies: Sender<Vec<ClientReply>>,
     pub(crate) dropped: Arc<AtomicU64>,
 }
 
@@ -91,9 +90,10 @@ impl Transport for ChannelTransport {
         }
     }
 
-    fn send_reply(&mut self, _from: ReplicaId, reply: ClientReply) {
-        if self.replies.try_send(reply).is_err() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+    fn send_replies(&mut self, replies: Vec<ClientReply>) {
+        let count = replies.len() as u64;
+        if self.replies.try_send(replies).is_err() {
+            self.dropped.fetch_add(count, Ordering::Relaxed);
         }
     }
 }
@@ -145,7 +145,7 @@ pub struct ClusterSummary {
 pub struct Cluster {
     config: Arc<SystemConfig>,
     inboxes: Vec<Sender<Input>>,
-    replies: Receiver<ClientReply>,
+    replies: Receiver<Vec<ClientReply>>,
     tracker: PrimaryTracker,
     dropped: Arc<AtomicU64>,
     frontiers: Arc<Vec<AtomicU64>>,
@@ -206,7 +206,7 @@ impl Cluster {
         let dropped = Arc::new(AtomicU64::new(0));
         let frontiers = ReplicaChaos::board(config.n);
 
-        let (reply_tx, reply_rx) = bounded::<ClientReply>(1 << 16);
+        let (reply_tx, reply_rx) = bounded::<Vec<ClientReply>>(1 << 16);
         let mut inbox_txs = Vec::with_capacity(config.n);
         let mut inbox_rxs = Vec::with_capacity(config.n);
         for _ in 0..config.n {
@@ -313,12 +313,14 @@ impl Cluster {
 }
 
 /// The shared closed-loop workload driver: submits `total_txns` in
-/// batch-size chunks through `submit`, drains `replies` through per-client
-/// `ClientLibrary` quorum tracking, and reports the commit log.
+/// batch-size chunks through `submit`, drains `replies` (one item per
+/// replica delivery or socket read, see [`Transport::send_replies`])
+/// through per-client `ClientLibrary` quorum tracking, and reports the
+/// commit log.
 pub(crate) fn drive_workload(
     config: &SystemConfig,
     mut submit: impl FnMut(Vec<Transaction>),
-    replies: &Receiver<ClientReply>,
+    replies: &Receiver<Vec<ClientReply>>,
     dropped: &AtomicU64,
     total_txns: usize,
     clients: usize,
@@ -366,28 +368,28 @@ pub(crate) fn drive_workload(
     let mut completed = 0u64;
     let mut commit_log: Vec<CommittedTxn> = Vec::with_capacity(total_txns);
     while completed < total_txns as u64 && start.elapsed() < timeout {
-        match replies.recv_timeout(Duration::from_millis(50)) {
-            Ok(reply) => {
-                if let Some(library) = libraries.get_mut(reply.client.0 as usize) {
-                    // Count a request exactly when it first completes;
-                    // late duplicate replies also report `Complete` (with
-                    // the same matching count), so the status alone would
-                    // overcount under load.
-                    let before = library.completed();
-                    let status = library.on_reply(&reply);
-                    if library.completed() > before {
-                        if let RequestStatus::Complete { seq, .. } = status {
-                            completed += 1;
-                            commit_log.push(CommittedTxn {
-                                seq,
-                                client: reply.client,
-                                request: reply.request,
-                            });
-                        }
-                    }
+        let Ok(batch) = replies.recv_timeout(Duration::from_millis(50)) else {
+            continue;
+        };
+        for reply in batch {
+            let Some(library) = libraries.get_mut(reply.client.0 as usize) else {
+                continue;
+            };
+            // Count a request exactly when it first completes; late
+            // replies also report `Complete` (the agreed outcome again),
+            // so the status alone would overcount under load.
+            let before = library.completed();
+            let status = library.on_reply(&reply);
+            if library.completed() > before {
+                if let RequestStatus::Complete { seq, .. } = status {
+                    completed += 1;
+                    commit_log.push(CommittedTxn {
+                        seq,
+                        client: reply.client,
+                        request: reply.request,
+                    });
                 }
             }
-            Err(_) => continue,
         }
     }
     let elapsed = start.elapsed();
@@ -410,6 +412,9 @@ pub(crate) fn drive_workload(
 struct ThreadEnv<T: Transport> {
     transport: T,
     timers: Vec<(Instant, TimerKind, TimerToken)>,
+    /// The replies emitted since the loop last handed them to the
+    /// transport.
+    replies: Vec<ClientReply>,
 }
 
 impl<T: Transport> EngineHost for ThreadEnv<T> {
@@ -421,8 +426,8 @@ impl<T: Transport> EngineHost for ThreadEnv<T> {
         self.transport.broadcast_peer(from, replicas, msg);
     }
 
-    fn reply(&mut self, from: ReplicaId, reply: ClientReply) {
-        self.transport.send_reply(from, reply);
+    fn reply(&mut self, _from: ReplicaId, reply: ClientReply) {
+        self.replies.push(reply);
     }
 
     fn schedule_timer(
@@ -447,6 +452,15 @@ impl<T: Transport> EngineHost for ThreadEnv<T> {
     }
 }
 
+/// How often a rejoining replica repeats its `CheckpointRequest` (several
+/// turns of the loop's 5 ms poll) until the answers have carried it to
+/// where the others were when it came back. One request is not enough: a
+/// peer answers only from a stable checkpoint past the requester's
+/// frontier, and at the instant of recovery there may be none yet, or only
+/// one that ends short of the proposals the rejoiner missed. Stale or
+/// duplicate answers are refused by the engine.
+const RECOVERY_RETRY: Duration = Duration::from_millis(20);
+
 /// One replica's event loop, shared by the channel and TCP deployments.
 pub(crate) fn replica_loop<T: Transport>(
     engine: &mut dyn ConsensusEngine,
@@ -461,8 +475,12 @@ pub(crate) fn replica_loop<T: Transport>(
     let mut env = ThreadEnv {
         transport,
         timers: Vec::new(),
+        replies: Vec::new(),
     };
     let mut window = chaos.window.map(|w| (w, WindowPhase::Armed));
+    // While rejoining after a crash: the others' frontier at recovery, and
+    // when to ask them for a checkpoint (again).
+    let mut rejoining: Option<(u64, Instant)> = None;
     loop {
         // Work out how long we may sleep before the next timer fires.
         let now = Instant::now();
@@ -497,9 +515,14 @@ pub(crate) fn replica_loop<T: Transport>(
         for (timer, token) in due {
             dispatcher.timer_expired(engine, timer, token, &mut env);
         }
-        // Everything this iteration will emit is out: release what the
-        // transport batched before the loop blocks for input again.
-        env.transport.flush();
+        // Everything this iteration will emit is out: hand its replies over
+        // before the loop blocks for input again. The next delivery's most
+        // likely fill what these did.
+        if !env.replies.is_empty() {
+            let next = Vec::with_capacity(env.replies.len());
+            env.transport
+                .send_replies(std::mem::replace(&mut env.replies, next));
+        }
 
         // Publish our execution frontier so crash windows (and tests) can
         // key on commit progress across threads.
@@ -513,17 +536,24 @@ pub(crate) fn replica_loop<T: Transport>(
                 // Going down: a crashed host's pending timers die with it
                 // (fresh ones are armed by whatever runs after recovery).
                 Some(WindowEvent::Crash) => env.timers.clear(),
-                // Rejoin via state transfer: ask every peer for the latest
-                // stable checkpoint past our frontier.
-                Some(WindowEvent::Recover) => {
-                    let request = recovery_request(engine);
-                    for to in (0..n).filter(|to| *to != id.as_usize()) {
-                        env.transport
-                            .send_peer(id, ReplicaId(to as u32), Arc::clone(&request));
-                    }
-                }
+                // Rejoin via state transfer, starting now.
+                Some(WindowEvent::Recover) => rejoining = Some((others, now)),
                 None => {}
             }
+        }
+        match &mut rejoining {
+            Some((target, _)) if engine.last_executed().0 >= *target => rejoining = None,
+            // Ask every peer for the latest stable checkpoint past our
+            // frontier.
+            Some((_, ask_at)) if *ask_at <= now => {
+                let request = recovery_request(engine);
+                for to in (0..n).filter(|to| *to != id.as_usize()) {
+                    env.transport
+                        .send_peer(id, ReplicaId(to as u32), Arc::clone(&request));
+                }
+                *ask_at = now + RECOVERY_RETRY;
+            }
+            _ => {}
         }
 
         // Publish our view so submission paths can find the primary.
@@ -575,7 +605,7 @@ mod tests {
         // the drop without ever blocking the calling replica thread.
         let (tx, _rx) = bounded::<Input>(1);
         assert!(tx.try_send(Input::Client(Vec::new())).is_ok());
-        let (reply_tx, _reply_rx) = bounded::<ClientReply>(1);
+        let (reply_tx, _reply_rx) = bounded::<Vec<ClientReply>>(1);
         let dropped = Arc::new(AtomicU64::new(0));
         let mut transport = ChannelTransport {
             peers: vec![tx],
@@ -592,6 +622,96 @@ mod tests {
             "send must not block"
         );
         assert_eq!(dropped.load(Ordering::Relaxed), 1);
+
+        // The reply channel sheds whole deliveries the same way, and counts
+        // every reply in them.
+        let reply = |request| ClientReply {
+            client: ClientId(0),
+            request: RequestId(request),
+            seq: flexitrust_types::SeqNum(1),
+            view: flexitrust_types::View(0),
+            replica: ReplicaId(1),
+            result: flexitrust_types::KvResult::Written,
+            speculative: false,
+        };
+        transport.send_replies(vec![reply(1)]);
+        assert_eq!(dropped.load(Ordering::Relaxed), 1, "the first one fits");
+        transport.send_replies((2..=8).map(reply).collect());
+        assert_eq!(dropped.load(Ordering::Relaxed), 1 + 7);
+    }
+
+    #[test]
+    fn a_burst_of_32_000_transactions_commits_without_a_drop() {
+        // Twice what a benchmark round submits; it used to overflow the
+        // reply channel when its 65 536 slots held one reply each.
+        let cluster = Cluster::start(ProtocolId::FlexiBft, 1, 100);
+        let summary = cluster.run_workload(32_000, 64, Duration::from_secs(120));
+        cluster.shutdown();
+        assert_eq!(summary.completed_txns, 32_000);
+        assert_eq!(summary.dropped_messages, 0);
+    }
+
+    #[test]
+    fn a_rejoiner_repeats_its_checkpoint_request_until_it_is_answered() {
+        /// Reports every peer send to the test; nothing ever answers.
+        struct Recording(std::sync::mpsc::Sender<(ReplicaId, SharedMessage)>);
+        impl Transport for Recording {
+            fn send_peer(&mut self, _from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
+                let _ = self.0.send((to, msg));
+            }
+            fn send_replies(&mut self, _replies: Vec<ClientReply>) {}
+        }
+
+        // Replica 2 is down from the start and recovers at once: the others
+        // are already at sequence 10.
+        let id = ReplicaId(2);
+        let config = Arc::new(cluster_config(ProtocolId::FlexiBft, 1, 10));
+        let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
+        let hardware = TrustedHardware::default_enclave();
+        let mut engine = build_replica(
+            ProtocolId::FlexiBft,
+            Arc::clone(&config),
+            id,
+            registry,
+            hardware,
+        )
+        .engine;
+        let frontiers = ReplicaChaos::board(config.n);
+        frontiers[0].store(10, Ordering::Relaxed);
+        let chaos = ReplicaChaos {
+            frontiers,
+            window: Some(CrashWindow {
+                replica: id,
+                crash_at_seq: 0,
+                recover_at_seq: 10,
+            }),
+        };
+        let (inbox, rx) = bounded::<Input>(4);
+        let (sent_tx, sent) = std::sync::mpsc::channel();
+        let tracker = PrimaryTracker::new(config.n);
+        let replica = std::thread::spawn(move || {
+            replica_loop(&mut *engine, rx, Recording(sent_tx), tracker, chaos);
+        });
+
+        // Three rounds of requests arrive although no input ever does; one
+        // request per recovery would leave this waiting forever.
+        let mut asked = vec![0; config.n];
+        while asked != [3, 3, 0, 3] {
+            let (to, msg) = sent
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the request is repeated");
+            assert!(
+                matches!(&*msg, flexitrust_protocol::Message::CheckpointRequest { last_executed }
+                    if last_executed.0 == 0),
+                "{msg:?}"
+            );
+            asked[to.as_usize()] += 1;
+        }
+        assert!(
+            inbox.send(Input::Shutdown).is_ok(),
+            "the replica is running"
+        );
+        replica.join().expect("the replica loop exits cleanly");
     }
 
     #[test]

@@ -35,15 +35,22 @@
 //!   one buffer and decode frames out of it, instead of three `read`s a
 //!   frame.
 //! * **Replies** of one delivery (a committed batch answers every one of
-//!   its transactions at once) travel to the reply writer as one buffer of
-//!   concatenated frames, handed over by `Transport::flush`.
+//!   its transactions at once) are encoded back to back into one buffer
+//!   (`Transport::send_replies`) and travel to the reply writer as one
+//!   queue item.
+//! * **The client's reply readers** (`reply_reader_loop`) hand the driver
+//!   the replies they decode in batches too: one channel operation for
+//!   everything a socket read brought, not one per reply.
 //!
 //! Two invariants keep this invisible to the protocols:
 //!
-//! 1. **Flush before blocking.** A writer flushes its buffer whenever its
-//!    queue runs empty, immediately before the blocking `recv`, and the
-//!    replica loop flushes its replies before it waits for input: batching
-//!    only ever merges frames that were already waiting, a lone frame is
+//! 1. **Hand over before blocking.** A writer flushes its buffer whenever
+//!    its queue runs empty, immediately before the blocking `recv`; the
+//!    replica loop hands its replies to the transport before it waits for
+//!    input; a reply reader passes on what it has decoded whenever the
+//!    next frame is not already whole in its buffer, which is the only
+//!    time its next `read_frame` can block in `read`. Batching only ever
+//!    merges what was already waiting: a lone frame, or a decoded reply, is
 //!    never held back for company.
 //! 2. **Counted drops.** A failed `write` loses every frame the buffer
 //!    held and a rejected reply buffer every reply in it; the drop counter
@@ -56,7 +63,7 @@ use flexitrust_host::build_replica;
 use flexitrust_protocol::{ClientReply, SharedMessage};
 use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
 use flexitrust_types::{ProtocolId, ReplicaId, SystemConfig, Transaction};
-use flexitrust_wire::{read_frame, write_frame, Frame};
+use flexitrust_wire::{encode_reply_into, read_frame, resident_frame, write_frame, Frame};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -81,7 +88,7 @@ const IO_BUFFER_BYTES: usize = 64 << 10;
 
 /// One or more complete encoded frames back to back, and how many: the
 /// number a drop of these bytes adds to the drop counter.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Frames {
     bytes: Vec<u8>,
     count: u64,
@@ -180,8 +187,6 @@ struct SocketTransport {
     writers: Vec<Sender<Outbound>>,
     /// The queue towards the client's reply listener.
     reply_writer: Sender<Outbound>,
-    /// The reply frames emitted since the last [`Transport::flush`].
-    pending_replies: Frames,
     dropped: Arc<AtomicU64>,
 }
 
@@ -214,23 +219,14 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn send_reply(&mut self, _from: ReplicaId, reply: ClientReply) {
-        let frame = flexitrust_wire::encode_frame(&Frame::Reply { reply });
-        self.pending_replies.bytes.extend_from_slice(&frame);
-        self.pending_replies.count += 1;
-    }
-
-    fn flush(&mut self) {
-        if self.pending_replies.count == 0 {
-            return;
+    fn send_replies(&mut self, replies: Vec<ClientReply>) {
+        let size = replies.iter().map(ClientReply::wire_size_bytes).sum();
+        let mut bytes = Vec::with_capacity(size);
+        for reply in &replies {
+            encode_reply_into(&mut bytes, reply);
         }
-        // The next delivery's replies most likely fill what these did.
-        let next = Frames {
-            bytes: Vec::with_capacity(self.pending_replies.bytes.len()),
-            count: 0,
-        };
-        let batch = std::mem::replace(&mut self.pending_replies, next);
-        self.queue_or_drop(Some(&self.reply_writer), Arc::new(batch));
+        let frames = outbound(bytes, replies.len() as u64);
+        self.queue_or_drop(Some(&self.reply_writer), frames);
     }
 }
 
@@ -239,7 +235,7 @@ pub struct TcpCluster {
     config: Arc<SystemConfig>,
     addrs: Vec<SocketAddr>,
     control: Vec<Sender<Input>>,
-    replies: Receiver<ClientReply>,
+    replies: Receiver<Vec<ClientReply>>,
     reply_addr: SocketAddr,
     tracker: PrimaryTracker,
     dropped: Arc<AtomicU64>,
@@ -289,7 +285,7 @@ impl TcpCluster {
         let reply_listener = TcpListener::bind("127.0.0.1:0")?;
         let reply_addr = reply_listener.local_addr()?;
 
-        let (reply_tx, reply_rx) = bounded::<ClientReply>(1 << 16);
+        let (reply_tx, reply_rx) = bounded::<Vec<ClientReply>>(1 << 16);
         let mut control = Vec::with_capacity(config.n);
         let mut replica_handles = Vec::with_capacity(config.n);
         let mut io_handles = Vec::new();
@@ -305,31 +301,7 @@ impl TcpCluster {
                 let reply_tx = reply_tx.clone();
                 let dropped = Arc::clone(&reply_dropped);
                 let io = Arc::clone(&reply_io);
-                std::thread::spawn(move || {
-                    let mut stream = buffered_reader(stream, Arc::clone(&io));
-                    loop {
-                        match read_frame(&mut stream) {
-                            Ok(Some(frame)) => {
-                                io.frames_read.fetch_add(1, Ordering::Relaxed);
-                                let Frame::Reply { reply } = frame else {
-                                    continue;
-                                };
-                                if reply_tx.send(reply).is_err() {
-                                    return;
-                                }
-                            }
-                            Ok(None) => return,
-                            Err(_) => {
-                                // A torn or malformed frame severs the
-                                // connection; count it so a codec
-                                // regression shows up as drops, not as an
-                                // undiagnosed workload timeout.
-                                dropped.fetch_add(1, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                });
+                std::thread::spawn(move || reply_reader_loop(stream, &reply_tx, &dropped, io));
             },
         ));
 
@@ -406,7 +378,6 @@ impl TcpCluster {
             let transport = SocketTransport {
                 writers,
                 reply_writer: reply_wtx,
-                pending_replies: Frames::default(),
                 dropped: Arc::clone(&dropped),
             };
             let mut engine = build_replica(
@@ -685,6 +656,48 @@ fn writer_loop<W: Write>(
     count_drain(queue, dropped);
 }
 
+/// One client-side reply connection: decodes the reply frames `stream`
+/// delivers until it ends or tears, and hands them to `replies` a socket
+/// read's worth at a time — whenever the next frame is not already whole in
+/// the buffer, so nothing decoded ever waits on a blocking `read`.
+fn reply_reader_loop(
+    stream: impl Read,
+    replies: &Sender<Vec<ClientReply>>,
+    dropped: &AtomicU64,
+    io: Arc<IoCounters>,
+) {
+    let mut stream = buffered_reader(stream, Arc::clone(&io));
+    let mut decoded = Vec::new();
+    loop {
+        if !decoded.is_empty() && resident_frame(stream.buffer()).is_none() {
+            let batch = std::mem::take(&mut decoded);
+            if replies.send(batch).is_err() {
+                return;
+            }
+        }
+        match read_frame(&mut stream) {
+            Ok(Some(frame)) => {
+                io.frames_read.fetch_add(1, Ordering::Relaxed);
+                if let Frame::Reply { reply } = frame {
+                    decoded.push(reply);
+                }
+            }
+            Ok(None) => break,
+            Err(_) => {
+                // A torn or malformed frame severs the connection; count
+                // it so a codec regression shows up as drops, not as an
+                // undiagnosed workload timeout.
+                dropped.fetch_add(1, Ordering::Relaxed);
+                break;
+            }
+        }
+    }
+    // Replies decoded ahead of a malformed frame still count.
+    if !decoded.is_empty() {
+        let _ = replies.send(decoded);
+    }
+}
+
 /// The reading end of a connection: `read_frame` on this takes its
 /// bytes out of one buffer, refilled by one `read` of whatever the socket
 /// holds, instead of three `read`s on the socket per frame. End-of-stream
@@ -920,33 +933,28 @@ mod tests {
         let transport = SocketTransport {
             writers: Vec::new(),
             reply_writer,
-            pending_replies: Frames::default(),
             dropped: Arc::new(AtomicU64::new(0)),
         };
         (transport, queue)
     }
 
+    fn reply_frames(requests: std::ops::RangeInclusive<u64>) -> Vec<u8> {
+        requests
+            .flat_map(|request| {
+                flexitrust_wire::encode_frame(&Frame::Reply {
+                    reply: reply(request),
+                })
+            })
+            .collect()
+    }
+
     #[test]
-    fn replies_are_held_until_flush_then_travel_as_one_buffer() {
+    fn the_replies_of_a_delivery_travel_as_one_buffer_of_their_frames() {
         let (mut transport, queue) = reply_transport(4);
-        transport.flush();
-        assert_eq!(queue.try_recv().err(), Some(TryRecvError::Empty));
-
-        let mut expected = Vec::new();
-        for request in 1..=3 {
-            transport.send_reply(ReplicaId(1), reply(request));
-            expected.extend(flexitrust_wire::encode_frame(&Frame::Reply {
-                reply: reply(request),
-            }));
-        }
-        assert_eq!(queue.try_recv().err(), Some(TryRecvError::Empty));
-
-        transport.flush();
-        let batch = queue.try_recv().expect("one buffer per flush");
-        assert_eq!(batch.bytes, expected);
+        transport.send_replies((1..=3).map(reply).collect());
+        let batch = queue.try_recv().expect("one buffer per delivery");
+        assert_eq!(batch.bytes, reply_frames(1..=3));
         assert_eq!(batch.count, 3);
-        // Nothing more now, and nothing from a flush with nothing pending.
-        transport.flush();
         assert_eq!(queue.try_recv().err(), Some(TryRecvError::Empty));
         assert_eq!(transport.dropped.load(Ordering::Relaxed), 0);
     }
@@ -954,13 +962,72 @@ mod tests {
     #[test]
     fn a_rejected_reply_buffer_counts_every_reply_in_it() {
         let (mut transport, _queue) = reply_transport(1);
-        transport.send_reply(ReplicaId(1), reply(1));
-        transport.flush();
-        for request in 2..=6 {
-            transport.send_reply(ReplicaId(1), reply(request));
-        }
-        transport.flush();
+        transport.send_replies(vec![reply(1)]);
+        transport.send_replies((2..=6).map(reply).collect());
         assert_eq!(transport.dropped.load(Ordering::Relaxed), 5);
+    }
+
+    /// A connection that delivers `data` in one `read` and, when read
+    /// again — where a socket with nothing more to give would block —
+    /// takes whatever the reader has handed over by then.
+    struct OneRead<'a> {
+        data: &'a [u8],
+        handed_over: &'a Receiver<Vec<ClientReply>>,
+        seen_at_second_read: Vec<Vec<ClientReply>>,
+    }
+
+    impl Read for OneRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.data.is_empty() {
+                while let Ok(batch) = self.handed_over.try_recv() {
+                    self.seen_at_second_read.push(batch);
+                }
+            }
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_reply_reader_hands_over_one_read_s_replies_at_once_and_before_it_reads_again() {
+        let expected: Vec<ClientReply> = (1..=100).map(reply).collect();
+        let whole = reply_frames(1..=100);
+        let half = &reply_frames(101..=101)[..20];
+        for (tail, torn) in [(&[][..], 0), (half, 1)] {
+            let stream = [&whole[..], tail].concat();
+            let (tx, rx) = bounded(8);
+            let dropped = AtomicU64::new(0);
+            let io = Arc::new(IoCounters::default());
+            let mut connection = OneRead {
+                data: &stream,
+                handed_over: &rx,
+                seen_at_second_read: Vec::new(),
+            };
+            reply_reader_loop(&mut connection, &tx, &dropped, Arc::clone(&io));
+            // All 100 in one hand-off, made before the second `read` — the
+            // one that would have blocked, waiting for the rest of the half
+            // frame or for the next reply.
+            assert_eq!(
+                connection.seen_at_second_read,
+                std::slice::from_ref(&expected)
+            );
+            assert_eq!(rx.try_recv().err(), Some(TryRecvError::Empty));
+            assert_eq!(dropped.load(Ordering::Relaxed), torn);
+            assert_eq!(io.snapshot().frames_read, 100);
+        }
+    }
+
+    #[test]
+    fn replies_decoded_ahead_of_a_malformed_frame_are_still_handed_over() {
+        let mut stream = reply_frames(1..=3);
+        let mut bad = reply_frames(4..=4);
+        bad[8] = 200; // no such frame kind
+        stream.extend(bad);
+        let (tx, rx) = bounded(8);
+        let dropped = AtomicU64::new(0);
+        reply_reader_loop(&stream[..], &tx, &dropped, Arc::default());
+        let handed_over: Vec<ClientReply> = (1..=3).map(reply).collect();
+        assert_eq!(rx.try_recv().ok(), Some(handed_over));
+        assert_eq!(dropped.load(Ordering::Relaxed), 1);
     }
 
     #[test]

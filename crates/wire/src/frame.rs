@@ -6,7 +6,7 @@ use crate::codec::{
 };
 use flexitrust_protocol::{ClientReply, Message};
 use flexitrust_types::{ReplicaId, Transaction};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Write};
 
 /// The `sender` field value of frames originated by a client rather than a
 /// replica.
@@ -57,58 +57,68 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     match frame {
         Frame::Peer { from, msg } => encode_message(*from, msg),
         Frame::Submit { txns } => encode_submit(txns),
-        Frame::Reply { reply } => encode_reply(reply),
+        Frame::Reply { reply } => {
+            let mut out = Vec::new();
+            encode_reply_into(&mut out, reply);
+            out
+        }
     }
 }
 
-/// Starts a frame buffer: the exact frame length is known up front (the
-/// size functions are pinned equal to the encoding), so one allocation
-/// suffices — a broadcast-sized batch must not pay a doubling-realloc
-/// ladder per destination. The length prefix is a placeholder patched by
+/// Starts a frame of exactly `size` bytes at the end of `out` and returns
+/// where it starts. The frame length is known up front (the size functions
+/// are pinned equal to the encoding), so one reservation suffices — a
+/// broadcast-sized batch must not pay a doubling-realloc ladder per
+/// destination. The length prefix is a placeholder patched by
 /// [`finish_frame`].
-fn start_frame(capacity: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(capacity);
+fn start_frame(out: &mut Vec<u8>, size: usize) -> usize {
+    let start = out.len();
+    out.reserve(size);
     out.extend_from_slice(&[0u8; 4]);
-    out
+    start
 }
 
-/// Patches the length prefix and checks the size pin held.
+/// Patches the length prefix of the frame begun at `start` and checks the
+/// size pin held.
 ///
 /// Panics when the frame exceeds [`MAX_FRAME_BYTES`]: the strict decoder
 /// rejects such frames (and past 4 GiB the `u32` prefix would wrap and
 /// desync the stream), so an encoder producing one is a configuration
 /// error that must fail loudly at the sender, not as a dead connection at
 /// the receiver.
-fn finish_frame(mut out: Vec<u8>, capacity: usize) -> Vec<u8> {
+fn finish_frame(out: &mut [u8], start: usize, size: usize) {
+    let body = out.len() - start - 4;
     assert!(
-        out.len() - 4 <= MAX_FRAME_BYTES,
-        "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap the decoder enforces",
-        out.len() - 4,
+        body <= MAX_FRAME_BYTES,
+        "frame of {body} bytes exceeds the {MAX_FRAME_BYTES}-byte cap the decoder enforces",
     );
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_le_bytes());
-    debug_assert_eq!(out.len(), capacity, "size function drifted from codec");
-    out
+    out[start..start + 4].copy_from_slice(&(body as u32).to_le_bytes());
+    debug_assert_eq!(body + 4, size, "size function drifted from codec");
 }
 
 fn encode_submit(txns: &[Transaction]) -> Vec<u8> {
-    let capacity = client_upload_wire_size(txns);
-    let mut out = start_frame(capacity);
+    let size = client_upload_wire_size(txns);
+    let mut out = Vec::new();
+    let start = start_frame(&mut out, size);
     out.extend_from_slice(&CLIENT_SENDER.to_le_bytes());
     out.push(KIND_SUBMIT);
     write_vec(&mut out, txns, encode_transaction);
     // Submissions carry per-transaction client signatures, no frame MAC.
-    finish_frame(out, capacity)
+    finish_frame(&mut out, start, size);
+    out
 }
 
-fn encode_reply(reply: &ClientReply) -> Vec<u8> {
-    let capacity = reply.wire_size_bytes();
-    let mut out = start_frame(capacity);
+/// Appends `reply`'s complete frame — the bytes
+/// `encode_frame(&Frame::Reply { .. })` returns — to `out`, so the replies
+/// of one delivery are encoded straight into the buffer that carries them.
+pub fn encode_reply_into(out: &mut Vec<u8>, reply: &ClientReply) {
+    let size = reply.wire_size_bytes();
+    let start = start_frame(out, size);
     out.extend_from_slice(&reply.replica.0.to_le_bytes());
     out.push(KIND_REPLY);
-    write_reply_body(&mut out, reply);
+    write_reply_body(out, reply);
     out.extend_from_slice(&[0u8; MAC_BYTES]);
-    finish_frame(out, capacity)
+    finish_frame(out, start, size);
 }
 
 /// Decodes a complete frame (length prefix included), strictly: truncated,
@@ -151,8 +161,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
 /// hot path encodes per broadcast destination — no message clone); its
 /// length equals `msg.wire_size_bytes()`.
 pub fn encode_message(from: ReplicaId, msg: &Message) -> Vec<u8> {
-    let capacity = msg.wire_size_bytes();
-    let mut out = start_frame(capacity);
+    let size = msg.wire_size_bytes();
+    let mut out = Vec::new();
+    let start = start_frame(&mut out, size);
     out.extend_from_slice(&from.0.to_le_bytes());
     out.push(message_kind_tag(msg));
     let (a, b) = header_slots(msg);
@@ -160,7 +171,8 @@ pub fn encode_message(from: ReplicaId, msg: &Message) -> Vec<u8> {
     out.extend_from_slice(&b.to_le_bytes());
     write_message_body(&mut out, msg);
     out.extend_from_slice(&[0u8; MAC_BYTES]);
-    finish_frame(out, capacity)
+    finish_frame(&mut out, start, size);
+    out
 }
 
 /// Decodes a peer message frame back to `(from, message)`.
@@ -186,21 +198,39 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.write_all(&encode_frame(frame))
 }
 
-/// Reads one frame from a blocking stream. Returns `Ok(None)` on a clean
-/// EOF at a frame boundary; malformed frames surface as
+/// The complete frame (length prefix included) that `buf` starts with, or
+/// `None` when `buf` ends before its first frame does. A reader that has
+/// decoded frames to pass on must pass them on when this says `None` of its
+/// buffer: its next [`read_frame`] may block.
+pub fn resident_frame(buf: &[u8]) -> Option<&[u8]> {
+    let prefix = buf.first_chunk::<4>()?;
+    let len = usize::try_from(u32::from_le_bytes(*prefix)).ok()?;
+    buf.get(..len.checked_add(4)?)
+}
+
+/// Reads one frame from a blocking buffered stream. Returns `Ok(None)` on
+/// a clean EOF at a frame boundary; malformed frames surface as
 /// [`io::ErrorKind::InvalidData`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
+///
+/// A frame that is wholly in the reader's buffer is decoded where it lies;
+/// only one that straddles a refill, or is larger than the buffer, is
+/// first copied together.
+pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
+    let invalid = |e: WireError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
     // Only an EOF before the *first* byte is a clean end-of-stream; a
     // stream torn mid-prefix (the peer died after 1–3 bytes) is a
     // truncated frame and must error like any other truncation.
-    let mut len_bytes = [0u8; 4];
-    let (first, rest) = len_bytes.split_at_mut(1);
-    match r.read_exact(first) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let buffered = r.fill_buf()?;
+    if buffered.is_empty() {
+        return Ok(None);
     }
-    r.read_exact(rest)?;
+    if let Some(frame) = resident_frame(buffered) {
+        let (len, decoded) = (frame.len(), decode_frame(frame));
+        r.consume(len);
+        return decoded.map(Some).map_err(invalid);
+    }
+    let mut len_bytes = [0u8; 4];
+    r.read_exact(&mut len_bytes)?;
     let len = usize::try_from(u32::from_le_bytes(len_bytes)).unwrap_or(usize::MAX);
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -212,9 +242,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let (head, body) = frame.split_at_mut(4);
     head.copy_from_slice(&len_bytes);
     r.read_exact(body)?;
-    decode_frame(&frame)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    decode_frame(&frame).map(Some).map_err(invalid)
 }
 
 #[cfg(test)]
@@ -224,6 +252,7 @@ mod tests {
     use flexitrust_protocol::PreparedProof;
     use flexitrust_trusted::{AttestKind, Attestation};
     use flexitrust_types::{Batch, ClientId, Digest, KvOp, KvResult, RequestId, SeqNum, View};
+    use std::io::Read;
 
     fn txn(value_len: usize) -> Transaction {
         Transaction::new(
@@ -443,15 +472,17 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
-        /// However the bytes arrive — arbitrary chunk sizes, a 1-byte
-        /// dribble, through a `BufReader` of any capacity or none —
+        /// However the bytes arrive — all at once (every frame decoded
+        /// where it lies), in arbitrary chunks or a 1-byte dribble through
+        /// a buffer too small for most frames (copied together across
+        /// refills) or large enough for all of them (a mix of both) —
         /// `read_frame` yields the frames of the contiguous stream, reports
         /// a clean end only at a frame boundary and an error on a torn tail.
         #[test]
         fn chunked_reads_yield_the_contiguous_frame_sequence(
             sizes in proptest::collection::vec(1usize..97, 1..12),
             dribble in proptest::any::<bool>(),
-            capacity in 0usize..80,
+            capacity in 1usize..80,
             cut in proptest::any::<u64>(),
         ) {
             let mut frames: Vec<Frame> = sample_messages()
@@ -472,27 +503,80 @@ mod tests {
             };
             let whole = boundaries.iter().filter(|b| **b <= cut).count() - 1;
 
-            let chunked = Chunked {
+            let chunked = || Chunked {
                 data: &stream[..cut],
-                sizes: if dribble { vec![1] } else { sizes },
+                sizes: if dribble { vec![1] } else { sizes.clone() },
                 reads: 0,
             };
-            let mut reader: Box<dyn Read + '_> = match capacity {
-                0 => Box::new(chunked),
-                _ => Box::new(io::BufReader::with_capacity(capacity, chunked)),
-            };
-            for frame in &frames[..whole] {
-                let read = read_frame(&mut reader)
-                    .map_err(|e| proptest::TestCaseError::fail(e.to_string()))?;
-                proptest::prop_assert_eq!(read.as_ref(), Some(frame));
-            }
-            let end = read_frame(&mut reader);
-            if boundaries.contains(&cut) {
-                proptest::prop_assert!(matches!(end, Ok(None)), "boundary {cut}: {end:?}");
-            } else {
-                proptest::prop_assert!(end.is_err(), "torn at {cut}: {end:?}");
+            let readers: [Box<dyn BufRead + '_>; 3] = [
+                Box::new(&stream[..cut]),
+                Box::new(io::BufReader::with_capacity(capacity, chunked())),
+                Box::new(io::BufReader::with_capacity(stream.len() + 1, chunked())),
+            ];
+            for mut reader in readers {
+                for frame in &frames[..whole] {
+                    let read = read_frame(&mut reader)
+                        .map_err(|e| proptest::TestCaseError::fail(e.to_string()))?;
+                    proptest::prop_assert_eq!(read.as_ref(), Some(frame));
+                }
+                let end = read_frame(&mut reader);
+                if boundaries.contains(&cut) {
+                    proptest::prop_assert!(matches!(end, Ok(None)), "boundary {cut}: {end:?}");
+                } else {
+                    proptest::prop_assert!(end.is_err(), "torn at {cut}: {end:?}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_decodes_and_leaves_its_successor_intact() {
+        let big = Frame::Submit {
+            txns: vec![txn(5000)],
+        };
+        let small = Frame::Peer {
+            from: ReplicaId(0),
+            msg: sample_messages().remove(8),
+        };
+        let mut stream = encode_frame(&big);
+        stream.extend(encode_frame(&small));
+        let mut reader = io::BufReader::with_capacity(256, &stream[..]);
+        assert_eq!(read_frame(&mut reader).unwrap(), Some(big));
+        assert_eq!(read_frame(&mut reader).unwrap(), Some(small));
+        assert_eq!(read_frame(&mut reader).unwrap(), None);
+    }
+
+    #[test]
+    fn resident_frame_is_the_first_whole_frame_or_nothing() {
+        let frame = encode_message(ReplicaId(0), &sample_messages()[1]);
+        let mut two = frame.clone();
+        two.extend_from_slice(&frame[..frame.len() - 1]);
+        assert_eq!(resident_frame(&two), Some(&frame[..]));
+        assert_eq!(resident_frame(&two[frame.len()..]), None);
+        assert_eq!(resident_frame(&frame[..3]), None);
+        assert_eq!(resident_frame(&[]), None);
+    }
+
+    #[test]
+    fn encode_reply_into_appends_exactly_the_reply_frame() {
+        let reply = ClientReply {
+            client: ClientId(4),
+            request: RequestId(8),
+            seq: SeqNum(17),
+            view: View(2),
+            replica: ReplicaId(1),
+            result: KvResult::Value(Some(vec![1, 2, 3].into())),
+            speculative: false,
+        };
+        let frame = encode_frame(&Frame::Reply {
+            reply: reply.clone(),
+        });
+        let mut out = vec![0xee; 7];
+        encode_reply_into(&mut out, &reply);
+        encode_reply_into(&mut out, &reply);
+        assert_eq!(out[..7], [0xee; 7]);
+        assert_eq!(out[7..7 + frame.len()], frame[..]);
+        assert_eq!(out[7 + frame.len()..], frame[..]);
     }
 
     #[test]

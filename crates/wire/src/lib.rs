@@ -49,5 +49,6 @@ pub use codec::{
 };
 pub use frame::{
     client_upload_wire_size, decode_frame, decode_message, encode_frame, encode_message,
-    read_frame, write_frame, Frame, CLIENT_SENDER, KIND_REPLY, KIND_SUBMIT, MAX_FRAME_BYTES,
+    encode_reply_into, read_frame, resident_frame, write_frame, Frame, CLIENT_SENDER, KIND_REPLY,
+    KIND_SUBMIT, MAX_FRAME_BYTES,
 };
