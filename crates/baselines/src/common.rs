@@ -9,20 +9,25 @@
 //! `Commit` phase exists, whether execution is speculative, and how trusted
 //! components are used for each message.
 //!
-//! [`PbftFamilyEngine`] implements that skeleton once. The per-protocol
-//! modules in this crate instantiate it with the appropriate style, and the
-//! unit/integration tests drive clusters of these engines directly (no
-//! network) to check safety and the §5–§7 behaviours.
+//! [`PbftFamilyEngine`] implements the style-dependent part of that skeleton
+//! once: the slot table, the `PrePrepare` / `Prepare` / `Commit` phases and
+//! their certificates, how each message is attested, and the prepared
+//! proofs and re-attestations a view change needs. The style-independent
+//! part — client glue, the primary's proposal window, checkpoint state
+//! transfer, the view-change state machine — is `flexitrust_protocol`'s
+//! [`ReplicaCore`], shared with the FlexiTrust engines. The per-protocol
+//! modules in this crate instantiate the engine with the appropriate style.
 
 use flexitrust_protocol::{
-    Action, CertificateTracker, ConsensusEngine, Message, NewViewPlanner, Outbox, PreparedProof,
+    Binding, CertificateTracker, ConsensusEngine, Message, Outbox, PreparedProof,
     ProtocolProperties, ReplicaCore, TimerKind,
 };
 use flexitrust_trusted::{Attestation, EnclaveRegistry, SharedEnclave};
 use flexitrust_types::{
-    Batch, Digest, ProtocolId, QuorumRule, ReplicaId, SeqNum, SystemConfig, Transaction, View,
+    Batch, Digest, ProtocolId, QuorumRule, ReplicaId, SeqNum, StateSnapshot, SystemConfig,
+    Transaction, View,
 };
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How the primary binds a batch to a sequence number.
@@ -89,31 +94,48 @@ struct SlotState {
     commit_sent: bool,
 }
 
+/// How this replica, when primary, binds a batch to a sequence number: it
+/// picks the next number itself and has its trusted component (when the
+/// style uses one) attest the pair.
+struct Sequencer {
+    next_seq: u64,
+    /// Trusted counter identifier used by the current primary (a new counter
+    /// is created after each view change).
+    counter_id: u64,
+    enclave: Option<SharedEnclave>,
+    attest: PrimaryAttest,
+}
+
+impl Sequencer {
+    fn attestation(&self, seq: SeqNum, digest: Digest) -> Option<Attestation> {
+        let enclave = self.enclave.as_ref()?;
+        match self.attest {
+            PrimaryAttest::None => None,
+            PrimaryAttest::HostCounter => enclave.append(self.counter_id, seq.0, digest).ok(),
+            PrimaryAttest::Log => enclave.log_append(0, Some(seq.0), digest).ok(),
+        }
+    }
+
+    /// The `bind` the shared proposal window and client glue take.
+    fn bind(&mut self) -> impl FnMut(&Batch) -> Binding + '_ {
+        move |batch| {
+            let seq = SeqNum(self.next_seq);
+            self.next_seq += 1;
+            Some((seq, self.attestation(seq, batch.digest())))
+        }
+    }
+}
+
 /// A configurable PBFT-family replica engine.
 pub struct PbftFamilyEngine {
     style: ProtocolStyle,
     core: ReplicaCore,
-    enclave: Option<SharedEnclave>,
+    sequencer: Sequencer,
     registry: Option<EnclaveRegistry>,
 
     slots: BTreeMap<u64, SlotState>,
     prepare_votes: CertificateTracker<(View, SeqNum, Digest)>,
     commit_votes: CertificateTracker<(View, SeqNum, Digest)>,
-
-    // Primary-side proposal state.
-    pending_batches: VecDeque<Batch>,
-    next_seq: u64,
-    my_outstanding: BTreeSet<u64>,
-    /// Trusted counter identifier used by the current primary (a new counter
-    /// is created after each view change).
-    counter_id: u64,
-
-    // View-change state.
-    in_view_change: bool,
-    highest_vc_vote: View,
-    planners: BTreeMap<u64, NewViewPlanner>,
-    join_votes: CertificateTracker<View>,
-    view_changes_completed: u64,
 }
 
 impl PbftFamilyEngine {
@@ -131,23 +153,18 @@ impl PbftFamilyEngine {
         let config = config.into();
         let prepare_quorum = config.quorum(style.prepare_quorum_rule);
         let commit_quorum = config.quorum(style.commit_quorum_rule);
-        let join_quorum = config.small_quorum();
         PbftFamilyEngine {
             core: ReplicaCore::new(config, id),
             prepare_votes: CertificateTracker::new(prepare_quorum),
             commit_votes: CertificateTracker::new(commit_quorum),
             slots: BTreeMap::new(),
-            pending_batches: VecDeque::new(),
-            next_seq: 1,
-            my_outstanding: BTreeSet::new(),
-            counter_id: 0,
-            in_view_change: false,
-            highest_vc_vote: View::ZERO,
-            planners: BTreeMap::new(),
-            join_votes: CertificateTracker::new(join_quorum),
-            view_changes_completed: 0,
+            sequencer: Sequencer {
+                next_seq: 1,
+                counter_id: 0,
+                enclave,
+                attest: style.primary_attest,
+            },
             style,
-            enclave,
             registry,
         }
     }
@@ -155,21 +172,6 @@ impl PbftFamilyEngine {
     /// The style this engine was built with.
     pub fn style(&self) -> &ProtocolStyle {
         &self.style
-    }
-
-    /// Shared replica state (view, execution progress, checkpoints).
-    pub fn core(&self) -> &ReplicaCore {
-        &self.core
-    }
-
-    /// Number of view changes this replica has completed.
-    pub fn view_changes_completed(&self) -> u64 {
-        self.view_changes_completed
-    }
-
-    /// Whether this replica currently believes a view change is in progress.
-    pub fn in_view_change(&self) -> bool {
-        self.in_view_change
     }
 
     /// Returns `true` when this replica participates in the failure-free
@@ -183,58 +185,8 @@ impl PbftFamilyEngine {
         self.core.id().as_usize() <= self.core.config().f
     }
 
-    fn batch_flush_delay_us(&self) -> u64 {
-        // Flush partially filled batches quickly so low client counts still
-        // make progress; the value only matters for latency at low load.
-        500
-    }
-
-    // ------------------------------------------------------------------
-    // Primary-side proposal path.
-    // ------------------------------------------------------------------
-
-    fn enqueue_batches(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
-        let full = self.core.batcher_mut().push(txns);
-        self.pending_batches.extend(full);
-        if self.core.batcher_mut().pending_len() > 0 {
-            out.set_timer(TimerKind::BatchFlush, self.batch_flush_delay_us());
-        }
-        self.try_propose(out);
-    }
-
-    fn try_propose(&mut self, out: &mut Outbox) {
-        if !self.core.is_primary() || self.in_view_change {
-            return;
-        }
-        let max_in_flight = self.core.config().max_in_flight;
-        while self.my_outstanding.len() < max_in_flight {
-            let Some(batch) = self.pending_batches.pop_front() else {
-                return;
-            };
-            let seq = SeqNum(self.next_seq);
-            self.next_seq += 1;
-            let attestation = self.primary_attestation(seq, batch.digest());
-            self.my_outstanding.insert(seq.0);
-            out.broadcast(Message::PrePrepare {
-                view: self.core.view(),
-                seq,
-                batch,
-                attestation,
-            });
-        }
-    }
-
-    fn primary_attestation(&self, seq: SeqNum, digest: Digest) -> Option<Attestation> {
-        let enclave = self.enclave.as_ref()?;
-        match self.style.primary_attest {
-            PrimaryAttest::None => None,
-            PrimaryAttest::HostCounter => enclave.append(self.counter_id, seq.0, digest).ok(),
-            PrimaryAttest::Log => enclave.log_append(0, Some(seq.0), digest).ok(),
-        }
-    }
-
     fn replica_vote_attestation(&self, seq: SeqNum, digest: Digest) -> Option<Attestation> {
-        let enclave = self.enclave.as_ref()?;
+        let enclave = self.sequencer.enclave.as_ref()?;
         match self.style.replica_attest {
             ReplicaAttest::None => None,
             ReplicaAttest::Counter => {
@@ -242,7 +194,9 @@ impl PbftFamilyEngine {
                 // counter; the counter value is the sequence number being
                 // voted on (so out-of-order votes are rejected by the TC,
                 // which is the §7 sequentiality constraint).
-                enclave.append(self.counter_id, seq.0, digest).ok()
+                enclave
+                    .append(self.sequencer.counter_id, seq.0, digest)
+                    .ok()
             }
             ReplicaAttest::Log => enclave.log_append(1, None, digest).ok(),
         }
@@ -289,7 +243,7 @@ impl PbftFamilyEngine {
         attestation: Option<Attestation>,
         out: &mut Outbox,
     ) {
-        if view != self.core.view() || from != self.core.primary() || self.in_view_change {
+        if view != self.core.view() || from != self.core.primary() || self.core.in_view_change() {
             return;
         }
         if seq <= self.core.low_water_mark() {
@@ -341,6 +295,23 @@ impl PbftFamilyEngine {
                 attestation: vote_attestation,
             });
         }
+        // Links are not FIFO across senders: votes can overtake the proposal
+        // they vote for. The trackers report a quorum exactly once, so
+        // certificates that completed before the proposal arrived are
+        // re-evaluated here.
+        if self.prepare_votes.is_complete(&(view, seq, digest)) {
+            self.on_prepared(view, seq, digest, out);
+        }
+        if self.style.use_commit_phase && self.commit_votes.is_complete(&(view, seq, digest)) {
+            self.on_committed(seq, digest, out);
+        }
+    }
+
+    /// Whether a vote for `(view, seq)` is still of interest. At or below
+    /// the stable checkpoint the vote state is pruned; a late vote must not
+    /// recreate it.
+    fn accepts_votes(&self, view: View, seq: SeqNum) -> bool {
+        view == self.core.view() && !self.core.in_view_change() && seq > self.core.low_water_mark()
     }
 
     fn on_prepare(
@@ -351,13 +322,14 @@ impl PbftFamilyEngine {
         digest: Digest,
         out: &mut Outbox,
     ) {
-        if view != self.core.view() || self.in_view_change {
-            return;
+        if self.accepts_votes(view, seq) && self.prepare_votes.vote((view, seq, digest), from) {
+            self.on_prepared(view, seq, digest, out);
         }
-        let became_quorum = self.prepare_votes.vote((view, seq, digest), from);
-        if !became_quorum {
-            return;
-        }
+    }
+
+    /// A `Prepare` certificate for `digest` at `seq` is complete: once the
+    /// matching proposal is accepted too, the slot is prepared.
+    fn on_prepared(&mut self, view: View, seq: SeqNum, digest: Digest, out: &mut Outbox) {
         let digest_matches = self
             .slots
             .get(&seq.0)
@@ -401,13 +373,16 @@ impl PbftFamilyEngine {
         digest: Digest,
         out: &mut Outbox,
     ) {
-        if view != self.core.view() || self.in_view_change || !self.style.use_commit_phase {
-            return;
+        if self.style.use_commit_phase
+            && self.accepts_votes(view, seq)
+            && self.commit_votes.vote((view, seq, digest), from)
+        {
+            self.on_committed(seq, digest, out);
         }
-        let became_quorum = self.commit_votes.vote((view, seq, digest), from);
-        if !became_quorum {
-            return;
-        }
+    }
+
+    /// A `Commit` certificate for `digest` at `seq` is complete.
+    fn on_committed(&mut self, seq: SeqNum, digest: Digest, out: &mut Outbox) {
         let matches = self
             .slots
             .get(&seq.0)
@@ -436,10 +411,10 @@ impl PbftFamilyEngine {
         let executed = self.core.commit_batch(seq, batch, speculative, out);
         for done in &executed {
             self.core.maybe_emit_checkpoint(done.seq, out);
-            self.my_outstanding.remove(&done.seq.0);
+            self.core.instance_finished(done.seq);
         }
         if !executed.is_empty() {
-            self.try_propose(out);
+            self.core.try_propose(self.sequencer.bind(), out);
         }
     }
 
@@ -449,115 +424,77 @@ impl PbftFamilyEngine {
 
     fn on_checkpoint(&mut self, from: ReplicaId, seq: SeqNum, state_digest: Digest) {
         if let Some(stable) = self.core.record_checkpoint_vote(from, seq, state_digest) {
-            let lwm = stable.0;
-            self.slots.retain(|s, _| *s > lwm);
-            self.prepare_votes.retain(|(_, s, _)| s.0 > lwm);
-            self.commit_votes.retain(|(_, s, _)| s.0 > lwm);
-            if let Some(enclave) = &self.enclave {
-                enclave.truncate_logs(lwm);
-            }
+            self.forget_through(stable);
         }
     }
 
-    /// Serves a state-transfer request from a recovering replica: the latest
-    /// stable checkpoint snapshot plus every batch this replica holds and has
-    /// executed above it, so the joiner can replay up to our frontier.
-    fn on_checkpoint_request(&mut self, from: ReplicaId, last_executed: SeqNum, out: &mut Outbox) {
-        let Some((seq, snapshot)) = self.core.stable_checkpoint_snapshot(last_executed) else {
-            return;
-        };
-        let frontier = self.core.last_executed();
-        let batches: Vec<(SeqNum, Batch)> = self
-            .slots
-            .range(seq.0 + 1..)
-            .filter(|(s, _)| SeqNum(**s) <= frontier)
-            .filter_map(|(s, slot)| Some((SeqNum(*s), slot.batch.clone()?)))
-            .collect();
-        out.send(
-            from,
-            Message::CheckpointState {
-                seq,
-                snapshot,
-                batches,
-            },
-        );
+    /// Drops the per-sequence state at or below a stable (or installed)
+    /// checkpoint.
+    fn forget_through(&mut self, stable: SeqNum) {
+        self.slots.retain(|s, _| *s > stable.0);
+        self.prepare_votes.retain(|(_, s, _)| *s > stable);
+        self.commit_votes.retain(|(_, s, _)| *s > stable);
+        if let Some(enclave) = &self.sequencer.enclave {
+            enclave.truncate_logs(stable.0);
+        }
     }
 
-    /// Installs a peer's stable checkpoint (crash-recovery rejoin), then
-    /// replays the accompanying batches through the normal execution path.
+    /// Serves a state-transfer request from a recovering replica out of the
+    /// slot table.
+    fn on_checkpoint_request(&self, from: ReplicaId, last_executed: SeqNum, out: &mut Outbox) {
+        let held = self
+            .slots
+            .iter()
+            .filter_map(|(seq, slot)| Some((SeqNum(*seq), slot.batch.as_ref()?)));
+        self.core
+            .serve_checkpoint_request(from, last_executed, held, out);
+    }
+
+    /// Installs a peer's stable checkpoint (crash-recovery rejoin) and
+    /// replays the accompanying batches; as on the normal execution path,
+    /// each replayed batch moves this replica's own sequence counter past it
+    /// and frees its slot of the proposal window.
     fn on_checkpoint_state(
         &mut self,
         seq: SeqNum,
-        snapshot: &flexitrust_types::StateSnapshot,
+        snapshot: &StateSnapshot,
         batches: Vec<(SeqNum, Batch)>,
         out: &mut Outbox,
     ) {
-        if self.core.install_checkpoint(seq, snapshot) {
-            self.slots.retain(|s, _| *s > seq.0);
-            self.prepare_votes.retain(|(_, s, _)| s.0 > seq.0);
-            self.commit_votes.retain(|(_, s, _)| s.0 > seq.0);
-            if let Some(enclave) = &self.enclave {
-                enclave.truncate_logs(seq.0);
-            }
-        }
-        let speculative = self.style.speculative;
-        for (batch_seq, batch) in batches {
-            if batch_seq <= self.core.last_executed() {
-                continue;
-            }
-            self.next_seq = self.next_seq.max(batch_seq.0 + 1);
-            self.execute_slot(batch_seq, batch, speculative, out);
+        let sequencer = &mut self.sequencer;
+        let installed = self.core.replay_checkpoint_state(
+            seq,
+            snapshot,
+            batches,
+            self.style.speculative,
+            |core, batch_seq, executed, out| {
+                sequencer.next_seq = sequencer.next_seq.max(batch_seq.0 + 1);
+                for done in executed {
+                    core.instance_finished(done.seq);
+                }
+                if !executed.is_empty() {
+                    core.try_propose(sequencer.bind(), out);
+                }
+            },
+            out,
+        );
+        if installed {
+            self.forget_through(seq);
         }
     }
 
     // ------------------------------------------------------------------
-    // View changes.
+    // View changes: the proofs, quorum and attestations the shared state
+    // machine (`ReplicaCore::on_view_change` / `on_new_view`) is given.
     // ------------------------------------------------------------------
 
     fn prepared_proofs(&self) -> Vec<PreparedProof> {
-        self.slots
-            .iter()
-            .filter_map(|(seq, slot)| {
-                let relevant = if self.style.speculative {
-                    // Speculative protocols report every slot they executed.
-                    self.core.exec().is_executed(SeqNum(*seq))
-                } else {
-                    slot.prepared
-                };
-                if !relevant {
-                    return None;
-                }
-                Some(PreparedProof {
-                    view: slot.view,
-                    seq: SeqNum(*seq),
-                    digest: slot.digest?,
-                    batch: slot.batch.clone()?,
-                    attestation: slot.attestation.clone(),
-                    prepare_votes: self.prepare_votes.count(&(
-                        slot.view,
-                        SeqNum(*seq),
-                        slot.digest?,
-                    )),
-                })
-            })
-            .collect()
-    }
-
-    fn start_view_change(&mut self, out: &mut Outbox) {
-        let target = self.core.view().next();
-        if target <= self.highest_vc_vote {
-            return;
-        }
-        self.highest_vc_vote = target;
-        self.in_view_change = true;
-        out.broadcast(Message::ViewChange {
-            new_view: target,
-            last_stable: self.core.low_water_mark(),
-            prepared: self.prepared_proofs(),
-        });
-        // Re-arm the timer: if the view change does not complete, move on to
-        // the next view.
-        out.set_timer(TimerKind::ViewChange, self.core.config().view_timeout_us);
+        prepared_proofs(
+            &self.slots,
+            &self.prepare_votes,
+            &self.core,
+            self.style.speculative,
+        )
     }
 
     fn view_change_quorum(&self) -> usize {
@@ -574,70 +511,46 @@ impl PbftFamilyEngine {
         prepared: Vec<PreparedProof>,
         out: &mut Outbox,
     ) {
-        if new_view <= self.core.view() {
-            return;
-        }
-        // Join rule: once f + 1 distinct replicas demand a view change, an
-        // honest replica joins it even if its own timer has not fired yet
-        // (otherwise Byzantine replicas alone could never force one, and
-        // honest stragglers would hold the system back).
-        let join_quorum = self.core.config().small_quorum();
-        self.join_votes.vote(new_view, from);
-        if self.join_votes.count(&new_view) >= join_quorum && new_view > self.highest_vc_vote {
-            self.highest_vc_vote = new_view;
-            self.in_view_change = true;
-            out.broadcast(Message::ViewChange {
-                new_view,
-                last_stable: self.core.low_water_mark(),
-                prepared: self.prepared_proofs(),
-            });
-        }
-        // Only the would-be primary of `new_view` collects votes and emits
-        // the NewView message.
-        if new_view.primary(self.core.config().n) != self.core.id() {
-            return;
-        }
         let quorum = self.view_change_quorum();
-        let planner = self
-            .planners
-            .entry(new_view.0)
-            .or_insert_with(|| NewViewPlanner::new(new_view, quorum));
-        if let Some(plan) = planner.record_view_change(from, last_stable, prepared) {
-            // Become the primary of the new view.
-            self.core.enter_view(new_view);
-            self.in_view_change = false;
-            self.view_changes_completed += 1;
-            self.next_seq = plan.next_seq.0;
-            // trust-bft primaries create a fresh counter so that re-proposals
-            // can be attested starting from the lowest re-proposed sequence
-            // number (§8.1 Create).
-            if self.style.primary_attest == PrimaryAttest::HostCounter {
-                if let Some(enclave) = &self.enclave {
-                    let (q, _att) = enclave.create_counter(plan.stable_seq.0);
-                    self.counter_id = q;
-                }
+        let (slots, votes, speculative) =
+            (&self.slots, &self.prepare_votes, self.style.speculative);
+        let Some(plan) = self.core.on_view_change(
+            from,
+            new_view,
+            last_stable,
+            prepared,
+            quorum,
+            |core| prepared_proofs(slots, votes, core, speculative),
+            out,
+        ) else {
+            return;
+        };
+        // This replica is the primary of the new view.
+        self.sequencer.next_seq = plan.next_seq.0;
+        // trust-bft primaries create a fresh counter so that re-proposals
+        // can be attested starting from the lowest re-proposed sequence
+        // number (§8.1 Create).
+        if self.style.primary_attest == PrimaryAttest::HostCounter {
+            if let Some(enclave) = &self.sequencer.enclave {
+                let (q, _att) = enclave.create_counter(plan.stable_seq.0);
+                self.sequencer.counter_id = q;
             }
-            let proposals: Vec<(SeqNum, Batch, Option<Attestation>)> = plan
-                .proposals
-                .iter()
-                .map(|(seq, batch)| {
-                    let att = self.primary_attestation(*seq, batch.digest());
-                    (*seq, batch.clone(), att)
-                })
-                .collect();
-            out.broadcast(Message::NewView {
-                view: new_view,
-                supporting_votes: plan.supporting_votes,
-                proposals: proposals.clone(),
-                counter_attestation: None,
-            });
-            // Process the re-proposals locally as well (the new primary acts
-            // on its own NewView like any other replica would).
-            let self_id = self.core.id();
-            for (seq, batch, attestation) in proposals {
-                if !self.core.exec().is_executed(seq) {
-                    self.on_preprepare(self_id, new_view, seq, batch, attestation, out);
-                }
+        }
+        let proposals: Vec<(SeqNum, Batch, Option<Attestation>)> = plan
+            .proposals
+            .iter()
+            .map(|(seq, batch)| {
+                let att = self.sequencer.attestation(*seq, batch.digest());
+                (*seq, batch.clone(), att)
+            })
+            .collect();
+        plan.announce(proposals.clone(), None, out);
+        // Process the re-proposals locally as well (the new primary acts
+        // on its own NewView like any other replica would).
+        let self_id = self.core.id();
+        for (seq, batch, attestation) in proposals {
+            if !self.core.exec().is_executed(seq) {
+                self.on_preprepare(self_id, new_view, seq, batch, attestation, out);
             }
         }
     }
@@ -650,57 +563,57 @@ impl PbftFamilyEngine {
         proposals: Vec<(SeqNum, Batch, Option<Attestation>)>,
         out: &mut Outbox,
     ) {
-        if view <= self.core.view() && !(view == self.core.view() && self.in_view_change) {
+        let quorum = self.view_change_quorum();
+        if !self.core.on_new_view(from, view, supporting_votes, quorum) {
             return;
         }
-        if from != view.primary(self.core.config().n) {
-            return;
-        }
-        if supporting_votes < self.view_change_quorum() {
-            return;
-        }
-        self.core.enter_view(view);
-        self.in_view_change = false;
-        self.view_changes_completed += 1;
         // Adopt the re-proposals: treat each like a PrePrepare in the new view.
         for (seq, batch, attestation) in proposals {
             if self.core.exec().is_executed(seq) {
                 continue;
             }
-            self.next_seq = self.next_seq.max(seq.0 + 1);
+            self.sequencer.next_seq = self.sequencer.next_seq.max(seq.0 + 1);
             self.on_preprepare(from, view, seq, batch, attestation, out);
         }
         out.cancel_timer(TimerKind::ViewChange);
     }
+}
 
-    // ------------------------------------------------------------------
-    // Client interaction.
-    // ------------------------------------------------------------------
-
-    fn on_client_retry(&mut self, txn: Transaction, out: &mut Outbox) {
-        if let Some(reply) = self.core.cached_reply(txn.client(), txn.request()) {
-            out.reply(reply.clone());
-            return;
-        }
-        if self.core.is_primary() {
-            self.enqueue_batches(vec![txn], out);
-        } else {
-            // Forward to the primary and start a timer; if the primary never
-            // proposes it, suspect it and vote for a view change.
-            let primary = self.core.primary();
-            out.send(primary, Message::ForwardRequest { txns: vec![txn] });
-            out.set_timer(TimerKind::ViewChange, self.core.config().view_timeout_us);
-        }
-    }
+/// What this replica reports in a `ViewChange`: the slots it holds a
+/// `Prepare` certificate for — or, for the speculative protocols, every
+/// slot it executed.
+fn prepared_proofs(
+    slots: &BTreeMap<u64, SlotState>,
+    prepare_votes: &CertificateTracker<(View, SeqNum, Digest)>,
+    core: &ReplicaCore,
+    speculative: bool,
+) -> Vec<PreparedProof> {
+    slots
+        .iter()
+        .filter_map(|(seq, slot)| {
+            let relevant = if speculative {
+                core.exec().is_executed(SeqNum(*seq))
+            } else {
+                slot.prepared
+            };
+            if !relevant {
+                return None;
+            }
+            Some(PreparedProof {
+                view: slot.view,
+                seq: SeqNum(*seq),
+                digest: slot.digest?,
+                batch: slot.batch.clone()?,
+                attestation: slot.attestation.clone(),
+                prepare_votes: prepare_votes.count(&(slot.view, SeqNum(*seq), slot.digest?)),
+            })
+        })
+        .collect()
 }
 
 impl ConsensusEngine for PbftFamilyEngine {
-    fn config(&self) -> &SystemConfig {
-        self.core.config()
-    }
-
-    fn id(&self) -> ReplicaId {
-        self.core.id()
+    fn replica(&self) -> &ReplicaCore {
+        &self.core
     }
 
     fn properties(&self) -> ProtocolProperties {
@@ -708,12 +621,8 @@ impl ConsensusEngine for PbftFamilyEngine {
     }
 
     fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
-        if self.core.is_primary() {
-            self.enqueue_batches(txns, out);
-        } else {
-            let primary = self.core.primary();
-            out.send(primary, Message::ForwardRequest { txns });
-        }
+        self.core
+            .on_client_request(txns, self.sequencer.bind(), out);
     }
 
     fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
@@ -747,12 +656,12 @@ impl ConsensusEngine for PbftFamilyEngine {
                 proposals,
                 ..
             } => self.on_new_view(from, view, supporting_votes, proposals, out),
-            Message::ClientRetry { txn } => self.on_client_retry(txn, out),
-            Message::ForwardRequest { txns } => {
-                if self.core.is_primary() {
-                    self.enqueue_batches(txns, out);
-                }
+            Message::ClientRetry { txn } => {
+                let bind = self.sequencer.bind();
+                self.core
+                    .on_client_retry(txn, TimerKind::ViewChange, bind, out);
             }
+            Message::ForwardRequest { txns } => self.core.enqueue(txns, self.sequencer.bind(), out),
             Message::CheckpointRequest { last_executed } => {
                 self.on_checkpoint_request(from, last_executed, out)
             }
@@ -767,15 +676,15 @@ impl ConsensusEngine for PbftFamilyEngine {
     fn on_timer(&mut self, timer: TimerKind, out: &mut Outbox) {
         match timer {
             TimerKind::BatchFlush => {
-                if self.core.is_primary() {
-                    if let Some(batch) = self.core.batcher_mut().flush() {
-                        self.pending_batches.push_back(batch);
-                        self.try_propose(out);
-                    }
+                // Unlike the FlexiTrust engines, only a primary holding a
+                // partial batch cuts and proposes on this timer.
+                if self.core.is_primary() && self.core.batcher().pending_len() > 0 {
+                    self.core.flush_batch(self.sequencer.bind(), out);
                 }
             }
             TimerKind::ViewChange | TimerKind::RequestForwarded(_) => {
-                self.start_view_change(out);
+                let proofs = self.prepared_proofs();
+                self.core.start_view_change(proofs, out);
             }
             TimerKind::Checkpoint => {
                 // Periodic checkpoints are driven off execution boundaries in
@@ -783,84 +692,12 @@ impl ConsensusEngine for PbftFamilyEngine {
             }
         }
     }
-
-    fn view(&self) -> View {
-        self.core.view()
-    }
-
-    fn last_executed(&self) -> SeqNum {
-        self.core.last_executed()
-    }
-
-    fn executed_txns(&self) -> u64 {
-        self.core.executed_txns()
-    }
-
-    fn state_digest(&self) -> Option<Digest> {
-        Some(self.core.state_digest())
-    }
-}
-
-/// Helper used by this crate's protocol modules and by tests: drive a cluster
-/// of engines to completion by repeatedly delivering every queued action to
-/// its destination (a synchronous, loss-free "perfect network").
-///
-/// Returns the number of actions delivered.
-pub fn run_cluster_until_quiescent(
-    engines: &mut [Box<dyn ConsensusEngine>],
-    mut inject: Vec<(usize, Vec<Transaction>)>,
-    max_rounds: usize,
-) -> usize {
-    let mut delivered = 0;
-    let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); engines.len()];
-    // Inject the client requests first.
-    let mut out = Outbox::new();
-    for (target, txns) in inject.drain(..) {
-        engines[target].on_client_request(txns, &mut out);
-        route_actions(engines[target].id(), out.drain(), &mut queues);
-    }
-    for _ in 0..max_rounds {
-        let mut any = false;
-        for i in 0..engines.len() {
-            let pending = std::mem::take(&mut queues[i]);
-            for (from, msg) in pending {
-                any = true;
-                delivered += 1;
-                let mut out = Outbox::new();
-                engines[i].on_message(from, msg, &mut out);
-                route_actions(engines[i].id(), out.drain(), &mut queues);
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    delivered
-}
-
-fn route_actions(from: ReplicaId, actions: Vec<Action>, queues: &mut [Vec<(ReplicaId, Message)>]) {
-    for action in actions {
-        match action {
-            Action::Send { to, msg } => {
-                if let Some(q) = queues.get_mut(to.as_usize()) {
-                    q.push((from, msg));
-                }
-            }
-            Action::Broadcast { msg } => {
-                for q in queues.iter_mut() {
-                    q.push((from, msg.clone()));
-                }
-            }
-            // Replies, timers and execution notifications are not routed by
-            // this synchronous helper.
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexitrust_protocol::testing::{run_cluster_until_quiescent, TestNet};
     use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig};
     use flexitrust_types::{ClientId, KvOp, RequestId};
 
@@ -1119,34 +956,49 @@ mod tests {
     #[test]
     fn view_change_replaces_a_silent_primary() {
         let mut cluster = build_cluster(pbft_style(), 1);
-        // Deliver nothing; instead, fire the view-change timer at every
-        // backup and route the resulting messages by hand.
-        let n = cluster.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
-        for engine in cluster.iter_mut().skip(1) {
-            let mut out = Outbox::new();
-            engine.on_timer(TimerKind::ViewChange, &mut out);
-            route_actions(engine.id(), out.drain(), &mut queues);
+        // The primary says nothing; every backup's view-change timer fires.
+        let mut net = TestNet::new(cluster.len());
+        for backup in 1..cluster.len() {
+            net.fire(&mut cluster, backup, TimerKind::ViewChange);
         }
-        for _ in 0..50 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    cluster[i].on_message(from, msg, &mut out);
-                    route_actions(cluster[i].id(), out.drain(), &mut queues);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        net.run(&mut cluster, 50);
         // Replica 1 is the primary of view 1; the backups have moved on.
         for engine in cluster.iter().skip(1) {
             assert_eq!(engine.view(), View(1), "replica {}", engine.id());
         }
         assert!(cluster[1].is_primary());
+    }
+
+    #[test]
+    fn votes_that_overtake_the_proposal_still_commit() {
+        use crate::{CheapBft, MinBft, PbftEa};
+        for style in [
+            pbft_style(),
+            MinBft::style(),
+            PbftEa::style(),
+            CheapBft::style(),
+        ] {
+            let mut cluster = build_cluster(style, 1);
+            let last = cluster.len() - 1;
+            // The last replica's inbox is held back while the others agree.
+            let mut net = TestNet::new(cluster.len());
+            net.pause(last);
+            net.client_request(&mut cluster, 0, txns(2));
+            net.run(&mut cluster, 100);
+            // Every vote reaches it before the proposal they vote for: the
+            // certificates complete with nothing to commit yet.
+            let (proposals, votes): (Vec<_>, Vec<_>) = net
+                .take_inbox(last)
+                .into_iter()
+                .partition(|(_, msg)| msg.kind() == "PrePrepare");
+            assert_eq!(proposals.len(), 1, "{:?}", style.id);
+            for (from, msg) in votes.into_iter().chain(proposals) {
+                assert_eq!(cluster[last].last_executed(), SeqNum(0), "{:?}", style.id);
+                net.deliver(&mut cluster, last, from, msg);
+            }
+            // Accepting the late proposal must pick the recorded quorums up.
+            assert_eq!(cluster[last].last_executed(), SeqNum(1), "{:?}", style.id);
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl Pbft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::run_cluster_until_quiescent;
+    use flexitrust_protocol::testing::run_cluster_until_quiescent;
     use flexitrust_protocol::ConsensusEngine;
     use flexitrust_types::{ClientId, KvOp, RequestId, SeqNum, Transaction};
 

@@ -46,7 +46,7 @@ impl Zyzzyva {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::run_cluster_until_quiescent;
+    use flexitrust_protocol::testing::run_cluster_until_quiescent;
     use flexitrust_protocol::ConsensusEngine;
     use flexitrust_types::{ClientId, KvOp, QuorumRule, RequestId, SeqNum, Transaction};
 

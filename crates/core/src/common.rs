@@ -1,23 +1,29 @@
 //! State and behaviour shared by Flexi-BFT and Flexi-ZZ.
 //!
-//! Both FlexiTrust protocols share the same proposal path (the primary binds
-//! each batch to its trusted counter with `AppendF` and broadcasts the
-//! attested `PrePrepare`), the same acceptance rule at backups (verify the
-//! attestation, accept at most one proposal per sequence number per view),
-//! the same checkpointing, and the same view-change skeleton (2f + 1
-//! `ViewChange` messages, a fresh trusted counter created with `Create`, and
-//! contiguous re-proposals). [`FlexiCore`] implements those pieces; the two
-//! engine modules add what differs — the voting phase of Flexi-BFT and the
-//! speculative execution + client-retry path of Flexi-ZZ.
+//! The replica skeleton the FlexiTrust protocols inherit from PBFT — client
+//! glue, the primary's proposal window, checkpoint state transfer and the
+//! view-change state machine — lives in `flexitrust_protocol`
+//! ([`ReplicaCore`], `viewchange`), shared with the baselines. What is left
+//! here is what makes a replica a *FlexiTrust* replica, i.e. every place the
+//! trusted component is touched or checked:
+//!
+//! * [`PrimaryCounter::bind`] — the primary binds each batch to its trusted
+//!   counter with `AppendF` (the only access on the common path, §8.1);
+//! * [`FlexiCore::accept_preprepare`] — a backup verifies that attestation
+//!   and accepts at most one proposal per sequence number per view;
+//! * [`FlexiCore::on_view_change`] / [`FlexiCore::on_new_view`] — the new
+//!   primary creates a fresh counter with `Create(k)` and re-attests every
+//!   re-proposal; backups demand the proof of that creation (§8.2, §8.3);
+//! * the table of accepted proposals those steps read and write, lent to the
+//!   shared checkpoint-transfer and view-change code.
+//!
+//! The two engine modules add what differs — the voting phase of Flexi-BFT
+//! and the speculative execution + client-retry path of Flexi-ZZ.
 
-use flexitrust_protocol::{
-    CertificateTracker, Message, NewViewPlanner, Outbox, PreparedProof, ReplicaCore, TimerKind,
-};
+use flexitrust_protocol::{Binding, Outbox, PreparedProof, ReplicaCore, TimerKind};
 use flexitrust_trusted::{AttestKind, Attestation, EnclaveRegistry, SharedEnclave};
-use flexitrust_types::{
-    Batch, Digest, ReplicaId, SeqNum, StateSnapshot, SystemConfig, Transaction, View,
-};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use flexitrust_types::{Batch, Digest, ReplicaId, SeqNum, StateSnapshot, SystemConfig, View};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A proposal accepted by this replica for one sequence number.
@@ -33,29 +39,45 @@ pub struct AcceptedProposal {
     pub attestation: Attestation,
 }
 
+/// The trusted counter a replica proposes with when it is primary.
+pub struct PrimaryCounter {
+    enclave: SharedEnclave,
+    /// Identifier of the counter currently in use. A fresh counter is
+    /// created after each view change.
+    counter_id: u64,
+}
+
+impl PrimaryCounter {
+    /// The `bind` the shared proposal window and client glue take
+    /// (`replica.on_client_request(txns, counter.bind(), out)`, ...).
+    ///
+    /// This is the *single* place FlexiTrust touches the trusted component:
+    /// one `AppendF` per proposed batch, at the primary only (§8.1). The
+    /// sequence number is the counter value it returns, so sequence numbers
+    /// are contiguous by construction; should the counter be unusable (it is
+    /// not for an honest primary) the batch stays queued.
+    pub fn bind(&self) -> impl FnMut(&Batch) -> Binding + '_ {
+        move |batch| {
+            let (seq, attestation) = self
+                .enclave
+                .append_f(self.counter_id, batch.digest())
+                .ok()?;
+            Some((SeqNum(seq), Some(attestation)))
+        }
+    }
+}
+
 /// Shared state of a FlexiTrust replica.
 pub struct FlexiCore {
-    /// Generic replica state (view, execution, checkpoints, reply cache).
+    /// Generic replica state (view, execution, checkpoints, reply cache,
+    /// proposal window, view-change progress).
     pub replica: ReplicaCore,
-    enclave: SharedEnclave,
+    /// The trusted counter behind this replica's proposals.
+    pub counter: PrimaryCounter,
     registry: EnclaveRegistry,
-    /// Identifier of the trusted counter currently used by this replica when
-    /// it acts as primary. A fresh counter is created after each view change.
-    counter_id: u64,
-
-    // Primary-side proposal state.
-    pending_batches: VecDeque<Batch>,
-    outstanding: BTreeSet<u64>,
 
     // Accepted proposals by sequence number.
     accepted: BTreeMap<u64, AcceptedProposal>,
-
-    // View-change state.
-    in_view_change: bool,
-    highest_vc_vote: View,
-    planners: BTreeMap<u64, NewViewPlanner>,
-    join_votes: CertificateTracker<View>,
-    view_changes_completed: u64,
 }
 
 impl FlexiCore {
@@ -66,21 +88,14 @@ impl FlexiCore {
         enclave: SharedEnclave,
         registry: EnclaveRegistry,
     ) -> Self {
-        let config = config.into();
-        let join_quorum = config.small_quorum();
         FlexiCore {
             replica: ReplicaCore::new(config, id),
-            enclave,
+            counter: PrimaryCounter {
+                enclave,
+                counter_id: 0,
+            },
             registry,
-            counter_id: 0,
-            pending_batches: VecDeque::new(),
-            outstanding: BTreeSet::new(),
             accepted: BTreeMap::new(),
-            in_view_change: false,
-            highest_vc_vote: View::ZERO,
-            planners: BTreeMap::new(),
-            join_votes: CertificateTracker::new(join_quorum),
-            view_changes_completed: 0,
         }
     }
 
@@ -89,17 +104,7 @@ impl FlexiCore {
     /// Only the primary of the current view ever *accesses* it on the common
     /// path (goal G2 of the paper); backups hold one but leave it idle.
     pub fn enclave(&self) -> &SharedEnclave {
-        &self.enclave
-    }
-
-    /// Whether this replica currently considers a view change in progress.
-    pub fn in_view_change(&self) -> bool {
-        self.in_view_change
-    }
-
-    /// Number of completed view changes observed by this replica.
-    pub fn view_changes_completed(&self) -> u64 {
-        self.view_changes_completed
+        &self.counter.enclave
     }
 
     /// The proposal accepted at `seq`, if any.
@@ -107,71 +112,11 @@ impl FlexiCore {
         self.accepted.get(&seq.0)
     }
 
-    /// Number of consensus instances this primary currently has in flight.
-    pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    // ------------------------------------------------------------------
-    // Primary proposal path (identical for Flexi-BFT and Flexi-ZZ).
-    // ------------------------------------------------------------------
-
-    /// Queues client transactions for proposal (primary) and emits a
-    /// `BatchFlush` timer when a partial batch remains.
-    pub fn enqueue(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
-        let full = self.replica.batcher_mut().push(txns);
-        self.pending_batches.extend(full);
-        if self.replica.batcher_mut().pending_len() > 0 {
-            out.set_timer(TimerKind::BatchFlush, 500);
-        }
-        self.try_propose(out);
-    }
-
-    /// Flushes a partial batch (on the `BatchFlush` timer).
-    pub fn flush_batch(&mut self, out: &mut Outbox) {
-        if let Some(batch) = self.replica.batcher_mut().flush() {
-            self.pending_batches.push_back(batch);
-        }
-        self.try_propose(out);
-    }
-
-    /// Proposes as many pending batches as the in-flight window allows.
-    ///
-    /// This is the *single* place FlexiTrust touches the trusted component:
-    /// one `AppendF` per proposed batch, at the primary only (§8.1). The
-    /// returned sequence number is the counter value, so sequence numbers
-    /// are contiguous by construction.
-    pub fn try_propose(&mut self, out: &mut Outbox) {
-        if !self.replica.is_primary() || self.in_view_change {
-            return;
-        }
-        let max_in_flight = self.replica.config().max_in_flight;
-        while self.outstanding.len() < max_in_flight {
-            let Some(batch) = self.pending_batches.pop_front() else {
-                return;
-            };
-            let Ok((seq, attestation)) = self.enclave.append_f(self.counter_id, batch.digest())
-            else {
-                // The counter is unusable (should not happen for an honest
-                // primary); drop the batch back and stop proposing.
-                self.pending_batches.push_front(batch);
-                return;
-            };
-            self.outstanding.insert(seq);
-            out.broadcast(Message::PrePrepare {
-                view: self.replica.view(),
-                seq: SeqNum(seq),
-                batch,
-                attestation: Some(attestation),
-            });
-        }
-    }
-
     /// Marks a consensus instance as no longer outstanding (it executed) and
     /// keeps the proposal pipeline full.
     pub fn instance_finished(&mut self, seq: SeqNum, out: &mut Outbox) {
-        self.outstanding.remove(&seq.0);
-        self.try_propose(out);
+        self.replica.instance_finished(seq);
+        self.replica.try_propose(self.counter.bind(), out);
     }
 
     // ------------------------------------------------------------------
@@ -194,7 +139,7 @@ impl FlexiCore {
         batch: Batch,
         attestation: Option<Attestation>,
     ) -> Option<AcceptedProposal> {
-        if view != self.replica.view() || self.in_view_change {
+        if view != self.replica.view() || self.replica.in_view_change() {
             return None;
         }
         if from != self.replica.primary() {
@@ -247,43 +192,21 @@ impl FlexiCore {
         Some(stable)
     }
 
-    /// Serves a peer's `CheckpointRequest`: when this replica's stable
-    /// checkpoint is past the requester's execution frontier, replies with
-    /// the boundary snapshot plus every accepted-and-executed batch after
-    /// it, so the requester can install the checkpoint and replay forward.
-    pub fn on_checkpoint_request(
-        &mut self,
-        from: ReplicaId,
-        last_executed: SeqNum,
-        out: &mut Outbox,
-    ) {
-        let Some((seq, snapshot)) = self.replica.stable_checkpoint_snapshot(last_executed) else {
-            return;
-        };
-        let frontier = self.replica.last_executed();
-        let batches: Vec<(SeqNum, Batch)> = self
+    /// Serves a peer's `CheckpointRequest` out of the accepted proposals.
+    pub fn on_checkpoint_request(&self, from: ReplicaId, last_executed: SeqNum, out: &mut Outbox) {
+        let held = self
             .accepted
-            .range(seq.0 + 1..)
-            .filter(|(s, _)| SeqNum(**s) <= frontier)
-            .map(|(s, accepted)| (SeqNum(*s), accepted.batch.clone()))
-            .collect();
-        out.send(
-            from,
-            Message::CheckpointState {
-                seq,
-                snapshot,
-                batches,
-            },
-        );
+            .iter()
+            .map(|(seq, accepted)| (SeqNum(*seq), &accepted.batch));
+        self.replica
+            .serve_checkpoint_request(from, last_executed, held, out);
     }
 
-    /// Installs a peer's `CheckpointState` (the recovery rejoin path):
-    /// adopts the snapshot when it is ahead of this replica, then replays
-    /// the carried batches in order, emitting replies / checkpoints exactly
-    /// as normal execution would. Returns `true` when the snapshot itself
-    /// was installed (the caller may need to reset protocol-specific
-    /// rollback state). Replayed batches are executed without re-recording
-    /// acceptance — their attestations stayed with the serving peer.
+    /// Installs a peer's `CheckpointState` and replays its batches. Returns
+    /// `true` when the snapshot itself was installed (the caller may need to
+    /// reset protocol-specific rollback state). Replayed batches are
+    /// executed without re-recording acceptance — their attestations stayed
+    /// with the serving peer — and without touching the proposal window.
     pub fn install_checkpoint_state(
         &mut self,
         seq: SeqNum,
@@ -292,105 +215,69 @@ impl FlexiCore {
         speculative: bool,
         out: &mut Outbox,
     ) -> bool {
-        let installed = self.replica.install_checkpoint(seq, snapshot);
+        let installed = self.replica.replay_checkpoint_state(
+            seq,
+            snapshot,
+            batches,
+            speculative,
+            |_, _, _, _| {},
+            out,
+        );
         if installed {
             self.accepted.retain(|s, _| *s > seq.0);
-        }
-        for (batch_seq, batch) in batches {
-            if batch_seq <= self.replica.last_executed() {
-                continue;
-            }
-            let executed = self
-                .replica
-                .commit_batch(batch_seq, batch, speculative, out);
-            for done in executed {
-                self.replica.maybe_emit_checkpoint(done.seq, out);
-            }
         }
         installed
     }
 
     // ------------------------------------------------------------------
-    // View changes (§8.2 / §8.3).
+    // View changes (§8.2 / §8.3): the trusted-component half. The join
+    // rule, vote collection and `NewView` guards are `ReplicaCore`'s.
     // ------------------------------------------------------------------
 
-    /// Broadcasts a `ViewChange` for the next view, carrying the supplied
-    /// prepared/executed proofs.
-    pub fn start_view_change(&mut self, prepared: Vec<PreparedProof>, out: &mut Outbox) {
-        let target = self.replica.view().next();
-        if target <= self.highest_vc_vote {
-            return;
-        }
-        self.highest_vc_vote = target;
-        self.in_view_change = true;
-        out.broadcast(Message::ViewChange {
-            new_view: target,
-            last_stable: self.replica.low_water_mark(),
-            prepared,
-        });
-        out.set_timer(TimerKind::ViewChange, self.replica.config().view_timeout_us);
+    /// Suspects the primary: votes for the next view with this replica's
+    /// proofs (see [`Self::proofs_from_accepted`] for `executed_only`).
+    pub fn start_view_change(&mut self, executed_only: bool, out: &mut Outbox) {
+        let proofs = self.proofs_from_accepted(executed_only);
+        self.replica.start_view_change(proofs, out);
     }
 
     /// Handles a `ViewChange` message.
     ///
-    /// Every replica joins a view change once `f + 1` distinct replicas have
-    /// demanded it; the designated new primary additionally gathers `2f + 1`
-    /// votes, creates a fresh trusted counter positioned at the lowest
-    /// re-proposed sequence number (the `Create(k)` function of §8.1), and
-    /// re-proposes everything with fresh attestations. Returns the proposals
-    /// that this replica (as the new primary) re-issued, so the caller can
-    /// also apply them locally.
-    #[allow(clippy::too_many_arguments)]
+    /// When it completes the `2f + 1` votes that make this replica the new
+    /// primary, creates a fresh trusted counter positioned at the lowest
+    /// re-proposed sequence number (the `Create(k)` function of §8.1), so
+    /// sequence numbers are preserved across views (§8.3), and re-proposes
+    /// everything with fresh attestations. Returns the proposals that this
+    /// replica (as the new primary) re-issued, so the caller can also apply
+    /// them locally.
     pub fn on_view_change(
         &mut self,
         from: ReplicaId,
         new_view: View,
         last_stable: SeqNum,
         prepared: Vec<PreparedProof>,
-        own_proofs: impl FnOnce(&Self) -> Vec<PreparedProof>,
+        executed_only: bool,
         out: &mut Outbox,
     ) -> Vec<(SeqNum, Batch, Option<Attestation>)> {
-        if new_view <= self.replica.view() {
-            return Vec::new();
-        }
-        // Join rule (f + 1 demands ⇒ join).
-        self.join_votes.vote(new_view, from);
-        if self.join_votes.count(&new_view) >= self.replica.config().small_quorum()
-            && new_view > self.highest_vc_vote
-        {
-            self.highest_vc_vote = new_view;
-            self.in_view_change = true;
-            let proofs = own_proofs(self);
-            out.broadcast(Message::ViewChange {
-                new_view,
-                last_stable: self.replica.low_water_mark(),
-                prepared: proofs,
-            });
-        }
-        // Only the designated primary of `new_view` assembles the NewView.
-        if new_view.primary(self.replica.config().n) != self.replica.id() {
-            return Vec::new();
-        }
         let quorum = self.replica.config().large_quorum();
-        let planner = self
-            .planners
-            .entry(new_view.0)
-            .or_insert_with(|| NewViewPlanner::new(new_view, quorum));
-        let Some(plan) = planner.record_view_change(from, last_stable, prepared) else {
+        let accepted = &self.accepted;
+        let Some(plan) = self.replica.on_view_change(
+            from,
+            new_view,
+            last_stable,
+            prepared,
+            quorum,
+            |replica| proofs_from(accepted, replica, executed_only),
+            out,
+        ) else {
             return Vec::new();
         };
-        // Become the primary of the new view.
-        self.replica.enter_view(new_view);
-        self.in_view_change = false;
-        self.view_changes_completed += 1;
-        // Create a fresh counter whose next AppendF value is the first
-        // re-proposed sequence number, so sequence numbers are preserved
-        // across views (§8.3).
-        let (counter_id, counter_attestation) = self.enclave.create_counter(plan.stable_seq.0);
-        self.counter_id = counter_id;
+        let enclave = &self.counter.enclave;
+        let (counter_id, counter_attestation) = enclave.create_counter(plan.stable_seq.0);
+        self.counter.counter_id = counter_id;
         let mut proposals = Vec::with_capacity(plan.proposals.len());
         for (seq, batch) in &plan.proposals {
-            match self.enclave.append_f(self.counter_id, batch.digest()) {
+            match enclave.append_f(counter_id, batch.digest()) {
                 Ok((value, attestation)) => {
                     debug_assert_eq!(value, seq.0, "re-proposals must stay contiguous");
                     proposals.push((*seq, batch.clone(), Some(attestation)));
@@ -398,17 +285,12 @@ impl FlexiCore {
                 Err(_) => proposals.push((*seq, batch.clone(), None)),
             }
         }
-        out.broadcast(Message::NewView {
-            view: new_view,
-            supporting_votes: plan.supporting_votes,
-            proposals: proposals.clone(),
-            counter_attestation: Some(counter_attestation),
-        });
-        out.cancel_timer(TimerKind::ViewChange);
+        plan.announce(proposals.clone(), Some(counter_attestation), out);
         proposals
     }
 
-    /// Validates a `NewView` announcement and, if acceptable, enters the new
+    /// Validates a `NewView` announcement — it must prove the creation of
+    /// the new primary's fresh counter — and, if acceptable, enters the new
     /// view and returns the proposals to adopt.
     pub fn on_new_view(
         &mut self,
@@ -419,26 +301,17 @@ impl FlexiCore {
         counter_attestation: Option<Attestation>,
         out: &mut Outbox,
     ) -> Vec<(SeqNum, Batch, Option<Attestation>)> {
-        let already_there = view == self.replica.view() && !self.in_view_change;
-        if view < self.replica.view() || already_there {
+        let counter_created = counter_attestation.is_some_and(|att| {
+            att.kind == AttestKind::CounterCreate && self.registry.verify(&att).is_ok()
+        });
+        let quorum = self.replica.config().large_quorum();
+        if !counter_created
+            || !self
+                .replica
+                .on_new_view(from, view, supporting_votes, quorum)
+        {
             return Vec::new();
         }
-        if from != view.primary(self.replica.config().n) {
-            return Vec::new();
-        }
-        if supporting_votes < self.replica.config().large_quorum() {
-            return Vec::new();
-        }
-        if let Some(att) = &counter_attestation {
-            if self.registry.verify(att).is_err() || att.kind != AttestKind::CounterCreate {
-                return Vec::new();
-            }
-        } else {
-            return Vec::new();
-        }
-        self.replica.enter_view(view);
-        self.in_view_change = false;
-        self.view_changes_completed += 1;
         // Proposals from the old view are superseded by the new primary's
         // re-proposals.
         self.accepted
@@ -451,19 +324,27 @@ impl FlexiCore {
     /// restricts them to slots this replica has executed (Flexi-ZZ) instead
     /// of every accepted slot (Flexi-BFT).
     pub fn proofs_from_accepted(&self, executed_only: bool) -> Vec<PreparedProof> {
-        self.accepted
-            .iter()
-            .filter(|(seq, _)| !executed_only || self.replica.exec().is_executed(SeqNum(**seq)))
-            .map(|(seq, accepted)| PreparedProof {
-                view: accepted.view,
-                seq: SeqNum(*seq),
-                digest: accepted.digest,
-                batch: accepted.batch.clone(),
-                attestation: Some(accepted.attestation.clone()),
-                prepare_votes: 0,
-            })
-            .collect()
+        proofs_from(&self.accepted, &self.replica, executed_only)
     }
+}
+
+fn proofs_from(
+    accepted: &BTreeMap<u64, AcceptedProposal>,
+    replica: &ReplicaCore,
+    executed_only: bool,
+) -> Vec<PreparedProof> {
+    accepted
+        .iter()
+        .filter(|(seq, _)| !executed_only || replica.exec().is_executed(SeqNum(**seq)))
+        .map(|(seq, accepted)| PreparedProof {
+            view: accepted.view,
+            seq: SeqNum(*seq),
+            digest: accepted.digest,
+            batch: accepted.batch.clone(),
+            attestation: Some(accepted.attestation.clone()),
+            prepare_votes: 0,
+        })
+        .collect()
 }
 
 /// Builds one `FlexiCore` per replica of a deployment, sharing a counting
@@ -485,8 +366,9 @@ pub fn build_cores(config: &SystemConfig) -> Vec<FlexiCore> {
 mod tests {
     use super::*;
     use flexitrust_crypto::make_batch;
+    use flexitrust_protocol::Message;
     use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig};
-    use flexitrust_types::{ClientId, KvOp, ProtocolId, RequestId};
+    use flexitrust_types::{ClientId, KvOp, ProtocolId, RequestId, Transaction};
 
     fn config() -> SystemConfig {
         let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
@@ -498,11 +380,16 @@ mod tests {
         Transaction::new(ClientId(1), RequestId(i), KvOp::Read { key: i })
     }
 
+    fn propose(core: &mut FlexiCore, txns: Vec<Transaction>, out: &mut Outbox) {
+        core.replica
+            .on_client_request(txns, core.counter.bind(), out);
+    }
+
     #[test]
     fn primary_proposes_with_contiguous_counter_values() {
         let mut cores = build_cores(&config());
         let mut out = Outbox::new();
-        cores[0].enqueue(vec![txn(1), txn(2), txn(3)], &mut out);
+        propose(&mut cores[0], vec![txn(1), txn(2), txn(3)], &mut out);
         let seqs: Vec<u64> = out
             .broadcasts()
             .iter()
@@ -510,14 +397,14 @@ mod tests {
             .collect();
         assert_eq!(seqs, vec![1, 2, 3]);
         assert_eq!(cores[0].enclave().stats().snapshot().counter_append_fs, 3);
-        assert_eq!(cores[0].outstanding(), 3);
+        assert_eq!(cores[0].replica.outstanding(), 3);
     }
 
     #[test]
     fn backups_never_touch_their_enclave_on_acceptance() {
         let mut cores = build_cores(&config());
         let mut out = Outbox::new();
-        cores[0].enqueue(vec![txn(1)], &mut out);
+        propose(&mut cores[0], vec![txn(1)], &mut out);
         let Message::PrePrepare {
             view,
             seq,
@@ -537,7 +424,7 @@ mod tests {
         let cfg = config();
         let mut cores = build_cores(&cfg);
         let mut out = Outbox::new();
-        cores[0].enqueue(vec![txn(1)], &mut out);
+        propose(&mut cores[0], vec![txn(1)], &mut out);
         let Message::PrePrepare {
             view,
             seq,
@@ -615,7 +502,7 @@ mod tests {
         let mut cores = build_cores(&cfg);
         // The primary proposed three batches; replica 1 accepted them all.
         let mut out = Outbox::new();
-        cores[0].enqueue(vec![txn(1), txn(2), txn(3)], &mut out);
+        propose(&mut cores[0], vec![txn(1), txn(2), txn(3)], &mut out);
         let preprepares: Vec<Message> = out.broadcasts().into_iter().cloned().collect();
         for msg in &preprepares {
             if let Message::PrePrepare {
@@ -641,7 +528,7 @@ mod tests {
                 View(1),
                 SeqNum(0),
                 prepared,
-                |core| core.proofs_from_accepted(false),
+                false,
                 &mut out,
             );
         }

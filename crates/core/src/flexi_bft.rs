@@ -18,7 +18,8 @@
 
 use crate::common::FlexiCore;
 use flexitrust_protocol::{
-    CertificateTracker, ConsensusEngine, Message, Outbox, ProtocolProperties, TimerKind,
+    CertificateTracker, ConsensusEngine, Message, Outbox, ProtocolProperties, ReplicaCore,
+    TimerKind,
 };
 use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave};
 use flexitrust_types::{Digest, ProtocolId, ReplicaId, SeqNum, SystemConfig, Transaction, View};
@@ -133,7 +134,7 @@ impl FlexiBft {
         digest: Digest,
         out: &mut Outbox,
     ) {
-        if view != self.flexi.replica.view() || self.flexi.in_view_change() {
+        if view != self.flexi.replica.view() || self.flexi.replica.in_view_change() {
             return;
         }
         if seq <= self.flexi.replica.low_water_mark() {
@@ -195,12 +196,8 @@ impl FlexiBft {
 }
 
 impl ConsensusEngine for FlexiBft {
-    fn config(&self) -> &SystemConfig {
-        self.flexi.replica.config()
-    }
-
-    fn id(&self) -> ReplicaId {
-        self.flexi.replica.id()
+    fn replica(&self) -> &ReplicaCore {
+        &self.flexi.replica
     }
 
     fn properties(&self) -> ProtocolProperties {
@@ -212,12 +209,9 @@ impl ConsensusEngine for FlexiBft {
     }
 
     fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
-        if self.flexi.replica.is_primary() {
-            self.flexi.enqueue(txns, out);
-        } else {
-            let primary = self.flexi.replica.primary();
-            out.send(primary, Message::ForwardRequest { txns });
-        }
+        self.flexi
+            .replica
+            .on_client_request(txns, self.flexi.counter.bind(), out);
     }
 
     fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
@@ -250,14 +244,9 @@ impl ConsensusEngine for FlexiBft {
                 prepared,
             } => {
                 let self_id = self.flexi.replica.id();
-                let reproposed = self.flexi.on_view_change(
-                    from,
-                    new_view,
-                    last_stable,
-                    prepared,
-                    |core| core.proofs_from_accepted(false),
-                    out,
-                );
+                let reproposed =
+                    self.flexi
+                        .on_view_change(from, new_view, last_stable, prepared, false, out);
                 self.adopt_proposals(self_id, new_view, reproposed, out);
             }
             Message::NewView {
@@ -277,23 +266,15 @@ impl ConsensusEngine for FlexiBft {
                 self.adopt_proposals(from, view, adopted, out);
             }
             Message::ClientRetry { txn } => {
-                if let Some(reply) = self.flexi.replica.cached_reply(txn.client(), txn.request()) {
-                    out.reply(reply.clone());
-                } else if self.flexi.replica.is_primary() {
-                    self.flexi.enqueue(vec![txn], out);
-                } else {
-                    let primary = self.flexi.replica.primary();
-                    out.send(primary, Message::ForwardRequest { txns: vec![txn] });
-                    out.set_timer(
-                        TimerKind::ViewChange,
-                        self.flexi.replica.config().view_timeout_us,
-                    );
-                }
+                let bind = self.flexi.counter.bind();
+                self.flexi
+                    .replica
+                    .on_client_retry(txn, TimerKind::ViewChange, bind, out);
             }
             Message::ForwardRequest { txns } => {
-                if self.flexi.replica.is_primary() {
-                    self.flexi.enqueue(txns, out);
-                }
+                self.flexi
+                    .replica
+                    .enqueue(txns, self.flexi.counter.bind(), out);
             }
             Message::CheckpointRequest { last_executed } => {
                 self.flexi.on_checkpoint_request(from, last_executed, out);
@@ -317,29 +298,16 @@ impl ConsensusEngine for FlexiBft {
 
     fn on_timer(&mut self, timer: TimerKind, out: &mut Outbox) {
         match timer {
-            TimerKind::BatchFlush => self.flexi.flush_batch(out),
+            TimerKind::BatchFlush => {
+                self.flexi
+                    .replica
+                    .flush_batch(self.flexi.counter.bind(), out);
+            }
             TimerKind::ViewChange | TimerKind::RequestForwarded(_) => {
-                let proofs = self.flexi.proofs_from_accepted(false);
-                self.flexi.start_view_change(proofs, out);
+                self.flexi.start_view_change(false, out);
             }
             TimerKind::Checkpoint => {}
         }
-    }
-
-    fn view(&self) -> View {
-        self.flexi.replica.view()
-    }
-
-    fn last_executed(&self) -> SeqNum {
-        self.flexi.replica.last_executed()
-    }
-
-    fn executed_txns(&self) -> u64 {
-        self.flexi.replica.executed_txns()
-    }
-
-    fn state_digest(&self) -> Option<Digest> {
-        Some(self.flexi.replica.state_digest())
     }
 }
 
@@ -363,6 +331,7 @@ pub fn build_cluster(config: &SystemConfig) -> Vec<FlexiBft> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexitrust_protocol::testing::{run_cluster_until_quiescent, TestNet};
     use flexitrust_types::{ClientId, KvOp, QuorumRule, RequestId};
 
     fn txns(count: usize) -> Vec<Transaction> {
@@ -382,44 +351,8 @@ mod tests {
 
     /// Deliver all queued messages between engines until quiescence.
     fn run(engines: &mut [FlexiBft], inject: Vec<(usize, Vec<Transaction>)>) {
-        let n = engines.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
-        let route = |from: ReplicaId,
-                     actions: Vec<flexitrust_protocol::Action>,
-                     queues: &mut Vec<Vec<(ReplicaId, Message)>>| {
-            for a in actions {
-                match a {
-                    flexitrust_protocol::Action::Send { to, msg } => {
-                        queues[to.as_usize()].push((from, msg))
-                    }
-                    flexitrust_protocol::Action::Broadcast { msg } => {
-                        for q in queues.iter_mut() {
-                            q.push((from, msg.clone()));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        };
-        for (target, t) in inject {
-            let mut out = Outbox::new();
-            engines[target].on_client_request(t, &mut out);
-            route(engines[target].id(), out.drain(), &mut queues);
-        }
-        for _ in 0..300 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    engines[i].on_message(from, msg, &mut out);
-                    route(engines[i].id(), out.drain(), &mut queues);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        let mut engines: Vec<&mut FlexiBft> = engines.iter_mut().collect();
+        run_cluster_until_quiescent(&mut engines, inject, 300);
     }
 
     #[test]
@@ -467,7 +400,7 @@ mod tests {
         primary.on_client_request(txns(10), &mut out);
         // All ten proposals go out before any commit, i.e. ten instances are
         // outstanding concurrently (G1).
-        assert_eq!(primary.flexi().outstanding(), 10);
+        assert_eq!(primary.replica().outstanding(), 10);
         assert_eq!(out.broadcasts().len(), 10);
     }
 
@@ -485,7 +418,7 @@ mod tests {
         assert!(primary.is_sequential());
         let mut out = Outbox::new();
         primary.on_client_request(txns(10), &mut out);
-        assert_eq!(primary.flexi().outstanding(), 1);
+        assert_eq!(primary.replica().outstanding(), 1);
         assert_eq!(out.broadcasts().len(), 1);
     }
 
@@ -610,45 +543,12 @@ mod tests {
         run(&mut engines, vec![(0, txns(3))]);
         // Everyone executed 3 batches in view 0. Now the primary goes silent
         // and the backups time out.
-        let n = engines.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
-        for engine in engines.iter_mut().skip(1) {
-            let mut out = Outbox::new();
-            engine.on_timer(TimerKind::ViewChange, &mut out);
-            for a in out.drain() {
-                if let flexitrust_protocol::Action::Broadcast { msg } = a {
-                    for q in queues.iter_mut() {
-                        q.push((engine.id(), msg.clone()));
-                    }
-                }
-            }
+        let mut engines: Vec<&mut FlexiBft> = engines.iter_mut().collect();
+        let mut net = TestNet::new(engines.len());
+        for backup in 1..engines.len() {
+            net.fire(&mut engines, backup, TimerKind::ViewChange);
         }
-        for _ in 0..100 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    engines[i].on_message(from, msg, &mut out);
-                    for a in out.drain() {
-                        match a {
-                            flexitrust_protocol::Action::Broadcast { msg } => {
-                                for q in queues.iter_mut() {
-                                    q.push((engines[i].id(), msg.clone()));
-                                }
-                            }
-                            flexitrust_protocol::Action::Send { to, msg } => {
-                                queues[to.as_usize()].push((engines[i].id(), msg));
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        net.run(&mut engines, 100);
         // The backups are now in view 1 with replica 1 as primary, and the
         // previously executed state is intact.
         for e in engines.iter().skip(1) {

@@ -25,7 +25,9 @@
 use crate::common::FlexiCore;
 use flexitrust_crypto::digest_transaction;
 use flexitrust_exec::KvStore;
-use flexitrust_protocol::{ConsensusEngine, Message, Outbox, ProtocolProperties, TimerKind};
+use flexitrust_protocol::{
+    ConsensusEngine, Message, Outbox, ProtocolProperties, ReplicaCore, TimerKind,
+};
 use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave};
 use flexitrust_types::{Batch, ProtocolId, ReplicaId, SeqNum, SystemConfig, Transaction, View};
 use std::collections::BTreeMap;
@@ -130,25 +132,18 @@ impl FlexiZz {
     }
 
     fn on_client_retry(&mut self, txn: Transaction, out: &mut Outbox) {
-        // (1) Already executed? Answer from the reply cache.
-        if let Some(reply) = self.flexi.replica.cached_reply(txn.client(), txn.request()) {
-            out.reply(reply.clone());
-            return;
-        }
-        if self.flexi.replica.is_primary() {
-            self.flexi.enqueue(vec![txn], out);
-            return;
-        }
-        // (2) Forward to the primary and start a timer; if no PrePrepare for
+        // Forwarded requests get a timer of their own: if no PrePrepare for
         // this transaction arrives before it expires, suspect the primary.
         let tag = forwarded_tag(&txn);
-        self.forwarded.insert(tag, txn.clone());
-        let primary = self.flexi.replica.primary();
-        out.send(primary, Message::ForwardRequest { txns: vec![txn] });
-        out.set_timer(
-            TimerKind::RequestForwarded(tag),
-            self.flexi.replica.config().view_timeout_us,
-        );
+        let timer = TimerKind::RequestForwarded(tag);
+        let bind = self.flexi.counter.bind();
+        if self
+            .flexi
+            .replica
+            .on_client_retry(txn.clone(), timer, bind, out)
+        {
+            self.forwarded.insert(tag, txn);
+        }
     }
 
     fn adopt_proposals(
@@ -201,12 +196,8 @@ fn forwarded_tag(txn: &Transaction) -> u64 {
 }
 
 impl ConsensusEngine for FlexiZz {
-    fn config(&self) -> &SystemConfig {
-        self.flexi.replica.config()
-    }
-
-    fn id(&self) -> ReplicaId {
-        self.flexi.replica.id()
+    fn replica(&self) -> &ReplicaCore {
+        &self.flexi.replica
     }
 
     fn properties(&self) -> ProtocolProperties {
@@ -218,12 +209,9 @@ impl ConsensusEngine for FlexiZz {
     }
 
     fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
-        if self.flexi.replica.is_primary() {
-            self.flexi.enqueue(txns, out);
-        } else {
-            let primary = self.flexi.replica.primary();
-            out.send(primary, Message::ForwardRequest { txns });
-        }
+        self.flexi
+            .replica
+            .on_client_request(txns, self.flexi.counter.bind(), out);
     }
 
     fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
@@ -255,14 +243,9 @@ impl ConsensusEngine for FlexiZz {
                 prepared,
             } => {
                 let self_id = self.flexi.replica.id();
-                let reproposed = self.flexi.on_view_change(
-                    from,
-                    new_view,
-                    last_stable,
-                    prepared,
-                    |core| core.proofs_from_accepted(true),
-                    out,
-                );
+                let reproposed =
+                    self.flexi
+                        .on_view_change(from, new_view, last_stable, prepared, true, out);
                 self.adopt_proposals(self_id, new_view, reproposed, out);
             }
             Message::NewView {
@@ -283,9 +266,9 @@ impl ConsensusEngine for FlexiZz {
             }
             Message::ClientRetry { txn } => self.on_client_retry(txn, out),
             Message::ForwardRequest { txns } => {
-                if self.flexi.replica.is_primary() {
-                    self.flexi.enqueue(txns, out);
-                }
+                self.flexi
+                    .replica
+                    .enqueue(txns, self.flexi.counter.bind(), out);
             }
             Message::CheckpointRequest { last_executed } => {
                 self.flexi.on_checkpoint_request(from, last_executed, out);
@@ -309,37 +292,21 @@ impl ConsensusEngine for FlexiZz {
 
     fn on_timer(&mut self, timer: TimerKind, out: &mut Outbox) {
         match timer {
-            TimerKind::BatchFlush => self.flexi.flush_batch(out),
+            TimerKind::BatchFlush => {
+                self.flexi
+                    .replica
+                    .flush_batch(self.flexi.counter.bind(), out);
+            }
             TimerKind::RequestForwarded(tag) => {
                 // The primary never proposed the forwarded transaction:
                 // suspect it (Figure 4 view-change trigger).
                 if self.forwarded.remove(&tag).is_some() {
-                    let proofs = self.flexi.proofs_from_accepted(true);
-                    self.flexi.start_view_change(proofs, out);
+                    self.flexi.start_view_change(true, out);
                 }
             }
-            TimerKind::ViewChange => {
-                let proofs = self.flexi.proofs_from_accepted(true);
-                self.flexi.start_view_change(proofs, out);
-            }
+            TimerKind::ViewChange => self.flexi.start_view_change(true, out),
             TimerKind::Checkpoint => {}
         }
-    }
-
-    fn view(&self) -> View {
-        self.flexi.replica.view()
-    }
-
-    fn last_executed(&self) -> SeqNum {
-        self.flexi.replica.last_executed()
-    }
-
-    fn executed_txns(&self) -> u64 {
-        self.flexi.replica.executed_txns()
-    }
-
-    fn state_digest(&self) -> Option<flexitrust_types::Digest> {
-        Some(self.flexi.replica.state_digest())
     }
 }
 
@@ -363,6 +330,7 @@ pub fn build_cluster(config: &SystemConfig) -> Vec<FlexiZz> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexitrust_protocol::testing::{run_cluster_until_quiescent, TestNet};
     use flexitrust_protocol::Action;
     use flexitrust_types::{ClientId, KvOp, QuorumRule, RequestId};
 
@@ -381,42 +349,9 @@ mod tests {
             .collect()
     }
 
-    fn route(from: ReplicaId, actions: Vec<Action>, queues: &mut [Vec<(ReplicaId, Message)>]) {
-        for a in actions {
-            match a {
-                Action::Send { to, msg } => queues[to.as_usize()].push((from, msg)),
-                Action::Broadcast { msg } => {
-                    for q in queues.iter_mut() {
-                        q.push((from, msg.clone()));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
     fn run(engines: &mut [FlexiZz], inject: Vec<(usize, Vec<Transaction>)>) {
-        let n = engines.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
-        for (target, t) in inject {
-            let mut out = Outbox::new();
-            engines[target].on_client_request(t, &mut out);
-            route(engines[target].id(), out.drain(), &mut queues);
-        }
-        for _ in 0..300 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    engines[i].on_message(from, msg, &mut out);
-                    route(engines[i].id(), out.drain(), &mut queues);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        let mut engines: Vec<&mut FlexiZz> = engines.iter_mut().collect();
+        run_cluster_until_quiescent(&mut engines, inject, 300);
     }
 
     #[test]
@@ -562,7 +497,7 @@ mod tests {
             .filter(|m| m.kind() == "ViewChange")
             .collect();
         assert_eq!(vc.len(), 1);
-        assert!(engines[2].flexi().in_view_change());
+        assert!(engines[2].replica().in_view_change());
     }
 
     #[test]
@@ -572,32 +507,17 @@ mod tests {
         let mut engines = build_cluster(&cfg);
         run(&mut engines, vec![(0, txns(2))]);
         // Primary goes silent; every backup times out and votes.
-        let n = engines.len();
-        let mut queues: Vec<Vec<(ReplicaId, Message)>> = vec![Vec::new(); n];
-        for engine in engines.iter_mut().skip(1) {
-            let mut out = Outbox::new();
-            engine.on_timer(TimerKind::ViewChange, &mut out);
-            route(engine.id(), out.drain(), &mut queues);
+        let mut engines: Vec<&mut FlexiZz> = engines.iter_mut().collect();
+        let mut net = TestNet::new(engines.len());
+        for backup in 1..engines.len() {
+            net.fire(&mut engines, backup, TimerKind::ViewChange);
         }
-        for _ in 0..100 {
-            let mut any = false;
-            for i in 0..n {
-                for (from, msg) in std::mem::take(&mut queues[i]) {
-                    any = true;
-                    let mut out = Outbox::new();
-                    engines[i].on_message(from, msg, &mut out);
-                    route(engines[i].id(), out.drain(), &mut queues);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        net.run(&mut engines, 100);
         for e in engines.iter().skip(1) {
             assert_eq!(e.view(), View(1), "replica {}", e.id());
             assert_eq!(e.last_executed(), SeqNum(2), "replica {}", e.id());
         }
         assert!(engines[1].is_primary());
-        assert!(engines[1].flexi().view_changes_completed() >= 1);
+        assert!(engines[1].replica().view_changes_completed() >= 1);
     }
 }

@@ -427,13 +427,10 @@ mod tests {
         let second = env.scheduled[1].3;
         assert_ne!(first, second);
 
-        struct NoTimerEngine(ReplicaId, flexitrust_types::SystemConfig, u32);
+        struct NoTimerEngine(flexitrust_protocol::ReplicaCore, u32);
         impl ConsensusEngine for NoTimerEngine {
-            fn config(&self) -> &flexitrust_types::SystemConfig {
-                &self.1
-            }
-            fn id(&self) -> ReplicaId {
-                self.0
+            fn replica(&self) -> &flexitrust_protocol::ReplicaCore {
+                &self.0
             }
             fn properties(&self) -> flexitrust_protocol::ProtocolProperties {
                 flexitrust_protocol::ProtocolProperties::for_protocol(
@@ -443,27 +440,19 @@ mod tests {
             fn on_client_request(&mut self, _txns: Vec<Transaction>, _out: &mut Outbox) {}
             fn on_message(&mut self, _from: ReplicaId, _msg: Message, _out: &mut Outbox) {}
             fn on_timer(&mut self, _timer: TimerKind, _out: &mut Outbox) {
-                self.2 += 1;
-            }
-            fn view(&self) -> View {
-                View(0)
-            }
-            fn last_executed(&self) -> SeqNum {
-                SeqNum(0)
-            }
-            fn executed_txns(&self) -> u64 {
-                0
+                self.1 += 1;
             }
         }
+        let config =
+            flexitrust_types::SystemConfig::for_protocol(flexitrust_types::ProtocolId::Pbft, 1);
         let mut engine = NoTimerEngine(
-            ReplicaId(1),
-            flexitrust_types::SystemConfig::for_protocol(flexitrust_types::ProtocolId::Pbft, 1),
+            flexitrust_protocol::ReplicaCore::new(config, ReplicaId(1)),
             0,
         );
         assert!(!dispatcher.timer_expired(&mut engine, TimerKind::ViewChange, first, &mut env));
-        assert_eq!(engine.2, 0, "stale token must not reach the engine");
+        assert_eq!(engine.1, 0, "stale token must not reach the engine");
         assert!(dispatcher.timer_expired(&mut engine, TimerKind::ViewChange, second, &mut env));
-        assert_eq!(engine.2, 1);
+        assert_eq!(engine.1, 1);
         assert!(!dispatcher.timer_armed(ReplicaId(1), TimerKind::ViewChange));
     }
 

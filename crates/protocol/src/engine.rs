@@ -5,6 +5,7 @@
 use crate::actions::Outbox;
 use crate::messages::Message;
 use crate::properties::ProtocolProperties;
+use crate::replica::ReplicaCore;
 use flexitrust_types::{Digest, ReplicaId, SeqNum, SystemConfig, Transaction, View};
 
 /// Timers an engine may arm. The host schedules them against its own clock
@@ -30,11 +31,19 @@ pub enum TimerKind {
 /// execution queue and reply cache, so "executing" a batch is internal; the
 /// host observes executions through `Action::Executed` and client replies.
 pub trait ConsensusEngine: Send {
+    /// The replica state every engine embeds: configuration, view, execution
+    /// progress. The state accessors below read it.
+    fn replica(&self) -> &ReplicaCore;
+
     /// The static configuration the engine was built with.
-    fn config(&self) -> &SystemConfig;
+    fn config(&self) -> &SystemConfig {
+        self.replica().config()
+    }
 
     /// This replica's identifier.
-    fn id(&self) -> ReplicaId;
+    fn id(&self) -> ReplicaId {
+        self.replica().id()
+    }
 
     /// Static properties of the protocol (Figure 1 of the paper).
     fn properties(&self) -> ProtocolProperties;
@@ -56,24 +65,29 @@ pub trait ConsensusEngine: Send {
     fn on_timer(&mut self, timer: TimerKind, out: &mut Outbox);
 
     /// The view this replica currently operates in.
-    fn view(&self) -> View;
+    fn view(&self) -> View {
+        self.replica().view()
+    }
 
     /// The highest sequence number this replica has executed.
-    fn last_executed(&self) -> SeqNum;
+    fn last_executed(&self) -> SeqNum {
+        self.replica().last_executed()
+    }
 
     /// Total number of transactions this replica has executed.
-    fn executed_txns(&self) -> u64;
+    fn executed_txns(&self) -> u64 {
+        self.replica().executed_txns()
+    }
 
-    /// Digest of the replica's executed state, when the engine exposes one.
-    /// The chaos invariant checker compares these across replicas that
-    /// report the same `last_executed`.
+    /// Digest of the replica's executed state. The chaos invariant checker
+    /// compares these across replicas that report the same `last_executed`.
     fn state_digest(&self) -> Option<Digest> {
-        None
+        Some(self.replica().state_digest())
     }
 
     /// Returns `true` when this replica is the primary of its current view.
     fn is_primary(&self) -> bool {
-        self.view().primary(self.config().n) == self.id()
+        self.replica().is_primary()
     }
 }
 

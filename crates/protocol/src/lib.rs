@@ -14,10 +14,13 @@
 //! The crate also hosts the building blocks the protocols share: the unified
 //! message vocabulary ([`messages::Message`]), quorum certificates
 //! ([`quorum::CertificateTracker`]), request batching ([`batcher::Batcher`]),
-//! the per-replica common state ([`replica::ReplicaCore`]), the client-side
-//! library ([`client::ClientLibrary`]), view-change planning
-//! ([`viewchange`]) and the Figure 1 protocol property table
-//! ([`properties::ProtocolProperties`]).
+//! the per-replica common state and replica skeleton
+//! ([`replica::ReplicaCore`]: client glue, the primary's proposal window,
+//! checkpoint state transfer), the view change ([`viewchange`]: the state
+//! machine and the new-view planning), the client-side library
+//! ([`client::ClientLibrary`]), the Figure 1 protocol property table
+//! ([`properties::ProtocolProperties`]) and the synchronous test network
+//! engine tests drive clusters with ([`testing`]).
 
 pub mod actions;
 pub mod batcher;
@@ -27,6 +30,7 @@ pub mod messages;
 pub mod properties;
 pub mod quorum;
 pub mod replica;
+pub mod testing;
 pub mod viewchange;
 
 pub use actions::{Action, Outbox};
@@ -36,5 +40,5 @@ pub use engine::{ConsensusEngine, TimerKind};
 pub use messages::{unshare, ClientReply, Message, PreparedProof, SharedMessage};
 pub use properties::{MemoryFootprint, ProtocolProperties, TrustedAbstraction};
 pub use quorum::CertificateTracker;
-pub use replica::ReplicaCore;
-pub use viewchange::NewViewPlanner;
+pub use replica::{Binding, ReplicaCore};
+pub use viewchange::{NewViewPlan, NewViewPlanner};

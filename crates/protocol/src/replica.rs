@@ -2,19 +2,42 @@
 //!
 //! [`ReplicaCore`] bundles the pieces every engine needs regardless of the
 //! protocol: configuration, current view, the execution queue (in-order
-//! execution against the KV store), the primary-side batcher, the per-client
-//! reply cache (for retransmitted requests) and checkpoint tracking. Protocol
-//! engines embed a `ReplicaCore` and add their own phase state on top.
+//! execution against the KV store), the per-client reply cache (for
+//! retransmitted requests) and checkpoint tracking — and the replica
+//! skeleton every protocol of the paper inherits unchanged from PBFT: the
+//! client glue, the primary's proposal window, checkpoint state transfer
+//! and (in [`crate::viewchange`]) the view change. How a batch gets its
+//! sequence number is the one thing the protocols disagree on there, so the
+//! proposing entry points take the engine's `bind` closure: `AppendF` on
+//! the trusted counter for FlexiTrust, the next host-chosen number plus the
+//! style's attestation for the baselines.
+//!
+//! Protocol engines embed a `ReplicaCore` and add their own phase state —
+//! the table of accepted proposals and the votes on them — on top.
 
 use crate::actions::Outbox;
 use crate::batcher::Batcher;
+use crate::engine::TimerKind;
 use crate::messages::{ClientReply, Message};
+use crate::viewchange::ViewChangeState;
 use flexitrust_exec::{Checkpoint, CheckpointLog, ExecutedBatch, ExecutionQueue, KvStore};
+use flexitrust_trusted::Attestation;
 use flexitrust_types::{
-    Batch, ClientId, Digest, ReplicaId, RequestId, SeqNum, StateSnapshot, SystemConfig, View,
+    Batch, ClientId, Digest, ReplicaId, RequestId, SeqNum, StateSnapshot, SystemConfig,
+    Transaction, View,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
+
+/// What an engine's `bind` closure gives a batch about to be proposed: its
+/// sequence number and the attestation that travels with the `PrePrepare`.
+/// `None` declines — the batch stays queued and proposing stops.
+pub type Binding = Option<(SeqNum, Option<Attestation>)>;
+
+/// How long a partially filled batch waits at the primary: short, so low
+/// client counts still make progress; it only matters for latency at low
+/// load.
+const BATCH_FLUSH_DELAY_US: u64 = 500;
 
 /// Common replica state embedded by every protocol engine.
 pub struct ReplicaCore {
@@ -32,6 +55,11 @@ pub struct ReplicaCore {
     /// replica can serve checkpoint state transfer to a recovering peer.
     /// Garbage collected to the stable low-water mark as it advances.
     boundary_snapshots: BTreeMap<u64, StateSnapshot>,
+    /// Batches the primary has cut but not yet proposed.
+    pending_batches: VecDeque<Batch>,
+    /// Sequence numbers this primary proposed that have not executed yet.
+    outstanding: BTreeSet<u64>,
+    pub(crate) view_change: ViewChangeState,
 }
 
 impl ReplicaCore {
@@ -61,6 +89,9 @@ impl ReplicaCore {
             reply_cache: BTreeMap::new(),
             executed_txns: 0,
             boundary_snapshots: BTreeMap::new(),
+            pending_batches: VecDeque::new(),
+            outstanding: BTreeSet::new(),
+            view_change: ViewChangeState::new(config.small_quorum()),
             view: View::ZERO,
             config,
             id,
@@ -100,8 +131,8 @@ impl ReplicaCore {
     }
 
     /// The primary-side batcher.
-    pub fn batcher_mut(&mut self) -> &mut Batcher {
-        &mut self.batcher
+    pub fn batcher(&self) -> &Batcher {
+        &self.batcher
     }
 
     /// The highest executed sequence number.
@@ -247,6 +278,165 @@ impl ReplicaCore {
         true
     }
 
+    /// Serves a peer's `CheckpointRequest`: when this replica's stable
+    /// checkpoint is past the requester's execution frontier, replies with
+    /// the boundary snapshot plus every batch after it that this replica has
+    /// executed, so the requester can install the checkpoint and replay
+    /// forward. `held` lends the engine's accepted batches in sequence order.
+    pub fn serve_checkpoint_request<'a>(
+        &self,
+        from: ReplicaId,
+        last_executed: SeqNum,
+        held: impl Iterator<Item = (SeqNum, &'a Batch)>,
+        out: &mut Outbox,
+    ) {
+        let Some((seq, snapshot)) = self.stable_checkpoint_snapshot(last_executed) else {
+            return;
+        };
+        let frontier = self.last_executed();
+        let batches = held
+            .filter(|(s, _)| *s > seq && *s <= frontier)
+            .map(|(s, batch)| (s, batch.clone()))
+            .collect();
+        let state = Message::CheckpointState {
+            seq,
+            snapshot,
+            batches,
+        };
+        out.send(from, state);
+    }
+
+    /// Handles a peer's `CheckpointState` (the recovery rejoin path): adopts
+    /// the snapshot when it is ahead of this replica, then replays the
+    /// carried batches in order, emitting replies and checkpoints exactly as
+    /// normal execution would. `replayed` runs after each replayed batch
+    /// with what it executed, for the bookkeeping of the engine's normal
+    /// execution path. Returns `true` when the snapshot itself was installed
+    /// (the caller then drops its per-sequence state up to `seq`).
+    pub fn replay_checkpoint_state(
+        &mut self,
+        seq: SeqNum,
+        snapshot: &StateSnapshot,
+        batches: Vec<(SeqNum, Batch)>,
+        speculative: bool,
+        mut replayed: impl FnMut(&mut Self, SeqNum, &[ExecutedBatch], &mut Outbox),
+        out: &mut Outbox,
+    ) -> bool {
+        let installed = self.install_checkpoint(seq, snapshot);
+        for (batch_seq, batch) in batches {
+            if batch_seq <= self.last_executed() {
+                continue;
+            }
+            let executed = self.commit_batch(batch_seq, batch, speculative, out);
+            for done in &executed {
+                self.maybe_emit_checkpoint(done.seq, out);
+            }
+            replayed(self, batch_seq, &executed, out);
+        }
+        installed
+    }
+
+    /// Number of consensus instances this primary currently has in flight.
+    pub fn outstanding(&self) -> usize {
+        self.outstanding.len()
+    }
+
+    /// At the primary, queues client transactions for proposal and arms the
+    /// `BatchFlush` timer when a partial batch remains; a backup (a forwarded
+    /// request found it no longer primary) drops them.
+    pub fn enqueue(
+        &mut self,
+        txns: Vec<Transaction>,
+        bind: impl FnMut(&Batch) -> Binding,
+        out: &mut Outbox,
+    ) {
+        if !self.is_primary() {
+            return;
+        }
+        let full = self.batcher.push(txns);
+        self.pending_batches.extend(full);
+        if self.batcher.pending_len() > 0 {
+            out.set_timer(TimerKind::BatchFlush, BATCH_FLUSH_DELAY_US);
+        }
+        self.try_propose(bind, out);
+    }
+
+    /// Cuts the partial batch (on the `BatchFlush` timer) and proposes.
+    pub fn flush_batch(&mut self, bind: impl FnMut(&Batch) -> Binding, out: &mut Outbox) {
+        if let Some(batch) = self.batcher.flush() {
+            self.pending_batches.push_back(batch);
+        }
+        self.try_propose(bind, out);
+    }
+
+    /// Proposes as many pending batches as the in-flight window allows.
+    pub fn try_propose(&mut self, mut bind: impl FnMut(&Batch) -> Binding, out: &mut Outbox) {
+        if !self.is_primary() || self.in_view_change() {
+            return;
+        }
+        while self.outstanding.len() < self.config.max_in_flight {
+            let Some(batch) = self.pending_batches.pop_front() else {
+                return;
+            };
+            let Some((seq, attestation)) = bind(&batch) else {
+                self.pending_batches.push_front(batch);
+                return;
+            };
+            self.outstanding.insert(seq.0);
+            out.broadcast(Message::PrePrepare {
+                view: self.view,
+                seq,
+                batch,
+                attestation,
+            });
+        }
+    }
+
+    /// Marks a consensus instance as no longer outstanding (it executed);
+    /// [`Self::try_propose`] then refills the window.
+    pub fn instance_finished(&mut self, seq: SeqNum) {
+        self.outstanding.remove(&seq.0);
+    }
+
+    /// Client transactions arrived at this replica: the primary queues them
+    /// for proposal, a backup forwards them to the primary.
+    pub fn on_client_request(
+        &mut self,
+        txns: Vec<Transaction>,
+        bind: impl FnMut(&Batch) -> Binding,
+        out: &mut Outbox,
+    ) {
+        if self.is_primary() {
+            self.enqueue(txns, bind, out);
+        } else {
+            out.send(self.primary(), Message::ForwardRequest { txns });
+        }
+    }
+
+    /// An unhappy client re-sent `txn` to every replica. Already executed:
+    /// answer from the reply cache. Otherwise the primary queues it, and a
+    /// backup forwards it and arms `timer`: if the primary never proposes
+    /// it, the expiry makes this replica suspect the primary. Returns `true`
+    /// when the request was forwarded (and `timer` armed).
+    pub fn on_client_retry(
+        &mut self,
+        txn: Transaction,
+        timer: TimerKind,
+        bind: impl FnMut(&Batch) -> Binding,
+        out: &mut Outbox,
+    ) -> bool {
+        if let Some(reply) = self.cached_reply(txn.client(), txn.request()) {
+            out.reply(reply.clone());
+        } else if self.is_primary() {
+            self.enqueue(vec![txn], bind, out);
+        } else {
+            out.send(self.primary(), Message::ForwardRequest { txns: vec![txn] });
+            out.set_timer(timer, self.config.view_timeout_us);
+            return true;
+        }
+        false
+    }
+
     /// The stable low-water mark (sequence numbers at or below this may be
     /// garbage collected).
     pub fn low_water_mark(&self) -> SeqNum {
@@ -383,6 +573,31 @@ mod tests {
         assert!(!joiner.install_checkpoint(SeqNum(1), &snapshot));
         // The joiner can itself serve the installed boundary onwards.
         assert!(joiner.stable_checkpoint_snapshot(SeqNum(0)).is_some());
+    }
+
+    #[test]
+    fn proposal_window_keeps_a_batch_the_binder_declines() {
+        let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
+        cfg.batch_size = 1;
+        cfg.max_in_flight = 2;
+        let mut primary = ReplicaCore::new(cfg, ReplicaId(0));
+        let txns = |tags: [u64; 3]| tags.map(|t| batch(t).txns()[0].clone()).to_vec();
+        let mut out = Outbox::new();
+        // An unusable counter: nothing goes out, nothing is lost.
+        primary.on_client_request(txns([1, 2, 3]), |_| None, &mut out);
+        assert!(out.is_empty());
+        // A working binder fills the window, no further.
+        let mut next = 0;
+        let mut bind = |_: &Batch| {
+            next += 1;
+            Some((SeqNum(next), None))
+        };
+        primary.try_propose(&mut bind, &mut out);
+        assert_eq!(out.broadcasts().len(), 2);
+        assert_eq!(primary.outstanding(), 2);
+        primary.instance_finished(SeqNum(1));
+        primary.try_propose(&mut bind, &mut out);
+        assert_eq!(out.broadcasts()[2].seq(), Some(SeqNum(3)));
     }
 
     #[test]
