@@ -10,10 +10,7 @@ use sha2::{Digest as Sha2Digest, Sha256};
 pub fn sha256(bytes: &[u8]) -> Digest {
     let mut hasher = Sha256::new();
     hasher.update(bytes);
-    let out = hasher.finalize();
-    let mut digest = [0u8; 32];
-    digest.copy_from_slice(&out);
-    Digest(digest)
+    Digest(hasher.finalize())
 }
 
 /// Hashes the concatenation of several byte slices without allocating an
@@ -23,23 +20,28 @@ pub fn sha256_concat<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Digest {
     for p in parts {
         hasher.update(p);
     }
-    let out = hasher.finalize();
-    let mut digest = [0u8; 32];
-    digest.copy_from_slice(&out);
-    Digest(digest)
+    Digest(hasher.finalize())
 }
 
 /// Computes the digest Δ of a single transaction (`Hash(⟨T⟩_c)`).
 pub fn digest_transaction(txn: &Transaction) -> Digest {
-    sha256(txn.canonical_bytes())
+    digest_batch(std::slice::from_ref(txn))
 }
 
 /// Computes the digest of a whole batch of transactions.
 ///
 /// The protocols order batches, so the batch digest is what appears in
 /// `Preprepare` messages and in trusted-component attestations.
+///
+/// Each transaction's canonical encoding streams into the hasher as
+/// [`Transaction::canonical_parts`] yields it: the value bytes are read
+/// where they lie, nothing is serialised first.
 pub fn digest_batch(txns: &[Transaction]) -> Digest {
-    sha256_concat(txns.iter().map(|t| t.canonical_bytes()))
+    let mut hasher = Sha256::new();
+    for txn in txns {
+        txn.canonical_parts(|part| hasher.update(part));
+    }
+    Digest(hasher.finalize())
 }
 
 /// Convenience constructor: builds a [`Batch`] and fills in its digest.

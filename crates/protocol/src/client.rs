@@ -53,17 +53,18 @@ pub enum RequestStatus {
     },
 }
 
-/// The replicas that voted for one candidate: ids below 128 as bits of an
-/// inline mask, larger ones (no deployment has that many replicas, but the
-/// id arrives off the wire) in a list.
+/// A set of distinct replicas — the voters for one reply candidate: ids
+/// below 128 as bits of an inline mask, larger ones (no deployment has that
+/// many replicas, but the id arrives off the wire) in a list.
 #[derive(Debug, Default)]
-struct Voters {
+pub struct Voters {
     low: u128,
     high: Vec<ReplicaId>,
 }
 
 impl Voters {
-    fn insert(&mut self, replica: ReplicaId) {
+    /// Adds `replica`; a replica already in the set counts once.
+    pub fn insert(&mut self, replica: ReplicaId) {
         if replica.0 < u128::BITS {
             self.low |= 1 << replica.0;
         } else if !self.high.contains(&replica) {
@@ -71,7 +72,9 @@ impl Voters {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of distinct replicas in the set.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
         self.low.count_ones() as usize + self.high.len()
     }
 }

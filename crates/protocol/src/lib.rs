@@ -35,7 +35,9 @@ pub mod viewchange;
 
 pub use actions::{Action, Outbox};
 pub use batcher::Batcher;
-pub use client::{result_key, result_matches_key, ClientLibrary, KvResultKey, RequestStatus};
+pub use client::{
+    result_key, result_matches_key, ClientLibrary, KvResultKey, RequestStatus, Voters,
+};
 pub use engine::{ConsensusEngine, TimerKind};
 pub use messages::{unshare, ClientReply, Message, PreparedProof, SharedMessage};
 pub use properties::{MemoryFootprint, ProtocolProperties, TrustedAbstraction};

@@ -124,6 +124,27 @@ mod tests {
     }
 
     #[test]
+    fn rfc4231_case_3() {
+        // Key = 20 bytes of 0xaa, data = 50 bytes of 0xdd.
+        let out = hmac(&[0xaa; 20], &[0xdd; 50]);
+        assert_eq!(
+            hex(&out),
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        );
+    }
+
+    #[test]
+    fn rfc4231_case_4() {
+        // Key = 0x01..=0x19, data = 50 bytes of 0xcd.
+        let key: Vec<u8> = (1..=25).collect();
+        let out = hmac(&key, &[0xcd; 50]);
+        assert_eq!(
+            hex(&out),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    #[test]
     fn long_keys_are_hashed_first() {
         // RFC 4231 case 6: 131-byte key.
         let out = hmac(

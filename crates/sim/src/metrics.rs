@@ -198,6 +198,61 @@ pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// An append-only record of a run (latency samples, the commit log), kept
+/// in fixed-size segments while the run grows it and joined into one
+/// exact-size `Vec` at the end.
+///
+/// A plain `Vec` doubling its way up to several MiB made the peak resident
+/// set of repeated runs depend on the seed: once the first such buffer is
+/// freed glibc raises its `mmap` threshold to that size, later runs
+/// reallocate the doubling buffer on the `brk` heap, and how much of the
+/// abandoned halves is ever reused follows the timing of the completions
+/// (2 MiB steps in `sim_crash_recover`). Segments stay below the threshold
+/// and never move, so every run and every seed lays the heap out alike.
+#[derive(Debug)]
+pub(crate) struct RunLog<T> {
+    full: Vec<Vec<T>>,
+    tail: Vec<T>,
+}
+
+impl<T> RunLog<T> {
+    /// Entries per segment: 48 KiB of `CommittedTxn`, 16 KiB of samples.
+    const SEGMENT: usize = 2048;
+
+    pub(crate) fn new() -> Self {
+        RunLog {
+            full: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+
+    pub(crate) fn push(&mut self, entry: T) {
+        if self.tail.len() == self.tail.capacity() {
+            let fresh = Vec::with_capacity(Self::SEGMENT);
+            let filled = std::mem::replace(&mut self.tail, fresh);
+            if !filled.is_empty() {
+                self.full.push(filled);
+            }
+        }
+        self.tail.push(entry);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn last(&self) -> Option<&T> {
+        self.tail.last()
+    }
+
+    /// Every entry, in the order pushed.
+    pub(crate) fn into_vec(self) -> Vec<T> {
+        let mut all = Vec::with_capacity(self.full.len() * Self::SEGMENT + self.tail.len());
+        for segment in self.full {
+            all.extend(segment);
+        }
+        all.extend(self.tail);
+        all
+    }
+}
+
 /// Computes latency statistics (in milliseconds) from nanosecond samples.
 pub(crate) fn latency_stats_ms(samples: &mut [u64]) -> (f64, f64, f64) {
     if samples.is_empty() {
@@ -383,5 +438,18 @@ mod tests {
         assert!((p50 - 2.0).abs() < 1e-9);
         assert!((p99 - 4.0).abs() < 1e-9);
         assert_eq!(latency_stats_ms(&mut []), (0.0, 0.0, 0.0));
+    }
+
+    #[test]
+    fn run_log_keeps_every_entry_in_push_order_across_segments() {
+        assert!(RunLog::<u64>::new().into_vec().is_empty());
+        for n in [1, RunLog::<u64>::SEGMENT, RunLog::<u64>::SEGMENT + 1, 5_000] {
+            let mut log = RunLog::new();
+            (0..n as u64).for_each(|v| log.push(v));
+            assert_eq!(log.last(), Some(&(n as u64 - 1)));
+            let all = log.into_vec();
+            assert_eq!(all, (0..n as u64).collect::<Vec<_>>());
+            assert_eq!(all.capacity(), n);
+        }
     }
 }

@@ -30,20 +30,20 @@
 use crate::chaos::{ChaosState, Fate};
 use crate::cost::CostModel;
 use crate::link::{Direction, LinkClass, LinkQueues, Nic};
-use crate::metrics::{latency_stats_ms, CommittedTxn, SimReport};
+use crate::metrics::{latency_stats_ms, CommittedTxn, RunLog, SimReport};
 use crate::net::NetworkModel;
 use crate::registry::{build_replicas, ReplicaSetup};
 use crate::spec::ScenarioSpec;
 use flexitrust_host::{recovery_request, Dispatcher, EngineHost, TimerToken};
 use flexitrust_protocol::{
     result_key, result_matches_key, ClientReply, ConsensusEngine, KvResultKey, Message,
-    SharedMessage, TimerKind,
+    SharedMessage, TimerKind, Voters,
 };
 use flexitrust_trusted::SharedEnclave;
 use flexitrust_types::{ClientId, QuorumRule, ReplicaId, RequestId, SeqNum, Transaction};
 use flexitrust_workload::WorkloadGenerator;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 type Ns = u64;
 
@@ -204,12 +204,12 @@ struct RequestTracker {
     /// A small insertion-ordered list, probed by comparing against the
     /// incoming reply without cloning its result bytes — almost every
     /// request only ever has one candidate.
-    votes: Vec<((SeqNum, KvResultKey), BTreeSet<ReplicaId>)>,
+    votes: Vec<((SeqNum, KvResultKey), Voters)>,
     /// Every distinct replica that replied, across all candidates. Arms the
     /// fast-path fallback timer: hearing from a fallback quorum of replicas
     /// without completing means the fast path has failed, whether the
     /// replies agree or not.
-    repliers: BTreeSet<ReplicaId>,
+    repliers: Voters,
     /// Sequence number of the candidate that completed the request; set
     /// when the quorum (or fallback) is reached. Completion removes the
     /// tracker from the request map, so a tracker's presence *is* the
@@ -223,7 +223,7 @@ impl RequestTracker {
         RequestTracker {
             submit,
             votes: Vec::new(),
-            repliers: BTreeSet::new(),
+            repliers: Voters::default(),
             seq: SeqNum(0),
             fallback_scheduled: false,
         }
@@ -420,9 +420,9 @@ pub struct Simulation {
     requests: BTreeMap<(u64, u64), RequestTracker>,
     next_request_id: Vec<u64>,
     op_generator: WorkloadGenerator,
-    latencies: Vec<Ns>,
+    latencies: RunLog<Ns>,
     completed_txns: u64,
-    commit_log: Vec<CommittedTxn>,
+    commit_log: RunLog<CommittedTxn>,
     messages_delivered: u64,
     events_processed: u64,
     reply_quorum: usize,
@@ -498,9 +498,9 @@ impl Simulation {
             event_seq: 0,
             now: 0,
             requests: BTreeMap::new(),
-            latencies: Vec::new(),
+            latencies: RunLog::new(),
             completed_txns: 0,
-            commit_log: Vec::new(),
+            commit_log: RunLog::new(),
             messages_delivered: 0,
             events_processed: 0,
             reply_quorum,
@@ -1239,7 +1239,7 @@ impl Simulation {
             None => {
                 tracker
                     .votes
-                    .push(((reply.seq, result_key(&reply.result)), BTreeSet::new()));
+                    .push(((reply.seq, result_key(&reply.result)), Voters::default()));
                 &mut tracker.votes.last_mut().expect("just pushed").1
             }
         };
@@ -1309,9 +1309,9 @@ impl Simulation {
     // Reporting.
     // ------------------------------------------------------------------
 
-    fn report(mut self, total_ns: Ns, warmup_ns: Ns) -> SimReport {
+    fn report(self, total_ns: Ns, warmup_ns: Ns) -> SimReport {
         let measured_s = (total_ns - warmup_ns) as f64 / 1e9;
-        let (avg, p50, p99) = latency_stats_ms(&mut self.latencies);
+        let (avg, p50, p99) = latency_stats_ms(&mut self.latencies.into_vec());
         let tc_accesses: Vec<u64> = self
             .hosts
             .iter()
@@ -1324,7 +1324,7 @@ impl Simulation {
             .collect();
         let config = self.spec.system_config();
         let chaos = self.chaos.as_ref();
-        let mut commit_log = self.commit_log;
+        let mut commit_log = self.commit_log.into_vec();
         commit_log.sort_unstable();
         SimReport {
             protocol: self.spec.protocol,

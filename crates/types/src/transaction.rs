@@ -10,7 +10,7 @@ use crate::ids::{ClientId, RequestId};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Counts every [`Batch`] payload allocation (one per `BatchInner`). A
 /// batch *clone* is a reference-count bump and does not count; only
@@ -201,10 +201,9 @@ pub enum KvResult {
 /// treat requests whose envelope passed verification as well-formed.
 ///
 /// The identity fields are immutable after construction — private behind
-/// accessors, so the memoized canonical encoding (computed on first use,
-/// shared by clones) can never go stale. Build a new transaction instead
-/// of mutating one.
-#[derive(Debug, Clone)]
+/// accessors, so a digest or signature computed over the transaction can
+/// never go stale. Build a new transaction instead of mutating one.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transaction {
     /// Issuing client.
     client: ClientId,
@@ -212,21 +211,7 @@ pub struct Transaction {
     request: RequestId,
     /// The operation to execute.
     op: KvOp,
-    /// Memoized canonical encoding; filled lazily (a decoded transaction
-    /// that is never digested never pays for it) and shared across clones
-    /// via the `Arc`.
-    canonical: OnceLock<Arc<[u8]>>,
 }
-
-impl PartialEq for Transaction {
-    fn eq(&self, other: &Self) -> bool {
-        // The memo is a pure function of the identity fields: compare only
-        // those.
-        self.client == other.client && self.request == other.request && self.op == other.op
-    }
-}
-
-impl Eq for Transaction {}
 
 impl Transaction {
     /// Creates a new transaction.
@@ -235,7 +220,6 @@ impl Transaction {
             client,
             request,
             op,
-            canonical: OnceLock::new(),
         }
     }
 
@@ -277,45 +261,40 @@ impl Transaction {
         8 + 8 + self.op.wire_size() + 64
     }
 
-    /// Stable byte encoding used as input to digests and signatures.
-    ///
-    /// Computed once per payload and memoized: repeated digest/signature
-    /// calls (and every clone sharing the memo) return the same buffer
-    /// without re-walking the operation.
-    pub fn canonical_bytes(&self) -> &[u8] {
-        self.canonical.get_or_init(|| {
-            let mut out = Vec::with_capacity(self.wire_size());
-            out.extend_from_slice(&self.client.0.to_le_bytes());
-            out.extend_from_slice(&self.request.0.to_le_bytes());
-            match &self.op {
-                KvOp::Read { key } => {
-                    out.push(0);
-                    out.extend_from_slice(&key.to_le_bytes());
-                }
-                KvOp::Update { key, value } => {
-                    out.push(1);
-                    out.extend_from_slice(&key.to_le_bytes());
-                    out.extend_from_slice(value);
-                }
-                KvOp::Insert { key, value } => {
-                    out.push(2);
-                    out.extend_from_slice(&key.to_le_bytes());
-                    out.extend_from_slice(value);
-                }
-                KvOp::ReadModifyWrite { key, value } => {
-                    out.push(3);
-                    out.extend_from_slice(&key.to_le_bytes());
-                    out.extend_from_slice(value);
-                }
-                KvOp::Scan { start_key, count } => {
-                    out.push(4);
-                    out.extend_from_slice(&start_key.to_le_bytes());
-                    out.extend_from_slice(&count.to_le_bytes());
-                }
-                KvOp::Noop => out.push(5),
-            }
-            out.into()
-        })
+    /// Feeds the stable byte encoding that digests and signatures cover to
+    /// `sink`, in order and in at most two pieces: a header of at most 29
+    /// bytes built on the stack (client and request id little-endian, the
+    /// op tag, the key and a scan's count little-endian), then a write's
+    /// value as it lies in its [`ValueBytes`]. Nothing is allocated and no
+    /// value byte is copied; this is the one definition of the encoding.
+    pub fn canonical_parts(&self, mut sink: impl FnMut(&[u8])) {
+        let mut header = [0u8; 29];
+        let mut len = 0;
+        let mut put = |bytes: &[u8]| {
+            header[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        };
+        put(&self.client.0.to_le_bytes());
+        put(&self.request.0.to_le_bytes());
+        let (tag, value): (u8, &[u8]) = match &self.op {
+            KvOp::Read { .. } => (0, &[]),
+            KvOp::Update { value, .. } => (1, value),
+            KvOp::Insert { value, .. } => (2, value),
+            KvOp::ReadModifyWrite { value, .. } => (3, value),
+            KvOp::Scan { .. } => (4, &[]),
+            KvOp::Noop => (5, &[]),
+        };
+        put(&[tag]);
+        if let Some(key) = self.op.key() {
+            put(&key.to_le_bytes());
+        }
+        if let KvOp::Scan { count, .. } = &self.op {
+            put(&count.to_le_bytes());
+        }
+        sink(&header[..len]);
+        if !value.is_empty() {
+            sink(value);
+        }
     }
 }
 
@@ -342,9 +321,6 @@ struct BatchInner {
     /// once at construction so `wire_size()` is O(1) however often the
     /// bandwidth model asks.
     wire_size: usize,
-    /// Memoized concatenated canonical bytes (the batch-digest input);
-    /// filled on first use, shared by every clone.
-    canonical: OnceLock<Vec<u8>>,
 }
 
 /// A batch of transactions: the unit over which consensus is run.
@@ -358,8 +334,7 @@ struct BatchInner {
 /// cloning — a broadcast fanning one proposal out to n replicas, an engine
 /// parking an accepted proposal, the execution queue holding it — is a
 /// reference-count bump, never a copy of the payload bytes. The wire size
-/// is computed once at construction and the canonical digest input is
-/// memoized, so both are O(1) on the hot path.
+/// is computed once at construction, so it is O(1) on the hot path.
 #[derive(Debug, Clone)]
 pub struct Batch {
     inner: Arc<BatchInner>,
@@ -388,7 +363,6 @@ impl Batch {
                 txns,
                 digest,
                 wire_size,
-                canonical: OnceLock::new(),
             }),
         }
     }
@@ -437,18 +411,6 @@ impl Batch {
     pub fn wire_size(&self) -> usize {
         self.inner.wire_size
     }
-
-    /// Concatenated canonical bytes of all member transactions; the input to
-    /// the batch digest. Computed once per payload and memoized.
-    pub fn canonical_bytes(&self) -> &[u8] {
-        self.inner.canonical.get_or_init(|| {
-            let mut out = Vec::new();
-            for t in &self.inner.txns {
-                out.extend_from_slice(t.canonical_bytes());
-            }
-            out
-        })
-    }
 }
 
 #[cfg(test)]
@@ -480,19 +442,25 @@ mod tests {
         .is_read_only());
     }
 
-    #[test]
-    fn canonical_bytes_distinguish_transactions() {
-        let a = txn(1, 1, 10);
-        let b = txn(1, 2, 10);
-        let c = txn(2, 1, 10);
-        assert_ne!(a.canonical_bytes(), b.canonical_bytes());
-        assert_ne!(a.canonical_bytes(), c.canonical_bytes());
-        let again = txn(1, 1, 10);
-        assert_eq!(a.canonical_bytes(), again.canonical_bytes());
+    fn canonical(txn: &Transaction) -> Vec<u8> {
+        let mut out = Vec::new();
+        txn.canonical_parts(|part| out.extend_from_slice(part));
+        out
     }
 
     #[test]
-    fn canonical_bytes_distinguish_op_kinds() {
+    fn canonical_encoding_distinguishes_transactions() {
+        let a = txn(1, 1, 10);
+        let b = txn(1, 2, 10);
+        let c = txn(2, 1, 10);
+        assert_ne!(canonical(&a), canonical(&b));
+        assert_ne!(canonical(&a), canonical(&c));
+        let again = txn(1, 1, 10);
+        assert_eq!(canonical(&a), canonical(&again));
+    }
+
+    #[test]
+    fn canonical_encoding_distinguishes_op_kinds() {
         let read = Transaction::new(ClientId(1), RequestId(1), KvOp::Read { key: 5 });
         let update = Transaction::new(
             ClientId(1),
@@ -502,7 +470,7 @@ mod tests {
                 value: vec![].into(),
             },
         );
-        assert_ne!(read.canonical_bytes(), update.canonical_bytes());
+        assert_ne!(canonical(&read), canonical(&update));
     }
 
     #[test]
@@ -520,11 +488,6 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
         assert!(b.wire_size() > 2 * 80);
-        let single = txn(1, 1, 1);
-        assert_eq!(
-            b.canonical_bytes().len(),
-            single.canonical_bytes().len() * 2
-        );
     }
 
     #[test]
@@ -555,13 +518,41 @@ mod tests {
     }
 
     #[test]
-    fn canonical_bytes_are_stable_and_size_accounted() {
+    fn equal_payloads_are_equal_batches_and_the_wire_size_covers_the_encoding() {
         let b = Batch::new(vec![txn(3, 4, 5)], Digest::from_u64_tag(2));
         let again = Batch::new(vec![txn(3, 4, 5)], Digest::from_u64_tag(2));
         assert_eq!(b, again);
-        assert_eq!(b.canonical_bytes(), again.canonical_bytes());
         // The wire size upper-bounds the canonical encoding (it additionally
         // accounts for the batch digest and per-transaction signatures).
-        assert!(b.wire_size() > b.canonical_bytes().len());
+        assert!(b.wire_size() > canonical(&txn(3, 4, 5)).len());
+    }
+
+    #[test]
+    fn canonical_parts_are_a_short_header_then_the_value_in_place() {
+        let value: ValueBytes = vec![7u8; 4096].into();
+        let write = Transaction::new(
+            ClientId(1),
+            RequestId(2),
+            KvOp::Insert {
+                key: 3,
+                value: value.clone(),
+            },
+        );
+        let mut parts: Vec<(*const u8, usize)> = Vec::new();
+        write.canonical_parts(|part| parts.push((part.as_ptr(), part.len())));
+        assert_eq!(parts, vec![(parts[0].0, 25), (value.as_ptr(), 4096)]);
+
+        let scan = Transaction::new(
+            ClientId(1),
+            RequestId(2),
+            KvOp::Scan {
+                start_key: 3,
+                count: 4,
+            },
+        );
+        let mut lens = Vec::new();
+        scan.canonical_parts(|part| lens.push(part.len()));
+        assert_eq!(lens, vec![29]);
+        assert_eq!(canonical(&Transaction::noop()).len(), 17);
     }
 }

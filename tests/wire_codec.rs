@@ -233,10 +233,9 @@ proptest! {
     /// `Transaction::wire_size()` (O(1) from the op) equals its encoded
     /// frame, and `Batch::wire_size()` (computed once at construction)
     /// equals the digest + count prefix + every member transaction's
-    /// encoding. The canonical-bytes memo is stable — repeated calls
-    /// return the same buffer — and agrees with an unmemoized twin.
+    /// encoding.
     #[test]
-    fn memoized_sizes_and_canonical_bytes_match_the_codec(seed in any::<u64>()) {
+    fn memoized_sizes_match_the_codec(seed in any::<u64>()) {
         let mut rng = Gen::seed_from_u64(seed);
         let txn = gen_txn(&mut rng);
         let mut encoded = Vec::new();
@@ -252,16 +251,91 @@ proptest! {
         }
         prop_assert_eq!(batch_len, batch.wire_size());
 
-        // The memo returns the same allocation on every call…
-        let first = txn.canonical_bytes().as_ptr();
-        let second = txn.canonical_bytes().as_ptr();
-        prop_assert!(std::ptr::eq(first, second));
-        // …and matches a freshly computed twin byte for byte.
-        let twin = Transaction::new(txn.client(), txn.request(), txn.op().clone());
-        prop_assert_eq!(txn.canonical_bytes(), twin.canonical_bytes());
-
         // Clones share the payload allocation — the zero-copy invariant.
         prop_assert!(batch.clone().shares_payload(&batch));
+    }
+
+    /// The digest input is defined once, by `Transaction::canonical_parts`:
+    /// the parts it streams, concatenated, are the encoding written out
+    /// here (client LE, request LE, tag 0–5, key LE, then the value bytes
+    /// or a scan's count LE), a write's value is streamed from where it
+    /// lies, and both digest functions are SHA-256 of that concatenation —
+    /// for every op shape, with empty and 4 KiB values among them.
+    #[test]
+    fn streamed_canonical_parts_match_a_reference_encoder_and_the_digests(
+        seed in any::<u64>(),
+        value_len in 0usize..4,
+    ) {
+        fn reference(txn: &Transaction) -> Vec<u8> {
+            let mut out = Vec::new();
+            out.extend_from_slice(&txn.client().0.to_le_bytes());
+            out.extend_from_slice(&txn.request().0.to_le_bytes());
+            let (tag, key, tail): (u8, Option<u64>, Vec<u8>) = match txn.op() {
+                KvOp::Read { key } => (0, Some(*key), Vec::new()),
+                KvOp::Update { key, value } => (1, Some(*key), value.to_vec()),
+                KvOp::Insert { key, value } => (2, Some(*key), value.to_vec()),
+                KvOp::ReadModifyWrite { key, value } => (3, Some(*key), value.to_vec()),
+                KvOp::Scan { start_key, count } => {
+                    (4, Some(*start_key), count.to_le_bytes().to_vec())
+                }
+                KvOp::Noop => (5, None, Vec::new()),
+            };
+            out.push(tag);
+            out.extend(key.into_iter().flat_map(u64::to_le_bytes));
+            out.extend(tail);
+            out
+        }
+
+        let mut rng = Gen::seed_from_u64(seed);
+        let value_len = [0, 1, 64, 4096][value_len];
+        let mut txns: Vec<Transaction> = (0..6u32)
+            .map(|shape| {
+                let value: Vec<u8> = (0..value_len).map(|_| rng.gen::<u64>() as u8).collect();
+                let op = match shape {
+                    0 => KvOp::Read { key: rng.gen() },
+                    1 => KvOp::Update { key: rng.gen(), value: value.into() },
+                    2 => KvOp::Insert { key: rng.gen(), value: value.into() },
+                    3 => KvOp::ReadModifyWrite { key: rng.gen(), value: value.into() },
+                    4 => KvOp::Scan { start_key: rng.gen(), count: rng.gen::<u64>() as u32 },
+                    _ => KvOp::Noop,
+                };
+                Transaction::new(ClientId(rng.gen()), RequestId(rng.gen()), op)
+            })
+            .collect();
+        txns.extend((0..4).map(|_| gen_txn(&mut rng)));
+
+        let mut all = Vec::new();
+        for txn in &txns {
+            let mut streamed = Vec::new();
+            let mut parts = Vec::new();
+            txn.canonical_parts(|part| {
+                streamed.extend_from_slice(part);
+                parts.push(part.as_ptr_range());
+            });
+            let expected = reference(txn);
+            prop_assert!(streamed == expected, "{:?} streamed {streamed:?}", txn.op());
+            if let KvOp::Update { value, .. }
+            | KvOp::Insert { value, .. }
+            | KvOp::ReadModifyWrite { value, .. } = txn.op()
+            {
+                if !value.is_empty() {
+                    prop_assert_eq!(parts.last(), Some(&value.as_ptr_range()));
+                }
+            }
+            prop_assert_eq!(
+                flexitrust::crypto::digest_transaction(txn),
+                flexitrust::crypto::sha256(&expected)
+            );
+            all.extend(expected);
+        }
+        prop_assert_eq!(
+            flexitrust::crypto::digest_batch(&txns),
+            flexitrust::crypto::sha256(&all)
+        );
+        prop_assert_eq!(
+            flexitrust::crypto::make_batch(txns).digest(),
+            flexitrust::crypto::sha256(&all)
+        );
     }
 
     /// The same two pins for client replies (every result shape) and
