@@ -229,6 +229,16 @@ impl FlexiCore {
         installed
     }
 
+    /// Discards speculative execution past the stable checkpoint (Flexi-ZZ,
+    /// when a new view drops slots this replica executed), together with the
+    /// proposals accepted for the discarded slots: the new view's
+    /// re-proposals for them must be accepted afresh.
+    pub fn rollback_to_stable(&mut self) {
+        self.replica.rollback_to_stable();
+        let frontier = self.replica.last_executed();
+        self.accepted.retain(|s, _| *s <= frontier.0);
+    }
+
     // ------------------------------------------------------------------
     // View changes (§8.2 / §8.3): the trusted-component half. The join
     // rule, vote collection and `NewView` guards are `ReplicaCore`'s.

@@ -24,7 +24,6 @@
 
 use crate::common::FlexiCore;
 use flexitrust_crypto::digest_transaction;
-use flexitrust_exec::KvStore;
 use flexitrust_protocol::{
     ConsensusEngine, Message, Outbox, ProtocolProperties, ReplicaCore, TimerKind,
 };
@@ -40,9 +39,6 @@ pub struct FlexiZz {
     /// Transactions forwarded to the primary on behalf of a retrying client,
     /// keyed by the timer tag derived from the transaction digest.
     forwarded: BTreeMap<u64, Transaction>,
-    /// Store snapshot at the last stable checkpoint, used to roll back
-    /// speculative execution when a view change drops a suffix of the log.
-    rollback_point: (SeqNum, KvStore),
 }
 
 impl FlexiZz {
@@ -74,7 +70,6 @@ impl FlexiZz {
             sequential,
             flexi: FlexiCore::new(config, id, enclave, registry),
             forwarded: BTreeMap::new(),
-            rollback_point: (SeqNum(0), KvStore::new()),
         }
     }
 
@@ -172,8 +167,7 @@ impl FlexiZz {
             let overshoot =
                 self.flexi.replica.last_executed() >= SeqNum(first.0 + proposals.len() as u64);
             if mismatch || overshoot {
-                let (seq, store) = self.rollback_point.clone();
-                self.flexi.replica.exec_mut().rollback_to(seq, store);
+                self.flexi.rollback_to_stable();
             }
         }
         for (seq, batch, attestation) in proposals {
@@ -231,11 +225,9 @@ impl ConsensusEngine for FlexiZz {
             Message::Checkpoint {
                 seq, state_digest, ..
             } => {
-                if let Some(stable) = self.flexi.on_checkpoint(from, seq, state_digest) {
-                    // The stable checkpoint is the new speculative rollback
-                    // point: everything at or below it is durable.
-                    self.rollback_point = (stable, self.flexi.replica.exec().store().clone());
-                }
+                // Everything at or below a stable checkpoint is durable: the
+                // replica's journal keeps that state as the rollback point.
+                self.flexi.on_checkpoint(from, seq, state_digest);
             }
             Message::ViewChange {
                 new_view,
@@ -278,14 +270,8 @@ impl ConsensusEngine for FlexiZz {
                 snapshot,
                 batches,
             } => {
-                if self
-                    .flexi
-                    .install_checkpoint_state(seq, &snapshot, batches, true, out)
-                {
-                    // The installed checkpoint is durable: it becomes the
-                    // new speculative rollback point.
-                    self.rollback_point = (seq, self.flexi.replica.exec().store().clone());
-                }
+                self.flexi
+                    .install_checkpoint_state(seq, &snapshot, batches, true, out);
             }
         }
     }
@@ -519,5 +505,43 @@ mod tests {
         }
         assert!(engines[1].is_primary());
         assert!(engines[1].replica().view_changes_completed() >= 1);
+    }
+
+    #[test]
+    fn overshooting_replica_rolls_back_to_the_stable_state_and_rejoins_the_others() {
+        // Replica 3 alone receives proposal 4 and executes it speculatively;
+        // boundary 2 turns stable afterwards. The view change the other
+        // three complete re-proposes 3 only, so replica 3 must discard 4:
+        // back to the state *at* 2, then 3 again, like everyone else.
+        let mut cfg = FlexiZz::config(1);
+        cfg.batch_size = 1;
+        cfg.checkpoint_interval = 2;
+        let mut engines = build_cluster(&cfg);
+        let mut engines: Vec<&mut FlexiZz> = engines.iter_mut().collect();
+        let mut net = TestNet::new(engines.len());
+        net.client_request(&mut engines, 0, txns(4));
+        for to in 0..engines.len() {
+            for (from, msg) in net.take_inbox(to) {
+                if to == 3 || msg.seq() != Some(SeqNum(4)) {
+                    net.deliver(&mut engines, to, from, msg);
+                }
+            }
+        }
+        net.run(&mut engines, 100);
+        assert_eq!(engines[3].last_executed(), SeqNum(4));
+        assert_eq!(engines[3].replica().low_water_mark(), SeqNum(2));
+
+        net.pause(3);
+        for voter in 0..3 {
+            net.fire(&mut engines, voter, TimerKind::ViewChange);
+        }
+        net.run(&mut engines, 100);
+        assert_eq!(engines[2].view(), View(1));
+        for (from, msg) in net.take_inbox(3) {
+            net.deliver(&mut engines, 3, from, msg);
+        }
+        assert_eq!(engines[3].view(), View(1));
+        assert_eq!(engines[3].last_executed(), SeqNum(3));
+        assert_eq!(engines[3].state_digest(), engines[2].state_digest());
     }
 }

@@ -284,6 +284,11 @@ impl KvStore {
         self.applied_mutations
     }
 
+    /// The commutative fold of the mutation hashes (see the type docs).
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
     /// Captures the full store as a [`StateSnapshot`] for checkpoint state
     /// transfer. Values share their buffers with the store (handle clones,
     /// no byte copies); entries come out in ascending key order so the

@@ -11,14 +11,16 @@
 //!   learn that slot `k + 3` committed before slot `k`, but it must execute
 //!   `k` first ("r executes every request in sequence number order");
 //! * [`CheckpointLog`] — the periodic checkpoints every protocol uses for
-//!   log truncation and state transfer.
+//!   log truncation and state transfer;
+//! * [`CheckpointJournal`] — the state a replica keeps at its checkpoint
+//!   boundaries: one full snapshot plus the write deltas since.
 
 pub mod checkpoint;
 pub mod executor;
 pub mod kvstore;
 pub mod queue;
 
-pub use checkpoint::{Checkpoint, CheckpointLog};
+pub use checkpoint::{Checkpoint, CheckpointJournal, CheckpointLog};
 pub use executor::ShardedExecutor;
 pub use kvstore::KvStore;
 pub use queue::{ExecutedBatch, ExecutionQueue};

@@ -17,8 +17,8 @@ use std::collections::BTreeMap;
 pub struct ExecutedBatch {
     /// The sequence number the batch was executed at.
     pub seq: SeqNum,
-    /// The digest of the executed batch.
-    pub digest: Digest,
+    /// The executed batch (a handle onto its shared payload).
+    pub batch: Batch,
     /// Per-transaction outcomes, in batch order.
     pub outcomes: Vec<TxnOutcome>,
 }
@@ -119,25 +119,42 @@ impl ExecutionQueue {
     /// Re-offering an already-executed or already-pending sequence number is
     /// a no-op: execution is idempotent per slot.
     pub fn submit(&mut self, seq: SeqNum, batch: Batch) -> Vec<ExecutedBatch> {
-        if self.is_executed(seq) || self.pending.contains_key(&seq.0) {
-            return Vec::new();
+        let mut executed = Vec::new();
+        if self.park(seq, batch) {
+            self.execute_ready(SeqNum(u64::MAX), &mut executed);
         }
-        self.pending.insert(seq.0, batch);
-        self.drain_ready()
+        executed
     }
 
-    fn drain_ready(&mut self) -> Vec<ExecutedBatch> {
+    /// Parks a committed batch at `seq` without executing anything. Returns
+    /// `false` (and drops the batch) when that sequence number has already
+    /// executed or is already parked.
+    pub fn park(&mut self, seq: SeqNum, batch: Batch) -> bool {
+        if self.is_executed(seq) || self.pending.contains_key(&seq.0) {
+            return false;
+        }
+        self.pending.insert(seq.0, batch);
+        true
+    }
+
+    /// Executes the contiguous run of parked batches that starts after the
+    /// last executed one and ends at `through` at the latest, appending the
+    /// results to `executed`. A caller that must observe the store at
+    /// exactly `through` (a checkpoint boundary) stops the run there and
+    /// calls again for the rest.
+    pub fn execute_ready(&mut self, through: SeqNum, executed: &mut Vec<ExecutedBatch>) {
         // Collect the whole contiguous ready run, then execute it as
         // parallel segments split at Scan-containing batches.
         let mut ready = Vec::new();
-        while let Some(batch) = self
-            .pending
-            .remove(&(self.last_executed + ready.len() as u64 + 1))
-        {
+        let mut next = self.last_executed + 1;
+        while next <= through.0 {
+            let Some(batch) = self.pending.remove(&next) else {
+                break;
+            };
             ready.push(batch);
+            next += 1;
         }
 
-        let mut executed = Vec::new();
         let mut run: Vec<Batch> = Vec::new();
         for batch in ready {
             let cross_shard = batch
@@ -145,7 +162,7 @@ impl ExecutionQueue {
                 .iter()
                 .any(|txn| matches!(txn.op(), KvOp::Scan { .. }));
             if cross_shard {
-                self.flush_run(&mut run, &mut executed);
+                self.flush_run(&mut run, executed);
                 // Serial lane: Scan reads across every shard, so the whole
                 // batch executes in order on this thread.
                 let outcomes = batch
@@ -157,13 +174,12 @@ impl ExecutionQueue {
                         result: self.store.apply(txn.op()),
                     })
                     .collect();
-                self.record_executed(batch, outcomes, &mut executed);
+                self.record_executed(batch, outcomes, executed);
             } else {
                 run.push(batch);
             }
         }
-        self.flush_run(&mut run, &mut executed);
-        executed
+        self.flush_run(&mut run, executed);
     }
 
     /// Executes a run of parallel-safe batches as one scatter/gather group
@@ -212,7 +228,7 @@ impl ExecutionQueue {
         self.last_executed = seq.0;
         executed.push(ExecutedBatch {
             seq,
-            digest: batch.digest(),
+            batch,
             outcomes,
         });
     }

@@ -20,7 +20,9 @@ use crate::batcher::Batcher;
 use crate::engine::TimerKind;
 use crate::messages::{ClientReply, Message};
 use crate::viewchange::ViewChangeState;
-use flexitrust_exec::{Checkpoint, CheckpointLog, ExecutedBatch, ExecutionQueue, KvStore};
+use flexitrust_exec::{
+    Checkpoint, CheckpointJournal, CheckpointLog, ExecutedBatch, ExecutionQueue, KvStore,
+};
 use flexitrust_trusted::Attestation;
 use flexitrust_types::{
     Batch, ClientId, Digest, ReplicaId, RequestId, SeqNum, StateSnapshot, SystemConfig,
@@ -51,10 +53,10 @@ pub struct ReplicaCore {
     checkpoints: CheckpointLog,
     reply_cache: BTreeMap<ClientId, (RequestId, ClientReply)>,
     executed_txns: u64,
-    /// State snapshots captured at checkpoint boundaries, kept so this
-    /// replica can serve checkpoint state transfer to a recovering peer.
-    /// Garbage collected to the stable low-water mark as it advances.
-    boundary_snapshots: BTreeMap<u64, StateSnapshot>,
+    /// The executed state at this replica's checkpoint boundaries, from the
+    /// newest stable one it captured onwards: what it serves to a recovering
+    /// peer and rolls speculation back to.
+    journal: CheckpointJournal,
     /// Batches the primary has cut but not yet proposed.
     pending_batches: VecDeque<Batch>,
     /// Sequence numbers this primary proposed that have not executed yet.
@@ -88,7 +90,7 @@ impl ReplicaCore {
             exec: ExecutionQueue::with_workers(store, config.exec_workers),
             reply_cache: BTreeMap::new(),
             executed_txns: 0,
-            boundary_snapshots: BTreeMap::new(),
+            journal: CheckpointJournal::default(),
             pending_batches: VecDeque::new(),
             outstanding: BTreeSet::new(),
             view_change: ViewChangeState::new(config.small_quorum()),
@@ -155,10 +157,9 @@ impl ReplicaCore {
         &self.exec
     }
 
-    /// Mutable access to the execution queue (used by speculative protocols
-    /// for rollback and by state transfer).
-    pub fn exec_mut(&mut self) -> &mut ExecutionQueue {
-        &mut self.exec
+    /// The journal of captured checkpoint boundaries.
+    pub fn journal(&self) -> &CheckpointJournal {
+        &self.journal
     }
 
     /// The checkpoint log.
@@ -179,6 +180,10 @@ impl ReplicaCore {
     /// an `Executed` notification per batch, and returns the executed
     /// batches so the engine can trigger protocol-specific follow-ups
     /// (checkpoint messages, speculative bookkeeping, ...).
+    ///
+    /// Execution pauses at every checkpoint boundary it reaches so the
+    /// journal captures the state at exactly that sequence number, however
+    /// many parked successors execute in the same call.
     pub fn commit_batch(
         &mut self,
         seq: SeqNum,
@@ -186,7 +191,22 @@ impl ReplicaCore {
         speculative: bool,
         out: &mut Outbox,
     ) -> Vec<ExecutedBatch> {
-        let executed = self.exec.submit(seq, batch);
+        let mut executed = Vec::new();
+        if !self.exec.park(seq, batch) {
+            return executed;
+        }
+        loop {
+            let boundary = self.checkpoints.next_boundary(self.last_executed());
+            let ran = executed.len();
+            self.exec.execute_ready(boundary, &mut executed);
+            for done in executed.iter().skip(ran) {
+                self.journal.record(&done.batch);
+            }
+            if self.last_executed() != boundary {
+                break;
+            }
+            self.journal.capture(boundary, self.exec.store());
+        }
         for done in &executed {
             self.executed_txns += done.outcomes.len() as u64;
             out.executed(done.seq, done.outcomes.len());
@@ -212,18 +232,22 @@ impl ReplicaCore {
         executed
     }
 
-    /// Emits a `Checkpoint` broadcast if `seq` crosses a checkpoint boundary,
-    /// capturing the boundary state so the replica can later serve a
-    /// checkpoint state transfer ([`Self::stable_checkpoint_snapshot`]).
+    /// Broadcasts this replica's `Checkpoint` vote for a batch
+    /// [`Self::commit_batch`] just executed, if `seq` is a checkpoint
+    /// boundary: the digest certified is the one captured at the boundary,
+    /// not the state execution has reached since.
     pub fn maybe_emit_checkpoint(&mut self, seq: SeqNum, out: &mut Outbox) {
-        if self.checkpoints.is_checkpoint_seq(seq) {
-            self.boundary_snapshots
-                .insert(seq.0, self.exec.store().to_snapshot());
-            out.broadcast(Message::Checkpoint {
-                seq,
-                state_digest: self.state_digest(),
-                attestation: None,
-            });
+        let Some(state_digest) = self.journal.digest_at(seq) else {
+            return;
+        };
+        out.broadcast(Message::Checkpoint {
+            seq,
+            state_digest,
+            attestation: None,
+        });
+        if seq <= self.low_water_mark() {
+            // Already stable when this replica got there.
+            self.journal.fold_through(seq);
         }
     }
 
@@ -240,23 +264,23 @@ impl ReplicaCore {
             .record_vote(from, seq, state_digest)
             .map(|c| c.seq);
         if let Some(stable) = stable {
-            // Keep the stable boundary itself (it serves state transfer),
-            // drop everything older.
-            self.boundary_snapshots.retain(|s, _| *s >= stable.0);
+            self.journal.fold_through(stable);
         }
         stable
     }
 
-    /// The stable checkpoint and its captured state snapshot, when this
-    /// replica's stable checkpoint is past `after` and the boundary state
-    /// is still held. Serves a peer's `CheckpointRequest`.
+    /// The stable checkpoint and this replica's state at it, when the stable
+    /// checkpoint is past `after`, the boundary is still held and the state
+    /// captured there is the one the quorum certified (votes can stabilise
+    /// a digest this replica disagrees with). Serves a peer's
+    /// `CheckpointRequest`; the only place a full snapshot is materialised
+    /// after a replica's first capture.
     pub fn stable_checkpoint_snapshot(&self, after: SeqNum) -> Option<(SeqNum, StateSnapshot)> {
         let stable = self.checkpoints.stable()?;
-        if stable.seq <= after {
+        if stable.seq <= after || self.journal.digest_at(stable.seq)? != stable.state_digest {
             return None;
         }
-        let snapshot = self.boundary_snapshots.get(&stable.seq.0)?;
-        Some((stable.seq, snapshot.clone()))
+        Some((stable.seq, self.journal.snapshot_at(stable.seq)?))
     }
 
     /// Installs a peer's stable checkpoint: rebuilds the store from the
@@ -273,9 +297,21 @@ impl ReplicaCore {
         self.exec.fast_forward(seq, store);
         self.checkpoints
             .install_stable(Checkpoint { seq, state_digest });
-        self.boundary_snapshots.retain(|s, _| *s >= seq.0);
-        self.boundary_snapshots.insert(seq.0, snapshot.clone());
+        self.journal.install(seq, snapshot.clone(), state_digest);
         true
+    }
+
+    /// Discards speculative execution past the stable checkpoint: the store
+    /// returns to the newest boundary this replica captured at or below its
+    /// low-water mark and execution resumes after it. A replica that has
+    /// captured none returns to sequence 0 and the empty store.
+    pub fn rollback_to_stable(&mut self) {
+        let (seq, snapshot) = self
+            .journal
+            .rollback(self.low_water_mark())
+            .unwrap_or_default();
+        let store = KvStore::from_snapshot(&snapshot, self.config.exec_shards);
+        self.exec.rollback_to(seq, store);
     }
 
     /// Serves a peer's `CheckpointRequest`: when this replica's stable
@@ -529,33 +565,120 @@ mod tests {
         assert_eq!(c.low_water_mark(), SeqNum(1000));
     }
 
+    /// A replica checkpointing every `interval` batches, with the `tag`s
+    /// committed in the given order and each executed boundary voted on.
+    fn checkpointing(interval: u64, id: u32, tags: &[u64]) -> (ReplicaCore, Outbox) {
+        let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
+        cfg.checkpoint_interval = interval;
+        let mut c = ReplicaCore::new(cfg, ReplicaId(id));
+        let mut out = Outbox::new();
+        for tag in tags {
+            for done in c.commit_batch(SeqNum(*tag), batch(*tag), false, &mut out) {
+                c.maybe_emit_checkpoint(done.seq, &mut out);
+            }
+        }
+        (c, out)
+    }
+
+    /// The `(seq, state_digest)` of every `Checkpoint` vote in `out`.
+    fn checkpoint_votes(out: &Outbox) -> Vec<(SeqNum, Digest)> {
+        let votes = out.broadcasts().into_iter().filter_map(|m| match m {
+            Message::Checkpoint {
+                seq, state_digest, ..
+            } => Some((*seq, *state_digest)),
+            _ => None,
+        });
+        votes.collect()
+    }
+
+    /// Two peers vote `digest` at `seq`: an `f + 1` quorum without `c`.
+    fn stabilise(c: &mut ReplicaCore, seq: SeqNum, digest: Digest) {
+        c.record_checkpoint_vote(ReplicaId(0), seq, digest);
+        c.record_checkpoint_vote(ReplicaId(2), seq, digest);
+        assert_eq!(c.low_water_mark(), seq);
+    }
+
     #[test]
     fn checkpoint_broadcast_fires_only_on_boundaries() {
-        let mut c = core();
-        let mut out = Outbox::new();
-        c.maybe_emit_checkpoint(SeqNum(999), &mut out);
-        assert!(out.is_empty());
-        c.maybe_emit_checkpoint(SeqNum(1000), &mut out);
+        let (_, out) = checkpointing(2, 1, &[1]);
+        assert!(out.broadcasts().is_empty());
+        let (_, out) = checkpointing(2, 1, &[1, 2, 3]);
         assert_eq!(out.broadcasts().len(), 1);
         assert_eq!(out.broadcasts()[0].kind(), "Checkpoint");
+        assert_eq!(out.broadcasts()[0].seq(), Some(SeqNum(2)));
+    }
+
+    #[test]
+    fn a_boundary_certifies_its_own_state_however_execution_drained() {
+        // Interval 1: batch 2 commits first and parks, so committing batch 1
+        // executes both in one call. The vote and the snapshot labelled 1
+        // must be the state after 1, as at a replica that committed in order.
+        let (in_order, in_order_out) = checkpointing(1, 1, &[1, 2]);
+        let (mut drained, drained_out) = checkpointing(1, 3, &[2, 1]);
+        assert_eq!(drained.last_executed(), SeqNum(2));
+        let votes = checkpoint_votes(&drained_out);
+        assert_eq!(votes, checkpoint_votes(&in_order_out));
+        assert_ne!(votes[0].1, votes[1].1);
+
+        let mut after_one = KvStore::new();
+        after_one.apply(batch(1).txns()[0].op());
+        assert_eq!(votes[0], (SeqNum(1), after_one.state_digest()));
+        stabilise(&mut drained, SeqNum(1), votes[0].1);
+        let (seq, snapshot) = drained.stable_checkpoint_snapshot(SeqNum(0)).unwrap();
+        assert_eq!((seq, &snapshot), (SeqNum(1), &after_one.to_snapshot()));
+        assert_eq!(in_order.journal().snapshot_at(SeqNum(1)), Some(snapshot));
+    }
+
+    #[test]
+    fn a_checkpoint_certified_with_another_digest_is_not_served() {
+        // The peers' votes stabilise a digest at 2 that is not this
+        // replica's: what it holds at 2 is not what was certified.
+        let (mut c, out) = checkpointing(2, 1, &[1, 2]);
+        let own = checkpoint_votes(&out)[0].1;
+        stabilise(&mut c, SeqNum(2), Digest::from_u64_tag(77));
+        assert!(c.stable_checkpoint_snapshot(SeqNum(0)).is_none());
+        // With its own digest certified, it serves.
+        let (mut c, _) = checkpointing(2, 1, &[1, 2]);
+        stabilise(&mut c, SeqNum(2), own);
+        assert!(c.stable_checkpoint_snapshot(SeqNum(0)).is_some());
+    }
+
+    #[test]
+    fn rollback_returns_to_the_stable_boundary_not_to_where_it_turned_stable() {
+        // Boundary 2 turns stable when the replica has already executed 3
+        // speculatively; rolling back and executing a different 3 must land
+        // where a replica that never speculated does.
+        let (mut c, out) = checkpointing(2, 1, &[1, 2, 3]);
+        stabilise(&mut c, SeqNum(2), checkpoint_votes(&out)[0].1);
+        c.rollback_to_stable();
+        assert_eq!(c.last_executed(), SeqNum(2));
+        let mut out = Outbox::new();
+        c.commit_batch(SeqNum(3), batch(30), true, &mut out);
+        c.commit_batch(SeqNum(4), batch(4), true, &mut out);
+
+        let (mut clean, _) = checkpointing(2, 3, &[1, 2]);
+        clean.commit_batch(SeqNum(3), batch(30), true, &mut out);
+        clean.commit_batch(SeqNum(4), batch(4), true, &mut out);
+        assert_eq!(c.state_digest(), clean.state_digest());
+        assert_eq!(
+            c.journal().snapshot_at(SeqNum(4)),
+            Some(clean.exec().store().to_snapshot())
+        );
+        // Nothing captured at or below the low-water mark: back to genesis.
+        let (mut fresh, _) = checkpointing(2, 1, &[1]);
+        fresh.rollback_to_stable();
+        assert_eq!(fresh.last_executed(), SeqNum(0));
+        assert!(fresh.exec().store().is_empty());
     }
 
     #[test]
     fn checkpoint_state_transfer_round_trips_through_install() {
         // A source replica with a small checkpoint interval executes past a
         // boundary and stabilises it.
-        let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
-        cfg.checkpoint_interval = 2;
-        let cfg = Arc::new(cfg);
-        let mut source = ReplicaCore::new(Arc::clone(&cfg), ReplicaId(1));
-        let mut out = Outbox::new();
-        source.commit_batch(SeqNum(1), batch(1), false, &mut out);
-        source.commit_batch(SeqNum(2), batch(2), false, &mut out);
-        source.maybe_emit_checkpoint(SeqNum(2), &mut out);
+        let (mut source, out) = checkpointing(2, 1, &[1, 2]);
         let digest = source.state_digest();
-        source.record_checkpoint_vote(ReplicaId(0), SeqNum(2), digest);
-        source.record_checkpoint_vote(ReplicaId(2), SeqNum(2), digest);
-        assert_eq!(source.low_water_mark(), SeqNum(2));
+        assert_eq!(checkpoint_votes(&out), vec![(SeqNum(2), digest)]);
+        stabilise(&mut source, SeqNum(2), digest);
 
         // It serves the stable boundary to a peer that is behind...
         let (seq, snapshot) = source.stable_checkpoint_snapshot(SeqNum(0)).unwrap();
@@ -564,7 +687,7 @@ mod tests {
         assert!(source.stable_checkpoint_snapshot(SeqNum(2)).is_none());
 
         // A fresh replica installs it and lands on the same state.
-        let mut joiner = ReplicaCore::new(Arc::clone(&cfg), ReplicaId(3));
+        let (mut joiner, _) = checkpointing(2, 3, &[]);
         assert!(joiner.install_checkpoint(seq, &snapshot));
         assert_eq!(joiner.last_executed(), SeqNum(2));
         assert_eq!(joiner.state_digest(), digest);

@@ -24,7 +24,7 @@
 use flexitrust::exec::{ExecutionQueue, KvStore};
 use flexitrust::host::{Dispatcher, EngineHost, TimerToken};
 use flexitrust::prelude::*;
-use flexitrust::protocol::{Action, ClientReply, SharedMessage};
+use flexitrust::protocol::{Action, ClientReply, ReplicaCore, SharedMessage};
 use flexitrust::types::{
     batch_payload_allocations, value_payload_allocations, Digest, KvOp, KvResult, SeqNum,
     ValueBytes,
@@ -278,6 +278,70 @@ fn executed_updates_share_the_client_value_allocation() {
         0,
         "executing a committed update must not allocate value payloads"
     );
+}
+
+/// The checkpoint journal moves handles only: capturing boundaries (the
+/// full first one and the deltas after it), folding them when a checkpoint
+/// turns stable and serving the result allocate no value, and what a peer
+/// is served shares its buffers with the serving replica's store.
+#[test]
+fn checkpoint_capture_fold_and_serve_share_the_stored_values() {
+    let _guard = serial();
+    let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
+    cfg.checkpoint_interval = 2;
+    let mut replica = ReplicaCore::with_store(cfg, ReplicaId(1), KvStore::with_dataset(64, 128));
+    let batches: Vec<Batch> = (1..=6u64)
+        .map(|seq| {
+            let value: ValueBytes = vec![seq as u8; 1024].into();
+            // Up to the boundary that will be served, two overwrites of
+            // preloaded records and two new records; after it, new records
+            // only, so the store still holds everything served.
+            let txns = (0..4).map(|i| {
+                let key = seq * 4 + i + if i < 2 && seq <= 4 { 0 } else { 1000 };
+                let op = KvOp::Update {
+                    key,
+                    value: value.clone(),
+                };
+                Transaction::new(ClientId(1), RequestId(key), op)
+            });
+            Batch::new(txns.collect(), Digest::from_u64_tag(seq))
+        })
+        .collect();
+
+    let before = value_payload_allocations();
+    let mut out = Outbox::new();
+    for (seq, batch) in (1..=6u64).zip(batches) {
+        for done in replica.commit_batch(SeqNum(seq), batch, false, &mut out) {
+            replica.maybe_emit_checkpoint(done.seq, &mut out);
+        }
+    }
+    // Boundaries 2 (full), 4 and 6 (deltas) are held; 4 turns stable, which
+    // folds 2 and 4 into one base, and is served.
+    assert_eq!(replica.journal().held().count(), 3);
+    let digest = replica.journal().digest_at(SeqNum(4)).expect("captured");
+    for peer in [ReplicaId(0), ReplicaId(2)] {
+        replica.record_checkpoint_vote(peer, SeqNum(4), digest);
+    }
+    assert_eq!(replica.journal().held().count(), 2);
+    let (seq, served) = replica
+        .stable_checkpoint_snapshot(SeqNum(0))
+        .expect("stable boundary held");
+    assert_eq!(
+        value_payload_allocations() - before,
+        0,
+        "capturing, folding and serving a checkpoint must not allocate values"
+    );
+
+    assert_eq!(seq, SeqNum(4));
+    assert_eq!(served.entries.len(), 64 + 4 * 2);
+    let store = replica.exec().store();
+    for (key, value) in &served.entries {
+        let stored = store.get_shared(*key).expect("no record is ever removed");
+        assert!(
+            value.shares_buffer(&stored),
+            "served record {key} must share the store's buffer"
+        );
+    }
 }
 
 /// End to end through the threaded cluster: value allocations scale with
