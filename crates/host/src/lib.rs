@@ -17,7 +17,8 @@
 //!   workspace: it drains an engine's [`Outbox`], performs timer-token
 //!   bookkeeping (so stale timer expirations are ignored uniformly across
 //!   hosts), totals the CPU cost of the emitted actions, and hands each
-//!   effect to the environment in emission order.
+//!   effect to the environment in emission order — except client replies,
+//!   which leave in one [`EngineHost::replies`] call per dispatch.
 //!
 //! Environments implement only what is genuinely environment-specific:
 //! scheduling an event (simulator), sending on a channel (runtime), or
@@ -100,6 +101,19 @@ pub trait EngineHost {
     /// Deliver a client reply emitted by `from`.
     fn reply(&mut self, from: ReplicaId, reply: ClientReply);
 
+    /// Deliver every client reply one engine invocation at `from` emitted,
+    /// in emission order. The [`Dispatcher`] calls this at most once per
+    /// dispatch, after the invocation's other effects, and never with an
+    /// empty list. The default hands each reply to
+    /// [`reply`](EngineHost::reply); environments that pass replies on in
+    /// bulk (a transport's reply queue, the simulator's client model)
+    /// override it and take the list as it is.
+    fn replies(&mut self, from: ReplicaId, replies: Vec<ClientReply>) {
+        for reply in replies {
+            self.reply(from, reply);
+        }
+    }
+
     /// Arm `timer` for `replica` to fire after `delay_us` microseconds on
     /// this environment's clock, tagged with `token` for later validation
     /// through [`Dispatcher::timer_expired`].
@@ -140,11 +154,11 @@ pub trait EngineHost {
 
 /// Host-internal intermediate form of one action: the single `Action` match
 /// below converts into this so effects can be emitted *after* the batch cost
-/// is known, while preserving the engine's emission order.
+/// is known, while preserving the engine's emission order. Replies are not
+/// effects: they travel as one list and leave last.
 enum Effect {
     Send { to: ReplicaId, msg: SharedMessage },
     Broadcast { msg: SharedMessage },
-    Reply { reply: ClientReply },
     SetTimer { timer: TimerKind, delay_us: u64 },
     CancelTimer { timer: TimerKind },
     Executed { seq: SeqNum, txns: usize },
@@ -194,7 +208,7 @@ impl Dispatcher {
         let from = engine.id();
         let mut out = Outbox::new();
         engine.on_client_request(txns, &mut out);
-        self.dispatch(from, out.drain(), env);
+        self.dispatch_outbox(from, out, env);
     }
 
     /// Delivers a peer message to `engine` and dispatches the resulting
@@ -213,7 +227,7 @@ impl Dispatcher {
         let replica = engine.id();
         let mut out = Outbox::new();
         engine.on_message(from, unshare(msg), &mut out);
-        self.dispatch(replica, out.drain(), env);
+        self.dispatch_outbox(replica, out, env);
     }
 
     /// Handles a timer expiry: if `token` is still the current arming of
@@ -250,16 +264,33 @@ impl Dispatcher {
         self.armed.remove(&(replica, timer));
         let mut out = Outbox::new();
         engine.on_timer(timer, &mut out);
-        self.dispatch(replica, out.drain(), env);
+        self.dispatch_outbox(replica, out, env);
     }
 
-    /// Translates `actions` emitted by `from` into environment primitives.
-    ///
+    /// Translates `actions` emitted by `from` into environment primitives;
+    /// `Action::Reply` entries leave in one [`EngineHost::replies`] call.
+    pub fn dispatch<E: EngineHost>(&mut self, from: ReplicaId, actions: Vec<Action>, env: &mut E) {
+        self.emit(from, actions, Vec::new(), env);
+    }
+
+    fn dispatch_outbox<E: EngineHost>(&mut self, from: ReplicaId, out: Outbox, env: &mut E) {
+        let (actions, replies) = out.into_parts();
+        self.emit(from, actions, replies, env);
+    }
+
     /// This is the single `Action` dispatch site in the workspace. The match
     /// runs once per action, accumulating the batch's CPU cost and an
     /// order-preserving effect list; `env.begin_batch` then fixes the batch's
-    /// departure point before the effects are emitted.
-    pub fn dispatch<E: EngineHost>(&mut self, from: ReplicaId, actions: Vec<Action>, env: &mut E) {
+    /// departure point before the effects are emitted, and the replies —
+    /// the outbox's list, then any explicit `Action::Reply` — leave last,
+    /// in one hand-off.
+    fn emit<E: EngineHost>(
+        &mut self,
+        from: ReplicaId,
+        actions: Vec<Action>,
+        mut replies: Vec<ClientReply>,
+        env: &mut E,
+    ) {
         let replicas = self.replicas;
         let mut cost_ns = 0u64;
         let mut effects = Vec::with_capacity(actions.len());
@@ -279,7 +310,10 @@ impl Dispatcher {
                     cost_ns += env.send_cost_ns(&msg, replicas.saturating_sub(1));
                     Effect::Broadcast { msg: Arc::new(msg) }
                 }
-                Action::Reply { reply } => Effect::Reply { reply },
+                Action::Reply { reply } => {
+                    replies.push(reply);
+                    continue;
+                }
                 Action::SetTimer { timer, delay_us } => Effect::SetTimer { timer, delay_us },
                 Action::CancelTimer { timer } => Effect::CancelTimer { timer },
                 Action::Executed { seq, txns } => {
@@ -293,7 +327,6 @@ impl Dispatcher {
             match effect {
                 Effect::Send { to, msg } => env.send(from, to, msg),
                 Effect::Broadcast { msg } => env.broadcast(from, replicas, msg),
-                Effect::Reply { reply } => env.reply(from, reply),
                 Effect::SetTimer { timer, delay_us } => {
                     self.next_token += 1;
                     let token = TimerToken(self.next_token);
@@ -307,6 +340,9 @@ impl Dispatcher {
                 Effect::Executed { seq, txns } => env.executed(from, seq, txns),
             }
         }
+        if !replies.is_empty() {
+            env.replies(from, replies);
+        }
     }
 }
 
@@ -318,7 +354,9 @@ mod tests {
     #[derive(Default)]
     struct RecordingEnv {
         sends: Vec<(ReplicaId, ReplicaId, String)>,
-        replies: u64,
+        /// One entry per `replies` call: how many sends had been made when
+        /// it came, and the request ids it carried.
+        reply_calls: Vec<(usize, Vec<u64>)>,
         scheduled: Vec<(ReplicaId, TimerKind, u64, TimerToken)>,
         cancelled: Vec<TimerKind>,
         executed: Vec<(SeqNum, usize)>,
@@ -331,7 +369,12 @@ mod tests {
         }
 
         fn reply(&mut self, _from: ReplicaId, _reply: ClientReply) {
-            self.replies += 1;
+            unreachable!("the dispatcher hands replies over through `replies`");
+        }
+
+        fn replies(&mut self, _from: ReplicaId, replies: Vec<ClientReply>) {
+            let requests = replies.iter().map(|r| r.request.0).collect();
+            self.reply_calls.push((self.sends.len(), requests));
         }
 
         fn schedule_timer(
@@ -365,6 +408,23 @@ mod tests {
         }
     }
 
+    /// A host written before `replies` existed, like the benchmark's trace
+    /// and layer hosts: it implements `reply` and nothing else.
+    #[derive(Default)]
+    struct ReplyOnlyEnv {
+        replies: Vec<u64>,
+    }
+
+    impl EngineHost for ReplyOnlyEnv {
+        fn send(&mut self, _from: ReplicaId, _to: ReplicaId, _msg: SharedMessage) {}
+
+        fn reply(&mut self, _from: ReplicaId, reply: ClientReply) {
+            self.replies.push(reply.request.0);
+        }
+
+        fn schedule_timer(&mut self, _: ReplicaId, _: TimerKind, _: u64, _: TimerToken) {}
+    }
+
     fn msg() -> Message {
         Message::Prepare {
             view: View(0),
@@ -372,6 +432,97 @@ mod tests {
             digest: Digest::ZERO,
             attestation: None,
         }
+    }
+
+    fn reply(request: u64) -> ClientReply {
+        ClientReply {
+            client: ClientId(7),
+            request: RequestId(request),
+            seq: SeqNum(1),
+            view: View(0),
+            replica: ReplicaId(1),
+            result: flexitrust_types::KvResult::Written,
+            speculative: false,
+        }
+    }
+
+    /// Answers every message with three replies around a broadcast, the
+    /// shape of a committing delivery that also votes.
+    struct ReplyingEngine(flexitrust_protocol::ReplicaCore);
+
+    impl ConsensusEngine for ReplyingEngine {
+        fn replica(&self) -> &flexitrust_protocol::ReplicaCore {
+            &self.0
+        }
+        fn properties(&self) -> flexitrust_protocol::ProtocolProperties {
+            flexitrust_protocol::ProtocolProperties::for_protocol(
+                flexitrust_types::ProtocolId::Pbft,
+            )
+        }
+        fn on_client_request(&mut self, _txns: Vec<Transaction>, _out: &mut Outbox) {}
+        fn on_message(&mut self, _from: ReplicaId, _msg: Message, out: &mut Outbox) {
+            out.reply(reply(1));
+            out.broadcast(msg());
+            out.reply(reply(2));
+            out.reply(reply(3));
+        }
+        fn on_timer(&mut self, _timer: TimerKind, _out: &mut Outbox) {}
+    }
+
+    fn replying_engine() -> ReplyingEngine {
+        let config =
+            flexitrust_types::SystemConfig::for_protocol(flexitrust_types::ProtocolId::Pbft, 1);
+        ReplyingEngine(flexitrust_protocol::ReplicaCore::new(config, ReplicaId(1)))
+    }
+
+    #[test]
+    fn a_delivery_hands_its_replies_over_in_one_call_after_its_sends() {
+        let mut dispatcher = Dispatcher::new(4);
+        let mut env = RecordingEnv::default();
+        let mut engine = replying_engine();
+        dispatcher.deliver(&mut engine, ReplicaId(0), Arc::new(msg()), &mut env);
+        // One call, emission order, after all four copies of the broadcast.
+        assert_eq!(env.reply_calls, vec![(4, vec![1, 2, 3])]);
+        // A dispatch without replies makes no call at all.
+        dispatcher.dispatch(
+            ReplicaId(1),
+            vec![Action::Broadcast { msg: msg() }],
+            &mut env,
+        );
+        assert_eq!(env.reply_calls.len(), 1);
+    }
+
+    #[test]
+    fn explicit_reply_actions_join_the_one_replies_call() {
+        let mut dispatcher = Dispatcher::new(4);
+        let mut env = RecordingEnv::default();
+        let actions = vec![
+            Action::Reply { reply: reply(1) },
+            Action::Broadcast { msg: msg() },
+            Action::Reply { reply: reply(2) },
+            Action::Executed {
+                seq: SeqNum(1),
+                txns: 2,
+            },
+            Action::Reply { reply: reply(3) },
+        ];
+        dispatcher.dispatch(ReplicaId(1), actions, &mut env);
+        assert_eq!(env.reply_calls, vec![(4, vec![1, 2, 3])]);
+        assert_eq!(env.executed, vec![(SeqNum(1), 2)]);
+    }
+
+    #[test]
+    fn a_host_with_only_reply_still_gets_each_reply_once() {
+        let mut dispatcher = Dispatcher::new(4);
+        let mut env = ReplyOnlyEnv::default();
+        let mut engine = replying_engine();
+        dispatcher.deliver(&mut engine, ReplicaId(0), Arc::new(msg()), &mut env);
+        dispatcher.dispatch(
+            ReplicaId(1),
+            vec![Action::Reply { reply: reply(4) }],
+            &mut env,
+        );
+        assert_eq!(env.replies, vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! Engine outputs: the [`Action`] enum and the [`Outbox`] that collects them.
+//!
+//! Client replies are the one output whose count scales with the batch, not
+//! with the protocol: a committed batch answers every transaction in it. The
+//! [`Outbox`] therefore keeps them in a list of their own instead of wrapping
+//! each one in an [`Action`], and hosts take a whole invocation's replies in
+//! one hand-off.
 
 use crate::engine::TimerKind;
 use crate::messages::{ClientReply, Message};
@@ -25,7 +31,9 @@ pub enum Action {
         /// The message.
         msg: Message,
     },
-    /// Send a reply to a client.
+    /// Send a reply to a client. Engines never emit this variant — the
+    /// [`Outbox`] keeps replies apart — but a host handed one explicitly
+    /// passes it on with the invocation's other replies.
     Reply {
         /// The reply.
         reply: ClientReply,
@@ -51,10 +59,12 @@ pub enum Action {
     },
 }
 
-/// Collects the actions produced while handling one event.
+/// Collects the actions produced while handling one event: client replies
+/// in one list, everything else in another, each in emission order.
 #[derive(Debug, Default)]
 pub struct Outbox {
     actions: Vec<Action>,
+    replies: Vec<ClientReply>,
 }
 
 impl Outbox {
@@ -75,7 +85,13 @@ impl Outbox {
 
     /// Queues a client reply.
     pub fn reply(&mut self, reply: ClientReply) {
-        self.actions.push(Action::Reply { reply });
+        self.replies.push(reply);
+    }
+
+    /// Makes room for `additional` more replies (a committed batch knows
+    /// how many it will answer before it builds the first).
+    pub fn reserve_replies(&mut self, additional: usize) {
+        self.replies.reserve(additional);
     }
 
     /// Arms a timer.
@@ -93,35 +109,35 @@ impl Outbox {
         self.actions.push(Action::Executed { seq, txns });
     }
 
-    /// Number of queued actions.
+    /// Number of queued actions and replies.
     pub fn len(&self) -> usize {
-        self.actions.len()
+        self.actions.len() + self.replies.len()
     }
 
     /// Returns `true` when nothing was queued.
     pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
+        self.actions.is_empty() && self.replies.is_empty()
     }
 
-    /// Drains the queued actions in emission order.
+    /// Drains the queued actions other than replies, in emission order.
     pub fn drain(&mut self) -> Vec<Action> {
         std::mem::take(&mut self.actions)
     }
 
-    /// Read-only view of the queued actions (used by tests).
+    /// Takes the queued actions and the queued replies, each in emission
+    /// order.
+    pub fn into_parts(self) -> (Vec<Action>, Vec<ClientReply>) {
+        (self.actions, self.replies)
+    }
+
+    /// Read-only view of the queued actions other than replies.
     pub fn actions(&self) -> &[Action] {
         &self.actions
     }
 
-    /// Convenience for tests: the queued client replies.
-    pub fn replies(&self) -> Vec<&ClientReply> {
-        self.actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::Reply { reply } => Some(reply),
-                _ => None,
-            })
-            .collect()
+    /// The queued client replies, in emission order.
+    pub fn replies(&self) -> &[ClientReply] {
+        &self.replies
     }
 
     /// Convenience for tests: the queued broadcast messages.
@@ -181,6 +197,28 @@ mod tests {
         assert!(matches!(actions[2], Action::SetTimer { .. }));
         assert!(matches!(actions[3], Action::Executed { txns: 5, .. }));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn replies_are_kept_apart_in_emission_order() {
+        let reply = |request: u64| ClientReply {
+            client: flexitrust_types::ClientId(1),
+            request: flexitrust_types::RequestId(request),
+            seq: SeqNum(1),
+            view: View(0),
+            replica: ReplicaId(0),
+            result: flexitrust_types::KvResult::Written,
+            speculative: false,
+        };
+        let mut out = Outbox::new();
+        out.reply(reply(1));
+        out.broadcast(msg());
+        out.reply(reply(2));
+        assert_eq!(out.len(), 3);
+        assert_eq!(out.actions().len(), 1);
+        let (actions, replies) = out.into_parts();
+        assert!(matches!(actions[..], [Action::Broadcast { .. }]));
+        assert_eq!(replies, vec![reply(1), reply(2)]);
     }
 
     #[test]

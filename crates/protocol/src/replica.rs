@@ -207,6 +207,7 @@ impl ReplicaCore {
             }
             self.journal.capture(boundary, self.exec.store());
         }
+        out.reserve_replies(executed.iter().map(|done| done.outcomes.len()).sum());
         for done in &executed {
             self.executed_txns += done.outcomes.len() as u64;
             out.executed(done.seq, done.outcomes.len());

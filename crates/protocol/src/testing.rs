@@ -60,7 +60,8 @@ impl TestNet {
                     self.timers[replica].push(timer)
                 }
                 Action::CancelTimer { timer } => self.timers[replica].retain(|t| *t != timer),
-                // Replies and execution show in the engines' own state.
+                // Execution shows in the engines' own state; replies are not
+                // in `drain()` at all.
                 _ => {}
             }
         }

@@ -430,6 +430,16 @@ impl<T: Transport> EngineHost for ThreadEnv<T> {
         self.replies.push(reply);
     }
 
+    /// A delivery's replies arrive as the engine built them: the list itself
+    /// becomes the transport's hand-off, or joins the one already pending.
+    fn replies(&mut self, _from: ReplicaId, mut replies: Vec<ClientReply>) {
+        if self.replies.is_empty() {
+            self.replies = replies;
+        } else {
+            self.replies.append(&mut replies);
+        }
+    }
+
     fn schedule_timer(
         &mut self,
         _replica: ReplicaId,
@@ -516,12 +526,9 @@ pub(crate) fn replica_loop<T: Transport>(
             dispatcher.timer_expired(engine, timer, token, &mut env);
         }
         // Everything this iteration will emit is out: hand its replies over
-        // before the loop blocks for input again. The next delivery's most
-        // likely fill what these did.
+        // before the loop blocks for input again.
         if !env.replies.is_empty() {
-            let next = Vec::with_capacity(env.replies.len());
-            env.transport
-                .send_replies(std::mem::replace(&mut env.replies, next));
+            env.transport.send_replies(std::mem::take(&mut env.replies));
         }
 
         // Publish our execution frontier so crash windows (and tests) can

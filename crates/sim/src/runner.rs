@@ -21,8 +21,9 @@
 //!   simulator itself only implements the [`EngineHost`] primitives.
 //!
 //! Clients are closed-loop and modelled in aggregate: each of the
-//! `spec.clients` logical clients keeps exactly one transaction outstanding;
-//! a transaction completes when the protocol's reply quorum of distinct
+//! `spec.clients` logical clients keeps exactly one transaction outstanding,
+//! tracked in that client's slot of one table indexed by client id; a
+//! transaction completes when the protocol's reply quorum of distinct
 //! replicas has replied (with the Zyzzyva/MinZZ fallback path modelled as a
 //! timeout plus an extra round trip when the full-replica quorum cannot be
 //! reached), after which the client immediately submits a fresh transaction.
@@ -196,7 +197,9 @@ struct Host {
     tc_seen: u64,
 }
 
+/// The reply tally of the one request a closed-loop client has outstanding.
 struct RequestTracker {
+    request: RequestId,
     submit: Ns,
     /// Votes per `(seq, result digest)` candidate, mirroring
     /// `ClientLibrary`: divergent speculative replies must not count
@@ -211,16 +214,17 @@ struct RequestTracker {
     /// replies agree or not.
     repliers: Voters,
     /// Sequence number of the candidate that completed the request; set
-    /// when the quorum (or fallback) is reached. Completion removes the
-    /// tracker from the request map, so a tracker's presence *is* the
-    /// not-yet-completed state.
+    /// when the quorum (or fallback) is reached. Completion empties the
+    /// client's slot, so a tracker's presence *is* the not-yet-completed
+    /// state.
     seq: SeqNum,
     fallback_scheduled: bool,
 }
 
 impl RequestTracker {
-    fn new(submit: Ns) -> Self {
+    fn new(request: RequestId, submit: Ns) -> Self {
         RequestTracker {
+            request,
             submit,
             votes: Vec::new(),
             repliers: Voters::default(),
@@ -229,19 +233,15 @@ impl RequestTracker {
         }
     }
 
-    /// The strongest `(seq, digest)` candidate and its vote count; ties
-    /// break towards the smallest candidate so the choice is deterministic
-    /// regardless of hash-map iteration order.
+    /// The strongest `(seq, digest)` candidate and its vote count, chosen
+    /// as `ClientLibrary::try_fallback_complete` chooses: most voters, a tie
+    /// going to the greatest `(seq, digest)`.
     fn best_candidate(&self) -> Option<(SeqNum, usize)> {
-        let mut best: Option<(&(SeqNum, KvResultKey), usize)> = None;
-        for (candidate, voters) in &self.votes {
-            let count = voters.len();
-            best = match best {
-                Some((bk, bc)) if bc > count || (bc == count && bk <= candidate) => Some((bk, bc)),
-                _ => Some((candidate, count)),
-            };
-        }
-        best.map(|(k, c)| (k.0, c))
+        self.votes
+            .iter()
+            .map(|((seq, key), voters)| (voters.len(), *seq, key))
+            .max()
+            .map(|(count, seq, _)| (seq, count))
     }
 }
 
@@ -266,7 +266,12 @@ struct SimEnv<'a> {
     /// Departure time of the current dispatch batch (set by `begin_batch`).
     at: Ns,
     events: Vec<(Ns, EventKind)>,
-    replies: Vec<(ReplicaId, ClientReply, Ns)>,
+    /// The invocation's replies over unlimited client links, in emission
+    /// order: all of them left at `at` from one replica, so they all reach
+    /// the clients at `reply_arrival`. (A `SimEnv` lives for one engine
+    /// invocation, and an invocation is one dispatch.)
+    replies: Vec<ClientReply>,
+    reply_arrival: Ns,
 }
 
 impl EngineHost for SimEnv<'_> {
@@ -341,22 +346,33 @@ impl EngineHost for SimEnv<'_> {
     }
 
     fn reply(&mut self, from: ReplicaId, reply: ClientReply) {
-        let bytes = reply.wire_size_bytes();
-        let transmit_ns = self.net.client_transmit_ns(bytes);
-        if transmit_ns == 0 {
-            let arrive = self.at + self.net.client_latency_us(from) * 1_000;
-            self.replies.push((from, reply, arrive));
+        self.replies(from, vec![reply]);
+    }
+
+    fn replies(&mut self, from: ReplicaId, mut replies: Vec<ClientReply>) {
+        if self.net.bandwidth().client_mbps.is_some() {
+            // Finite client links: each reply crosses the replica's client
+            // lane on its own.
+            for reply in replies {
+                let bytes = reply.wire_size_bytes();
+                self.events.push((
+                    self.at,
+                    EventKind::TransmitReply {
+                        from,
+                        transmit_ns: self.net.client_transmit_ns(bytes),
+                        reply,
+                        bytes,
+                        offset_bytes: 0,
+                    },
+                ));
+            }
+            return;
+        }
+        self.reply_arrival = self.at + self.net.client_latency_us(from) * 1_000;
+        if self.replies.is_empty() {
+            self.replies = replies;
         } else {
-            self.events.push((
-                self.at,
-                EventKind::TransmitReply {
-                    from,
-                    reply,
-                    bytes,
-                    transmit_ns,
-                    offset_bytes: 0,
-                },
-            ));
+            self.replies.append(&mut replies);
         }
     }
 
@@ -405,6 +421,18 @@ impl EngineHost for SimEnv<'_> {
     }
 }
 
+/// The slot index and tracker of `client`'s outstanding request, if that
+/// request is `request`.
+fn outstanding_mut(
+    outstanding: &mut [Option<RequestTracker>],
+    client: ClientId,
+    request: RequestId,
+) -> Option<(usize, &mut RequestTracker)> {
+    let slot = usize::try_from(client.0).ok()?;
+    let tracker = outstanding.get_mut(slot)?.as_mut()?;
+    (tracker.request == request).then_some((slot, tracker))
+}
+
 /// A single simulation run.
 pub struct Simulation {
     spec: ScenarioSpec,
@@ -417,7 +445,9 @@ pub struct Simulation {
     events: BinaryHeap<Reverse<Event>>,
     event_seq: u64,
     now: Ns,
-    requests: BTreeMap<(u64, u64), RequestTracker>,
+    /// One slot per closed-loop client, indexed by client id: the request
+    /// it is waiting on, if any. Empty until [`Self::run`] opens it.
+    outstanding: Vec<Option<RequestTracker>>,
     next_request_id: Vec<u64>,
     op_generator: WorkloadGenerator,
     latencies: RunLog<Ns>,
@@ -497,7 +527,7 @@ impl Simulation {
             events: BinaryHeap::new(),
             event_seq: 0,
             now: 0,
-            requests: BTreeMap::new(),
+            outstanding: Vec::new(),
             latencies: RunLog::new(),
             completed_txns: 0,
             commit_log: RunLog::new(),
@@ -532,6 +562,13 @@ impl Simulation {
         )
     }
 
+    /// Allocates the closed-loop clients' slots. Called by `run`, not `new`:
+    /// the benchmark's `setup_s` times construction, and the table is part
+    /// of the run.
+    fn open_client_slots(&mut self) {
+        self.outstanding.resize_with(self.spec.clients, || None);
+    }
+
     /// Whether a replica is currently crashed under the fault plan.
     fn is_down(&self, replica: ReplicaId) -> bool {
         self.chaos.as_ref().is_some_and(|c| c.is_down(replica))
@@ -552,6 +589,7 @@ impl Simulation {
     pub fn run(mut self) -> SimReport {
         let total_ns = self.spec.total_time_us() * 1_000;
         let warmup_ns = self.spec.warmup_us * 1_000;
+        self.open_client_slots();
         // Initial client load: every logical client submits one transaction.
         let initial: Vec<Transaction> = (0..self.spec.clients).map(|c| self.fresh_txn(c)).collect();
         self.schedule_client_upload(1_000, initial);
@@ -766,16 +804,20 @@ impl Simulation {
             at: start + base_cost_ns,
             events: Vec::new(),
             replies: Vec::new(),
+            reply_arrival: 0,
         };
         f(&mut self.dispatcher, engine.as_mut(), &mut env);
         let SimEnv {
-            events, replies, ..
+            events,
+            replies,
+            reply_arrival,
+            ..
         } = env;
         for (at, kind) in events {
             self.push_event(at, kind);
         }
-        for (from, reply, arrive) in replies {
-            self.record_reply(from, &reply, arrive);
+        for reply in &replies {
+            self.record_reply(replica, reply, reply_arrival);
         }
     }
 
@@ -786,11 +828,7 @@ impl Simulation {
     fn on_client_arrival(&mut self, txns: Vec<Transaction>) {
         let now = self.now;
         for txn in &txns {
-            // `or_insert` keeps the original submit time on a
-            // retransmission, so latency covers the whole client wait.
-            self.requests
-                .entry((txn.client().0, txn.request().0))
-                .or_insert_with(|| RequestTracker::new(now));
+            self.begin_request(txn.client(), txn.request(), now);
         }
         let primary = self.current_primary();
         if self.is_down(primary) {
@@ -1177,10 +1215,9 @@ impl Simulation {
     }
 
     fn on_fallback(&mut self, client: ClientId, request: RequestId) {
-        let key = (client.0, request.0);
-        let Some(tracker) = self.requests.get_mut(&key) else {
-            // Unknown or already completed (completion removes the
-            // tracker): nothing to do.
+        let Some((slot, tracker)) = outstanding_mut(&mut self.outstanding, client, request) else {
+            // Unknown or already completed (completion empties the slot):
+            // nothing to do.
             return;
         };
         // The fallback round trip gathers a commit certificate for the
@@ -1189,7 +1226,7 @@ impl Simulation {
         if let Some((seq, count)) = tracker.best_candidate() {
             if count >= self.fallback_quorum {
                 tracker.seq = seq;
-                self.complete_request(key, self.now);
+                self.complete_request(slot, self.now);
                 return;
             }
         }
@@ -1218,11 +1255,38 @@ impl Simulation {
     // Client accounting.
     // ------------------------------------------------------------------
 
+    /// Opens `client`'s slot for `request`, submitted at `submit`. A
+    /// retransmission of the request the slot holds keeps its first submit
+    /// time, so latency covers the whole client wait. A client id outside
+    /// the table is no closed-loop client of this run and is not tracked.
+    fn begin_request(&mut self, client: ClientId, request: RequestId, submit: Ns) {
+        let Some(slot) = usize::try_from(client.0)
+            .ok()
+            .and_then(|c| self.outstanding.get_mut(c))
+        else {
+            return;
+        };
+        if slot.as_ref().is_some_and(|t| t.request == request) {
+            return;
+        }
+        // At most one request outstanding per client: a closed-loop client
+        // issues its next request only from `complete_request`, which has
+        // emptied this slot first.
+        debug_assert!(
+            slot.is_none(),
+            "client {} submitted {} with another request outstanding",
+            client.0,
+            request.0
+        );
+        *slot = Some(RequestTracker::new(request, submit));
+    }
+
     fn record_reply(&mut self, replica: ReplicaId, reply: &ClientReply, at: Ns) {
-        let key = (reply.client.0, reply.request.0);
-        let Some(tracker) = self.requests.get_mut(&key) else {
-            // Unknown or already completed (completion removes the
-            // tracker): late replies are normal in BFT systems.
+        let Some((slot, tracker)) =
+            outstanding_mut(&mut self.outstanding, reply.client, reply.request)
+        else {
+            // Unknown or already completed (completion empties the slot):
+            // late replies are normal in BFT systems.
             return;
         };
         // Mirror `ClientLibrary`: a quorum is a set of distinct replicas
@@ -1248,7 +1312,7 @@ impl Simulation {
         tracker.repliers.insert(replica);
         if count >= self.reply_quorum {
             tracker.seq = reply.seq;
-            self.complete_request(key, at);
+            self.complete_request(slot, at);
         } else if !tracker.fallback_scheduled
             && tracker.repliers.len() >= self.fallback_quorum
             && (self.all_replicas_rule || tracker.votes.len() > 1)
@@ -1269,18 +1333,19 @@ impl Simulation {
         }
     }
 
-    fn complete_request(&mut self, key: (u64, u64), at: Ns) {
+    /// Completes the request in client slot `client`, emptying the slot.
+    fn complete_request(&mut self, client: usize, at: Ns) {
         let warmup_ns = self.spec.warmup_us * 1_000;
         let total_ns = self.spec.total_time_us() * 1_000;
-        let Some(tracker) = self.requests.get_mut(&key) else {
+        let Some(tracker) = self.outstanding.get_mut(client).and_then(Option::take) else {
             return;
         };
         let submit = tracker.submit;
         if self.spec.record_commit_log {
             self.commit_log.push(CommittedTxn {
                 seq: tracker.seq,
-                client: ClientId(key.0),
-                request: RequestId(key.1),
+                client: ClientId(client as u64),
+                request: tracker.request,
             });
         }
         if submit >= warmup_ns && at <= total_ns {
@@ -1295,14 +1360,10 @@ impl Simulation {
         // the current primary, which may have moved since the run started.
         // The deadline rides with the transaction: several clients
         // completing in one drain each keep their own resubmit time.
-        let client = key.0 as usize;
-        if client < self.spec.clients {
-            let txn = self.fresh_txn(client);
-            let primary = self.current_primary();
-            let resubmit_at = at + 2 * self.net.client_latency_us(primary) * 1_000;
-            self.pending_resubmits.push((resubmit_at, txn));
-        }
-        self.requests.remove(&key);
+        let txn = self.fresh_txn(client);
+        let primary = self.current_primary();
+        let resubmit_at = at + 2 * self.net.client_latency_us(primary) * 1_000;
+        self.pending_resubmits.push((resubmit_at, txn));
     }
 
     // ------------------------------------------------------------------
@@ -1374,20 +1435,33 @@ mod tests {
         Simulation::new(spec).run()
     }
 
+    /// A simulation whose client slots are open, as they are once `run`
+    /// starts.
+    fn opened(spec: ScenarioSpec) -> Simulation {
+        let mut sim = Simulation::new(spec);
+        sim.open_client_slots();
+        sim
+    }
+
+    /// The tracker of `client`'s outstanding request, if it is `request`.
+    fn tracker(sim: &mut Simulation, client: u64, request: u64) -> Option<&mut RequestTracker> {
+        outstanding_mut(&mut sim.outstanding, ClientId(client), RequestId(request)).map(|(_, t)| t)
+    }
+
     #[test]
     fn arrivals_at_a_failed_primary_are_retransmitted_not_dropped() {
         let mut spec = ScenarioSpec::quick_test(ProtocolId::FlexiBft);
         spec.clients = 3;
         spec.chaos = crate::chaos::ChaosPlan::single_failure(ReplicaId(0));
         let timeout_ns = spec.system_config().client_timeout_us * 1_000;
-        let mut sim = Simulation::new(spec);
+        let mut sim = opened(spec);
         sim.now = 5_000;
         sim.advance_chaos(sim.now);
         let txns: Vec<Transaction> = (0..3).map(|c| sim.fresh_txn(c)).collect();
         let retry = txns.clone();
         sim.on_client_arrival(txns);
         // The transactions stay tracked — the closed loop must not wedge…
-        assert_eq!(sim.requests.len(), 3);
+        assert!(sim.outstanding.iter().all(Option::is_some));
         // …and the batch is rescheduled after the client timeout instead of
         // vanishing (unlimited client bandwidth: a direct arrival event).
         let Reverse(event) = sim.events.pop().expect("a retransmission is scheduled");
@@ -1398,24 +1472,119 @@ mod tests {
         // so the eventual latency covers the whole client wait.
         sim.now = 5_000 + timeout_ns;
         sim.on_client_arrival(retry);
-        for tracker in sim.requests.values() {
+        for tracker in sim.outstanding.iter().flatten() {
             assert_eq!(tracker.submit, 5_000);
         }
+    }
+
+    #[test]
+    fn a_retransmitted_request_keeps_its_first_submit_time() {
+        let mut sim = opened(ScenarioSpec::quick_test(ProtocolId::FlexiBft));
+        sim.begin_request(ClientId(1), RequestId(4), 1_000);
+        sim.begin_request(ClientId(1), RequestId(4), 9_000);
+        assert_eq!(tracker(&mut sim, 1, 4).map(|t| t.submit), Some(1_000));
+    }
+
+    #[test]
+    fn a_reply_from_outside_the_client_table_is_ignored() {
+        let mut sim = opened(ScenarioSpec::quick_test(ProtocolId::FlexiBft));
+        let clients = sim.outstanding.len();
+        let stranger = ClientReply {
+            client: ClientId(clients as u64 + 5),
+            request: RequestId(1),
+            seq: SeqNum(1),
+            view: View(0),
+            replica: ReplicaId(0),
+            result: KvResult::Written,
+            speculative: false,
+        };
+        for replica in 0..4 {
+            sim.record_reply(ReplicaId(replica), &stranger, 100);
+        }
+        sim.begin_request(stranger.client, stranger.request, 100);
+        assert_eq!(sim.outstanding.len(), clients, "the table did not grow");
+        assert!(sim.outstanding.iter().all(Option::is_none));
+        assert!(sim.commit_log.last().is_none() && sim.pending_resubmits.is_empty());
+    }
+
+    #[test]
+    fn a_late_reply_after_completion_leaves_no_tracker_behind() {
+        let mut sim = opened(ScenarioSpec::quick_test(ProtocolId::FlexiBft));
+        let reply = |replica: u32| ClientReply {
+            client: ClientId(0),
+            request: RequestId(1),
+            seq: SeqNum(3),
+            view: View(0),
+            replica: ReplicaId(replica),
+            result: KvResult::Written,
+            speculative: false,
+        };
+        sim.begin_request(ClientId(0), RequestId(1), 0);
+        sim.record_reply(ReplicaId(0), &reply(0), 100);
+        sim.record_reply(ReplicaId(1), &reply(1), 100);
+        assert!(
+            sim.outstanding[0].is_none(),
+            "f + 1 = 2 replies complete it"
+        );
+        sim.record_reply(ReplicaId(2), &reply(2), 200);
+        sim.record_reply(ReplicaId(3), &reply(3), 200);
+        assert!(sim.outstanding[0].is_none());
+        // One completion: one logged commit, one next request.
+        assert_eq!(sim.commit_log.last().map(|c| c.seq), Some(SeqNum(3)));
+        assert_eq!(sim.pending_resubmits.len(), 1);
+    }
+
+    #[test]
+    fn tied_fallback_candidates_resolve_as_the_client_library_does() {
+        use flexitrust_protocol::{ClientLibrary, RequestStatus};
+        // Zyzzyva f = 1: the fast path wants all 4 replies, the fallback 3.
+        // Three candidates hold 3 voters each (a replica that re-executed
+        // after a view change answers twice): (5, a), (6, a), (6, b).
+        let spec = ScenarioSpec::quick_test(ProtocolId::Zyzzyva);
+        let config = spec.system_config();
+        let mut sim = opened(spec);
+        let mut library = ClientLibrary::new(ClientId(0), &config, QuorumRule::AllReplicas);
+        assert_eq!(library.fallback_needed(), sim.fallback_quorum);
+        sim.begin_request(ClientId(0), RequestId(1), 0);
+        library.begin(RequestId(1));
+        let reply = |replica: u32, seq: u64, value: u8| ClientReply {
+            client: ClientId(0),
+            request: RequestId(1),
+            seq: SeqNum(seq),
+            view: View(0),
+            replica: ReplicaId(replica),
+            result: KvResult::Value(Some(vec![value].into())),
+            speculative: true,
+        };
+        for (replicas, seq, value) in [([0, 1, 2], 5, 1), ([1, 2, 3], 6, 1), ([0, 2, 3], 6, 2)] {
+            for replica in replicas {
+                let reply = reply(replica, seq, value);
+                sim.record_reply(ReplicaId(replica), &reply, 100);
+                library.on_reply(&reply);
+            }
+        }
+        let Some(RequestStatus::Complete { seq, .. }) = library.try_fallback_complete(RequestId(1))
+        else {
+            panic!("the library completes on the fallback quorum");
+        };
+        assert_eq!(seq, SeqNum(6));
+        sim.on_fallback(ClientId(0), RequestId(1));
+        assert_eq!(sim.commit_log.last().map(|c| c.seq), Some(seq));
     }
 
     #[test]
     fn resubmit_deadlines_are_per_transaction() {
         let spec = ScenarioSpec::quick_test(ProtocolId::FlexiBft);
         let rtt_ns = 2 * 250 * 1_000; // LAN client round trip
-        let mut sim = Simulation::new(spec);
-        sim.requests.insert((0, 1), RequestTracker::new(0));
-        sim.requests.insert((1, 1), RequestTracker::new(0));
+        let mut sim = opened(spec);
+        sim.begin_request(ClientId(0), RequestId(1), 0);
+        sim.begin_request(ClientId(1), RequestId(1), 0);
         sim.now = 10_000;
         // Two clients complete in the same drain with different reply
         // arrival times: each must resubmit after its *own* round trip, not
         // whichever deadline was written last.
-        sim.complete_request((0, 1), 1_000_000);
-        sim.complete_request((1, 1), 2_000_000);
+        sim.complete_request(0, 1_000_000);
+        sim.complete_request(1, 2_000_000);
         assert_eq!(sim.pending_resubmits.len(), 2);
         sim.flush_resubmits();
         let Reverse(first) = sim.events.pop().unwrap();
@@ -1429,9 +1598,9 @@ mod tests {
     #[test]
     fn divergent_speculative_replies_cannot_complete_a_quorum() {
         let spec = ScenarioSpec::quick_test(ProtocolId::FlexiBft);
-        let mut sim = Simulation::new(spec);
+        let mut sim = opened(spec);
         assert_eq!(sim.reply_quorum, 2, "Flexi-BFT f=1 completes at f + 1");
-        sim.requests.insert((0, 1), RequestTracker::new(0));
+        sim.begin_request(ClientId(0), RequestId(1), 0);
         let reply = |replica: u32, seq: u64, value: u8| ClientReply {
             client: ClientId(0),
             request: RequestId(1),
@@ -1447,29 +1616,29 @@ mod tests {
         sim.record_reply(ReplicaId(0), &reply(0, 5, 1), 100);
         sim.record_reply(ReplicaId(1), &reply(1, 6, 1), 100); // divergent seq
         sim.record_reply(ReplicaId(2), &reply(2, 5, 2), 100); // divergent result
+                                                              // Observed divergence arms the fallback watchdog even for a
+                                                              // quorum-rule protocol, so the request can converge later instead
+                                                              // of wedging its client out of the closed loop.
         assert!(
-            sim.requests.contains_key(&(0, 1)),
-            "divergent replies must not form a quorum"
+            tracker(&mut sim, 0, 1)
+                .expect("divergent replies must not form a quorum")
+                .fallback_scheduled
         );
-        // Observed divergence arms the fallback watchdog even for a
-        // quorum-rule protocol, so the request can converge later instead
-        // of wedging its client out of the closed loop.
-        assert!(sim.requests[&(0, 1)].fallback_scheduled);
         // A second vote for the (5, value 1) candidate completes it — and
         // logs the candidate's sequence number, not a bystander's.
         sim.record_reply(ReplicaId(3), &reply(3, 5, 1), 100);
-        assert!(!sim.requests.contains_key(&(0, 1)));
+        assert!(tracker(&mut sim, 0, 1).is_none());
         let logged = sim.commit_log.last().expect("completion is logged");
         assert_eq!(logged.seq, SeqNum(5));
         // Duplicate votes from one replica still count once.
-        sim.requests.insert((0, 2), RequestTracker::new(0));
+        sim.begin_request(ClientId(0), RequestId(2), 0);
         let dup = |seq| ClientReply {
             request: RequestId(2),
             ..reply(0, seq, 1)
         };
         sim.record_reply(ReplicaId(0), &dup(7), 100);
         sim.record_reply(ReplicaId(0), &dup(7), 100);
-        assert!(sim.requests.contains_key(&(0, 2)));
+        assert!(tracker(&mut sim, 0, 2).is_some());
     }
 
     #[test]
@@ -1481,11 +1650,11 @@ mod tests {
         // itself holds the quorum, retrying otherwise instead of wedging
         // the closed loop.
         let spec = ScenarioSpec::quick_test(ProtocolId::MinZz);
-        let mut sim = Simulation::new(spec);
+        let mut sim = opened(spec);
         assert!(sim.all_replicas_rule);
         assert_eq!(sim.reply_quorum, 3);
         assert_eq!(sim.fallback_quorum, 2);
-        sim.requests.insert((0, 1), RequestTracker::new(0));
+        sim.begin_request(ClientId(0), RequestId(1), 0);
         let reply = |replica: u32, seq: u64| ClientReply {
             client: ClientId(0),
             request: RequestId(1),
@@ -1497,14 +1666,14 @@ mod tests {
         };
         sim.record_reply(ReplicaId(0), &reply(0, 5), 100);
         sim.record_reply(ReplicaId(1), &reply(1, 6), 100); // divergent seq
-        assert!(sim.requests[&(0, 1)].fallback_scheduled);
+        assert!(tracker(&mut sim, 0, 1).unwrap().fallback_scheduled);
         let Reverse(armed) = sim.events.pop().expect("fallback timer armed");
         assert!(matches!(armed.kind, EventKind::FallbackComplete { .. }));
         // The timer fires with no candidate at quorum: the request stays
         // alive and the timer re-arms.
         sim.now = armed.at;
         sim.on_fallback(ClientId(0), RequestId(1));
-        assert!(sim.requests.contains_key(&(0, 1)));
+        assert!(tracker(&mut sim, 0, 1).is_some());
         let Reverse(rearmed) = sim.events.pop().expect("fallback timer re-armed");
         assert!(matches!(rearmed.kind, EventKind::FallbackComplete { .. }));
         assert!(rearmed.at > armed.at);
@@ -1513,7 +1682,7 @@ mod tests {
         sim.record_reply(ReplicaId(2), &reply(2, 5), 200);
         sim.now = rearmed.at;
         sim.on_fallback(ClientId(0), RequestId(1));
-        assert!(!sim.requests.contains_key(&(0, 1)));
+        assert!(tracker(&mut sim, 0, 1).is_none());
         assert_eq!(sim.commit_log.last().unwrap().seq, SeqNum(5));
     }
 
