@@ -625,6 +625,10 @@ impl ConsensusEngine for PbftFamilyEngine {
             .on_client_request(txns, self.sequencer.bind(), out);
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
         if !self.core.config().contains(from) {
             return;

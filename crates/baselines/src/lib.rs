@@ -20,6 +20,8 @@
 //! with the style parameters above and documents the protocol-specific
 //! behaviour and its limitations (§5–§7 of the paper).
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod cheapbft;
 pub mod common;
 pub mod minbft;
@@ -37,3 +39,35 @@ pub use opbft_ea::OpbftEa;
 pub use pbft::Pbft;
 pub use pbft_ea::PbftEa;
 pub use zyzzyva::Zyzzyva;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexitrust_types::SystemConfig;
+
+    #[test]
+    fn every_style_quorum_fits_its_protocols_regime() {
+        let styles = [
+            Pbft::style(),
+            Zyzzyva::style(),
+            PbftEa::style(),
+            OpbftEa::style(),
+            MinBft::style(),
+            MinZz::style(),
+            CheapBft::style(),
+        ];
+        for style in styles {
+            let regime = style.id.replication_factor();
+            for f in 1..=64 {
+                let config = SystemConfig::for_protocol(style.id, f);
+                for rule in [style.prepare_quorum_rule, style.commit_quorum_rule] {
+                    assert!(
+                        regime.admits_quorum(f, config.quorum(rule)),
+                        "{} {rule:?} at f = {f}",
+                        style.id
+                    );
+                }
+            }
+        }
+    }
+}

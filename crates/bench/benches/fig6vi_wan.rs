@@ -13,6 +13,8 @@
 //! always runs the atomic-vs-chunked pair and asserts the chunked run's
 //! p99 is no worse — the CI regression gate for the pipelining model.
 
+#![expect(clippy::print_stdout, reason = "a bench prints its figure")]
+
 use flexitrust::prelude::*;
 use flexitrust_bench::{
     bench_scale, eval_spec, mixed_elephant_rx_spec, mixed_elephant_spec, print_table, run,

@@ -138,15 +138,19 @@ pub fn figure6_protocols() -> Vec<ProtocolId> {
 }
 
 /// Prints a table header followed by rows.
+#[expect(
+    clippy::print_stdout,
+    reason = "bench table printer: stdout is this crate's UI"
+)]
 pub fn print_table(title: &str, header: &str, rows: &[String]) {
-    println!(); // lint:allow(P02): bench table printer — stdout is this crate's UI
-    println!("=== {title} ==="); // lint:allow(P02): bench table printer — stdout is this crate's UI
-    println!("{header}"); // lint:allow(P02): bench table printer — stdout is this crate's UI
-    println!("{}", "-".repeat(header.len().max(20))); // lint:allow(P02): bench table printer — stdout is this crate's UI
+    println!();
+    println!("=== {title} ===");
+    println!("{header}");
+    println!("{}", "-".repeat(header.len().max(20)));
     for row in rows {
-        println!("{row}"); // lint:allow(P02): bench table printer — stdout is this crate's UI
+        println!("{row}");
     }
-    println!(); // lint:allow(P02): bench table printer — stdout is this crate's UI
+    println!();
 }
 
 /// Runs one scenario and returns its report.

@@ -214,6 +214,10 @@ impl ConsensusEngine for FlexiBft {
             .on_client_request(txns, self.flexi.counter.bind(), out);
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
         if !self.flexi.replica.config().contains(from) {
             return;
@@ -353,6 +357,22 @@ mod tests {
     fn run(engines: &mut [FlexiBft], inject: Vec<(usize, Vec<Transaction>)>) {
         let mut engines: Vec<&mut FlexiBft> = engines.iter_mut().collect();
         run_cluster_until_quiescent(&mut engines, inject, 300);
+    }
+
+    #[test]
+    fn prepare_quorum_fits_the_untrusted_regime_for_every_f() {
+        let regime = ProtocolId::FlexiBft.replication_factor();
+        for f in 1..=64 {
+            let cfg = FlexiBft::config(f);
+            let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
+            let enclave = FlexiBft::enclave(ReplicaId(0), AttestationMode::Counting);
+            let engine = FlexiBft::new(cfg, ReplicaId(0), enclave, registry);
+            let quorum = engine.prepare_votes.threshold();
+            assert!(
+                regime.admits_quorum(f, quorum),
+                "quorum {quorum} at f = {f}"
+            );
+        }
     }
 
     #[test]

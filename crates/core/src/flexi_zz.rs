@@ -208,6 +208,10 @@ impl ConsensusEngine for FlexiZz {
             .on_client_request(txns, self.flexi.counter.bind(), out);
     }
 
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
         if !self.flexi.replica.config().contains(from) {
             return;

@@ -30,6 +30,8 @@
 //! are the same engines constructed with parallelism disabled
 //! ([`flexi_bft::FlexiBft::sequential`], [`flexi_zz::FlexiZz::sequential`]).
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod common;
 pub mod flexi_bft;
 pub mod flexi_zz;

@@ -28,10 +28,13 @@ impl KeyStore {
     /// Generates a key store with random keys for `replicas` replicas and
     /// `clients` clients.
     pub fn generate(replicas: usize, clients: usize) -> Self {
-        // lint:allow(D04): key *generation* is deployment setup, not
-        // execution: keys are inputs to a run (like the config), never
-        // derived during one. Deterministic hosts use `deterministic()`.
-        let mut rng = rand::rngs::OsRng;
+        #[expect(
+            clippy::disallowed_types,
+            reason = "key *generation* is deployment setup, not execution: keys are \
+                      inputs to a run (like the config), never derived during one; \
+                      deterministic hosts use `deterministic()`"
+        )]
+        let mut rng = rand::rngs::OsRng::new();
         let replica_keys = (0..replicas)
             .map(|_| SigningKey::generate(&mut rng))
             .collect();

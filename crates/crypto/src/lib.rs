@@ -18,6 +18,8 @@
 //! Key material is managed by [`KeyStore`], which assigns an Ed25519 keypair
 //! to every replica and client and a pairwise HMAC key to every channel.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod hashing;
 pub mod keys;
 pub mod provider;

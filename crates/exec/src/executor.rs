@@ -77,7 +77,7 @@ fn run_lane(shards: LaneJob) -> LaneOutcome {
                     KvResult::Value(previous)
                 }
                 KvOp::Scan { .. } | KvOp::Noop => {
-                    // lint:allow(X01): the queue routes Scan to the serial lane and answers Noop inline at scatter, so neither variant is ever enqueued for a shard worker
+                    // lint:allow(R01): the queue routes Scan to the serial lane and answers Noop inline at scatter, so neither variant is ever enqueued for a shard worker
                     unreachable!("cross-shard and no-op ops never reach a shard worker")
                 }
             };
@@ -172,7 +172,7 @@ impl ShardedExecutor {
         for (slot, op) in ops.iter().enumerate() {
             let (key, indexed) = match op {
                 KvOp::Noop => {
-                    // lint:allow(X02): slot comes from enumerate() over ops; results has ops.len() entries
+                    // lint:allow(R01): slot comes from enumerate() over ops; results has ops.len() entries
                     results[slot] = Some(KvResult::Noop);
                     continue;
                 }
@@ -186,7 +186,7 @@ impl ShardedExecutor {
                 }
                 KvOp::Scan { .. } => return Self::run_inline(store, ops),
             };
-            // lint:allow(X02): shard_of reduces modulo shard_count, per_shard's exact length
+            // lint:allow(R01): shard_of reduces modulo shard_count, per_shard's exact length
             per_shard[store.shard_of(key)].push((slot, (*op).clone(), indexed));
         }
 
@@ -199,7 +199,7 @@ impl ShardedExecutor {
             if shard_ops.is_empty() {
                 continue;
             }
-            // lint:allow(X02): shard enumerates per_shard (shard_count = shards.len() entries); % lanes matches per_worker's length
+            // lint:allow(R01): shard enumerates per_shard (shard_count = shards.len() entries); % lanes matches per_worker's length
             per_worker[shard % lanes].push((shard, mem::take(&mut shards[shard]), shard_ops));
         }
         let mut outstanding = 0usize;
@@ -208,7 +208,7 @@ impl ShardedExecutor {
             if lane_shards.is_empty() {
                 continue;
             }
-            // lint:allow(X02): worker enumerates per_worker, built with exactly job_lanes.len() entries
+            // lint:allow(R01): worker enumerates per_worker, built with exactly job_lanes.len() entries
             match self.job_lanes[worker].send(lane_shards) {
                 Ok(()) => outstanding += 1,
                 // A dead worker hands the un-run job back inside the send
@@ -222,34 +222,40 @@ impl ShardedExecutor {
         // order is irrelevant) and scatter results back into their slots.
         let mut mutations = 0u64;
         let mut fingerprint_delta = 0u64;
-        let received = (0..outstanding).map(|_| {
-            // lint:allow(P01): a worker that dies after taking a job takes
-            // its shard maps with it — there is no way to keep executing
-            // without silently losing committed state, so fail loudly.
-            self.results_rx.recv().expect("execution worker alive")
-        });
+        #[expect(
+            clippy::expect_used,
+            reason = "a worker that dies after taking a job takes its shard maps with it; \
+                      there is no way to keep executing without silently losing committed \
+                      state, so fail loudly"
+        )]
+        let received =
+            (0..outstanding).map(|_| self.results_rx.recv().expect("execution worker alive"));
         for outcome in salvaged.into_iter().chain(received) {
             for (shard, map) in outcome.shards {
-                // lint:allow(X02): shard ids round-trip through the job unchanged and were < shards.len() at scatter
+                // lint:allow(R01): shard ids round-trip through the job unchanged and were < shards.len() at scatter
                 shards[shard] = map;
             }
             mutations += outcome.mutations;
             fingerprint_delta = fingerprint_delta.wrapping_add(outcome.fingerprint_delta);
             for (slot, result) in outcome.results {
-                // lint:allow(X02): slots round-trip through the job unchanged and were < results.len() at scatter
+                // lint:allow(R01): slots round-trip through the job unchanged and were < results.len() at scatter
                 results[slot] = Some(result);
             }
         }
         store.restore_shards(shards);
         store.fold_parallel_run(mutations, fingerprint_delta);
-        results
+        #[expect(
+            clippy::expect_used,
+            reason = "slot coverage is a structural invariant of the scatter phase above \
+                      (every op is either answered inline or assigned to exactly one \
+                      shard); papering over a hole here would return corrupt results for \
+                      committed transactions"
+        )]
+        let filled = results
             .into_iter()
-            // lint:allow(P01): slot coverage is a structural invariant of
-            // the scatter phase above (every op is either answered inline
-            // or assigned to exactly one shard); papering over a hole here
-            // would return corrupt results for committed transactions.
             .map(|r| r.expect("every op slot filled"))
-            .collect()
+            .collect();
+        filled
     }
 }
 

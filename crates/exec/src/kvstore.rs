@@ -182,7 +182,7 @@ impl KvStore {
             self.fingerprint
                 .wrapping_add(mutation_hash(self.applied_mutations, key, &value));
         let shard = self.shard_of(key);
-        // lint:allow(X02): shard_of reduces modulo shards.len()
+        // lint:allow(R01): shard_of reduces modulo shards.len()
         self.shards[shard].insert(key, value);
     }
 
@@ -198,13 +198,13 @@ impl KvStore {
 
     /// Reads a record directly (outside transaction execution).
     pub fn get(&self, key: u64) -> Option<&[u8]> {
-        // lint:allow(X02): shard_of reduces modulo shards.len()
+        // lint:allow(R01): shard_of reduces modulo shards.len()
         self.shards[self.shard_of(key)].get(&key).map(|v| &**v)
     }
 
     /// The stored value handle for `key`, sharing the record's buffer.
     pub fn get_shared(&self, key: u64) -> Option<ValueBytes> {
-        // lint:allow(X02): shard_of reduces modulo shards.len()
+        // lint:allow(R01): shard_of reduces modulo shards.len()
         self.shards[self.shard_of(key)].get(&key).cloned()
     }
 
@@ -228,10 +228,13 @@ impl KvStore {
             }
             match best {
                 Some((i, _)) => {
-                    // lint:allow(P01): the k-way merge only advances an
-                    // iterator whose head it just peeked; a hole here is a
-                    // broken merge, not an I/O condition to recover from.
-                    // lint:allow(X02): i enumerates iters in the loop above
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the k-way merge only advances an iterator whose head it \
+                                  just peeked; a hole here is a broken merge, not an I/O \
+                                  condition to recover from"
+                    )]
+                    // lint:allow(R01): i enumerates iters in the loop above
                     let (k, v) = iters[i].next().expect("peeked entry");
                     out.push((*k, v.clone()));
                 }
@@ -270,11 +273,11 @@ impl KvStore {
     /// applied serially or by parallel shard workers (see the type docs).
     pub fn state_digest(&self) -> Digest {
         let mut bytes = [0u8; 24];
-        // lint:allow(X02): constant ranges into a fixed [u8; 24] cannot be out of bounds
+        // lint:allow(R01): constant ranges into a fixed [u8; 24] cannot be out of bounds
         bytes[..8].copy_from_slice(&self.fingerprint.to_le_bytes());
-        // lint:allow(X02): constant ranges into a fixed [u8; 24] cannot be out of bounds
+        // lint:allow(R01): constant ranges into a fixed [u8; 24] cannot be out of bounds
         bytes[8..16].copy_from_slice(&self.applied_mutations.to_le_bytes());
-        // lint:allow(X02): constant ranges into a fixed [u8; 24] cannot be out of bounds
+        // lint:allow(R01): constant ranges into a fixed [u8; 24] cannot be out of bounds
         bytes[16..24].copy_from_slice(&(self.len() as u64).to_le_bytes());
         sha256(&bytes)
     }
@@ -316,7 +319,7 @@ impl KvStore {
         let mut store = KvStore::with_shards(shard_count);
         for (key, value) in &snapshot.entries {
             let shard = store.shard_of(*key);
-            // lint:allow(X02): shard_of reduces modulo shards.len()
+            // lint:allow(R01): shard_of reduces modulo shards.len()
             store.shards[shard].insert(*key, value.clone());
         }
         store.applied_mutations = snapshot.applied_mutations;

@@ -15,6 +15,9 @@
 //! * [`CheckpointJournal`] — the state a replica keeps at its checkpoint
 //!   boundaries: one full snapshot plus the write deltas since.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod checkpoint;
 pub mod executor;
 pub mod kvstore;

@@ -204,10 +204,12 @@ impl ExecutionQueue {
                 .map(|txn| TxnOutcome {
                     client: txn.client(),
                     request: txn.request(),
-                    // lint:allow(P01): the executor returns exactly one
-                    // result per submitted op (pinned by exec_determinism
-                    // proptests); continuing past a miscount would ack
-                    // transactions that never executed.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the executor returns exactly one result per submitted op \
+                                  (pinned by exec_determinism proptests); continuing past a \
+                                  miscount would ack transactions that never executed"
+                    )]
                     result: results.next().expect("one result per op"),
                 })
                 .collect();

@@ -28,6 +28,8 @@
 //! the `ProtocolId` → engine factory, and [`CrashWindow`] / [`WindowPhase`],
 //! the commit-progress-triggered crash-recovery state machine.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 mod factory;
 mod window;
 

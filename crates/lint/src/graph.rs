@@ -41,8 +41,6 @@ pub struct FnNode {
     pub name: String,
     /// Impl self type, if the fn is a method / associated fn.
     pub owner: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
 }
 
 /// The workspace call graph: every non-test function with a body, the
@@ -63,8 +61,6 @@ pub struct CallGraph {
     scc_members: Vec<Vec<usize>>,
     /// Node ids reachable from each SCC (including its own members).
     scc_reach: Vec<BTreeSet<usize>>,
-    /// (file, body-start) → node id, for locating the node a site sits in.
-    by_body: BTreeMap<(usize, usize), usize>,
     /// name → ids of impl-owned defs.
     owned: BTreeMap<String, Vec<usize>>,
     /// name → ids of free defs.
@@ -86,7 +82,6 @@ impl CallGraph {
                     body,
                     name: def.name.clone(),
                     owner: def.owner.clone(),
-                    line: def.line,
                 });
             }
         }
@@ -94,9 +89,7 @@ impl CallGraph {
         let mut owned: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut free: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut by_owner: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-        let mut by_body = BTreeMap::new();
         for (id, n) in nodes.iter().enumerate() {
-            by_body.insert((n.file, n.body.0), id);
             match &n.owner {
                 Some(o) => {
                     owned.entry(n.name.clone()).or_default().push(id);
@@ -115,7 +108,6 @@ impl CallGraph {
             scc_of: Vec::new(),
             scc_members: Vec::new(),
             scc_reach: Vec::new(),
-            by_body,
             owned,
             free,
             by_owner,
@@ -188,11 +180,6 @@ impl CallGraph {
             return self.free.get(&c.name).unwrap_or(&none).clone();
         }
         self.free.get(&c.name).unwrap_or(&none).clone()
-    }
-
-    /// The node whose body opens at token `body_start` of file `file`.
-    pub fn node_at(&self, file: usize, body_start: usize) -> Option<usize> {
-        self.by_body.get(&(file, body_start)).copied()
     }
 
     /// Every node reachable from any of `starts` (inclusive), via the

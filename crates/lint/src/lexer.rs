@@ -1,7 +1,7 @@
 //! A minimal Rust lexer: just enough to walk real source token by token
 //! without being fooled by strings, char literals, lifetimes or comments.
 //!
-//! The rule engine works on identifier/punctuation sequences (`Instant ::
+//! The analyses work on identifier/punctuation sequences (`Instant ::
 //! now`, `. unwrap (`), so the lexer's one job is to classify those
 //! correctly and never emit a token from inside a literal or a comment.
 //! Doc comments and `//` comments are consumed here too — except for
@@ -28,7 +28,7 @@ pub struct Token {
     pub kind: TokenKind,
     /// The token text. String/char literals collapse to their quote
     /// character (rules never look inside them); numeric literals keep
-    /// their verbatim digits for the quorum-arithmetic rules.
+    /// their verbatim digits.
     pub text: String,
     /// 1-based source line.
     pub line: u32,
@@ -68,7 +68,7 @@ pub struct Pragma {
 }
 
 /// The result of lexing one file.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Lexed {
     /// Tokens in source order.
     pub tokens: Vec<Token>,
@@ -216,9 +216,8 @@ pub fn lex(src: &str) -> Lexed {
             continue;
         }
 
-        // Numbers (consume so `1.0` doesn't emit a `.` punct). The digits
-        // are kept verbatim: the quorum-arithmetic rules evaluate integer
-        // coefficients out of expressions like `2 * f + 1`.
+        // Numbers (consume so `1.0` doesn't emit a `.` punct), digits kept
+        // verbatim.
         if c.is_ascii_digit() {
             let mut j = i + 1;
             while j < bytes.len()
@@ -241,8 +240,8 @@ pub fn lex(src: &str) -> Lexed {
         // Everything else: punctuation. The unambiguous multi-char
         // operators (`::`, `->`, `=>`, and the range ops `..`/`..=`) merge
         // into one token — the parser keys on the first three for paths,
-        // signatures and match arms, and the quorum-expression walk needs
-        // a range pattern (`0..=n`) to be one operator, not a run of dots.
+        // signatures and match arms, and a merged range keeps `..base()`
+        // from reading as a method call on `.`.
         // Nothing else merges, deliberately: `>>` at the close of nested
         // generics (`Arc<Mutex<Vec<u8>>>`) is two independent closers, not
         // a shift operator, and the same ambiguity bites `<<`, `>=`, `&&`
@@ -468,19 +467,19 @@ mod tests {
 
     #[test]
     fn pragmas_parse_rules_and_reason() {
-        let lexed = lex("x(); // lint:allow(D02, P01): stats only\n");
+        let lexed = lex("x(); // lint:allow(R01, T02): stats only\n");
         assert_eq!(lexed.pragmas.len(), 1);
         let p = &lexed.pragmas[0];
         assert!(p.well_formed);
-        assert_eq!(p.rules, vec!["D02", "P01"]);
+        assert_eq!(p.rules, vec!["R01", "T02"]);
         assert_eq!(p.reason, "stats only");
     }
 
     #[test]
     fn pragma_without_reason_is_malformed() {
-        let lexed = lex("// lint:allow(D01)\n");
+        let lexed = lex("// lint:allow(Z02)\n");
         assert!(!lexed.pragmas[0].well_formed);
-        let lexed = lex("// lint:allow(D01):   \n");
+        let lexed = lex("// lint:allow(Z02):   \n");
         assert!(lexed.pragmas[0].well_formed);
         assert!(lexed.pragmas[0].reason.is_empty());
     }
@@ -524,8 +523,6 @@ mod tests {
 
     #[test]
     fn numeric_literals_keep_their_digits() {
-        // The quorum-arithmetic rules evaluate coefficients, so `2 * f + 1`
-        // must surface the actual `2` and `1`, not a placeholder.
         let lexed = lex("let q = 2 * f + 1; let n = 3 * f + 1;");
         let lits: Vec<&str> = lexed
             .tokens

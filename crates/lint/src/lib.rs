@@ -1,55 +1,121 @@
-//! flexilint — the project's own static-analysis pass.
+//! flexilint — the project's own static analysis, for what the compiler
+//! toolchain and the tests cannot check.
 //!
 //! The repo's core guarantee (simulator ≡ channel cluster ≡ TCP cluster
 //! commit sequences, invariant under worker and shard counts) rests on
-//! properties no compiler checks: no wall-clock or map-iteration-order
-//! nondeterminism in the deterministic crates, no payload deep copies on
-//! hot paths, no panicking I/O in transport threads, and full wire-codec
-//! coverage of the message vocabulary. This crate enforces them as named,
-//! suppressible rules over a hand-rolled lexer (dependency-free, per the
-//! offline-shim policy). See `RULES.md` for the catalog.
+//! determinism, on threads that do not die silently and on peers that
+//! cannot crash a replica with a malformed frame. rustc, clippy and the
+//! quorum tests enforce most of it (`RULES.md`, part one: the
+//! `clippy.toml` lists, the crate-level lint attributes, the exhaustive
+//! message matches). What is left needs a whole-workspace call graph or
+//! a lexical shape no lint names, and lives here: lock order (L01, L02),
+//! discarded `try_send` results (C03), panics reachable from a worker
+//! thread or a wire decoder (R01), narrowing casts on decode paths (T02),
+//! clock and entropy values flowing into messages (N01) and `Vec::from`
+//! payload copies (Z02). The lexer is hand-rolled and dependency-free,
+//! per the offline-shim policy.
 //!
 //! Suppression: `// lint:allow(RULE): reason` on the offending line or the
-//! line directly above. Reasons are mandatory, and a pragma that stops
-//! suppressing anything is itself a finding (`U01`) — stale exemptions rot.
+//! line directly above. Reasons are mandatory (U02), and a pragma that
+//! stops suppressing anything is itself a finding (U01) — stale exemptions
+//! rot.
 //!
-//! Three layers of analysis share one front end: the token-pattern rules
-//! (D/Z/P) scan each file's token stream flat; the structural analyses
-//! (W/C/H) work on the [`parser`]'s item/block/call structure; and the
-//! dataflow analyses (L/X/T/N/Q) run over the whole-workspace transitive
-//! call graph built once per run by [`graph`]. Every file is read, lexed
-//! and parsed exactly once into a [`SourceFile`] that all passes share,
-//! and every pass's wall time is reported so memoization regressions in
-//! the graph show up in CI, not as silent slowdown.
+//! [`Workspace::read`] reads, lexes and parses every file once;
+//! [`Workspace::analyse`] builds the [`graph`] once and runs every pass
+//! over it, reporting each pass's wall time so a slow pass names itself
+//! in CI.
 
-pub mod channels;
+pub mod calls;
 pub mod graph;
-pub mod handlers;
 pub mod lexer;
 pub mod locks;
-pub mod panics;
 pub mod parser;
-pub mod quorum;
+pub mod reach;
 pub mod report;
-pub mod rules;
 pub mod taint;
-pub mod wire;
 
 use report::{Finding, Report};
-use rules::FileClass;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// One scanned file: its path-derived classification, token stream,
+/// Crates on the message and value hot path: payload bytes travel by
+/// `Arc` handle (Z02), and no clock or entropy value may reach a message,
+/// an encoder or a digest built here (N01).
+pub const HOT_PATH_CRATES: &[&str] = &[
+    "types",
+    "protocol",
+    "core",
+    "baselines",
+    "sim",
+    "exec",
+    "trusted",
+    "crypto",
+    "wire",
+    "runtime",
+    "host",
+];
+
+/// Crates whose threads must not die on a stray panic: the transport
+/// reader/writer threads and the execution workers (R01).
+pub const WORKER_CRATES: &[&str] = &["runtime", "exec"];
+
+/// Crates holding the workspace's locks: the transport clusters, the
+/// executor pool and the host dispatcher (L01, L02).
+pub const LOCK_CRATES: &[&str] = &["runtime", "exec", "host"];
+
+/// Every rule flexilint knows, with its one-line summary.
+pub const RULES: &[(&str, &str)] = &[
+    (
+        "L01",
+        "lock-order cycle across the acquisition graph (potential deadlock)",
+    ),
+    (
+        "L02",
+        "lock held across a blocking channel send/recv (wedges every contender)",
+    ),
+    ("C03", "try_send result discarded without drop accounting"),
+    (
+        "R01",
+        "panic reachable from a worker thread or a wire decode entry point",
+    ),
+    (
+        "T02",
+        "unchecked `as` narrowing cast on a wire decode path (peer-controlled length/count)",
+    ),
+    (
+        "N01",
+        "nondeterministic value (clock/RNG) flows into a Message, wire encoding or state digest",
+    ),
+    (
+        "Z02",
+        "payload deep copy (Vec::from) on a zero-copy hot path",
+    ),
+    ("U01", "unused lint:allow pragma"),
+    (
+        "U02",
+        "malformed lint:allow pragma (missing rule id or reason, or unknown rule)",
+    ),
+];
+
+/// Whether `rule` is one flexilint knows.
+pub fn known_rule(rule: &str) -> bool {
+    RULES.iter().any(|(id, _)| *id == rule)
+}
+
+/// One scanned file: its path-derived scope, source, token stream,
 /// pragmas and parse tree — built once, shared by every pass.
+#[derive(Clone)]
 pub struct SourceFile {
     /// Workspace-relative path, forward slashes.
     pub rel: String,
     /// The crate directory name under `crates/`; empty for the facade.
     pub crate_name: String,
-    /// Which rule families apply.
-    pub class: FileClass,
+    /// Whether the file is crate source under `src/`, not an integration
+    /// test, bench or example. Only production files carry rules.
+    pub production: bool,
+    /// The source text.
+    pub src: String,
     /// Tokens and suppression pragmas.
     pub lexed: lexer::Lexed,
     /// Item/block/call structure.
@@ -61,6 +127,8 @@ impl SourceFile {
     pub fn new(rel: &str, src: &str) -> Self {
         let lexed = lexer::lex(src);
         let parsed = parser::parse(&lexed.tokens);
+        let under =
+            |dir: &str| rel.starts_with(&format!("{dir}/")) || rel.contains(&format!("/{dir}/"));
         SourceFile {
             rel: rel.to_string(),
             crate_name: rel
@@ -68,7 +136,8 @@ impl SourceFile {
                 .and_then(|r| r.split('/').next())
                 .unwrap_or("")
                 .to_string(),
-            class: classify(rel),
+            production: under("src") && !["tests", "benches", "examples"].into_iter().any(under),
+            src: src.to_string(),
             lexed,
             parsed,
         }
@@ -78,102 +147,97 @@ impl SourceFile {
     pub fn tokens(&self) -> &[lexer::Token] {
         &self.lexed.tokens
     }
+
+    /// Whether the file is production source of one of `crates`.
+    pub fn in_crates(&self, crates: &[&str]) -> bool {
+        self.production && crates.contains(&self.crate_name.as_str())
+    }
 }
 
 /// Directory names never scanned, at any depth.
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", "node_modules"];
 
-/// Crate directories never scanned: the shims *implement* the wall-clock
-/// and entropy surface the rules exist to keep out of everything else.
-const SKIP_CRATES: &[&str] = &["shims"];
-
-/// Lints the workspace rooted at `root`; the heart of both the CLI and
-/// the self-lint test.
-pub fn run(root: &Path) -> std::io::Result<Report> {
-    run_with_rules(root, None)
+/// The scanned tree: every `.rs` file under a root, read once.
+#[derive(Clone)]
+pub struct Workspace {
+    /// The files, sorted by path.
+    pub files: Vec<SourceFile>,
 }
 
-/// Like [`run`], restricted to the rule ids in `only` when given.
-///
-/// Suppression still resolves against the *full* finding set first, so a
-/// pragma for an unselected rule is neither honoured-and-hidden nor
-/// misreported as stale; the filter applies to what is reported.
-pub fn run_with_rules(root: &Path, only: Option<&BTreeSet<String>>) -> std::io::Result<Report> {
-    let mut files = Vec::new();
-    collect(root, root, &mut files)?;
-    files.sort();
-
-    // Read, lex and parse every file exactly once; pragma resolution must
-    // run after *all* passes (a pragma that only suppresses a cross-file
-    // finding is used, not stale).
-    let mut sources: Vec<SourceFile> = Vec::with_capacity(files.len());
-    let mut raws: Vec<String> = Vec::with_capacity(files.len());
-    for rel in &files {
-        let src = std::fs::read_to_string(root.join(rel))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        sources.push(SourceFile::new(&rel_str, &src));
-        raws.push(src);
+impl Workspace {
+    /// Reads, lexes and parses every `.rs` file under `root`, skipping
+    /// build output, fixture trees and `crates/shims` (the shims implement
+    /// the clock and entropy surface the rules keep out of everything
+    /// else).
+    pub fn read(root: &Path) -> std::io::Result<Workspace> {
+        let mut paths = Vec::new();
+        collect(root, root, &mut paths)?;
+        paths.sort();
+        let mut files = Vec::with_capacity(paths.len());
+        for rel in &paths {
+            let src = std::fs::read_to_string(root.join(rel))?;
+            files.push(SourceFile::new(
+                &rel.to_string_lossy().replace('\\', "/"),
+                &src,
+            ));
+        }
+        Ok(Workspace { files })
     }
 
-    let mut timings: Vec<(String, f64)> = Vec::new();
-    let mut timed = |label: &str, t0: Instant| {
-        timings.push((label.to_string(), t0.elapsed().as_secs_f64() * 1e3));
-    };
+    /// Runs every pass and resolves pragmas; reports only the rule ids in
+    /// `only` when given.
+    ///
+    /// Suppression still resolves against the *full* finding set first, so
+    /// a pragma for an unselected rule is neither honoured-and-hidden nor
+    /// misreported as stale; the filter applies to what is reported.
+    pub fn analyse(&self, only: Option<&BTreeSet<String>>) -> Report {
+        let files = &self.files;
+        let mut timings: Vec<(String, f64)> = Vec::new();
+        let t0 = Instant::now();
+        let graph = graph::CallGraph::build(files);
+        timings.push(("graph".into(), t0.elapsed().as_secs_f64() * 1e3));
 
-    let mut all: Vec<Finding> = Vec::new();
-    let t0 = Instant::now();
-    for f in &sources {
-        all.extend(rules::scan_file(&f.rel, f.tokens(), &f.class));
+        type Pass = fn(&[SourceFile], &graph::CallGraph) -> Vec<Finding>;
+        let passes: [(&str, Pass); 4] = [
+            ("locks", locks::check),
+            ("calls", calls::check),
+            ("reach", reach::check),
+            ("taint", taint::check),
+        ];
+        let mut all: Vec<Finding> = Vec::new();
+        for (label, pass) in passes {
+            let t0 = Instant::now();
+            all.extend(pass(files, &graph));
+            timings.push((label.into(), t0.elapsed().as_secs_f64() * 1e3));
+        }
+        // One finding per rule and line: a site reached along several paths
+        // (or from nested fns) is one thing to fix and one pragma to write.
+        all.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
+        all.dedup_by(|a, b| (&a.file, a.line, &a.rule) == (&b.file, b.line, &b.rule));
+
+        let mut report = Report {
+            files_scanned: files.len(),
+            timings_ms: timings,
+            ..Default::default()
+        };
+        for f in files {
+            let file_findings: Vec<Finding> =
+                all.iter().filter(|x| x.file == f.rel).cloned().collect();
+            let (mut kept, used, pragma_findings) = suppress(&f.rel, &f.lexed, file_findings);
+            report.suppressions_used += used;
+            kept.extend(pragma_findings);
+            attach_excerpts(&f.src, &mut kept);
+            report.findings.extend(kept);
+        }
+
+        if let Some(only) = only {
+            report.findings.retain(|f| only.contains(&f.rule));
+        }
+        report
+            .findings
+            .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
+        report
     }
-    timed("tokens", t0);
-
-    let t0 = Instant::now();
-    let graph = graph::CallGraph::build(&sources);
-    timed("graph", t0);
-
-    let t0 = Instant::now();
-    all.extend(wire::check(&sources));
-    timed("wire", t0);
-    let t0 = Instant::now();
-    all.extend(locks::check(&sources, &graph));
-    timed("locks", t0);
-    let t0 = Instant::now();
-    all.extend(channels::check(&sources));
-    timed("channels", t0);
-    let t0 = Instant::now();
-    all.extend(handlers::check(&sources));
-    timed("handlers", t0);
-    let t0 = Instant::now();
-    all.extend(panics::check(&sources, &graph));
-    timed("panics", t0);
-    let t0 = Instant::now();
-    all.extend(taint::check(&sources, &graph));
-    timed("taint", t0);
-    let t0 = Instant::now();
-    all.extend(quorum::check(&sources));
-    timed("quorum", t0);
-
-    let mut report = Report {
-        files_scanned: sources.len(),
-        timings_ms: timings,
-        ..Default::default()
-    };
-    for (f, src) in sources.iter().zip(&raws) {
-        let file_findings: Vec<Finding> = all.iter().filter(|x| x.file == f.rel).cloned().collect();
-        let (mut kept, used, pragma_findings) = suppress(&f.rel, &f.lexed, file_findings);
-        report.suppressions_used += used;
-        kept.extend(pragma_findings);
-        attach_excerpts(src, &mut kept);
-        report.findings.extend(kept);
-    }
-
-    if let Some(only) = only {
-        report.findings.retain(|f| only.contains(&f.rule));
-    }
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-    Ok(report)
 }
 
 /// Splits `findings` into kept (unsuppressed) findings, counts honoured
@@ -230,7 +294,7 @@ fn suppress(
             ));
             continue;
         }
-        if let Some(unknown) = p.rules.iter().find(|r| !rules::known_rule(r)) {
+        if let Some(unknown) = p.rules.iter().find(|r| !known_rule(r)) {
             meta.push(Finding::new(
                 rel,
                 p.line,
@@ -270,37 +334,6 @@ fn attach_excerpts(src: &str, findings: &mut [Finding]) {
     }
 }
 
-/// Decides which rule families apply to a workspace-relative path.
-pub fn classify(rel: &str) -> FileClass {
-    let mut class = FileClass::default();
-    // Only crate library sources participate; integration tests, benches
-    // and examples are free to use clocks, unwraps and prints.
-    let in_tests = rel.contains("/tests/") || rel.starts_with("tests/");
-    let in_benches = rel.contains("/benches/") || rel.starts_with("benches/");
-    let in_examples = rel.contains("/examples/") || rel.starts_with("examples/");
-    if in_tests || in_benches || in_examples {
-        return class;
-    }
-    let crate_name = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("");
-    let in_src = rel.contains("/src/") || rel.starts_with("src/");
-    if !in_src {
-        return class;
-    }
-    class.deterministic = rules::DETERMINISTIC_CRATES.contains(&crate_name);
-    class.zero_copy = rules::ZERO_COPY_CRATES.contains(&crate_name);
-    class.panic_free = rules::PANIC_FREE_CRATES.contains(&crate_name);
-    // Binaries own their stdout; libraries do not.
-    class.library = !rel.ends_with("/main.rs");
-    class.locks = rules::LOCK_CRATES.contains(&crate_name);
-    // Channel topology is a concern wherever channels exist — any source.
-    class.channels = true;
-    class.handlers = rules::HANDLER_CRATES.contains(&crate_name);
-    class
-}
-
 /// Recursively collects `.rs` files under `dir`, as root-relative paths.
 fn collect(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
@@ -309,13 +342,7 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<(
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) {
-                continue;
-            }
-            // `crates/shims/*`: the shims implement the nondeterministic
-            // surface; scanning them would be linting the fire brigade
-            // for smelling of smoke.
-            if dir.ends_with("crates") && SKIP_CRATES.contains(&name.as_ref()) {
+            if SKIP_DIRS.contains(&name.as_ref()) || (dir.ends_with("crates") && name == "shims") {
                 continue;
             }
             collect(root, &path, out)?;
@@ -333,45 +360,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classification_follows_the_crate_map() {
-        let c = classify("crates/protocol/src/quorum.rs");
-        assert!(c.deterministic && c.zero_copy && c.library && !c.panic_free);
-        assert!(!c.locks && c.channels && !c.handlers);
-        let c = classify("crates/runtime/src/tcp.rs");
-        assert!(!c.deterministic && c.zero_copy && c.panic_free && c.library);
-        assert!(c.locks && c.channels && !c.handlers);
-        let c = classify("crates/exec/src/executor.rs");
-        assert!(c.deterministic && c.panic_free && c.locks);
-        let c = classify("crates/core/src/flexi_bft.rs");
-        assert!(c.handlers && !c.locks);
-        let c = classify("crates/baselines/src/common.rs");
-        assert!(c.handlers);
-        let c = classify("crates/core/tests/foo.rs");
-        assert!(!c.handlers && !c.channels, "tests carry no graph rules");
-        let c = classify("crates/lint/src/main.rs");
-        assert!(!c.library, "binaries own their stdout");
-        let c = classify("crates/protocol/tests/foo.rs");
-        assert!(!c.deterministic && !c.library);
-        let c = classify("tests/cross_host.rs");
-        assert!(!c.deterministic && !c.library);
-        let c = classify("crates/bench/benches/fig6vi_wan.rs");
-        assert!(!c.library);
-        let c = classify("src/lib.rs");
-        assert!(!c.deterministic && c.library);
+    fn production_means_crate_source() {
+        let scoped = |rel: &str| SourceFile::new(rel, "").production;
+        assert!(scoped("crates/runtime/src/tcp.rs"));
+        assert!(scoped("crates/lint/src/main.rs"));
+        assert!(scoped("src/lib.rs"));
+        assert!(!scoped("crates/core/tests/foo.rs"));
+        assert!(!scoped("tests/cross_host.rs"));
+        assert!(!scoped("crates/bench/benches/fig6vi_wan.rs"));
+        assert!(!scoped("examples/quickstart.rs"));
+        let f = SourceFile::new("crates/exec/src/executor.rs", "");
+        assert!(f.in_crates(WORKER_CRATES) && f.in_crates(LOCK_CRATES));
+        assert!(!SourceFile::new("crates/exec/tests/x.rs", "").in_crates(WORKER_CRATES));
     }
 
     #[test]
     fn suppression_covers_same_and_next_line() {
         let src = "\
-// lint:allow(P01): reason above
-x.unwrap();
-y.unwrap(); // lint:allow(P01): trailing reason
-z.unwrap();
+// lint:allow(R01): reason above
+x[0];
+y[0]; // lint:allow(R01): trailing reason
+z[0];
 ";
         let findings = vec![
-            Finding::new("f.rs", 2, "P01", "m"),
-            Finding::new("f.rs", 3, "P01", "m"),
-            Finding::new("f.rs", 4, "P01", "m"),
+            Finding::new("f.rs", 2, "R01", "m"),
+            Finding::new("f.rs", 3, "R01", "m"),
+            Finding::new("f.rs", 4, "R01", "m"),
         ];
         let (kept, used, meta) = suppress("f.rs", &lexer::lex(src), findings);
         assert_eq!(kept.len(), 1);
@@ -383,9 +397,9 @@ z.unwrap();
     #[test]
     fn unused_and_malformed_pragmas_are_findings() {
         let src = "\
-// lint:allow(P01): nothing here to suppress
+// lint:allow(R01): nothing here to suppress
 let a = 1;
-// lint:allow(P01)
+// lint:allow(R01)
 // lint:allow(NOPE): unknown rule
 ";
         let (kept, used, meta) = suppress("f.rs", &lexer::lex(src), Vec::new());
@@ -397,8 +411,8 @@ let a = 1;
 
     #[test]
     fn pragma_for_a_different_rule_does_not_suppress() {
-        let src = "x.unwrap(); // lint:allow(D01): wrong rule\n";
-        let findings = vec![Finding::new("f.rs", 1, "P01", "m")];
+        let src = "x[0]; // lint:allow(Z02): wrong rule\n";
+        let findings = vec![Finding::new("f.rs", 1, "R01", "m")];
         let (kept, _, meta) = suppress("f.rs", &lexer::lex(src), findings);
         assert_eq!(kept.len(), 1);
         // And the pragma is unused on top of it.

@@ -23,13 +23,13 @@
 //! `;`; `match m.lock() { .. }` guards are treated as temporaries
 //! (under-approximates — none exist in this tree). Transitive callee
 //! facts are only collected from lock-bearing crates: the deterministic
-//! crates hold no locks and do no channel I/O by construction (D/C rules).
+//! crates are single-threaded state machines that hold no locks.
 
 use crate::graph::CallGraph;
 use crate::lexer::{Token, TokenKind};
-use crate::parser::{self, matching_backward};
+use crate::parser::matching_backward;
 use crate::report::Finding;
-use crate::SourceFile;
+use crate::{SourceFile, LOCK_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One lock-acquisition site inside a function body.
@@ -48,11 +48,10 @@ struct Acquisition {
     bound: bool,
 }
 
-/// One graph node's lock-relevant facts (nodes in lock-bearing files).
+/// One graph node's lock acquisitions (nodes in lock-bearing files).
 struct FnInfo {
     node: usize,
     acqs: Vec<Acquisition>,
-    calls: Vec<parser::Call>,
 }
 
 /// Runs the L-rules over the whole file set at once, resolving calls
@@ -65,7 +64,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
     let mut acqs_of: BTreeMap<usize, usize> = BTreeMap::new(); // node → fns idx
     for (id, n) in graph.nodes.iter().enumerate() {
         let f = &files[n.file];
-        if !f.class.locks {
+        if !f.in_crates(LOCK_CRATES) {
             continue;
         }
         let has_rwlock = f.tokens().iter().any(|t| t.is_ident("RwLock"));
@@ -73,7 +72,6 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
         fns.push(FnInfo {
             node: id,
             acqs: acquisitions_in(f, n.body, has_rwlock),
-            calls: parser::calls_in(f.tokens(), n.body),
         });
     }
 
@@ -120,7 +118,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
                     );
                 }
             }
-            for c in &f.calls {
+            for c in &graph.calls[f.node] {
                 if c.idx <= a.idx || c.idx > a.hold_end {
                     continue;
                 }
@@ -202,7 +200,7 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
                     ));
                 }
             }
-            for c in &f.calls {
+            for c in &graph.calls[f.node] {
                 if c.idx <= a.idx || c.idx > a.hold_end {
                     continue;
                 }
@@ -241,8 +239,6 @@ pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
             }
         }
     }
-    out.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-    out.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.rule == b.rule);
     out
 }
 

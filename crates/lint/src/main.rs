@@ -7,8 +7,14 @@
 //! flexilint --format github        # GitHub Actions annotations
 //! flexilint --root some/dir        # lint an arbitrary tree (fixtures)
 //! flexilint --rules                # print the rule catalog
-//! flexilint --rules L01,L02 ...    # restrict the run to those rules
+//! flexilint --rules L01,R01 ...    # restrict the run to those rules
 //! ```
+
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a CLI reports on its own streams"
+)]
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -59,16 +65,16 @@ fn main() -> ExitCode {
                     _ => None,
                 };
                 let Some(ids) = ids else {
-                    for (id, summary) in flexilint::rules::RULES {
+                    for (id, summary) in flexilint::RULES {
                         println!("{id}  {summary}");
                     }
                     return ExitCode::SUCCESS;
                 };
                 let mut set = only.unwrap_or_default();
                 for id in ids.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                    if !flexilint::rules::known_rule(id) {
+                    if !flexilint::known_rule(id) {
                         eprintln!("flexilint: unknown rule id `{id}`; valid rules are:");
-                        for (known, summary) in flexilint::rules::RULES {
+                        for (known, summary) in flexilint::RULES {
                             eprintln!("  {known}  {summary}");
                         }
                         return ExitCode::from(2);
@@ -83,10 +89,10 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!(
-                    "flexilint: determinism / zero-copy / panic-safety / wire-coverage / \
-                     lock-order / channel-topology / handler-exhaustiveness / \
-                     panic-propagation lint, plus call-graph dataflow: untrusted-input \
-                     panic reachability, determinism taint, quorum arithmetic\n\
+                    "flexilint: the checks rustc, clippy and the tests cannot make — \
+                     lock order, discarded try_send results, panic reachability from \
+                     worker threads and wire decoders, decode-path narrowing casts, \
+                     determinism taint into messages, Vec::from payload copies\n\
                      usage: flexilint [--workspace] [--root DIR] [--json] \
                      [--format human|json|github] [--rules [IDS]]\n\
                      exit status: 0 clean, 1 findings, 2 usage or I/O error"
@@ -117,8 +123,9 @@ fn main() -> ExitCode {
         }
     };
 
-    match flexilint::run_with_rules(&root, only.as_ref()) {
-        Ok(report) => {
+    match flexilint::Workspace::read(&root) {
+        Ok(ws) => {
+            let report = ws.analyse(only.as_ref());
             match format {
                 Format::Human => print!("{}", report.human()),
                 Format::Json => print!("{}", report.json()),

@@ -1,11 +1,10 @@
 //! A lightweight recursive-descent parse layer over the lexer.
 //!
-//! The token-pattern rules (D/Z/P/W) work on flat identifier sequences;
-//! the graph analyses (L/C/H/X) need *structure*: which function a token
-//! belongs to, where its enclosing block ends, what a function calls, and
-//! which closure is handed to a `spawn`. This module parses the token
-//! stream into exactly that much tree — function items with body ranges,
-//! the block nesting, call expressions, and closure bodies — and no more.
+//! The analyses need *structure*: which function a token belongs to,
+//! where its enclosing block ends, what a function calls, and which
+//! closure is handed to a `spawn`. This module parses the token stream
+//! into exactly that much tree — function items with body ranges, the
+//! block nesting, call expressions, and closure bodies — and no more.
 //! It never resolves types, and malformed input degrades to fewer items,
 //! never a panic (rustc rejects such files anyway, so precision on them
 //! is worthless).
@@ -17,8 +16,6 @@ use crate::lexer::{Token, TokenKind};
 pub struct FnDef {
     /// The function's name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Body token range: indices of the opening `{` and its matching `}`
     /// (inclusive). `None` for bodyless declarations (trait methods).
     pub body: Option<(usize, usize)>,
@@ -60,7 +57,7 @@ pub struct Call {
 }
 
 /// The parse tree of one file: its functions and its block nesting.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
     /// Every `fn` item in source order.
     pub fns: Vec<FnDef>,
@@ -128,7 +125,6 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
             }
             fns.push(FnDef {
                 name: tokens[i + 1].text.clone(),
-                line: tokens[i].line,
                 body,
                 in_test: in_region(&test, i),
                 owner: impls
@@ -326,7 +322,7 @@ pub fn closure_body(tokens: &[Token], args: (usize, usize)) -> Option<(usize, us
 /// test, ...))]` via a containment scan) and skips the following item's
 /// braced body. Attributes stacked between the cfg and the item are walked
 /// over.
-pub(crate) fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
+fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
@@ -420,7 +416,7 @@ pub(crate) fn matching_backward(
 }
 
 /// Whether token index `i` falls inside any of `regions`.
-pub(crate) fn in_region(regions: &[(usize, usize)], i: usize) -> bool {
+fn in_region(regions: &[(usize, usize)], i: usize) -> bool {
     regions.iter().any(|&(a, b)| i >= a && i <= b)
 }
 
@@ -438,7 +434,6 @@ mod tests {
         assert_eq!(names, vec!["a", "b", "c", "inner"]);
         assert!(parsed.fns[0].body.is_some());
         assert!(parsed.fns[1].body.is_none(), "trait decl has no body");
-        assert_eq!(parsed.fns[2].line, 3);
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`D01`, `P02`, ...).
+    /// Rule id (`L01`, `R01`, ...).
     pub rule: String,
     /// Human explanation.
     pub message: String,
@@ -178,9 +178,10 @@ mod tests {
             files_scanned: 2,
             ..Default::default()
         };
-        r.findings.push(Finding::new("a.rs", 3, "D01", "bad map"));
-        assert!(r.human().contains("a.rs:3: D01: bad map"));
-        assert!(r.json().contains("\"rule\": \"D01\""));
+        r.findings
+            .push(Finding::new("a.rs", 3, "Z02", "payload copy"));
+        assert!(r.human().contains("a.rs:3: Z02: payload copy"));
+        assert!(r.json().contains("\"rule\": \"Z02\""));
         assert!(r.json().contains("\"clean\": false"));
         assert!(!r.is_clean());
     }

@@ -1,25 +1,12 @@
-//! T/N-rules: taint dataflow over the workspace call graph.
+//! N01: determinism taint over the workspace call graph.
 //!
-//! **T-rules — untrusted input.** Every `wire` decode entry point (fns
-//! named `decode_*`/`read_*`, which includes `read_frame`) handles bytes
-//! an adversarial peer chose. **T01** flags panicking operations —
-//! `.unwrap()`/`.expect()`, panic macros, value indexing — in any wire
-//! function transitively reachable from a decode entry, and in any
-//! runtime function that *directly* calls one (the TCP reader threads).
-//! The validation boundary is the decode call's return: past it the
-//! bytes have become typed `Message` fields, and deeper propagation is
-//! the engines' domain. **T02** flags unchecked `as` casts to a
-//! fixed-width integer or `usize` in the same region — a length or
-//! count narrowed from attacker bytes wraps silently; `usize::try_from`
-//! (or a bounds check the pragma cites) does not.
-//!
-//! **N-rules — determinism leaks.** The D-rules ban wall-clock and
-//! entropy *sources* in deterministic crates, but `runtime` sits outside
-//! them and reads the clock freely (workload timing, timer deadlines),
-//! and a pragma excuses key generation in `crypto`. **N01** proves those
-//! values stay out of the protocol's deterministic surface: a value
-//! whose dataflow originates at `Instant::now`, `.elapsed()` or an RNG
-//! must not reach `Message` construction, wire encoding
+//! `clippy.toml` bans wall-clock and entropy *types* from the
+//! deterministic crates, but `runtime` sits outside them and reads the
+//! clock freely (workload timing, timer deadlines), and an `#[expect]`
+//! excuses key generation in `crypto`. **N01** proves those values stay out
+//! of the protocol's deterministic surface: a value whose dataflow
+//! originates at `Instant::now`, `.elapsed()` or an RNG must not reach
+//! `Message` construction, wire encoding
 //! (`encode_*`/`write_frame`/`write_message_body`), or `state_digest`
 //! input. Taint is tracked per function (let-bindings and assignments to
 //! a fixpoint) and across calls via return summaries computed bottom-up
@@ -32,31 +19,10 @@
 
 use crate::graph::CallGraph;
 use crate::lexer::{Token, TokenKind};
-use crate::panics::{is_value_index, PANIC_MACROS};
+use crate::parser::matching;
 use crate::report::Finding;
-use crate::SourceFile;
+use crate::{SourceFile, HOT_PATH_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Crates whose code N01 scans for sinks: everywhere a `Message` is
-/// built or encoded. (Summaries are computed workspace-wide regardless.)
-const N_SINK_CRATES: &[&str] = &[
-    "types",
-    "protocol",
-    "core",
-    "baselines",
-    "sim",
-    "exec",
-    "trusted",
-    "crypto",
-    "wire",
-    "runtime",
-    "host",
-];
-
-/// Integer types a tainted `as` cast may narrow into. `usize`/`isize`
-/// are included: their width is platform-defined, so `u64 as usize`
-/// truncates on 32-bit targets.
-const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
 
 /// Call names that hand their arguments to the deterministic surface.
 fn is_n_sink_call(name: &str) -> bool {
@@ -71,133 +37,6 @@ fn is_n_sink_call(name: &str) -> bool {
         )
 }
 
-/// Runs T01/T02 and N01.
-pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
-    let mut out = Vec::new();
-    check_untrusted(files, graph, &mut out);
-    check_determinism(files, graph, &mut out);
-    out.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-    out
-}
-
-// ---------------------------------------------------------------- T-rules
-
-fn check_untrusted(files: &[SourceFile], graph: &CallGraph, out: &mut Vec<Finding>) {
-    // Decode entry points: wire fns whose name marks them as byte readers.
-    let entries: Vec<usize> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| {
-            files[n.file].crate_name == "wire"
-                && (n.name.starts_with("decode_") || n.name.starts_with("read_"))
-        })
-        .map(|(id, _)| id)
-        .collect();
-    let entry_set: BTreeSet<usize> = entries.iter().copied().collect();
-
-    let mut seen: BTreeSet<(String, usize, &'static str)> = BTreeSet::new();
-
-    // Region 1: everything transitively reachable inside `wire`.
-    for id in graph.reachable(entries.iter().copied()) {
-        let n = &graph.nodes[id];
-        let f = &files[n.file];
-        if f.crate_name != "wire" {
-            continue;
-        }
-        scan_t_sites(f, n.body, &n.name, &mut seen, out);
-    }
-
-    // Region 2: runtime fns that directly call a decode entry — the TCP
-    // reader threads handling freshly decoded, still-unvalidated frames.
-    for (id, n) in graph.nodes.iter().enumerate() {
-        let f = &files[n.file];
-        if f.crate_name != "runtime" {
-            continue;
-        }
-        let calls_decode = graph.calls[id]
-            .iter()
-            .any(|c| graph.resolve(id, c).iter().any(|t| entry_set.contains(t)));
-        if calls_decode {
-            scan_t_sites(f, n.body, &n.name, &mut seen, out);
-        }
-    }
-}
-
-/// Flags T01 panic sites and T02 narrowing casts in one decode-reachable
-/// function body.
-fn scan_t_sites(
-    f: &SourceFile,
-    body: (usize, usize),
-    fn_name: &str,
-    seen: &mut BTreeSet<(String, usize, &'static str)>,
-    out: &mut Vec<Finding>,
-) {
-    let tokens = f.tokens();
-    for k in body.0..=body.1.min(tokens.len().saturating_sub(1)) {
-        let t = &tokens[k];
-        let what = if t.kind == TokenKind::Ident
-            && matches!(t.text.as_str(), "unwrap" | "expect")
-            && k > 0
-            && tokens[k - 1].is_punct('.')
-            && tokens.get(k + 1).is_some_and(|n| n.is_punct('('))
-        {
-            Some(format!(".{}()", t.text))
-        } else if t.kind == TokenKind::Ident
-            && PANIC_MACROS.contains(&t.text.as_str())
-            && tokens.get(k + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            Some(format!("{}!", t.text))
-        } else if t.is_punct('[') && k > body.0 && is_value_index(tokens, k) {
-            Some(format!("indexing `{}[..]`", tokens[k - 1].text))
-        } else {
-            None
-        };
-        if let Some(what) = what {
-            if seen.insert((f.rel.clone(), k, "T01")) {
-                out.push(Finding::new(
-                    &f.rel,
-                    t.line,
-                    "T01",
-                    format!(
-                        "{what} in `{fn_name}` is reachable from a wire decode \
-                         entry point: these bytes came from a peer, and a \
-                         malformed frame must surface as a WireError, not a \
-                         panic; use a checked conversion/.get() or pragma with \
-                         the proof the operation cannot fail"
-                    ),
-                ));
-            }
-        }
-        // T02: `<expr> as <narrow-int>` — exempt literal casts (`1 as u8`
-        // is a constant, not attacker data).
-        if t.is_ident("as")
-            && tokens
-                .get(k + 1)
-                .is_some_and(|n| NARROW_TYPES.contains(&n.text.as_str()))
-            && k > body.0
-            && tokens[k - 1].kind != TokenKind::Literal
-            && seen.insert((f.rel.clone(), k, "T02"))
-        {
-            out.push(Finding::new(
-                &f.rel,
-                t.line,
-                "T02",
-                format!(
-                    "unchecked `as {}` cast in `{fn_name}` on a wire decode \
-                     path: a length or count narrowed from peer-chosen bytes \
-                     wraps silently; use usize::try_from / a checked \
-                     conversion, or pragma with the bound that makes the cast \
-                     lossless",
-                    tokens[k + 1].text
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------- N-rules
-
 /// What a function's return value carries.
 #[derive(Clone, PartialEq, Eq)]
 enum Summary {
@@ -208,7 +47,10 @@ enum Summary {
     Fields(BTreeSet<String>),
 }
 
-fn check_determinism(files: &[SourceFile], graph: &CallGraph, out: &mut Vec<Finding>) {
+/// Runs N01: return summaries bottom-up, then every sink in the hot-path
+/// crates.
+pub fn check(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
+    let mut out = Vec::new();
     // Return summaries, bottom-up: Tarjan emits SCCs callees-first, so
     // every callee summary exists before its callers are analysed. Within
     // one SCC (recursion) a second sweep reaches the fixpoint — taint
@@ -217,9 +59,7 @@ fn check_determinism(files: &[SourceFile], graph: &CallGraph, out: &mut Vec<Find
     for scc in graph.sccs_bottom_up() {
         for _ in 0..2 {
             for &id in scc {
-                let (taint, summary) = analyse(files, graph, id, &summaries);
-                summaries[id] = summary;
-                drop(taint);
+                summaries[id] = analyse(files, graph, id, &summaries).1;
             }
             if scc.len() == 1 {
                 break;
@@ -230,7 +70,7 @@ fn check_determinism(files: &[SourceFile], graph: &CallGraph, out: &mut Vec<Find
     // Sinks, per node in the sink crates.
     for (id, n) in graph.nodes.iter().enumerate() {
         let f = &files[n.file];
-        if !N_SINK_CRATES.contains(&f.crate_name.as_str()) {
+        if !f.in_crates(HOT_PATH_CRATES) {
             continue;
         }
         let (taint, _) = analyse(files, graph, id, &summaries);
@@ -248,14 +88,14 @@ fn check_determinism(files: &[SourceFile], graph: &CallGraph, out: &mut Vec<Find
             if tokens[k].is_ident("Message")
                 && tokens[k + 1].is_op("::")
                 && tokens[k + 2].kind == TokenKind::Ident
-                && !crate::handlers::is_arm_pattern(tokens, k + 2, n.body.1)
+                && !is_arm_pattern(tokens, k + 2, n.body.1)
             {
                 let variant = &tokens[k + 2].text;
                 let group = tokens.get(k + 3).and_then(|g| {
                     if g.is_punct('{') {
-                        crate::parser::matching(tokens, k + 3, '{', '}').map(|c| (k + 3, c))
+                        matching(tokens, k + 3, '{', '}').map(|c| (k + 3, c))
                     } else if g.is_punct('(') {
-                        crate::parser::matching(tokens, k + 3, '(', ')').map(|c| (k + 3, c))
+                        matching(tokens, k + 3, '(', ')').map(|c| (k + 3, c))
                     } else {
                         None
                     }
@@ -306,6 +146,70 @@ fn check_determinism(files: &[SourceFile], graph: &CallGraph, out: &mut Vec<Find
                 ));
             }
         }
+    }
+    out
+}
+
+/// Whether the variant name at token `v` sits in match-arm pattern
+/// position — an optional binder group, any number of `|` alternates, an
+/// optional `if` guard, then `=>` — which tells a destructuring arm from a
+/// `Message::X { .. }` construction.
+fn is_arm_pattern(tokens: &[Token], v: usize, end: usize) -> bool {
+    let mut p = v + 1;
+    loop {
+        if p > end {
+            return false;
+        }
+        // Skip one binder group if present.
+        if tokens[p].is_punct('{') || tokens[p].is_punct('(') {
+            let (o, c) = if tokens[p].is_punct('{') {
+                ('{', '}')
+            } else {
+                ('(', ')')
+            };
+            match matching(tokens, p, o, c) {
+                Some(close) => p = close + 1,
+                None => return false,
+            }
+            if p > end {
+                return false;
+            }
+        }
+        if tokens[p].is_op("=>") {
+            return true;
+        }
+        if tokens[p].is_punct('|') {
+            // Alternate: skip its `A :: B :: C` path, then loop back to
+            // handle its binder group and whatever follows.
+            p += 1;
+            while p < end && tokens[p].kind == TokenKind::Ident && tokens[p + 1].is_op("::") {
+                p += 2;
+            }
+            if p <= end && tokens[p].kind == TokenKind::Ident {
+                p += 1;
+            }
+            continue;
+        }
+        if tokens[p].is_ident("if") {
+            // Guard: scan to `=>` at group depth 0. A depth-0 `{` or `;`
+            // means this was never a pattern.
+            let mut d = 0i32;
+            while p <= end {
+                let t = &tokens[p];
+                if t.is_punct('(') || t.is_punct('[') {
+                    d += 1;
+                } else if t.is_punct(')') || t.is_punct(']') {
+                    d -= 1;
+                } else if d == 0 && t.is_op("=>") {
+                    return true;
+                } else if d == 0 && (t.is_punct('{') || t.is_punct(';')) {
+                    return false;
+                }
+                p += 1;
+            }
+            return false;
+        }
+        return false;
     }
 }
 
@@ -622,7 +526,7 @@ fn struct_literal_fields(
     if !tokens.get(open).is_some_and(|t| t.is_punct('{')) {
         return None;
     }
-    let close = crate::parser::matching(tokens, open, '{', '}')?;
+    let close = matching(tokens, open, '{', '}')?;
     if close != end {
         return None;
     }
@@ -677,59 +581,6 @@ mod tests {
             .collect();
         let graph = CallGraph::build(&files);
         check(&files, &graph)
-    }
-
-    #[test]
-    fn unwrap_transitively_reachable_from_decode_is_t01() {
-        let found = lint(&[(
-            "crates/wire/src/codec.rs",
-            "pub fn decode_ping(b: &[u8]) -> u64 { header(b) }\n\
-             fn header(b: &[u8]) -> u64 { u64::from_le_bytes(b[..8].try_into().unwrap()) }",
-        )]);
-        let t01: Vec<_> = found.iter().filter(|f| f.rule == "T01").collect();
-        assert_eq!(t01.len(), 2, "{found:?}"); // the index and the unwrap
-        assert!(t01.iter().any(|f| f.message.contains(".unwrap()")));
-    }
-
-    #[test]
-    fn panic_sites_not_reachable_from_decode_are_exempt() {
-        let found = lint(&[(
-            "crates/wire/src/codec.rs",
-            "pub fn encode_ping(out: &mut Vec<u8>, v: u64) { push_all(out, v); }\n\
-             fn push_all(out: &mut Vec<u8>, v: u64) { let b = v.to_le_bytes(); \
-             out.push(b[0]); }",
-        )]);
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn narrowing_cast_on_a_decode_path_is_t02_but_literals_are_exempt() {
-        let found = lint(&[(
-            "crates/wire/src/codec.rs",
-            "pub fn decode_len(b: &[u8]) -> usize { let mut r = 0u64; \
-             for x in b { r = mix(r, x); } let cap = 1 as usize; r as usize }",
-        )]);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].rule, "T02");
-        assert!(found[0].message.contains("as usize"));
-    }
-
-    #[test]
-    fn runtime_direct_caller_of_decode_is_scanned() {
-        let found = lint(&[
-            (
-                "crates/wire/src/frame.rs",
-                "pub fn read_frame(r: &mut R) -> Result<Vec<u8>, E> { fill(r) }\n\
-                 fn fill(r: &mut R) -> Result<Vec<u8>, E> { Ok(Vec::new()) }",
-            ),
-            (
-                "crates/runtime/src/tcp.rs",
-                "fn reader(r: &mut R) { let frame = read_frame(r).unwrap(); eat(frame); }",
-            ),
-        ]);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].rule, "T01");
-        assert!(found[0].file.contains("runtime"));
     }
 
     #[test]
@@ -795,12 +646,17 @@ mod tests {
 
     #[test]
     fn match_arm_patterns_are_not_constructions() {
+        // `at` is tainted, so every arm below would be a finding if it
+        // were read as a construction; only the pushed message is one.
         let found = lint(&[(
             "crates/core/src/engine.rs",
-            "fn on_message(&mut self, m: &Message) { match m { \
-             Message::Tick { at } => self.note(at), _ => {} } }",
+            "fn on_message(&mut self, m: &Message) { let at = Instant::now(); match m {\n\
+             Message::Tick { at } | Message::Tock(at) => self.note(at),\n\
+             Message::Tuck { at } if at > 0 => {}\n\
+             _ => self.out.push(Message::Tock(at)), } }",
         )]);
-        assert!(found.is_empty(), "{found:?}");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 4);
     }
 
     #[test]

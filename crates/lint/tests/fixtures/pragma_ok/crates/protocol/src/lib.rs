@@ -1,12 +1,11 @@
 //! Fixture: real findings suppressed by well-formed pragmas.
-use std::time::Instant;
 
-pub fn stamp() -> Instant {
-    Instant::now() // lint:allow(D02): fixture proves trailing pragmas suppress
+pub fn copy(bytes: &[u8]) -> Vec<u8> {
+    Vec::from(bytes) // lint:allow(Z02): fixture proves trailing pragmas suppress
 }
 
-pub fn stamp_again() -> Instant {
-    // lint:allow(D02): fixture proves standalone pragmas cover the
+pub fn copy_again(bytes: &[u8]) -> Vec<u8> {
+    // lint:allow(Z02): fixture proves standalone pragmas cover the
     // next code line, across a wrapped reason comment.
-    Instant::now()
+    Vec::from(bytes)
 }

@@ -1,3 +1,3 @@
 //! Fixture: a pragma that suppresses nothing.
-// lint:allow(D01): nothing on the next line uses a hash map
+// lint:allow(Z02): nothing on the next line copies a payload
 pub fn noop() {}

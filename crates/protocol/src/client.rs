@@ -73,7 +73,10 @@ impl Voters {
     }
 
     /// Number of distinct replicas in the set.
-    #[allow(clippy::len_without_is_empty)]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "a voter set only grows; callers compare its size with a quorum"
+    )]
     pub fn len(&self) -> usize {
         self.low.count_ones() as usize + self.high.len()
     }

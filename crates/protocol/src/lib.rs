@@ -22,6 +22,8 @@
 //! ([`properties::ProtocolProperties`]) and the synchronous test network
 //! engine tests drive clusters with ([`testing`]).
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod actions;
 pub mod batcher;
 pub mod client;

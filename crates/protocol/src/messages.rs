@@ -276,6 +276,10 @@ impl Message {
     /// bandwidth model (delivery time = latency + size/bandwidth) and
     /// per-byte CPU model both consume this, so the sim charges the same
     /// bytes the TCP transport carries.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn wire_size_bytes(&self) -> usize {
         // Length prefix + sender id + kind tag + the two header slots.
         const FIELDS: usize = 4 + 4 + 1 + 8 + 8;

@@ -234,7 +234,10 @@ impl ReplicaCore {
     /// primary of `new_view` additionally gathers `quorum` votes; on the
     /// vote that completes them it enters the view and gets the plan back,
     /// to attest the re-proposals and [`NewViewPlan::announce`] them.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one ViewChange, plus the quorum and the replica's own proofs"
+    )]
     pub fn on_view_change(
         &mut self,
         from: ReplicaId,

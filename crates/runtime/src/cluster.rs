@@ -359,9 +359,12 @@ pub(crate) fn drive_workload(
         submitted.push(txn);
     }
     for chunk in submitted.chunks(config.batch_size.max(1)) {
-        // lint:allow(Z01): copies Arc-backed Transaction handles into a
-        // fresh batch Vec (refcount bumps), not payload bytes — the
-        // submission API takes ownership per batch.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "copies Arc-backed Transaction handles into a fresh batch Vec \
+                      (refcount bumps), not payload bytes; the submission API takes \
+                      ownership per batch"
+        )]
         submit(chunk.to_vec());
     }
 

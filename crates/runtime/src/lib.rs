@@ -23,6 +23,9 @@
 //! (n = 4…13), to pin cross-host equivalence against the simulator, and to
 //! power the runnable examples.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cluster;
 pub mod primary;
 pub mod tcp;

@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn generated_keys_work_and_differ() {
-        let mut rng = OsRng;
+        let mut rng = OsRng::new();
         let a = SigningKey::generate(&mut rng);
         let b = SigningKey::generate(&mut rng);
         assert_ne!(a.verifying_key().to_bytes(), b.verifying_key().to_bytes());

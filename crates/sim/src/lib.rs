@@ -24,6 +24,8 @@
 //! and summarised in a [`metrics::SimReport`]. [`registry`] builds engine
 //! clusters for every protocol in the repository.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod chaos;
 pub mod cost;
 pub mod link;

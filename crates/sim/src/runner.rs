@@ -854,7 +854,10 @@ impl Simulation {
     /// final byte clears the wire).
     // The parameter list is the `Transmit` event payload, destructured at
     // the single dispatch site.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the parameter list is the Transmit event payload"
+    )]
     fn on_transmit(
         &mut self,
         to: ReplicaId,
@@ -905,7 +908,10 @@ impl Simulation {
     ///
     /// `ready` is the instant this span may start (the clock for egress;
     /// the backdated arrival for an ingress first chunk).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one step of a NIC reservation: the lane, the transfer offsets and the start time"
+    )]
     fn reserve_transfer_step(
         &mut self,
         nic: Nic,

@@ -30,6 +30,8 @@
 //!   equivocation (§6). The [`enclave::Enclave`] exposes this capability only
 //!   through an explicit attack handle so honest code cannot trip over it.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod attestation;
 pub mod counter;
 pub mod enclave;

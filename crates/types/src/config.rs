@@ -149,6 +149,20 @@ impl ReplicationFactor {
             ReplicationFactor::ThreeFPlusOne => 3 * f + 1,
         }
     }
+
+    /// Whether quorums of `quorum` replicas are safe and live at fault
+    /// threshold `f`: any two must share one replica under `2f + 1` (the
+    /// trusted component already rules out equivocation) and `f + 1` under
+    /// `3f + 1` (an honest replica beyond the `f` Byzantine ones), and the
+    /// `n - f` replicas left after `f` crashes must still form one.
+    pub fn admits_quorum(self, f: usize, quorum: usize) -> bool {
+        let n = self.replicas(f);
+        let shared = match self {
+            ReplicationFactor::TwoFPlusOne => 1,
+            ReplicationFactor::ThreeFPlusOne => f + 1,
+        };
+        2 * quorum >= n + shared && quorum + f <= n
+    }
 }
 
 /// Named quorum rules used by the protocols; centralised so quorum math is
@@ -314,6 +328,28 @@ mod tests {
         assert_eq!(ReplicationFactor::ThreeFPlusOne.replicas(8), 25);
         assert_eq!(ReplicationFactor::TwoFPlusOne.replicas(20), 41);
         assert_eq!(ReplicationFactor::ThreeFPlusOne.replicas(20), 61);
+    }
+
+    #[test]
+    fn quorum_sizes_fit_their_regimes_for_every_f() {
+        for f in 1..=64 {
+            let trusted = SystemConfig::for_protocol(ProtocolId::MinBft, f);
+            let untrusted = SystemConfig::for_protocol(ProtocolId::Pbft, f);
+            assert!(
+                ReplicationFactor::TwoFPlusOne.admits_quorum(f, trusted.small_quorum()),
+                "small_quorum at f = {f}"
+            );
+            assert!(
+                ReplicationFactor::ThreeFPlusOne.admits_quorum(f, untrusted.large_quorum()),
+                "large_quorum at f = {f}"
+            );
+        }
+        // The cross-regime bug the paper is about: a trust-bft `f + 1`
+        // quorum (or a `2f` one) in a `3f + 1` deployment shares too few
+        // replicas, and a `2f` quorum of `2f + 1` is unreachable.
+        assert!(!ReplicationFactor::ThreeFPlusOne.admits_quorum(2, 3));
+        assert!(!ReplicationFactor::ThreeFPlusOne.admits_quorum(2, 4));
+        assert!(!ReplicationFactor::TwoFPlusOne.admits_quorum(2, 4));
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! leadership epochs by [`View`], and client operations are [`Transaction`]s
 //! grouped into [`Batch`]es.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod config;
 pub mod digest;
 pub mod error;

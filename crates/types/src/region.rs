@@ -264,8 +264,11 @@ impl RegionMap {
     /// regions in paper order, exactly as §9.7 does.
     pub fn round_robin(n: usize, region_count: usize) -> Self {
         let count = region_count.clamp(1, Region::ALL.len());
-        // lint:allow(Z01): Region is a small Copy config struct from a
-        // static table; this is setup-time plumbing, not payload bytes.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "Region is a small Copy config struct from a static table; \
+                      this is setup-time plumbing, not payload bytes"
+        )]
         let regions: Vec<Region> = Region::ALL[..count].to_vec();
         let assignment = (0..n).map(|i| regions[i % count]).collect();
         RegionMap {

@@ -53,7 +53,10 @@ pub struct ValueBytes(Arc<[u8]>);
 
 impl ValueBytes {
     /// Length of the value in bytes.
-    #[allow(clippy::len_without_is_empty)]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "the length feeds size accounting only"
+    )]
     pub fn len(&self) -> usize {
         self.0.len()
     }

@@ -77,7 +77,7 @@ impl<'a> Reader<'a> {
         if self.remaining() < n {
             return Err(WireError::Truncated { context });
         }
-        // lint:allow(T01): the remaining() guard proves pos + n <= bytes.len(), so the range is in bounds
+        // lint:allow(R01): the remaining() guard proves pos + n <= bytes.len(), so the range is in bounds
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
@@ -415,6 +415,10 @@ pub(crate) fn read_result(r: &mut Reader<'_>) -> Result<KvResult, WireError> {
 
 /// The `(a, b)` header-slot pair of a message: the variant's view/seq-shaped
 /// fields, zero when it has none.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub(crate) fn header_slots(msg: &Message) -> (u64, u64) {
     match msg {
         Message::PrePrepare { view, seq, .. }
@@ -437,6 +441,10 @@ pub(crate) fn header_slots(msg: &Message) -> (u64, u64) {
     }
 }
 
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub(crate) fn message_kind_tag(msg: &Message) -> u8 {
     match msg {
         Message::PrePrepare { .. } => 0,
@@ -502,6 +510,10 @@ fn read_proof(r: &mut Reader<'_>) -> Result<PreparedProof, WireError> {
 
 /// Writes the variant-specific body (everything between the fixed header
 /// slots and the MAC).
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub(crate) fn write_message_body(out: &mut Vec<u8>, msg: &Message) {
     match msg {
         Message::PrePrepare {

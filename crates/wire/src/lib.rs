@@ -41,6 +41,8 @@
 //! Decoding is strict: a frame that ends early, has trailing bytes, or
 //! carries an unknown tag is a [`WireError`], never a partial value.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 mod codec;
 mod frame;
 

@@ -6,6 +6,8 @@
 //! cargo run --release --example compare_protocols
 //! ```
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use flexitrust::prelude::*;
 use flexitrust::protocol::ProtocolProperties;
 

@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use flexitrust::prelude::*;
 use std::time::Duration;
 

@@ -5,6 +5,8 @@
 //! cargo run --release --example trusted_component_attacks
 //! ```
 
+#![expect(clippy::print_stdout, reason = "an example prints its results")]
+
 use flexitrust::attacks::{
     out_of_order_probe, responsiveness_attack, rollback_attack_flexibft, rollback_attack_minbft,
 };

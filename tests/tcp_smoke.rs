@@ -8,6 +8,11 @@
 //! instead, and the CI step additionally wraps the run in a `timeout` so
 //! even an abort-proof wedge fails the step fast.
 
+#![expect(
+    clippy::print_stderr,
+    reason = "the watchdog names the hang before it aborts the process"
+)]
+
 use flexitrust::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

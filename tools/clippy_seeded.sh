@@ -1,0 +1,102 @@
+#!/bin/sh
+# Non-vacuity check for the rules rustc and clippy enforce on flexilint's
+# behalf (crates/lint/RULES.md, part one).
+#
+# Plants one violation per moved rule into a real crate, expects
+# `cargo clippy -p <crate> -- -D warnings` to reject it with that rule's
+# diagnostic, and restores the file. A clean workspace run comes first.
+# Every run also fails the script when clippy says a clippy.toml path
+# "does not refer to a reachable" item: clippy only warns about that, and
+# a mistyped path bans nothing.
+#
+# Usage: tools/clippy_seeded.sh   (exit 0: every plant rejected)
+set -u
+cd "$(dirname "$0")/.."
+
+log=$(mktemp)
+backup=$(mktemp)
+target=
+restore() {
+    if [ -n "$target" ]; then
+        cp "$backup" "$target"
+        target=
+    fi
+}
+trap 'restore; rm -f "$log" "$backup"' EXIT
+trap 'exit 1' INT TERM
+status=0
+
+unresolved() {
+    if grep -q "does not refer to a reachable" "$log"; then
+        grep -A3 "does not refer to a reachable" "$log"
+        status=1
+    fi
+}
+
+# plant FILE: back FILE up; the caller then edits it.
+plant() {
+    target=$1
+    cp "$target" "$backup"
+}
+
+# expect PACKAGE DIAGNOSTIC: clippy must reject the planted file with a
+# message containing DIAGNOSTIC; then the file is restored.
+expect() {
+    if cargo clippy -q -p "$1" -- -D warnings >"$log" 2>&1; then
+        echo "clippy_seeded: $1 accepted a planted violation ($2)"
+        status=1
+    elif grep -qF -- "$2" "$log"; then
+        echo "clippy_seeded: $1 rejects it: $2"
+    else
+        echo "clippy_seeded: $1 failed, but not with \"$2\":"
+        cat "$log"
+        status=1
+    fi
+    unresolved
+    restore
+}
+
+if ! cargo clippy -q --workspace --all-targets -- -D warnings >"$log" 2>&1; then
+    cat "$log"
+    echo "clippy_seeded: the unplanted workspace is not clippy-clean"
+    exit 1
+fi
+unresolved
+
+plant crates/sim/src/lib.rs
+echo 'pub fn seeded() -> std::collections::HashMap<u8, u8> { Default::default() }' >>"$target"
+expect flexitrust-sim 'disallowed type `std::collections::HashMap`'
+
+plant crates/protocol/src/lib.rs
+echo 'pub fn seeded() -> std::time::Instant { std::time::Instant::now() }' >>"$target"
+expect flexitrust-protocol 'disallowed type `std::time::Instant`'
+
+plant crates/host/src/lib.rs
+echo 'pub fn seeded() { std::thread::sleep(std::time::Duration::ZERO) }' >>"$target"
+expect flexitrust-host 'disallowed method `std::thread::sleep`'
+
+# `types` has no `rand` dependency; `crypto` holds the one real OsRng use.
+plant crates/crypto/src/lib.rs
+echo 'pub fn seeded() -> rand::rngs::OsRng { rand::rngs::OsRng::new() }' >>"$target"
+expect flexitrust-crypto 'disallowed type `rand::rngs::OsRng`'
+
+plant crates/runtime/src/lib.rs
+echo 'pub fn seeded(bytes: &[u8]) -> Vec<u8> { bytes.to_vec() }' >>"$target"
+expect flexitrust-runtime 'disallowed method `slice::to_vec`'
+
+plant crates/exec/src/lib.rs
+echo 'pub fn seeded(x: Option<u8>) -> u8 { x.unwrap() }' >>"$target"
+expect flexitrust-exec 'used `unwrap()`'
+
+plant crates/workload/src/lib.rs
+echo 'pub fn seeded() { println!("seeded"); }' >>"$target"
+expect flexitrust-workload 'use of `println!`'
+
+# Flexi-ZZ's `Prepare | Commit` arm moved into a trailing wildcard.
+plant crates/core/src/flexi_zz.rs
+sed -i -e '/Message::Prepare { .. } | Message::Commit { .. } => {/,+2d' \
+    -e '/install_checkpoint_state(seq, &snapshot, batches, true, out);/{n;s/$/\n            _ => {}/}' \
+    "$target"
+expect flexitrust-core 'wildcard match will also match any future added variants'
+
+exit $status
