@@ -171,20 +171,15 @@ pub struct ClientLibrary {
 impl ClientLibrary {
     /// Creates the library for `client` under the protocol's reply rule.
     ///
-    /// `fallback_needed` is the threshold accepted after a fast-path timeout
-    /// for all-replica protocols (Zyzzyva commits with `2f + 1` matching
-    /// replies plus an extra round; MinZZ with `f + 1`); for other protocols
-    /// it equals the normal threshold.
+    /// `fallback_needed` is the threshold accepted after a fast-path timeout,
+    /// [`SystemConfig::fallback_quorum`]: `2f + 1` matching replies plus an
+    /// extra round for Zyzzyva, `f + 1` for MinZZ, the normal threshold for
+    /// every other protocol.
     pub fn new(client: ClientId, config: &SystemConfig, rule: QuorumRule) -> Self {
-        let needed = config.quorum(rule);
-        let fallback_needed = match rule {
-            QuorumRule::AllReplicas => config.large_quorum().min(needed),
-            _ => needed,
-        };
         ClientLibrary {
             client,
-            needed,
-            fallback_needed,
+            needed: config.quorum(rule),
+            fallback_needed: config.fallback_quorum(rule),
             pending: BTreeMap::new(),
             completed: 0,
         }
@@ -391,10 +386,10 @@ mod tests {
 
     #[test]
     fn all_replica_rule_needs_every_replica_on_fast_path() {
-        // MinZZ with f = 2 → n = 5 replies needed; fallback 2f+1 = 5 too
-        // (clamped to n... for 2f+1 protocols large_quorum == n).
+        // MinZZ with f = 2 → n = 5 replies needed; the fallback takes f + 1.
         let mut lib = library(ProtocolId::MinZz, QuorumRule::AllReplicas);
         assert_eq!(lib.needed(), 5);
+        assert_eq!(lib.fallback_needed(), 3);
         lib.begin(RequestId(1));
         for r in 0..4 {
             lib.on_reply(&reply(r, 1, 1, 1));

@@ -25,11 +25,13 @@
 //! pins leader-based protocols at scale) instead of absorbing the whole fan-
 //! in for free. As on the egress side, each link class is its own lane:
 //! a NIC's local, WAN and client traffic do not (yet) share one ingest
-//! rate — cross-class contention on a physical NIC is future work. An ingress reservation is made with `ready` set to *arrival
-//! minus the ingest wire time*: the bits streamed into the NIC while they
-//! crossed the wire, so an uncontended message finishes ingesting exactly at
-//! its arrival instant (transmit time is paid once, cut-through), and only
-//! contention adds delay.
+//! rate — cross-class contention on a physical NIC is future work.
+//!
+//! An ingress reservation is made with `ready` set to *arrival minus the
+//! ingest wire time*: the bits streamed into the NIC while they crossed the
+//! wire, so an uncontended message finishes ingesting exactly at its arrival
+//! instant (transmit time is paid once, cut-through), and only contention
+//! adds delay.
 //!
 //! Zero-length transfers (an unlimited link class) bypass the queue
 //! entirely and never touch its state, so `BandwidthConfig::unlimited()`
@@ -229,11 +231,10 @@ impl LinkQueues {
         done
     }
 
-    /// Per-lane usage, sorted by (NIC, class, direction) for deterministic
-    /// reporting.
+    /// Per-lane usage in (NIC, class, direction) order — the map's key
+    /// order — for deterministic reporting.
     pub fn usage(&self) -> Vec<LinkUsage> {
-        let mut usage: Vec<LinkUsage> = self
-            .links
+        self.links
             .iter()
             .map(|((nic, class, direction), s)| LinkUsage {
                 nic: *nic,
@@ -243,9 +244,7 @@ impl LinkQueues {
                 queue_delay_ns: s.queue_delay_ns,
                 messages: s.messages,
             })
-            .collect();
-        usage.sort_unstable_by_key(|u| (u.nic, u.class, u.direction));
-        usage
+            .collect()
     }
 
     /// Total wire-occupancy time across every link, nanoseconds.

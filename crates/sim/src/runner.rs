@@ -20,6 +20,13 @@
 //!   and timer expirations) or into client accounting (replies). The
 //!   simulator itself only implements the [`EngineHost`] primitives.
 //!
+//! Everything that crosses a finite-bandwidth link — replica messages,
+//! client replies, request uploads — is one kind of event, a `Transfer`: an
+//! opaque cargo walking a two-hop route (the sender's egress lane, then the
+//! receiver's ingress lane) one lane reservation at a time. The cargo only
+//! decides which lanes it crosses and how it lands (a delivery, a tallied
+//! reply, a client arrival); a hop with no wire time is skipped.
+//!
 //! Clients are closed-loop and modelled in aggregate: each of the
 //! `spec.clients` logical clients keeps exactly one transaction outstanding,
 //! tracked in that client's slot of one table indexed by client id; a
@@ -55,87 +62,8 @@ enum EventKind {
         from: ReplicaId,
         msg: SharedMessage,
     },
-    /// A message departing over a finite-bandwidth link: reserves the
-    /// sender's NIC when the clock reaches the departure time, so
-    /// concurrent transfers reserve in global time order (a departure-time
-    /// FIFO) rather than in event-dispatch order — an engine invocation
-    /// processed early but departing late must not hold the wire against a
-    /// transfer that physically leaves first. Zero-transmit traffic skips
-    /// this hop and schedules its `Deliver` directly (the bit-exact
-    /// pure-latency path).
-    ///
-    /// With `chunk_bytes` configured, a transfer crosses the lane one
-    /// MTU-sized chunk at a time: `offset_bytes` marks how much has already
-    /// cleared the wire, and each chunk's completion schedules the next
-    /// chunk as a fresh `Transmit`, letting other transfers that became
-    /// ready in between interleave instead of waiting for the last byte.
-    Transmit {
-        to: ReplicaId,
-        from: ReplicaId,
-        msg: SharedMessage,
-        /// Total wire size, computed once at send time — chunk events must
-        /// not re-walk the message (a batch) per chunk.
-        bytes: usize,
-        transmit_ns: u64,
-        extra_ns: u64,
-        offset_bytes: usize,
-    },
-    /// A message whose last byte reached the receiver: reserves the
-    /// receiver's ingress lane (FIFO in arrival order) before the engine
-    /// sees it, so a vote implosion at the leader serialises on its ingest
-    /// NIC. Skipped entirely when no ingress bandwidth is configured (the
-    /// bit-exact receivers-ingest-for-free path).
-    ///
-    /// With `chunk_bytes` configured, ingest crosses the lane chunk by
-    /// chunk exactly like egress (`offset_bytes` marks how much has been
-    /// ingested; each chunk's completion schedules the next), so an
-    /// elephant no longer head-of-line blocks the receiver's ingest lane
-    /// that egress chunking opened up on the send side.
-    Ingest {
-        to: ReplicaId,
-        from: ReplicaId,
-        msg: SharedMessage,
-        /// Total wire size, for cutting chunk spans.
-        bytes: usize,
-        /// Atomic ingest wire time of the whole message.
-        rx_ns: u64,
-        offset_bytes: usize,
-    },
-    /// A client reply departing over a finite-bandwidth client lane;
-    /// same departure-time FIFO (and chunking) as `Transmit`. Replies pay
-    /// no ingress: the aggregate client pool stands for hundreds of
-    /// independent client NICs, not one ingest pipe.
-    TransmitReply {
-        from: ReplicaId,
-        reply: ClientReply,
-        bytes: usize,
-        transmit_ns: u64,
-        offset_bytes: usize,
-    },
-    /// A batch of client request uploads ready to cross the aggregate
-    /// client uplink; same departure-time FIFO (and chunking) as
-    /// `Transmit`.
-    ClientUpload {
-        txns: Vec<Transaction>,
-        bytes: usize,
-        offset_bytes: usize,
-    },
-    /// A batch of client request uploads arriving at the primary's
-    /// client-facing NIC; same ingress serialisation (and chunking) as
-    /// `Ingest`.
-    IngestUpload {
-        txns: Vec<Transaction>,
-        /// Total wire size, for cutting chunk spans.
-        bytes: usize,
-        /// Atomic ingest wire time of the whole batch.
-        rx_ns: u64,
-        offset_bytes: usize,
-        /// The NIC charged for this ingest: resolved from the current
-        /// primary when the first chunk starts, then pinned so later
-        /// chunks of one batch cannot smear across NICs if a view change
-        /// completes mid-ingest.
-        nic: Option<ReplicaId>,
-    },
+    /// One reservation step of a payload crossing a finite-bandwidth link.
+    Transfer(Transfer),
     Timer {
         replica: ReplicaId,
         timer: TimerKind,
@@ -150,20 +78,75 @@ enum EventKind {
     },
 }
 
-/// Which stateless transmit-time function governs a transfer's lane, so
-/// the shared chunk-reservation step can cut cumulative chunk spans for
-/// replica links and client links alike.
-#[derive(Clone, Copy)]
-enum ChunkLane {
-    /// A replica-to-replica link (local or WAN bandwidth by region).
-    Replica { from: ReplicaId, to: ReplicaId },
-    /// A client↔replica link (client bandwidth).
-    Client,
-    /// The receive side of a replica-to-replica link (ingress bandwidth).
-    ReplicaIngress { from: ReplicaId, to: ReplicaId },
-    /// The receive side of a replica's client-facing lane (ingress
-    /// bandwidth on request uploads).
-    ClientIngress,
+/// A payload on its way across a link: the sender's egress lane, then the
+/// receiver's ingress lane, each hop reserved when the clock reaches it.
+///
+/// Reserving at event time makes each lane a FIFO in global time order
+/// rather than in event-dispatch order: an engine invocation processed
+/// early but departing late must not hold the wire against a transfer that
+/// physically leaves first, and a vote implosion at the leader serialises
+/// on its ingest lane in arrival order. A hop with zero wire time (an
+/// unlimited link class, self-delivery, free ingest) is skipped, which
+/// keeps the pure-latency schedule bit-exact.
+///
+/// With `chunk_bytes` configured a hop crosses its lane one MTU-sized chunk
+/// at a time: `offset_bytes` marks how much of the hop is done, and each
+/// chunk's completion schedules the next as a fresh event, so transfers
+/// that became ready in between interleave instead of waiting behind an
+/// elephant's last byte — on the send and the receive side alike.
+#[derive(Debug)]
+struct Transfer {
+    cargo: Cargo,
+    hop: Direction,
+    /// Total wire size, computed once at launch: chunk steps must not
+    /// re-walk the message (a batch) per chunk.
+    bytes: usize,
+    offset_bytes: usize,
+}
+
+impl Transfer {
+    /// The event that starts `cargo`'s `hop`.
+    fn start(cargo: Cargo, hop: Direction, bytes: usize) -> EventKind {
+        EventKind::Transfer(Transfer {
+            cargo,
+            hop,
+            bytes,
+            offset_bytes: 0,
+        })
+    }
+}
+
+/// What a transfer carries, which decides the lanes it crosses and how it
+/// lands.
+#[derive(Debug)]
+enum Cargo {
+    /// A replica message: the sender's replica lane, then the receiver's.
+    /// Arrives one link latency (plus the chaos plan's `extra_ns`) after its
+    /// last byte leaves, and lands as a `Deliver`.
+    Message {
+        from: ReplicaId,
+        to: ReplicaId,
+        msg: SharedMessage,
+        extra_ns: u64,
+    },
+    /// A client reply: the replica's client lane only. Replies pay no
+    /// ingress — the aggregate client pool stands for hundreds of
+    /// independent client NICs, not one ingest pipe — and are tallied one
+    /// client latency after their last byte leaves.
+    Reply { from: ReplicaId, reply: ClientReply },
+    /// A batch of request uploads: the aggregate client uplink, then the
+    /// primary's client-facing lane; lands as a `ClientArrival`.
+    Upload {
+        txns: Vec<Transaction>,
+        /// The NIC charged for the ingest: the primary when the first
+        /// ingress chunk starts, then pinned so later chunks of one batch
+        /// cannot smear across NICs if a view change completes mid-ingest.
+        /// `on_client_arrival` re-resolves the primary at dispatch (it must
+        /// anyway, to handle a failed one), so the charged NIC and the
+        /// processing replica can differ by that one span — an accepted
+        /// approximation.
+        nic: Option<ReplicaId>,
+    },
 }
 
 struct Event {
@@ -265,6 +248,8 @@ struct SimEnv<'a> {
     chaos: Option<&'a mut ChaosState>,
     /// Departure time of the current dispatch batch (set by `begin_batch`).
     at: Ns,
+    /// Effects to schedule, in emission order. A `Transfer` here has not
+    /// started its route: `Simulation::launch` picks its first hop.
     events: Vec<(Ns, EventKind)>,
     /// The invocation's replies over unlimited client links, in emission
     /// order: all of them left at `at` from one replica, so they all reach
@@ -300,49 +285,14 @@ impl EngineHost for SimEnv<'_> {
             ));
         }
         let bytes = msg.wire_size_bytes();
-        let transmit_ns = self.net.replica_transmit_ns(from, to, bytes);
-        if transmit_ns == 0 {
-            // Self-delivery or an unlimited link class: pure latency, no
-            // sender NIC involved — but the receiver's ingest lane may
-            // still be constrained.
-            let latency_ns = self.net.replica_latency_us(from, to) * 1_000;
-            let arrival = self.at + latency_ns + extra_ns;
-            let rx_ns = self.net.replica_ingress_ns(from, to, bytes);
-            if rx_ns == 0 {
-                // The seed's schedule, bit-exactly.
-                self.events
-                    .push((arrival, EventKind::Deliver { to, from, msg }));
-            } else {
-                self.events.push((
-                    arrival,
-                    EventKind::Ingest {
-                        to,
-                        from,
-                        msg,
-                        bytes,
-                        rx_ns,
-                        offset_bytes: 0,
-                    },
-                ));
-            }
-        } else {
-            // The sender's NIC is a serial resource: the transfer reserves
-            // it when the clock reaches the departure time, queueing behind
-            // whatever is on the wire then — a broadcast's k-th copy waits
-            // for the first k − 1.
-            self.events.push((
-                self.at,
-                EventKind::Transmit {
-                    to,
-                    from,
-                    msg,
-                    bytes,
-                    transmit_ns,
-                    extra_ns,
-                    offset_bytes: 0,
-                },
-            ));
-        }
+        let message = Cargo::Message {
+            from,
+            to,
+            msg,
+            extra_ns,
+        };
+        let transfer = Transfer::start(message, Direction::Egress, bytes);
+        self.events.push((self.at, transfer));
     }
 
     fn reply(&mut self, from: ReplicaId, reply: ClientReply) {
@@ -355,16 +305,9 @@ impl EngineHost for SimEnv<'_> {
             // lane on its own.
             for reply in replies {
                 let bytes = reply.wire_size_bytes();
-                self.events.push((
-                    self.at,
-                    EventKind::TransmitReply {
-                        from,
-                        transmit_ns: self.net.client_transmit_ns(bytes),
-                        reply,
-                        bytes,
-                        offset_bytes: 0,
-                    },
-                ));
+                let transfer =
+                    Transfer::start(Cargo::Reply { from, reply }, Direction::Egress, bytes);
+                self.events.push((self.at, transfer));
             }
             return;
         }
@@ -493,20 +436,6 @@ impl Simulation {
             NetworkModel::wan(config.n, spec.regions)
         }
         .with_bandwidth(spec.bandwidth);
-        let reply_quorum = config.quorum(properties.reply_quorum);
-        // Slow-path threshold for all-replica fast paths: Zyzzyva clients
-        // gather a commit certificate from 2f + 1 speculative responses;
-        // MinZZ (n = 2f + 1) needs f + 1.
-        let fallback_quorum = match properties.reply_quorum {
-            QuorumRule::AllReplicas => {
-                if config.n == config.large_quorum() {
-                    config.small_quorum()
-                } else {
-                    config.large_quorum()
-                }
-            }
-            _ => reply_quorum,
-        };
         let hosts: Vec<Host> = replicas
             .into_iter()
             .map(|setup| Host {
@@ -533,8 +462,8 @@ impl Simulation {
             commit_log: RunLog::new(),
             messages_delivered: 0,
             events_processed: 0,
-            reply_quorum,
-            fallback_quorum,
+            reply_quorum: config.quorum(properties.reply_quorum),
+            fallback_quorum: config.fallback_quorum(properties.reply_quorum),
             all_replicas_rule: properties.reply_quorum == QuorumRule::AllReplicas,
             pending_resubmits: Vec::new(),
             chaos: ChaosState::new(&spec.chaos, config.n),
@@ -603,42 +532,7 @@ impl Simulation {
             self.events_processed += 1;
             match event.kind {
                 EventKind::Deliver { to, from, msg } => self.on_deliver(to, from, msg),
-                EventKind::Transmit {
-                    to,
-                    from,
-                    msg,
-                    bytes,
-                    transmit_ns,
-                    extra_ns,
-                    offset_bytes,
-                } => self.on_transmit(to, from, msg, bytes, transmit_ns, extra_ns, offset_bytes),
-                EventKind::Ingest {
-                    to,
-                    from,
-                    msg,
-                    bytes,
-                    rx_ns,
-                    offset_bytes,
-                } => self.on_ingest(to, from, msg, bytes, rx_ns, offset_bytes),
-                EventKind::TransmitReply {
-                    from,
-                    reply,
-                    bytes,
-                    transmit_ns,
-                    offset_bytes,
-                } => self.on_transmit_reply(from, reply, bytes, transmit_ns, offset_bytes),
-                EventKind::ClientUpload {
-                    txns,
-                    bytes,
-                    offset_bytes,
-                } => self.on_client_upload(txns, bytes, offset_bytes),
-                EventKind::IngestUpload {
-                    txns,
-                    bytes,
-                    rx_ns,
-                    offset_bytes,
-                    nic,
-                } => self.on_ingest_upload(txns, bytes, rx_ns, offset_bytes, nic),
+                EventKind::Transfer(transfer) => self.on_transfer(transfer),
                 EventKind::Timer {
                     replica,
                     timer,
@@ -720,40 +614,14 @@ impl Simulation {
         }
     }
 
-    /// Routes a batch of request uploads towards the primary: under
-    /// unlimited client bandwidth they arrive at `ready` directly (the
-    /// pure-latency path); otherwise a `ClientUpload` event reserves the
-    /// aggregate client uplink when the clock reaches `ready`, so uploads
-    /// serialise FIFO in departure-time order behind earlier uploads still
-    /// on the pipe.
+    /// Sends a batch of request uploads towards the primary, ready to leave
+    /// the aggregate client uplink at `ready`.
     fn schedule_client_upload(&mut self, ready: Ns, txns: Vec<Transaction>) {
         // Charge the exact bytes of the canonical submission frame the TCP
         // transport would carry, framing overhead included.
         let bytes = flexitrust_wire::client_upload_wire_size(&txns);
-        let rx_ns = self.net.client_ingress_ns(bytes);
-        if self.net.client_transmit_ns(bytes) > 0 {
-            self.push_event(
-                ready,
-                EventKind::ClientUpload {
-                    txns,
-                    bytes,
-                    offset_bytes: 0,
-                },
-            );
-        } else if rx_ns > 0 {
-            self.push_event(
-                ready,
-                EventKind::IngestUpload {
-                    txns,
-                    bytes,
-                    rx_ns,
-                    offset_bytes: 0,
-                    nic: None,
-                },
-            );
-        } else {
-            self.push_event(ready, EventKind::ClientArrival { txns });
-        }
+        let upload = Cargo::Upload { txns, nic: None };
+        self.launch(ready, upload, Direction::Egress, bytes);
     }
 
     // ------------------------------------------------------------------
@@ -814,10 +682,186 @@ impl Simulation {
             ..
         } = env;
         for (at, kind) in events {
-            self.push_event(at, kind);
+            match kind {
+                EventKind::Transfer(Transfer {
+                    cargo, hop, bytes, ..
+                }) => self.launch(at, cargo, hop, bytes),
+                kind => self.push_event(at, kind),
+            }
         }
         for reply in &replies {
             self.record_reply(replica, reply, reply_arrival);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Transfers: one cargo, two hops, one reservation step per event.
+    // ------------------------------------------------------------------
+
+    /// Starts `cargo` on its route at `hop`: schedules its first step on a
+    /// hop with wire time, or lands it when no such hop is left. `at` is the
+    /// instant the cargo is ready to leave the sender (`Egress`) or its last
+    /// byte left it (`Ingress`); the receive side starts one propagation
+    /// delay later.
+    fn launch(&mut self, at: Ns, cargo: Cargo, hop: Direction, bytes: usize) {
+        if hop == Direction::Egress && self.wire_ns(&cargo, hop, bytes) > 0 {
+            // The sender's NIC is a serial resource: the transfer reserves
+            // it when the clock reaches `at`, queueing behind whatever is on
+            // the wire then — a broadcast's k-th copy waits for the first
+            // k − 1.
+            self.push_event(at, Transfer::start(cargo, hop, bytes));
+            return;
+        }
+        let arrival = at.saturating_add(self.propagation_ns(&cargo));
+        if self.wire_ns(&cargo, Direction::Ingress, bytes) > 0 {
+            self.push_event(arrival, Transfer::start(cargo, Direction::Ingress, bytes));
+        } else {
+            self.land(arrival, cargo);
+        }
+    }
+
+    /// The delay between a cargo's last byte leaving the sender and its
+    /// arrival. An upload has none: the closed-loop client's round trip is
+    /// charged when it resubmits.
+    fn propagation_ns(&self, cargo: &Cargo) -> Ns {
+        match cargo {
+            Cargo::Message {
+                from, to, extra_ns, ..
+            } => self.net.replica_latency_us(*from, *to) * 1_000 + extra_ns,
+            Cargo::Reply { from, .. } => self.net.client_latency_us(*from) * 1_000,
+            Cargo::Upload { .. } => 0,
+        }
+    }
+
+    /// A cargo reached its destination at `at`.
+    fn land(&mut self, at: Ns, cargo: Cargo) {
+        match cargo {
+            Cargo::Message { from, to, msg, .. } => {
+                self.push_event(at, EventKind::Deliver { to, from, msg })
+            }
+            Cargo::Reply { from, reply } => self.record_reply(from, &reply, at),
+            Cargo::Upload { txns, .. } => self.push_event(at, EventKind::ClientArrival { txns }),
+        }
+    }
+
+    /// The `(NIC, class)` lane `cargo`'s `hop` crosses. A reply's ingress
+    /// lane is the client pool's, which has no wire time. An upload's
+    /// ingress NIC is resolved here and pinned in the cargo.
+    fn lane(&self, cargo: &mut Cargo, hop: Direction) -> (Nic, LinkClass) {
+        match (cargo, hop) {
+            (Cargo::Message { from, to, .. }, hop) => {
+                let nic = if hop == Direction::Egress { *from } else { *to };
+                (Nic::Replica(nic), self.net.replica_link_class(*from, *to))
+            }
+            (Cargo::Reply { from, .. }, Direction::Egress) => {
+                (Nic::Replica(*from), LinkClass::Client)
+            }
+            (Cargo::Upload { .. }, Direction::Egress)
+            | (Cargo::Reply { .. }, Direction::Ingress) => (Nic::ClientPool, LinkClass::Client),
+            (Cargo::Upload { nic, .. }, Direction::Ingress) => {
+                let primary = *nic.get_or_insert_with(|| self.current_primary());
+                (Nic::Replica(primary), LinkClass::Client)
+            }
+        }
+    }
+
+    /// The wire time of `cargo`'s first `bytes` on its `hop`'s lane: the
+    /// stateless function chunk spans are cut from.
+    fn wire_ns(&self, cargo: &Cargo, hop: Direction, bytes: usize) -> u64 {
+        match (cargo, hop) {
+            (Cargo::Message { from, to, .. }, Direction::Egress) => {
+                self.net.replica_transmit_ns(*from, *to, bytes)
+            }
+            (Cargo::Message { from, to, .. }, Direction::Ingress) => {
+                self.net.replica_ingress_ns(*from, *to, bytes)
+            }
+            (Cargo::Reply { .. } | Cargo::Upload { .. }, Direction::Egress) => {
+                self.net.client_transmit_ns(bytes)
+            }
+            (Cargo::Reply { .. }, Direction::Ingress) => 0,
+            (Cargo::Upload { .. }, Direction::Ingress) => self.net.client_ingress_ns(bytes),
+        }
+    }
+
+    /// A transfer's next span reached the head of its lane: reserve it
+    /// (FIFO behind everything reserved before). The last span of the
+    /// egress hop hands the cargo on to its ingress hop; the last span of
+    /// the ingress hop lands it. Propagation latency is paid once, after the
+    /// final byte clears the sender (cut-through).
+    fn on_transfer(&mut self, mut transfer: Transfer) {
+        let (done, end) = self.reserve_transfer_step(&mut transfer);
+        if end < transfer.bytes {
+            // On the ingress hop `done` can precede `self.now` (the first
+            // chunk's span starts at the backdated ready), so this push
+            // briefly runs the clock backwards — by construction the window
+            // [done, now] holds no other event (the heap minimum was `now`),
+            // only this chunk chain, and the last span ends no earlier than
+            // the arrival instant. Handlers keyed to a monotone clock must
+            // not run off transfer continuations.
+            transfer.offset_bytes = end;
+            self.push_event(done, EventKind::Transfer(transfer));
+            return;
+        }
+        let Transfer {
+            cargo, hop, bytes, ..
+        } = transfer;
+        match hop {
+            Direction::Egress => self.launch(done, cargo, Direction::Ingress, bytes),
+            Direction::Ingress => self.land(done, cargo),
+        }
+    }
+
+    /// One reservation step of `transfer` on its hop's lane. Returns
+    /// `(done, end)`: the instant the reserved span clears the lane and the
+    /// byte offset it reached — `end == bytes` means the hop's last byte
+    /// cleared at `done`. Without `chunk_bytes` the step is the whole hop
+    /// (the atomic reservation). Chunk wire times are cut as cumulative
+    /// differences, so the chunks of one hop sum to its atomic time exactly
+    /// — per-chunk rounding never inflates the total.
+    ///
+    /// An ingress hop's first span is backdated by the hop's whole wire
+    /// time — the bits streamed into the NIC while crossing the wire — so an
+    /// uncontended cargo finishes ingesting at its arrival instant
+    /// (transmit is paid once) and only ingress *contention* adds delay:
+    /// delivery = tx queue + transmit + latency + rx queue. The backdated
+    /// window saturates at clock 0: a cargo whose ingest time exceeds the
+    /// sim time so far cannot have been streaming before the run started,
+    /// so it waits for a full ingest window — a boundary artifact bounded by
+    /// one ingest time at the start of a run.
+    fn reserve_transfer_step(&mut self, transfer: &mut Transfer) -> (Ns, usize) {
+        let (nic, class) = self.lane(&mut transfer.cargo, transfer.hop);
+        let Transfer {
+            ref cargo,
+            hop,
+            bytes,
+            offset_bytes,
+        } = *transfer;
+        let atomic_ns = self.wire_ns(cargo, hop, bytes);
+        let ready = if hop == Direction::Ingress && offset_bytes == 0 {
+            self.now.saturating_sub(atomic_ns)
+        } else {
+            self.now
+        };
+        match self.net.chunk_bytes() {
+            // A dead lane (0 Mbps saturates to u64::MAX) must never be
+            // chunked: every cumulative difference would be
+            // MAX.saturating_sub(MAX) = 0, turning the never-delivers link
+            // infinitely fast — the exact edge the saturation exists for.
+            Some(chunk) if bytes > chunk && atomic_ns < u64::MAX => {
+                let end = (offset_bytes + chunk).min(bytes);
+                let cleared_ns = self.wire_ns(cargo, hop, offset_bytes);
+                let chunk_ns = self.wire_ns(cargo, hop, end).saturating_sub(cleared_ns);
+                // Only the first chunk counts a message: `messages` tallies
+                // transfers, not the chunks they crossed the wire in.
+                let done = if offset_bytes == 0 {
+                    self.links.reserve(nic, class, hop, ready, chunk_ns)
+                } else {
+                    self.links
+                        .reserve_continuation(nic, class, hop, ready, chunk_ns)
+                };
+                (done, end)
+            }
+            _ => (self.links.reserve(nic, class, hop, ready, atomic_ns), bytes),
         }
     }
 
@@ -844,357 +888,6 @@ impl Simulation {
         self.run_engine(primary, base_cost, move |dispatcher, engine, env| {
             dispatcher.client_request(engine, txns, env)
         });
-    }
-
-    /// A chunk of a message reached the head of its departure queue:
-    /// reserve the sender's NIC for it (FIFO behind everything reserved
-    /// before `now`). Without `chunk_bytes` the whole transfer is one
-    /// chunk — the atomic reservation. The last chunk schedules the
-    /// delivery (cut-through: propagation latency is paid once, after the
-    /// final byte clears the wire).
-    // The parameter list is the `Transmit` event payload, destructured at
-    // the single dispatch site.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the parameter list is the Transmit event payload"
-    )]
-    fn on_transmit(
-        &mut self,
-        to: ReplicaId,
-        from: ReplicaId,
-        msg: SharedMessage,
-        bytes: usize,
-        transmit_ns: u64,
-        extra_ns: u64,
-        offset_bytes: usize,
-    ) {
-        let (done, end) = self.reserve_transfer_step(
-            Nic::Replica(from),
-            self.net.replica_link_class(from, to),
-            Direction::Egress,
-            ChunkLane::Replica { from, to },
-            bytes,
-            offset_bytes,
-            transmit_ns,
-            self.now,
-        );
-        if end < bytes {
-            self.push_event(
-                done,
-                EventKind::Transmit {
-                    to,
-                    from,
-                    msg,
-                    bytes,
-                    transmit_ns,
-                    extra_ns,
-                    offset_bytes: end,
-                },
-            );
-        } else {
-            self.schedule_replica_arrival(to, from, msg, bytes, done, extra_ns);
-        }
-    }
-
-    /// One reservation step of a (possibly chunked) transfer on a link
-    /// lane — egress and ingress alike. Returns `(done, end)`: the instant
-    /// the reserved span clears the lane and the byte offset it reached —
-    /// `end == total_bytes` means the transfer's last byte cleared at
-    /// `done`; otherwise the caller re-enqueues its continuation event at
-    /// `done` with offset `end`, so transfers that became ready in between
-    /// interleave chunk by chunk. Chunk wire times are cut as cumulative
-    /// differences, so the chunk times of one transfer sum to `atomic_ns`
-    /// exactly — per-chunk rounding never inflates the total.
-    ///
-    /// `ready` is the instant this span may start (the clock for egress;
-    /// the backdated arrival for an ingress first chunk).
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one step of a NIC reservation: the lane, the transfer offsets and the start time"
-    )]
-    fn reserve_transfer_step(
-        &mut self,
-        nic: Nic,
-        class: LinkClass,
-        direction: Direction,
-        lane: ChunkLane,
-        total_bytes: usize,
-        offset_bytes: usize,
-        atomic_ns: u64,
-        ready: Ns,
-    ) -> (Ns, usize) {
-        match self.net.chunk_bytes() {
-            // A dead lane (0 Mbps saturates to u64::MAX) must never be
-            // chunked: every cumulative difference would be
-            // MAX.saturating_sub(MAX) = 0, turning the never-delivers link
-            // infinitely fast — the exact edge the saturation exists for.
-            Some(chunk) if total_bytes > chunk && atomic_ns < u64::MAX => {
-                let end = (offset_bytes + chunk).min(total_bytes);
-                let chunk_ns = self
-                    .lane_wire_ns(lane, end)
-                    .saturating_sub(self.lane_wire_ns(lane, offset_bytes));
-                // Only the first chunk counts a message: `messages` tallies
-                // transfers, not the chunks they crossed the wire in.
-                let done = if offset_bytes == 0 {
-                    self.links.reserve(nic, class, direction, ready, chunk_ns)
-                } else {
-                    self.links
-                        .reserve_continuation(nic, class, direction, ready, chunk_ns)
-                };
-                (done, end)
-            }
-            _ => {
-                let done = self.links.reserve(nic, class, direction, ready, atomic_ns);
-                (done, total_bytes)
-            }
-        }
-    }
-
-    /// The stateless wire-time function of a transfer's lane, for cutting
-    /// cumulative chunk spans.
-    fn lane_wire_ns(&self, lane: ChunkLane, bytes: usize) -> u64 {
-        match lane {
-            ChunkLane::Replica { from, to } => self.net.replica_transmit_ns(from, to, bytes),
-            ChunkLane::Client => self.net.client_transmit_ns(bytes),
-            ChunkLane::ReplicaIngress { from, to } => self.net.replica_ingress_ns(from, to, bytes),
-            ChunkLane::ClientIngress => self.net.client_ingress_ns(bytes),
-        }
-    }
-
-    /// The last byte of a transfer left the sender at `sent`: schedule its
-    /// arrival, routed through the receiver's ingress lane when one is
-    /// configured.
-    fn schedule_replica_arrival(
-        &mut self,
-        to: ReplicaId,
-        from: ReplicaId,
-        msg: SharedMessage,
-        bytes: usize,
-        sent: Ns,
-        extra_ns: u64,
-    ) {
-        let latency_ns = self.net.replica_latency_us(from, to) * 1_000;
-        let arrival = sent.saturating_add(latency_ns).saturating_add(extra_ns);
-        let rx_ns = self.net.replica_ingress_ns(from, to, bytes);
-        if rx_ns == 0 {
-            self.push_event(arrival, EventKind::Deliver { to, from, msg });
-        } else {
-            self.push_event(
-                arrival,
-                EventKind::Ingest {
-                    to,
-                    from,
-                    msg,
-                    bytes,
-                    rx_ns,
-                    offset_bytes: 0,
-                },
-            );
-        }
-    }
-
-    /// A message's last byte reached the receiver (or, for a continuation
-    /// chunk, the previous chunk finished ingesting): serialise it on the
-    /// receiver's ingress lane. The first reservation is backdated by the
-    /// ingest wire time — the bits streamed into the NIC while crossing
-    /// the wire — so an uncontended message is delivered at its arrival
-    /// instant (transmit is paid once) and only ingress *contention* adds
-    /// delay: delivery = tx queue + transmit + latency + rx queue. The
-    /// backdated window saturates at clock 0: a message whose ingest time
-    /// exceeds the sim time so far cannot have been streaming before the
-    /// run started, so its delivery waits for a full ingest window — a
-    /// boundary artifact of the approximation, bounded by one `rx_ns` at
-    /// the start of a run.
-    ///
-    /// With `chunk_bytes` configured the ingest crosses the lane one chunk
-    /// at a time, chunk spans cut as cumulative differences (they sum to
-    /// `rx_ns` exactly, so an uncontended chunked ingest still lands at
-    /// the arrival instant); messages arriving in between slip into the
-    /// lane instead of waiting for an elephant's last byte — the same
-    /// head-of-line fix egress chunking applies on the send side.
-    fn on_ingest(
-        &mut self,
-        to: ReplicaId,
-        from: ReplicaId,
-        msg: SharedMessage,
-        bytes: usize,
-        rx_ns: u64,
-        offset_bytes: usize,
-    ) {
-        let class = self.net.replica_link_class(from, to);
-        let ready = if offset_bytes == 0 {
-            self.now.saturating_sub(rx_ns)
-        } else {
-            // Continuation chunks fire when their predecessor clears the
-            // lane; the backdating already happened on the first chunk.
-            self.now
-        };
-        let (done, end) = self.reserve_transfer_step(
-            Nic::Replica(to),
-            class,
-            Direction::Ingress,
-            ChunkLane::ReplicaIngress { from, to },
-            bytes,
-            offset_bytes,
-            rx_ns,
-            ready,
-        );
-        if end < bytes {
-            // `done` can precede `self.now` (the first chunk's span starts
-            // at the backdated ready), so this push briefly runs the clock
-            // backwards — by construction the window [done, now] holds no
-            // other event (the heap minimum was `now`), only this chunk
-            // chain, and delivery is clamped to the arrival instant below.
-            // Handlers keyed to a monotone clock must not run off Ingest
-            // continuation events.
-            self.push_event(
-                done,
-                EventKind::Ingest {
-                    to,
-                    from,
-                    msg,
-                    bytes,
-                    rx_ns,
-                    offset_bytes: end,
-                },
-            );
-        } else {
-            self.push_event(done.max(self.now), EventKind::Deliver { to, from, msg });
-        }
-    }
-
-    /// A chunk of a client reply departing over a finite-bandwidth client
-    /// lane; the last chunk accounts the reply at its arrival time.
-    fn on_transmit_reply(
-        &mut self,
-        from: ReplicaId,
-        reply: ClientReply,
-        bytes: usize,
-        transmit_ns: u64,
-        offset_bytes: usize,
-    ) {
-        let (done, end) = self.reserve_transfer_step(
-            Nic::Replica(from),
-            LinkClass::Client,
-            Direction::Egress,
-            ChunkLane::Client,
-            bytes,
-            offset_bytes,
-            transmit_ns,
-            self.now,
-        );
-        if end < bytes {
-            self.push_event(
-                done,
-                EventKind::TransmitReply {
-                    from,
-                    reply,
-                    bytes,
-                    transmit_ns,
-                    offset_bytes: end,
-                },
-            );
-        } else {
-            // Replies pay no ingress: the aggregate client pool stands for
-            // hundreds of independent client NICs, not one ingest pipe.
-            let arrive = done.saturating_add(self.net.client_latency_us(from) * 1_000);
-            self.record_reply(from, &reply, arrive);
-        }
-    }
-
-    /// A chunk of a request-upload batch crossing the aggregate client
-    /// uplink; the last chunk lands the batch at the primary (through its
-    /// client-facing ingress lane when one is configured).
-    fn on_client_upload(&mut self, txns: Vec<Transaction>, bytes: usize, offset_bytes: usize) {
-        let transmit_ns = self.net.client_transmit_ns(bytes);
-        let (done, end) = self.reserve_transfer_step(
-            Nic::ClientPool,
-            LinkClass::Client,
-            Direction::Egress,
-            ChunkLane::Client,
-            bytes,
-            offset_bytes,
-            transmit_ns,
-            self.now,
-        );
-        if end < bytes {
-            self.push_event(
-                done,
-                EventKind::ClientUpload {
-                    txns,
-                    bytes,
-                    offset_bytes: end,
-                },
-            );
-            return;
-        }
-        let rx_ns = self.net.client_ingress_ns(bytes);
-        if rx_ns > 0 {
-            self.push_event(
-                done,
-                EventKind::IngestUpload {
-                    txns,
-                    bytes,
-                    rx_ns,
-                    offset_bytes: 0,
-                    nic: None,
-                },
-            );
-        } else {
-            self.push_event(done, EventKind::ClientArrival { txns });
-        }
-    }
-
-    /// A request-upload batch's last byte reached the primary (or a
-    /// continuation chunk finished): serialise it on the primary's
-    /// client-facing ingress lane, chunked exactly like `on_ingest`. The
-    /// primary is resolved when the first chunk starts and pinned for the
-    /// rest of the batch; `on_client_arrival` re-resolves it at dispatch,
-    /// so if a view change completed within the ingest span the charged
-    /// NIC and the processing replica could diverge by that one span — an
-    /// accepted approximation (the arrival handler must re-resolve anyway
-    /// to handle a failed primary).
-    fn on_ingest_upload(
-        &mut self,
-        txns: Vec<Transaction>,
-        bytes: usize,
-        rx_ns: u64,
-        offset_bytes: usize,
-        nic: Option<ReplicaId>,
-    ) {
-        let primary = nic.unwrap_or_else(|| self.current_primary());
-        let ready = if offset_bytes == 0 {
-            self.now.saturating_sub(rx_ns)
-        } else {
-            self.now
-        };
-        let (done, end) = self.reserve_transfer_step(
-            Nic::Replica(primary),
-            LinkClass::Client,
-            Direction::Ingress,
-            ChunkLane::ClientIngress,
-            bytes,
-            offset_bytes,
-            rx_ns,
-            ready,
-        );
-        if end < bytes {
-            // As in `on_ingest`: `done` may precede `self.now` on the
-            // backdated first chunk — an event-free window only this chunk
-            // chain occupies, with arrival clamped below.
-            self.push_event(
-                done,
-                EventKind::IngestUpload {
-                    txns,
-                    bytes,
-                    rx_ns,
-                    offset_bytes: end,
-                    nic: Some(primary),
-                },
-            );
-        } else {
-            self.push_event(done.max(self.now), EventKind::ClientArrival { txns });
-        }
     }
 
     fn on_deliver(&mut self, to: ReplicaId, from: ReplicaId, msg: SharedMessage) {
@@ -1576,6 +1269,32 @@ mod tests {
         assert_eq!(seq, SeqNum(6));
         sim.on_fallback(ClientId(0), RequestId(1));
         assert_eq!(sim.commit_log.last().map(|c| c.seq), Some(seq));
+    }
+
+    #[test]
+    fn reply_thresholds_match_the_client_library_for_every_protocol() {
+        use flexitrust_protocol::ClientLibrary;
+        for protocol in ProtocolId::ALL {
+            let spec = ScenarioSpec::quick_test(protocol);
+            let config = spec.system_config();
+            let sim = Simulation::new(spec);
+            let rule = sim.hosts[0].engine.properties().reply_quorum;
+            let library = ClientLibrary::new(ClientId(0), &config, rule);
+            assert_eq!(
+                (library.needed(), library.fallback_needed()),
+                (sim.reply_quorum, sim.fallback_quorum),
+                "{protocol}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_event_is_no_larger_than_a_client_reply_transfer_needs() {
+        // Every pending event sits in the heap by value, so peak memory on
+        // transfer-heavy runs scales with this size. 112 bytes holds the
+        // largest payload, a transfer carrying a `ClientReply` inline.
+        let size = std::mem::size_of::<Event>();
+        assert!(size <= 112, "an Event takes {size} bytes");
     }
 
     #[test]

@@ -296,6 +296,19 @@ impl SystemConfig {
         }
     }
 
+    /// Number of matching replies a client accepts after its fast path
+    /// timed out. An all-replica fast path falls back to a commit
+    /// certificate: `2f + 1` replies for Zyzzyva, `f + 1` for MinZZ
+    /// (`n = 2f + 1`). Every other rule has no fast path to fall back from,
+    /// so the threshold is its normal quorum.
+    pub fn fallback_quorum(&self, rule: QuorumRule) -> usize {
+        match rule {
+            QuorumRule::AllReplicas if self.n == self.large_quorum() => self.small_quorum(),
+            QuorumRule::AllReplicas => self.large_quorum(),
+            QuorumRule::FPlusOne | QuorumRule::TwoFPlusOne => self.quorum(rule),
+        }
+    }
+
     /// Returns `true` when `replica` is within the configured replica set.
     pub fn contains(&self, replica: ReplicaId) -> bool {
         replica.as_usize() < self.n

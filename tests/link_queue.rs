@@ -524,6 +524,61 @@ fn chunking_cuts_tail_latency_under_mixed_traffic() {
     );
 }
 
+/// The chunked client-lane schedule, bit-exactly: the mixed elephant/mouse
+/// scenario at 1 500-byte chunks is the one pin whose reply transfers and
+/// request uploads cross their client lanes in several chunks, so every
+/// continuation step of those two transfer kinds is under it. The values
+/// are a snapshot of the simulator that gave each transfer kind its own
+/// event.
+#[test]
+fn chunked_client_lane_transfers_keep_their_schedule_bit_exactly() {
+    let mut spec =
+        flexitrust_bench::mixed_elephant_spec(ScenarioSpec::quick_test(ProtocolId::FlexiBft));
+    spec.bandwidth.chunk_bytes = Some(1_500);
+    let report = Simulation::new(spec).run();
+    assert_eq!(report.completed_txns, 7_457);
+    assert_eq!(report.messages_delivered, 28_756);
+    assert_eq!(report.commit_log.len(), 12_397);
+    assert!(
+        (report.avg_latency_ms - 24.049551208).abs() < 5e-9,
+        "avg {} != pinned",
+        report.avg_latency_ms
+    );
+    assert_eq!(report.net_busy_ns, 6_377_570_400);
+    assert_eq!(report.net_queue_delay_ns, 1_106_744_162_774);
+    let client_rows: Vec<(Nic, Direction, u64, u64, u64)> = report
+        .link_usage
+        .iter()
+        .filter(|u| u.class == LinkClass::Client)
+        .map(|u| (u.nic, u.direction, u.busy_ns, u.queue_delay_ns, u.messages))
+        .collect();
+    let replica = |id: u32, queue_ns: u64| {
+        (
+            Nic::Replica(ReplicaId(id)),
+            Direction::Egress,
+            1_517_219_040,
+            queue_ns,
+            12_456,
+        )
+    };
+    assert_eq!(
+        client_rows,
+        [
+            replica(0, 276_330_676_846),
+            replica(1, 276_331_006_776),
+            replica(2, 276_331_006_776),
+            replica(3, 276_331_006_776),
+            (
+                Nic::ClientPool,
+                Direction::Egress,
+                308_694_240,
+                1_420_465_600,
+                12_266
+            ),
+        ]
+    );
+}
+
 /// The receive-side twin of the tail-latency test (the shared
 /// `flexitrust_bench::mixed_elephant_rx_spec` scenario, also gated in the
 /// CI bench smoke run): with every link unlimited except replica ingest,
