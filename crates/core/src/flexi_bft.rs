@@ -115,9 +115,11 @@ impl FlexiBft {
             });
         }
         // Links are not FIFO across senders: the backups' Prepares can
-        // overtake the proposal they vote for (over TCP even the primary's
-        // own loopback copy). The tracker reports a quorum exactly once, so
-        // one that formed before the proposal arrived is re-evaluated here.
+        // overtake the proposal they vote for at a backup. (The primary's
+        // own copy cannot be overtaken on the threaded hosts: it never
+        // leaves the primary's thread and is delivered before the next
+        // input.) The tracker reports a quorum exactly once, so one that
+        // formed before the proposal arrived is re-evaluated here.
         if self
             .prepare_votes
             .is_complete(&(view, seq, accepted.digest))

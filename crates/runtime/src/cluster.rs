@@ -15,6 +15,7 @@ use flexitrust_protocol::{
 };
 use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
 use flexitrust_types::{ClientId, ProtocolId, ReplicaId, RequestId, SystemConfig, Transaction};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -39,19 +40,22 @@ pub(crate) enum Input {
 /// two replicas with mutually full inboxes would deadlock the cluster — so
 /// implementations drop (and count) what they cannot enqueue; BFT protocols
 /// tolerate message loss by design.
+///
+/// A transport only ever carries traffic between two different replicas: a
+/// replica's copies to itself stay in its thread (see [`replica_loop`]).
 pub(crate) trait Transport {
-    /// Queue `msg` from `from` for delivery to `to`. The shared handle is
-    /// queued (or encoded) as-is — payload bytes are never copied per
-    /// destination.
+    /// Queue `msg` from `from` for delivery to `to`, another replica. The
+    /// shared handle is queued (or encoded) as-is — payload bytes are never
+    /// copied per destination.
     fn send_peer(&mut self, from: ReplicaId, to: ReplicaId, msg: SharedMessage);
 
-    /// Queue `msg` from `from` for delivery to every replica (sender
-    /// included). The default fans out to per-destination sends, one
+    /// Queue `msg` from `from` for delivery to every other replica of the
+    /// `replicas`. The default fans out to per-destination sends, one
     /// reference-count bump each; a serialising transport overrides it to
     /// encode the wire bytes once per broadcast instead of once per
     /// destination.
     fn broadcast_peer(&mut self, from: ReplicaId, replicas: usize, msg: SharedMessage) {
-        for to in 0..replicas {
+        for to in (0..replicas).filter(|to| *to != from.as_usize()) {
             self.send_peer(from, ReplicaId(to as u32), Arc::clone(&msg));
         }
     }
@@ -273,11 +277,18 @@ impl Cluster {
         self.tracker.current_primary()
     }
 
-    /// Submits transactions to the current primary replica.
+    /// Submits transactions to the current primary replica. A submission
+    /// the primary cannot take — its thread is gone, or the published view
+    /// names no replica — is counted in `ClusterSummary::dropped_messages`,
+    /// as on the TCP host.
     pub fn submit(&self, txns: Vec<Transaction>) {
         let primary = self.tracker.current_primary();
-        if let Some(inbox) = self.inboxes.get(primary.as_usize()) {
-            let _ = inbox.send(Input::Client(txns));
+        let delivered = self
+            .inboxes
+            .get(primary.as_usize())
+            .is_some_and(|inbox| inbox.send(Input::Client(txns)).is_ok());
+        if !delivered {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -352,7 +363,7 @@ pub(crate) fn drive_workload(
             request,
             flexitrust_types::KvOp::Update {
                 key: i as u64,
-                value: vec![i as u8; 16].into(),
+                value: [i as u8; 16].into(),
             },
         );
         libraries[client.0 as usize].begin(request);
@@ -418,15 +429,25 @@ struct ThreadEnv<T: Transport> {
     /// The replies emitted since the loop last handed them to the
     /// transport.
     replies: Vec<ClientReply>,
+    /// The replica's copies of its own messages, in emission order: the
+    /// very handles it sent, never encoded, queued or seen by the
+    /// transport. The loop delivers them before it blocks again.
+    local: VecDeque<SharedMessage>,
 }
 
 impl<T: Transport> EngineHost for ThreadEnv<T> {
     fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
-        self.transport.send_peer(from, to, msg);
+        if to == from {
+            self.local.push_back(msg);
+        } else {
+            self.transport.send_peer(from, to, msg);
+        }
     }
 
     fn broadcast(&mut self, from: ReplicaId, replicas: usize, msg: SharedMessage) {
-        self.transport.broadcast_peer(from, replicas, msg);
+        self.transport
+            .broadcast_peer(from, replicas, Arc::clone(&msg));
+        self.local.push_back(msg);
     }
 
     fn reply(&mut self, _from: ReplicaId, reply: ClientReply) {
@@ -475,6 +496,14 @@ impl<T: Transport> EngineHost for ThreadEnv<T> {
 const RECOVERY_RETRY: Duration = Duration::from_millis(20);
 
 /// One replica's event loop, shared by the channel and TCP deployments.
+///
+/// Each turn handles one input (or none, when a timer is due first), fires
+/// the due timers, then delivers the replica's copies of its own messages —
+/// those, and whatever they emit to the replica in turn, until none are
+/// left — and hands the turn's replies over before it blocks again. After
+/// each delivery the crash window, if any, is stepped: a replica it takes
+/// down loses the copies still queued, as a crashed process loses its
+/// memory, and hears nothing until it recovers.
 pub(crate) fn replica_loop<T: Transport>(
     engine: &mut dyn ConsensusEngine,
     rx: Receiver<Input>,
@@ -489,11 +518,15 @@ pub(crate) fn replica_loop<T: Transport>(
         transport,
         timers: Vec::new(),
         replies: Vec::new(),
+        local: VecDeque::new(),
     };
     let mut window = chaos.window.map(|w| (w, WindowPhase::Armed));
     // While rejoining after a crash: the others' frontier at recovery, and
     // when to ask them for a checkpoint (again).
     let mut rejoining: Option<(u64, Instant)> = None;
+    // The frontier last written to the shared board: it is written again
+    // only when it moves, so the replica loop stores nothing per message.
+    let mut published = None;
     loop {
         // Work out how long we may sleep before the next timer fires.
         let now = Instant::now();
@@ -528,52 +561,100 @@ pub(crate) fn replica_loop<T: Transport>(
         for (timer, token) in due {
             dispatcher.timer_expired(engine, timer, token, &mut env);
         }
+
+        loop {
+            // Publish our execution frontier so crash windows (and tests)
+            // can key on commit progress across threads.
+            let frontier = engine.last_executed().0;
+            if published != Some(frontier) {
+                if let Some(slot) = chaos.frontiers.get(id.as_usize()) {
+                    slot.store(frontier, Ordering::Relaxed);
+                }
+                published = Some(frontier);
+            }
+            if let Some((window, phase)) = window.as_mut() {
+                let frontiers = chaos.frontiers.iter().map(|f| f.load(Ordering::Relaxed));
+                let others = window.others_frontier(frontiers);
+                match phase.step(window, frontier, others) {
+                    // Going down: a crashed host's pending timers and
+                    // undelivered own copies die with it (fresh ones come
+                    // from whatever runs after recovery).
+                    Some(WindowEvent::Crash) => {
+                        env.timers.clear();
+                        env.local.clear();
+                    }
+                    // Rejoin via state transfer, starting now.
+                    Some(WindowEvent::Recover) => rejoining = Some((others, now)),
+                    None => {}
+                }
+            }
+            let Some(msg) = env.local.pop_front() else {
+                break;
+            };
+            dispatcher.deliver(engine, id, msg, &mut env);
+        }
         // Everything this iteration will emit is out: hand its replies over
         // before the loop blocks for input again.
         if !env.replies.is_empty() {
             env.transport.send_replies(std::mem::take(&mut env.replies));
         }
 
-        // Publish our execution frontier so crash windows (and tests) can
-        // key on commit progress across threads.
-        if let Some(slot) = chaos.frontiers.get(id.as_usize()) {
-            slot.store(engine.last_executed().0, Ordering::Relaxed);
-        }
-        if let Some((window, phase)) = window.as_mut() {
-            let frontiers = chaos.frontiers.iter().map(|f| f.load(Ordering::Relaxed));
-            let others = window.others_frontier(frontiers);
-            match phase.step(window, engine.last_executed().0, others) {
-                // Going down: a crashed host's pending timers die with it
-                // (fresh ones are armed by whatever runs after recovery).
-                Some(WindowEvent::Crash) => env.timers.clear(),
-                // Rejoin via state transfer, starting now.
-                Some(WindowEvent::Recover) => rejoining = Some((others, now)),
-                None => {}
-            }
-        }
         match &mut rejoining {
             Some((target, _)) if engine.last_executed().0 >= *target => rejoining = None,
             // Ask every peer for the latest stable checkpoint past our
             // frontier.
             Some((_, ask_at)) if *ask_at <= now => {
-                let request = recovery_request(engine);
-                for to in (0..n).filter(|to| *to != id.as_usize()) {
-                    env.transport
-                        .send_peer(id, ReplicaId(to as u32), Arc::clone(&request));
-                }
+                env.transport
+                    .broadcast_peer(id, n, recovery_request(engine));
                 *ask_at = now + RECOVERY_RETRY;
             }
             _ => {}
         }
 
         // Publish our view so submission paths can find the primary.
-        tracker.observe(engine.id(), engine.view());
+        tracker.observe(id, engine.view());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexitrust_protocol::{Message, Outbox, ProtocolProperties, ReplicaCore};
+    use flexitrust_types::{Batch, Digest, KvResult, SeqNum, View};
+    use std::sync::mpsc;
+
+    /// What a [`Recording`] transport was handed, in order.
+    enum Seen {
+        Peer(ReplicaId, SharedMessage),
+        /// The request ids of one reply hand-off.
+        Replies(Vec<u64>),
+    }
+
+    /// Reports everything it is handed to the test; nothing ever answers.
+    struct Recording(mpsc::Sender<Seen>);
+
+    impl Transport for Recording {
+        fn send_peer(&mut self, _from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
+            let _ = self.0.send(Seen::Peer(to, msg));
+        }
+        fn send_replies(&mut self, replies: Vec<ClientReply>) {
+            let _ = self
+                .0
+                .send(Seen::Replies(replies.iter().map(|r| r.request.0).collect()));
+        }
+    }
+
+    fn reply(request: u64) -> ClientReply {
+        ClientReply {
+            client: ClientId(0),
+            request: RequestId(request),
+            seq: SeqNum(1),
+            view: View(0),
+            replica: ReplicaId(1),
+            result: KvResult::Written,
+            speculative: false,
+        }
+    }
 
     fn run(protocol: ProtocolId, txns: usize) -> ClusterSummary {
         let cluster = Cluster::start(protocol, 1, 10);
@@ -635,15 +716,6 @@ mod tests {
 
         // The reply channel sheds whole deliveries the same way, and counts
         // every reply in them.
-        let reply = |request| ClientReply {
-            client: ClientId(0),
-            request: RequestId(request),
-            seq: flexitrust_types::SeqNum(1),
-            view: flexitrust_types::View(0),
-            replica: ReplicaId(1),
-            result: flexitrust_types::KvResult::Written,
-            speculative: false,
-        };
         transport.send_replies(vec![reply(1)]);
         assert_eq!(dropped.load(Ordering::Relaxed), 1, "the first one fits");
         transport.send_replies((2..=8).map(reply).collect());
@@ -662,16 +734,167 @@ mod tests {
     }
 
     #[test]
-    fn a_rejoiner_repeats_its_checkpoint_request_until_it_is_answered() {
-        /// Reports every peer send to the test; nothing ever answers.
-        struct Recording(std::sync::mpsc::Sender<(ReplicaId, SharedMessage)>);
-        impl Transport for Recording {
-            fn send_peer(&mut self, _from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
-                let _ = self.0.send((to, msg));
-            }
-            fn send_replies(&mut self, _replies: Vec<ClientReply>) {}
-        }
+    fn a_submission_the_primary_cannot_take_is_a_counted_drop() {
+        let mut cluster = Cluster::start(ProtocolId::FlexiBft, 1, 10);
+        // The primary's thread exits, and its inbox with it.
+        assert!(cluster.inboxes[0].send(Input::Shutdown).is_ok());
+        cluster
+            .handles
+            .remove(0)
+            .join()
+            .expect("the primary exits cleanly");
+        let summary = cluster.run_workload(10, 1, Duration::from_millis(200));
+        cluster.shutdown();
+        assert_eq!(summary.completed_txns, 0);
+        assert_eq!(summary.dropped_messages, 1, "one batch was submitted");
+    }
 
+    #[test]
+    fn own_copies_bypass_the_transport_as_the_handles_the_engine_sent() {
+        let (tx, rx) = mpsc::channel();
+        let mut env = ThreadEnv {
+            transport: Recording(tx),
+            timers: Vec::new(),
+            replies: Vec::new(),
+            local: VecDeque::new(),
+        };
+        let msg: SharedMessage = Arc::new(Message::ClientRetry {
+            txn: Transaction::noop(),
+        });
+        let me = ReplicaId(2);
+        env.broadcast(me, 4, Arc::clone(&msg));
+        env.send(me, me, Arc::clone(&msg));
+        env.send(me, ReplicaId(3), Arc::clone(&msg));
+        // n − 1 destinations for the broadcast, one for the unicast; none
+        // is the sender.
+        let peers: Vec<u32> = rx
+            .try_iter()
+            .map(|seen| match seen {
+                Seen::Peer(to, sent) if Arc::ptr_eq(&sent, &msg) => to.0,
+                _ => panic!("only the sent handle reaches the transport"),
+            })
+            .collect();
+        assert_eq!(peers, [0, 1, 3, 3]);
+        // The broadcast's own copy and the send to self, as the very
+        // allocation the engine's action became.
+        assert_eq!(env.local.len(), 2);
+        assert!(env.local.iter().all(|own| Arc::ptr_eq(own, &msg)));
+    }
+
+    /// Proposes every client batch to all replicas and replies to it; on
+    /// any message, tells the test what it heard and replies again.
+    struct Proposer {
+        core: ReplicaCore,
+        heard: mpsc::Sender<(ReplicaId, Message)>,
+    }
+
+    impl ConsensusEngine for Proposer {
+        fn replica(&self) -> &ReplicaCore {
+            &self.core
+        }
+        fn properties(&self) -> ProtocolProperties {
+            ProtocolProperties::for_protocol(ProtocolId::Pbft)
+        }
+        fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
+            out.broadcast(Message::PrePrepare {
+                view: View(0),
+                seq: SeqNum(1),
+                batch: Batch::new(txns, Digest::from_u64_tag(1)),
+                attestation: None,
+            });
+            out.reply(reply(1));
+        }
+        fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
+            let _ = self.heard.send((from, msg));
+            out.reply(reply(2));
+        }
+        fn on_timer(&mut self, _timer: TimerKind, _out: &mut Outbox) {}
+    }
+
+    /// Runs a [`Proposer`] as replica 0 of four, with `window`, through one
+    /// client batch and then `Shutdown`. Returns what its transport saw and
+    /// what it heard.
+    fn one_proposal(window: Option<CrashWindow>) -> (Vec<Seen>, Vec<(ReplicaId, Message)>) {
+        let config = cluster_config(ProtocolId::Pbft, 1, 10);
+        let (heard_tx, heard) = mpsc::channel();
+        let mut engine = Proposer {
+            core: ReplicaCore::new(config, ReplicaId(0)),
+            heard: heard_tx,
+        };
+        let (inbox, rx) = bounded::<Input>(4);
+        assert!(inbox.send(Input::Client(vec![Transaction::noop()])).is_ok());
+        assert!(inbox.send(Input::Shutdown).is_ok());
+        let (seen_tx, seen) = mpsc::channel();
+        let chaos = ReplicaChaos {
+            frontiers: ReplicaChaos::board(4),
+            window,
+        };
+        replica_loop(
+            &mut engine,
+            rx,
+            Recording(seen_tx),
+            PrimaryTracker::new(4),
+            chaos,
+        );
+        (seen.try_iter().collect(), heard.try_iter().collect())
+    }
+
+    fn proposal_batch(msg: &Message) -> &Batch {
+        match msg {
+            Message::PrePrepare { batch, .. } => batch,
+            other => panic!("not a proposal: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_replica_hears_its_own_broadcast_before_the_loop_blocks() {
+        let (seen, heard) = one_proposal(None);
+        let Some((Seen::Replies(replies), sent)) = seen.split_last() else {
+            panic!("the turn ends with one reply hand-off");
+        };
+        let peers: Vec<(u32, &Batch)> = sent
+            .iter()
+            .map(|seen| match seen {
+                Seen::Peer(to, msg) => (to.0, proposal_batch(msg)),
+                Seen::Replies(_) => panic!("one reply hand-off per turn"),
+            })
+            .collect();
+        // The transport carried the proposal to the three others only.
+        assert_eq!(
+            peers.iter().map(|(to, _)| *to).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        // The engine heard its own copy: the payload the peers were sent.
+        assert_eq!(heard.len(), 1);
+        assert_eq!(heard[0].0, ReplicaId(0));
+        assert!(proposal_batch(&heard[0].1).shares_payload(peers[0].1));
+        // In the same turn: the proposal's reply and the reply to its own
+        // copy leave in the one hand-off made before the loop blocks.
+        assert_eq!(replies, &[1, 2]);
+    }
+
+    #[test]
+    fn a_replica_taken_down_drops_its_own_copies() {
+        // Down once its frontier reaches 0, i.e. right after its first
+        // input; it never recovers.
+        let window = CrashWindow {
+            replica: ReplicaId(0),
+            crash_at_seq: 0,
+            recover_at_seq: u64::MAX,
+        };
+        let (seen, heard) = one_proposal(Some(window));
+        let peers = seen
+            .iter()
+            .filter(|seen| matches!(seen, Seen::Peer(..)))
+            .count();
+        // The copies for the others had left; its own had not.
+        assert_eq!(peers, 3);
+        assert!(heard.is_empty(), "a downed replica delivers nothing");
+        assert!(matches!(seen.last(), Some(Seen::Replies(r)) if r == &[1]));
+    }
+
+    #[test]
+    fn a_rejoiner_repeats_its_checkpoint_request_until_it_is_answered() {
         // Replica 2 is down from the start and recovers at once: the others
         // are already at sequence 10.
         let id = ReplicaId(2);
@@ -697,7 +920,7 @@ mod tests {
             }),
         };
         let (inbox, rx) = bounded::<Input>(4);
-        let (sent_tx, sent) = std::sync::mpsc::channel();
+        let (sent_tx, sent) = mpsc::channel();
         let tracker = PrimaryTracker::new(config.n);
         let replica = std::thread::spawn(move || {
             replica_loop(&mut *engine, rx, Recording(sent_tx), tracker, chaos);
@@ -707,9 +930,12 @@ mod tests {
         // request per recovery would leave this waiting forever.
         let mut asked = vec![0; config.n];
         while asked != [3, 3, 0, 3] {
-            let (to, msg) = sent
+            let Seen::Peer(to, msg) = sent
                 .recv_timeout(Duration::from_secs(30))
-                .expect("the request is repeated");
+                .expect("the request is repeated")
+            else {
+                continue;
+            };
             assert!(
                 matches!(&*msg, flexitrust_protocol::Message::CheckpointRequest { last_executed }
                     if last_executed.0 == 0),

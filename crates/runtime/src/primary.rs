@@ -33,10 +33,14 @@ impl PrimaryTracker {
     }
 
     /// Publishes `replica`'s current view. Views only move forward; a stale
-    /// publish never rolls the board back.
+    /// publish never rolls the board back. Replica loops publish after every
+    /// input, so an unchanged view is only read: the board's cache line is
+    /// written when a view changes, not once per message.
     pub fn observe(&self, replica: ReplicaId, view: View) {
         if let Some(slot) = self.views.get(replica.as_usize()) {
-            slot.fetch_max(view.0, Ordering::Relaxed);
+            if slot.load(Ordering::Relaxed) < view.0 {
+                slot.fetch_max(view.0, Ordering::Relaxed);
+            }
         }
     }
 

@@ -7,10 +7,11 @@
 //! * a **listener** on an ephemeral loopback port, whose acceptor thread
 //!   spawns one reader thread per inbound connection; readers decode
 //!   [`flexitrust_wire`] frames and feed the replica's inbox;
-//! * one **writer thread per peer** (its own listener included, so
-//!   self-addressed broadcast copies cross the loopback like everything
-//!   else) and one for the client's reply socket, each owning a connected
-//!   `TcpStream` and draining a bounded queue of encoded frames.
+//! * one **writer thread per other replica** and one for the client's reply
+//!   socket, each owning a connected `TcpStream` and draining a bounded
+//!   queue of encoded frames. A replica's copies of its own messages never
+//!   reach a socket: the replica loop delivers them in its own thread, so
+//!   a cluster of n replicas opens n(n − 1) peer connections, not n².
 //!
 //! The replica thread itself never touches a socket and never blocks on a
 //! full queue: sends go through `try_send` and shed load into the shared
@@ -57,12 +58,14 @@
 //!    grows by that number of *frames*, never by one per buffer.
 //!
 //! [`TcpCluster::io_stats`] reports how many frames each socket call moved.
+//! Every socket thread tallies its own calls, frames and bytes on a cache
+//! line no other live thread writes ([`Striped`]); `io_stats` sums them.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use flexitrust_host::build_replica;
 use flexitrust_protocol::{ClientReply, SharedMessage};
 use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
-use flexitrust_types::{ProtocolId, ReplicaId, SystemConfig, Transaction};
+use flexitrust_types::{ProtocolId, ReplicaId, Striped, SystemConfig, Transaction};
 use flexitrust_wire::{encode_reply_into, read_frame, resident_frame, write_frame, Frame};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -96,7 +99,8 @@ struct Frames {
 
 /// What a writer queue carries. Shared, so a broadcast encodes its frame
 /// once for every destination; and one pointer wide, because each of the
-/// 5n queues allocates all `WRITER_QUEUE` slots up front.
+/// n² writer queues (n − 1 peers and the client, per replica) allocates all
+/// `WRITER_QUEUE` slots up front.
 type Outbound = Arc<Frames>;
 
 fn outbound(bytes: Vec<u8>, count: u64) -> Outbound {
@@ -125,10 +129,10 @@ pub struct TcpIoStats {
     pub bytes_read: u64,
 }
 
-/// The live counters behind [`TcpIoStats`]. Statistics only: nothing is
-/// published through them, so every access is `Relaxed`.
+/// One thread's share of the counters behind [`TcpIoStats`]. Statistics
+/// only: nothing is published through them, so every access is `Relaxed`.
 #[derive(Default)]
-struct IoCounters {
+struct IoCell {
     frames_written: AtomicU64,
     write_calls: AtomicU64,
     bytes_written: AtomicU64,
@@ -137,17 +141,21 @@ struct IoCounters {
     bytes_read: AtomicU64,
 }
 
-impl IoCounters {
-    fn snapshot(&self) -> TcpIoStats {
-        TcpIoStats {
-            frames_written: self.frames_written.load(Ordering::Relaxed),
-            write_calls: self.write_calls.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            frames_read: self.frames_read.load(Ordering::Relaxed),
-            read_calls: self.read_calls.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-        }
+/// The live counters behind [`TcpIoStats`]: each socket thread counts in
+/// its own cell (`.local()`), [`snapshot`] sums the cells.
+type IoCounters = Striped<IoCell>;
+
+fn snapshot(io: &IoCounters) -> TcpIoStats {
+    let mut total = TcpIoStats::default();
+    for cell in io.cells() {
+        total.frames_written += cell.frames_written.load(Ordering::Relaxed);
+        total.write_calls += cell.write_calls.load(Ordering::Relaxed);
+        total.bytes_written += cell.bytes_written.load(Ordering::Relaxed);
+        total.frames_read += cell.frames_read.load(Ordering::Relaxed);
+        total.read_calls += cell.read_calls.load(Ordering::Relaxed);
+        total.bytes_read += cell.bytes_read.load(Ordering::Relaxed);
     }
+    total
 }
 
 /// A stream that counts the `read`/`write` calls reaching it and the bytes
@@ -161,8 +169,9 @@ struct Counted<S> {
 impl<S: Write> Write for Counted<S> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let n = self.inner.write(buf)?;
-        self.io.write_calls.fetch_add(1, Ordering::Relaxed);
-        self.io.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
+        let io = self.io.local();
+        io.write_calls.fetch_add(1, Ordering::Relaxed);
+        io.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
     }
 
@@ -174,8 +183,9 @@ impl<S: Write> Write for Counted<S> {
 impl<S: Read> Read for Counted<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.io.read_calls.fetch_add(1, Ordering::Relaxed);
-        self.io.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
+        let io = self.io.local();
+        io.read_calls.fetch_add(1, Ordering::Relaxed);
+        io.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
     }
 }
@@ -183,8 +193,9 @@ impl<S: Read> Read for Counted<S> {
 /// The socket transport: encodes outbound traffic to wire frames and hands
 /// the bytes to the per-destination writer threads.
 struct SocketTransport {
-    /// One queue per peer listener (self included).
-    writers: Vec<Sender<Outbound>>,
+    /// One queue per replica, indexed by replica id; `None` at the sending
+    /// replica's own id, which no frame is ever addressed to.
+    writers: Vec<Option<Sender<Outbound>>>,
     /// The queue towards the client's reply listener.
     reply_writer: Sender<Outbound>,
     dropped: Arc<AtomicU64>,
@@ -207,15 +218,16 @@ impl SocketTransport {
 impl Transport for SocketTransport {
     fn send_peer(&mut self, from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
         let frame = outbound(flexitrust_wire::encode_message(from, &msg), 1);
-        self.queue_or_drop(self.writers.get(to.as_usize()), frame);
+        let writer = self.writers.get(to.as_usize()).and_then(Option::as_ref);
+        self.queue_or_drop(writer, frame);
     }
 
-    fn broadcast_peer(&mut self, from: ReplicaId, replicas: usize, msg: SharedMessage) {
+    fn broadcast_peer(&mut self, from: ReplicaId, _replicas: usize, msg: SharedMessage) {
         // One serialisation per broadcast, not per destination: every
         // writer queue shares the same encoded frame.
         let frame = outbound(flexitrust_wire::encode_message(from, &msg), 1);
-        for to in 0..replicas {
-            self.queue_or_drop(self.writers.get(to), Arc::clone(&frame));
+        for writer in self.writers.iter().flatten() {
+            self.queue_or_drop(Some(writer), Arc::clone(&frame));
         }
     }
 
@@ -336,7 +348,7 @@ impl TcpCluster {
                                     return;
                                 }
                             };
-                            io.frames_read.fetch_add(1, Ordering::Relaxed);
+                            io.local().frames_read.fetch_add(1, Ordering::Relaxed);
                             // Blocking sends: a full inbox exerts TCP
                             // backpressure on the sender instead of
                             // dropping on the receive side.
@@ -355,11 +367,15 @@ impl TcpCluster {
                 },
             ));
 
-            // Outbound: one writer thread per destination listener.
+            // Outbound: one writer thread per other replica's listener.
             let mut writers = Vec::with_capacity(config.n);
-            for &peer_addr in &addrs {
+            for (peer, &peer_addr) in addrs.iter().enumerate() {
+                if peer == i {
+                    writers.push(None);
+                    continue;
+                }
                 let (wtx, wrx) = bounded::<Outbound>(WRITER_QUEUE);
-                writers.push(wtx);
+                writers.push(Some(wtx));
                 io_handles.push(spawn_writer(
                     peer_addr,
                     wrx,
@@ -426,7 +442,7 @@ impl TcpCluster {
     /// still in a queue or a socket buffer are in neither direction's
     /// totals yet, so the two sides agree only once the cluster is idle.
     pub fn io_stats(&self) -> TcpIoStats {
-        self.io.snapshot()
+        snapshot(&self.io)
     }
 
     /// Submits a batch of transactions over TCP to the current primary.
@@ -469,7 +485,10 @@ impl TcpCluster {
                 }
             };
             if write_frame(stream, &frame).is_ok() {
-                self.io.frames_written.fetch_add(1, Ordering::Relaxed);
+                self.io
+                    .local()
+                    .frames_written
+                    .fetch_add(1, Ordering::Relaxed);
                 return;
             }
             streams.remove(&primary.0);
@@ -606,7 +625,7 @@ impl<W: Write> FrameSink<W> {
     }
 
     fn written(&mut self) {
-        let io = &self.out.get_ref().io;
+        let io = self.out.get_ref().io.local();
         io.frames_written.fetch_add(self.held, Ordering::Relaxed);
         self.held = 0;
     }
@@ -677,7 +696,7 @@ fn reply_reader_loop(
         }
         match read_frame(&mut stream) {
             Ok(Some(frame)) => {
-                io.frames_read.fetch_add(1, Ordering::Relaxed);
+                io.local().frames_read.fetch_add(1, Ordering::Relaxed);
                 if let Frame::Reply { reply } = frame {
                     decoded.push(reply);
                 }
@@ -754,7 +773,7 @@ mod tests {
         let dropped = AtomicU64::new(0);
         let io = Arc::new(IoCounters::default());
         writer_loop(sink, &rx, &dropped, Arc::clone(&io));
-        (dropped.load(Ordering::Relaxed), io.snapshot())
+        (dropped.load(Ordering::Relaxed), snapshot(&io))
     }
 
     fn prepare(seq: u64) -> Vec<u8> {
@@ -899,7 +918,7 @@ mod tests {
         drop(tx);
         writer.join().unwrap();
         assert_eq!(inbound.read(&mut [0u8; 1]).unwrap(), 0, "nothing follows");
-        let stats = io.snapshot();
+        let stats = snapshot(&io);
         assert_eq!(stats.write_calls, 2, "one write per wake-up");
         assert_eq!(stats.frames_written, 101);
         assert_eq!(stats.bytes_written, 101 * frames[0].len() as u64);
@@ -921,7 +940,7 @@ mod tests {
             }
         }
         assert_eq!(read_frame(&mut reader).unwrap(), None);
-        let stats = io.snapshot();
+        let stats = snapshot(&io);
         assert_eq!(stats.bytes_read, stream.len() as u64);
         // One read for the data, one that reports the end of the stream.
         assert_eq!(stats.read_calls, 2);
@@ -1012,7 +1031,7 @@ mod tests {
             );
             assert_eq!(rx.try_recv().err(), Some(TryRecvError::Empty));
             assert_eq!(dropped.load(Ordering::Relaxed), torn);
-            assert_eq!(io.snapshot().frames_read, 100);
+            assert_eq!(snapshot(&io).frames_read, 100);
         }
     }
 
@@ -1042,6 +1061,33 @@ mod tests {
         // needed to complete is already in the totals: ten submissions and
         // a reply quorum of f + 1 per transaction.
         assert!(io.frames_read >= 10 + 2 * 100, "{io:?}");
+    }
+
+    #[test]
+    fn no_connection_carries_self_traffic_and_an_idle_cluster_has_read_every_frame_written() {
+        let cluster = TcpCluster::start(ProtocolId::FlexiBft, 1, 10).expect("cluster starts");
+        let n = cluster.config().n;
+        // The reply acceptor, an acceptor per replica, a writer per ordered
+        // pair of distinct replicas and a reply writer per replica.
+        assert_eq!(cluster.io_handles.len(), 1 + n + n * (n - 1) + n);
+
+        let summary = cluster.run_workload(200, 8, Duration::from_secs(60));
+        assert_eq!(summary.completed_txns, 200);
+        // Late votes and replies are still in flight when the workload
+        // returns; once the cluster is idle the per-thread tallies, summed,
+        // agree frame for frame.
+        let mut io = cluster.io_stats();
+        for _ in 0..1000 {
+            if io.frames_written == io.frames_read {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+            io = cluster.io_stats();
+        }
+        cluster.shutdown();
+        assert!(io.frames_written > 20 + 2 * 200, "{io:?}");
+        assert_eq!(io.frames_written, io.frames_read, "{io:?}");
+        assert_eq!(summary.dropped_messages, 0);
     }
 
     #[test]

@@ -7,24 +7,25 @@
 
 use crate::digest::Digest;
 use crate::ids::{ClientId, RequestId};
+use crate::tally::Tally;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Counts every [`Batch`] payload allocation (one per `BatchInner`). A
 /// batch *clone* is a reference-count bump and does not count; only
 /// constructing a batch from owned transactions does. Zero-copy regression
 /// tests read this: an n-replica broadcast must allocate the payload once,
-/// not once per recipient.
-static BATCH_PAYLOAD_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// not once per recipient. Striped, because every replica thread and every
+/// socket reader builds batches.
+static BATCH_PAYLOAD_ALLOCATIONS: Tally = Tally::new();
 
 /// Total [`Batch`] payload allocations since process start (monotone,
 /// process-wide). Tests diff two readings around a workload to pin the
 /// zero-copy invariant; concurrent tests only ever make the diff larger,
 /// so upper-bound assertions stay sound.
 pub fn batch_payload_allocations() -> u64 {
-    BATCH_PAYLOAD_ALLOCATIONS.load(Ordering::Relaxed)
+    BATCH_PAYLOAD_ALLOCATIONS.sum()
 }
 
 /// Counts every [`ValueBytes`] payload allocation (one per distinct value
@@ -33,14 +34,15 @@ pub fn batch_payload_allocations() -> u64 {
 /// Zero-copy regression tests read this: a committed update must cost one
 /// value allocation at the client that generated it — execution at every
 /// replica, sharded or serial, shares that allocation by reference.
-static VALUE_PAYLOAD_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Striped, because every value decode at every replica counts here.
+static VALUE_PAYLOAD_ALLOCATIONS: Tally = Tally::new();
 
 /// Total [`ValueBytes`] payload allocations since process start (monotone,
 /// process-wide). Tests diff two readings around a workload to pin the
 /// zero-copy invariant; concurrent tests only ever make the diff larger,
 /// so upper-bound assertions stay sound.
 pub fn value_payload_allocations() -> u64 {
-    VALUE_PAYLOAD_ALLOCATIONS.load(Ordering::Relaxed)
+    VALUE_PAYLOAD_ALLOCATIONS.sum()
 }
 
 /// An immutable value payload shared by reference: the bytes of one record
@@ -84,21 +86,21 @@ impl AsRef<[u8]> for ValueBytes {
 
 impl From<Vec<u8>> for ValueBytes {
     fn from(bytes: Vec<u8>) -> Self {
-        VALUE_PAYLOAD_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        VALUE_PAYLOAD_ALLOCATIONS.add(1);
         ValueBytes(bytes.into())
     }
 }
 
 impl From<&[u8]> for ValueBytes {
     fn from(bytes: &[u8]) -> Self {
-        VALUE_PAYLOAD_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        VALUE_PAYLOAD_ALLOCATIONS.add(1);
         ValueBytes(bytes.into())
     }
 }
 
 impl<const N: usize> From<[u8; N]> for ValueBytes {
     fn from(bytes: [u8; N]) -> Self {
-        VALUE_PAYLOAD_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        VALUE_PAYLOAD_ALLOCATIONS.add(1);
         ValueBytes(Arc::from(&bytes[..]))
     }
 }
@@ -359,7 +361,7 @@ impl Batch {
     /// The digest is computed by the crypto substrate; this constructor only
     /// packages the two together.
     pub fn new(txns: Vec<Transaction>, digest: Digest) -> Self {
-        BATCH_PAYLOAD_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BATCH_PAYLOAD_ALLOCATIONS.add(1);
         let wire_size = 32 + 4 + txns.iter().map(Transaction::wire_size).sum::<usize>();
         Batch {
             inner: Arc::new(BatchInner {

@@ -53,10 +53,11 @@ fn flexi_bft_smoke_workload_over_real_sockets() {
     done.store(true, Ordering::SeqCst);
 }
 
-/// ROADMAP 1(a), Flexi-BFT: a burst deep enough that backups' `Prepare`s
-/// routinely overtake the `PrePrepare` they vote for (the primary's own
-/// loopback copy included) used to wedge about every other run. Three out
-/// of three must commit, with nothing shed on the way.
+/// Flexi-BFT: a burst deep enough that backups' `Prepare`s routinely
+/// overtake the `PrePrepare` they vote for (the primary's own copy never
+/// crosses a socket, so it is the one that cannot be overtaken) used to
+/// wedge about every other run. Three out of three must commit, with
+/// nothing shed on the way.
 #[test]
 fn flexi_bft_commits_large_bursts_whatever_order_the_sockets_deliver() {
     let done = Arc::new(AtomicBool::new(false));
