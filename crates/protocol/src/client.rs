@@ -10,13 +10,18 @@
 //!
 //! # State per request
 //!
-//! A request the application [began](ClientLibrary::begin) holds a list of
-//! *candidates*: one `(seq, result)` pair per distinct answer seen, each
-//! with the set of replicas that gave it. Failure-free there is exactly one
-//! candidate, stored inline; a reply probes the list with
-//! [`result_matches_key`] and sets one bit, so the hit path neither
-//! allocates nor clones. The first candidate to reach the threshold is the
-//! request's outcome.
+//! A client issues its request ids in increasing order, so the library
+//! keeps its requests in a *window*: a ring of slots indexed by
+//! `request − oldest request held`, where a reply finds its request in
+//! O(1). Only [`begin`](ClientLibrary::begin) grows the window, and only at
+//! its end; [`forget`](ClientLibrary::forget) trims it.
+//!
+//! A request the application began holds a list of *candidates*: one
+//! `(seq, result)` pair per distinct answer seen, each with the set of
+//! replicas that gave it. Failure-free there is exactly one candidate,
+//! stored inline; a reply probes the list by fingerprint ([`result_key`])
+//! and sets one bit, so the hit path neither allocates nor clones. The first
+//! candidate to reach the threshold is the request's outcome.
 //!
 //! * **Late replies** — any reply for a completed request — report the
 //!   agreed `(result, seq, matching)` again, whatever they carry themselves:
@@ -30,7 +35,7 @@ use crate::messages::ClientReply;
 use flexitrust_types::{
     ClientId, KvResult, QuorumRule, ReplicaId, RequestId, SeqNum, SystemConfig, ValueBytes,
 };
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Progress of one outstanding request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,17 +87,21 @@ impl Voters {
     }
 }
 
-/// One distinct answer to a request and who gave it.
+/// One distinct answer to a request and who gave it: the first reply's
+/// `(seq, result)`, joined by every later reply that carries the same seq
+/// and a result of the same fingerprint ([`result_key`]).
 #[derive(Debug)]
 struct Candidate {
     seq: SeqNum,
-    key: KvResultKey,
-    /// The first reply's result for this key, reported on completion.
     result: KvResult,
     voters: Voters,
 }
 
 impl Candidate {
+    fn matches(&self, reply: &ClientReply) -> bool {
+        self.seq == reply.seq && same_fingerprint(&reply.result, &self.result)
+    }
+
     fn complete(&self) -> RequestStatus {
         RequestStatus::Complete {
             result: self.result.clone(),
@@ -102,14 +111,152 @@ impl Candidate {
     }
 }
 
+/// A begun request: the answers seen so far, and whether one of them is
+/// its outcome.
 #[derive(Debug, Default)]
 struct PendingRequest {
-    /// The first candidate, inline; divergent ones (a faulty or lagging
-    /// replica answered differently) go to `rest`.
+    /// The first candidate, inline. Once the request is settled it is the
+    /// outcome, which every later reply repeats.
     first: Option<Candidate>,
-    rest: Vec<Candidate>,
-    /// Once complete: the `Complete` status every later reply repeats.
-    outcome: Option<RequestStatus>,
+    /// Divergent candidates (a faulty or lagging replica answered
+    /// differently). Failure-free runs never have one, so a slot pays one
+    /// pointer for them.
+    #[expect(
+        clippy::box_collection,
+        reason = "one pointer instead of three words in every slot of the window, \
+                  for a list that is almost always absent"
+    )]
+    rest: Option<Box<Vec<Candidate>>>,
+    settled: bool,
+}
+
+impl PendingRequest {
+    fn candidates(&self) -> impl Iterator<Item = &Candidate> {
+        self.first
+            .iter()
+            .chain(self.rest.iter().flat_map(|rest| rest.iter()))
+    }
+
+    /// The agreed outcome, once there is one.
+    fn outcome(&self) -> Option<RequestStatus> {
+        self.first
+            .as_ref()
+            .filter(|_| self.settled)
+            .map(Candidate::complete)
+    }
+
+    /// Counts `reply` for the candidate it matches, opening a candidate if
+    /// none does; returns that candidate's index among
+    /// [`Self::candidates`] and how many replicas back it now.
+    fn vote(&mut self, reply: &ClientReply) -> (usize, usize) {
+        let rest = self.rest.iter_mut().flat_map(|rest| rest.iter_mut());
+        let hit = (self.first.iter_mut().chain(rest))
+            .enumerate()
+            .find(|(_, c)| c.matches(reply));
+        if let Some((index, candidate)) = hit {
+            candidate.voters.insert(reply.replica);
+            return (index, candidate.voters.len());
+        }
+        let mut candidate = Candidate {
+            seq: reply.seq,
+            result: reply.result.clone(),
+            voters: Voters::default(),
+        };
+        candidate.voters.insert(reply.replica);
+        match &mut self.first {
+            first @ None => {
+                *first = Some(candidate);
+                (0, 1)
+            }
+            Some(_) => {
+                let rest = self.rest.get_or_insert_with(Box::default);
+                rest.push(candidate);
+                (rest.len(), 1)
+            }
+        }
+    }
+
+    /// Makes candidate `index` the outcome and returns it: the candidate
+    /// moves to `first`, the one place a late reply looks.
+    fn settle(&mut self, index: usize) -> Option<RequestStatus> {
+        let winner = index
+            .checked_sub(1)
+            .and_then(|i| self.rest.as_mut()?.get_mut(i));
+        if let (Some(first), Some(winner)) = (self.first.as_mut(), winner) {
+            std::mem::swap(first, winner);
+        }
+        self.settled = true;
+        self.outcome()
+    }
+}
+
+/// How far past the newest request held [`ClientLibrary::begin`] opens a
+/// new one. A client issues its ids in increasing order, normally one after
+/// another; refusing a longer jump bounds the empty slots the window keeps
+/// for the ids it skips.
+const MAX_AHEAD: usize = 1 << 10;
+
+/// A client's requests by id: `slots[i]` is request `base + i`, `None` where
+/// that id was never begun or has been forgotten. Both ends are always held
+/// (forgetting trims them), so `base` is the oldest request held; once none
+/// is, it is one past the last one forgotten. Ids below `base` are stale.
+#[derive(Debug, Default)]
+struct RequestWindow {
+    base: u64,
+    slots: VecDeque<Option<PendingRequest>>,
+}
+
+impl RequestWindow {
+    /// The slot index of `request`, if the window spans it.
+    fn index(&self, request: RequestId) -> Option<usize> {
+        let index = usize::try_from(request.0.checked_sub(self.base)?).ok()?;
+        (index < self.slots.len()).then_some(index)
+    }
+
+    fn get_mut(&mut self, request: RequestId) -> Option<&mut PendingRequest> {
+        let index = self.index(request)?;
+        self.slots.get_mut(index)?.as_mut()
+    }
+
+    /// Holds `request`, unless it is stale, held already, or more than
+    /// [`MAX_AHEAD`] past the newest request held. With nothing held, any id
+    /// from `base` on opens, and the window starts over there.
+    fn open(&mut self, request: RequestId) {
+        let Some(offset) = request.0.checked_sub(self.base) else {
+            return;
+        };
+        let Some(newest) = self.slots.len().checked_sub(1) else {
+            self.base = request.0;
+            self.slots.push_back(Some(PendingRequest::default()));
+            return;
+        };
+        match usize::try_from(offset) {
+            Ok(index) if index <= newest => {
+                if let Some(slot @ None) = self.slots.get_mut(index) {
+                    *slot = Some(PendingRequest::default());
+                }
+            }
+            Ok(index) if index - newest <= MAX_AHEAD => {
+                self.slots.resize_with(index, || None);
+                self.slots.push_back(Some(PendingRequest::default()));
+            }
+            _ => {}
+        }
+    }
+
+    /// Lets go of `request`, then trims the empty slots off both ends.
+    fn close(&mut self, request: RequestId) {
+        if let Some(slot) = self.index(request).and_then(|i| self.slots.get_mut(i)) {
+            *slot = None;
+        }
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base = self.base.saturating_add(1);
+        }
+        while let Some(None) = self.slots.back() {
+            self.slots.pop_back();
+        }
+    }
 }
 
 /// Hashable, ordered fingerprint of a [`KvResult`] used for reply
@@ -140,10 +287,26 @@ pub fn result_matches_key(result: &KvResult, key: &KvResultKey) -> bool {
         (KvResult::Written, KvResultKey::Written) => true,
         (KvResult::Noop, KvResultKey::Noop) => true,
         (KvResult::Range(rows), KvResultKey::RangeLen(len, key_sum)) => {
-            rows.len() == *len && rows.iter().map(|(k, _)| *k).sum::<u64>() == *key_sum
+            rows.len() == *len && range_key_sum(rows) == *key_sum
         }
         _ => false,
     }
+}
+
+/// `result_key(a) == result_key(b)`, without building either key.
+fn same_fingerprint(a: &KvResult, b: &KvResult) -> bool {
+    match (a, b) {
+        (KvResult::Value(x), KvResult::Value(y)) => x == y,
+        (KvResult::Written, KvResult::Written) | (KvResult::Noop, KvResult::Noop) => true,
+        (KvResult::Range(x), KvResult::Range(y)) => {
+            x.len() == y.len() && range_key_sum(x) == range_key_sum(y)
+        }
+        _ => false,
+    }
+}
+
+fn range_key_sum(rows: &[(u64, ValueBytes)]) -> u64 {
+    rows.iter().map(|(k, _)| *k).sum()
 }
 
 /// Fingerprint of a [`KvResult`] for reply-vote matching.
@@ -151,9 +314,7 @@ pub fn result_key(result: &KvResult) -> KvResultKey {
     match result {
         KvResult::Value(v) => KvResultKey::Value(v.clone()),
         KvResult::Written => KvResultKey::Written,
-        KvResult::Range(r) => {
-            KvResultKey::RangeLen(r.len(), r.iter().map(|(k, _)| *k).sum::<u64>())
-        }
+        KvResult::Range(r) => KvResultKey::RangeLen(r.len(), range_key_sum(r)),
         KvResult::Noop => KvResultKey::Noop,
     }
 }
@@ -164,7 +325,7 @@ pub struct ClientLibrary {
     client: ClientId,
     needed: usize,
     fallback_needed: usize,
-    pending: BTreeMap<RequestId, PendingRequest>,
+    window: RequestWindow,
     completed: u64,
 }
 
@@ -180,7 +341,7 @@ impl ClientLibrary {
             client,
             needed: config.quorum(rule),
             fallback_needed: config.fallback_quorum(rule),
-            pending: BTreeMap::new(),
+            window: RequestWindow::default(),
             completed: 0,
         }
     }
@@ -207,15 +368,19 @@ impl ClientLibrary {
 
     /// Number of requests still waiting for replies.
     pub fn outstanding(&self) -> usize {
-        self.pending
-            .values()
-            .filter(|p| p.outcome.is_none())
-            .count()
+        let held = self.window.slots.iter().flatten();
+        held.filter(|p| !p.settled).count()
     }
 
     /// Registers a new outstanding request.
+    ///
+    /// Ids are expected in increasing order (see the module docs): an id
+    /// below the oldest request held, or one forgotten from the front, is
+    /// stale and ignored, and so is an id implausibly far past the newest
+    /// request held. Beginning a request that is held already changes
+    /// nothing.
     pub fn begin(&mut self, request: RequestId) {
-        self.pending.entry(request).or_default();
+        self.window.open(request);
     }
 
     /// Processes one reply; returns the updated status of that request.
@@ -236,69 +401,50 @@ impl ClientLibrary {
 
     fn on_reply_with_threshold(&mut self, reply: &ClientReply, needed: usize) -> RequestStatus {
         debug_assert_eq!(reply.client, self.client);
-        let Some(entry) = self.pending.get_mut(&reply.request) else {
+        let Some(entry) = self.window.get_mut(reply.request) else {
             return RequestStatus::Pending {
                 matching: 0,
                 needed,
             };
         };
-        if let Some(outcome) = &entry.outcome {
-            return outcome.clone();
+        if let Some(outcome) = entry.outcome() {
+            return outcome;
         }
-        let hit = (entry.first.iter_mut().chain(&mut entry.rest))
-            .find(|c| c.seq == reply.seq && result_matches_key(&reply.result, &c.key));
-        let candidate = match hit {
-            Some(candidate) => candidate,
-            None => {
-                let candidate = Candidate {
-                    seq: reply.seq,
-                    key: result_key(&reply.result),
-                    result: reply.result.clone(),
-                    voters: Voters::default(),
-                };
-                match entry.first {
-                    None => entry.first.insert(candidate),
-                    Some(_) => {
-                        entry.rest.push(candidate);
-                        entry.rest.last_mut().expect("just pushed")
-                    }
-                }
-            }
-        };
-        candidate.voters.insert(reply.replica);
-        let matching = candidate.voters.len();
+        let (index, matching) = entry.vote(reply);
         if matching < needed {
             return RequestStatus::Pending { matching, needed };
         }
-        let status = candidate.complete();
-        entry.outcome = Some(status.clone());
+        let Some(outcome) = entry.settle(index) else {
+            return RequestStatus::Pending { matching, needed };
+        };
         self.completed += 1;
-        status
+        outcome
     }
 
     /// Checks whether an outstanding request would complete under the
     /// fallback threshold given the replies already received; used by the
     /// harnesses when a fast-path timer expires.
     pub fn try_fallback_complete(&mut self, request: RequestId) -> Option<RequestStatus> {
-        let entry = self.pending.get_mut(&request)?;
-        if entry.outcome.is_some() {
+        let entry = self.window.get_mut(request)?;
+        if entry.settled {
             return None;
         }
         // Most voters wins; a tie goes to the greatest `(seq, key)`.
-        let best = (entry.first.iter().chain(&entry.rest))
-            .max_by_key(|c| (c.voters.len(), c.seq, &c.key))?;
+        let (index, best) = entry
+            .candidates()
+            .enumerate()
+            .max_by_key(|(_, c)| (c.voters.len(), c.seq, result_key(&c.result)))?;
         if best.voters.len() < self.fallback_needed {
             return None;
         }
-        let status = best.complete();
-        entry.outcome = Some(status.clone());
+        let outcome = entry.settle(index)?;
         self.completed += 1;
-        Some(status)
+        Some(outcome)
     }
 
     /// Drops state for a completed request (bounded-memory clients).
     pub fn forget(&mut self, request: RequestId) {
-        self.pending.remove(&request);
+        self.window.close(request);
     }
 }
 
@@ -431,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn result_matches_key_agrees_with_result_key() {
+    fn both_fingerprint_matches_agree_with_result_key() {
         let results = [
             KvResult::Value(Some(vec![1, 2, 3].into())),
             KvResult::Value(Some(vec![1, 2, 4].into())),
@@ -443,11 +589,13 @@ mod tests {
         ];
         for a in &results {
             for b in &results {
+                let same = result_key(a) == result_key(b);
                 assert_eq!(
                     result_matches_key(a, &result_key(b)),
-                    result_key(a) == result_key(b),
+                    same,
                     "{a:?} vs {b:?}"
                 );
+                assert_eq!(same_fingerprint(a, b), same, "{a:?} vs {b:?}");
             }
         }
     }
@@ -659,20 +807,81 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_slot_holds_no_key_and_no_copy_of_its_outcome() {
+        // Was 176 B: a `KvResultKey` beside the result it was derived from,
+        // a cloned `RequestStatus` as the outcome, a `Vec` for the rest.
+        assert_eq!(std::mem::size_of::<PendingRequest>(), 96);
+        assert_eq!(std::mem::size_of::<Option<PendingRequest>>(), 96);
+    }
+
+    #[test]
+    fn begin_ignores_stale_ids_and_ids_implausibly_far_ahead() {
+        let ahead = MAX_AHEAD as u64;
+        let mut lib = library(ProtocolId::FlexiBft, QuorumRule::FPlusOne);
+        lib.begin(RequestId(10));
+        // Below the oldest request held: stale, nothing opens.
+        lib.begin(RequestId(9));
+        assert_eq!(lib.outstanding(), 1);
+        for r in 0..3 {
+            assert!(matches!(
+                lib.on_reply(&reply(r, 9, 5, 9)),
+                RequestStatus::Pending { matching: 0, .. }
+            ));
+        }
+        // One past the limit is refused; the limit itself opens, with one
+        // empty slot per skipped id.
+        lib.begin(RequestId(10 + ahead + 1));
+        assert_eq!(lib.outstanding(), 1);
+        lib.begin(RequestId(10 + ahead));
+        assert_eq!(lib.outstanding(), 2);
+        assert_eq!(lib.window.slots.len(), MAX_AHEAD + 1);
+        // The skipped ids are holes: nothing answers for them, a begin
+        // fills one.
+        assert!(lib.try_fallback_complete(RequestId(11)).is_none());
+        lib.begin(RequestId(11));
+        assert_eq!(lib.outstanding(), 3);
+        lib.forget(RequestId(11));
+
+        // Forgetting the oldest trims every hole behind it.
+        lib.forget(RequestId(10));
+        assert_eq!((lib.window.base, lib.window.slots.len()), (10 + ahead, 1));
+        lib.begin(RequestId(11));
+        assert_eq!(lib.outstanding(), 1, "11 is below the window now");
+        // With nothing held, the window starts over anywhere ahead without
+        // paying for the gap; ids below it stay stale.
+        lib.forget(RequestId(10 + ahead));
+        assert_eq!(lib.window.base, 10 + ahead + 1);
+        lib.begin(RequestId(10 + ahead));
+        assert_eq!(lib.outstanding(), 0, "a forgotten id does not reopen");
+        lib.begin(RequestId(u64::MAX - 1));
+        assert_eq!((lib.window.base, lib.window.slots.len()), (u64::MAX - 1, 1));
+        lib.begin(RequestId(u64::MAX));
+        assert_eq!(lib.outstanding(), 2);
+        for r in 0..3 {
+            lib.on_reply(&reply(r, u64::MAX, 5, 9));
+        }
+        assert_eq!(lib.completed(), 1);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
         /// Any interleaving of begins, replies (duplicates, divergent values
         /// and sequences, lossy-equal range results, replica ids past the
         /// inline voter mask, stragglers after completion), fallback
-        /// completions and forgets, under each reply rule, gets from the
-        /// candidate list what the per-request trees gave — except where
-        /// the trees were wrong, and there each fix is asserted on its own.
+        /// completions and forgets, under each reply rule, over ids that
+        /// fall below the window, inside it, at its limit and past it, gets
+        /// from the request window what the per-request trees gave —
+        /// except where the trees were wrong, and there each fix is asserted
+        /// on its own. The trees have no window: the test models which
+        /// begins it opens, and hands the trees only those.
         #[test]
         fn the_candidate_list_answers_like_the_per_request_trees(
             rule in 0usize..3,
             ops in proptest::collection::vec(proptest::any::<u64>(), 1..160),
         ) {
+            use std::collections::BTreeMap;
             let (protocol, rule) = [
                 (ProtocolId::FlexiBft, QuorumRule::FPlusOne),
                 (ProtocolId::FlexiZz, QuorumRule::TwoFPlusOne),
@@ -681,9 +890,15 @@ mod tests {
             let config = SystemConfig::for_protocol(protocol, 1);
             let mut lib = ClientLibrary::new(ClientId(1), &config, rule);
             let mut old = oracle::ClientLibrary::new(lib.fallback_needed());
-            // What the test itself knows: which requests are begun and not
-            // forgotten, and the status each completed one completed with.
+            // What the test itself knows: which requests are held (begun
+            // and not forgotten), the status each completed one completed
+            // with, and where the window starts once none is held.
             let mut agreed: BTreeMap<RequestId, Option<RequestStatus>> = BTreeMap::new();
+            let mut floor = 0u64;
+            let ahead = MAX_AHEAD as u64;
+            // Six neighbours, then two ids exactly `ahead` past 6 and past
+            // A + 7, each one past the limit from its smaller neighbour.
+            let ids = [1, 2, 3, 4, 5, 6, ahead + 6, ahead + 7, 2 * ahead + 7];
             let results = [
                 KvResult::Value(Some(vec![1].into())),
                 KvResult::Value(Some(vec![2].into())),
@@ -693,17 +908,28 @@ mod tests {
                 KvResult::Range(vec![(2, vec![9].into()), (3, vec![8].into())]),
             ];
             for op in ops {
-                let request = RequestId(1 + (op >> 8) % 3);
+                let request = RequestId(ids[(op >> 8) as usize % ids.len()]);
+                let shape = (lib.window.base, lib.window.slots.len());
                 match op % 16 {
                     0 | 1 => {
+                        let opens = match (agreed.keys().next(), agreed.keys().next_back()) {
+                            (Some(oldest), Some(newest)) => {
+                                request >= *oldest && request.0 <= newest.0 + ahead
+                            }
+                            _ => request.0 >= floor,
+                        };
                         lib.begin(request);
-                        old.begin(request);
-                        agreed.entry(request).or_insert(None);
+                        if opens {
+                            old.begin(request);
+                            agreed.entry(request).or_insert(None);
+                        }
                     }
                     2 => {
                         lib.forget(request);
                         old.forget(request);
-                        agreed.remove(&request);
+                        if agreed.remove(&request).is_some() && agreed.is_empty() {
+                            floor = request.0 + 1;
+                        }
                     }
                     3 | 4 => {
                         let status = lib.try_fallback_complete(request);
@@ -711,6 +937,7 @@ mod tests {
                         if let Some(status) = status {
                             agreed.insert(request, Some(status));
                         }
+                        proptest::prop_assert_eq!(shape, (lib.window.base, lib.window.slots.len()));
                     }
                     kind => {
                         let replica = match (op >> 16) % 8 {
@@ -729,6 +956,9 @@ mod tests {
                         } else {
                             lib.on_reply(&reply)
                         };
+                        // A reply alone never opens, moves or grows the
+                        // window.
+                        proptest::prop_assert_eq!(shape, (lib.window.base, lib.window.slots.len()));
                         match agreed.get(&request) {
                             // Fix 2: unknown request, nothing counted and
                             // nothing created (the trees are not asked:
@@ -758,6 +988,17 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(lib.completed(), old.completed);
                 proptest::prop_assert_eq!(lib.outstanding(), old.outstanding());
+                // The window holds exactly the requests the model holds,
+                // and starts where the model says.
+                let held: Vec<u64> = (lib.window.slots.iter().zip(lib.window.base..))
+                    .filter_map(|(slot, id)| slot.as_ref().map(|_| id))
+                    .collect();
+                let expected: Vec<u64> = agreed.keys().map(|r| r.0).collect();
+                proptest::prop_assert_eq!(&held, &expected);
+                proptest::prop_assert_eq!(
+                    lib.window.base,
+                    expected.first().copied().unwrap_or(floor)
+                );
             }
         }
     }

@@ -1,26 +1,25 @@
 //! A threaded cluster: one thread per replica, channels as the network.
 //!
-//! The replica loop, the timer machinery and the closed-loop workload
-//! driver here are shared with the TCP deployment (`crate::tcp`): both
-//! hosts differ only in their [`Transport`] — how an outbound message or
-//! reply physically leaves the replica thread.
+//! The replica loop and the timer machinery here, and the closed-loop
+//! client in `crate::driver`, are shared with the TCP deployment
+//! (`crate::tcp`): both hosts differ only in their [`Transport`] — how an
+//! outbound message or reply physically leaves the replica thread.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use flexitrust_host::{
     build_replica, recovery_request, CommittedTxn, CrashWindow, Dispatcher, EngineHost, TimerToken,
     WindowEvent, WindowPhase,
 };
-use flexitrust_protocol::{
-    ClientLibrary, ClientReply, ConsensusEngine, RequestStatus, SharedMessage, TimerKind,
-};
+use flexitrust_protocol::{ClientReply, ConsensusEngine, SharedMessage, TimerKind};
 use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
-use flexitrust_types::{ClientId, ProtocolId, ReplicaId, RequestId, SystemConfig, Transaction};
+use flexitrust_types::{ProtocolId, ReplicaId, SystemConfig, Transaction};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::driver::{drive_workload, Burst};
 use crate::primary::PrimaryTracker;
 
 /// Messages flowing into a replica thread.
@@ -153,6 +152,8 @@ pub struct Cluster {
     tracker: PrimaryTracker,
     dropped: Arc<AtomicU64>,
     frontiers: Arc<Vec<AtomicU64>>,
+    /// The first request id of the next burst (see [`Cluster::run_workload`]).
+    next_request: AtomicU64,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -252,6 +253,7 @@ impl Cluster {
             tracker,
             dropped,
             frontiers,
+            next_request: AtomicU64::new(1),
             handles,
         }
     }
@@ -292,22 +294,32 @@ impl Cluster {
         }
     }
 
-    /// Runs `total_txns` transactions (from `clients` logical clients)
-    /// through the cluster and waits until each has reached the protocol's
-    /// reply quorum, or until `timeout` expires.
+    /// Runs `total_txns` transactions (from `clients` logical clients, zero
+    /// counting as one) through the cluster and waits until each has
+    /// reached the protocol's reply quorum, or until `timeout` expires.
+    ///
+    /// Every call's request ids follow the previous call's, the first
+    /// starting at 1, so replies still in flight from an earlier burst can
+    /// never complete a request of this one.
     pub fn run_workload(
         &self,
         total_txns: usize,
         clients: usize,
         timeout: Duration,
     ) -> ClusterSummary {
+        let burst = Burst::reserve(
+            &self.next_request,
+            total_txns,
+            clients,
+            self.config.batch_size,
+        );
         drive_workload(
             &self.config,
+            burst.clients(),
+            burst,
             |txns| self.submit(txns),
             &self.replies,
             &self.dropped,
-            total_txns,
-            clients,
             timeout,
         )
     }
@@ -320,103 +332,6 @@ impl Cluster {
         for handle in self.handles {
             let _ = handle.join();
         }
-    }
-}
-
-/// The shared closed-loop workload driver: submits `total_txns` in
-/// batch-size chunks through `submit`, drains `replies` (one item per
-/// replica delivery or socket read, see [`Transport::send_replies`])
-/// through per-client `ClientLibrary` quorum tracking, and reports the
-/// commit log.
-pub(crate) fn drive_workload(
-    config: &SystemConfig,
-    mut submit: impl FnMut(Vec<Transaction>),
-    replies: &Receiver<Vec<ClientReply>>,
-    dropped: &AtomicU64,
-    total_txns: usize,
-    clients: usize,
-    timeout: Duration,
-) -> ClusterSummary {
-    // Snapshot the shared drop counter so the summary reports *this run's*
-    // drops, not the cluster's lifetime total (a second workload on the
-    // same cluster must not inherit the first run's shed load).
-    let dropped_at_start = dropped.load(Ordering::Relaxed);
-    let properties_quorum = {
-        // The reply rule follows the protocol (Figure 1 column mapping).
-        use flexitrust_protocol::ProtocolProperties;
-        ProtocolProperties::for_protocol(config.protocol).reply_quorum
-    };
-    // Indexed by client id: client c's library is libraries[c]. A Vec
-    // instead of a map makes the lookups below structurally infallible —
-    // no unwrap to kill the driver on a malformed reply.
-    let mut libraries: Vec<ClientLibrary> = (0..clients as u64)
-        .map(|c| ClientLibrary::new(ClientId(c), config, properties_quorum))
-        .collect();
-
-    let start = Instant::now();
-    let mut submitted = Vec::with_capacity(total_txns);
-    for i in 0..total_txns {
-        let client = ClientId((i % clients) as u64);
-        let request = RequestId((i / clients) as u64 + 1);
-        let txn = Transaction::new(
-            client,
-            request,
-            flexitrust_types::KvOp::Update {
-                key: i as u64,
-                value: [i as u8; 16].into(),
-            },
-        );
-        libraries[client.0 as usize].begin(request);
-        submitted.push(txn);
-    }
-    for chunk in submitted.chunks(config.batch_size.max(1)) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "copies Arc-backed Transaction handles into a fresh batch Vec \
-                      (refcount bumps), not payload bytes; the submission API takes \
-                      ownership per batch"
-        )]
-        submit(chunk.to_vec());
-    }
-
-    let mut completed = 0u64;
-    let mut commit_log: Vec<CommittedTxn> = Vec::with_capacity(total_txns);
-    while completed < total_txns as u64 && start.elapsed() < timeout {
-        let Ok(batch) = replies.recv_timeout(Duration::from_millis(50)) else {
-            continue;
-        };
-        for reply in batch {
-            let Some(library) = libraries.get_mut(reply.client.0 as usize) else {
-                continue;
-            };
-            // Count a request exactly when it first completes; late
-            // replies also report `Complete` (the agreed outcome again),
-            // so the status alone would overcount under load.
-            let before = library.completed();
-            let status = library.on_reply(&reply);
-            if library.completed() > before {
-                if let RequestStatus::Complete { seq, .. } = status {
-                    completed += 1;
-                    commit_log.push(CommittedTxn {
-                        seq,
-                        client: reply.client,
-                        request: reply.request,
-                    });
-                }
-            }
-        }
-    }
-    let elapsed = start.elapsed();
-    commit_log.sort_unstable();
-    ClusterSummary {
-        completed_txns: completed,
-        throughput_tps: completed as f64 / elapsed.as_secs_f64(),
-        elapsed,
-        n: config.n,
-        dropped_messages: dropped
-            .load(Ordering::Relaxed)
-            .saturating_sub(dropped_at_start),
-        commit_log,
     }
 }
 
@@ -620,7 +535,7 @@ pub(crate) fn replica_loop<T: Transport>(
 mod tests {
     use super::*;
     use flexitrust_protocol::{Message, Outbox, ProtocolProperties, ReplicaCore};
-    use flexitrust_types::{Batch, Digest, KvResult, SeqNum, View};
+    use flexitrust_types::{Batch, ClientId, Digest, KvResult, RequestId, SeqNum, View};
     use std::sync::mpsc;
 
     /// What a [`Recording`] transport was handed, in order.
@@ -731,6 +646,31 @@ mod tests {
         cluster.shutdown();
         assert_eq!(summary.completed_txns, 32_000);
         assert_eq!(summary.dropped_messages, 0);
+    }
+
+    #[test]
+    fn a_second_burst_is_answered_for_its_own_requests_only() {
+        // Request ids used to restart at 1 on every call: two late replies
+        // to a first-burst request completed the second burst's request of
+        // the same id, hundreds of times per run.
+        let cluster = Cluster::start(ProtocolId::FlexiBft, 1, 10);
+        crate::driver::check_back_to_back_bursts(4_000, |txns, clients| {
+            cluster.run_workload(txns, clients, Duration::from_secs(60))
+        });
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_burst_from_zero_clients_comes_from_one() {
+        // Used to panic with a remainder by zero.
+        let cluster = Cluster::start(ProtocolId::FlexiBft, 1, 10);
+        let summary = cluster.run_workload(25, 0, Duration::from_secs(30));
+        cluster.shutdown();
+        assert_eq!(summary.completed_txns, 25);
+        let requests: Vec<(u64, u64)> = (summary.commit_log.iter())
+            .map(|c| (c.client.0, c.request.0))
+            .collect();
+        assert_eq!(requests, (1..=25).map(|r| (0, r)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -27,6 +27,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cluster;
+mod driver;
 pub mod primary;
 pub mod tcp;
 

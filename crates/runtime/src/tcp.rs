@@ -76,8 +76,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::cluster::{
-    cluster_config, drive_workload, replica_loop, ClusterSummary, Input, ReplicaChaos, Transport,
+    cluster_config, replica_loop, ClusterSummary, Input, ReplicaChaos, Transport,
 };
+use crate::driver::{drive_workload, Burst};
 use crate::primary::PrimaryTracker;
 
 /// Depth of each writer thread's queue; overflow is dropped and counted,
@@ -257,6 +258,9 @@ pub struct TcpCluster {
     io_handles: Vec<JoinHandle<()>>,
     /// Cached client→replica submission connections, keyed by replica.
     submit_streams: Mutex<HashMap<u32, Counted<TcpStream>>>,
+    /// The first request id of the next burst (see
+    /// [`TcpCluster::run_workload`]).
+    next_request: AtomicU64,
 }
 
 impl TcpCluster {
@@ -424,6 +428,7 @@ impl TcpCluster {
             replica_handles,
             io_handles,
             submit_streams: Mutex::new(HashMap::new()),
+            next_request: AtomicU64::new(1),
         })
     }
 
@@ -496,22 +501,32 @@ impl TcpCluster {
         self.dropped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Runs `total_txns` transactions (from `clients` logical clients)
-    /// through the cluster and waits until each has reached the protocol's
-    /// reply quorum, or until `timeout` expires.
+    /// Runs `total_txns` transactions (from `clients` logical clients, zero
+    /// counting as one) through the cluster and waits until each has
+    /// reached the protocol's reply quorum, or until `timeout` expires.
+    ///
+    /// Every call's request ids follow the previous call's, the first
+    /// starting at 1, so replies still in flight from an earlier burst can
+    /// never complete a request of this one.
     pub fn run_workload(
         &self,
         total_txns: usize,
         clients: usize,
         timeout: Duration,
     ) -> ClusterSummary {
+        let burst = Burst::reserve(
+            &self.next_request,
+            total_txns,
+            clients,
+            self.config.batch_size,
+        );
         drive_workload(
             &self.config,
+            burst.clients(),
+            burst,
             |txns| self.submit(txns),
             &self.replies,
             &self.dropped,
-            total_txns,
-            clients,
             timeout,
         )
     }
@@ -1096,5 +1111,14 @@ mod tests {
         let summary = cluster.run_workload(50, 4, Duration::from_secs(60));
         cluster.shutdown();
         assert_eq!(summary.completed_txns, 50);
+    }
+
+    #[test]
+    fn a_second_burst_over_sockets_is_answered_for_its_own_requests_only() {
+        let cluster = TcpCluster::start(ProtocolId::FlexiBft, 1, 10).expect("cluster starts");
+        crate::driver::check_back_to_back_bursts(4_000, |txns, clients| {
+            cluster.run_workload(txns, clients, Duration::from_secs(60))
+        });
+        cluster.shutdown();
     }
 }
