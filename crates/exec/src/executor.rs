@@ -76,8 +76,12 @@ fn run_lane(shards: LaneJob) -> LaneOutcome {
                     map.insert(key, value);
                     KvResult::Value(previous)
                 }
+                #[expect(
+                    clippy::unreachable,
+                    reason = "the queue routes Scan to the serial lane and answers Noop inline at \
+                              scatter, so neither variant is ever enqueued for a shard worker"
+                )]
                 KvOp::Scan { .. } | KvOp::Noop => {
-                    // lint:allow(R01): the queue routes Scan to the serial lane and answers Noop inline at scatter, so neither variant is ever enqueued for a shard worker
                     unreachable!("cross-shard and no-op ops never reach a shard worker")
                 }
             };
@@ -171,8 +175,11 @@ impl ShardedExecutor {
         let mut next_index = store.next_mutation_index();
         for (slot, op) in ops.iter().enumerate() {
             let (key, indexed) = match op {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "slot comes from enumerate() over ops; results has ops.len() entries"
+                )]
                 KvOp::Noop => {
-                    // lint:allow(R01): slot comes from enumerate() over ops; results has ops.len() entries
                     results[slot] = Some(KvResult::Noop);
                     continue;
                 }
@@ -186,7 +193,10 @@ impl ShardedExecutor {
                 }
                 KvOp::Scan { .. } => return Self::run_inline(store, ops),
             };
-            // lint:allow(R01): shard_of reduces modulo shard_count, per_shard's exact length
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "shard_of reduces modulo shard_count, per_shard's exact length"
+            )]
             per_shard[store.shard_of(key)].push((slot, (*op).clone(), indexed));
         }
 
@@ -199,7 +209,11 @@ impl ShardedExecutor {
             if shard_ops.is_empty() {
                 continue;
             }
-            // lint:allow(R01): shard enumerates per_shard (shard_count = shards.len() entries); % lanes matches per_worker's length
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "shard enumerates per_shard (shard_count = shards.len() entries); % lanes \
+                          matches per_worker's length"
+            )]
             per_worker[shard % lanes].push((shard, mem::take(&mut shards[shard]), shard_ops));
         }
         let mut outstanding = 0usize;
@@ -208,7 +222,10 @@ impl ShardedExecutor {
             if lane_shards.is_empty() {
                 continue;
             }
-            // lint:allow(R01): worker enumerates per_worker, built with exactly job_lanes.len() entries
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "worker enumerates per_worker, built with exactly job_lanes.len() entries"
+            )]
             match self.job_lanes[worker].send(lane_shards) {
                 Ok(()) => outstanding += 1,
                 // A dead worker hands the un-run job back inside the send
@@ -231,14 +248,22 @@ impl ShardedExecutor {
         let received =
             (0..outstanding).map(|_| self.results_rx.recv().expect("execution worker alive"));
         for outcome in salvaged.into_iter().chain(received) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "shard ids round-trip through the job unchanged and were < shards.len() \
+                          at scatter"
+            )]
             for (shard, map) in outcome.shards {
-                // lint:allow(R01): shard ids round-trip through the job unchanged and were < shards.len() at scatter
                 shards[shard] = map;
             }
             mutations += outcome.mutations;
             fingerprint_delta = fingerprint_delta.wrapping_add(outcome.fingerprint_delta);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "slots round-trip through the job unchanged and were < results.len() at \
+                          scatter"
+            )]
             for (slot, result) in outcome.results {
-                // lint:allow(R01): slots round-trip through the job unchanged and were < results.len() at scatter
                 results[slot] = Some(result);
             }
         }

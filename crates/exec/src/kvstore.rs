@@ -5,7 +5,7 @@ use flexitrust_types::{Digest, KvOp, KvResult, StateSnapshot, ValueBytes};
 use std::collections::BTreeMap;
 
 use std::mem;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Default number of keyspace shards (see [`KvStore::with_shards`]).
 pub const DEFAULT_SHARDS: usize = 8;
@@ -104,9 +104,15 @@ impl KvStore {
     /// `ValueBytes` Arcs), so starting an n-replica cluster on the paper's
     /// 600 k-record table costs one dataset build plus n cheap map clones
     /// instead of n full rebuilds.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the dataset registry is this crate's only lock, and it is held across no \
+                  other lock or blocking channel op: only the dataset build and one map clone"
+    )]
     pub fn shared_dataset(count: u64, value_size: usize) -> Self {
-        static DATASETS: OnceLock<Mutex<BTreeMap<(u64, usize), KvStore>>> = OnceLock::new();
-        let registry = DATASETS.get_or_init(|| Mutex::new(BTreeMap::new()));
+        static DATASETS: OnceLock<std::sync::Mutex<BTreeMap<(u64, usize), KvStore>>> =
+            OnceLock::new();
+        let registry = DATASETS.get_or_init(|| std::sync::Mutex::new(BTreeMap::new()));
         let mut registry = registry
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -133,6 +139,10 @@ impl KvStore {
         for map in old {
             for (key, value) in map {
                 let shard = self.shard_of(key);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "shard_of reduces modulo shards.len()"
+                )]
                 self.shards[shard].insert(key, value);
             }
         }
@@ -182,7 +192,10 @@ impl KvStore {
             self.fingerprint
                 .wrapping_add(mutation_hash(self.applied_mutations, key, &value));
         let shard = self.shard_of(key);
-        // lint:allow(R01): shard_of reduces modulo shards.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_of reduces modulo shards.len()"
+        )]
         self.shards[shard].insert(key, value);
     }
 
@@ -198,13 +211,19 @@ impl KvStore {
 
     /// Reads a record directly (outside transaction execution).
     pub fn get(&self, key: u64) -> Option<&[u8]> {
-        // lint:allow(R01): shard_of reduces modulo shards.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_of reduces modulo shards.len()"
+        )]
         self.shards[self.shard_of(key)].get(&key).map(|v| &**v)
     }
 
     /// The stored value handle for `key`, sharing the record's buffer.
     pub fn get_shared(&self, key: u64) -> Option<ValueBytes> {
-        // lint:allow(R01): shard_of reduces modulo shards.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_of reduces modulo shards.len()"
+        )]
         self.shards[self.shard_of(key)].get(&key).cloned()
     }
 
@@ -234,7 +253,10 @@ impl KvStore {
                                   just peeked; a hole here is a broken merge, not an I/O \
                                   condition to recover from"
                     )]
-                    // lint:allow(R01): i enumerates iters in the loop above
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i enumerates iters in the loop above"
+                    )]
                     let (k, v) = iters[i].next().expect("peeked entry");
                     out.push((*k, v.clone()));
                 }
@@ -273,11 +295,8 @@ impl KvStore {
     /// applied serially or by parallel shard workers (see the type docs).
     pub fn state_digest(&self) -> Digest {
         let mut bytes = [0u8; 24];
-        // lint:allow(R01): constant ranges into a fixed [u8; 24] cannot be out of bounds
         bytes[..8].copy_from_slice(&self.fingerprint.to_le_bytes());
-        // lint:allow(R01): constant ranges into a fixed [u8; 24] cannot be out of bounds
         bytes[8..16].copy_from_slice(&self.applied_mutations.to_le_bytes());
-        // lint:allow(R01): constant ranges into a fixed [u8; 24] cannot be out of bounds
         bytes[16..24].copy_from_slice(&(self.len() as u64).to_le_bytes());
         sha256(&bytes)
     }
@@ -319,7 +338,10 @@ impl KvStore {
         let mut store = KvStore::with_shards(shard_count);
         for (key, value) in &snapshot.entries {
             let shard = store.shard_of(*key);
-            // lint:allow(R01): shard_of reduces modulo shards.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "shard_of reduces modulo shards.len()"
+            )]
             store.shards[shard].insert(*key, value.clone());
         }
         store.applied_mutations = snapshot.applied_mutations;

@@ -17,6 +17,10 @@
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::panic, clippy::unreachable)
+)]
 
 pub mod checkpoint;
 pub mod executor;

@@ -17,6 +17,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+#[expect(
+    clippy::disallowed_types,
+    reason = "Instant times this thread's timer deadlines; the items that read it carry \
+              their own expects"
+)]
 use std::time::{Duration, Instant};
 
 use crate::driver::{drive_workload, Burst};
@@ -86,6 +91,7 @@ impl Transport for ChannelTransport {
         // `.get`, not indexing: a corrupt destination id is a counted
         // drop, never a dead worker thread.
         match self.peers.get(to.as_usize()) {
+            #[expect(clippy::disallowed_methods, reason = "Err is counted as a drop")]
             Some(peer) if peer.try_send(Input::Peer(from, msg)).is_ok() => {}
             _ => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -95,6 +101,7 @@ impl Transport for ChannelTransport {
 
     fn send_replies(&mut self, replies: Vec<ClientReply>) {
         let count = replies.len() as u64;
+        #[expect(clippy::disallowed_methods, reason = "Err is counted as a drop")]
         if self.replies.try_send(replies).is_err() {
             self.dropped.fetch_add(count, Ordering::Relaxed);
         }
@@ -338,6 +345,11 @@ impl Cluster {
 /// The threaded runtimes' [`EngineHost`]: transport sends as the network, a
 /// per-thread deadline list as the clock. All `Action` translation and timer
 /// bookkeeping live in the shared [`Dispatcher`].
+#[expect(
+    clippy::disallowed_types,
+    reason = "a timer deadline stays in this thread: it only decides when the dispatcher \
+              hears of an expiry, whose token is not a clock value"
+)]
 struct ThreadEnv<T: Transport> {
     transport: T,
     timers: Vec<(Instant, TimerKind, TimerToken)>,
@@ -379,6 +391,10 @@ impl<T: Transport> EngineHost for ThreadEnv<T> {
         }
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the deadline goes into this thread's timer list and nowhere else"
+    )]
     fn schedule_timer(
         &mut self,
         _replica: ReplicaId,
@@ -419,6 +435,11 @@ const RECOVERY_RETRY: Duration = Duration::from_millis(20);
 /// each delivery the crash window, if any, is stepped: a replica it takes
 /// down loses the copies still queued, as a crashed process loses its
 /// memory, and hears nothing until it recovers.
+#[expect(
+    clippy::disallowed_types,
+    reason = "clock reads pick the receive timeout, the due timers and the rejoin retry; \
+              no message carries one"
+)]
 pub(crate) fn replica_loop<T: Transport>(
     engine: &mut dyn ConsensusEngine,
     rx: Receiver<Input>,

@@ -8,6 +8,11 @@ use flexitrust_host::CommittedTxn;
 use flexitrust_protocol::{ClientLibrary, ClientReply, ProtocolProperties, RequestStatus};
 use flexitrust_types::{ClientId, KvOp, RequestId, SystemConfig, Transaction};
 use std::sync::atomic::{AtomicU64, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "Instant times the workload and its timeout; the items that read it carry \
+              their own expects"
+)]
 use std::time::{Duration, Instant};
 
 use crate::cluster::ClusterSummary;
@@ -143,6 +148,11 @@ impl CommitLog {
 /// socket read, see `Transport::send_replies`) until every request has
 /// reached the protocol's reply quorum or `timeout` has passed, and reports
 /// the commit log.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the start instant times the run and bounds its timeout; it goes into the \
+              summary, never into a transaction"
+)]
 pub(crate) fn drive_workload(
     config: &SystemConfig,
     clients: usize,

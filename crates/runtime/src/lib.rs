@@ -23,8 +23,12 @@
 //! (n = 4…13), to pin cross-host equivalence against the simulator, and to
 //! power the runnable examples.
 
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::panic, clippy::unreachable)
+)]
 
 pub mod cluster;
 mod driver;

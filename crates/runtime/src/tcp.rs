@@ -67,11 +67,11 @@ use flexitrust_protocol::{ClientReply, SharedMessage};
 use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
 use flexitrust_types::{ProtocolId, ReplicaId, Striped, SystemConfig, Transaction};
 use flexitrust_wire::{encode_reply_into, read_frame, resident_frame, write_frame, Frame};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -210,6 +210,7 @@ impl SocketTransport {
     /// by frame.
     fn queue_or_drop(&self, writer: Option<&Sender<Outbound>>, frames: Outbound) {
         let count = frames.count;
+        #[expect(clippy::disallowed_methods, reason = "Err is counted as a drop")]
         if writer.is_none_or(|writer| writer.try_send(frames).is_err()) {
             self.dropped.fetch_add(count, Ordering::Relaxed);
         }
@@ -243,6 +244,14 @@ impl Transport for SocketTransport {
     }
 }
 
+/// The client's cached submission connections, at most one per replica.
+#[expect(
+    clippy::disallowed_types,
+    reason = "this is the crate's only lock; it is held across the submission socket \
+              write it serialises, but across no other lock and no channel op"
+)]
+type SubmitStreams = std::sync::Mutex<BTreeMap<u32, Counted<TcpStream>>>;
+
 /// A running loopback-TCP cluster for one protocol.
 pub struct TcpCluster {
     config: Arc<SystemConfig>,
@@ -257,7 +266,7 @@ pub struct TcpCluster {
     replica_handles: Vec<JoinHandle<()>>,
     io_handles: Vec<JoinHandle<()>>,
     /// Cached client→replica submission connections, keyed by replica.
-    submit_streams: Mutex<HashMap<u32, Counted<TcpStream>>>,
+    submit_streams: SubmitStreams,
     /// The first request id of the next burst (see
     /// [`TcpCluster::run_workload`]).
     next_request: AtomicU64,
@@ -322,7 +331,6 @@ impl TcpCluster {
         ));
 
         for (i, listener) in listeners.into_iter().enumerate() {
-            // lint:allow(T02): i is a local loop index over n listeners, not peer bytes; n is far below u32::MAX
             let id = ReplicaId(i as u32);
             let (inbox_tx, inbox_rx) = bounded::<Input>(1 << 16);
             control.push(inbox_tx.clone());
@@ -427,7 +435,7 @@ impl TcpCluster {
             shutdown,
             replica_handles,
             io_handles,
-            submit_streams: Mutex::new(HashMap::new()),
+            submit_streams: SubmitStreams::new(BTreeMap::new()),
             next_request: AtomicU64::new(1),
         })
     }
@@ -460,7 +468,7 @@ impl TcpCluster {
     /// die in the OS buffer); as on any real network, only the client's
     /// own timeout-and-retransmit recovers that.
     pub fn submit(&self, txns: Vec<Transaction>) {
-        use std::collections::hash_map::Entry;
+        use std::collections::btree_map::Entry;
         let primary = self.tracker.current_primary();
         let frame = Frame::Submit { txns };
         // A poisoned lock means a previous submit panicked mid-write; the
@@ -746,6 +754,7 @@ mod tests {
     use crossbeam::channel::TryRecvError;
     use flexitrust_protocol::Message;
     use flexitrust_types::{ClientId, Digest, KvResult, RequestId, SeqNum, View};
+    use std::sync::Mutex;
 
     /// An in-memory sink that records every `write` call it accepts and
     /// refuses call number `fail_at` (counting from 1).

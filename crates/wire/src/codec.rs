@@ -77,12 +77,20 @@ impl<'a> Reader<'a> {
         if self.remaining() < n {
             return Err(WireError::Truncated { context });
         }
-        // lint:allow(R01): the remaining() guard proves pos + n <= bytes.len(), so the range is in bounds
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the remaining() guard proves pos + n <= bytes.len(), so the range is in \
+                      bounds"
+        )]
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "take(1) returns exactly one byte or an error"
+    )]
     pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8, WireError> {
         Ok(self.take(1, context)?[0])
     }
@@ -133,6 +141,18 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A length or count as its little-endian `u32` wire prefix: the one
+/// narrowing cast on the encode side.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "every length and count is of something inside the frame being encoded, and \
+              finish_frame refuses a frame over MAX_FRAME_BYTES (below u32::MAX), so a value \
+              that would truncate never reaches a socket; prepare_votes counts at most n replicas"
+)]
+pub(crate) fn len_prefix(len: usize) -> [u8; 4] {
+    (len as u32).to_le_bytes()
+}
+
 /// Writes a `u32`-counted collection: the encode-side twin of
 /// [`read_vec`], so a future collection field cannot forget its count
 /// prefix on one side only.
@@ -141,7 +161,7 @@ pub(crate) fn write_vec<T>(
     items: &[T],
     mut write: impl FnMut(&mut Vec<u8>, &T),
 ) {
-    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    out.extend_from_slice(&len_prefix(items.len()));
     for item in items {
         write(out, item);
     }
@@ -177,19 +197,19 @@ fn encode_op(out: &mut Vec<u8>, op: &KvOp) {
         KvOp::Update { key, value } => {
             out.push(1);
             out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            out.extend_from_slice(&len_prefix(value.len()));
             out.extend_from_slice(value);
         }
         KvOp::Insert { key, value } => {
             out.push(2);
             out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            out.extend_from_slice(&len_prefix(value.len()));
             out.extend_from_slice(value);
         }
         KvOp::ReadModifyWrite { key, value } => {
             out.push(3);
             out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            out.extend_from_slice(&len_prefix(value.len()));
             out.extend_from_slice(value);
         }
         KvOp::Scan { start_key, count } => {
@@ -360,7 +380,7 @@ pub(crate) fn write_result(out: &mut Vec<u8>, result: &KvResult) {
                 None => out.push(0),
                 Some(bytes) => {
                     out.push(1);
-                    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                    out.extend_from_slice(&len_prefix(bytes.len()));
                     out.extend_from_slice(bytes);
                 }
             }
@@ -370,7 +390,7 @@ pub(crate) fn write_result(out: &mut Vec<u8>, result: &KvResult) {
             out.push(2);
             write_vec(out, rows, |out, (key, value)| {
                 out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                out.extend_from_slice(&len_prefix(value.len()));
                 out.extend_from_slice(value);
             });
         }
@@ -468,7 +488,7 @@ fn write_snapshot(out: &mut Vec<u8>, snapshot: &StateSnapshot) {
     out.extend_from_slice(&snapshot.fingerprint.to_le_bytes());
     write_vec(out, &snapshot.entries, |out, (key, value)| {
         out.extend_from_slice(&key.to_le_bytes());
-        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        out.extend_from_slice(&len_prefix(value.len()));
         out.extend_from_slice(value);
     });
 }
@@ -492,7 +512,7 @@ fn write_proof(out: &mut Vec<u8>, proof: &PreparedProof) {
     out.extend_from_slice(&proof.view.0.to_le_bytes());
     out.extend_from_slice(&proof.seq.0.to_le_bytes());
     out.extend_from_slice(proof.digest.as_bytes());
-    out.extend_from_slice(&(proof.prepare_votes as u32).to_le_bytes());
+    out.extend_from_slice(&len_prefix(proof.prepare_votes));
     write_batch(out, &proof.batch);
     write_att_opt(out, &proof.attestation);
 }

@@ -1,8 +1,9 @@
 //! Frame assembly and the blocking stream I/O used by the TCP transport.
 
 use crate::codec::{
-    encode_transaction, header_slots, message_kind_tag, read_message_body, read_reply_body,
-    read_transaction, read_vec, write_message_body, write_reply_body, write_vec, Reader, WireError,
+    encode_transaction, header_slots, len_prefix, message_kind_tag, read_message_body,
+    read_reply_body, read_transaction, read_vec, write_message_body, write_reply_body, write_vec,
+    Reader, WireError,
 };
 use flexitrust_protocol::{ClientReply, Message};
 use flexitrust_types::{ReplicaId, Transaction};
@@ -86,13 +87,17 @@ fn start_frame(out: &mut Vec<u8>, size: usize) -> usize {
 /// desync the stream), so an encoder producing one is a configuration
 /// error that must fail loudly at the sender, not as a dead connection at
 /// the receiver.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "start_frame wrote the four prefix bytes at start of this same buffer"
+)]
 fn finish_frame(out: &mut [u8], start: usize, size: usize) {
     let body = out.len() - start - 4;
     assert!(
         body <= MAX_FRAME_BYTES,
         "frame of {body} bytes exceeds the {MAX_FRAME_BYTES}-byte cap the decoder enforces",
     );
-    out[start..start + 4].copy_from_slice(&(body as u32).to_le_bytes());
+    out[start..start + 4].copy_from_slice(&len_prefix(body));
     debug_assert_eq!(body + 4, size, "size function drifted from codec");
 }
 

@@ -42,6 +42,12 @@
 //! carries an unknown tag is a [`WireError`], never a partial value.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::cast_possible_truncation)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::indexing_slicing, clippy::panic, clippy::unreachable)
+)]
 
 mod codec;
 mod frame;

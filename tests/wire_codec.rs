@@ -202,6 +202,18 @@ fn gen_result(rng: &mut Gen) -> KvResult {
     }
 }
 
+fn gen_reply(rng: &mut Gen, speculative: bool) -> flexitrust::protocol::ClientReply {
+    flexitrust::protocol::ClientReply {
+        client: ClientId(rng.gen()),
+        request: RequestId(rng.gen()),
+        seq: SeqNum(rng.gen()),
+        view: View(rng.gen()),
+        replica: ReplicaId(rng.gen::<u64>() as u32),
+        result: gen_result(rng),
+        speculative,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -346,15 +358,7 @@ proptest! {
         speculative in any::<bool>(),
     ) {
         let mut rng = Gen::seed_from_u64(seed);
-        let reply = flexitrust::protocol::ClientReply {
-            client: ClientId(rng.gen()),
-            request: RequestId(rng.gen()),
-            seq: SeqNum(rng.gen()),
-            view: View(rng.gen()),
-            replica: ReplicaId(rng.gen::<u64>() as u32),
-            result: gen_result(&mut rng),
-            speculative,
-        };
+        let reply = gen_reply(&mut rng, speculative);
         let frame = Frame::Reply { reply: reply.clone() };
         let bytes = encode_frame(&frame);
         prop_assert_eq!(bytes.len(), reply.wire_size_bytes());
@@ -426,5 +430,86 @@ fn attestation_encoding_matches_declared_wire_size() {
         assert_eq!(bytes.len(), Attestation::WIRE_SIZE);
         assert_eq!(bytes.len(), att.wire_size());
         assert_eq!(flexitrust::wire::decode_attestation(&bytes).unwrap(), att);
+    }
+}
+
+/// Feeds `bytes` to both frame decoders: the slice decoder and the stream
+/// reader the TCP host runs on every socket. Either may refuse the bytes;
+/// neither may panic. A panic fails the test with the input that caused it.
+fn decode_both(bytes: &[u8]) {
+    let outcome = std::panic::catch_unwind(|| {
+        let _ = decode_frame(bytes);
+        let _ = read_frame(&mut std::io::Cursor::new(bytes));
+    });
+    assert!(
+        outcome.is_ok(),
+        "a decoder panicked on {} peer bytes: {bytes:02x?}",
+        bytes.len()
+    );
+}
+
+/// Rewrites the length prefix to match the buffer, so the corruption
+/// behind it reaches the body decoders instead of failing the frame check.
+fn with_repaired_prefix(mut bytes: Vec<u8>) -> Vec<u8> {
+    if let Some(body) = bytes.len().checked_sub(4) {
+        let declared = u32::try_from(body).expect("test frames are small");
+        bytes[..4].copy_from_slice(&declared.to_le_bytes());
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The decoders never panic on peer bytes. For one frame of each of
+    /// the ten message kinds, a submit frame and a reply frame: every
+    /// truncated prefix, and 1–3 random bit flips, each as it is and with
+    /// the length prefix repaired; then random bodies behind a valid
+    /// length prefix and a valid kind tag. Every input goes through
+    /// `decode_frame` and through `read_frame` over a `Cursor`.
+    #[test]
+    fn decoders_never_panic_on_peer_bytes(seed in any::<u64>()) {
+        let mut rng = Gen::seed_from_u64(seed);
+        let mut frames: Vec<Vec<u8>> = (0..10)
+            .map(|variant| {
+                let from = ReplicaId(rng.gen::<u64>() as u32);
+                encode_message(from, &gen_message(variant, &mut rng))
+            })
+            .collect();
+        let txns: Vec<Transaction> =
+            (0..rng.gen_range(0usize..4)).map(|_| gen_txn(&mut rng)).collect();
+        frames.push(encode_frame(&Frame::Submit { txns }));
+        let speculative = rng.gen();
+        let reply = gen_reply(&mut rng, speculative);
+        frames.push(encode_frame(&Frame::Reply { reply }));
+
+        for frame in &frames {
+            for cut in 0..frame.len() {
+                let prefix = frame[..cut].to_vec();
+                decode_both(&prefix);
+                decode_both(&with_repaired_prefix(prefix));
+            }
+            for _ in 0..64 {
+                let mut flipped = frame.clone();
+                for _ in 0..rng.gen_range(1u32..=3) {
+                    let bit = rng.gen_range(0..flipped.len() * 8);
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                }
+                decode_both(&flipped);
+                decode_both(&with_repaired_prefix(flipped));
+            }
+        }
+
+        // The kind tag sits after the length prefix and the sender.
+        let kinds: std::collections::BTreeSet<u8> = frames.iter().map(|frame| frame[8]).collect();
+        prop_assert_eq!(kinds.len(), 12);
+        for kind in kinds {
+            for _ in 0..32 {
+                let mut junk = vec![0u8; 9 + rng.gen_range(0usize..256)];
+                rng.fill(&mut junk[4..]);
+                junk[8] = kind;
+                decode_both(&with_repaired_prefix(junk));
+            }
+        }
     }
 }

@@ -1,13 +1,14 @@
 #!/bin/sh
-# Non-vacuity check for the rules rustc and clippy enforce on flexilint's
-# behalf (crates/lint/RULES.md, part one).
+# Non-vacuity check for the static rules rustc and clippy enforce: the
+# clippy.toml lists, the crate-level denies and `#[expect(.., reason)]` as
+# the only suppression (README, "Static analysis").
 #
-# Plants one violation per moved rule into a real crate, expects
-# `cargo clippy -p <crate> -- -D warnings` to reject it with that rule's
-# diagnostic, and restores the file. A clean workspace run comes first.
-# Every run also fails the script when clippy says a clippy.toml path
-# "does not refer to a reachable" item: clippy only warns about that, and
-# a mistyped path bans nothing.
+# Plants one violation per rule into a real crate as compiling code,
+# expects `cargo clippy -p <crate> -- -D warnings` to reject it with that
+# rule's diagnostic, and restores the file. A clean workspace run comes
+# first. Every run also fails the script when clippy says a clippy.toml
+# path "does not refer to a reachable" item: clippy only warns about that,
+# and a mistyped path bans nothing.
 #
 # Usage: tools/clippy_seeded.sh   (exit 0: every plant rejected)
 set -u
@@ -98,5 +99,76 @@ sed -i -e '/Message::Prepare { .. } | Message::Commit { .. } => {/,+2d' \
     -e '/install_checkpoint_state(seq, &snapshot, batches, true, out);/{n;s/$/\n            _ => {}/}' \
     "$target"
 expect flexitrust-core 'wildcard match will also match any future added variants'
+
+# A second lock beside the submission cache: each lock is named once,
+# under an #[expect] that says what it is held across.
+plant crates/runtime/src/tcp.rs
+sed -i -e 's/^    submit_streams: SubmitStreams,$/&\n    seeded: std::sync::Mutex<u8>,/' \
+    -e 's/^ *submit_streams: SubmitStreams::new(BTreeMap::new()),$/&\nseeded: std::sync::Mutex::new(0),/' \
+    "$target"
+expect flexitrust-runtime 'disallowed type `std::sync::Mutex`'
+
+# A guard held across a blocking channel send.
+plant crates/exec/src/executor.rs
+cat >>"$target" <<'EOF'
+fn seeded(m: &std::sync::Mutex<u8>, tx: &Sender<LaneJob>) {
+    let _guard = m.lock();
+    let _ = tx.send(Vec::new());
+}
+EOF
+expect flexitrust-exec 'disallowed type `std::sync::Mutex`'
+
+# A discarded try_send result (rustc's unused_must_use misses `_ =`).
+plant crates/runtime/src/tcp.rs
+echo 'fn seeded(tx: &Sender<Outbound>, o: Outbound) { _ = tx.try_send(o); }' >>"$target"
+expect flexitrust-runtime 'disallowed method `crossbeam::channel::Sender::try_send`'
+
+# Panics a worker thread or a peer's bytes could reach.
+plant crates/exec/src/executor.rs
+echo 'impl LaneOutcome { fn seeded(&self) -> usize { self.results[0].0 } }' >>"$target"
+expect flexitrust-exec 'indexing may panic'
+
+plant crates/wire/src/codec.rs
+echo 'pub(crate) fn decode_seeded(bytes: &[u8]) -> u8 { *bytes.first().unwrap() }' >>"$target"
+expect flexitrust-wire 'used `unwrap()`'
+
+# A narrowing cast of a length on a decode path.
+plant crates/wire/src/codec.rs
+echo 'pub(crate) fn decode_seeded(bytes: &[u8]) -> u32 { bytes.len() as u32 }' >>"$target"
+expect flexitrust-wire 'casting `usize` to `u32` may truncate'
+
+# A clock value put into a message.
+plant crates/runtime/src/cluster.rs
+cat >>"$target" <<'EOF'
+fn seeded() -> flexitrust_protocol::Message {
+    let started = Instant::now();
+    flexitrust_protocol::Message::CheckpointRequest {
+        last_executed: flexitrust_types::SeqNum(started.elapsed().as_secs()),
+    }
+}
+EOF
+expect flexitrust-runtime 'disallowed type `std::time::Instant`'
+
+# Suppressions: a stale #[expect], a bare #[allow], a reasonless #[expect].
+plant crates/protocol/src/messages.rs
+cat >>"$target" <<'EOF'
+#[expect(clippy::unwrap_used, reason = "seeded: nothing below unwraps")]
+fn seeded() {}
+EOF
+expect flexitrust-protocol 'this lint expectation is unfulfilled'
+
+plant crates/protocol/src/messages.rs
+cat >>"$target" <<'EOF'
+#[allow(dead_code, reason = "seeded: an allow where an expect belongs")]
+fn seeded() {}
+EOF
+expect flexitrust-protocol '#[allow] attribute found'
+
+plant crates/protocol/src/messages.rs
+cat >>"$target" <<'EOF'
+#[expect(dead_code)]
+fn seeded() {}
+EOF
+expect flexitrust-protocol 'without specifying a reason'
 
 exit $status
