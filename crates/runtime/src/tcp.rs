@@ -36,23 +36,25 @@
 //!   one buffer and decode frames out of it, instead of three `read`s a
 //!   frame.
 //! * **Replies** of one delivery (a committed batch answers every one of
-//!   its transactions at once) are encoded back to back into one buffer
-//!   (`Transport::send_replies`) and travel to the reply writer as one
-//!   queue item.
-//! * **The client's reply readers** (`reply_reader_loop`) hand the driver
-//!   the replies they decode in batches too: one channel operation for
-//!   everything a socket read brought, not one per reply.
+//!   its transactions at once) are encoded back to back into one buffer,
+//!   sized once, each frame's fixed head written whole
+//!   (`Transport::send_replies`, [`encode_reply_into`]), and travel to the
+//!   reply writer as one queue item.
+//! * **The client's reply readers** (`reply_reader_loop`) decode a socket
+//!   read's worth of replies in one pass ([`decode_replies`], one
+//!   fixed-layout decoder per frame), count them once and hand them to the
+//!   driver in one channel operation, not one per reply. Only a reply that
+//!   straddles a refill goes through `read_frame`.
 //!
 //! Two invariants keep this invisible to the protocols:
 //!
 //! 1. **Hand over before blocking.** A writer flushes its buffer whenever
 //!    its queue runs empty, immediately before the blocking `recv`; the
 //!    replica loop hands its replies to the transport before it waits for
-//!    input; a reply reader passes on what it has decoded whenever the
-//!    next frame is not already whole in its buffer, which is the only
-//!    time its next `read_frame` can block in `read`. Batching only ever
-//!    merges what was already waiting: a lone frame, or a decoded reply, is
-//!    never held back for company.
+//!    input; a reply reader passes on each pass's replies before its next
+//!    `fill_buf` or straddle `read_frame`, the only calls that can block
+//!    in `read`. Batching only ever merges what was already waiting: a
+//!    lone frame, or a decoded reply, is never held back for company.
 //! 2. **Counted drops.** A failed `write` loses every frame the buffer
 //!    held and a rejected reply buffer every reply in it; the drop counter
 //!    grows by that number of *frames*, never by one per buffer.
@@ -66,9 +68,9 @@ use flexitrust_host::build_replica;
 use flexitrust_protocol::{ClientReply, SharedMessage};
 use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
 use flexitrust_types::{ProtocolId, ReplicaId, Striped, SystemConfig, Transaction};
-use flexitrust_wire::{encode_reply_into, read_frame, resident_frame, write_frame, Frame};
+use flexitrust_wire::{decode_replies, encode_reply_into, read_frame, write_frame, Frame};
 use std::collections::BTreeMap;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -700,8 +702,16 @@ fn writer_loop<W: Write>(
 
 /// One client-side reply connection: decodes the reply frames `stream`
 /// delivers until it ends or tears, and hands them to `replies` a socket
-/// read's worth at a time — whenever the next frame is not already whole in
-/// the buffer, so nothing decoded ever waits on a blocking `read`.
+/// read's worth at a time.
+///
+/// Each pass decodes every reply already whole in the buffer in one
+/// [`decode_replies`] call, counts them once and hands them over before
+/// anything can block: the next pass's `fill_buf` reads the socket only
+/// when the buffer is empty. Only a frame that straddles a refill, or is
+/// larger than the buffer, goes through [`read_frame`], on a pass of its
+/// own. A malformed frame, or any frame that is not a reply, is a counted
+/// drop that closes the connection; the replies decoded ahead of it are
+/// still handed over.
 fn reply_reader_loop(
     stream: impl Read,
     replies: &Sender<Vec<ClientReply>>,
@@ -709,34 +719,39 @@ fn reply_reader_loop(
     io: Arc<IoCounters>,
 ) {
     let mut stream = buffered_reader(stream, Arc::clone(&io));
-    let mut decoded = Vec::new();
     loop {
-        if !decoded.is_empty() && resident_frame(stream.buffer()).is_none() {
-            let batch = std::mem::take(&mut decoded);
-            if replies.send(batch).is_err() {
-                return;
-            }
-        }
-        match read_frame(&mut stream) {
-            Ok(Some(frame)) => {
-                io.local().frames_read.fetch_add(1, Ordering::Relaxed);
-                if let Frame::Reply { reply } = frame {
-                    decoded.push(reply);
+        let mut decoded = Vec::new();
+        let intact = match stream.fill_buf() {
+            Ok([]) => return,
+            Ok(buffered) => match decode_replies(buffered, &mut decoded) {
+                Ok(0) => match read_frame(&mut stream) {
+                    Ok(Some(Frame::Reply { reply })) => {
+                        decoded.push(reply);
+                        true
+                    }
+                    Ok(_) | Err(_) => false,
+                },
+                Ok(consumed) => {
+                    stream.consume(consumed);
+                    true
                 }
-            }
-            Ok(None) => break,
-            Err(_) => {
-                // A torn or malformed frame severs the connection; count
-                // it so a codec regression shows up as drops, not as an
-                // undiagnosed workload timeout.
-                dropped.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
+                Err(_) => false,
+            },
+            Err(_) => false,
+        };
+        io.local()
+            .frames_read
+            .fetch_add(decoded.len() as u64, Ordering::Relaxed);
+        if !decoded.is_empty() && replies.send(decoded).is_err() {
+            return;
         }
-    }
-    // Replies decoded ahead of a malformed frame still count.
-    if !decoded.is_empty() {
-        let _ = replies.send(decoded);
+        if !intact {
+            // A torn, malformed or misdirected frame severs the
+            // connection; count it so a codec regression shows up as
+            // drops, not as an undiagnosed workload timeout.
+            dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
     }
 }
 
@@ -1071,6 +1086,107 @@ mod tests {
         let handed_over: Vec<ClientReply> = (1..=3).map(reply).collect();
         assert_eq!(rx.try_recv().ok(), Some(handed_over));
         assert_eq!(dropped.load(Ordering::Relaxed), 1);
+    }
+
+    /// A connection that returns at most 7 bytes per `read`, so every
+    /// frame straddles a refill of the reader's buffer.
+    struct Dribble<'a>(&'a [u8]);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let len = buf.len().min(7);
+            self.0.read(&mut buf[..len])
+        }
+    }
+
+    #[test]
+    fn a_frame_that_is_not_a_reply_is_a_counted_drop_that_closes_the_connection() {
+        let mut stream = reply_frames(1..=3);
+        stream.extend(prepare(4));
+        stream.extend(reply_frames(5..=5));
+        // Decoded where it lies, and copied together across refills.
+        let connections: [Box<dyn Read + '_>; 2] =
+            [Box::new(&stream[..]), Box::new(Dribble(&stream))];
+        for connection in connections {
+            let (tx, rx) = bounded(8);
+            let dropped = AtomicU64::new(0);
+            let io = Arc::new(IoCounters::default());
+            reply_reader_loop(connection, &tx, &dropped, Arc::clone(&io));
+            let handed_over: Vec<ClientReply> = std::iter::from_fn(|| rx.try_recv().ok())
+                .flatten()
+                .collect();
+            assert_eq!(handed_over, (1..=3).map(reply).collect::<Vec<_>>());
+            assert_eq!(dropped.load(Ordering::Relaxed), 1);
+            assert_eq!(snapshot(&io).frames_read, 3);
+        }
+    }
+
+    /// A reply of every result shape, with `request` numbering them.
+    fn reply_shapes(first_request: u64) -> Vec<ClientReply> {
+        let results = [
+            KvResult::Value(None),
+            KvResult::Value(Some(vec![7; 40].into())),
+            KvResult::Written,
+            KvResult::Noop,
+            KvResult::Range(vec![(1, vec![9; 10].into()), (2, vec![].into())]),
+        ];
+        results
+            .into_iter()
+            .zip(first_request..)
+            .map(|(result, request)| ClientReply {
+                result,
+                speculative: request % 2 == 0,
+                ..reply(request)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replies_of_every_shape_cross_a_socket_in_order_and_whole() {
+        // Deliveries of every result shape around a `Range` reply larger
+        // than the reader's buffer and 2 000 writes whose frames straddle
+        // its refills: the one-pass decoder and the straddle fallback
+        // between them hand over every reply, in order, counted once.
+        let big = ClientReply {
+            result: KvResult::Range((0..3).map(|k| (k, vec![5; 30_000].into())).collect()),
+            ..reply(6)
+        };
+        assert!(big.wire_size_bytes() > IO_BUFFER_BYTES);
+        let mut first = reply_shapes(1);
+        first.push(big);
+        let deliveries = [first, (7..2_007).map(reply).collect(), reply_shapes(2_007)];
+        let expected: Vec<ClientReply> = deliveries.concat();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut transport, queue) = reply_transport(8);
+        let written = Arc::new(IoCounters::default());
+        let writer = spawn_writer(
+            listener.local_addr().unwrap(),
+            queue,
+            Arc::clone(&transport.dropped),
+            Arc::clone(&written),
+        );
+        let (inbound, _) = listener.accept().unwrap();
+        let dropped = Arc::clone(&transport.dropped);
+        let (tx, rx) = bounded(expected.len());
+        let io = Arc::new(IoCounters::default());
+        let reader = {
+            let (dropped, io) = (Arc::clone(&dropped), Arc::clone(&io));
+            std::thread::spawn(move || reply_reader_loop(inbound, &tx, &dropped, io))
+        };
+        for delivery in deliveries {
+            transport.send_replies(delivery);
+        }
+        drop(transport);
+        writer.join().unwrap();
+        reader.join().unwrap();
+        let received: Vec<ClientReply> = std::iter::from_fn(|| rx.try_recv().ok())
+            .flatten()
+            .collect();
+        assert_eq!(received, expected);
+        assert_eq!(snapshot(&io).frames_read, expected.len() as u64);
+        assert_eq!(snapshot(&written).frames_written, expected.len() as u64);
+        assert_eq!(dropped.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! encode/decode routines the frame layer composes.
 
 use flexitrust_crypto::Signature;
-use flexitrust_protocol::{ClientReply, Message, PreparedProof};
+use flexitrust_protocol::{Message, PreparedProof};
 use flexitrust_trusted::{AttestKind, Attestation};
 use flexitrust_types::{
     Batch, ClientId, Digest, KvOp, KvResult, ReplicaId, RequestId, SeqNum, StateSnapshot,
@@ -58,57 +58,56 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Byte-slice cursor for strict decoding.
+/// Byte-slice cursor for strict decoding: `bytes` is what is still unread.
 pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
-    pos: usize,
+}
+
+/// The error of every read that runs past the end of its bytes.
+#[cold]
+pub(crate) fn truncated(context: &'static str) -> WireError {
+    WireError::Truncated { context }
 }
 
 impl<'a> Reader<'a> {
     pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
+        Reader { bytes }
     }
 
     pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
+        self.bytes.len()
     }
 
     pub(crate) fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated { context });
-        }
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "the remaining() guard proves pos + n <= bytes.len(), so the range is in \
-                      bounds"
-        )]
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        let (head, tail) = self
+            .bytes
+            .split_at_checked(n)
+            .ok_or_else(|| truncated(context))?;
+        self.bytes = tail;
+        Ok(head)
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "take(1) returns exactly one byte or an error"
-    )]
+    /// The next `N` bytes as an array: every fixed-width read.
+    fn chunk<const N: usize>(&mut self, context: &'static str) -> Result<&'a [u8; N], WireError> {
+        let (head, tail) = self
+            .bytes
+            .split_first_chunk::<N>()
+            .ok_or_else(|| truncated(context))?;
+        self.bytes = tail;
+        Ok(head)
+    }
+
     pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, context)?[0])
+        let &[byte] = self.chunk::<1>(context)?;
+        Ok(byte)
     }
 
     pub(crate) fn u32(&mut self, context: &'static str) -> Result<u32, WireError> {
-        let b = self.take(4, context)?;
-        match <[u8; 4]>::try_from(b) {
-            Ok(arr) => Ok(u32::from_le_bytes(arr)),
-            Err(_) => Err(WireError::Truncated { context }),
-        }
+        Ok(u32::from_le_bytes(*self.chunk(context)?))
     }
 
     pub(crate) fn u64(&mut self, context: &'static str) -> Result<u64, WireError> {
-        let b = self.take(8, context)?;
-        match <[u8; 8]>::try_from(b) {
-            Ok(arr) => Ok(u64::from_le_bytes(arr)),
-            Err(_) => Err(WireError::Truncated { context }),
-        }
+        Ok(u64::from_le_bytes(*self.chunk(context)?))
     }
 
     /// A `u32` collection/byte length, sanity-bounded so a corrupt frame
@@ -124,11 +123,7 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn digest(&mut self, context: &'static str) -> Result<Digest, WireError> {
-        let b = self.take(32, context)?;
-        match <[u8; 32]>::try_from(b) {
-            Ok(arr) => Ok(Digest::from_bytes(arr)),
-            Err(_) => Err(WireError::Truncated { context }),
-        }
+        Ok(Digest::from_bytes(*self.chunk(context)?))
     }
 
     pub(crate) fn finish(self) -> Result<(), WireError> {
@@ -327,15 +322,7 @@ pub(crate) fn read_attestation(r: &mut Reader<'_>) -> Result<Attestation, WireEr
             })
         }
     };
-    let sig = r.take(64, "attestation signature")?;
-    let signature = match <[u8; 64]>::try_from(sig) {
-        Ok(arr) => Signature(arr),
-        Err(_) => {
-            return Err(WireError::Truncated {
-                context: "attestation signature",
-            })
-        }
-    };
+    let signature = Signature(*r.chunk("attestation signature")?);
     Ok(Attestation {
         host,
         counter,
@@ -678,40 +665,5 @@ pub(crate) fn read_message_body(
                 tag,
             })
         }
-    })
-}
-
-/// Writes a reply body: the client/request/seq/view identifiers, the
-/// speculative flag, and the execution result.
-pub(crate) fn write_reply_body(out: &mut Vec<u8>, reply: &ClientReply) {
-    out.extend_from_slice(&reply.client.0.to_le_bytes());
-    out.extend_from_slice(&reply.request.0.to_le_bytes());
-    out.extend_from_slice(&reply.seq.0.to_le_bytes());
-    out.extend_from_slice(&reply.view.0.to_le_bytes());
-    out.push(u8::from(reply.speculative));
-    write_result(out, &reply.result);
-}
-
-pub(crate) fn read_reply_body(
-    replica: ReplicaId,
-    r: &mut Reader<'_>,
-) -> Result<ClientReply, WireError> {
-    Ok(ClientReply {
-        client: ClientId(r.u64("reply client")?),
-        request: RequestId(r.u64("reply request")?),
-        seq: SeqNum(r.u64("reply seq")?),
-        view: View(r.u64("reply view")?),
-        replica,
-        speculative: match r.u8("reply speculative flag")? {
-            0 => false,
-            1 => true,
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "speculative flag",
-                    tag,
-                })
-            }
-        },
-        result: read_result(r)?,
     })
 }

@@ -1,12 +1,12 @@
 //! Frame assembly and the blocking stream I/O used by the TCP transport.
 
 use crate::codec::{
-    encode_transaction, header_slots, len_prefix, message_kind_tag, read_message_body,
-    read_reply_body, read_transaction, read_vec, write_message_body, write_reply_body, write_vec,
-    Reader, WireError,
+    encode_transaction, header_slots, len_prefix, message_kind_tag, read_message_body, read_result,
+    read_transaction, read_vec, truncated, write_message_body, write_result, write_vec, Reader,
+    WireError,
 };
 use flexitrust_protocol::{ClientReply, Message};
-use flexitrust_types::{ReplicaId, Transaction};
+use flexitrust_types::{ClientId, KvResult, ReplicaId, RequestId, SeqNum, Transaction, View};
 use std::io::{self, BufRead, Write};
 
 /// The `sender` field value of frames originated by a client rather than a
@@ -25,6 +25,14 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// The channel-authenticator slot appended to every frame.
 const MAC_BYTES: usize = 32;
+
+/// The fixed head of a reply frame: length prefix (4), sender (4), kind
+/// (1), client (8), request (8), seq (8), view (8) and the speculative flag
+/// (1). The result and the MAC slot follow it.
+const REPLY_HEAD_BYTES: usize = 42;
+
+/// The shortest reply frame: the fixed head, a one-byte result and the MAC.
+const MIN_REPLY_FRAME_BYTES: usize = REPLY_HEAD_BYTES + 1 + MAC_BYTES;
 
 /// Everything that crosses a transport connection.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,26 +87,30 @@ fn start_frame(out: &mut Vec<u8>, size: usize) -> usize {
     start
 }
 
-/// Patches the length prefix of the frame begun at `start` and checks the
-/// size pin held.
+/// The length prefix of a frame `size` bytes long, prefix included.
 ///
 /// Panics when the frame exceeds [`MAX_FRAME_BYTES`]: the strict decoder
 /// rejects such frames (and past 4 GiB the `u32` prefix would wrap and
 /// desync the stream), so an encoder producing one is a configuration
 /// error that must fail loudly at the sender, not as a dead connection at
 /// the receiver.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "start_frame wrote the four prefix bytes at start of this same buffer"
-)]
-fn finish_frame(out: &mut [u8], start: usize, size: usize) {
-    let body = out.len() - start - 4;
+fn frame_prefix(size: usize) -> [u8; 4] {
+    let body = size - 4;
     assert!(
         body <= MAX_FRAME_BYTES,
         "frame of {body} bytes exceeds the {MAX_FRAME_BYTES}-byte cap the decoder enforces",
     );
-    out[start..start + 4].copy_from_slice(&len_prefix(body));
-    debug_assert_eq!(body + 4, size, "size function drifted from codec");
+    len_prefix(body)
+}
+
+/// Patches the length prefix of the frame begun at `start` and checks the
+/// size pin held.
+fn finish_frame(out: &mut [u8], start: usize, size: usize) {
+    let prefix = frame_prefix(out.len() - start);
+    if let Some(slot) = out.get_mut(start..).and_then(<[u8]>::first_chunk_mut) {
+        *slot = prefix;
+    }
+    debug_assert_eq!(out.len() - start, size, "size function drifted from codec");
 }
 
 fn encode_submit(txns: &[Transaction]) -> Vec<u8> {
@@ -116,14 +128,25 @@ fn encode_submit(txns: &[Transaction]) -> Vec<u8> {
 /// Appends `reply`'s complete frame — the bytes
 /// `encode_frame(&Frame::Reply { .. })` returns — to `out`, so the replies
 /// of one delivery are encoded straight into the buffer that carries them.
+/// The frame's size is computed once, up front, so the fixed head is
+/// written whole, length prefix included, from one stack array.
 pub fn encode_reply_into(out: &mut Vec<u8>, reply: &ClientReply) {
     let size = reply.wire_size_bytes();
-    let start = start_frame(out, size);
-    out.extend_from_slice(&reply.replica.0.to_le_bytes());
-    out.push(KIND_REPLY);
-    write_reply_body(out, reply);
+    let mut head = [0u8; REPLY_HEAD_BYTES];
+    head[0..4].copy_from_slice(&frame_prefix(size));
+    head[4..8].copy_from_slice(&reply.replica.0.to_le_bytes());
+    head[8] = KIND_REPLY;
+    head[9..17].copy_from_slice(&reply.client.0.to_le_bytes());
+    head[17..25].copy_from_slice(&reply.request.0.to_le_bytes());
+    head[25..33].copy_from_slice(&reply.seq.0.to_le_bytes());
+    head[33..41].copy_from_slice(&reply.view.0.to_le_bytes());
+    head[41] = u8::from(reply.speculative);
+    let start = out.len();
+    out.reserve(size);
+    out.extend_from_slice(&head);
+    write_result(out, &reply.result);
     out.extend_from_slice(&[0u8; MAC_BYTES]);
-    finish_frame(out, start, size);
+    debug_assert_eq!(out.len() - start, size, "size function drifted from codec");
 }
 
 /// Decodes a complete frame (length prefix included), strictly: truncated,
@@ -142,11 +165,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
         KIND_SUBMIT => Frame::Submit {
             txns: read_vec(&mut r, "submit txn count", read_transaction)?,
         },
-        KIND_REPLY => {
-            let reply = read_reply_body(ReplicaId(sender), &mut r)?;
-            r.take(MAC_BYTES, "frame mac")?;
-            Frame::Reply { reply }
-        }
+        KIND_REPLY => return decode_reply(bytes).map(|reply| Frame::Reply { reply }),
         kind => {
             let a = r.u64("header slot a")?;
             let b = r.u64("header slot b")?;
@@ -160,6 +179,120 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
     };
     r.finish()?;
     Ok(frame)
+}
+
+/// Decodes one reply frame (length prefix included). This is the one reply
+/// decoder: [`decode_frame`] runs it on every [`KIND_REPLY`] frame. It
+/// accepts exactly the bytes [`encode_reply_into`] writes for some reply,
+/// whatever the MAC slot holds: another frame kind, a length prefix that
+/// disagrees with the frame, a flag other than 0 or 1, an unknown result
+/// tag and trailing bytes are all errors.
+///
+/// The fixed head is read as one [`REPLY_HEAD_BYTES`] chunk. A one-byte
+/// result (`Written`, `Noop`) followed by exactly the MAC slot, the reply
+/// to every write, takes no further bounds check.
+pub fn decode_reply(frame: &[u8]) -> Result<ClientReply, WireError> {
+    let (head, tail) = frame
+        .split_first_chunk::<REPLY_HEAD_BYTES>()
+        .ok_or_else(|| truncated("reply head"))?;
+    let head = ReplyHead::read(head);
+    let declared = usize::try_from(head.declared).unwrap_or(usize::MAX);
+    if declared > MAX_FRAME_BYTES {
+        return Err(WireError::Oversize {
+            context: "frame length",
+            declared,
+        });
+    }
+    if declared != frame.len() - 4 {
+        return Err(truncated("frame body"));
+    }
+    if head.kind != KIND_REPLY {
+        return Err(WireError::BadTag {
+            context: "reply frame",
+            tag: head.kind,
+        });
+    }
+    let speculative = match head.speculative {
+        0 => false,
+        1 => true,
+        tag => {
+            return Err(WireError::BadTag {
+                context: "speculative flag",
+                tag,
+            })
+        }
+    };
+    // 1 and 3 are `write_result`'s tags for `Written` and `Noop`.
+    let result = match tail {
+        [1, mac @ ..] if mac.len() == MAC_BYTES => KvResult::Written,
+        [3, mac @ ..] if mac.len() == MAC_BYTES => KvResult::Noop,
+        _ => {
+            let mut r = Reader::new(tail);
+            let result = read_result(&mut r)?;
+            r.take(MAC_BYTES, "frame mac")?;
+            r.finish()?;
+            result
+        }
+    };
+    Ok(ClientReply {
+        client: ClientId(head.client),
+        request: RequestId(head.request),
+        seq: SeqNum(head.seq),
+        view: View(head.view),
+        replica: ReplicaId(head.sender),
+        result,
+        speculative,
+    })
+}
+
+/// The fields of a reply frame's fixed head, in wire order.
+struct ReplyHead {
+    declared: u32,
+    sender: u32,
+    kind: u8,
+    client: u64,
+    request: u64,
+    seq: u64,
+    view: u64,
+    speculative: u8,
+}
+
+impl ReplyHead {
+    /// Splits the head into its fields. The pattern covers exactly
+    /// [`REPLY_HEAD_BYTES`] bytes, so a layout slip fails to compile, and
+    /// no field read can fail.
+    fn read(head: &[u8; REPLY_HEAD_BYTES]) -> Self {
+        let [d0, d1, d2, d3, s0, s1, s2, s3, kind, rest @ .., speculative] = *head;
+        let [c0, c1, c2, c3, c4, c5, c6, c7, rest @ ..] = rest;
+        let [r0, r1, r2, r3, r4, r5, r6, r7, rest @ ..] = rest;
+        let [q0, q1, q2, q3, q4, q5, q6, q7, view @ ..] = rest;
+        ReplyHead {
+            declared: u32::from_le_bytes([d0, d1, d2, d3]),
+            sender: u32::from_le_bytes([s0, s1, s2, s3]),
+            kind,
+            client: u64::from_le_bytes([c0, c1, c2, c3, c4, c5, c6, c7]),
+            request: u64::from_le_bytes([r0, r1, r2, r3, r4, r5, r6, r7]),
+            seq: u64::from_le_bytes([q0, q1, q2, q3, q4, q5, q6, q7]),
+            view: u64::from_le_bytes(view),
+            speculative,
+        }
+    }
+}
+
+/// Decodes every reply frame that is already whole at the start of `buf`
+/// into `out` and returns the bytes they took: one pass over a socket
+/// read's worth of replies. A frame that `buf` ends inside is left for the
+/// caller. A malformed frame is an error, and `out` keeps the replies
+/// decoded before it.
+pub fn decode_replies(buf: &[u8], out: &mut Vec<ClientReply>) -> Result<usize, WireError> {
+    // No buffer holds more replies than this, so `out` grows at most once.
+    out.reserve(buf.len() / MIN_REPLY_FRAME_BYTES);
+    let mut rest = buf;
+    while let Some((frame, tail)) = split_frame(rest) {
+        out.push(decode_reply(frame)?);
+        rest = tail;
+    }
+    Ok(buf.len() - rest.len())
 }
 
 /// Encodes one peer message frame directly from the borrow (the transport
@@ -203,14 +336,12 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.write_all(&encode_frame(frame))
 }
 
-/// The complete frame (length prefix included) that `buf` starts with, or
-/// `None` when `buf` ends before its first frame does. A reader that has
-/// decoded frames to pass on must pass them on when this says `None` of its
-/// buffer: its next [`read_frame`] may block.
-pub fn resident_frame(buf: &[u8]) -> Option<&[u8]> {
+/// `buf` split after its first frame (length prefix included), or `None`
+/// when `buf` ends before that frame does.
+fn split_frame(buf: &[u8]) -> Option<(&[u8], &[u8])> {
     let prefix = buf.first_chunk::<4>()?;
     let len = usize::try_from(u32::from_le_bytes(*prefix)).ok()?;
-    buf.get(..len.checked_add(4)?)
+    buf.split_at_checked(len.checked_add(4)?)
 }
 
 /// Reads one frame from a blocking buffered stream. Returns `Ok(None)` on
@@ -229,7 +360,7 @@ pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Frame>> {
     if buffered.is_empty() {
         return Ok(None);
     }
-    if let Some(frame) = resident_frame(buffered) {
+    if let Some((frame, _)) = split_frame(buffered) {
         let (len, decoded) = (frame.len(), decode_frame(frame));
         r.consume(len);
         return decoded.map(Some).map_err(invalid);
@@ -552,14 +683,17 @@ mod tests {
     }
 
     #[test]
-    fn resident_frame_is_the_first_whole_frame_or_nothing() {
+    fn split_frame_takes_the_first_whole_frame_or_nothing() {
         let frame = encode_message(ReplicaId(0), &sample_messages()[1]);
         let mut two = frame.clone();
         two.extend_from_slice(&frame[..frame.len() - 1]);
-        assert_eq!(resident_frame(&two), Some(&frame[..]));
-        assert_eq!(resident_frame(&two[frame.len()..]), None);
-        assert_eq!(resident_frame(&frame[..3]), None);
-        assert_eq!(resident_frame(&[]), None);
+        assert_eq!(
+            split_frame(&two),
+            Some((&frame[..], &frame[..frame.len() - 1]))
+        );
+        assert_eq!(split_frame(&two[frame.len()..]), None);
+        assert_eq!(split_frame(&frame[..3]), None);
+        assert_eq!(split_frame(&[]), None);
     }
 
     #[test]
@@ -582,6 +716,72 @@ mod tests {
         assert_eq!(out[..7], [0xee; 7]);
         assert_eq!(out[7..7 + frame.len()], frame[..]);
         assert_eq!(out[7 + frame.len()..], frame[..]);
+    }
+
+    fn written_reply(request: u64) -> ClientReply {
+        ClientReply {
+            client: ClientId(4),
+            request: RequestId(request),
+            seq: SeqNum(17),
+            view: View(2),
+            replica: ReplicaId(1),
+            result: KvResult::Written,
+            speculative: true,
+        }
+    }
+
+    #[test]
+    fn the_reply_decoder_refuses_what_the_encoder_never_writes() {
+        let good = encode_frame(&Frame::Reply {
+            reply: written_reply(8),
+        });
+        let patched = |at: usize, byte: u8| {
+            let mut frame = good.clone();
+            frame[at] = byte;
+            frame
+        };
+        let resized = |len: usize| {
+            let mut frame = good.clone();
+            frame.resize(len, 0);
+            frame[..4].copy_from_slice(&len_prefix(len - 4));
+            frame
+        };
+        let refused = [
+            patched(8, KIND_SUBMIT), // another frame kind
+            patched(41, 2),          // a flag other than 0 or 1
+            patched(42, 4),          // an unknown result tag
+            patched(0, good[0] + 1), // a prefix longer than the frame
+            resized(good.len() - 1), // a MAC slot one byte short
+            resized(good.len() + 1), // a trailing byte
+            resized(41),             // a frame shorter than the fixed head
+        ];
+        for (i, frame) in refused.iter().enumerate() {
+            assert!(decode_reply(frame).is_err(), "case {i}");
+            assert!(decode_frame(frame).is_err(), "case {i}");
+        }
+        assert_eq!(decode_reply(&good), Ok(written_reply(8)));
+    }
+
+    #[test]
+    fn decode_replies_takes_the_whole_frames_and_stops_at_a_bad_one() {
+        let frames: Vec<Vec<u8>> = (1..=4)
+            .map(|request| {
+                encode_frame(&Frame::Reply {
+                    reply: written_reply(request),
+                })
+            })
+            .collect();
+        let whole = frames[..3].concat();
+        let mut buf = whole.clone();
+        buf.extend_from_slice(&frames[3][..50]);
+        let mut out = Vec::new();
+        assert_eq!(decode_replies(&buf, &mut out), Ok(whole.len()));
+        assert_eq!(out, (1..=3).map(written_reply).collect::<Vec<_>>());
+
+        buf[frames[0].len() + 8] = KIND_SUBMIT;
+        out.clear();
+        assert!(decode_replies(&buf, &mut out).is_err());
+        assert_eq!(out, [written_reply(1)]);
     }
 
     #[test]

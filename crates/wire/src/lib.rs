@@ -32,6 +32,23 @@
 //!   the wire, exactly as the paper's ResilientDB-based deployment pays
 //!   for them.
 //!
+//! A reply frame is a 42-byte fixed head, then the result, then the MAC:
+//!
+//! ```text
+//! reply   := len:u32 | sender:u32 | kind:u8 (9) | client:u64 | request:u64
+//!          | seq:u64 | view:u64 | speculative:u8 (0 or 1) | result | mac:[32]
+//! result  := 0:u8 | 0:u8                                    Value(None)
+//!          | 0:u8 | 1:u8 | len:u32 | bytes                  Value(Some)
+//!          | 1:u8                                           Written
+//!          | 2:u8 | count:u32 | (key:u64 | len:u32 | bytes)* Range
+//!          | 3:u8                                           Noop
+//! ```
+//!
+//! [`encode_reply_into`] writes the head from one stack array and
+//! [`decode_reply`] reads it as one chunk, so a reply to a write costs a
+//! 75-byte copy each way. [`decode_replies`] decodes every reply frame
+//! already whole in a buffer in one pass.
+//!
 //! Peer message bodies open with two fixed slots `a:u64 | b:u64` holding the
 //! variant's (view, seq)-shaped pair (zero when the variant has none), so
 //! every header field of the hand-maintained size estimate this codec
@@ -56,7 +73,7 @@ pub use codec::{
     decode_attestation, decode_transaction, encode_attestation, encode_transaction, WireError,
 };
 pub use frame::{
-    client_upload_wire_size, decode_frame, decode_message, encode_frame, encode_message,
-    encode_reply_into, read_frame, resident_frame, write_frame, Frame, CLIENT_SENDER, KIND_REPLY,
-    KIND_SUBMIT, MAX_FRAME_BYTES,
+    client_upload_wire_size, decode_frame, decode_message, decode_replies, decode_reply,
+    encode_frame, encode_message, encode_reply_into, read_frame, write_frame, Frame, CLIENT_SENDER,
+    KIND_REPLY, KIND_SUBMIT, MAX_FRAME_BYTES,
 };

@@ -16,6 +16,7 @@ use flexitrust::prelude::*;
 use flexitrust::protocol::PreparedProof;
 use flexitrust::trusted::{AttestKind, Attestation};
 use flexitrust::types::{Batch, Digest, KvOp, KvResult};
+use flexitrust::wire::decode_replies;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -172,7 +173,14 @@ fn gen_message(variant: usize, rng: &mut Gen) -> Message {
 }
 
 fn gen_result(rng: &mut Gen) -> KvResult {
-    match rng.gen_range(0u32..5) {
+    let shape = rng.gen_range(0u32..5);
+    gen_result_of_shape(shape, rng)
+}
+
+/// A result of one of the five shapes: `Value(None)`, `Value(Some)`,
+/// `Written`, `Noop` and `Range`, in that order.
+fn gen_result_of_shape(shape: u32, rng: &mut Gen) -> KvResult {
+    match shape {
         0 => KvResult::Value(None),
         1 => {
             let len = rng.gen_range(0usize..128);
@@ -379,19 +387,41 @@ proptest! {
     /// Flipping any single payload byte of a frame must never round-trip
     /// back to the original message (the codec is injective on the bytes
     /// it reads) — corrupted-but-decodable frames may exist, silently
-    /// equal ones may not. Restricted to the vote variants (Prepare,
-    /// Commit), the only frames in which *every* byte is interpreted:
-    /// batch-carrying frames contain client-signature slots and variants
-    /// without a view/seq pair contain zeroed header slots that, like the
-    /// trailing MAC, are carried rather than read by the in-process
-    /// transports, so flips there are legitimately invisible.
+    /// equal ones may not. Restricted to the frames in which *every* byte
+    /// is interpreted: the vote variants (Prepare, Commit) and replies of
+    /// every result shape. Batch-carrying frames contain client-signature
+    /// slots and variants without a view/seq pair contain zeroed header
+    /// slots that, like the trailing MAC, are carried rather than read by
+    /// the in-process transports, so flips there are legitimately
+    /// invisible. Each reply frame gets every one of its flips, length
+    /// prefix included.
     #[test]
     fn no_silent_single_byte_corruption(
         variant in 1usize..3,
         seed in any::<u64>(),
+        speculative in any::<bool>(),
         flip in 4usize..256,
     ) {
         let mut rng = Gen::seed_from_u64(seed);
+        for shape in 0..5 {
+            let reply = flexitrust::protocol::ClientReply {
+                result: gen_result_of_shape(shape, &mut rng),
+                ..gen_reply(&mut rng, speculative)
+            };
+            let bytes = encode_frame(&Frame::Reply { reply: reply.clone() });
+            for at in 0..bytes.len() - 32 {
+                let mut corrupted = bytes.clone();
+                corrupted[at] ^= 0x01;
+                if let Ok(Frame::Reply { reply: decoded }) = decode_frame(&corrupted) {
+                    prop_assert!(
+                        decoded != reply,
+                        "byte {at} of a {:?} reply frame flipped silently",
+                        reply.result
+                    );
+                }
+            }
+        }
+
         let msg = gen_message(variant, &mut rng);
         let from = ReplicaId(7);
         let bytes = encode_message(from, &msg);
@@ -433,19 +463,37 @@ fn attestation_encoding_matches_declared_wire_size() {
     }
 }
 
-/// Feeds `bytes` to both frame decoders: the slice decoder and the stream
-/// reader the TCP host runs on every socket. Either may refuse the bytes;
-/// neither may panic. A panic fails the test with the input that caused it.
+/// Feeds `bytes` to every frame decoder: the slice decoder, the stream
+/// reader the TCP host runs on every socket and the one-pass reply decoder
+/// its reply readers run. Any may refuse the bytes; none may panic. A panic
+/// fails the test with the input that caused it.
+///
+/// The two reply paths must also agree: `decode_frame` decodes a reply
+/// exactly when `decode_replies` decodes the whole input as that one reply.
 fn decode_both(bytes: &[u8]) {
     let outcome = std::panic::catch_unwind(|| {
-        let _ = decode_frame(bytes);
         let _ = read_frame(&mut std::io::Cursor::new(bytes));
+        let mut replies = Vec::new();
+        let consumed = decode_replies(bytes, &mut replies);
+        (decode_frame(bytes), consumed, replies)
     });
-    assert!(
-        outcome.is_ok(),
-        "a decoder panicked on {} peer bytes: {bytes:02x?}",
-        bytes.len()
-    );
+    let Ok((frame, consumed, replies)) = outcome else {
+        panic!(
+            "a decoder panicked on {} peer bytes: {bytes:02x?}",
+            bytes.len()
+        );
+    };
+    let one_whole_reply = consumed == Ok(bytes.len()) && replies.len() == 1;
+    match frame {
+        Ok(Frame::Reply { reply }) => assert!(
+            one_whole_reply && replies[0] == reply,
+            "decode_replies disagrees with decode_frame on {bytes:02x?}: {consumed:?}"
+        ),
+        _ => assert!(
+            !one_whole_reply,
+            "decode_replies accepts a reply decode_frame refuses: {bytes:02x?}"
+        ),
+    }
 }
 
 /// Rewrites the length prefix to match the buffer, so the corruption
@@ -466,7 +514,8 @@ proptest! {
     /// truncated prefix, and 1–3 random bit flips, each as it is and with
     /// the length prefix repaired; then random bodies behind a valid
     /// length prefix and a valid kind tag. Every input goes through
-    /// `decode_frame` and through `read_frame` over a `Cursor`.
+    /// `decode_frame`, through `read_frame` over a `Cursor` and through
+    /// `decode_replies`.
     #[test]
     fn decoders_never_panic_on_peer_bytes(seed in any::<u64>()) {
         let mut rng = Gen::seed_from_u64(seed);

@@ -132,6 +132,13 @@ plant crates/wire/src/codec.rs
 echo 'pub(crate) fn decode_seeded(bytes: &[u8]) -> u8 { *bytes.first().unwrap() }' >>"$target"
 expect flexitrust-wire 'used `unwrap()`'
 
+# An index into the reply decoder's fixed head, which is read as one
+# chunk: the fixed layout stays under the crate's indexing deny.
+plant crates/wire/src/frame.rs
+sed -i 's/^pub fn decode_reply(frame: &\[u8\]) -> Result<ClientReply, WireError> {$/&\n    let _speculative = frame[41];/' \
+    "$target"
+expect flexitrust-wire 'indexing may panic'
+
 # A narrowing cast of a length on a decode path.
 plant crates/wire/src/codec.rs
 echo 'pub(crate) fn decode_seeded(bytes: &[u8]) -> u32 { bytes.len() as u32 }' >>"$target"
