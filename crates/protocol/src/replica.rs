@@ -75,7 +75,9 @@ impl ReplicaCore {
     /// Creates the core state with a pre-loaded store (e.g. the 600 k-record
     /// YCSB table). The store is repartitioned to the configured shard
     /// count and executed by `config.exec_workers` shard workers; both are
-    /// parallelism knobs only and never change digests or results.
+    /// parallelism knobs only and never change digests or results. A
+    /// non-empty store is captured as boundary 0, what a rollback with no
+    /// later boundary returns to; an empty one needs no capture.
     pub fn with_store(
         config: impl Into<Arc<SystemConfig>>,
         id: ReplicaId,
@@ -84,13 +86,17 @@ impl ReplicaCore {
         let config = config.into();
         let checkpoint_quorum = config.small_quorum();
         store.reshard(config.exec_shards);
+        let mut journal = CheckpointJournal::default();
+        if !store.is_empty() {
+            journal.capture(SeqNum(0), &store);
+        }
         ReplicaCore {
             batcher: Batcher::new(config.batch_size),
             checkpoints: CheckpointLog::new(config.checkpoint_interval, checkpoint_quorum),
             exec: ExecutionQueue::with_workers(store, config.exec_workers),
             reply_cache: BTreeMap::new(),
             executed_txns: 0,
-            journal: CheckpointJournal::default(),
+            journal,
             pending_batches: VecDeque::new(),
             outstanding: BTreeSet::new(),
             view_change: ViewChangeState::new(config.small_quorum()),
@@ -304,8 +310,8 @@ impl ReplicaCore {
 
     /// Discards speculative execution past the stable checkpoint: the store
     /// returns to the newest boundary this replica captured at or below its
-    /// low-water mark and execution resumes after it. A replica that has
-    /// captured none returns to sequence 0 and the empty store.
+    /// low-water mark and execution resumes after it. With none later, that
+    /// is sequence 0 and the store the replica started on.
     pub fn rollback_to_stable(&mut self) {
         let (seq, snapshot) = self
             .journal
@@ -670,6 +676,20 @@ mod tests {
         fresh.rollback_to_stable();
         assert_eq!(fresh.last_executed(), SeqNum(0));
         assert!(fresh.exec().store().is_empty());
+    }
+
+    #[test]
+    fn rollback_with_no_stable_boundary_returns_to_the_preloaded_store() {
+        let cfg = SystemConfig::for_protocol(ProtocolId::FlexiZz, 1);
+        let preloaded = KvStore::with_dataset(8, 4);
+        let mut c = ReplicaCore::with_store(cfg, ReplicaId(1), preloaded.clone());
+        let mut out = Outbox::new();
+        c.commit_batch(SeqNum(1), batch(3), true, &mut out);
+        assert_ne!(c.state_digest(), preloaded.state_digest());
+        c.rollback_to_stable();
+        assert_eq!(c.last_executed(), SeqNum(0));
+        assert_eq!(c.exec().store().to_snapshot(), preloaded.to_snapshot());
+        assert_eq!(c.state_digest(), preloaded.state_digest());
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub trait SeedableRng: Sized {
     /// Builds the generator from a full seed.
     fn from_seed(seed: Self::Seed) -> Self;
 
-    /// Builds the generator from a `u64`, expanding it with SplitMix64 the
-    /// way rand 0.8 does.
+    /// Builds the generator from a `u64`, expanding it with SplitMix64.
+    /// (rand_core 0.6 expands with PCG32 instead, so a seeded stream here is
+    /// not upstream's.)
     fn seed_from_u64(state: u64) -> Self {
         let mut seed = Self::Seed::default();
         let mut sm = SplitMix64::new(state);

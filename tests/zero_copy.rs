@@ -289,7 +289,7 @@ fn checkpoint_capture_fold_and_serve_share_the_stored_values() {
     let _guard = serial();
     let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
     cfg.checkpoint_interval = 2;
-    let mut replica = ReplicaCore::with_store(cfg, ReplicaId(1), KvStore::with_dataset(64, 128));
+    let store = KvStore::with_dataset(64, 128);
     let batches: Vec<Batch> = (1..=6u64)
         .map(|seq| {
             let value: ValueBytes = vec![seq as u8; 1024].into();
@@ -309,15 +309,18 @@ fn checkpoint_capture_fold_and_serve_share_the_stored_values() {
         .collect();
 
     let before = value_payload_allocations();
+    // Starting on a preloaded store captures it as the full boundary 0.
+    let mut replica = ReplicaCore::with_store(cfg, ReplicaId(1), store);
     let mut out = Outbox::new();
     for (seq, batch) in (1..=6u64).zip(batches) {
         for done in replica.commit_batch(SeqNum(seq), batch, false, &mut out) {
             replica.maybe_emit_checkpoint(done.seq, &mut out);
         }
     }
-    // Boundaries 2 (full), 4 and 6 (deltas) are held; 4 turns stable, which
-    // folds 2 and 4 into one base, and is served.
-    assert_eq!(replica.journal().held().count(), 3);
+    // Boundaries 0 (the preloaded store, full), 2, 4 and 6 (deltas) are
+    // held; 4 turns stable, which folds 0, 2 and 4 into one base, and is
+    // served.
+    assert_eq!(replica.journal().held().count(), 4);
     let digest = replica.journal().digest_at(SeqNum(4)).expect("captured");
     for peer in [ReplicaId(0), ReplicaId(2)] {
         replica.record_checkpoint_vote(peer, SeqNum(4), digest);
