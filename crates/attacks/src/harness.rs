@@ -19,12 +19,8 @@ use std::sync::Arc;
 pub struct Observations {
     /// Replies emitted towards clients, tagged with the sending replica.
     pub replies: Vec<ClientReply>,
-    /// Messages that the fault plan dropped.
-    pub dropped_messages: u64,
-    /// Messages that were delivered.
-    pub delivered_messages: u64,
     /// View-change messages observed on the wire (even if dropped).
-    pub view_change_votes: u64,
+    pub view_change_votes: usize,
 }
 
 /// The harness's [`EngineHost`]: the adversary's network. Sends are routed
@@ -47,7 +43,7 @@ impl RecordingEnv {
         match chaos.map_or(Fate::PROMPT, |c| c.fate(from, to, &msg)) {
             Fate::Deliver { extra_ns: 0, .. } => self.queues[to.as_usize()].push((from, msg)),
             Fate::Deliver { .. } => self.delayed[to.as_usize()].push((from, msg)),
-            Fate::Drop => self.obs.dropped_messages += 1,
+            Fate::Drop => {}
         }
     }
 }
@@ -132,7 +128,6 @@ pub fn drive(
                 }
                 for (from, msg) in std::mem::take(&mut env.queues[i]) {
                     any = true;
-                    env.obs.delivered_messages += 1;
                     dispatcher.deliver(&mut **engine, from, msg, env);
                 }
             }
@@ -159,19 +154,4 @@ pub fn drive(
     drain(engines, &mut dispatcher, &mut env);
 
     env.obs
-}
-
-/// Counts, per request, how many **distinct** replicas replied with a
-/// matching (sequence number, speculative-or-not) answer; returns the
-/// maximum across result variants — i.e. the best the client could do.
-pub fn max_matching_replies(obs: &Observations) -> usize {
-    use std::collections::{BTreeSet, HashMap};
-    let mut per_result: HashMap<(u64, u64, u64), BTreeSet<ReplicaId>> = HashMap::new();
-    for reply in &obs.replies {
-        per_result
-            .entry((reply.client.0, reply.request.0, reply.seq.0))
-            .or_default()
-            .insert(reply.replica);
-    }
-    per_result.values().map(BTreeSet::len).max().unwrap_or(0)
 }

@@ -17,11 +17,16 @@
 //!   while FlexiTrust replicas accept out-of-order proposals and merely
 //!   delay execution.
 //!
-//! The scenario drivers use the simulator's one fault model
-//! ([`flexitrust_sim::ChaosPlan`], interpreted by the same
-//! [`flexitrust_sim::ChaosState::fate`]), so an attack plan can also be
-//! replayed at scale inside the discrete-event simulation (Figure 2) and
-//! composed with crashes, partitions and link chaos.
+//! Every engine comes from [`flexitrust_host::build_replica`], the factory
+//! the simulator and the threaded hosts start their replicas with, so each
+//! scenario is written once and takes the protocol as an input. Only the §5
+//! scenario routes messages: [`harness::drive`] delivers them by the
+//! simulator's one fault model ([`flexitrust_sim::ChaosPlan`], interpreted
+//! by the same [`flexitrust_sim::ChaosState::fate`]), so that attack plan
+//! can also be replayed at scale inside the discrete-event simulation
+//! (Figure 2) and composed with crashes, partitions and link chaos, and the
+//! client counts its replies with [`flexitrust_protocol::ClientLibrary`].
+//! The §6 and §7 scenarios hand-deliver a few messages to backups directly.
 
 pub mod harness;
 pub mod responsiveness;

@@ -13,8 +13,8 @@
 //! replicas; the `2f + 1` quorum the protocol needs necessarily contains
 //! `f + 1` honest replicas, all of which execute and reply.
 
-use crate::harness::{drive, max_matching_replies};
-use flexitrust_protocol::ConsensusEngine;
+use crate::harness::drive;
+use flexitrust_protocol::{ClientLibrary, ConsensusEngine, RequestStatus};
 use flexitrust_sim::{build_replicas, ChaosPlan, ScenarioSpec};
 use flexitrust_types::{ClientId, KvOp, ProtocolId, ReplicaId, RequestId, Transaction};
 
@@ -31,9 +31,9 @@ pub struct ResponsivenessReport {
     pub matching_replies: usize,
     /// Matching replies the client needs to accept the result.
     pub replies_needed: usize,
-    /// View-change votes observed (the complaining replicas).
+    /// View-change votes observed on the wire (the complaining replicas).
     pub view_change_votes: usize,
-    /// View-change votes needed for a view change to proceed.
+    /// View-change votes needed for a view change to proceed: `n − f`.
     pub view_change_quorum: usize,
 }
 
@@ -84,7 +84,6 @@ pub fn responsiveness_attack(protocol: ProtocolId, f: usize) -> ResponsivenessRe
             value: vec![1, 2, 3].into(),
         },
     );
-    let reply_quorum = config.quorum(engines[0].properties().reply_quorum);
     // The replicas kept in the dark eventually complain (their timers fire);
     // Byzantine replicas of course do not help.
     let timer_targets: Vec<usize> = victims.iter().map(|r| r.as_usize()).collect();
@@ -96,26 +95,32 @@ pub fn responsiveness_attack(protocol: ProtocolId, f: usize) -> ResponsivenessRe
         200,
     );
 
-    // Only count replies the client can actually receive promptly: replies
-    // from Byzantine replicas are withheld from the client as well.
-    let honest_replies = {
-        let mut filtered = obs.replies.clone();
-        filtered.retain(|r| !byzantine.contains(&r.replica));
-        let tmp = crate::harness::Observations {
-            replies: filtered,
-            ..Default::default()
-        };
-        max_matching_replies(&tmp)
-    };
+    // The client counts only the replies it can actually receive promptly:
+    // replies from Byzantine replicas are withheld from the client as well.
+    let rule = engines[0].properties().reply_quorum;
+    let mut client = ClientLibrary::new(ClientId(1), &config, rule);
+    client.begin(RequestId(1));
+    let honest = obs
+        .replies
+        .iter()
+        .filter(|r| !byzantine.contains(&r.replica));
+    let matching_replies = honest
+        .map(|reply| match client.on_reply(reply) {
+            RequestStatus::Pending { matching, .. } | RequestStatus::Complete { matching, .. } => {
+                matching
+            }
+        })
+        .max()
+        .unwrap_or(0);
 
     ResponsivenessReport {
         protocol,
         n,
         f,
-        matching_replies: honest_replies,
-        replies_needed: reply_quorum,
-        view_change_votes: victims.len(),
-        view_change_quorum: f + 1,
+        matching_replies,
+        replies_needed: client.needed(),
+        view_change_votes: obs.view_change_votes,
+        view_change_quorum: n - f,
     }
 }
 
@@ -182,5 +187,18 @@ mod tests {
         // And unlike the 2f + 1 protocols, enough honest replicas noticed the
         // problem for a view change to be possible once they time out.
         assert!(report.view_change_votes + report.matching_replies >= report.view_change_quorum);
+    }
+
+    #[test]
+    fn view_change_needs_n_minus_f_of_the_counted_votes() {
+        // A view change needs n − f votes: f + 1 of 2f + 1 replicas, but
+        // 2f + 1 of 3f + 1. Either way only the f victims complain.
+        let pbft = responsiveness_attack(ProtocolId::Pbft, 2);
+        assert_eq!((pbft.view_change_votes, pbft.view_change_quorum), (2, 5));
+        let minbft = responsiveness_attack(ProtocolId::MinBft, 2);
+        assert_eq!(
+            (minbft.view_change_votes, minbft.view_change_quorum),
+            (2, 3)
+        );
     }
 }

@@ -13,9 +13,9 @@
 //! share an honest replica that accepts only one proposal per slot — so at
 //! most one of the conflicting transactions can ever commit.
 
-use flexitrust_core::FlexiBft;
 use flexitrust_crypto::make_batch;
-use flexitrust_protocol::{ConsensusEngine, Message, Outbox};
+use flexitrust_host::build_replica;
+use flexitrust_protocol::{Message, Outbox};
 use flexitrust_trusted::{
     Attestation, AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, TrustedHardware,
 };
@@ -23,6 +23,7 @@ use flexitrust_types::{
     Batch, ClientId, Digest, KvOp, ProtocolId, ReplicaId, RequestId, SeqNum, SystemConfig,
     Transaction, View,
 };
+use std::sync::Arc;
 
 /// Outcome of the rollback attack against one protocol.
 #[derive(Debug, Clone)]
@@ -55,12 +56,10 @@ fn txn(tag: u64) -> Transaction {
     )
 }
 
-/// Builds the two conflicting attested proposals by rolling back the
-/// primary's enclave between them. Returns `None` if the hardware refused
-/// the rollback.
-fn equivocating_proposals(
-    hardware: TrustedHardware,
-) -> Option<(Batch, Attestation, Batch, Attestation)> {
+/// Builds the two conflicting attested proposals `T` and `T'` by rolling
+/// back the primary's enclave between them. Returns `None` if the hardware
+/// refused the rollback.
+fn equivocating_proposals(hardware: TrustedHardware) -> Option<[(Batch, Attestation); 2]> {
     let primary_enclave = Enclave::shared(
         EnclaveConfig::counter_only(ReplicaId(0), AttestationMode::Real).with_hardware(hardware),
     );
@@ -81,121 +80,17 @@ fn equivocating_proposals(
         .append_f(0, batch_t_prime.digest())
         .expect("rolled-back counter accepts the conflicting append");
     assert_eq!(seq_t, seq_t_prime, "both proposals bind to the same slot");
-    Some((batch_t, att_t, batch_t_prime, att_t_prime))
+    Some([(batch_t, att_t), (batch_t_prime, att_t_prime)])
 }
 
 /// Runs the rollback attack against MinBFT with fault threshold `f`.
 ///
-/// The primary shows `T` to itself plus the first `f` backups and `T'` to
-/// the remaining `f` backups; with `f + 1` prepare quorums both halves
-/// commit, violating safety (unless the hardware is rollback-protected, in
-/// which case the attack dies at the restore step).
+/// The primary shows `T` to the first `f` backups and `T'` to the remaining
+/// `f`; with itself voting for both, each half holds an `f + 1` prepare
+/// quorum and commits, violating safety (unless the hardware is
+/// rollback-protected, in which case the attack dies at the restore step).
 pub fn rollback_attack_minbft(f: usize, hardware: TrustedHardware) -> RollbackReport {
-    use flexitrust_baselines::MinBft;
-    let mut config = MinBft::config(f);
-    config.batch_size = 1;
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
-
-    let Some((batch_t, att_t, batch_tp, att_tp)) = equivocating_proposals(hardware) else {
-        return RollbackReport {
-            protocol: ProtocolId::MinBft,
-            rollback_succeeded: false,
-            seq: SeqNum(1),
-            digests: (Digest::ZERO, Digest::ZERO),
-            executed_t: 0,
-            executed_t_prime: 0,
-            safety_violated: false,
-        };
-    };
-
-    // Honest backups 1..n; the Byzantine primary is replica 0.
-    let mut backups: Vec<_> = (1..config.n)
-        .map(|i| {
-            MinBft::engine(
-                config.clone(),
-                ReplicaId(i as u32),
-                MinBft::enclave(ReplicaId(i as u32), AttestationMode::Real),
-                registry.clone(),
-            )
-        })
-        .collect();
-
-    // Group A (first f backups) sees T; group B (last f backups) sees T'.
-    let preprepare = |batch: &Batch, att: &Attestation| Message::PrePrepare {
-        view: View(0),
-        seq: SeqNum(1),
-        batch: batch.clone(),
-        attestation: Some(att.clone()),
-    };
-    let mut prepares_a = Vec::new();
-    let mut prepares_b = Vec::new();
-    for (i, backup) in backups.iter_mut().enumerate() {
-        let mut out = Outbox::new();
-        let group_a = i < f;
-        let msg = if group_a {
-            preprepare(&batch_t, &att_t)
-        } else {
-            preprepare(&batch_tp, &att_tp)
-        };
-        backup.on_message(ReplicaId(0), msg, &mut out);
-        for m in out.broadcasts() {
-            if m.kind() == "Prepare" {
-                if group_a {
-                    prepares_a.push((backup.id(), m.clone()));
-                } else {
-                    prepares_b.push((backup.id(), m.clone()));
-                }
-            }
-        }
-    }
-    // The Byzantine primary contributes its own (validly attested) Prepare to
-    // each group, completing the f + 1 quorums.
-    prepares_a.push((
-        ReplicaId(0),
-        Message::Prepare {
-            view: View(0),
-            seq: SeqNum(1),
-            digest: batch_t.digest(),
-            attestation: Some(att_t.clone()),
-        },
-    ));
-    prepares_b.push((
-        ReplicaId(0),
-        Message::Prepare {
-            view: View(0),
-            seq: SeqNum(1),
-            digest: batch_tp.digest(),
-            attestation: Some(att_tp.clone()),
-        },
-    ));
-    // Deliver each group's prepares within the group only (the adversary
-    // schedules messages, §6).
-    let mut executed_t = 0;
-    let mut executed_tp = 0;
-    for (i, backup) in backups.iter_mut().enumerate() {
-        let group = if i < f { &prepares_a } else { &prepares_b };
-        for (from, msg) in group {
-            let mut out = Outbox::new();
-            backup.on_message(*from, msg.clone(), &mut out);
-        }
-        if backup.last_executed() >= SeqNum(1) {
-            if i < f {
-                executed_t += 1;
-            } else {
-                executed_tp += 1;
-            }
-        }
-    }
-
-    RollbackReport {
-        protocol: ProtocolId::MinBft,
-        rollback_succeeded: true,
-        seq: SeqNum(1),
-        digests: (batch_t.digest(), batch_tp.digest()),
-        executed_t,
-        executed_t_prime: executed_tp,
-        safety_violated: executed_t > 0 && executed_tp > 0,
-    }
+    rollback_attack(ProtocolId::MinBft, f, hardware)
 }
 
 /// Runs the same rollback attack against Flexi-BFT with fault threshold `f`.
@@ -204,13 +99,18 @@ pub fn rollback_attack_minbft(f: usize, hardware: TrustedHardware) -> RollbackRe
 /// `3f` honest backups gives both proposals a `2f + 1` commit quorum, so at
 /// most one of them can execute at honest replicas.
 pub fn rollback_attack_flexibft(f: usize, hardware: TrustedHardware) -> RollbackReport {
-    let mut config = SystemConfig::for_protocol(ProtocolId::FlexiBft, f);
-    config.batch_size = 1;
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
+    rollback_attack(ProtocolId::FlexiBft, f, hardware)
+}
 
-    let Some((batch_t, att_t, batch_tp, att_tp)) = equivocating_proposals(hardware) else {
+/// The attack against a two-phase `protocol`: the adversary splits the
+/// honest backups as evenly as it can — the first half sees `T`, the rest
+/// `T'` — lets each half hear only its own half's `Prepare`s, and votes for
+/// both proposals itself. (The two-phase shape says nothing about a
+/// speculative protocol, whose execution is not a commit.)
+fn rollback_attack(protocol: ProtocolId, f: usize, hardware: TrustedHardware) -> RollbackReport {
+    let Some(proposals) = equivocating_proposals(hardware) else {
         return RollbackReport {
-            protocol: ProtocolId::FlexiBft,
+            protocol,
             rollback_succeeded: false,
             seq: SeqNum(1),
             digests: (Digest::ZERO, Digest::ZERO),
@@ -220,94 +120,77 @@ pub fn rollback_attack_flexibft(f: usize, hardware: TrustedHardware) -> Rollback
         };
     };
 
-    let mut backups: Vec<FlexiBft> = (1..config.n)
+    let mut config = SystemConfig::for_protocol(protocol, f);
+    config.batch_size = 1;
+    let config = Arc::new(config);
+    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
+    // Honest backups 1..n; the Byzantine primary is replica 0.
+    let mut backups: Vec<_> = (1..config.n as u32)
         .map(|i| {
-            FlexiBft::new(
-                config.clone(),
-                ReplicaId(i as u32),
-                FlexiBft::enclave(ReplicaId(i as u32), AttestationMode::Real),
+            build_replica(
+                protocol,
+                Arc::clone(&config),
+                ReplicaId(i),
                 registry.clone(),
+                hardware,
             )
+            .engine
         })
         .collect();
-
-    // The adversary splits the 3f honest backups as favourably as it can:
-    // half see T, half see T'.
     let split = backups.len() / 2;
-    let mut prepares_a = Vec::new();
-    let mut prepares_b = Vec::new();
+    let half = |i: usize| usize::from(i >= split);
+
+    // Each backup accepts its half's proposal and votes for it.
+    let mut prepares: [Vec<(ReplicaId, Message)>; 2] = Default::default();
     for (i, backup) in backups.iter_mut().enumerate() {
-        let mut out = Outbox::new();
-        let (batch, att) = if i < split {
-            (&batch_t, &att_t)
-        } else {
-            (&batch_tp, &att_tp)
+        let (batch, att) = &proposals[half(i)];
+        let preprepare = Message::PrePrepare {
+            view: View(0),
+            seq: SeqNum(1),
+            batch: batch.clone(),
+            attestation: Some(att.clone()),
         };
-        backup.on_message(
+        let mut out = Outbox::new();
+        backup.on_message(ReplicaId(0), preprepare, &mut out);
+        let votes = out
+            .broadcasts()
+            .into_iter()
+            .filter(|m| m.kind() == "Prepare");
+        prepares[half(i)].extend(votes.map(|m| (backup.id(), m.clone())));
+    }
+    // The Byzantine primary adds its own attested Prepare to both halves.
+    for (votes, (batch, att)) in prepares.iter_mut().zip(&proposals) {
+        votes.push((
             ReplicaId(0),
-            Message::PrePrepare {
+            Message::Prepare {
                 view: View(0),
                 seq: SeqNum(1),
-                batch: batch.clone(),
+                digest: batch.digest(),
                 attestation: Some(att.clone()),
             },
-            &mut out,
-        );
-        for m in out.broadcasts() {
-            if m.kind() == "Prepare" {
-                if i < split {
-                    prepares_a.push((backup.id(), m.clone()));
-                } else {
-                    prepares_b.push((backup.id(), m.clone()));
-                }
-            }
-        }
+        ));
     }
-    // The Byzantine primary votes for both.
-    prepares_a.push((
-        ReplicaId(0),
-        Message::Prepare {
-            view: View(0),
-            seq: SeqNum(1),
-            digest: batch_t.digest(),
-            attestation: None,
-        },
-    ));
-    prepares_b.push((
-        ReplicaId(0),
-        Message::Prepare {
-            view: View(0),
-            seq: SeqNum(1),
-            digest: batch_tp.digest(),
-            attestation: None,
-        },
-    ));
 
-    let mut executed_t = 0;
-    let mut executed_tp = 0;
+    // Deliver each half's Prepares within that half only (the adversary
+    // schedules messages, §6) and count who executes what.
+    let mut executed = [0; 2];
     for (i, backup) in backups.iter_mut().enumerate() {
-        let group = if i < split { &prepares_a } else { &prepares_b };
-        for (from, msg) in group {
-            let mut out = Outbox::new();
-            backup.on_message(*from, msg.clone(), &mut out);
+        for (from, msg) in &prepares[half(i)] {
+            backup.on_message(*from, msg.clone(), &mut Outbox::new());
         }
         if backup.last_executed() >= SeqNum(1) {
-            if i < split {
-                executed_t += 1;
-            } else {
-                executed_tp += 1;
-            }
+            executed[half(i)] += 1;
         }
     }
 
     RollbackReport {
-        protocol: ProtocolId::FlexiBft,
+        protocol,
         rollback_succeeded: true,
         seq: SeqNum(1),
-        digests: (batch_t.digest(), batch_tp.digest()),
-        executed_t,
-        executed_t_prime: executed_tp,
-        safety_violated: executed_t > 0 && executed_tp > 0,
+        digests: (proposals[0].0.digest(), proposals[1].0.digest()),
+        executed_t: executed[0],
+        executed_t_prime: executed[1],
+        safety_violated: executed[0] > 0 && executed[1] > 0,
     }
 }
 

@@ -9,14 +9,16 @@
 //! their trusted components on the receive path, so out-of-order proposals
 //! are simply parked by the execution queue and executed once the gap fills.
 
-use flexitrust_baselines::MinBft;
-use flexitrust_core::FlexiZz;
 use flexitrust_crypto::make_batch;
-use flexitrust_protocol::{ConsensusEngine, Message, Outbox};
-use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave};
-use flexitrust_types::{
-    ClientId, KvOp, ProtocolId, ReplicaId, RequestId, SeqNum, Transaction, View,
+use flexitrust_host::build_replica;
+use flexitrust_protocol::{Message, Outbox};
+use flexitrust_trusted::{
+    AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, TrustedHardware,
 };
+use flexitrust_types::{
+    ClientId, KvOp, ProtocolId, ReplicaId, RequestId, SeqNum, SystemConfig, Transaction, View,
+};
+use std::sync::Arc;
 
 /// Outcome of delivering proposals out of order to one replica.
 #[derive(Debug, Clone)]
@@ -29,117 +31,68 @@ pub struct SequentialReport {
     pub both_executed: bool,
 }
 
-fn batches() -> (flexitrust_types::Batch, flexitrust_types::Batch) {
-    let t1 = Transaction::new(ClientId(1), RequestId(1), KvOp::Read { key: 1 });
-    let t2 = Transaction::new(ClientId(1), RequestId(2), KvOp::Read { key: 2 });
-    (make_batch(vec![t1]), make_batch(vec![t2]))
-}
-
 /// Probes MinBFT: sequence number 2 is delivered before sequence number 1.
 pub fn out_of_order_probe_minbft(f: usize) -> SequentialReport {
-    let mut config = MinBft::config(f);
-    config.batch_size = 1;
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
-    let primary_enclave: SharedEnclave = MinBft::enclave(ReplicaId(0), AttestationMode::Real);
-    let backup_enclave: SharedEnclave = MinBft::enclave(ReplicaId(1), AttestationMode::Real);
-    let mut backup = MinBft::engine(
-        config,
-        ReplicaId(1),
-        backup_enclave.clone(),
-        registry.clone(),
-    );
-
-    let (b1, b2) = batches();
-    // The (honest but concurrent) primary attested both proposals in order.
-    let att1 = primary_enclave
-        .append(0, 1, b1.digest())
-        .expect("first append");
-    let att2 = primary_enclave
-        .append(0, 2, b2.digest())
-        .expect("second append");
-
-    // Deliver out of order: seq 2 first, then seq 1.
-    let mut out = Outbox::new();
-    backup.on_message(
-        ReplicaId(0),
-        Message::PrePrepare {
-            view: View(0),
-            seq: SeqNum(2),
-            batch: b2,
-            attestation: Some(att2),
-        },
-        &mut out,
-    );
-    backup.on_message(
-        ReplicaId(0),
-        Message::PrePrepare {
-            view: View(0),
-            seq: SeqNum(1),
-            batch: b1,
-            attestation: Some(att1),
-        },
-        &mut out,
-    );
-
-    SequentialReport {
-        protocol: ProtocolId::MinBft,
-        tc_rejections: backup_enclave.stats().snapshot().rejected,
-        both_executed: backup.last_executed() >= SeqNum(2),
-    }
+    probe(ProtocolId::MinBft, f)
 }
 
 /// Probes Flexi-ZZ with the same out-of-order delivery.
 pub fn out_of_order_probe_flexizz(f: usize) -> SequentialReport {
-    let mut config = FlexiZz::config(f);
-    config.batch_size = 1;
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
-    let primary_enclave = Enclave::shared(EnclaveConfig::counter_only(
-        ReplicaId(0),
-        AttestationMode::Real,
-    ));
-    let backup_enclave = FlexiZz::enclave(ReplicaId(1), AttestationMode::Real);
-    let mut backup = FlexiZz::new(config, ReplicaId(1), backup_enclave.clone(), registry);
-
-    let (b1, b2) = batches();
-    let (_, att1) = primary_enclave
-        .append_f(0, b1.digest())
-        .expect("first append");
-    let (_, att2) = primary_enclave
-        .append_f(0, b2.digest())
-        .expect("second append");
-
-    let mut out = Outbox::new();
-    backup.on_message(
-        ReplicaId(0),
-        Message::PrePrepare {
-            view: View(0),
-            seq: SeqNum(2),
-            batch: b2,
-            attestation: Some(att2),
-        },
-        &mut out,
-    );
-    backup.on_message(
-        ReplicaId(0),
-        Message::PrePrepare {
-            view: View(0),
-            seq: SeqNum(1),
-            batch: b1,
-            attestation: Some(att1),
-        },
-        &mut out,
-    );
-
-    SequentialReport {
-        protocol: ProtocolId::FlexiZz,
-        tc_rejections: backup_enclave.stats().snapshot().rejected,
-        both_executed: backup.last_executed() >= SeqNum(2),
-    }
+    probe(ProtocolId::FlexiZz, f)
 }
 
 /// Convenience wrapper used by the benches: probes both protocols.
 pub fn out_of_order_probe(f: usize) -> (SequentialReport, SequentialReport) {
     (out_of_order_probe_minbft(f), out_of_order_probe_flexizz(f))
+}
+
+/// Delivers the proposals for sequence numbers 2 and then 1 to backup 1 of
+/// a `protocol` cluster and reads its trusted counter's rejections.
+fn probe(protocol: ProtocolId, f: usize) -> SequentialReport {
+    let mut config = SystemConfig::for_protocol(protocol, f);
+    config.batch_size = 1;
+    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
+    let backup = build_replica(
+        protocol,
+        Arc::new(config),
+        ReplicaId(1),
+        registry,
+        TrustedHardware::default_enclave(),
+    );
+    let (mut engine, enclave) = (backup.engine, backup.enclave);
+
+    // The (honest but concurrent) primary attested both proposals in order.
+    let primary = Enclave::shared(EnclaveConfig::counter_only(
+        ReplicaId(0),
+        AttestationMode::Real,
+    ));
+    let proposals = [1, 2].map(|k| {
+        let batch = make_batch(vec![Transaction::new(
+            ClientId(1),
+            RequestId(k),
+            KvOp::Read { key: k },
+        )]);
+        let (seq, att) = primary.append_f(0, batch.digest()).expect("fresh counter");
+        (SeqNum(seq), batch, att)
+    });
+
+    // Deliver out of order: seq 2 first, then seq 1.
+    let mut out = Outbox::new();
+    for (seq, batch, att) in proposals.into_iter().rev() {
+        let preprepare = Message::PrePrepare {
+            view: View(0),
+            seq,
+            batch,
+            attestation: Some(att),
+        };
+        engine.on_message(ReplicaId(0), preprepare, &mut out);
+    }
+
+    SequentialReport {
+        protocol,
+        tc_rejections: enclave.map_or(0, |e| e.stats().snapshot().rejected),
+        both_executed: engine.last_executed() >= SeqNum(2),
+    }
 }
 
 #[cfg(test)]

@@ -40,11 +40,6 @@ impl FlexiBft {
         SystemConfig::for_protocol(ProtocolId::FlexiBft, f)
     }
 
-    /// The configuration of the sequential ablation `oFlexi-BFT`.
-    pub fn sequential_config(f: usize) -> SystemConfig {
-        SystemConfig::for_protocol(ProtocolId::OFlexiBft, f)
-    }
-
     /// The counter-only enclave Flexi-BFT expects at each replica.
     pub fn enclave(id: ReplicaId, mode: AttestationMode) -> SharedEnclave {
         Enclave::shared(EnclaveConfig::counter_only(id, mode))
@@ -69,24 +64,9 @@ impl FlexiBft {
         }
     }
 
-    /// Creates the sequential ablation (`oFlexi-BFT`) engine for replica `id`.
-    pub fn sequential(
-        f: usize,
-        id: ReplicaId,
-        enclave: SharedEnclave,
-        registry: EnclaveRegistry,
-    ) -> Self {
-        Self::new(Self::sequential_config(f), id, enclave, registry)
-    }
-
     /// Shared FlexiTrust state (exposed for tests and attack harnesses).
     pub fn flexi(&self) -> &FlexiCore {
         &self.flexi
-    }
-
-    /// Whether this engine runs the sequential (`oFlexi-BFT`) ablation.
-    pub fn is_sequential(&self) -> bool {
-        self.sequential
     }
 
     fn on_preprepare(
@@ -429,7 +409,7 @@ mod tests {
     #[test]
     fn sequential_ablation_proposes_one_instance_at_a_time() {
         let registry = EnclaveRegistry::deterministic(4, AttestationMode::Counting);
-        let mut cfg = FlexiBft::sequential_config(1);
+        let mut cfg = SystemConfig::for_protocol(ProtocolId::OFlexiBft, 1);
         cfg.batch_size = 1;
         let mut primary = FlexiBft::new(
             cfg,
@@ -437,7 +417,7 @@ mod tests {
             FlexiBft::enclave(ReplicaId(0), AttestationMode::Counting),
             registry,
         );
-        assert!(primary.is_sequential());
+        assert_eq!(primary.properties().id, ProtocolId::OFlexiBft);
         let mut out = Outbox::new();
         primary.on_client_request(txns(10), &mut out);
         assert_eq!(primary.replica().outstanding(), 1);

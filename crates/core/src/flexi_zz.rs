@@ -47,11 +47,6 @@ impl FlexiZz {
         SystemConfig::for_protocol(ProtocolId::FlexiZz, f)
     }
 
-    /// The configuration of the sequential ablation `oFlexi-ZZ`.
-    pub fn sequential_config(f: usize) -> SystemConfig {
-        SystemConfig::for_protocol(ProtocolId::OFlexiZz, f)
-    }
-
     /// The counter-only enclave Flexi-ZZ expects at each replica.
     pub fn enclave(id: ReplicaId, mode: AttestationMode) -> SharedEnclave {
         Enclave::shared(EnclaveConfig::counter_only(id, mode))
@@ -73,24 +68,9 @@ impl FlexiZz {
         }
     }
 
-    /// Creates the sequential ablation (`oFlexi-ZZ`) engine for replica `id`.
-    pub fn sequential(
-        f: usize,
-        id: ReplicaId,
-        enclave: SharedEnclave,
-        registry: EnclaveRegistry,
-    ) -> Self {
-        Self::new(Self::sequential_config(f), id, enclave, registry)
-    }
-
     /// Shared FlexiTrust state (exposed for tests and attack harnesses).
     pub fn flexi(&self) -> &FlexiCore {
         &self.flexi
-    }
-
-    /// Whether this engine runs the sequential (`oFlexi-ZZ`) ablation.
-    pub fn is_sequential(&self) -> bool {
-        self.sequential
     }
 
     fn on_preprepare(
