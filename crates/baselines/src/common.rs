@@ -1,33 +1,36 @@
-//! The shared PBFT-family replica engine.
+//! The PBFT-family replica engine: the one engine every protocol runs on.
 //!
-//! Every baseline the paper evaluates follows the same skeleton (§3, §4.2):
-//! a primary assigns sequence numbers and broadcasts `PrePrepare`; replicas
-//! vote in one (`Prepare`) or two (`Prepare` + `Commit`) all-to-all phases;
-//! batches execute in sequence order; periodic checkpoints truncate state;
-//! and a view change replaces a faulty primary. What differs between the
-//! protocols is captured by [`ProtocolStyle`]: the quorum sizes, whether a
-//! `Commit` phase exists, whether execution is speculative, and how trusted
-//! components are used for each message.
+//! Every protocol the paper evaluates follows the same skeleton (§3, §4.2,
+//! §8): a primary assigns sequence numbers and broadcasts `PrePrepare`;
+//! replicas vote in zero (speculative), one (`Prepare`) or two (`Prepare` +
+//! `Commit`) all-to-all phases; batches execute in sequence order; periodic
+//! checkpoints truncate state; and a view change replaces a faulty primary.
+//! What differs between the protocols is captured by [`ProtocolStyle`]: the
+//! quorum sizes, whether a `Commit` phase exists, whether execution is
+//! speculative, and how trusted components are used for each message.
+//! FlexiTrust (`flexitrust_core`) is two more styles: the primary's counter
+//! picks the sequence number with `AppendF`, and no backup touches its own.
 //!
 //! [`PbftFamilyEngine`] implements the style-dependent part of that skeleton
 //! once: the slot table, the `PrePrepare` / `Prepare` / `Commit` phases and
-//! their certificates, how each message is attested, and the prepared
-//! proofs and re-attestations a view change needs. The style-independent
-//! part — client glue, the primary's proposal window, checkpoint state
-//! transfer, the view-change state machine — is `flexitrust_protocol`'s
-//! [`ReplicaCore`], shared with the FlexiTrust engines. The per-protocol
-//! modules in this crate instantiate the engine with the appropriate style.
+//! their certificates, how each message is attested, the retry timers, and
+//! the proofs, re-attestations and rollbacks a view change needs. The
+//! style-independent part — client glue, the primary's proposal window,
+//! checkpoint state transfer, the view-change state machine — is
+//! `flexitrust_protocol`'s [`ReplicaCore`]. The per-protocol modules in this
+//! crate instantiate the engine with the appropriate style.
 
+use flexitrust_crypto::digest_transaction;
 use flexitrust_protocol::{
     Binding, CertificateTracker, ConsensusEngine, Message, Outbox, PreparedProof,
     ProtocolProperties, ReplicaCore, TimerKind,
 };
-use flexitrust_trusted::{Attestation, EnclaveRegistry, SharedEnclave};
+use flexitrust_trusted::{AttestKind, Attestation, EnclaveRegistry, SharedEnclave};
 use flexitrust_types::{
     Batch, Digest, ProtocolId, QuorumRule, ReplicaId, SeqNum, StateSnapshot, SystemConfig,
     Transaction, View,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// How the primary binds a batch to a sequence number.
@@ -41,6 +44,23 @@ pub enum PrimaryAttest {
     /// trust-bft trusted log: the proposal is appended to the primary's
     /// pre-prepare log (PBFT-EA, OPBFT-EA).
     Log,
+    /// FlexiTrust `AppendF`: the primary's trusted counter increments itself
+    /// and its value *is* the sequence number, so sequence numbers are
+    /// contiguous by construction — one access per consensus, at the
+    /// primary only (§8.1). A new primary proves the creation of its fresh
+    /// counter in the `NewView` (Flexi-BFT, Flexi-ZZ).
+    AppendF,
+}
+
+impl PrimaryAttest {
+    /// The kind of attestation a proposal under this binding carries.
+    fn kind(self) -> Option<AttestKind> {
+        match self {
+            PrimaryAttest::None => None,
+            PrimaryAttest::HostCounter | PrimaryAttest::AppendF => Some(AttestKind::CounterBind),
+            PrimaryAttest::Log => Some(AttestKind::LogSlot),
+        }
+    }
 }
 
 /// How non-primary replicas attest their own votes.
@@ -70,7 +90,7 @@ pub struct ProtocolStyle {
     /// (ignored when there is no commit phase).
     pub commit_quorum_rule: QuorumRule,
     /// Whether replicas execute speculatively on `PrePrepare` (Zyzzyva,
-    /// MinZZ) instead of waiting for a quorum.
+    /// MinZZ, Flexi-ZZ) instead of waiting for a quorum.
     pub speculative: bool,
     /// How the primary uses its trusted component per proposal.
     pub primary_attest: PrimaryAttest,
@@ -81,22 +101,23 @@ pub struct ProtocolStyle {
     pub active_subset_only: bool,
 }
 
-/// Internal per-slot consensus state.
-#[derive(Debug, Default)]
+/// The proposal this replica accepted for one sequence number in the
+/// current view, and how far consensus on it has got.
+#[derive(Debug)]
 struct SlotState {
-    batch: Option<Batch>,
-    digest: Option<Digest>,
     view: View,
+    digest: Digest,
+    batch: Batch,
     attestation: Option<Attestation>,
     prepared: bool,
+    /// Set by a `Commit` certificate (the three-phase protocols).
     committed: bool,
-    prepare_sent: bool,
-    commit_sent: bool,
 }
 
 /// How this replica, when primary, binds a batch to a sequence number: it
-/// picks the next number itself and has its trusted component (when the
-/// style uses one) attest the pair.
+/// picks the next number itself — or, under `AppendF`, lets its trusted
+/// counter pick it — and has its trusted component (when the style uses
+/// one) attest the pair.
 struct Sequencer {
     next_seq: u64,
     /// Trusted counter identifier used by the current primary (a new counter
@@ -113,12 +134,24 @@ impl Sequencer {
             PrimaryAttest::None => None,
             PrimaryAttest::HostCounter => enclave.append(self.counter_id, seq.0, digest).ok(),
             PrimaryAttest::Log => enclave.log_append(0, Some(seq.0), digest).ok(),
+            PrimaryAttest::AppendF => {
+                let (value, attestation) = enclave.append_f(self.counter_id, digest).ok()?;
+                debug_assert_eq!(value, seq.0, "re-proposals must stay contiguous");
+                Some(attestation)
+            }
         }
     }
 
-    /// The `bind` the shared proposal window and client glue take.
+    /// The `bind` the shared proposal window and client glue take. Should
+    /// an `AppendF` counter be unusable (it is not for an honest primary)
+    /// the batch stays queued.
     fn bind(&mut self) -> impl FnMut(&Batch) -> Binding + '_ {
         move |batch| {
+            if self.attest == PrimaryAttest::AppendF {
+                let enclave = self.enclave.as_ref()?;
+                let (seq, attestation) = enclave.append_f(self.counter_id, batch.digest()).ok()?;
+                return Some((SeqNum(seq), Some(attestation)));
+            }
             let seq = SeqNum(self.next_seq);
             self.next_seq += 1;
             Some((seq, self.attestation(seq, batch.digest())))
@@ -136,6 +169,9 @@ pub struct PbftFamilyEngine {
     slots: BTreeMap<u64, SlotState>,
     prepare_votes: CertificateTracker<(View, SeqNum, Digest)>,
     commit_votes: CertificateTracker<(View, SeqNum, Digest)>,
+    /// Timer tags of the transactions forwarded to the primary on behalf of
+    /// a retrying client and not yet seen in a proposal.
+    forwarded: BTreeSet<u64>,
 }
 
 impl PbftFamilyEngine {
@@ -158,6 +194,7 @@ impl PbftFamilyEngine {
             prepare_votes: CertificateTracker::new(prepare_quorum),
             commit_votes: CertificateTracker::new(commit_quorum),
             slots: BTreeMap::new(),
+            forwarded: BTreeSet::new(),
             sequencer: Sequencer {
                 next_seq: 1,
                 counter_id: 0,
@@ -172,6 +209,12 @@ impl PbftFamilyEngine {
     /// The style this engine was built with.
     pub fn style(&self) -> &ProtocolStyle {
         &self.style
+    }
+
+    /// Digest of the proposal this replica accepted at `seq` in its current
+    /// view, while it holds one.
+    pub fn accepted_digest(&self, seq: SeqNum) -> Option<Digest> {
+        self.slots.get(&seq.0).map(|slot| slot.digest)
     }
 
     /// Returns `true` when this replica participates in the failure-free
@@ -202,32 +245,33 @@ impl PbftFamilyEngine {
         }
     }
 
-    /// Whether `attestation` is what a trust-bft primary must staple to its
-    /// proposal of `digest` at `seq`: issued by the sender's own trusted
-    /// component for exactly this sequence number and digest, and (when a
-    /// registry is present) carrying a valid enclave signature. Without the
-    /// binding a valid attestation for `(k, A)` could ride on a `PrePrepare`
-    /// for `(k, B)` — the equivocation the trusted counter exists to prevent.
+    /// Whether `attestation` is what the primary must staple to its
+    /// proposal of `digest` at `seq`: the kind its binding issues, from the
+    /// sender's own trusted component, for exactly this sequence number and
+    /// digest, and (when a registry is present) carrying a valid enclave
+    /// signature. Without the binding a valid attestation for `(k, A)` could
+    /// ride on a `PrePrepare` for `(k, B)` — the equivocation the trusted
+    /// counter exists to prevent (lines 8–9 of Figures 3 and 4).
     fn verify_attestation(
         &self,
         from: ReplicaId,
         seq: SeqNum,
         digest: Digest,
-        attestation: &Option<Attestation>,
+        attestation: Option<&Attestation>,
     ) -> bool {
-        if self.style.primary_attest == PrimaryAttest::None {
+        let Some(kind) = self.style.primary_attest.kind() else {
             return true;
-        }
-        let Some(att) = attestation else {
-            return false;
         };
-        att.host == from
-            && att.value == seq.0
-            && att.digest == digest
-            && self
-                .registry
-                .as_ref()
-                .is_none_or(|registry| registry.verify(att).is_ok())
+        attestation.is_some_and(|att| {
+            att.host == from
+                && att.value == seq.0
+                && att.digest == digest
+                && att.kind == kind
+                && self
+                    .registry
+                    .as_ref()
+                    .is_none_or(|registry| registry.verify(att).is_ok())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -250,49 +294,49 @@ impl PbftFamilyEngine {
             return;
         }
         let digest = batch.digest();
-        if !self.verify_attestation(from, seq, digest, &attestation) {
+        if !self.verify_attestation(from, seq, digest, attestation.as_ref()) {
             return;
         }
-        let slot = self.slots.entry(seq.0).or_default();
-        if slot.batch.is_some() {
+        if self.slots.contains_key(&seq.0) {
             // Already accepted a proposal for this slot in this view.
             return;
         }
-        slot.batch = Some(batch.clone());
-        slot.digest = Some(digest);
-        slot.view = view;
-        slot.attestation = attestation;
+        self.slots.insert(
+            seq.0,
+            SlotState {
+                view,
+                digest,
+                batch: batch.clone(),
+                attestation,
+                prepared: false,
+                committed: false,
+            },
+        );
+        if !self.forwarded.is_empty() {
+            self.cancel_forwarded(&batch, out);
+        }
 
         if self.style.speculative {
-            // Zyzzyva / MinZZ: execute immediately and reply speculatively.
-            // trust-bft variants (MinZZ) still bind the accepted order to
-            // their own trusted counter before replying — the per-message,
-            // in-order TC access that §7 identifies as the root cause of
-            // sequentiality. The attestation travels with the client reply,
-            // so no vote message is broadcast here.
+            // Zyzzyva / MinZZ / Flexi-ZZ: execute immediately and reply
+            // speculatively. trust-bft variants (MinZZ) still bind the
+            // accepted order to their own trusted counter before replying —
+            // the per-message, in-order TC access that §7 identifies as the
+            // root cause of sequentiality. The attestation travels with the
+            // client reply, so no vote message is broadcast here.
             if self.style.replica_attest != ReplicaAttest::None && !self.core.is_primary() {
                 let _ = self.replica_vote_attestation(seq, digest);
             }
-            self.execute_slot(seq, batch, true, out);
+            self.execute(seq, batch, true, out);
             return;
         }
 
-        if self.is_active()
-            && !self
-                .slots
-                .get(&seq.0)
-                .map(|s| s.prepare_sent)
-                .unwrap_or(false)
-        {
-            let vote_attestation = self.replica_vote_attestation(seq, digest);
-            if let Some(slot) = self.slots.get_mut(&seq.0) {
-                slot.prepare_sent = true;
-            }
+        if self.is_active() {
+            let attestation = self.replica_vote_attestation(seq, digest);
             out.broadcast(Message::Prepare {
                 view,
                 seq,
                 digest,
-                attestation: vote_attestation,
+                attestation,
             });
         }
         // Links are not FIFO across senders: votes can overtake the proposal
@@ -300,7 +344,7 @@ impl PbftFamilyEngine {
         // certificates that completed before the proposal arrived are
         // re-evaluated here.
         if self.prepare_votes.is_complete(&(view, seq, digest)) {
-            self.on_prepared(view, seq, digest, out);
+            self.on_prepared(seq, digest, out);
         }
         if self.style.use_commit_phase && self.commit_votes.is_complete(&(view, seq, digest)) {
             self.on_committed(seq, digest, out);
@@ -322,46 +366,39 @@ impl PbftFamilyEngine {
         digest: Digest,
         out: &mut Outbox,
     ) {
-        if self.accepts_votes(view, seq) && self.prepare_votes.vote((view, seq, digest), from) {
-            self.on_prepared(view, seq, digest, out);
+        if !self.style.speculative
+            && self.accepts_votes(view, seq)
+            && self.prepare_votes.vote((view, seq, digest), from)
+        {
+            self.on_prepared(seq, digest, out);
         }
     }
 
     /// A `Prepare` certificate for `digest` at `seq` is complete: once the
-    /// matching proposal is accepted too, the slot is prepared.
-    fn on_prepared(&mut self, view: View, seq: SeqNum, digest: Digest, out: &mut Outbox) {
-        let digest_matches = self
-            .slots
-            .get(&seq.0)
-            .map(|s| s.digest == Some(digest))
-            .unwrap_or(false);
-        if !digest_matches {
+    /// matching proposal is accepted too, the slot is prepared — and, in the
+    /// two-phase protocols, committed.
+    fn on_prepared(&mut self, seq: SeqNum, digest: Digest, out: &mut Outbox) {
+        let active = self.is_active();
+        let Some(slot) = self.slots.get_mut(&seq.0) else {
+            return;
+        };
+        if slot.digest != digest || slot.prepared {
             return;
         }
-        if let Some(slot) = self.slots.get_mut(&seq.0) {
-            slot.prepared = true;
-        }
-        if self.style.use_commit_phase {
-            let already_sent = self
-                .slots
-                .get(&seq.0)
-                .map(|s| s.commit_sent)
-                .unwrap_or(true);
-            if self.is_active() && !already_sent {
-                if let Some(slot) = self.slots.get_mut(&seq.0) {
-                    slot.commit_sent = true;
-                }
-                let attestation = self.replica_vote_attestation(seq, digest);
-                out.broadcast(Message::Commit {
-                    view,
-                    seq,
-                    digest,
-                    attestation,
-                });
-            }
-        } else {
-            // Two-phase protocols (MinBFT, CheapBFT): prepared == committed.
-            self.commit_slot(seq, out);
+        slot.prepared = true;
+        if !self.style.use_commit_phase {
+            // MinBFT, CheapBFT, Flexi-BFT: prepared == committed.
+            let batch = slot.batch.clone();
+            self.execute(seq, batch, false, out);
+        } else if active {
+            let view = slot.view;
+            let attestation = self.replica_vote_attestation(seq, digest);
+            out.broadcast(Message::Commit {
+                view,
+                seq,
+                digest,
+                attestation,
+            });
         }
     }
 
@@ -383,38 +420,55 @@ impl PbftFamilyEngine {
 
     /// A `Commit` certificate for `digest` at `seq` is complete.
     fn on_committed(&mut self, seq: SeqNum, digest: Digest, out: &mut Outbox) {
-        let matches = self
-            .slots
-            .get(&seq.0)
-            .map(|s| s.digest == Some(digest))
-            .unwrap_or(false);
-        if matches {
-            self.commit_slot(seq, out);
-        }
-    }
-
-    fn commit_slot(&mut self, seq: SeqNum, out: &mut Outbox) {
         let Some(slot) = self.slots.get_mut(&seq.0) else {
             return;
         };
-        if slot.committed {
+        if slot.digest != digest || slot.committed {
             return;
         }
         slot.committed = true;
-        let Some(batch) = slot.batch.clone() else {
-            return;
-        };
-        self.execute_slot(seq, batch, false, out);
+        let batch = slot.batch.clone();
+        self.execute(seq, batch, false, out);
     }
 
-    fn execute_slot(&mut self, seq: SeqNum, batch: Batch, speculative: bool, out: &mut Outbox) {
+    /// Executes `batch` at `seq` (and whatever parked successors it
+    /// releases), and refills the primary's proposal window after each
+    /// executed batch.
+    fn execute(&mut self, seq: SeqNum, batch: Batch, speculative: bool, out: &mut Outbox) {
         let executed = self.core.commit_batch(seq, batch, speculative, out);
         for done in &executed {
             self.core.maybe_emit_checkpoint(done.seq, out);
             self.core.instance_finished(done.seq);
-        }
-        if !executed.is_empty() {
             self.core.try_propose(self.sequencer.bind(), out);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Client retries.
+    // ------------------------------------------------------------------
+
+    /// An unhappy client re-sent `txn`. A backup that forwards it to the
+    /// primary arms a timer of its own for it: the proposal that carries the
+    /// transaction disarms it, and only an expiry suspects the primary.
+    fn on_client_retry(&mut self, txn: Transaction, out: &mut Outbox) {
+        let tag = forwarded_tag(&txn);
+        let timer = TimerKind::RequestForwarded(tag);
+        if self
+            .core
+            .on_client_retry(txn, timer, self.sequencer.bind(), out)
+        {
+            self.forwarded.insert(tag);
+        }
+    }
+
+    /// Disarms the retry timers of the forwarded transactions `batch`
+    /// carries.
+    fn cancel_forwarded(&mut self, batch: &Batch, out: &mut Outbox) {
+        for txn in batch.txns() {
+            let tag = forwarded_tag(txn);
+            if self.forwarded.remove(&tag) {
+                out.cancel_timer(TimerKind::RequestForwarded(tag));
+            }
         }
     }
 
@@ -445,7 +499,7 @@ impl PbftFamilyEngine {
         let held = self
             .slots
             .iter()
-            .filter_map(|(seq, slot)| Some((SeqNum(*seq), slot.batch.as_ref()?)));
+            .map(|(seq, slot)| (SeqNum(*seq), &slot.batch));
         self.core
             .serve_checkpoint_request(from, last_executed, held, out);
     }
@@ -488,13 +542,9 @@ impl PbftFamilyEngine {
     // machine (`ReplicaCore::on_view_change` / `on_new_view`) is given.
     // ------------------------------------------------------------------
 
-    fn prepared_proofs(&self) -> Vec<PreparedProof> {
-        prepared_proofs(
-            &self.slots,
-            &self.prepare_votes,
-            &self.core,
-            self.style.speculative,
-        )
+    fn start_view_change(&mut self, out: &mut Outbox) {
+        let proofs = proofs(&self.slots, &self.prepare_votes, &self.core, &self.style);
+        self.core.start_view_change(proofs, out);
     }
 
     fn view_change_quorum(&self) -> usize {
@@ -512,47 +562,44 @@ impl PbftFamilyEngine {
         out: &mut Outbox,
     ) {
         let quorum = self.view_change_quorum();
-        let (slots, votes, speculative) =
-            (&self.slots, &self.prepare_votes, self.style.speculative);
+        let (slots, votes, style) = (&self.slots, &self.prepare_votes, &self.style);
         let Some(plan) = self.core.on_view_change(
             from,
             new_view,
             last_stable,
             prepared,
             quorum,
-            |core| prepared_proofs(slots, votes, core, speculative),
+            |core| proofs(slots, votes, core, style),
             out,
         ) else {
             return;
         };
         // This replica is the primary of the new view.
         self.sequencer.next_seq = plan.next_seq.0;
-        // trust-bft primaries create a fresh counter so that re-proposals
-        // can be attested starting from the lowest re-proposed sequence
-        // number (§8.1 Create).
-        if self.style.primary_attest == PrimaryAttest::HostCounter {
-            if let Some(enclave) = &self.sequencer.enclave {
-                let (q, _att) = enclave.create_counter(plan.stable_seq.0);
-                self.sequencer.counter_id = q;
-            }
+        // Counter-based primaries create a fresh counter positioned at the
+        // stable checkpoint, so re-proposals are attested from the lowest
+        // re-proposed sequence number on (§8.1 Create); FlexiTrust backups
+        // demand the proof of that creation (§8.2, §8.3).
+        let mut created = None;
+        if let (PrimaryAttest::HostCounter | PrimaryAttest::AppendF, Some(enclave)) =
+            (self.style.primary_attest, &self.sequencer.enclave)
+        {
+            let (counter_id, attestation) = enclave.create_counter(plan.stable_seq.0);
+            self.sequencer.counter_id = counter_id;
+            created = (self.style.primary_attest == PrimaryAttest::AppendF).then_some(attestation);
         }
         let proposals: Vec<(SeqNum, Batch, Option<Attestation>)> = plan
             .proposals
             .iter()
             .map(|(seq, batch)| {
-                let att = self.sequencer.attestation(*seq, batch.digest());
-                (*seq, batch.clone(), att)
+                let attestation = self.sequencer.attestation(*seq, batch.digest());
+                (*seq, batch.clone(), attestation)
             })
             .collect();
-        plan.announce(proposals.clone(), None, out);
-        // Process the re-proposals locally as well (the new primary acts
-        // on its own NewView like any other replica would).
+        plan.announce(proposals.clone(), created, out);
+        // The new primary acts on its own NewView like any other replica.
         let self_id = self.core.id();
-        for (seq, batch, attestation) in proposals {
-            if !self.core.exec().is_executed(seq) {
-                self.on_preprepare(self_id, new_view, seq, batch, attestation, out);
-            }
-        }
+        self.adopt(self_id, new_view, proposals, out);
     }
 
     fn on_new_view(
@@ -561,13 +608,46 @@ impl PbftFamilyEngine {
         view: View,
         supporting_votes: usize,
         proposals: Vec<(SeqNum, Batch, Option<Attestation>)>,
+        counter_attestation: Option<Attestation>,
         out: &mut Outbox,
     ) {
+        if self.style.primary_attest == PrimaryAttest::AppendF
+            && !counter_attestation.is_some_and(|att| {
+                att.kind == AttestKind::CounterCreate
+                    && self
+                        .registry
+                        .as_ref()
+                        .is_none_or(|registry| registry.verify(&att).is_ok())
+            })
+        {
+            return;
+        }
         let quorum = self.view_change_quorum();
         if !self.core.on_new_view(from, view, supporting_votes, quorum) {
             return;
         }
-        // Adopt the re-proposals: treat each like a PrePrepare in the new view.
+        out.cancel_timer(TimerKind::ViewChange);
+        self.adopt(from, view, proposals, out);
+    }
+
+    /// Enters the new view's history. Speculative execution the
+    /// re-proposals disagree with, or do not reach, is rolled back to the
+    /// stable checkpoint (§8.3: "may force some replicas to rollback"). Every
+    /// slot past the execution frontier belonged to an older view and is
+    /// superseded by the re-proposals (or by fresh proposals past them).
+    /// Then each re-proposal is treated like a `PrePrepare`.
+    fn adopt(
+        &mut self,
+        from: ReplicaId,
+        view: View,
+        proposals: Vec<(SeqNum, Batch, Option<Attestation>)>,
+        out: &mut Outbox,
+    ) {
+        if self.style.speculative && self.overshoots(&proposals) {
+            self.core.rollback_to_stable();
+        }
+        let frontier = self.core.last_executed().0;
+        self.slots.retain(|s, _| *s <= frontier);
         for (seq, batch, attestation) in proposals {
             if self.core.exec().is_executed(seq) {
                 continue;
@@ -575,40 +655,68 @@ impl PbftFamilyEngine {
             self.sequencer.next_seq = self.sequencer.next_seq.max(seq.0 + 1);
             self.on_preprepare(from, view, seq, batch, attestation, out);
         }
-        out.cancel_timer(TimerKind::ViewChange);
+    }
+
+    /// Whether this replica executed a slot the re-proposals fill with
+    /// another batch, or executed past their end.
+    fn overshoots(&self, proposals: &[(SeqNum, Batch, Option<Attestation>)]) -> bool {
+        let Some((first, _, _)) = proposals.first() else {
+            return false;
+        };
+        let frontier = self.core.last_executed();
+        if frontier < *first {
+            return false;
+        }
+        frontier >= SeqNum(first.0 + proposals.len() as u64)
+            || proposals.iter().any(|(seq, batch, _)| {
+                self.core.exec().is_executed(*seq)
+                    && self
+                        .slots
+                        .get(&seq.0)
+                        .is_some_and(|slot| slot.digest != batch.digest())
+            })
     }
 }
 
-/// What this replica reports in a `ViewChange`: the slots it holds a
-/// `Prepare` certificate for — or, for the speculative protocols, every
-/// slot it executed.
-fn prepared_proofs(
+/// What this replica reports in a `ViewChange`: the slots it executed, for
+/// the speculative protocols; every accepted slot, for those without a
+/// `Commit` phase (each carries the old primary's counter attestation, so
+/// re-proposing it cannot equivocate); otherwise the slots it holds a
+/// `Prepare` certificate for.
+fn proofs(
     slots: &BTreeMap<u64, SlotState>,
     prepare_votes: &CertificateTracker<(View, SeqNum, Digest)>,
     core: &ReplicaCore,
-    speculative: bool,
+    style: &ProtocolStyle,
 ) -> Vec<PreparedProof> {
     slots
         .iter()
-        .filter_map(|(seq, slot)| {
-            let relevant = if speculative {
-                core.exec().is_executed(SeqNum(*seq))
+        .filter(|(seq, slot)| {
+            if style.speculative {
+                core.exec().is_executed(SeqNum(**seq))
             } else {
-                slot.prepared
-            };
-            if !relevant {
-                return None;
+                !style.use_commit_phase || slot.prepared
             }
-            Some(PreparedProof {
-                view: slot.view,
-                seq: SeqNum(*seq),
-                digest: slot.digest?,
-                batch: slot.batch.clone()?,
-                attestation: slot.attestation.clone(),
-                prepare_votes: prepare_votes.count(&(slot.view, SeqNum(*seq), slot.digest?)),
-            })
+        })
+        .map(|(seq, slot)| PreparedProof {
+            view: slot.view,
+            seq: SeqNum(*seq),
+            digest: slot.digest,
+            batch: slot.batch.clone(),
+            attestation: slot.attestation.clone(),
+            prepare_votes: prepare_votes.count(&(slot.view, SeqNum(*seq), slot.digest)),
         })
         .collect()
+}
+
+/// Timer tag for a forwarded client transaction.
+fn forwarded_tag(txn: &Transaction) -> u64 {
+    let digest = digest_transaction(txn);
+    u64::from_le_bytes(
+        digest.as_bytes()[..8]
+            .try_into()
+            .expect("digest is 32 bytes"),
+    )
 }
 
 impl ConsensusEngine for PbftFamilyEngine {
@@ -658,13 +766,16 @@ impl ConsensusEngine for PbftFamilyEngine {
                 view,
                 supporting_votes,
                 proposals,
-                ..
-            } => self.on_new_view(from, view, supporting_votes, proposals, out),
-            Message::ClientRetry { txn } => {
-                let bind = self.sequencer.bind();
-                self.core
-                    .on_client_retry(txn, TimerKind::ViewChange, bind, out);
-            }
+                counter_attestation,
+            } => self.on_new_view(
+                from,
+                view,
+                supporting_votes,
+                proposals,
+                counter_attestation,
+                out,
+            ),
+            Message::ClientRetry { txn } => self.on_client_retry(txn, out),
             Message::ForwardRequest { txns } => self.core.enqueue(txns, self.sequencer.bind(), out),
             Message::CheckpointRequest { last_executed } => {
                 self.on_checkpoint_request(from, last_executed, out)
@@ -679,20 +790,18 @@ impl ConsensusEngine for PbftFamilyEngine {
 
     fn on_timer(&mut self, timer: TimerKind, out: &mut Outbox) {
         match timer {
-            TimerKind::BatchFlush => {
-                // Unlike the FlexiTrust engines, only a primary holding a
-                // partial batch cuts and proposes on this timer.
-                if self.core.is_primary() && self.core.batcher().pending_len() > 0 {
-                    self.core.flush_batch(self.sequencer.bind(), out);
+            TimerKind::BatchFlush => self.core.flush_batch(self.sequencer.bind(), out),
+            TimerKind::ViewChange => self.start_view_change(out),
+            TimerKind::RequestForwarded(tag) => {
+                // The primary never proposed the forwarded transaction:
+                // suspect it (Figure 4 view-change trigger).
+                if self.forwarded.remove(&tag) {
+                    self.start_view_change(out);
                 }
             }
-            TimerKind::ViewChange | TimerKind::RequestForwarded(_) => {
-                let proofs = self.prepared_proofs();
-                self.core.start_view_change(proofs, out);
-            }
             TimerKind::Checkpoint => {
-                // Periodic checkpoints are driven off execution boundaries in
-                // this implementation; the timer variant is unused here.
+                // Periodic checkpoints are driven off execution boundaries;
+                // the timer variant is unused here.
             }
         }
     }
@@ -746,7 +855,20 @@ mod tests {
         }
     }
 
-    fn build_cluster(style: ProtocolStyle, f: usize) -> Vec<Box<dyn ConsensusEngine>> {
+    fn flexi_bft_style() -> ProtocolStyle {
+        ProtocolStyle {
+            id: ProtocolId::FlexiBft,
+            use_commit_phase: false,
+            prepare_quorum_rule: QuorumRule::TwoFPlusOne,
+            commit_quorum_rule: QuorumRule::TwoFPlusOne,
+            speculative: false,
+            primary_attest: PrimaryAttest::AppendF,
+            replica_attest: ReplicaAttest::None,
+            active_subset_only: false,
+        }
+    }
+
+    fn cluster(style: ProtocolStyle, f: usize) -> Vec<Box<dyn ConsensusEngine>> {
         let mut cfg = SystemConfig::for_protocol(style.id, f);
         cfg.batch_size = 2;
         let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
@@ -773,7 +895,7 @@ mod tests {
 
     #[test]
     fn pbft_cluster_commits_and_all_replicas_execute() {
-        let mut cluster = build_cluster(pbft_style(), 1);
+        let mut cluster = cluster(pbft_style(), 1);
         run_cluster_until_quiescent(&mut cluster, vec![(0, txns(4))], 100);
         for engine in &cluster {
             assert_eq!(engine.last_executed(), SeqNum(2), "replica {}", engine.id());
@@ -783,7 +905,7 @@ mod tests {
 
     #[test]
     fn minbft_cluster_commits_in_two_phases() {
-        let mut cluster = build_cluster(minbft_style(), 1);
+        let mut cluster = cluster(minbft_style(), 1);
         run_cluster_until_quiescent(&mut cluster, vec![(0, txns(2))], 100);
         for engine in &cluster {
             assert_eq!(engine.last_executed(), SeqNum(1));
@@ -793,7 +915,7 @@ mod tests {
 
     #[test]
     fn requests_sent_to_backups_are_forwarded_to_the_primary() {
-        let mut cluster = build_cluster(pbft_style(), 1);
+        let mut cluster = cluster(pbft_style(), 1);
         // Client sends to replica 2 (not the primary of view 0).
         run_cluster_until_quiescent(&mut cluster, vec![(2, txns(2))], 100);
         for engine in &cluster {
@@ -809,7 +931,7 @@ mod tests {
             use_commit_phase: false,
             ..pbft_style()
         };
-        let mut cluster = build_cluster(style, 1);
+        let mut cluster = cluster(style, 1);
         let delivered = run_cluster_until_quiescent(&mut cluster, vec![(0, txns(2))], 100);
         for engine in &cluster {
             assert_eq!(engine.executed_txns(), 2);
@@ -959,7 +1081,7 @@ mod tests {
 
     #[test]
     fn view_change_replaces_a_silent_primary() {
-        let mut cluster = build_cluster(pbft_style(), 1);
+        let mut cluster = cluster(pbft_style(), 1);
         // The primary says nothing; every backup's view-change timer fires.
         let mut net = TestNet::new(cluster.len());
         for backup in 1..cluster.len() {
@@ -981,8 +1103,9 @@ mod tests {
             MinBft::style(),
             PbftEa::style(),
             CheapBft::style(),
+            flexi_bft_style(),
         ] {
-            let mut cluster = build_cluster(style, 1);
+            let mut cluster = cluster(style, 1);
             let last = cluster.len() - 1;
             // The last replica's inbox is held back while the others agree.
             let mut net = TestNet::new(cluster.len());
@@ -1044,5 +1167,43 @@ mod tests {
         );
         // Passive replica stores the proposal but does not broadcast a vote.
         assert!(out.broadcasts().is_empty());
+    }
+
+    #[test]
+    fn stable_checkpoints_prune_the_vote_state() {
+        for style in [pbft_style(), flexi_bft_style()] {
+            let mut cfg = SystemConfig::for_protocol(style.id, 1);
+            cfg.batch_size = 1;
+            cfg.checkpoint_interval = 2;
+            let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
+            let mut engines: Vec<PbftFamilyEngine> = (0..cfg.n)
+                .map(|i| {
+                    let id = ReplicaId(i as u32);
+                    let enclave =
+                        Enclave::shared(EnclaveConfig::counter_only(id, AttestationMode::Counting));
+                    PbftFamilyEngine::new(
+                        cfg.clone(),
+                        id,
+                        style,
+                        Some(enclave),
+                        Some(registry.clone()),
+                    )
+                })
+                .collect();
+            let mut refs: Vec<&mut PbftFamilyEngine> = engines.iter_mut().collect();
+            run_cluster_until_quiescent(&mut refs, vec![(0, txns(10))], 300);
+            for e in &engines {
+                let name = format!("{:?} replica {}", style.id, e.id());
+                assert_eq!(e.last_executed(), SeqNum(10), "{name}");
+                let stable = e.core.low_water_mark();
+                assert!(stable > SeqNum(0), "{name} has no stable checkpoint");
+                // Only sequences above the stable checkpoint may still be
+                // tracked.
+                let live = (e.last_executed().0 - stable.0) as usize;
+                assert!(e.prepare_votes.tracked_keys() <= live, "{name}");
+                assert!(e.commit_votes.tracked_keys() <= live, "{name}");
+                assert!(e.slots.len() <= live, "{name}");
+            }
+        }
     }
 }

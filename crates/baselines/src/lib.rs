@@ -1,9 +1,11 @@
-//! Baseline BFT and trust-BFT protocols evaluated by the paper.
+//! Baseline BFT and trust-BFT protocols evaluated by the paper, and the one
+//! engine every protocol of the repository runs on.
 //!
 //! The paper compares its FlexiTrust suite against five deployed baselines
-//! plus three variants the authors build themselves. All of them are
-//! PBFT-shaped, differing in replication factor, number of phases, quorum
-//! sizes, speculation and how they use trusted components:
+//! plus three variants the authors build themselves. All of them — and the
+//! two FlexiTrust protocols — are PBFT-shaped, differing in replication
+//! factor, number of phases, quorum sizes, speculation and how they use
+//! trusted components:
 //!
 //! | Protocol | n | Phases | Trusted component use |
 //! |---|---|---|---|
@@ -14,11 +16,14 @@
 //! | [`MinBft`](minbft::MinBft) | 2f+1 | 2 phases | trusted counter per message |
 //! | [`MinZz`](minzz::MinZz) | 2f+1 | 1 phase (speculative) | trusted counter per message |
 //! | [`CheapBft`](cheapbft::CheapBft) | 2f+1 (f+1 active) | 2 phases | trusted counter per message |
+//! | Flexi-BFT (`flexitrust_core`) | 3f+1 | 2 phases, parallel instances | `AppendF` once per consensus, primary only |
+//! | Flexi-ZZ (`flexitrust_core`) | 3f+1 | 1 phase (speculative), parallel instances | `AppendF` once per consensus, primary only |
 //!
-//! All engines are built on the shared [`common::PbftFamilyEngine`], a
+//! All of them are styles of the shared [`common::PbftFamilyEngine`], a
 //! configurable PBFT-family replica: each protocol module instantiates it
 //! with the style parameters above and documents the protocol-specific
-//! behaviour and its limitations (§5–§7 of the paper).
+//! behaviour and its limitations (§5–§7 of the paper); `flexitrust_core`
+//! does the same for the two FlexiTrust styles.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 

@@ -14,27 +14,23 @@
 //! one access per consensus at the primary only (§6, G2), and lets the
 //! primary keep many consensus instances in flight concurrently (§7, G1).
 //! The sequential ablation `oFlexi-BFT` of Figure 6(i) is this same engine
-//! with the in-flight window forced to one ([`FlexiBft::sequential`]).
+//! with the in-flight window forced to one.
 
-use crate::common::FlexiCore;
-use flexitrust_protocol::{
-    CertificateTracker, ConsensusEngine, Message, Outbox, ProtocolProperties, ReplicaCore,
-    TimerKind,
-};
+use flexitrust_baselines::{PbftFamilyEngine, ProtocolStyle};
 use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave};
-use flexitrust_types::{Digest, ProtocolId, ReplicaId, SeqNum, SystemConfig, Transaction, View};
+use flexitrust_types::{ProtocolId, ReplicaId, SystemConfig};
 use std::sync::Arc;
 
-/// A Flexi-BFT replica engine.
-pub struct FlexiBft {
-    sequential: bool,
-    flexi: FlexiCore,
-    prepare_votes: CertificateTracker<(View, SeqNum, Digest)>,
-    prepare_sent: std::collections::BTreeSet<u64>,
-    committed: std::collections::BTreeSet<u64>,
-}
+/// Builder for Flexi-BFT replica engines.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlexiBft;
 
 impl FlexiBft {
+    /// The Flexi-BFT style: MinBFT's two phases, `AppendF`, `2f + 1` quorums.
+    pub fn style() -> ProtocolStyle {
+        crate::flexi_style(ProtocolId::FlexiBft, false)
+    }
+
     /// The default configuration for fault threshold `f` (`n = 3f + 1`).
     pub fn config(f: usize) -> SystemConfig {
         SystemConfig::for_protocol(ProtocolId::FlexiBft, f)
@@ -45,323 +41,67 @@ impl FlexiBft {
         Enclave::shared(EnclaveConfig::counter_only(id, mode))
     }
 
-    /// Creates the engine for replica `id`.
+    /// Creates the engine for replica `id`; an `OFlexiBft` config builds oFlexi-BFT.
+    #[expect(clippy::new_ret_no_self, reason = "builds the one shared engine")]
     pub fn new(
         config: impl Into<Arc<SystemConfig>>,
         id: ReplicaId,
         enclave: SharedEnclave,
         registry: EnclaveRegistry,
-    ) -> Self {
-        let config = config.into();
-        let prepare_quorum = config.large_quorum();
-        let sequential = config.protocol == ProtocolId::OFlexiBft || config.max_in_flight == 1;
-        FlexiBft {
-            sequential,
-            prepare_votes: CertificateTracker::new(prepare_quorum),
-            prepare_sent: std::collections::BTreeSet::new(),
-            committed: std::collections::BTreeSet::new(),
-            flexi: FlexiCore::new(config, id, enclave, registry),
-        }
+    ) -> PbftFamilyEngine {
+        crate::engine(config, id, Self::style(), enclave, registry)
     }
-
-    /// Shared FlexiTrust state (exposed for tests and attack harnesses).
-    pub fn flexi(&self) -> &FlexiCore {
-        &self.flexi
-    }
-
-    fn on_preprepare(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        seq: SeqNum,
-        batch: flexitrust_types::Batch,
-        attestation: Option<flexitrust_trusted::Attestation>,
-        out: &mut Outbox,
-    ) {
-        let Some(accepted) = self
-            .flexi
-            .accept_preprepare(from, view, seq, batch, attestation)
-        else {
-            return;
-        };
-        // The attested proposal is already "prepared" in the PBFT sense; one
-        // round of Prepare votes is enough to commit (Figure 3, line 9).
-        if self.prepare_sent.insert(seq.0) {
-            out.broadcast(Message::Prepare {
-                view,
-                seq,
-                digest: accepted.digest,
-                attestation: None,
-            });
-        }
-        // Links are not FIFO across senders: the backups' Prepares can
-        // overtake the proposal they vote for at a backup. (The primary's
-        // own copy cannot be overtaken on the threaded hosts: it never
-        // leaves the primary's thread and is delivered before the next
-        // input.) The tracker reports a quorum exactly once, so one that
-        // formed before the proposal arrived is re-evaluated here.
-        if self
-            .prepare_votes
-            .is_complete(&(view, seq, accepted.digest))
-        {
-            self.try_commit(seq, accepted.digest, out);
-        }
-    }
-
-    fn on_prepare(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        seq: SeqNum,
-        digest: Digest,
-        out: &mut Outbox,
-    ) {
-        if view != self.flexi.replica.view() || self.flexi.replica.in_view_change() {
-            return;
-        }
-        if seq <= self.flexi.replica.low_water_mark() {
-            // Below the stable checkpoint the vote state is pruned; a late
-            // Prepare must not recreate it.
-            return;
-        }
-        if !self.prepare_votes.vote((view, seq, digest), from) {
-            return;
-        }
-        self.try_commit(seq, digest, out);
-    }
-
-    fn try_commit(&mut self, seq: SeqNum, digest: Digest, out: &mut Outbox) {
-        if self.committed.contains(&seq.0) {
-            return;
-        }
-        let Some(accepted) = self.flexi.accepted(seq) else {
-            return;
-        };
-        if accepted.digest != digest {
-            return;
-        }
-        let batch = accepted.batch.clone();
-        self.committed.insert(seq.0);
-        let executed = self.flexi.replica.commit_batch(seq, batch, false, out);
-        for done in executed {
-            self.flexi.replica.maybe_emit_checkpoint(done.seq, out);
-            self.flexi.instance_finished(done.seq, out);
-        }
-    }
-
-    /// Garbage-collects the per-sequence vote state at or below a stable
-    /// checkpoint (`FlexiCore` prunes its accepted proposals itself).
-    fn forget_through(&mut self, stable: SeqNum) {
-        self.prepare_votes.retain(|(_, s, _)| *s > stable);
-        self.prepare_sent.retain(|s| *s > stable.0);
-        self.committed.retain(|s| *s > stable.0);
-    }
-
-    fn adopt_proposals(
-        &mut self,
-        from: ReplicaId,
-        view: View,
-        proposals: Vec<(
-            SeqNum,
-            flexitrust_types::Batch,
-            Option<flexitrust_trusted::Attestation>,
-        )>,
-        out: &mut Outbox,
-    ) {
-        for (seq, batch, attestation) in proposals {
-            if self.flexi.replica.exec().is_executed(seq) {
-                continue;
-            }
-            self.on_preprepare(from, view, seq, batch, attestation, out);
-        }
-    }
-}
-
-impl ConsensusEngine for FlexiBft {
-    fn replica(&self) -> &ReplicaCore {
-        &self.flexi.replica
-    }
-
-    fn properties(&self) -> ProtocolProperties {
-        ProtocolProperties::for_protocol(if self.sequential {
-            ProtocolId::OFlexiBft
-        } else {
-            ProtocolId::FlexiBft
-        })
-    }
-
-    fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
-        self.flexi
-            .replica
-            .on_client_request(txns, self.flexi.counter.bind(), out);
-    }
-
-    #[deny(
-        clippy::wildcard_enum_match_arm,
-        clippy::match_wildcard_for_single_variants
-    )]
-    fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox) {
-        if !self.flexi.replica.config().contains(from) {
-            return;
-        }
-        match msg {
-            Message::PrePrepare {
-                view,
-                seq,
-                batch,
-                attestation,
-            } => self.on_preprepare(from, view, seq, batch, attestation, out),
-            Message::Prepare {
-                view, seq, digest, ..
-            } => self.on_prepare(from, view, seq, digest, out),
-            Message::Commit { .. } => {
-                // Flexi-BFT has no commit phase; ignore stray messages.
-            }
-            Message::Checkpoint {
-                seq, state_digest, ..
-            } => {
-                if let Some(stable) = self.flexi.on_checkpoint(from, seq, state_digest) {
-                    self.forget_through(stable);
-                }
-            }
-            Message::ViewChange {
-                new_view,
-                last_stable,
-                prepared,
-            } => {
-                let self_id = self.flexi.replica.id();
-                let reproposed =
-                    self.flexi
-                        .on_view_change(from, new_view, last_stable, prepared, false, out);
-                self.adopt_proposals(self_id, new_view, reproposed, out);
-            }
-            Message::NewView {
-                view,
-                supporting_votes,
-                proposals,
-                counter_attestation,
-            } => {
-                let adopted = self.flexi.on_new_view(
-                    from,
-                    view,
-                    supporting_votes,
-                    proposals,
-                    counter_attestation,
-                    out,
-                );
-                self.adopt_proposals(from, view, adopted, out);
-            }
-            Message::ClientRetry { txn } => {
-                let bind = self.flexi.counter.bind();
-                self.flexi
-                    .replica
-                    .on_client_retry(txn, TimerKind::ViewChange, bind, out);
-            }
-            Message::ForwardRequest { txns } => {
-                self.flexi
-                    .replica
-                    .enqueue(txns, self.flexi.counter.bind(), out);
-            }
-            Message::CheckpointRequest { last_executed } => {
-                self.flexi.on_checkpoint_request(from, last_executed, out);
-            }
-            Message::CheckpointState {
-                seq,
-                snapshot,
-                batches,
-            } => {
-                if self
-                    .flexi
-                    .install_checkpoint_state(seq, &snapshot, batches, false, out)
-                {
-                    // Committed/prepared bookkeeping below the installed
-                    // checkpoint is superseded by the transferred state.
-                    self.forget_through(seq);
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, timer: TimerKind, out: &mut Outbox) {
-        match timer {
-            TimerKind::BatchFlush => {
-                self.flexi
-                    .replica
-                    .flush_batch(self.flexi.counter.bind(), out);
-            }
-            TimerKind::ViewChange | TimerKind::RequestForwarded(_) => {
-                self.flexi.start_view_change(false, out);
-            }
-            TimerKind::Checkpoint => {}
-        }
-    }
-}
-
-/// Builds a full Flexi-BFT cluster (engine per replica) over counting-mode
-/// enclaves; used by tests, examples and the simulator registry.
-pub fn build_cluster(config: &SystemConfig) -> Vec<FlexiBft> {
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
-    (0..config.n)
-        .map(|i| {
-            let id = ReplicaId(i as u32);
-            FlexiBft::new(
-                config.clone(),
-                id,
-                FlexiBft::enclave(id, AttestationMode::Counting),
-                registry.clone(),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexitrust_protocol::testing::{run_cluster_until_quiescent, TestNet};
-    use flexitrust_types::{ClientId, KvOp, QuorumRule, RequestId};
+    use crate::testing::{cluster, run, txns};
+    use flexitrust_crypto::{make_batch, Signature};
+    use flexitrust_protocol::testing::TestNet;
+    use flexitrust_protocol::{ConsensusEngine, Message, Outbox, TimerKind};
+    use flexitrust_trusted::{AttestKind, Attestation, AttestationMode};
+    use flexitrust_types::{Batch, Digest, QuorumRule, SeqNum, Transaction, View};
 
-    fn txns(count: usize) -> Vec<Transaction> {
-        (0..count)
-            .map(|i| {
-                Transaction::new(
-                    ClientId(1),
-                    RequestId(i as u64 + 1),
-                    KvOp::Update {
-                        key: i as u64,
-                        value: vec![9].into(),
-                    },
-                )
-            })
-            .collect()
+    fn flexi_bft(batch_size: usize) -> (Vec<PbftFamilyEngine>, Vec<SharedEnclave>) {
+        let mut cfg = FlexiBft::config(1);
+        cfg.batch_size = batch_size;
+        cluster(&cfg, FlexiBft::enclave, |c, id, e, r| {
+            FlexiBft::new(c, id, e, r)
+        })
     }
 
-    /// Deliver all queued messages between engines until quiescence.
-    fn run(engines: &mut [FlexiBft], inject: Vec<(usize, Vec<Transaction>)>) {
-        let mut engines: Vec<&mut FlexiBft> = engines.iter_mut().collect();
-        run_cluster_until_quiescent(&mut engines, inject, 300);
+    /// The primary's `PrePrepare` for one transaction.
+    fn proposal(primary: &mut PbftFamilyEngine, txns: Vec<Transaction>) -> Message {
+        let mut out = Outbox::new();
+        primary.on_client_request(txns, &mut out);
+        out.broadcasts()[0].clone()
     }
 
-    #[test]
-    fn prepare_quorum_fits_the_untrusted_regime_for_every_f() {
-        let regime = ProtocolId::FlexiBft.replication_factor();
-        for f in 1..=64 {
-            let cfg = FlexiBft::config(f);
-            let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
-            let enclave = FlexiBft::enclave(ReplicaId(0), AttestationMode::Counting);
-            let engine = FlexiBft::new(cfg, ReplicaId(0), enclave, registry);
-            let quorum = engine.prepare_votes.threshold();
-            assert!(
-                regime.admits_quorum(f, quorum),
-                "quorum {quorum} at f = {f}"
-            );
-        }
+    /// Delivers a `PrePrepare` and reports whether the replica accepted it,
+    /// i.e. voted for it.
+    fn accepts(engine: &mut PbftFamilyEngine, from: u32, msg: Message) -> bool {
+        let mut out = Outbox::new();
+        engine.on_message(ReplicaId(from), msg, &mut out);
+        out.broadcasts().iter().any(|m| m.kind() == "Prepare")
+    }
+
+    /// Delivers `voter`'s `Prepare` for `digest` at sequence number 1.
+    fn prepare(engine: &mut PbftFamilyEngine, voter: u32, digest: Digest) -> Outbox {
+        let vote = Message::Prepare {
+            view: View(0),
+            seq: SeqNum(1),
+            digest,
+            attestation: None,
+        };
+        let mut out = Outbox::new();
+        engine.on_message(ReplicaId(voter), vote, &mut out);
+        out
     }
 
     #[test]
     fn cluster_commits_in_two_phases_with_2f_plus_1_quorums() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 2;
-        let mut engines = build_cluster(&cfg);
+        let (mut engines, _) = flexi_bft(2);
         run(&mut engines, vec![(0, txns(4))]);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(2), "replica {}", e.id());
@@ -370,39 +110,131 @@ mod tests {
     }
 
     #[test]
+    fn primary_proposes_with_contiguous_counter_values() {
+        let (mut engines, enclaves) = flexi_bft(1);
+        let mut out = Outbox::new();
+        engines[0].on_client_request(txns(3), &mut out);
+        let seqs: Vec<u64> = out
+            .broadcasts()
+            .iter()
+            .filter_map(|m| m.seq().map(|s| s.0))
+            .collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(enclaves[0].stats().snapshot().counter_append_fs, 3);
+        assert_eq!(engines[0].replica().outstanding(), 3);
+    }
+
+    #[test]
     fn only_the_primary_accesses_its_trusted_counter() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let (mut engines, enclaves) = flexi_bft(1);
         run(&mut engines, vec![(0, txns(5))]);
-        let primary_accesses = engines[0].flexi().enclave().stats().snapshot();
-        assert_eq!(primary_accesses.counter_append_fs, 5);
-        for e in &engines[1..] {
-            assert_eq!(
-                e.flexi().enclave().stats().snapshot().total_accesses(),
-                0,
-                "backup {} must not touch its enclave",
-                e.id()
-            );
+        assert_eq!(enclaves[0].stats().snapshot().counter_append_fs, 5);
+        for (i, enclave) in enclaves.iter().enumerate().skip(1) {
+            let accesses = enclave.stats().snapshot().total_accesses();
+            assert_eq!(accesses, 0, "backup {i} must not touch its enclave");
         }
     }
 
     #[test]
-    fn parallel_instances_are_in_flight_simultaneously() {
+    fn backups_never_touch_their_enclave_on_acceptance() {
+        let (mut engines, enclaves) = flexi_bft(1);
+        let preprepare = proposal(&mut engines[0], txns(1));
+        assert!(accepts(&mut engines[1], 0, preprepare));
+        assert_eq!(enclaves[1].stats().snapshot().total_accesses(), 0);
+    }
+
+    #[test]
+    fn acceptance_rejects_bad_attestations() {
+        let (mut engines, _) = flexi_bft(1);
+        let Message::PrePrepare {
+            view,
+            seq,
+            batch,
+            attestation,
+        } = proposal(&mut engines[0], txns(1))
+        else {
+            panic!("expected a PrePrepare");
+        };
+        let att = attestation.expect("attested");
+        let pp = |seq, batch: &Batch, attestation: Option<Attestation>| Message::PrePrepare {
+            view,
+            seq,
+            batch: batch.clone(),
+            attestation,
+        };
+
+        // Missing attestation.
+        assert!(!accepts(&mut engines[1], 0, pp(seq, &batch, None)));
+        // Attestation bound to a different sequence number.
+        let mut wrong_seq = att.clone();
+        wrong_seq.value = 9;
+        assert!(!accepts(
+            &mut engines[1],
+            0,
+            pp(SeqNum(9), &batch, Some(wrong_seq))
+        ));
+        // Attestation bound to a different batch.
+        let other = make_batch(txns(2));
+        assert!(!accepts(
+            &mut engines[1],
+            0,
+            pp(seq, &other, Some(att.clone()))
+        ));
+        // Attestation of another kind.
+        let mut created = att.clone();
+        created.kind = AttestKind::CounterCreate;
+        assert!(!accepts(&mut engines[1], 0, pp(seq, &batch, Some(created))));
+        // From a replica that is not the primary.
+        assert!(!accepts(
+            &mut engines[2],
+            1,
+            pp(seq, &batch, Some(att.clone()))
+        ));
+        // The genuine proposal is still acceptable exactly once.
+        assert!(accepts(
+            &mut engines[1],
+            0,
+            pp(seq, &batch, Some(att.clone()))
+        ));
+        assert!(!accepts(&mut engines[1], 0, pp(seq, &batch, Some(att))));
+    }
+
+    #[test]
+    fn forged_attestation_from_host_key_is_rejected() {
+        // Even in Real mode a Byzantine primary cannot fabricate an
+        // attestation with its replica key.
         let mut cfg = FlexiBft::config(1);
         cfg.batch_size = 1;
-        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
-        let mut primary = FlexiBft::new(
-            cfg.clone(),
-            ReplicaId(0),
-            FlexiBft::enclave(ReplicaId(0), AttestationMode::Counting),
-            registry,
-        );
+        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Real);
+        let enclave = FlexiBft::enclave(ReplicaId(1), AttestationMode::Real);
+        let mut backup = FlexiBft::new(cfg, ReplicaId(1), enclave, registry);
+        let batch = make_batch(txns(1));
+        let forged = Attestation {
+            host: ReplicaId(0),
+            counter: 0,
+            value: 1,
+            digest: batch.digest(),
+            kind: AttestKind::CounterBind,
+            signature: Signature::zero(),
+        };
+        let preprepare = Message::PrePrepare {
+            view: View(0),
+            seq: SeqNum(1),
+            batch,
+            attestation: Some(forged),
+        };
+        assert!(!accepts(&mut backup, 0, preprepare));
+        assert_eq!(backup.accepted_digest(SeqNum(1)), None);
+    }
+
+    #[test]
+    fn parallel_instances_are_in_flight_simultaneously() {
+        let (mut engines, _) = flexi_bft(1);
         let mut out = Outbox::new();
-        primary.on_client_request(txns(10), &mut out);
+        engines[0].on_client_request(txns(10), &mut out);
         // All ten proposals go out before any commit, i.e. ten instances are
         // outstanding concurrently (G1).
-        assert_eq!(primary.replica().outstanding(), 10);
+        assert_eq!(engines[0].replica().outstanding(), 10);
         assert_eq!(out.broadcasts().len(), 10);
     }
 
@@ -411,12 +243,8 @@ mod tests {
         let registry = EnclaveRegistry::deterministic(4, AttestationMode::Counting);
         let mut cfg = SystemConfig::for_protocol(ProtocolId::OFlexiBft, 1);
         cfg.batch_size = 1;
-        let mut primary = FlexiBft::new(
-            cfg,
-            ReplicaId(0),
-            FlexiBft::enclave(ReplicaId(0), AttestationMode::Counting),
-            registry,
-        );
+        let enclave = FlexiBft::enclave(ReplicaId(0), AttestationMode::Counting);
+        let mut primary = FlexiBft::new(cfg, ReplicaId(0), enclave, registry);
         assert_eq!(primary.properties().id, ProtocolId::OFlexiBft);
         let mut out = Outbox::new();
         primary.on_client_request(txns(10), &mut out);
@@ -426,126 +254,99 @@ mod tests {
 
     #[test]
     fn client_reply_rule_is_f_plus_1() {
-        let engines = build_cluster(&FlexiBft::config(2));
-        assert_eq!(engines[0].properties().reply_quorum, QuorumRule::FPlusOne);
-        assert_eq!(engines[0].properties().phases, 2);
-        assert!(engines[0].properties().primary_only_tc);
+        let (engines, _) = flexi_bft(1);
+        let properties = engines[0].properties();
+        assert_eq!(properties.reply_quorum, QuorumRule::FPlusOne);
+        assert_eq!(properties.phases, 2);
+        assert!(properties.primary_only_tc);
     }
 
     #[test]
     fn commit_requires_2f_plus_1_prepares() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
-        // Hand-deliver the proposal to replica 1 and only two Prepare votes:
-        // not enough (2f + 1 = 3).
-        let mut out = Outbox::new();
-        engines[0].on_client_request(txns(1), &mut out);
-        let preprepare = out.broadcasts()[0].clone();
+        let (mut engines, _) = flexi_bft(1);
+        let preprepare = proposal(&mut engines[0], txns(1));
         let digest = match &preprepare {
             Message::PrePrepare { batch, .. } => batch.digest(),
             _ => unreachable!(),
         };
-        let mut out = Outbox::new();
-        engines[1].on_message(ReplicaId(0), preprepare, &mut out);
-        for voter in [1u32, 2] {
-            let mut out = Outbox::new();
-            engines[1].on_message(
-                ReplicaId(voter),
-                Message::Prepare {
-                    view: View(0),
-                    seq: SeqNum(1),
-                    digest,
-                    attestation: None,
-                },
-                &mut out,
-            );
+        // The proposal and two Prepare votes: not enough (2f + 1 = 3).
+        engines[1].on_message(ReplicaId(0), preprepare, &mut Outbox::new());
+        for voter in [1, 2] {
+            prepare(&mut engines[1], voter, digest);
         }
         assert_eq!(engines[1].last_executed(), SeqNum(0));
         // The third distinct vote commits.
-        let mut out = Outbox::new();
-        engines[1].on_message(
-            ReplicaId(3),
-            Message::Prepare {
-                view: View(0),
-                seq: SeqNum(1),
-                digest,
-                attestation: None,
-            },
-            &mut out,
-        );
+        let out = prepare(&mut engines[1], 3, digest);
         assert_eq!(engines[1].last_executed(), SeqNum(1));
         assert_eq!(out.replies().len(), 1);
         assert!(!out.replies()[0].speculative);
     }
 
     #[test]
-    fn prepares_that_overtake_the_preprepare_still_commit() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+    fn view_change_creates_a_fresh_counter_and_reproposes_contiguously() {
+        let (mut engines, enclaves) = flexi_bft(1);
+        // The primary proposed three batches; replica 1 accepted them all
+        // but saw no votes.
         let mut out = Outbox::new();
-        engines[0].on_client_request(txns(1), &mut out);
-        let preprepare = out.broadcasts()[0].clone();
-        let digest = match &preprepare {
-            Message::PrePrepare { batch, .. } => batch.digest(),
-            _ => unreachable!(),
-        };
-        // 2f + 1 Prepares reach replica 1 before the proposal they vote
-        // for: the quorum forms with nothing to commit yet.
-        for voter in [0u32, 2, 3] {
-            let mut out = Outbox::new();
-            engines[1].on_message(
-                ReplicaId(voter),
-                Message::Prepare {
-                    view: View(0),
-                    seq: SeqNum(1),
-                    digest,
-                    attestation: None,
-                },
-                &mut out,
-            );
+        engines[0].on_client_request(txns(3), &mut out);
+        for msg in out.broadcasts() {
+            engines[1].on_message(ReplicaId(0), msg.clone(), &mut Outbox::new());
         }
-        assert_eq!(engines[1].last_executed(), SeqNum(0));
-        // Accepting the late proposal must pick the recorded quorum up.
+        // Replica 1 suspects the primary: its ViewChange carries the three
+        // accepted proposals. With two more votes it leads view 1.
         let mut out = Outbox::new();
-        engines[1].on_message(ReplicaId(0), preprepare, &mut out);
-        assert_eq!(engines[1].last_executed(), SeqNum(1));
-        assert_eq!(out.replies().len(), 1);
+        engines[1].on_timer(TimerKind::ViewChange, &mut out);
+        let own = out.broadcasts()[0].clone();
+        let mut out = Outbox::new();
+        engines[1].on_message(ReplicaId(1), own, &mut out);
+        for sender in [2, 3] {
+            let vote = Message::ViewChange {
+                new_view: View(1),
+                last_stable: SeqNum(0),
+                prepared: Vec::new(),
+            };
+            engines[1].on_message(ReplicaId(sender), vote, &mut out);
+        }
+        assert_eq!(engines[1].view(), View(1));
+        assert!(engines[1].is_primary());
+        assert_eq!(enclaves[1].stats().snapshot().counter_creates, 1);
+        let Some(Message::NewView {
+            supporting_votes,
+            proposals,
+            counter_attestation,
+            ..
+        }) = out.broadcasts().into_iter().find(|m| m.kind() == "NewView")
+        else {
+            panic!("no NewView");
+        };
+        assert_eq!(*supporting_votes, 3);
+        let created = counter_attestation.as_ref().expect("creation proof");
+        assert_eq!(created.kind, AttestKind::CounterCreate);
+        let seqs: Vec<u64> = proposals.iter().map(|(s, _, _)| s.0).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        assert!(proposals.iter().all(|(_, _, a)| a.is_some()));
     }
 
     #[test]
-    fn stable_checkpoints_prune_the_vote_state() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 1;
-        cfg.checkpoint_interval = 2;
-        let mut engines = build_cluster(&cfg);
-        run(&mut engines, vec![(0, txns(10))]);
-        for e in &engines {
-            assert_eq!(e.last_executed(), SeqNum(10), "replica {}", e.id());
-            let stable = e.flexi.replica.low_water_mark();
-            assert!(
-                stable > SeqNum(0),
-                "replica {} has no stable checkpoint",
-                e.id()
-            );
-            // Only sequences above the stable checkpoint may still be tracked.
-            let live = (e.last_executed().0 - stable.0) as usize;
-            assert!(e.prepare_votes.tracked_keys() <= live, "replica {}", e.id());
-            assert!(e.prepare_sent.len() <= live, "replica {}", e.id());
-            assert!(e.committed.len() <= live, "replica {}", e.id());
-        }
+    fn new_view_without_counter_attestation_is_rejected() {
+        let (mut engines, _) = flexi_bft(1);
+        let new_view = Message::NewView {
+            view: View(1),
+            supporting_votes: 3,
+            proposals: vec![(SeqNum(1), Batch::noop(1), None)],
+            counter_attestation: None,
+        };
+        engines[2].on_message(ReplicaId(1), new_view, &mut Outbox::new());
+        assert_eq!(engines[2].view(), View(0));
     }
 
     #[test]
     fn view_change_preserves_accepted_batches() {
-        let mut cfg = FlexiBft::config(1);
-        cfg.batch_size = 1;
-        let mut engines = build_cluster(&cfg);
+        let (mut engines, _) = flexi_bft(1);
         run(&mut engines, vec![(0, txns(3))]);
         // Everyone executed 3 batches in view 0. Now the primary goes silent
         // and the backups time out.
-        let mut engines: Vec<&mut FlexiBft> = engines.iter_mut().collect();
+        let mut engines: Vec<&mut PbftFamilyEngine> = engines.iter_mut().collect();
         let mut net = TestNet::new(engines.len());
         for backup in 1..engines.len() {
             net.fire(&mut engines, backup, TimerKind::ViewChange);

@@ -1,12 +1,13 @@
 //! Protocol-agnostic consensus infrastructure.
 //!
-//! Every protocol in this repository — the FlexiTrust suite in
-//! `flexitrust-core` and the BFT / trust-BFT baselines in
-//! `flexitrust-baselines` — is written as a pure, event-driven state machine
-//! implementing the [`ConsensusEngine`] trait: it receives client requests,
-//! peer messages and timer expirations, and emits [`Action`]s (sends,
-//! broadcasts, client replies, timer updates). Engines never touch the
-//! network, clocks or threads, which lets the *same* protocol code run under
+//! Every protocol in this repository — the BFT / trust-BFT baselines and,
+//! as two more styles, the FlexiTrust suite in `flexitrust-core` — runs on
+//! one engine, `flexitrust-baselines`' `PbftFamilyEngine`: a pure,
+//! event-driven state machine implementing the [`ConsensusEngine`] trait.
+//! It receives client requests, peer messages and timer expirations, and
+//! emits [`Action`]s (sends, broadcasts, client replies, timer updates).
+//! Engines never touch the network, clocks or threads, which lets the
+//! *same* protocol code run under
 //! the real threaded runtime (`flexitrust-runtime`) for correctness and under
 //! the discrete-event simulator (`flexitrust-sim`) for the paper's
 //! performance evaluation.

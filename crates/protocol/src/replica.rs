@@ -12,8 +12,8 @@
 //! the trusted counter for FlexiTrust, the next host-chosen number plus the
 //! style's attestation for the baselines.
 //!
-//! Protocol engines embed a `ReplicaCore` and add their own phase state —
-//! the table of accepted proposals and the votes on them — on top.
+//! The engine embeds a `ReplicaCore` and adds its phase state — the table
+//! of accepted proposals and the votes on them — on top.
 
 use crate::actions::Outbox;
 use crate::batcher::Batcher;

@@ -3,7 +3,6 @@
 //! arbitrary tampering, deterministic execution, and consensus safety of
 //! Flexi-BFT under arbitrary message reorderings.
 
-use flexitrust::core::flexi_bft;
 use flexitrust::crypto::make_batch;
 use flexitrust::prelude::*;
 use flexitrust::protocol::{Message, Outbox};
@@ -73,7 +72,14 @@ proptest! {
     ) {
         let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
         cfg.batch_size = 1;
-        let mut engines = flexi_bft::build_cluster(&cfg);
+        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
+        let mut engines: Vec<_> = cfg
+            .replicas()
+            .map(|id| {
+                let enclave = FlexiBft::enclave(id, AttestationMode::Counting);
+                FlexiBft::new(cfg.clone(), id, enclave, registry.clone())
+            })
+            .collect();
 
         // The primary proposes three batches.
         let mut out = Outbox::new();
@@ -117,7 +123,7 @@ proptest! {
             let digests: Vec<Digest> = engines
                 .iter()
                 .filter(|e| e.last_executed() >= SeqNum(seq))
-                .filter_map(|e| e.flexi().accepted(SeqNum(seq)).map(|a| a.digest))
+                .filter_map(|e| e.accepted_digest(SeqNum(seq)))
                 .collect();
             for pair in digests.windows(2) {
                 prop_assert_eq!(pair[0], pair[1]);

@@ -93,12 +93,11 @@ plant crates/workload/src/lib.rs
 echo 'pub fn seeded() { println!("seeded"); }' >>"$target"
 expect flexitrust-workload 'use of `println!`'
 
-# Flexi-ZZ's `Prepare | Commit` arm moved into a trailing wildcard.
-plant crates/core/src/flexi_zz.rs
-sed -i -e '/Message::Prepare { .. } | Message::Commit { .. } => {/,+2d' \
-    -e '/install_checkpoint_state(seq, &snapshot, batches, true, out);/{n;s/$/\n            _ => {}/}' \
+# The engine's two state-transfer arms folded into a trailing wildcard.
+plant crates/baselines/src/common.rs
+sed -i -e '/Message::CheckpointRequest { last_executed } => {/,+7c\            _ => {}' \
     "$target"
-expect flexitrust-core 'wildcard match will also match any future added variants'
+expect flexitrust-baselines 'wildcard match will also match any future added variants'
 
 # A second lock beside the submission cache: each lock is named once,
 # under an #[expect] that says what it is held across.
