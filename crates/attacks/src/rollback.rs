@@ -128,7 +128,6 @@ fn rollback_attack(protocol: ProtocolId, f: usize, hardware: TrustedHardware) ->
     let mut backups: Vec<_> = (1..config.n as u32)
         .map(|i| {
             build_replica(
-                protocol,
                 Arc::clone(&config),
                 ReplicaId(i),
                 registry.clone(),

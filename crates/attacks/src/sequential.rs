@@ -53,7 +53,6 @@ fn probe(protocol: ProtocolId, f: usize) -> SequentialReport {
     config.batch_size = 1;
     let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
     let backup = build_replica(
-        protocol,
         Arc::new(config),
         ReplicaId(1),
         registry,

@@ -5,11 +5,39 @@
 //! replicas vote in zero (speculative), one (`Prepare`) or two (`Prepare` +
 //! `Commit`) all-to-all phases; batches execute in sequence order; periodic
 //! checkpoints truncate state; and a view change replaces a faulty primary.
-//! What differs between the protocols is captured by [`ProtocolStyle`]: the
-//! quorum sizes, whether a `Commit` phase exists, whether execution is
-//! speculative, and how trusted components are used for each message.
-//! FlexiTrust (`flexitrust_core`) is two more styles: the primary's counter
-//! picks the sequence number with `AppendF`, and no backup touches its own.
+//! What differs between the protocols is their row of the design table,
+//! [`ProtocolStyle`] ([`ProtocolId::style`](flexitrust_types::ProtocolId::style)):
+//! the quorum sizes, whether a `Commit` phase exists, whether execution is
+//! speculative, and how trusted components are used for each message. The
+//! engine copies its row when it is built.
+//!
+//! # FlexiTrust is two more rows
+//!
+//! Section 8 of the paper argues that trusted components pay off only when
+//! combined with `3f + 1` replicas, and derives a recipe for converting any
+//! trust-bft protocol into a *FlexiTrust* protocol:
+//!
+//! 1. **Restrict `Append`** to the internally-incrementing `AppendF`
+//!    ([`flexitrust_trusted::CounterSet::append_f`]) so counter values stay
+//!    contiguous and a Byzantine primary cannot open far-future gaps.
+//! 2. **Access the trusted component only at the primary**, once per
+//!    consensus: backups merely verify the attestation's signature.
+//! 3. **Use `2f + 1` quorums over `3f + 1` replicas**, so every quorum
+//!    contains an honest replica and equivocation is impossible even without
+//!    per-message attestations — restoring client responsiveness (§5),
+//!    removing the trusted-logging memory cost, shrinking the rollback
+//!    window to one access per consensus (§6) and enabling parallel
+//!    consensus invocations (§7).
+//!
+//! Here the recipe is a change of row — [`PrimaryAttest::AppendF`],
+//! [`ReplicaAttest::None`], `2f + 1` quorums, `3f + 1` replicas — so
+//! Flexi-BFT (from MinBFT) and Flexi-ZZ (from MinZZ) run on this engine like
+//! every baseline and differ from the protocols they derive from in nothing
+//! else. The sequential ablations `oFlexi-BFT` / `oFlexi-ZZ` of Figure 6(i)
+//! are the same rows with `out_of_order` off, so their proposal window
+//! holds one instance.
+//!
+//! # What the engine implements
 //!
 //! [`PbftFamilyEngine`] implements the style-dependent part of that skeleton
 //! once: the slot table, the `PrePrepare` / `Prepare` / `Commit` phases and
@@ -17,88 +45,28 @@
 //! the proofs, re-attestations and rollbacks a view change needs. The
 //! style-independent part — client glue, the primary's proposal window,
 //! checkpoint state transfer, the view-change state machine — is
-//! `flexitrust_protocol`'s [`ReplicaCore`]. The per-protocol modules in this
-//! crate instantiate the engine with the appropriate style.
+//! `flexitrust_protocol`'s [`ReplicaCore`].
 
 use flexitrust_crypto::digest_transaction;
 use flexitrust_protocol::{
-    Binding, CertificateTracker, ConsensusEngine, Message, Outbox, PreparedProof,
-    ProtocolProperties, ReplicaCore, TimerKind,
+    Binding, CertificateTracker, ConsensusEngine, Message, Outbox, PreparedProof, ReplicaCore,
+    TimerKind,
 };
 use flexitrust_trusted::{AttestKind, Attestation, EnclaveRegistry, SharedEnclave};
 use flexitrust_types::{
-    Batch, Digest, ProtocolId, QuorumRule, ReplicaId, SeqNum, StateSnapshot, SystemConfig,
-    Transaction, View,
+    Batch, Digest, PrimaryAttest, ProtocolStyle, ReplicaAttest, ReplicaId, SeqNum, StateSnapshot,
+    SystemConfig, Transaction, View,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// How the primary binds a batch to a sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrimaryAttest {
-    /// No trusted component (plain BFT).
-    None,
-    /// trust-bft trusted counter: the primary supplies the sequence number
-    /// and the counter attests the binding (MinBFT, MinZZ, CheapBFT).
-    HostCounter,
-    /// trust-bft trusted log: the proposal is appended to the primary's
-    /// pre-prepare log (PBFT-EA, OPBFT-EA).
-    Log,
-    /// FlexiTrust `AppendF`: the primary's trusted counter increments itself
-    /// and its value *is* the sequence number, so sequence numbers are
-    /// contiguous by construction — one access per consensus, at the
-    /// primary only (§8.1). A new primary proves the creation of its fresh
-    /// counter in the `NewView` (Flexi-BFT, Flexi-ZZ).
-    AppendF,
-}
-
-impl PrimaryAttest {
-    /// The kind of attestation a proposal under this binding carries.
-    fn kind(self) -> Option<AttestKind> {
-        match self {
-            PrimaryAttest::None => None,
-            PrimaryAttest::HostCounter | PrimaryAttest::AppendF => Some(AttestKind::CounterBind),
-            PrimaryAttest::Log => Some(AttestKind::LogSlot),
-        }
+/// The kind of attestation a proposal under `attest` carries.
+fn proposal_kind(attest: PrimaryAttest) -> Option<AttestKind> {
+    match attest {
+        PrimaryAttest::None => None,
+        PrimaryAttest::HostCounter | PrimaryAttest::AppendF => Some(AttestKind::CounterBind),
+        PrimaryAttest::Log => Some(AttestKind::LogSlot),
     }
-}
-
-/// How non-primary replicas attest their own votes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaAttest {
-    /// Votes are plain signed messages (PBFT, Zyzzyva — and FlexiTrust,
-    /// whose replicas never touch their trusted components).
-    None,
-    /// Every outgoing vote is bound to the replica's trusted counter
-    /// (MinBFT, MinZZ, CheapBFT).
-    Counter,
-    /// Every outgoing vote is appended to the replica's trusted log
-    /// (PBFT-EA, OPBFT-EA).
-    Log,
-}
-
-/// The per-protocol parameters of the PBFT-family skeleton.
-#[derive(Debug, Clone, Copy)]
-pub struct ProtocolStyle {
-    /// Which protocol this style realises.
-    pub id: ProtocolId,
-    /// Whether the protocol has a `Commit` phase after `Prepare`.
-    pub use_commit_phase: bool,
-    /// Matching `Prepare` votes needed to mark a batch prepared.
-    pub prepare_quorum_rule: QuorumRule,
-    /// Matching `Commit` votes needed to mark a batch committed
-    /// (ignored when there is no commit phase).
-    pub commit_quorum_rule: QuorumRule,
-    /// Whether replicas execute speculatively on `PrePrepare` (Zyzzyva,
-    /// MinZZ, Flexi-ZZ) instead of waiting for a quorum.
-    pub speculative: bool,
-    /// How the primary uses its trusted component per proposal.
-    pub primary_attest: PrimaryAttest,
-    /// How other replicas use their trusted components per vote.
-    pub replica_attest: ReplicaAttest,
-    /// Only the first `f + 1` replicas participate in the failure-free case
-    /// (CheapBFT's active/passive split).
-    pub active_subset_only: bool,
 }
 
 /// The proposal this replica accepted for one sequence number in the
@@ -206,11 +174,6 @@ impl PbftFamilyEngine {
         }
     }
 
-    /// The style this engine was built with.
-    pub fn style(&self) -> &ProtocolStyle {
-        &self.style
-    }
-
     /// Digest of the proposal this replica accepted at `seq` in its current
     /// view, while it holds one.
     pub fn accepted_digest(&self, seq: SeqNum) -> Option<Digest> {
@@ -259,7 +222,7 @@ impl PbftFamilyEngine {
         digest: Digest,
         attestation: Option<&Attestation>,
     ) -> bool {
-        let Some(kind) = self.style.primary_attest.kind() else {
+        let Some(kind) = proposal_kind(self.style.primary_attest) else {
             return true;
         };
         attestation.is_some_and(|att| {
@@ -724,10 +687,6 @@ impl ConsensusEngine for PbftFamilyEngine {
         &self.core
     }
 
-    fn properties(&self) -> ProtocolProperties {
-        ProtocolProperties::for_protocol(self.style.id)
-    }
-
     fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
         self.core
             .on_client_request(txns, self.sequencer.bind(), out);
@@ -812,7 +771,7 @@ mod tests {
     use super::*;
     use flexitrust_protocol::testing::{run_cluster_until_quiescent, TestNet};
     use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig};
-    use flexitrust_types::{ClientId, KvOp, RequestId};
+    use flexitrust_types::{ClientId, KvOp, ProtocolId, RequestId};
 
     fn txns(count: usize) -> Vec<Transaction> {
         (0..count)
@@ -829,62 +788,19 @@ mod tests {
             .collect()
     }
 
-    fn pbft_style() -> ProtocolStyle {
-        ProtocolStyle {
-            id: ProtocolId::Pbft,
-            use_commit_phase: true,
-            prepare_quorum_rule: QuorumRule::TwoFPlusOne,
-            commit_quorum_rule: QuorumRule::TwoFPlusOne,
-            speculative: false,
-            primary_attest: PrimaryAttest::None,
-            replica_attest: ReplicaAttest::None,
-            active_subset_only: false,
-        }
-    }
-
-    fn minbft_style() -> ProtocolStyle {
-        ProtocolStyle {
-            id: ProtocolId::MinBft,
-            use_commit_phase: false,
-            prepare_quorum_rule: QuorumRule::FPlusOne,
-            commit_quorum_rule: QuorumRule::FPlusOne,
-            speculative: false,
-            primary_attest: PrimaryAttest::HostCounter,
-            replica_attest: ReplicaAttest::Counter,
-            active_subset_only: false,
-        }
-    }
-
-    fn flexi_bft_style() -> ProtocolStyle {
-        ProtocolStyle {
-            id: ProtocolId::FlexiBft,
-            use_commit_phase: false,
-            prepare_quorum_rule: QuorumRule::TwoFPlusOne,
-            commit_quorum_rule: QuorumRule::TwoFPlusOne,
-            speculative: false,
-            primary_attest: PrimaryAttest::AppendF,
-            replica_attest: ReplicaAttest::None,
-            active_subset_only: false,
-        }
-    }
-
+    /// One engine per replica of `style` over counting-mode enclaves of the
+    /// kind its row needs, in batches of two.
     fn cluster(style: ProtocolStyle, f: usize) -> Vec<Box<dyn ConsensusEngine>> {
         let mut cfg = SystemConfig::for_protocol(style.id, f);
         cfg.batch_size = 2;
         let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
-        (0..cfg.n)
-            .map(|i| {
-                let enclave = if style.primary_attest == PrimaryAttest::None {
-                    None
-                } else {
-                    Some(Enclave::shared(EnclaveConfig::log_based(
-                        ReplicaId(i as u32),
-                        AttestationMode::Counting,
-                    )))
-                };
+        cfg.replicas()
+            .map(|id| {
+                let enclave = EnclaveConfig::for_style(&style, id, AttestationMode::Counting)
+                    .map(Enclave::shared);
                 Box::new(PbftFamilyEngine::new(
                     cfg.clone(),
-                    ReplicaId(i as u32),
+                    id,
                     style,
                     enclave,
                     Some(registry.clone()),
@@ -895,7 +811,7 @@ mod tests {
 
     #[test]
     fn pbft_cluster_commits_and_all_replicas_execute() {
-        let mut cluster = cluster(pbft_style(), 1);
+        let mut cluster = cluster(ProtocolId::Pbft.style(), 1);
         run_cluster_until_quiescent(&mut cluster, vec![(0, txns(4))], 100);
         for engine in &cluster {
             assert_eq!(engine.last_executed(), SeqNum(2), "replica {}", engine.id());
@@ -905,7 +821,7 @@ mod tests {
 
     #[test]
     fn minbft_cluster_commits_in_two_phases() {
-        let mut cluster = cluster(minbft_style(), 1);
+        let mut cluster = cluster(ProtocolId::MinBft.style(), 1);
         run_cluster_until_quiescent(&mut cluster, vec![(0, txns(2))], 100);
         for engine in &cluster {
             assert_eq!(engine.last_executed(), SeqNum(1));
@@ -915,7 +831,7 @@ mod tests {
 
     #[test]
     fn requests_sent_to_backups_are_forwarded_to_the_primary() {
-        let mut cluster = cluster(pbft_style(), 1);
+        let mut cluster = cluster(ProtocolId::Pbft.style(), 1);
         // Client sends to replica 2 (not the primary of view 0).
         run_cluster_until_quiescent(&mut cluster, vec![(2, txns(2))], 100);
         for engine in &cluster {
@@ -925,13 +841,7 @@ mod tests {
 
     #[test]
     fn speculative_style_executes_on_preprepare_without_votes() {
-        let style = ProtocolStyle {
-            id: ProtocolId::Zyzzyva,
-            speculative: true,
-            use_commit_phase: false,
-            ..pbft_style()
-        };
-        let mut cluster = cluster(style, 1);
+        let mut cluster = cluster(ProtocolId::Zyzzyva.style(), 1);
         let delivered = run_cluster_until_quiescent(&mut cluster, vec![(0, txns(2))], 100);
         for engine in &cluster {
             assert_eq!(engine.executed_txns(), 2);
@@ -944,7 +854,13 @@ mod tests {
     #[test]
     fn conflicting_preprepare_for_same_slot_is_ignored() {
         let cfg = SystemConfig::for_protocol(ProtocolId::Pbft, 1);
-        let mut engine = PbftFamilyEngine::new(cfg.clone(), ReplicaId(1), pbft_style(), None, None);
+        let mut engine = PbftFamilyEngine::new(
+            cfg.clone(),
+            ReplicaId(1),
+            ProtocolId::Pbft.style(),
+            None,
+            None,
+        );
         let mut out = Outbox::new();
         let batch_a = flexitrust_crypto::make_batch(txns(1));
         let batch_b = flexitrust_crypto::make_batch(txns(2));
@@ -984,7 +900,8 @@ mod tests {
     #[test]
     fn preprepare_from_non_primary_is_rejected() {
         let cfg = SystemConfig::for_protocol(ProtocolId::Pbft, 1);
-        let mut engine = PbftFamilyEngine::new(cfg, ReplicaId(2), pbft_style(), None, None);
+        let mut engine =
+            PbftFamilyEngine::new(cfg, ReplicaId(2), ProtocolId::Pbft.style(), None, None);
         let mut out = Outbox::new();
         engine.on_message(
             ReplicaId(3), // not the primary of view 0
@@ -1006,7 +923,7 @@ mod tests {
         let mut engine = PbftFamilyEngine::new(
             cfg,
             ReplicaId(1),
-            minbft_style(),
+            ProtocolId::MinBft.style(),
             Some(Enclave::shared(EnclaveConfig::counter_only(
                 ReplicaId(1),
                 AttestationMode::Counting,
@@ -1040,7 +957,7 @@ mod tests {
         let mut backup = PbftFamilyEngine::new(
             cfg,
             ReplicaId(1),
-            minbft_style(),
+            ProtocolId::MinBft.style(),
             Some(counter(1)),
             Some(registry),
         );
@@ -1080,8 +997,46 @@ mod tests {
     }
 
     #[test]
+    fn forged_flexitrust_attestation_from_the_host_key_is_rejected() {
+        // Even in Real mode a Byzantine primary cannot fabricate an
+        // attestation with its replica key.
+        let cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
+        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Real);
+        let enclave = EnclaveConfig::counter_only(ReplicaId(1), AttestationMode::Real);
+        let mut backup = PbftFamilyEngine::new(
+            cfg,
+            ReplicaId(1),
+            ProtocolId::FlexiBft.style(),
+            Some(Enclave::shared(enclave)),
+            Some(registry),
+        );
+        let batch = flexitrust_crypto::make_batch(txns(1));
+        let forged = Attestation {
+            host: ReplicaId(0),
+            counter: 0,
+            value: 1,
+            digest: batch.digest(),
+            kind: AttestKind::CounterBind,
+            signature: flexitrust_crypto::Signature::zero(),
+        };
+        let mut out = Outbox::new();
+        backup.on_message(
+            ReplicaId(0),
+            Message::PrePrepare {
+                view: View(0),
+                seq: SeqNum(1),
+                batch,
+                attestation: Some(forged),
+            },
+            &mut out,
+        );
+        assert!(out.broadcasts().is_empty());
+        assert_eq!(backup.accepted_digest(SeqNum(1)), None);
+    }
+
+    #[test]
     fn view_change_replaces_a_silent_primary() {
-        let mut cluster = cluster(pbft_style(), 1);
+        let mut cluster = cluster(ProtocolId::Pbft.style(), 1);
         // The primary says nothing; every backup's view-change timer fires.
         let mut net = TestNet::new(cluster.len());
         for backup in 1..cluster.len() {
@@ -1097,15 +1052,14 @@ mod tests {
 
     #[test]
     fn votes_that_overtake_the_proposal_still_commit() {
-        use crate::{CheapBft, MinBft, PbftEa};
-        for style in [
-            pbft_style(),
-            MinBft::style(),
-            PbftEa::style(),
-            CheapBft::style(),
-            flexi_bft_style(),
+        for id in [
+            ProtocolId::Pbft,
+            ProtocolId::MinBft,
+            ProtocolId::PbftEa,
+            ProtocolId::CheapBft,
+            ProtocolId::FlexiBft,
         ] {
-            let mut cluster = cluster(style, 1);
+            let mut cluster = cluster(id.style(), 1);
             let last = cluster.len() - 1;
             // The last replica's inbox is held back while the others agree.
             let mut net = TestNet::new(cluster.len());
@@ -1118,23 +1072,19 @@ mod tests {
                 .take_inbox(last)
                 .into_iter()
                 .partition(|(_, msg)| msg.kind() == "PrePrepare");
-            assert_eq!(proposals.len(), 1, "{:?}", style.id);
+            assert_eq!(proposals.len(), 1, "{id:?}");
             for (from, msg) in votes.into_iter().chain(proposals) {
-                assert_eq!(cluster[last].last_executed(), SeqNum(0), "{:?}", style.id);
+                assert_eq!(cluster[last].last_executed(), SeqNum(0), "{id:?}");
                 net.deliver(&mut cluster, last, from, msg);
             }
             // Accepting the late proposal must pick the recorded quorums up.
-            assert_eq!(cluster[last].last_executed(), SeqNum(1), "{:?}", style.id);
+            assert_eq!(cluster[last].last_executed(), SeqNum(1), "{id:?}");
         }
     }
 
     #[test]
     fn cheapbft_passive_replicas_do_not_vote() {
-        let style = ProtocolStyle {
-            id: ProtocolId::CheapBft,
-            active_subset_only: true,
-            ..minbft_style()
-        };
+        let style = ProtocolId::CheapBft.style();
         let cfg = SystemConfig::for_protocol(ProtocolId::CheapBft, 2); // n = 5, active = 3
         let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
         let enclave = Enclave::shared(EnclaveConfig::counter_only(
@@ -1171,7 +1121,7 @@ mod tests {
 
     #[test]
     fn stable_checkpoints_prune_the_vote_state() {
-        for style in [pbft_style(), flexi_bft_style()] {
+        for style in [ProtocolId::Pbft.style(), ProtocolId::FlexiBft.style()] {
             let mut cfg = SystemConfig::for_protocol(style.id, 1);
             cfg.batch_size = 1;
             cfg.checkpoint_interval = 2;

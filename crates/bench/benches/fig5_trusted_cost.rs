@@ -10,10 +10,11 @@
 //!   [f] all replicas TC + SA in PrePrepare;
 //!   [g] all replicas TC + SA in all three phases.
 
-use flexitrust::baselines::{PbftFamilyEngine, PrimaryAttest, ProtocolStyle, ReplicaAttest};
+use flexitrust::baselines::PbftFamilyEngine;
 use flexitrust::prelude::*;
 use flexitrust::sim::{build_replicas, ReplicaSetup};
 use flexitrust::trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry};
+use flexitrust::types::{PrimaryAttest, ProtocolStyle, ReplicaAttest};
 use flexitrust_bench::{eval_spec, print_table};
 
 struct Bar {
@@ -91,14 +92,9 @@ fn run_bar(bar: &Bar) -> f64 {
     let config = spec.system_config();
     let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
     let style = ProtocolStyle {
-        id: ProtocolId::Pbft,
-        use_commit_phase: true,
-        prepare_quorum_rule: QuorumRule::TwoFPlusOne,
-        commit_quorum_rule: QuorumRule::TwoFPlusOne,
-        speculative: false,
         primary_attest: bar.primary_attest,
         replica_attest: bar.replica_attest,
-        active_subset_only: false,
+        ..ProtocolId::Pbft.style()
     };
     let replicas: Vec<ReplicaSetup> = if bar.primary_attest == PrimaryAttest::None {
         build_replicas(&spec)

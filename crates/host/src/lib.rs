@@ -25,7 +25,7 @@
 //! recording into an observation log (attack harness).
 //!
 //! Two more things every host needs exist once, here: [`build_replica`],
-//! the `ProtocolId` → engine factory, and [`CrashWindow`] / [`WindowPhase`],
+//! the configuration → engine factory, and [`CrashWindow`] / [`WindowPhase`],
 //! the commit-progress-triggered crash-recovery state machine.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
@@ -456,11 +456,6 @@ mod tests {
         fn replica(&self) -> &flexitrust_protocol::ReplicaCore {
             &self.0
         }
-        fn properties(&self) -> flexitrust_protocol::ProtocolProperties {
-            flexitrust_protocol::ProtocolProperties::for_protocol(
-                flexitrust_types::ProtocolId::Pbft,
-            )
-        }
         fn on_client_request(&mut self, _txns: Vec<Transaction>, _out: &mut Outbox) {}
         fn on_message(&mut self, _from: ReplicaId, _msg: Message, out: &mut Outbox) {
             out.reply(reply(1));
@@ -584,11 +579,6 @@ mod tests {
         impl ConsensusEngine for NoTimerEngine {
             fn replica(&self) -> &flexitrust_protocol::ReplicaCore {
                 &self.0
-            }
-            fn properties(&self) -> flexitrust_protocol::ProtocolProperties {
-                flexitrust_protocol::ProtocolProperties::for_protocol(
-                    flexitrust_types::ProtocolId::Pbft,
-                )
             }
             fn on_client_request(&mut self, _txns: Vec<Transaction>, _out: &mut Outbox) {}
             fn on_message(&mut self, _from: ReplicaId, _msg: Message, _out: &mut Outbox) {}

@@ -45,8 +45,10 @@ pub trait ConsensusEngine: Send {
         self.replica().id()
     }
 
-    /// Static properties of the protocol (Figure 1 of the paper).
-    fn properties(&self) -> ProtocolProperties;
+    /// Static properties of the configured protocol (Figure 1 of the paper).
+    fn properties(&self) -> ProtocolProperties {
+        ProtocolProperties::for_protocol(self.config().protocol)
+    }
 
     /// Called when client transactions arrive at this replica.
     ///

@@ -1,8 +1,8 @@
 //! Protocol-agnostic consensus infrastructure.
 //!
-//! Every protocol in this repository — the BFT / trust-BFT baselines and,
-//! as two more styles, the FlexiTrust suite in `flexitrust-core` — runs on
-//! one engine, `flexitrust-baselines`' `PbftFamilyEngine`: a pure,
+//! Every protocol in this repository — the BFT / trust-BFT baselines and
+//! the FlexiTrust suite, one row each of `flexitrust-types`' design table —
+//! runs on one engine, `flexitrust-baselines`' `PbftFamilyEngine`: a pure,
 //! event-driven state machine implementing the [`ConsensusEngine`] trait.
 //! It receives client requests, peer messages and timer expirations, and
 //! emits [`Action`]s (sends, broadcasts, client replies, timer updates).

@@ -4,12 +4,13 @@
 //! they need, whether they preserve the liveness guarantees of plain BFT
 //! protocols, whether they support out-of-order (parallel) consensus, how
 //! much trusted memory they require, and whether only the primary needs an
-//! *active* trusted component. [`ProtocolProperties`] encodes those axes so
-//! that the Figure 1 reproduction is generated from the same metadata the
-//! engines report, and so the simulator/client harnesses can read the reply
-//! quorum and phase count from one place.
+//! *active* trusted component. [`ProtocolProperties`] derives those axes from
+//! the protocol's row of the design table ([`ProtocolId::style`]), the same
+//! row the engine runs, so the Figure 1 reproduction is generated from what
+//! the engines do, and the simulator/client harnesses read the reply quorum
+//! and phase count from one place.
 
-use flexitrust_types::{ProtocolId, QuorumRule, ReplicationFactor};
+use flexitrust_types::{PrimaryAttest, ProtocolId, QuorumRule, ReplicaAttest, ReplicationFactor};
 use std::fmt;
 
 /// The trusted abstraction a protocol requires at replicas.
@@ -90,119 +91,37 @@ pub struct ProtocolProperties {
 }
 
 impl ProtocolProperties {
-    /// The properties of every protocol in the repository, matching Figure 1
-    /// (plus the plain BFT protocols and the `oFlexi` ablations).
+    /// A protocol's Figure 1 row, read off its [`ProtocolId::style`]: the
+    /// trusted abstraction and memory follow from how the primary attests,
+    /// the primary alone needs a trusted component when it attests and the
+    /// backups do not, and a speculative protocol has one phase where the
+    /// others have two or, with a `Commit` phase, three.
     pub fn for_protocol(id: ProtocolId) -> Self {
-        use flexitrust_types::ProtocolId as P;
-        match id {
-            P::Pbft => ProtocolProperties {
-                id,
-                replication: ReplicationFactor::ThreeFPlusOne,
-                trusted_abstraction: TrustedAbstraction::None,
-                bft_liveness: true,
-                out_of_order: true,
-                trusted_memory: MemoryFootprint::None,
-                primary_only_tc: false,
-                phases: 3,
-                reply_quorum: QuorumRule::FPlusOne,
-                speculative: false,
-            },
-            P::Zyzzyva => ProtocolProperties {
-                id,
-                replication: ReplicationFactor::ThreeFPlusOne,
-                trusted_abstraction: TrustedAbstraction::None,
-                bft_liveness: true,
-                out_of_order: true,
-                trusted_memory: MemoryFootprint::None,
-                primary_only_tc: false,
-                phases: 1,
-                reply_quorum: QuorumRule::AllReplicas,
-                speculative: true,
-            },
-            P::PbftEa => ProtocolProperties {
-                id,
-                replication: ReplicationFactor::TwoFPlusOne,
-                trusted_abstraction: TrustedAbstraction::Log,
-                bft_liveness: false,
-                out_of_order: false,
-                trusted_memory: MemoryFootprint::High,
-                primary_only_tc: false,
-                phases: 3,
-                reply_quorum: QuorumRule::FPlusOne,
-                speculative: false,
-            },
-            P::OpbftEa => ProtocolProperties {
-                id,
-                replication: ReplicationFactor::TwoFPlusOne,
-                trusted_abstraction: TrustedAbstraction::Log,
-                bft_liveness: false,
-                out_of_order: true,
-                trusted_memory: MemoryFootprint::High,
-                primary_only_tc: false,
-                phases: 3,
-                reply_quorum: QuorumRule::FPlusOne,
-                speculative: false,
-            },
-            P::MinBft => ProtocolProperties {
-                id,
-                replication: ReplicationFactor::TwoFPlusOne,
-                trusted_abstraction: TrustedAbstraction::Counter,
-                bft_liveness: false,
-                out_of_order: false,
-                trusted_memory: MemoryFootprint::Low,
-                primary_only_tc: false,
-                phases: 2,
-                reply_quorum: QuorumRule::FPlusOne,
-                speculative: false,
-            },
-            P::MinZz => ProtocolProperties {
-                id,
-                replication: ReplicationFactor::TwoFPlusOne,
-                trusted_abstraction: TrustedAbstraction::Counter,
-                bft_liveness: false,
-                out_of_order: false,
-                trusted_memory: MemoryFootprint::Low,
-                primary_only_tc: false,
-                phases: 1,
-                reply_quorum: QuorumRule::AllReplicas,
-                speculative: true,
-            },
-            P::CheapBft => ProtocolProperties {
-                id,
-                replication: ReplicationFactor::TwoFPlusOne,
-                trusted_abstraction: TrustedAbstraction::Counter,
-                bft_liveness: false,
-                out_of_order: false,
-                trusted_memory: MemoryFootprint::Low,
-                primary_only_tc: false,
-                phases: 2,
-                reply_quorum: QuorumRule::FPlusOne,
-                speculative: false,
-            },
-            P::FlexiBft | P::OFlexiBft => ProtocolProperties {
-                id,
-                replication: ReplicationFactor::ThreeFPlusOne,
-                trusted_abstraction: TrustedAbstraction::Counter,
-                bft_liveness: true,
-                out_of_order: id == P::FlexiBft,
-                trusted_memory: MemoryFootprint::Low,
-                primary_only_tc: true,
-                phases: 2,
-                reply_quorum: QuorumRule::FPlusOne,
-                speculative: false,
-            },
-            P::FlexiZz | P::OFlexiZz => ProtocolProperties {
-                id,
-                replication: ReplicationFactor::ThreeFPlusOne,
-                trusted_abstraction: TrustedAbstraction::Counter,
-                bft_liveness: true,
-                out_of_order: id == P::FlexiZz,
-                trusted_memory: MemoryFootprint::Low,
-                primary_only_tc: true,
-                phases: 1,
-                reply_quorum: QuorumRule::TwoFPlusOne,
-                speculative: true,
-            },
+        let style = id.style();
+        let (trusted_abstraction, trusted_memory) = match style.primary_attest {
+            PrimaryAttest::None => (TrustedAbstraction::None, MemoryFootprint::None),
+            PrimaryAttest::Log => (TrustedAbstraction::Log, MemoryFootprint::High),
+            PrimaryAttest::HostCounter | PrimaryAttest::AppendF => {
+                (TrustedAbstraction::Counter, MemoryFootprint::Low)
+            }
+        };
+        let phases = match (style.speculative, style.use_commit_phase) {
+            (true, _) => 1,
+            (false, false) => 2,
+            (false, true) => 3,
+        };
+        ProtocolProperties {
+            id,
+            replication: style.replication,
+            trusted_abstraction,
+            bft_liveness: style.bft_liveness,
+            out_of_order: style.out_of_order,
+            trusted_memory,
+            primary_only_tc: style.primary_attest != PrimaryAttest::None
+                && style.replica_attest == ReplicaAttest::None,
+            phases,
+            reply_quorum: style.reply_quorum,
+            speculative: style.speculative,
         }
     }
 
@@ -233,135 +152,5 @@ impl fmt::Display for ProtocolProperties {
             if self.primary_only_tc { "yes" } else { "no" },
             self.phases
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use flexitrust_types::ProtocolId as P;
-
-    #[test]
-    fn figure1_trusted_abstractions_match_paper() {
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::PbftEa).trusted_abstraction,
-            TrustedAbstraction::Log
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::MinBft).trusted_abstraction,
-            TrustedAbstraction::Counter
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::FlexiZz).trusted_abstraction,
-            TrustedAbstraction::Counter
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::Pbft).trusted_abstraction,
-            TrustedAbstraction::None
-        );
-    }
-
-    #[test]
-    fn only_flexitrust_needs_primary_only_tc() {
-        for p in P::ALL {
-            let props = ProtocolProperties::for_protocol(p);
-            assert_eq!(
-                props.primary_only_tc,
-                p.is_flexitrust(),
-                "primary-only TC flag wrong for {p}"
-            );
-        }
-    }
-
-    #[test]
-    fn trust_bft_protocols_lose_bft_liveness() {
-        for p in [P::PbftEa, P::MinBft, P::MinZz, P::CheapBft, P::OpbftEa] {
-            assert!(!ProtocolProperties::for_protocol(p).bft_liveness, "{p}");
-        }
-        for p in [P::Pbft, P::Zyzzyva, P::FlexiBft, P::FlexiZz] {
-            assert!(ProtocolProperties::for_protocol(p).bft_liveness, "{p}");
-        }
-    }
-
-    #[test]
-    fn out_of_order_matches_parallelism_column() {
-        assert!(ProtocolProperties::for_protocol(P::FlexiBft).out_of_order);
-        assert!(ProtocolProperties::for_protocol(P::FlexiZz).out_of_order);
-        assert!(!ProtocolProperties::for_protocol(P::OFlexiBft).out_of_order);
-        assert!(!ProtocolProperties::for_protocol(P::MinBft).out_of_order);
-    }
-
-    #[test]
-    fn phase_counts_match_protocol_descriptions() {
-        assert_eq!(ProtocolProperties::for_protocol(P::Pbft).phases, 3);
-        assert_eq!(ProtocolProperties::for_protocol(P::PbftEa).phases, 3);
-        assert_eq!(ProtocolProperties::for_protocol(P::MinBft).phases, 2);
-        assert_eq!(ProtocolProperties::for_protocol(P::MinZz).phases, 1);
-        assert_eq!(ProtocolProperties::for_protocol(P::FlexiBft).phases, 2);
-        assert_eq!(ProtocolProperties::for_protocol(P::FlexiZz).phases, 1);
-        assert_eq!(ProtocolProperties::for_protocol(P::Zyzzyva).phases, 1);
-    }
-
-    #[test]
-    fn reply_quorums_match_paper() {
-        use flexitrust_types::QuorumRule as Q;
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::Zyzzyva).reply_quorum,
-            Q::AllReplicas
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::MinZz).reply_quorum,
-            Q::AllReplicas
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::FlexiZz).reply_quorum,
-            Q::TwoFPlusOne
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::FlexiBft).reply_quorum,
-            Q::FPlusOne
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::MinBft).reply_quorum,
-            Q::FPlusOne
-        );
-    }
-
-    #[test]
-    fn memory_footprints_match_figure1() {
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::PbftEa).trusted_memory,
-            MemoryFootprint::High
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::MinBft).trusted_memory,
-            MemoryFootprint::Low
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::FlexiZz).trusted_memory,
-            MemoryFootprint::Low
-        );
-        assert_eq!(
-            ProtocolProperties::for_protocol(P::Pbft).trusted_memory,
-            MemoryFootprint::None
-        );
-    }
-
-    #[test]
-    fn figure1_rows_cover_every_protocol_and_render() {
-        let rows = ProtocolProperties::figure1_rows();
-        assert_eq!(rows.len(), P::ALL.len());
-        for row in rows {
-            assert!(!row.to_string().is_empty());
-        }
-    }
-
-    #[test]
-    fn speculative_flags() {
-        assert!(ProtocolProperties::for_protocol(P::Zyzzyva).speculative);
-        assert!(ProtocolProperties::for_protocol(P::MinZz).speculative);
-        assert!(ProtocolProperties::for_protocol(P::FlexiZz).speculative);
-        assert!(!ProtocolProperties::for_protocol(P::FlexiBft).speculative);
-        assert!(!ProtocolProperties::for_protocol(P::Pbft).speculative);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The replica loop and the timer machinery here, and the closed-loop
 //! client in `crate::driver`, are shared with the TCP deployment
-//! (`crate::tcp`): both hosts differ only in their [`Transport`] — how an
+//! (`crate::tcp`): both hosts differ only in their `Transport` — how an
 //! outbound message or reply physically leaves the replica thread.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -231,7 +231,6 @@ impl Cluster {
         for (i, rx) in inbox_rxs.into_iter().enumerate() {
             let id = ReplicaId(i as u32);
             let mut engine = build_replica(
-                protocol,
                 Arc::clone(&config),
                 id,
                 registry.clone(),
@@ -555,7 +554,7 @@ pub(crate) fn replica_loop<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexitrust_protocol::{Message, Outbox, ProtocolProperties, ReplicaCore};
+    use flexitrust_protocol::{Message, Outbox, ReplicaCore};
     use flexitrust_types::{Batch, ClientId, Digest, KvResult, RequestId, SeqNum, View};
     use std::sync::mpsc;
 
@@ -753,9 +752,6 @@ mod tests {
         fn replica(&self) -> &ReplicaCore {
             &self.core
         }
-        fn properties(&self) -> ProtocolProperties {
-            ProtocolProperties::for_protocol(ProtocolId::Pbft)
-        }
         fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
             out.broadcast(Message::PrePrepare {
                 view: View(0),
@@ -862,14 +858,7 @@ mod tests {
         let config = Arc::new(cluster_config(ProtocolId::FlexiBft, 1, 10));
         let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
         let hardware = TrustedHardware::default_enclave();
-        let mut engine = build_replica(
-            ProtocolId::FlexiBft,
-            Arc::clone(&config),
-            id,
-            registry,
-            hardware,
-        )
-        .engine;
+        let mut engine = build_replica(Arc::clone(&config), id, registry, hardware).engine;
         let frontiers = ReplicaChaos::board(config.n);
         frontiers[0].store(10, Ordering::Relaxed);
         let chaos = ReplicaChaos {

@@ -411,7 +411,6 @@ impl TcpCluster {
                 dropped: Arc::clone(&dropped),
             };
             let mut engine = build_replica(
-                protocol,
                 Arc::clone(&config),
                 id,
                 registry.clone(),

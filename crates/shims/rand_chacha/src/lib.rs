@@ -5,7 +5,7 @@
 //!
 //! The generator draws blocks eight at a time. Two block kernels are
 //! compiled on x86_64 and one elsewhere: the portable scalar one, eight
-//! calls of [`chacha_block`], and one on AVX2 ([`avx2`]) that computes the
+//! calls of `chacha_block`, and one on AVX2 (`avx2`) that computes the
 //! eight blocks side by side and that CPUID selects at run time. Both write
 //! the same bytes. No feature, variable or parameter picks a kernel;
 //! [`kernel_name`] says which one the process got.

@@ -8,7 +8,7 @@
 //! published vectors).
 //!
 //! Two compression kernels are compiled on x86_64 and one elsewhere: the
-//! portable scalar one, and one on the SHA extensions ([`sha_ni`]) that
+//! portable scalar one, and one on the SHA extensions (`sha_ni`) that
 //! CPUID selects at run time. No feature, variable or parameter picks a
 //! kernel; [`kernel_name`] says which one the process got.
 

@@ -61,7 +61,7 @@ impl CostModel {
     }
 
     /// A variant where attestations carry no digital signature (only the
-    /// trusted-counter access is paid); used by Figure 5 bars [b] and [e].
+    /// trusted-counter access is paid); used by Figure 5 bars `[b]` and `[e]`.
     pub fn unsigned_attestations() -> Self {
         CostModel {
             attestations_are_signed: false,

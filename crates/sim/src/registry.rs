@@ -22,7 +22,6 @@ pub fn build_replicas(spec: &ScenarioSpec) -> Vec<ReplicaSetup> {
     (0..config.n)
         .map(|i| {
             build_replica(
-                spec.protocol,
                 Arc::clone(&config),
                 ReplicaId(i as u32),
                 registry.clone(),
@@ -35,7 +34,7 @@ pub fn build_replicas(spec: &ScenarioSpec) -> Vec<ReplicaSetup> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexitrust_types::ProtocolId;
+    use flexitrust_types::{PrimaryAttest, ProtocolId};
 
     #[test]
     fn every_protocol_builds_the_right_cluster_size() {
@@ -46,7 +45,7 @@ mod tests {
             assert_eq!(replicas[0].engine.id(), ReplicaId(0));
             assert_eq!(
                 replicas[0].enclave.is_some(),
-                protocol.uses_trusted_component(),
+                protocol.style().primary_attest != PrimaryAttest::None,
                 "{protocol}"
             );
         }

@@ -51,9 +51,6 @@ pub struct ScenarioSpec {
     pub checkpoint_interval: Option<u64>,
     /// Random seed for workload generation.
     pub seed: u64,
-    /// Overrides the protocol's default in-flight window when set (used to
-    /// turn the `oFlexi-*` ablations on and off explicitly).
-    pub max_in_flight: Option<usize>,
     /// Overrides the client retry/fallback timeout (microseconds); short
     /// simulations lower it so that the Zyzzyva/MinZZ slow path fits inside
     /// the simulated window.
@@ -85,7 +82,6 @@ impl ScenarioSpec {
             chaos: ChaosPlan::none(),
             checkpoint_interval: None,
             seed: 42,
-            max_in_flight: None,
             client_timeout_us: None,
             exec_workers: 1,
         }
@@ -109,9 +105,6 @@ impl ScenarioSpec {
     pub fn system_config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::for_protocol(self.protocol, self.f);
         cfg.batch_size = self.batch_size;
-        if let Some(mif) = self.max_in_flight {
-            cfg.max_in_flight = mif;
-        }
         if let Some(timeout) = self.client_timeout_us {
             cfg.client_timeout_us = timeout;
         }
@@ -146,14 +139,6 @@ mod tests {
         assert_eq!(spec.workers_per_replica, 16);
         let minbft = ScenarioSpec::paper_default(ProtocolId::MinBft);
         assert_eq!(minbft.replicas(), 17);
-    }
-
-    #[test]
-    fn max_in_flight_override_applies() {
-        let mut spec = ScenarioSpec::quick_test(ProtocolId::FlexiBft);
-        assert!(spec.system_config().max_in_flight > 1);
-        spec.max_in_flight = Some(1);
-        assert_eq!(spec.system_config().max_in_flight, 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::hardware::TrustedHardware;
 use crate::log::TrustedLog;
 use crate::rollback::{RollbackControl, RollbackSnapshot};
 use crate::stats::{TcAccessKind, TcStats};
-use flexitrust_types::{Digest, ReplicaId, Result};
+use flexitrust_types::{Digest, PrimaryAttest, ProtocolStyle, ReplicaId, Result};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -54,6 +54,23 @@ impl EnclaveConfig {
             hardware: TrustedHardware::default_enclave(),
             counters: 1,
             logs: 3,
+        }
+    }
+
+    /// The enclave a replica of `style` holds, chosen by how its primary
+    /// attests: none for plain BFT, a log-based one under a trusted log and
+    /// a counter-only one under a trusted counter.
+    pub fn for_style(
+        style: &ProtocolStyle,
+        host: ReplicaId,
+        mode: AttestationMode,
+    ) -> Option<Self> {
+        match style.primary_attest {
+            PrimaryAttest::None => None,
+            PrimaryAttest::Log => Some(Self::log_based(host, mode)),
+            PrimaryAttest::HostCounter | PrimaryAttest::AppendF => {
+                Some(Self::counter_only(host, mode))
+            }
         }
     }
 

@@ -10,7 +10,8 @@ use crate::error::{Error, Result};
 use crate::ids::ReplicaId;
 use std::fmt;
 
-/// Identifies one of the protocols implemented in this repository.
+/// Identifies one of the protocols implemented in this repository; what
+/// the protocol is, is its row of the design table, [`ProtocolId::style`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolId {
     /// PBFT (Castro & Liskov), the classic three-phase 3f+1 protocol.
@@ -74,55 +75,7 @@ impl ProtocolId {
 
     /// Returns the replication factor the protocol is designed for.
     pub fn replication_factor(self) -> ReplicationFactor {
-        match self {
-            ProtocolId::Pbft
-            | ProtocolId::Zyzzyva
-            | ProtocolId::FlexiBft
-            | ProtocolId::FlexiZz
-            | ProtocolId::OFlexiBft
-            | ProtocolId::OFlexiZz => ReplicationFactor::ThreeFPlusOne,
-            ProtocolId::PbftEa
-            | ProtocolId::MinBft
-            | ProtocolId::MinZz
-            | ProtocolId::OpbftEa
-            | ProtocolId::CheapBft => ReplicationFactor::TwoFPlusOne,
-        }
-    }
-
-    /// Returns `true` for the protocols that rely on trusted components.
-    pub fn uses_trusted_component(self) -> bool {
-        !matches!(self, ProtocolId::Pbft | ProtocolId::Zyzzyva)
-    }
-
-    /// Returns `true` for the FlexiTrust protocols introduced by the paper.
-    pub fn is_flexitrust(self) -> bool {
-        matches!(
-            self,
-            ProtocolId::FlexiBft
-                | ProtocolId::FlexiZz
-                | ProtocolId::OFlexiBft
-                | ProtocolId::OFlexiZz
-        )
-    }
-
-    /// Parses a protocol name (case-insensitive, accepts both paper and
-    /// code spellings).
-    pub fn parse(name: &str) -> Option<ProtocolId> {
-        let lower = name.to_ascii_lowercase().replace(['-', '_'], "");
-        Some(match lower.as_str() {
-            "pbft" => ProtocolId::Pbft,
-            "zyzzyva" => ProtocolId::Zyzzyva,
-            "pbftea" => ProtocolId::PbftEa,
-            "minbft" => ProtocolId::MinBft,
-            "minzz" => ProtocolId::MinZz,
-            "opbftea" => ProtocolId::OpbftEa,
-            "cheapbft" => ProtocolId::CheapBft,
-            "flexibft" => ProtocolId::FlexiBft,
-            "flexizz" => ProtocolId::FlexiZz,
-            "oflexibft" => ProtocolId::OFlexiBft,
-            "oflexizz" => ProtocolId::OFlexiZz,
-            _ => return None,
-        })
+        self.style().replication
     }
 }
 
@@ -210,21 +163,17 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// Builds the default configuration the paper uses for a protocol at
-    /// fault threshold `f`: the replication factor implied by the protocol,
-    /// batch size 100, checkpointing every 1000 sequence numbers.
+    /// fault threshold `f`: the replica count of its row, a window of 256
+    /// instances in flight when the row runs consensus out of order and one
+    /// otherwise, batch size 100, checkpointing every 1000 sequence numbers.
     pub fn for_protocol(protocol: ProtocolId, f: usize) -> Self {
-        let n = protocol.replication_factor().replicas(f);
-        let max_in_flight = if protocol_is_parallel(protocol) {
-            256
-        } else {
-            1
-        };
+        let style = protocol.style();
         SystemConfig {
             protocol,
             f,
-            n,
+            n: style.replication.replicas(f),
             batch_size: 100,
-            max_in_flight,
+            max_in_flight: if style.out_of_order { 256 } else { 1 },
             checkpoint_interval: 1000,
             view_timeout_us: 2_000_000,
             client_timeout_us: 1_000_000,
@@ -315,22 +264,6 @@ impl SystemConfig {
     }
 }
 
-/// Whether a protocol supports out-of-order (parallel) consensus invocations.
-///
-/// This mirrors Figure 1 of the paper: only PBFT, Zyzzyva and the (non-`o`)
-/// FlexiTrust protocols process consensus instances concurrently; every
-/// trust-bft protocol and the `oFlexi-*` ablations are sequential.
-pub fn protocol_is_parallel(protocol: ProtocolId) -> bool {
-    matches!(
-        protocol,
-        ProtocolId::Pbft
-            | ProtocolId::Zyzzyva
-            | ProtocolId::FlexiBft
-            | ProtocolId::FlexiZz
-            | ProtocolId::OpbftEa
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,41 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn protocol_replication_factor_matches_paper() {
-        assert_eq!(
-            ProtocolId::Pbft.replication_factor(),
-            ReplicationFactor::ThreeFPlusOne
-        );
-        assert_eq!(
-            ProtocolId::MinBft.replication_factor(),
-            ReplicationFactor::TwoFPlusOne
-        );
-        assert_eq!(
-            ProtocolId::FlexiZz.replication_factor(),
-            ReplicationFactor::ThreeFPlusOne
-        );
-        assert_eq!(
-            ProtocolId::OpbftEa.replication_factor(),
-            ReplicationFactor::TwoFPlusOne
-        );
-    }
-
-    #[test]
-    fn trusted_component_usage_matches_paper() {
-        assert!(!ProtocolId::Pbft.uses_trusted_component());
-        assert!(!ProtocolId::Zyzzyva.uses_trusted_component());
-        for p in [
-            ProtocolId::PbftEa,
-            ProtocolId::MinBft,
-            ProtocolId::MinZz,
-            ProtocolId::FlexiBft,
-            ProtocolId::FlexiZz,
-        ] {
-            assert!(p.uses_trusted_component(), "{p} should use a TC");
-        }
-    }
-
-    #[test]
     fn quorum_sizes_for_f8() {
         let cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 8);
         assert_eq!(cfg.n, 25);
@@ -425,36 +323,6 @@ mod tests {
         cfg = SystemConfig::for_protocol(ProtocolId::Pbft, 4);
         cfg.f = 0;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn parallelism_matches_figure_1() {
-        assert!(protocol_is_parallel(ProtocolId::Pbft));
-        assert!(protocol_is_parallel(ProtocolId::FlexiBft));
-        assert!(protocol_is_parallel(ProtocolId::FlexiZz));
-        assert!(protocol_is_parallel(ProtocolId::OpbftEa));
-        assert!(!protocol_is_parallel(ProtocolId::MinBft));
-        assert!(!protocol_is_parallel(ProtocolId::MinZz));
-        assert!(!protocol_is_parallel(ProtocolId::PbftEa));
-        assert!(!protocol_is_parallel(ProtocolId::OFlexiBft));
-        assert!(!protocol_is_parallel(ProtocolId::OFlexiZz));
-    }
-
-    #[test]
-    fn sequential_protocols_get_in_flight_of_one() {
-        assert_eq!(
-            SystemConfig::for_protocol(ProtocolId::MinBft, 4).max_in_flight,
-            1
-        );
-        assert!(SystemConfig::for_protocol(ProtocolId::FlexiZz, 4).max_in_flight > 1);
-    }
-
-    #[test]
-    fn parse_accepts_paper_spellings() {
-        assert_eq!(ProtocolId::parse("Flexi-ZZ"), Some(ProtocolId::FlexiZz));
-        assert_eq!(ProtocolId::parse("pbft_ea"), Some(ProtocolId::PbftEa));
-        assert_eq!(ProtocolId::parse("oFlexi-BFT"), Some(ProtocolId::OFlexiBft));
-        assert_eq!(ProtocolId::parse("nonsense"), None);
     }
 
     #[test]

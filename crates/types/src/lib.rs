@@ -20,6 +20,7 @@ pub mod error;
 pub mod ids;
 pub mod region;
 pub mod snapshot;
+pub mod style;
 pub mod tally;
 pub mod transaction;
 
@@ -29,6 +30,7 @@ pub use error::{Error, Result};
 pub use ids::{ClientId, NodeId, ReplicaId, RequestId, SeqNum, View};
 pub use region::{BandwidthConfig, Region, RegionMap, WanMatrix};
 pub use snapshot::StateSnapshot;
+pub use style::{PrimaryAttest, ProtocolStyle, ReplicaAttest};
 pub use tally::{Striped, Tally};
 pub use transaction::{
     batch_payload_allocations, value_payload_allocations, Batch, KvOp, KvResult, Transaction,

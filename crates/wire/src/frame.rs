@@ -188,7 +188,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
 /// disagrees with the frame, a flag other than 0 or 1, an unknown result
 /// tag and trailing bytes are all errors.
 ///
-/// The fixed head is read as one [`REPLY_HEAD_BYTES`] chunk. A one-byte
+/// The fixed head is read as one `REPLY_HEAD_BYTES` chunk. A one-byte
 /// result (`Written`, `Noop`) followed by exactly the MAC slot, the reply
 /// to every write, takes no further bounds check.
 pub fn decode_reply(frame: &[u8]) -> Result<ClientReply, WireError> {

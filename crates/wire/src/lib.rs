@@ -20,7 +20,7 @@
 //! * `len` counts every byte after the length field itself.
 //! * `sender` is the sending replica id, or [`CLIENT_SENDER`] for frames
 //!   originated by a client.
-//! * `kind` is the [`Message`] variant tag (0..=7), [`KIND_SUBMIT`] (8) for
+//! * `kind` is the [`Message`](flexitrust_protocol::Message) variant tag (0..=7), [`KIND_SUBMIT`] (8) for
 //!   a client transaction batch, or [`KIND_REPLY`] (9) for a reply.
 //! * `mac` is the 32-byte channel-authenticator slot (HMAC-SHA256),
 //!   present on peer-message and reply frames. [`Frame::Submit`] frames

@@ -17,9 +17,8 @@
 //! * [`host`] — the shared engine-hosting layer (the `EngineHost`
 //!   environment contract and the single `Action` dispatcher) every
 //!   environment below builds on.
-//! * [`core`] — the FlexiTrust protocols (Flexi-BFT, Flexi-ZZ).
-//! * [`baselines`] — PBFT, Zyzzyva, PBFT-EA, MinBFT, MinZZ, OPBFT-EA,
-//!   CheapBFT.
+//! * [`baselines`] — the one consensus engine every protocol runs on; what
+//!   each protocol is lives in `types`' design table (`ProtocolId::style`).
 //! * [`attacks`] — the §5–§7 attack scenarios.
 //! * [`sim`] — the discrete-event simulator behind every figure.
 //! * [`runtime`] — the real threaded deployment used by the examples.
@@ -40,7 +39,6 @@
 
 pub use flexitrust_attacks as attacks;
 pub use flexitrust_baselines as baselines;
-pub use flexitrust_core as core;
 pub use flexitrust_crypto as crypto;
 pub use flexitrust_exec as exec;
 pub use flexitrust_host as host;
@@ -54,7 +52,7 @@ pub use flexitrust_workload as workload;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use flexitrust_core::{FlexiBft, FlexiZz};
+    pub use flexitrust_baselines::{FlexiBft, FlexiZz};
     pub use flexitrust_host::{CrashWindow, Dispatcher, EngineHost};
     pub use flexitrust_protocol::{
         ClientLibrary, ConsensusEngine, Message, Outbox, ProtocolProperties, TimerKind,

@@ -3,6 +3,7 @@
 //! arbitrary tampering, deterministic execution, and consensus safety of
 //! Flexi-BFT under arbitrary message reorderings.
 
+use flexitrust::baselines::PbftFamilyEngine;
 use flexitrust::crypto::make_batch;
 use flexitrust::prelude::*;
 use flexitrust::protocol::{Message, Outbox};
@@ -76,8 +77,9 @@ proptest! {
         let mut engines: Vec<_> = cfg
             .replicas()
             .map(|id| {
-                let enclave = FlexiBft::enclave(id, AttestationMode::Counting);
-                FlexiBft::new(cfg.clone(), id, enclave, registry.clone())
+                let enclave = Enclave::shared(EnclaveConfig::counter_only(id, AttestationMode::Counting));
+                let style = ProtocolId::FlexiBft.style();
+                PbftFamilyEngine::new(cfg.clone(), id, style, Some(enclave), Some(registry.clone()))
             })
             .collect();
 

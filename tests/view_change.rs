@@ -34,14 +34,7 @@ fn cluster_with(
         .replicas()
         .map(|id| {
             let hardware = TrustedHardware::default_enclave();
-            build_replica(
-                protocol,
-                Arc::clone(&config),
-                id,
-                registry.clone(),
-                hardware,
-            )
-            .engine
+            build_replica(Arc::clone(&config), id, registry.clone(), hardware).engine
         })
         .collect()
 }
