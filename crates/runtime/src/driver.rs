@@ -227,43 +227,6 @@ pub(crate) fn drive_workload(
     }
 }
 
-/// Runs two bursts of `txns` transactions from 8 clients through `run`, one
-/// cluster's `run_workload`, and checks that the second is answered for its
-/// own requests only: every one of them completes, at a sequence number past
-/// the first burst's last.
-#[cfg(test)]
-pub(crate) fn check_back_to_back_bursts(txns: usize, run: impl Fn(usize, usize) -> ClusterSummary) {
-    use std::collections::BTreeSet;
-    const CLIENTS: usize = 8;
-    let first = run(txns, CLIENTS);
-    let second = run(txns, CLIENTS);
-    assert_eq!(first.completed_txns, txns as u64);
-    assert_eq!(second.completed_txns, txns as u64);
-    let ids = |summary: &ClusterSummary| -> BTreeSet<(u64, u64)> {
-        (summary.commit_log.iter())
-            .map(|c| (c.client.0, c.request.0))
-            .collect()
-    };
-    let per_client = (txns / CLIENTS) as u64;
-    let ids_from = |first_id: u64| -> BTreeSet<(u64, u64)> {
-        (0..CLIENTS as u64)
-            .flat_map(|c| (first_id..first_id + per_client).map(move |r| (c, r)))
-            .collect()
-    };
-    assert_eq!(ids(&first), ids_from(1));
-    assert_eq!(ids(&second), ids_from(1 + per_client));
-    let last = first.commit_log.iter().map(|c| c.seq).max();
-    let stale = second
-        .commit_log
-        .iter()
-        .filter(|c| Some(c.seq) <= last)
-        .count();
-    assert_eq!(
-        stale, 0,
-        "second-burst requests completed at or below {last:?}"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,18 @@
 //! Real in-process deployment of the consensus engines.
 //!
 //! While `flexitrust-sim` models time to reproduce the paper's performance
-//! figures, this crate actually *runs* the protocols, in two flavours that
-//! share one replica loop and workload driver:
+//! figures, this crate actually *runs* the protocols: one OS thread per
+//! replica, in one [`ThreadedCluster`] over one of two [`Network`]s:
 //!
-//! * [`Cluster`] — one OS thread per replica, crossbeam channels as the
-//!   network;
-//! * [`TcpCluster`] — the same replicas connected over loopback TCP
-//!   sockets, every message crossing the wire as the canonical
-//!   `flexitrust-wire` frame bytes the simulator's bandwidth model charges.
+//! * [`Cluster`] — crossbeam channels as the network;
+//! * [`TcpCluster`] — loopback TCP sockets, every message crossing the
+//!   wire as the canonical `flexitrust-wire` frame bytes the simulator's
+//!   bandwidth model charges.
+//!
+//! The network supplies only the transports, how a client batch reaches the
+//! primary, and its own teardown. The start path, the replica loop, crash
+//! windows, the closed-loop client and the shutdown are the same code on
+//! both.
 //!
 //! Both networks are in-order but deliberately *lossy at the edges*:
 //! cross-replica sends use non-blocking `try_send` and shed load into
@@ -30,11 +34,11 @@
     deny(clippy::indexing_slicing, clippy::panic, clippy::unreachable)
 )]
 
-pub mod cluster;
+mod cluster;
 mod driver;
 pub mod primary;
-pub mod tcp;
+mod tcp;
 
-pub use cluster::{Cluster, ClusterSummary};
+pub use cluster::{Cluster, ClusterSummary, Network, ThreadedCluster};
 pub use primary::PrimaryTracker;
 pub use tcp::{TcpCluster, TcpIoStats};

@@ -3,11 +3,10 @@
 //! Replica threads own their engines, so the submitting client (the main
 //! thread) cannot ask an engine which view it is in. Instead every replica
 //! publishes its view into this shared tracker after each batch of work,
-//! and submission paths — the channel cluster's `submit` and the TCP
-//! host's socket client alike — route to the primary of the most advanced
-//! published view instead of hard-coding replica 0 (the same bug class as
-//! the hard-coded replica-0 client RTT fixed in an earlier revision of the
-//! simulator).
+//! and the cluster's one `submit`, over either network, routes to the
+//! primary of the most advanced published view instead of hard-coding
+//! replica 0 (the same bug class as the hard-coded replica-0 client RTT
+//! fixed in an earlier revision of the simulator).
 
 use flexitrust_types::{ReplicaId, View};
 use std::sync::atomic::{AtomicU64, Ordering};

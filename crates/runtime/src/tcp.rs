@@ -1,12 +1,14 @@
-//! The TCP deployment: real message bytes over real loopback sockets.
+//! The socket network: real message bytes over real loopback sockets.
 //!
-//! Same engines, same [`flexitrust_host::Dispatcher`], same replica loop as
-//! the channel cluster (`crate::cluster`) — only the transport differs.
-//! Every replica owns:
+//! [`TcpCluster`] is the one threaded cluster (`crate::cluster`) over
+//! [`Sockets`]: the same engines, start path, replica loop, crash windows
+//! and shutdown as the channel cluster; only the network differs. Every
+//! replica owns:
 //!
 //! * a **listener** on an ephemeral loopback port, whose acceptor thread
-//!   spawns one reader thread per inbound connection; readers decode
-//!   [`flexitrust_wire`] frames and feed the replica's inbox;
+//!   spawns one reader thread per inbound connection; readers
+//!   (`peer_reader_loop`) decode [`flexitrust_wire`] frames and feed the
+//!   replica's inbox;
 //! * one **writer thread per other replica** and one for the client's reply
 //!   socket, each owning a connected `TcpStream` and draining a bounded
 //!   queue of encoded frames. A replica's copies of its own messages never
@@ -20,9 +22,10 @@
 //!
 //! The client (the workload driver on the main thread) submits transaction
 //! batches as [`Frame::Submit`] over a cached connection to the current
-//! primary — resolved through the shared [`PrimaryTracker`], not a
-//! hard-coded replica 0 — and collects [`Frame::Reply`] frames through a
-//! dedicated reply listener every replica connects back to.
+//! primary — resolved through the shared
+//! [`PrimaryTracker`](crate::PrimaryTracker), not a hard-coded replica 0 —
+//! and collects [`Frame::Reply`] frames through a dedicated reply listener
+//! every replica connects back to.
 //!
 //! # Batched socket I/O
 //!
@@ -57,17 +60,17 @@
 //!    lone frame, or a decoded reply, is never held back for company.
 //! 2. **Counted drops.** A failed `write` loses every frame the buffer
 //!    held and a rejected reply buffer every reply in it; the drop counter
-//!    grows by that number of *frames*, never by one per buffer.
+//!    grows by that number of *frames*, never by one per buffer. A reader
+//!    counts each frame it cannot pass on: torn, malformed, sent to the
+//!    wrong kind of connection, or refused by a replica that is gone.
 //!
 //! [`TcpCluster::io_stats`] reports how many frames each socket call moved.
 //! Every socket thread tallies its own calls, frames and bytes on a cache
 //! line no other live thread writes ([`Striped`]); `io_stats` sums them.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use flexitrust_host::build_replica;
 use flexitrust_protocol::{ClientReply, SharedMessage};
-use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
-use flexitrust_types::{ProtocolId, ReplicaId, Striped, SystemConfig, Transaction};
+use flexitrust_types::{ReplicaId, Striped, Transaction};
 use flexitrust_wire::{decode_replies, encode_reply_into, read_frame, write_frame, Frame};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -75,13 +78,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crate::cluster::{
-    cluster_config, replica_loop, ClusterSummary, Input, ReplicaChaos, Transport,
-};
-use crate::driver::{drive_workload, Burst};
-use crate::primary::PrimaryTracker;
+use crate::cluster::{Input, ThreadedCluster, Transport, Wiring};
 
 /// Depth of each writer thread's queue; overflow is dropped and counted,
 /// mirroring the channel transport's inbox bound.
@@ -195,7 +193,7 @@ impl<S: Read> Read for Counted<S> {
 
 /// The socket transport: encodes outbound traffic to wire frames and hands
 /// the bytes to the per-destination writer threads.
-struct SocketTransport {
+pub struct SocketTransport {
     /// One queue per replica, indexed by replica id; `None` at the sending
     /// replica's own id, which no frame is ever addressed to.
     writers: Vec<Option<Sender<Outbound>>>,
@@ -255,222 +253,119 @@ impl Transport for SocketTransport {
 type SubmitStreams = std::sync::Mutex<BTreeMap<u32, Counted<TcpStream>>>;
 
 /// A running loopback-TCP cluster for one protocol.
-pub struct TcpCluster {
-    config: Arc<SystemConfig>,
-    addrs: Vec<SocketAddr>,
-    control: Vec<Sender<Input>>,
-    replies: Receiver<Vec<ClientReply>>,
-    reply_addr: SocketAddr,
-    tracker: PrimaryTracker,
-    dropped: Arc<AtomicU64>,
-    io: Arc<IoCounters>,
-    shutdown: Arc<AtomicBool>,
-    replica_handles: Vec<JoinHandle<()>>,
-    io_handles: Vec<JoinHandle<()>>,
-    /// Cached client→replica submission connections, keyed by replica.
-    submit_streams: SubmitStreams,
-    /// The first request id of the next burst (see
-    /// [`TcpCluster::run_workload`]).
-    next_request: AtomicU64,
-}
+pub type TcpCluster = ThreadedCluster<Sockets>;
 
 impl TcpCluster {
-    /// Starts `n` replica threads for `protocol` with fault threshold `f`
-    /// and the given batch size, connected over loopback TCP sockets, using
-    /// real Ed25519 attestations.
-    pub fn start(protocol: ProtocolId, f: usize, batch_size: usize) -> std::io::Result<Self> {
-        Self::start_with_workers(protocol, f, batch_size, 1)
-    }
-
-    /// Like [`TcpCluster::start`], with `exec_workers` execution-layer
-    /// shard workers per replica (1 = serial). Commit sequences and state
-    /// digests are identical for every worker count.
-    pub fn start_with_workers(
-        protocol: ProtocolId,
-        f: usize,
-        batch_size: usize,
-        exec_workers: usize,
-    ) -> std::io::Result<Self> {
-        let config =
-            Arc::new(cluster_config(protocol, f, batch_size).with_exec_workers(exec_workers));
-        let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
-        let tracker = PrimaryTracker::new(config.n);
-        let dropped = Arc::new(AtomicU64::new(0));
-        let io = Arc::new(IoCounters::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        // Bind every listener before any thread connects anywhere: a
-        // connect against a bound-but-not-yet-accepting listener parks in
-        // the kernel backlog instead of failing.
-        let listeners: Vec<TcpListener> = (0..config.n)
-            .map(|_| TcpListener::bind("127.0.0.1:0"))
-            .collect::<std::io::Result<_>>()?;
-        let addrs: Vec<SocketAddr> = listeners
-            .iter()
-            .map(TcpListener::local_addr)
-            .collect::<std::io::Result<_>>()?;
-        let reply_listener = TcpListener::bind("127.0.0.1:0")?;
-        let reply_addr = reply_listener.local_addr()?;
-
-        let (reply_tx, reply_rx) = bounded::<Vec<ClientReply>>(1 << 16);
-        let mut control = Vec::with_capacity(config.n);
-        let mut replica_handles = Vec::with_capacity(config.n);
-        let mut io_handles = Vec::new();
-
-        // The client-side reply ingestion: accept one connection per
-        // replica, decode reply frames, feed the shared reply channel.
-        let reply_dropped = Arc::clone(&dropped);
-        let reply_io = Arc::clone(&io);
-        io_handles.push(spawn_acceptor(
-            reply_listener,
-            Arc::clone(&shutdown),
-            move |stream| {
-                let reply_tx = reply_tx.clone();
-                let dropped = Arc::clone(&reply_dropped);
-                let io = Arc::clone(&reply_io);
-                std::thread::spawn(move || reply_reader_loop(stream, &reply_tx, &dropped, io));
-            },
-        ));
-
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let id = ReplicaId(i as u32);
-            let (inbox_tx, inbox_rx) = bounded::<Input>(1 << 16);
-            control.push(inbox_tx.clone());
-
-            // Inbound: acceptor + per-connection readers feeding the inbox.
-            let reader_dropped = Arc::clone(&dropped);
-            let reader_io = Arc::clone(&io);
-            io_handles.push(spawn_acceptor(
-                listener,
-                Arc::clone(&shutdown),
-                move |stream| {
-                    let inbox = inbox_tx.clone();
-                    let dropped = Arc::clone(&reader_dropped);
-                    let io = Arc::clone(&reader_io);
-                    std::thread::spawn(move || {
-                        let mut stream = buffered_reader(stream, Arc::clone(&io));
-                        loop {
-                            let frame = match read_frame(&mut stream) {
-                                Ok(Some(frame)) => frame,
-                                Ok(None) => return,
-                                Err(_) => {
-                                    // A torn or malformed frame severs the
-                                    // connection; count it so a codec
-                                    // regression shows up as drops, not as
-                                    // an undiagnosed workload timeout.
-                                    dropped.fetch_add(1, Ordering::Relaxed);
-                                    return;
-                                }
-                            };
-                            io.local().frames_read.fetch_add(1, Ordering::Relaxed);
-                            // Blocking sends: a full inbox exerts TCP
-                            // backpressure on the sender instead of
-                            // dropping on the receive side.
-                            let delivered = match frame {
-                                Frame::Peer { from, msg } => {
-                                    inbox.send(Input::Peer(from, Arc::new(msg))).is_ok()
-                                }
-                                Frame::Submit { txns } => inbox.send(Input::Client(txns)).is_ok(),
-                                Frame::Reply { .. } => true,
-                            };
-                            if !delivered {
-                                return;
-                            }
-                        }
-                    });
-                },
-            ));
-
-            // Outbound: one writer thread per other replica's listener.
-            let mut writers = Vec::with_capacity(config.n);
-            for (peer, &peer_addr) in addrs.iter().enumerate() {
-                if peer == i {
-                    writers.push(None);
-                    continue;
-                }
-                let (wtx, wrx) = bounded::<Outbound>(WRITER_QUEUE);
-                writers.push(Some(wtx));
-                io_handles.push(spawn_writer(
-                    peer_addr,
-                    wrx,
-                    Arc::clone(&dropped),
-                    Arc::clone(&io),
-                ));
-            }
-            let (reply_wtx, reply_wrx) = bounded::<Outbound>(WRITER_QUEUE);
-            io_handles.push(spawn_writer(
-                reply_addr,
-                reply_wrx,
-                Arc::clone(&dropped),
-                Arc::clone(&io),
-            ));
-
-            let transport = SocketTransport {
-                writers,
-                reply_writer: reply_wtx,
-                dropped: Arc::clone(&dropped),
-            };
-            let mut engine = build_replica(
-                Arc::clone(&config),
-                id,
-                registry.clone(),
-                TrustedHardware::default_enclave(),
-            )
-            .engine;
-            let thread_tracker = tracker.clone();
-            let chaos = ReplicaChaos::inert(config.n);
-            replica_handles.push(std::thread::spawn(move || {
-                replica_loop(&mut *engine, inbox_rx, transport, thread_tracker, chaos);
-            }));
-        }
-
-        Ok(TcpCluster {
-            config,
-            addrs,
-            control,
-            replies: reply_rx,
-            reply_addr,
-            tracker,
-            dropped,
-            io,
-            shutdown,
-            replica_handles,
-            io_handles,
-            submit_streams: SubmitStreams::new(BTreeMap::new()),
-            next_request: AtomicU64::new(1),
-        })
-    }
-
-    /// The cluster's configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// The replica currently believed to lead (the primary of the most
-    /// advanced view any replica has published).
-    pub fn current_primary(&self) -> ReplicaId {
-        self.tracker.current_primary()
-    }
-
     /// Socket calls, frames and bytes of every connection so far. Frames
     /// still in a queue or a socket buffer are in neither direction's
     /// totals yet, so the two sides agree only once the cluster is idle.
     pub fn io_stats(&self) -> TcpIoStats {
-        snapshot(&self.io)
+        snapshot(&self.network.io)
+    }
+}
+
+/// The socket network: each replica's listener, acceptor, readers and
+/// writers, and the client's reply listener and submission connections.
+pub struct Sockets {
+    addrs: Vec<SocketAddr>,
+    reply_addr: SocketAddr,
+    io: Arc<IoCounters>,
+    shutdown: Arc<AtomicBool>,
+    /// Every acceptor and writer thread.
+    handles: Vec<JoinHandle<()>>,
+    /// Cached client→replica submission connections, keyed by replica.
+    submit_streams: SubmitStreams,
+}
+
+impl Wiring for Sockets {
+    type Start<C> = io::Result<C>;
+    type Transport = SocketTransport;
+
+    fn connect(
+        inboxes: &[Sender<Input>],
+        replies: Sender<Vec<ClientReply>>,
+        dropped: &Arc<AtomicU64>,
+    ) -> io::Result<(Self, Vec<SocketTransport>)> {
+        let io = Arc::new(IoCounters::default());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        // Bind every listener before any thread connects anywhere: a
+        // connect against a bound-but-not-yet-accepting listener parks in
+        // the kernel backlog instead of failing.
+        let listeners: Vec<TcpListener> = (inboxes.iter())
+            .map(|_| TcpListener::bind("127.0.0.1:0"))
+            .collect::<io::Result<_>>()?;
+        let addrs: Vec<SocketAddr> = listeners
+            .iter()
+            .map(TcpListener::local_addr)
+            .collect::<io::Result<_>>()?;
+        let reply_listener = TcpListener::bind("127.0.0.1:0")?;
+        let reply_addr = reply_listener.local_addr()?;
+
+        // The client-side reply ingestion: accept one connection per
+        // replica, decode reply frames, feed the shared reply channel.
+        let mut handles = vec![spawn_acceptor(
+            reply_listener,
+            &shutdown,
+            reply_reader_loop,
+            replies,
+            dropped,
+            &io,
+        )];
+
+        let mut transports = Vec::with_capacity(inboxes.len());
+        for (i, (listener, inbox)) in listeners.into_iter().zip(inboxes).enumerate() {
+            // Inbound: acceptor + per-connection readers feeding the inbox.
+            handles.push(spawn_acceptor(
+                listener,
+                &shutdown,
+                peer_reader_loop,
+                inbox.clone(),
+                dropped,
+                &io,
+            ));
+
+            // Outbound: one writer thread per other replica's listener, and
+            // one to the client's reply listener.
+            let mut writer = |addr: SocketAddr| {
+                let (tx, rx) = bounded::<Outbound>(WRITER_QUEUE);
+                handles.push(spawn_writer(addr, rx, Arc::clone(dropped), Arc::clone(&io)));
+                tx
+            };
+            let writers = (addrs.iter().enumerate())
+                .map(|(peer, &addr)| (peer != i).then(|| writer(addr)))
+                .collect();
+            transports.push(SocketTransport {
+                writers,
+                reply_writer: writer(reply_addr),
+                dropped: Arc::clone(dropped),
+            });
+        }
+
+        let network = Sockets {
+            addrs,
+            reply_addr,
+            io,
+            shutdown,
+            handles,
+            submit_streams: SubmitStreams::new(BTreeMap::new()),
+        };
+        Ok((network, transports))
     }
 
-    /// Submits a batch of transactions over TCP to the current primary.
-    ///
-    /// Locally detectable failures (refused connect, failed write) are
-    /// retried once on a fresh connection and then counted as a drop — a
-    /// lost submission surfaces in `ClusterSummary::dropped_messages`
-    /// instead of silently starving the workload. A write into a socket
-    /// the peer has already closed can still succeed locally (the bytes
-    /// die in the OS buffer); as on any real network, only the client's
-    /// own timeout-and-retransmit recovers that.
-    pub fn submit(&self, txns: Vec<Transaction>) {
+    fn map<C, D>(start: io::Result<C>, f: impl FnOnce(C) -> D) -> io::Result<D> {
+        start.map(f)
+    }
+
+    /// Writes the batch as a [`Frame::Submit`] to the primary's listener.
+    /// A refused connect or a failed write is retried once on a fresh
+    /// connection.
+    fn submit(
+        &self,
+        _inboxes: &[Sender<Input>],
+        primary: ReplicaId,
+        txns: Vec<Transaction>,
+    ) -> bool {
         use std::collections::btree_map::Entry;
-        let primary = self.tracker.current_primary();
         let frame = Frame::Submit { txns };
         // A poisoned lock means a previous submit panicked mid-write; the
         // stream cache is still structurally valid (worst case a dead
@@ -503,76 +398,44 @@ impl TcpCluster {
                     .local()
                     .frames_written
                     .fetch_add(1, Ordering::Relaxed);
-                return;
+                return true;
             }
             streams.remove(&primary.0);
         }
-        self.dropped.fetch_add(1, Ordering::Relaxed);
+        false
     }
 
-    /// Runs `total_txns` transactions (from `clients` logical clients, zero
-    /// counting as one) through the cluster and waits until each has
-    /// reached the protocol's reply quorum, or until `timeout` expires.
-    ///
-    /// Every call's request ids follow the previous call's, the first
-    /// starting at 1, so replies still in flight from an earlier burst can
-    /// never complete a request of this one.
-    pub fn run_workload(
-        &self,
-        total_txns: usize,
-        clients: usize,
-        timeout: Duration,
-    ) -> ClusterSummary {
-        let burst = Burst::reserve(
-            &self.next_request,
-            total_txns,
-            clients,
-            self.config.batch_size,
-        );
-        drive_workload(
-            &self.config,
-            burst.clients(),
-            burst,
-            |txns| self.submit(txns),
-            &self.replies,
-            &self.dropped,
-            timeout,
-        )
-    }
-
-    /// Stops every replica, writer and acceptor thread.
-    pub fn shutdown(self) {
+    /// The replica threads have exited, dropping their transports: writer
+    /// queues disconnect, writer threads close their streams, and the peer
+    /// readers on the other end see EOF. What is left is to close the
+    /// submission streams and to wake every acceptor parked in `accept()`
+    /// so it can observe the shutdown flag.
+    fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for tx in &self.control {
-            let _ = tx.send(Input::Shutdown);
-        }
-        // Replica threads exit, dropping their transports; writer queues
-        // disconnect, writer threads close their streams, and the peer
-        // readers on the other end see EOF.
-        for handle in self.replica_handles {
-            let _ = handle.join();
-        }
         drop(self.submit_streams);
-        // Unblock every acceptor parked in accept() so it can observe the
-        // shutdown flag.
         for addr in self.addrs.iter().chain(std::iter::once(&self.reply_addr)) {
             let _ = TcpStream::connect(addr);
         }
-        for handle in self.io_handles {
+        for handle in self.handles {
             let _ = handle.join();
         }
     }
 }
 
-/// Spawns the accept loop of `listener`: hands every inbound connection to
-/// `on_conn` until the shutdown flag is raised. Transient accept errors
-/// (ECONNABORTED, fd pressure) are skipped — one aborted handshake must
-/// not retire the listener and strand the replica for the rest of the run.
-fn spawn_acceptor(
+/// Spawns the accept loop of `listener`: runs `reader` on every inbound
+/// connection, in a thread of its own, feeding `feed`, until the shutdown
+/// flag is raised. Transient accept errors (ECONNABORTED, fd pressure) are
+/// skipped — one aborted handshake must not retire the listener and strand
+/// the replica for the rest of the run.
+fn spawn_acceptor<T: Send + 'static>(
     listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
-    on_conn: impl Fn(TcpStream) + Send + 'static,
+    shutdown: &Arc<AtomicBool>,
+    reader: fn(TcpStream, &Sender<T>, &AtomicU64, Arc<IoCounters>),
+    feed: Sender<T>,
+    dropped: &Arc<AtomicU64>,
+    io: &Arc<IoCounters>,
 ) -> JoinHandle<()> {
+    let (shutdown, dropped, io) = (Arc::clone(shutdown), Arc::clone(dropped), Arc::clone(io));
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             if shutdown.load(Ordering::SeqCst) {
@@ -580,7 +443,8 @@ fn spawn_acceptor(
             }
             if let Ok(stream) = stream {
                 let _ = stream.set_nodelay(true);
-                on_conn(stream);
+                let (feed, dropped, io) = (feed.clone(), Arc::clone(&dropped), Arc::clone(&io));
+                std::thread::spawn(move || reader(stream, &feed, &dropped, io));
             }
         }
     })
@@ -699,6 +563,37 @@ fn writer_loop<W: Write>(
     count_drain(queue, dropped);
 }
 
+/// One inbound connection of a replica: decodes the frames `stream`
+/// delivers until it ends, and feeds the peer messages and client batches
+/// among them to the replica's `inbox`. The send blocks: a full inbox
+/// exerts TCP backpressure on the sender instead of dropping on the
+/// receive side. A torn or malformed frame, a reply (only the client's
+/// reply listener takes those), or a frame the inbox refuses because the
+/// replica thread is gone is a counted drop that closes the connection.
+fn peer_reader_loop(
+    stream: impl Read,
+    inbox: &Sender<Input>,
+    dropped: &AtomicU64,
+    io: Arc<IoCounters>,
+) {
+    let mut stream = buffered_reader(stream, Arc::clone(&io));
+    loop {
+        let input = match read_frame(&mut stream) {
+            Ok(None) => return,
+            Ok(Some(Frame::Peer { from, msg })) => Input::Peer(from, Arc::new(msg)),
+            Ok(Some(Frame::Submit { txns })) => Input::Client(txns),
+            // Counted, so that a codec regression or a misrouted frame
+            // shows up as drops, not as an undiagnosed workload timeout.
+            Ok(Some(Frame::Reply { .. })) | Err(_) => break,
+        };
+        io.local().frames_read.fetch_add(1, Ordering::Relaxed);
+        if inbox.send(input).is_err() {
+            break;
+        }
+    }
+    dropped.fetch_add(1, Ordering::Relaxed);
+}
+
 /// One client-side reply connection: decodes the reply frames `stream`
 /// delivers until it ends or tears, and hands them to `replies` a socket
 /// read's worth at a time.
@@ -765,10 +660,12 @@ fn buffered_reader<R: Read>(stream: R, io: Arc<IoCounters>) -> BufReader<Counted
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::tests::reply;
     use crossbeam::channel::TryRecvError;
     use flexitrust_protocol::Message;
-    use flexitrust_types::{ClientId, Digest, KvResult, RequestId, SeqNum, View};
+    use flexitrust_types::{ClientId, Digest, KvResult, ProtocolId, RequestId, SeqNum, View};
     use std::sync::Mutex;
+    use std::time::Duration;
 
     /// An in-memory sink that records every `write` call it accepts and
     /// refuses call number `fail_at` (counting from 1).
@@ -824,18 +721,6 @@ mod tests {
                 attestation: None,
             },
         )
-    }
-
-    fn reply(request: u64) -> ClientReply {
-        ClientReply {
-            client: ClientId(3),
-            request: RequestId(request),
-            seq: SeqNum(9),
-            view: View(0),
-            replica: ReplicaId(1),
-            result: KvResult::Written,
-            speculative: false,
-        }
     }
 
     #[test]
@@ -1188,18 +1073,61 @@ mod tests {
         assert_eq!(dropped.load(Ordering::Relaxed), 0);
     }
 
+    fn submit_frame(key: u64) -> Vec<u8> {
+        let txn = Transaction::new(
+            ClientId(0),
+            RequestId(key),
+            flexitrust_types::KvOp::Read { key },
+        );
+        flexitrust_wire::encode_frame(&Frame::Submit { txns: vec![txn] })
+    }
+
+    /// What a replica's inbox was fed: the sequence number of each peer
+    /// message, or the request id of each submitted batch.
+    fn fed(inbox: &Receiver<Input>) -> Vec<u64> {
+        std::iter::from_fn(|| inbox.try_recv().ok())
+            .map(|input| match input {
+                Input::Peer(_, msg) => msg.seq().map_or(0, |seq| seq.0),
+                Input::Client(txns) => txns[0].request().0,
+                Input::Shutdown => panic!("no reader sends a shutdown"),
+            })
+            .collect()
+    }
+
     #[test]
-    fn flexi_bft_commits_over_loopback_sockets() {
-        let cluster = TcpCluster::start(ProtocolId::FlexiBft, 1, 10).expect("cluster starts");
-        let summary = cluster.run_workload(100, 4, Duration::from_secs(60));
-        let io = cluster.io_stats();
-        cluster.shutdown();
-        assert_eq!(summary.completed_txns, 100);
-        assert!(summary.throughput_tps > 0.0);
-        // Every frame is counted before it is handed on, so what the run
-        // needed to complete is already in the totals: ten submissions and
-        // a reply quorum of f + 1 per transaction.
-        assert!(io.frames_read >= 10 + 2 * 100, "{io:?}");
+    fn a_reply_on_a_replica_s_connection_is_a_counted_drop_that_closes_it() {
+        let mut stream = prepare(1);
+        stream.extend(submit_frame(2));
+        stream.extend(reply_frames(3..=3));
+        stream.extend(prepare(4));
+        // Decoded where it lies, and copied together across refills.
+        let connections: [Box<dyn Read + '_>; 2] =
+            [Box::new(&stream[..]), Box::new(Dribble(&stream))];
+        for connection in connections {
+            let (inbox, rx) = bounded(8);
+            let dropped = AtomicU64::new(0);
+            let io = Arc::new(IoCounters::default());
+            peer_reader_loop(connection, &inbox, &dropped, Arc::clone(&io));
+            assert_eq!(fed(&rx), [1, 2]);
+            assert_eq!(dropped.load(Ordering::Relaxed), 1);
+            assert_eq!(snapshot(&io).frames_read, 2);
+        }
+    }
+
+    #[test]
+    fn a_frame_the_inbox_cannot_take_is_a_counted_drop() {
+        let stream: Vec<u8> = [prepare(1), prepare(2)].concat();
+        let (inbox, rx) = bounded(8);
+        drop(rx);
+        let dropped = AtomicU64::new(0);
+        peer_reader_loop(&stream[..], &inbox, &dropped, Arc::default());
+        assert_eq!(dropped.load(Ordering::Relaxed), 1);
+
+        // A stream that simply ends is no drop.
+        let (inbox, rx) = bounded(8);
+        peer_reader_loop(&stream[..], &inbox, &dropped, Arc::default());
+        assert_eq!(fed(&rx), [1, 2]);
+        assert_eq!(dropped.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1208,7 +1136,7 @@ mod tests {
         let n = cluster.config().n;
         // The reply acceptor, an acceptor per replica, a writer per ordered
         // pair of distinct replicas and a reply writer per replica.
-        assert_eq!(cluster.io_handles.len(), 1 + n + n * (n - 1) + n);
+        assert_eq!(cluster.network.handles.len(), 1 + n + n * (n - 1) + n);
 
         let summary = cluster.run_workload(200, 8, Duration::from_secs(60));
         assert_eq!(summary.completed_txns, 200);
@@ -1227,22 +1155,5 @@ mod tests {
         assert!(io.frames_written > 20 + 2 * 200, "{io:?}");
         assert_eq!(io.frames_written, io.frames_read, "{io:?}");
         assert_eq!(summary.dropped_messages, 0);
-    }
-
-    #[test]
-    fn pbft_commits_over_loopback_sockets() {
-        let cluster = TcpCluster::start(ProtocolId::Pbft, 1, 10).expect("cluster starts");
-        let summary = cluster.run_workload(50, 4, Duration::from_secs(60));
-        cluster.shutdown();
-        assert_eq!(summary.completed_txns, 50);
-    }
-
-    #[test]
-    fn a_second_burst_over_sockets_is_answered_for_its_own_requests_only() {
-        let cluster = TcpCluster::start(ProtocolId::FlexiBft, 1, 10).expect("cluster starts");
-        crate::driver::check_back_to_back_bursts(4_000, |txns, clients| {
-            cluster.run_workload(txns, clients, Duration::from_secs(60))
-        });
-        cluster.shutdown();
     }
 }

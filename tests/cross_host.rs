@@ -12,12 +12,13 @@
 
 use flexitrust::host::CommittedTxn;
 use flexitrust::prelude::*;
-use std::time::Duration;
+use flexitrust::runtime::{Network, ThreadedCluster};
+use std::time::{Duration, Instant};
 
 const F: usize = 1;
 const BATCH: usize = 10;
-/// One request per logical client, a whole number of batches, so both hosts
-/// see the identical arrival order client 0..CLIENTS-1 with request id 1.
+/// One request per logical client, a whole number of batches, so every host
+/// sees the identical arrival order client 0..CLIENTS-1 with request id 1.
 const CLIENTS: usize = 40;
 const SEQS: u64 = (CLIENTS / BATCH) as u64;
 
@@ -38,50 +39,39 @@ fn simulator_commits(protocol: ProtocolId) -> Vec<CommittedTxn> {
         .collect()
 }
 
-/// Commit log of the threaded cluster for the same workload shape: CLIENTS
-/// transactions, one per client, submitted in client order.
-fn cluster_commits(protocol: ProtocolId) -> Vec<CommittedTxn> {
-    cluster_commits_with_workers(protocol, 1)
-}
-
-/// Same as [`cluster_commits`] with `workers` execution-layer shard
-/// workers per replica.
-fn cluster_commits_with_workers(protocol: ProtocolId, workers: usize) -> Vec<CommittedTxn> {
-    let cluster = Cluster::start_with_workers(protocol, F, BATCH, workers);
-    let summary = cluster.run_workload(CLIENTS, CLIENTS, Duration::from_secs(60));
+/// Commit log of a threaded cluster, on either network, for `clients`
+/// one-request clients submitted in client order, and replica 2's final
+/// execution frontier. Over sockets every message round-trips through the
+/// canonical wire codec and a real socket. The workload completes on the
+/// client quorum, so a crashed replica may still be catching up: the
+/// frontier is read once it reaches `rejoin_at`, or after 30 s.
+fn threaded_commits<N: Network>(
+    host: &str,
+    cluster: ThreadedCluster<N>,
+    clients: usize,
+    rejoin_at: u64,
+) -> (Vec<CommittedTxn>, u64) {
+    let protocol = cluster.config().protocol;
+    let summary = cluster.run_workload(clients, clients, Duration::from_secs(120));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut frontier = cluster.replica_frontiers()[2];
+    while frontier < rejoin_at && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        frontier = cluster.replica_frontiers()[2];
+    }
     cluster.shutdown();
     assert_eq!(
-        summary.completed_txns, CLIENTS as u64,
-        "{protocol}: cluster did not commit the full workload"
+        summary.completed_txns, clients as u64,
+        "{protocol}: the {host} cluster did not commit the full workload"
     );
-    summary.commit_log
-}
-
-/// Commit log of the loopback-TCP cluster: same engines and replica loop
-/// as the channel cluster, but every message round-trips through the
-/// canonical wire codec and a real socket.
-fn tcp_commits(protocol: ProtocolId) -> Vec<CommittedTxn> {
-    tcp_commits_with_workers(protocol, 1)
-}
-
-/// Same as [`tcp_commits`] with `workers` execution-layer shard workers
-/// per replica.
-fn tcp_commits_with_workers(protocol: ProtocolId, workers: usize) -> Vec<CommittedTxn> {
-    let cluster =
-        TcpCluster::start_with_workers(protocol, F, BATCH, workers).expect("tcp cluster starts");
-    let summary = cluster.run_workload(CLIENTS, CLIENTS, Duration::from_secs(60));
-    cluster.shutdown();
-    assert_eq!(
-        summary.completed_txns, CLIENTS as u64,
-        "{protocol}: TCP cluster did not commit the full workload"
-    );
-    summary.commit_log
+    (summary.commit_log, frontier)
 }
 
 fn assert_same_commit_sequence(protocol: ProtocolId) {
     let sim = simulator_commits(protocol);
-    let cluster = cluster_commits(protocol);
-    let tcp = tcp_commits(protocol);
+    let (cluster, _) = threaded_commits("channel", Cluster::start(protocol, F, BATCH), CLIENTS, 0);
+    let tcp = TcpCluster::start(protocol, F, BATCH).expect("tcp cluster starts");
+    let (tcp, _) = threaded_commits("TCP", tcp, CLIENTS, 0);
     assert_eq!(
         sim.len(),
         CLIENTS,
@@ -131,7 +121,7 @@ const CHAOS_CLIENTS: usize = 1600;
 const CHAOS_SEQS: u64 = (CHAOS_CLIENTS / BATCH) as u64;
 const CRASH_AT: u64 = 40;
 const RECOVER_AT: u64 = 120;
-/// The one window value both hosts are handed.
+/// The one window value all three hosts are handed.
 const CRASH_WINDOW: CrashWindow = CrashWindow {
     replica: ReplicaId(2),
     crash_at_seq: CRASH_AT,
@@ -164,63 +154,42 @@ fn simulator_commits_with_crash(protocol: ProtocolId) -> (Vec<CommittedTxn>, u64
     (commits, frontier)
 }
 
-/// Threaded-cluster commit log plus replica 2's final execution frontier,
-/// under the same crash window driven by the shared frontier board.
-fn cluster_commits_with_crash(protocol: ProtocolId) -> (Vec<CommittedTxn>, u64) {
-    let cluster = Cluster::start_with_chaos(
-        protocol,
-        F,
-        BATCH,
-        1,
-        Some(CHAOS_CHECKPOINT),
-        Some(CRASH_WINDOW),
-    );
-    let summary = cluster.run_workload(CHAOS_CLIENTS, CHAOS_CLIENTS, Duration::from_secs(120));
-    // The workload completes on the client quorum; give replica 2's thread
-    // a beat to finish its state transfer and publish the caught-up
-    // frontier before tearing the cluster down.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let mut frontier = cluster.replica_frontiers()[2];
-    while frontier < RECOVER_AT && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-        frontier = cluster.replica_frontiers()[2];
-    }
-    cluster.shutdown();
-    assert_eq!(
-        summary.completed_txns, CHAOS_CLIENTS as u64,
-        "{protocol}: cluster with a crashed replica did not commit the full workload"
-    );
-    (summary.commit_log, frontier)
-}
-
 /// Crash-recovery pin: with replica 2 down between seq 40 and seq 120 the
 /// remaining three replicas still hold exactly the commit quorum, so the
 /// commit sequence must be identical to the fault-free one — and identical
-/// between the simulator and the threaded cluster. Replica 2 must rejoin
-/// via checkpoint state transfer and end past the recovery point in both
-/// hosts.
+/// in the simulator and both threaded clusters, the window crossing a
+/// socket as it crosses a channel. Replica 2 must rejoin via checkpoint
+/// state transfer and end past the recovery point in all three hosts.
 #[test]
 fn crashed_replica_rejoins_and_hosts_agree_on_the_commit_sequence() {
-    let (sim, sim_frontier) = simulator_commits_with_crash(ProtocolId::FlexiBft);
-    let (cluster, cluster_frontier) = cluster_commits_with_crash(ProtocolId::FlexiBft);
+    let protocol = ProtocolId::FlexiBft;
+    let (sim, sim_frontier) = simulator_commits_with_crash(protocol);
     assert_eq!(
         sim.len(),
         CHAOS_CLIENTS,
         "simulator committed {} of the {CHAOS_CLIENTS} initial requests in seqs 1..={CHAOS_SEQS}",
         sim.len()
     );
-    assert_eq!(
-        sim, cluster,
-        "simulator and threaded cluster commit logs diverge under the crash window"
-    );
     assert!(
         sim_frontier >= RECOVER_AT,
         "simulated replica 2 stopped at seq {sim_frontier}, before the seq-{RECOVER_AT} rejoin point"
     );
-    assert!(
-        cluster_frontier >= RECOVER_AT,
-        "cluster replica 2 stopped at seq {cluster_frontier}, before the seq-{RECOVER_AT} rejoin point"
-    );
+    let (checkpoint, window) = (Some(CHAOS_CHECKPOINT), Some(CRASH_WINDOW));
+    let channel = Cluster::start_with_chaos(protocol, F, BATCH, 1, checkpoint, window);
+    let channel = threaded_commits("channel", channel, CHAOS_CLIENTS, RECOVER_AT);
+    let tcp = TcpCluster::start_with_chaos(protocol, F, BATCH, 1, checkpoint, window)
+        .expect("tcp cluster starts");
+    let tcp = threaded_commits("TCP", tcp, CHAOS_CLIENTS, RECOVER_AT);
+    for (host, (commits, frontier)) in [("channel", channel), ("TCP", tcp)] {
+        assert_eq!(
+            sim, commits,
+            "simulator and {host} cluster commit logs diverge under the crash window"
+        );
+        assert!(
+            frontier >= RECOVER_AT,
+            "{host} cluster replica 2 stopped at seq {frontier}, before the seq-{RECOVER_AT} rejoin point"
+        );
+    }
 }
 
 /// Sharded parallel execution is a pure implementation detail: for every
@@ -233,13 +202,16 @@ fn execution_worker_count_never_changes_the_commit_sequence() {
     let reference = simulator_commits(ProtocolId::FlexiBft);
     assert_eq!(reference.len(), CLIENTS);
     for workers in [2usize, 4] {
-        let cluster = cluster_commits_with_workers(ProtocolId::FlexiBft, workers);
+        let cluster = Cluster::start_with_workers(ProtocolId::FlexiBft, F, BATCH, workers);
+        let (cluster, _) = threaded_commits("channel", cluster, CLIENTS, 0);
         assert_eq!(
             reference, cluster,
             "channel cluster with {workers} exec workers diverges from the serial reference"
         );
     }
-    let tcp = tcp_commits_with_workers(ProtocolId::FlexiBft, 4);
+    let tcp = TcpCluster::start_with_workers(ProtocolId::FlexiBft, F, BATCH, 4)
+        .expect("tcp cluster starts");
+    let (tcp, _) = threaded_commits("TCP", tcp, CLIENTS, 0);
     assert_eq!(
         reference, tcp,
         "TCP cluster with 4 exec workers diverges from the serial reference"
