@@ -494,7 +494,7 @@ mod tests {
         let (seq, state) = journal.rollback(SeqNum(1)).unwrap();
         assert_eq!((seq, &state), (SeqNum(1), &at_one));
         assert!(journal.since_capture.is_empty());
-        let mut store = KvStore::from_snapshot(&state, 4);
+        let mut store = KvStore::from_snapshot(&state);
         run(&mut journal, &mut store, 2, &[write(5, 5)]);
         assert_eq!(journal.held[1].entries, vec![(5, vec![5u8].into())]);
         assert_eq!(journal.snapshot_at(SeqNum(2)), Some(store.to_snapshot()));

@@ -4,52 +4,36 @@ use flexitrust_crypto::sha256;
 use flexitrust_types::{Digest, KvOp, KvResult, StateSnapshot, ValueBytes};
 use std::collections::BTreeMap;
 
-use std::mem;
-use std::sync::OnceLock;
+/// Number of maps the keyspace is split across, by `key % SHARDS`. Fixed:
+/// eight small maps insert sequential keys faster than one large one, and
+/// the threaded hosts' workloads write sequential keys.
+const SHARDS: usize = 8;
 
-/// Default number of keyspace shards (see [`KvStore::with_shards`]).
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// A deterministic in-memory key-value store, partitioned into keyspace
-/// shards.
+/// A deterministic in-memory key-value store.
 ///
 /// **Zero-copy values.** Records hold [`ValueBytes`] — reference-counted
 /// immutable buffers. Writes move the client's payload handle into the
 /// store (a refcount bump), reads and scans hand back clones of the stored
 /// handle; no path through `apply` copies value bytes.
 ///
-/// **Sharding.** Keys are partitioned by `key % shard_count` into
-/// independent `BTreeMap` shards so the execution queue can apply
-/// non-conflicting op runs on parallel workers. All observable state —
-/// `get`, `Scan` results, `len`, and `state_digest` — is independent of
-/// the shard count.
-///
 /// **Fingerprint.** The store keeps a cheap incremental fingerprint so
 /// replicas can produce a state digest at checkpoints without hashing the
 /// whole store. Each applied mutation is hashed together with its global
 /// mutation index (1-based, assigned in execution order) and the hashes
-/// are folded with a *commutative* wrapping sum. Commutativity makes the
-/// fingerprint identical whether mutations were applied serially or
-/// scattered across shard workers; the embedded index keeps it sensitive
+/// are folded with a wrapping sum; the embedded index keeps it sensitive
 /// to execution *order*, so two honest replicas agree exactly when they
 /// executed the same mutations in the same order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct KvStore {
-    shards: Vec<BTreeMap<u64, ValueBytes>>,
+    shards: [BTreeMap<u64, ValueBytes>; SHARDS],
     applied_mutations: u64,
     fingerprint: u64,
 }
 
-impl Default for KvStore {
-    fn default() -> Self {
-        KvStore::new()
-    }
-}
-
 /// Hashes one mutation: the global mutation index, the key, and the first
 /// 16 value bytes, mixed non-linearly so that permuting (index, key)
-/// assignments changes the commutative fold.
-pub(crate) fn mutation_hash(index: u64, key: u64, value: &[u8]) -> u64 {
+/// assignments changes the fold.
+fn mutation_hash(index: u64, key: u64, value: &[u8]) -> u64 {
     let mut h = index.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ key.rotate_left(17);
     for b in value.iter().take(16) {
         h = h.wrapping_mul(0x100_0000_01b3) ^ u64::from(*b);
@@ -58,21 +42,9 @@ pub(crate) fn mutation_hash(index: u64, key: u64, value: &[u8]) -> u64 {
 }
 
 impl KvStore {
-    /// Creates an empty store with [`DEFAULT_SHARDS`] shards.
+    /// Creates an empty store.
     pub fn new() -> Self {
-        KvStore::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty store with `shard_count` keyspace shards. The
-    /// shard count changes only how work parallelises, never observable
-    /// state: digests, reads and scans are bit-identical across counts.
-    pub fn with_shards(shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
-        KvStore {
-            shards: (0..shard_count).map(|_| BTreeMap::new()).collect(),
-            applied_mutations: 0,
-            fingerprint: 0,
-        }
+        KvStore::default()
     }
 
     /// Creates a store pre-loaded with `records` (key, value) pairs.
@@ -98,92 +70,20 @@ impl KvStore {
         store
     }
 
-    /// Returns a store with the same dataset as [`KvStore::with_dataset`],
-    /// built **once per process** and shared across callers: every clone
-    /// shares the same value buffers by reference (the per-record
-    /// `ValueBytes` Arcs), so starting an n-replica cluster on the paper's
-    /// 600 k-record table costs one dataset build plus n cheap map clones
-    /// instead of n full rebuilds.
     #[expect(
-        clippy::disallowed_types,
-        reason = "the dataset registry is this crate's only lock, and it is held across no \
-                  other lock or blocking channel op: only the dataset build and one map clone"
+        clippy::indexing_slicing,
+        reason = "key % SHARDS is below SHARDS, the array's length"
     )]
-    pub fn shared_dataset(count: u64, value_size: usize) -> Self {
-        static DATASETS: OnceLock<std::sync::Mutex<BTreeMap<(u64, usize), KvStore>>> =
-            OnceLock::new();
-        let registry = DATASETS.get_or_init(|| std::sync::Mutex::new(BTreeMap::new()));
-        let mut registry = registry
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        registry
-            .entry((count, value_size))
-            .or_insert_with(|| KvStore::with_dataset(count, value_size))
-            .clone()
+    fn shard(&self, key: u64) -> &BTreeMap<u64, ValueBytes> {
+        &self.shards[(key % SHARDS as u64) as usize]
     }
 
-    /// Repartitions the records into `shard_count` shards. Purely a
-    /// parallelism change: the fingerprint, mutation count and record set
-    /// are untouched, so observable state — digest, reads, scans — is
-    /// identical before and after. Entries move by handle; no value bytes
-    /// are copied.
-    pub fn reshard(&mut self, shard_count: usize) {
-        let shard_count = shard_count.max(1);
-        if shard_count == self.shards.len() {
-            return;
-        }
-        let old = mem::replace(
-            &mut self.shards,
-            (0..shard_count).map(|_| BTreeMap::new()).collect(),
-        );
-        for map in old {
-            for (key, value) in map {
-                let shard = self.shard_of(key);
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "shard_of reduces modulo shards.len()"
-                )]
-                self.shards[shard].insert(key, value);
-            }
-        }
-    }
-
-    /// The shard a key lives in.
-    pub fn shard_of(&self, key: u64) -> usize {
-        (key % self.shards.len() as u64) as usize
-    }
-
-    /// Number of keyspace shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The global index the *next* mutation will receive (1-based).
-    pub(crate) fn next_mutation_index(&self) -> u64 {
-        self.applied_mutations + 1
-    }
-
-    /// Moves the shard maps out for parallel execution; the store is left
-    /// with empty shards and must be refilled with [`Self::restore_shards`].
-    pub(crate) fn take_shards(&mut self) -> Vec<BTreeMap<u64, ValueBytes>> {
-        let count = self.shards.len();
-        mem::replace(
-            &mut self.shards,
-            (0..count).map(|_| BTreeMap::new()).collect(),
-        )
-    }
-
-    /// Puts back shard maps taken with [`Self::take_shards`].
-    pub(crate) fn restore_shards(&mut self, shards: Vec<BTreeMap<u64, ValueBytes>>) {
-        debug_assert_eq!(shards.len(), self.shards.len());
-        self.shards = shards;
-    }
-
-    /// Folds in the outcome of a parallel run: `mutations` writes whose
-    /// commutative hash sum is `fingerprint_delta`.
-    pub(crate) fn fold_parallel_run(&mut self, mutations: u64, fingerprint_delta: u64) {
-        self.applied_mutations += mutations;
-        self.fingerprint = self.fingerprint.wrapping_add(fingerprint_delta);
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "key % SHARDS is below SHARDS, the array's length"
+    )]
+    fn shard_mut(&mut self, key: u64) -> &mut BTreeMap<u64, ValueBytes> {
+        &mut self.shards[(key % SHARDS as u64) as usize]
     }
 
     fn insert_raw(&mut self, key: u64, value: ValueBytes) {
@@ -191,12 +91,7 @@ impl KvStore {
         self.fingerprint =
             self.fingerprint
                 .wrapping_add(mutation_hash(self.applied_mutations, key, &value));
-        let shard = self.shard_of(key);
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "shard_of reduces modulo shards.len()"
-        )]
-        self.shards[shard].insert(key, value);
+        self.shard_mut(key).insert(key, value);
     }
 
     /// Number of records currently stored.
@@ -211,20 +106,12 @@ impl KvStore {
 
     /// Reads a record directly (outside transaction execution).
     pub fn get(&self, key: u64) -> Option<&[u8]> {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "shard_of reduces modulo shards.len()"
-        )]
-        self.shards[self.shard_of(key)].get(&key).map(|v| &**v)
+        self.shard(key).get(&key).map(|v| &**v)
     }
 
     /// The stored value handle for `key`, sharing the record's buffer.
     pub fn get_shared(&self, key: u64) -> Option<ValueBytes> {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "shard_of reduces modulo shards.len()"
-        )]
-        self.shards[self.shard_of(key)].get(&key).cloned()
+        self.shard(key).get(&key).cloned()
     }
 
     /// Scans `count` records with keys `>= start_key` in ascending key
@@ -290,9 +177,7 @@ impl KvStore {
 
     /// A digest summarising the mutation history of the store; two honest
     /// replicas that executed the same ordered mutations report the same
-    /// digest, which is what checkpoint agreement compares. The digest is
-    /// independent of the shard count and of whether mutations were
-    /// applied serially or by parallel shard workers (see the type docs).
+    /// digest, which is what checkpoint agreement compares.
     pub fn state_digest(&self) -> Digest {
         let mut bytes = [0u8; 24];
         bytes[..8].copy_from_slice(&self.fingerprint.to_le_bytes());
@@ -306,15 +191,14 @@ impl KvStore {
         self.applied_mutations
     }
 
-    /// The commutative fold of the mutation hashes (see the type docs).
+    /// The wrapping sum of the mutation hashes (see the type docs).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
     /// Captures the full store as a [`StateSnapshot`] for checkpoint state
     /// transfer. Values share their buffers with the store (handle clones,
-    /// no byte copies); entries come out in ascending key order so the
-    /// snapshot is identical for every shard count.
+    /// no byte copies); entries come out in ascending key order.
     pub fn to_snapshot(&self) -> StateSnapshot {
         let mut entries: Vec<(u64, ValueBytes)> = self
             .shards
@@ -334,15 +218,10 @@ impl KvStore {
     /// snapshot certifies a mutation *history*, not a fresh insert run), so
     /// the rebuilt store reports the same [`Self::state_digest`] as the
     /// store it was captured from.
-    pub fn from_snapshot(snapshot: &StateSnapshot, shard_count: usize) -> Self {
-        let mut store = KvStore::with_shards(shard_count);
+    pub fn from_snapshot(snapshot: &StateSnapshot) -> Self {
+        let mut store = KvStore::new();
         for (key, value) in &snapshot.entries {
-            let shard = store.shard_of(*key);
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "shard_of reduces modulo shards.len()"
-            )]
-            store.shards[shard].insert(*key, value.clone());
+            store.shard_mut(*key).insert(*key, value.clone());
         }
         store.applied_mutations = snapshot.applied_mutations;
         store.fingerprint = snapshot.fingerprint;
@@ -416,28 +295,25 @@ mod tests {
 
     #[test]
     fn scan_merges_shards_in_key_order() {
-        // 1000 keys scattered across the default 8 shards; every window a
-        // scan returns must be the globally sorted run, and identical for
-        // every shard count.
-        for shards in [1, 3, 8, 13] {
-            let mut s = KvStore::with_shards(shards);
-            for k in 0..1000u64 {
-                s.apply(&KvOp::Insert {
-                    key: (k * 7919) % 1000,
-                    value: vec![k as u8].into(),
-                });
+        // 1000 keys scattered across the shards; every window a scan
+        // returns must be the globally sorted run.
+        let mut s = KvStore::new();
+        for k in 0..1000u64 {
+            s.apply(&KvOp::Insert {
+                key: (k * 7919) % 1000,
+                value: vec![k as u8].into(),
+            });
+        }
+        match s.apply(&KvOp::Scan {
+            start_key: 123,
+            count: 50,
+        }) {
+            KvResult::Range(r) => {
+                let keys: Vec<u64> = r.iter().map(|(k, _)| *k).collect();
+                let expect: Vec<u64> = (123..173).collect();
+                assert_eq!(keys, expect);
             }
-            match s.apply(&KvOp::Scan {
-                start_key: 123,
-                count: 50,
-            }) {
-                KvResult::Range(r) => {
-                    let keys: Vec<u64> = r.iter().map(|(k, _)| *k).collect();
-                    let expect: Vec<u64> = (123..173).collect();
-                    assert_eq!(keys, expect, "shards={shards}");
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -482,24 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_is_shard_count_invariant() {
-        let digest_for = |shards: usize| {
-            let mut s = KvStore::with_shards(shards);
-            for k in 0..200u64 {
-                s.apply(&KvOp::Update {
-                    key: k % 37,
-                    value: vec![k as u8; 12].into(),
-                });
-            }
-            s.state_digest()
-        };
-        let reference = digest_for(1);
-        for shards in [2, 4, 8, 16] {
-            assert_eq!(digest_for(shards), reference, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn reads_share_the_stored_buffer() {
         let value: ValueBytes = vec![7u8; 64].into();
         let mut store = KvStore::new();
@@ -525,21 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_dataset_shares_value_buffers_across_clones() {
-        let a = KvStore::shared_dataset(512, 32);
-        let b = KvStore::shared_dataset(512, 32);
-        assert_eq!(a.len(), 512);
-        assert_eq!(a.state_digest(), b.state_digest());
-        let va = a.get_shared(100).unwrap();
-        let vb = b.get_shared(100).unwrap();
-        assert!(
-            va.shares_buffer(&vb),
-            "shared dataset clones must share record buffers"
-        );
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_digest_across_shard_counts() {
+    fn snapshot_round_trip_preserves_digest() {
         let mut store = KvStore::with_dataset(200, 16);
         for k in 0..40u64 {
             store.apply(&KvOp::Update {
@@ -548,17 +392,11 @@ mod tests {
             });
         }
         let snapshot = store.to_snapshot();
-        for shards in [1, 4, 8, 13] {
-            let rebuilt = KvStore::from_snapshot(&snapshot, shards);
-            assert_eq!(
-                rebuilt.state_digest(),
-                store.state_digest(),
-                "shards={shards}"
-            );
-            assert_eq!(rebuilt.len(), store.len());
-            assert_eq!(rebuilt.applied_mutations(), store.applied_mutations());
-            assert_eq!(rebuilt.get(3), store.get(3));
-        }
+        let rebuilt = KvStore::from_snapshot(&snapshot);
+        assert_eq!(rebuilt.state_digest(), store.state_digest());
+        assert_eq!(rebuilt.len(), store.len());
+        assert_eq!(rebuilt.applied_mutations(), store.applied_mutations());
+        assert_eq!(rebuilt.get(3), store.get(3));
     }
 
     #[test]
@@ -571,7 +409,7 @@ mod tests {
         });
         let snapshot = store.to_snapshot();
         assert!(snapshot.entries[0].1.shares_buffer(&value));
-        let rebuilt = KvStore::from_snapshot(&snapshot, 2);
+        let rebuilt = KvStore::from_snapshot(&snapshot);
         assert!(rebuilt.get_shared(9).unwrap().shares_buffer(&value));
     }
 

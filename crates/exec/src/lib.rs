@@ -7,9 +7,10 @@
 //!
 //! * [`KvStore`] — the in-memory key-value store the YCSB workload runs
 //!   against (600 k records in the paper's setup);
-//! * [`ExecutionQueue`] — in-sequence-number-order execution: a replica may
-//!   learn that slot `k + 3` committed before slot `k`, but it must execute
-//!   `k` first ("r executes every request in sequence number order");
+//! * [`ExecutionQueue`] — in-sequence-number-order execution on the
+//!   replica's own thread: a replica may learn that slot `k + 3` committed
+//!   before slot `k`, but it must execute `k` first ("r executes every
+//!   request in sequence number order");
 //! * [`CheckpointLog`] — the periodic checkpoints every protocol uses for
 //!   log truncation and state transfer;
 //! * [`CheckpointJournal`] — the state a replica keeps at its checkpoint
@@ -23,11 +24,9 @@
 )]
 
 pub mod checkpoint;
-pub mod executor;
 pub mod kvstore;
 pub mod queue;
 
 pub use checkpoint::{Checkpoint, CheckpointJournal, CheckpointLog};
-pub use executor::ShardedExecutor;
 pub use kvstore::KvStore;
 pub use queue::{ExecutedBatch, ExecutionQueue};

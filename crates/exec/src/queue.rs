@@ -7,9 +7,8 @@
 //! transaction to the [`KvStore`], and returns the per-transaction outcomes
 //! that are sent back to clients.
 
-use crate::executor::ShardedExecutor;
 use crate::kvstore::KvStore;
-use flexitrust_types::{Batch, Digest, KvOp, SeqNum, TxnOutcome};
+use flexitrust_types::{Batch, Digest, SeqNum, TxnOutcome};
 use std::collections::BTreeMap;
 
 /// The result of executing one batch.
@@ -24,58 +23,27 @@ pub struct ExecutedBatch {
 }
 
 /// Holds committed-but-not-yet-executable batches and executes them in
-/// sequence-number order.
-///
-/// Draining is grouped: when a submission unblocks several contiguous
-/// batches (common under out-of-order commit bursts), every parallel-safe
-/// batch in the run is flattened into one op group and scattered across
-/// the shard workers in a single round trip; batches containing `Scan`
-/// execute serially, in order, between the parallel segments. The results
-/// — per-op outcomes and the store's state digest — are bit-identical to
-/// executing every batch serially (see [`ShardedExecutor`]).
-#[derive(Debug)]
+/// sequence-number order, one transaction after another, on the caller's
+/// thread.
+#[derive(Debug, Default)]
 pub struct ExecutionQueue {
     store: KvStore,
-    executor: ShardedExecutor,
     pending: BTreeMap<u64, Batch>,
     last_executed: u64,
-    executed_count: u64,
-    executed_txns: u64,
-}
-
-impl Default for ExecutionQueue {
-    fn default() -> Self {
-        ExecutionQueue::new()
-    }
 }
 
 impl ExecutionQueue {
-    /// Creates a serial (one-worker) queue over an empty store.
+    /// Creates a queue over an empty store.
     pub fn new() -> Self {
-        ExecutionQueue::with_store(KvStore::new())
+        ExecutionQueue::default()
     }
 
-    /// Creates a serial (one-worker) queue over a pre-loaded store.
+    /// Creates a queue over a pre-loaded store.
     pub fn with_store(store: KvStore) -> Self {
-        ExecutionQueue::with_workers(store, 1)
-    }
-
-    /// Creates a queue over `store` with a pool of `workers` shard
-    /// workers; `workers <= 1` executes inline on the caller's thread.
-    pub fn with_workers(store: KvStore, workers: usize) -> Self {
         ExecutionQueue {
             store,
-            executor: ShardedExecutor::new(workers),
-            pending: BTreeMap::new(),
-            last_executed: 0,
-            executed_count: 0,
-            executed_txns: 0,
+            ..ExecutionQueue::default()
         }
-    }
-
-    /// Number of shard workers executing committed batches.
-    pub fn worker_count(&self) -> usize {
-        self.executor.worker_count()
     }
 
     /// The highest sequence number executed so far (0 = nothing executed).
@@ -86,16 +54,6 @@ impl ExecutionQueue {
     /// Number of batches waiting for earlier sequence numbers.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Total number of batches executed.
-    pub fn executed_batches(&self) -> u64 {
-        self.executed_count
-    }
-
-    /// Total number of transactions executed.
-    pub fn executed_txns(&self) -> u64 {
-        self.executed_txns
     }
 
     /// Read-only access to the underlying store.
@@ -143,96 +101,27 @@ impl ExecutionQueue {
     /// exactly `through` (a checkpoint boundary) stops the run there and
     /// calls again for the rest.
     pub fn execute_ready(&mut self, through: SeqNum, executed: &mut Vec<ExecutedBatch>) {
-        // Collect the whole contiguous ready run, then execute it as
-        // parallel segments split at Scan-containing batches.
-        let mut ready = Vec::new();
-        let mut next = self.last_executed + 1;
-        while next <= through.0 {
-            let Some(batch) = self.pending.remove(&next) else {
+        while self.last_executed < through.0 {
+            let seq = self.last_executed + 1;
+            let Some(batch) = self.pending.remove(&seq) else {
                 break;
             };
-            ready.push(batch);
-            next += 1;
-        }
-
-        let mut run: Vec<Batch> = Vec::new();
-        for batch in ready {
-            let cross_shard = batch
-                .txns()
-                .iter()
-                .any(|txn| matches!(txn.op(), KvOp::Scan { .. }));
-            if cross_shard {
-                self.flush_run(&mut run, executed);
-                // Serial lane: Scan reads across every shard, so the whole
-                // batch executes in order on this thread.
-                let outcomes = batch
-                    .txns()
-                    .iter()
-                    .map(|txn| TxnOutcome {
-                        client: txn.client(),
-                        request: txn.request(),
-                        result: self.store.apply(txn.op()),
-                    })
-                    .collect();
-                self.record_executed(batch, outcomes, executed);
-            } else {
-                run.push(batch);
-            }
-        }
-        self.flush_run(&mut run, executed);
-    }
-
-    /// Executes a run of parallel-safe batches as one scatter/gather group
-    /// and reassembles per-batch outcomes in batch order.
-    fn flush_run(&mut self, run: &mut Vec<Batch>, executed: &mut Vec<ExecutedBatch>) {
-        if run.is_empty() {
-            return;
-        }
-        let mut results = {
-            let ops: Vec<&KvOp> = run
-                .iter()
-                .flat_map(|batch| batch.txns().iter().map(|txn| txn.op()))
-                .collect();
-            self.executor
-                .execute_group(&mut self.store, &ops)
-                .into_iter()
-        };
-        for batch in run.drain(..) {
             let outcomes = batch
                 .txns()
                 .iter()
                 .map(|txn| TxnOutcome {
                     client: txn.client(),
                     request: txn.request(),
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the executor returns exactly one result per submitted op \
-                                  (pinned by exec_determinism proptests); continuing past a \
-                                  miscount would ack transactions that never executed"
-                    )]
-                    result: results.next().expect("one result per op"),
+                    result: self.store.apply(txn.op()),
                 })
                 .collect();
-            self.record_executed(batch, outcomes, executed);
+            self.last_executed = seq;
+            executed.push(ExecutedBatch {
+                seq: SeqNum(seq),
+                batch,
+                outcomes,
+            });
         }
-        debug_assert!(results.next().is_none(), "no results left over");
-    }
-
-    fn record_executed(
-        &mut self,
-        batch: Batch,
-        outcomes: Vec<TxnOutcome>,
-        executed: &mut Vec<ExecutedBatch>,
-    ) {
-        let seq = SeqNum(self.last_executed + 1);
-        self.executed_count += 1;
-        self.executed_txns += batch.len() as u64;
-        self.last_executed = seq.0;
-        executed.push(ExecutedBatch {
-            seq,
-            batch,
-            outcomes,
-        });
     }
 
     /// Skips directly to `seq` without executing the missing slots; used only
@@ -290,7 +179,6 @@ mod tests {
         );
         assert_eq!(q.last_executed(), SeqNum(3));
         assert_eq!(q.pending_len(), 0);
-        assert_eq!(q.executed_txns(), 3);
     }
 
     #[test]
@@ -299,7 +187,7 @@ mod tests {
         let first = q.submit(SeqNum(1), batch(1, 1));
         assert_eq!(first.len(), 1);
         assert!(q.submit(SeqNum(1), batch(99, 1)).is_empty());
-        assert_eq!(q.executed_batches(), 1);
+        assert_eq!(q.last_executed(), SeqNum(1));
         // The original write survives.
         assert_eq!(q.store().get(1), Some(&[1u8][..]));
     }

@@ -73,19 +73,13 @@ impl ReplicaCore {
     }
 
     /// Creates the core state with a pre-loaded store (e.g. the 600 k-record
-    /// YCSB table). The store is repartitioned to the configured shard
-    /// count and executed by `config.exec_workers` shard workers; both are
-    /// parallelism knobs only and never change digests or results. A
-    /// non-empty store is captured as boundary 0, what a rollback with no
-    /// later boundary returns to; an empty one needs no capture.
-    pub fn with_store(
-        config: impl Into<Arc<SystemConfig>>,
-        id: ReplicaId,
-        mut store: KvStore,
-    ) -> Self {
+    /// YCSB table), which committed batches execute against in order on the
+    /// caller's thread. A non-empty store is captured as boundary 0, what a
+    /// rollback with no later boundary returns to; an empty one needs no
+    /// capture.
+    pub fn with_store(config: impl Into<Arc<SystemConfig>>, id: ReplicaId, store: KvStore) -> Self {
         let config = config.into();
         let checkpoint_quorum = config.small_quorum();
-        store.reshard(config.exec_shards);
         let mut journal = CheckpointJournal::default();
         if !store.is_empty() {
             journal.capture(SeqNum(0), &store);
@@ -93,7 +87,7 @@ impl ReplicaCore {
         ReplicaCore {
             batcher: Batcher::new(config.batch_size),
             checkpoints: CheckpointLog::new(config.checkpoint_interval, checkpoint_quorum),
-            exec: ExecutionQueue::with_workers(store, config.exec_workers),
+            exec: ExecutionQueue::with_store(store),
             reply_cache: BTreeMap::new(),
             executed_txns: 0,
             journal,
@@ -294,12 +288,14 @@ impl ReplicaCore {
     /// snapshot, fast-forwards the execution queue to `seq`, and adopts the
     /// checkpoint as the stable low-water mark. Returns `false` (leaving
     /// all state untouched) when this replica has already executed past
-    /// `seq`. The recovery rejoin path.
+    /// `seq`, or when the snapshot's keys are not strictly ascending, as
+    /// every honest snapshot's are. The recovery rejoin path.
     pub fn install_checkpoint(&mut self, seq: SeqNum, snapshot: &StateSnapshot) -> bool {
-        if seq <= self.last_executed() {
+        let ascending = snapshot.entries.is_sorted_by(|(a, _), (b, _)| a < b);
+        if seq <= self.last_executed() || !ascending {
             return false;
         }
-        let store = KvStore::from_snapshot(snapshot, self.config.exec_shards);
+        let store = KvStore::from_snapshot(snapshot);
         let state_digest = store.state_digest();
         self.exec.fast_forward(seq, store);
         self.checkpoints
@@ -317,7 +313,7 @@ impl ReplicaCore {
             .journal
             .rollback(self.low_water_mark())
             .unwrap_or_default();
-        let store = KvStore::from_snapshot(&snapshot, self.config.exec_shards);
+        let store = KvStore::from_snapshot(&snapshot);
         self.exec.rollback_to(seq, store);
     }
 
@@ -717,6 +713,24 @@ mod tests {
         assert!(!joiner.install_checkpoint(SeqNum(1), &snapshot));
         // The joiner can itself serve the installed boundary onwards.
         assert!(joiner.stable_checkpoint_snapshot(SeqNum(0)).is_some());
+    }
+
+    #[test]
+    fn a_snapshot_whose_keys_are_not_strictly_ascending_is_not_installed() {
+        let snapshot = |keys: &[u64]| StateSnapshot {
+            entries: keys.iter().map(|k| (*k, vec![1u8].into())).collect(),
+            applied_mutations: keys.len() as u64,
+            fingerprint: 7,
+        };
+        let mut joiner = core();
+        for keys in [&[5, 1][..], &[1, 1, 2]] {
+            assert!(!joiner.install_checkpoint(SeqNum(2), &snapshot(keys)));
+            assert_eq!(joiner.last_executed(), SeqNum(0));
+            assert_eq!(joiner.low_water_mark(), SeqNum(0));
+            assert_eq!(joiner.journal().held().count(), 0);
+        }
+        assert!(joiner.install_checkpoint(SeqNum(2), &snapshot(&[1, 3, 5])));
+        assert_eq!(joiner.last_executed(), SeqNum(2));
     }
 
     #[test]

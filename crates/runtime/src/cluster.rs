@@ -245,22 +245,10 @@ impl<N: Network> ThreadedCluster<N> {
     /// [`TcpCluster`](crate::TcpCluster) an `io::Result` of itself, since
     /// binding its sockets can fail.
     pub fn start(protocol: ProtocolId, f: usize, batch_size: usize) -> N::Start<Self> {
-        Self::start_with_workers(protocol, f, batch_size, 1)
+        Self::start_with_chaos(protocol, f, batch_size, None, None)
     }
 
-    /// Like [`ThreadedCluster::start`], with `exec_workers`
-    /// execution-layer shard workers per replica (1 = serial). Commit
-    /// sequences and state digests are identical for every worker count.
-    pub fn start_with_workers(
-        protocol: ProtocolId,
-        f: usize,
-        batch_size: usize,
-        exec_workers: usize,
-    ) -> N::Start<Self> {
-        Self::start_with_chaos(protocol, f, batch_size, exec_workers, None, None)
-    }
-
-    /// Like [`ThreadedCluster::start_with_workers`], with an optional
+    /// Like [`ThreadedCluster::start`], with an optional
     /// checkpoint interval override (chaos scenarios shorten it so state
     /// transfer fits test-scale runs) and an optional [`CrashWindow`]: the
     /// window's replica crashes mid-run and rejoins via checkpoint state
@@ -269,13 +257,12 @@ impl<N: Network> ThreadedCluster<N> {
         protocol: ProtocolId,
         f: usize,
         batch_size: usize,
-        exec_workers: usize,
         checkpoint_interval: Option<u64>,
         window: Option<CrashWindow>,
     ) -> N::Start<Self> {
         // One config allocation for the whole cluster; replica threads and
         // engines share it by reference.
-        let mut base = cluster_config(protocol, f, batch_size).with_exec_workers(exec_workers);
+        let mut base = cluster_config(protocol, f, batch_size);
         if let Some(interval) = checkpoint_interval {
             base.checkpoint_interval = interval;
         }

@@ -55,10 +55,6 @@ pub struct ScenarioSpec {
     /// simulations lower it so that the Zyzzyva/MinZZ slow path fits inside
     /// the simulated window.
     pub client_timeout_us: Option<u64>,
-    /// Execution-layer shard workers per replica (1 = serial). Purely a
-    /// parallelism knob: results and state digests are identical for every
-    /// value.
-    pub exec_workers: usize,
 }
 
 impl ScenarioSpec {
@@ -83,7 +79,6 @@ impl ScenarioSpec {
             checkpoint_interval: None,
             seed: 42,
             client_timeout_us: None,
-            exec_workers: 1,
         }
     }
 
@@ -111,7 +106,6 @@ impl ScenarioSpec {
         if let Some(interval) = self.checkpoint_interval {
             cfg.checkpoint_interval = interval;
         }
-        cfg.exec_workers = self.exec_workers.max(1);
         cfg
     }
 

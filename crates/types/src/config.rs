@@ -152,13 +152,6 @@ pub struct SystemConfig {
     pub view_timeout_us: u64,
     /// Client retry timeout in microseconds.
     pub client_timeout_us: u64,
-    /// Number of keyspace shards the execution-layer store partitions
-    /// records into. Purely a parallelism knob: digests and results are
-    /// identical for every shard count.
-    pub exec_shards: usize,
-    /// Number of worker threads applying committed batches to the store;
-    /// 1 executes inline on the replica's thread.
-    pub exec_workers: usize,
 }
 
 impl SystemConfig {
@@ -177,15 +170,7 @@ impl SystemConfig {
             checkpoint_interval: 1000,
             view_timeout_us: 2_000_000,
             client_timeout_us: 1_000_000,
-            exec_shards: 8,
-            exec_workers: 1,
         }
-    }
-
-    /// Returns the configuration with `workers` execution workers.
-    pub fn with_exec_workers(mut self, workers: usize) -> Self {
-        self.exec_workers = workers.max(1);
-        self
     }
 
     /// Validates the internal consistency of the configuration.
@@ -211,12 +196,6 @@ impl SystemConfig {
         }
         if self.checkpoint_interval == 0 {
             return Err(Error::config("checkpoint interval must be positive"));
-        }
-        if self.exec_shards == 0 {
-            return Err(Error::config("exec_shards must be positive"));
-        }
-        if self.exec_workers == 0 {
-            return Err(Error::config("exec_workers must be positive"));
         }
         Ok(())
     }

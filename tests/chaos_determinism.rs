@@ -6,8 +6,7 @@
 //! a bit-identical run — same event schedule, same message count, same
 //! commit sequence, same per-replica execution frontiers. These property
 //! tests drive random seeds through a crash-recovery plan with link chaos
-//! (drop + duplicate + reorder) and compare everything across repeated runs
-//! and across execution-worker counts.
+//! (drop + duplicate + reorder) and compare everything across repeated runs.
 
 use flexitrust::prelude::*;
 use flexitrust::sim::CommittedTxn;
@@ -21,9 +20,8 @@ use proptest::prelude::*;
 /// has zero slack, so a single dropped vote can legitimately wedge the run
 /// (votes are never retransmitted) — the drop path's determinism is pinned
 /// separately in the runner's own seed-reproducibility test.
-fn chaos_spec(seed: u64, exec_workers: usize) -> ScenarioSpec {
+fn chaos_spec(seed: u64) -> ScenarioSpec {
     let mut spec = ScenarioSpec::quick_test(ProtocolId::FlexiBft);
-    spec.exec_workers = exec_workers;
     spec.checkpoint_interval = Some(10);
     spec.chaos = ChaosPlan::crash_then_recover(seed, ReplicaId(3), 60_000_000, 110_000_000)
         .with_link(LinkChaos {
@@ -57,7 +55,7 @@ proptest! {
     /// run, including the faults it injected and the recovery it drove.
     #[test]
     fn same_chaos_seed_reproduces_the_identical_run(seed in any::<u64>()) {
-        let first = Simulation::new(chaos_spec(seed, 1)).run();
+        let first = Simulation::new(chaos_spec(seed)).run();
         // Reordering may legitimately cost liveness for some seeds: the
         // engines assume FIFO links (attested counter values must arrive in
         // order), so an out-of-order vote can be rejected and is never
@@ -69,26 +67,8 @@ proptest! {
                 "safety must hold under any chaos: {}", violation
             );
         }
-        let second = Simulation::new(chaos_spec(seed, 1)).run();
+        let second = Simulation::new(chaos_spec(seed)).run();
         prop_assert_eq!(fingerprint(&first), fingerprint(&second));
     }
 
-    /// Execution-worker count is a pure parallelism knob even under chaos:
-    /// the commit sequence and the per-replica frontiers (with their state
-    /// digests) never depend on it.
-    #[test]
-    fn exec_worker_count_never_changes_a_chaos_run(seed in any::<u64>()) {
-        let serial = Simulation::new(chaos_spec(seed, 1)).run();
-        for workers in [2usize, 4] {
-            let sharded = Simulation::new(chaos_spec(seed, workers)).run();
-            prop_assert_eq!(
-                &serial.commit_log, &sharded.commit_log,
-                "commit log diverges with {} exec workers", workers
-            );
-            prop_assert_eq!(
-                &serial.replica_frontiers, &sharded.replica_frontiers,
-                "frontiers/digests diverge with {} exec workers", workers
-            );
-        }
-    }
 }

@@ -175,9 +175,9 @@ fn crashed_replica_rejoins_and_hosts_agree_on_the_commit_sequence() {
         "simulated replica 2 stopped at seq {sim_frontier}, before the seq-{RECOVER_AT} rejoin point"
     );
     let (checkpoint, window) = (Some(CHAOS_CHECKPOINT), Some(CRASH_WINDOW));
-    let channel = Cluster::start_with_chaos(protocol, F, BATCH, 1, checkpoint, window);
+    let channel = Cluster::start_with_chaos(protocol, F, BATCH, checkpoint, window);
     let channel = threaded_commits("channel", channel, CHAOS_CLIENTS, RECOVER_AT);
-    let tcp = TcpCluster::start_with_chaos(protocol, F, BATCH, 1, checkpoint, window)
+    let tcp = TcpCluster::start_with_chaos(protocol, F, BATCH, checkpoint, window)
         .expect("tcp cluster starts");
     let tcp = threaded_commits("TCP", tcp, CHAOS_CLIENTS, RECOVER_AT);
     for (host, (commits, frontier)) in [("channel", channel), ("TCP", tcp)] {
@@ -190,30 +190,4 @@ fn crashed_replica_rejoins_and_hosts_agree_on_the_commit_sequence() {
             "{host} cluster replica 2 stopped at seq {frontier}, before the seq-{RECOVER_AT} rejoin point"
         );
     }
-}
-
-/// Sharded parallel execution is a pure implementation detail: for every
-/// worker configuration, both threaded hosts commit exactly the sequence
-/// the serial simulator commits. (Digest agreement is implied too — the
-/// checkpoint protocol compares `state_digest()` across replicas, and a
-/// worker-dependent digest would stall commits long before this assert.)
-#[test]
-fn execution_worker_count_never_changes_the_commit_sequence() {
-    let reference = simulator_commits(ProtocolId::FlexiBft);
-    assert_eq!(reference.len(), CLIENTS);
-    for workers in [2usize, 4] {
-        let cluster = Cluster::start_with_workers(ProtocolId::FlexiBft, F, BATCH, workers);
-        let (cluster, _) = threaded_commits("channel", cluster, CLIENTS, 0);
-        assert_eq!(
-            reference, cluster,
-            "channel cluster with {workers} exec workers diverges from the serial reference"
-        );
-    }
-    let tcp = TcpCluster::start_with_workers(ProtocolId::FlexiBft, F, BATCH, 4)
-        .expect("tcp cluster starts");
-    let (tcp, _) = threaded_commits("TCP", tcp, CLIENTS, 0);
-    assert_eq!(
-        reference, tcp,
-        "TCP cluster with 4 exec workers diverges from the serial reference"
-    );
 }

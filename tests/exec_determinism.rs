@@ -1,13 +1,11 @@
-//! Sharded-execution determinism pins.
+//! Execution determinism pins.
 //!
-//! The execution queue may scatter committed batches across shard workers
-//! (see `flexitrust::exec::ShardedExecutor`), but the contract is exact:
-//! for ANY shard count, ANY worker count and ANY submission order, every
+//! Committed batches reach the execution queue in whatever order quorums
+//! complete, but the contract is exact: for ANY submission order, every
 //! per-op `KvResult` and the store's `state_digest()` must be bit-identical
-//! to single-threaded in-order execution. These property tests drive random
-//! batch streams — conflicting keys, every op type including cross-shard
-//! `Scan`s (which take the serial lane), out-of-order submission — through
-//! serial and parallel queues and compare everything.
+//! to executing the batches in sequence order. These property tests drive
+//! random batch streams — conflicting keys, every op type including
+//! `Scan`s — through the queue in several orders and compare everything.
 //!
 //! The checkpoint journal gets the same treatment: whatever order batches
 //! commit in, whenever boundaries turn stable, through installs and
@@ -25,11 +23,11 @@ use rand::{Rng, SeedableRng};
 
 type Gen = rand::rngs::StdRng;
 
-/// Small key space so random batches conflict constantly — the worst case
-/// for a parallel executor and the interesting one for determinism.
+/// Small key space so random batches conflict constantly: every read and
+/// scan then depends on the order of the writes before it.
 const KEYS: u64 = 61;
 
-fn gen_op(rng: &mut Gen, allow_scan: bool) -> KvOp {
+fn gen_op(rng: &mut Gen) -> KvOp {
     let key = rng.gen_range(0..KEYS);
     let value = |rng: &mut Gen| {
         let len = rng.gen_range(1usize..24);
@@ -38,7 +36,7 @@ fn gen_op(rng: &mut Gen, allow_scan: bool) -> KvOp {
             .collect::<Vec<u8>>()
             .into()
     };
-    match rng.gen_range(0u32..if allow_scan { 6 } else { 5 }) {
+    match rng.gen_range(0u32..6) {
         0 => KvOp::Read { key },
         1 => KvOp::Update {
             key,
@@ -65,11 +63,7 @@ fn gen_batches(rng: &mut Gen, batches: usize) -> Vec<Batch> {
         .map(|b| {
             let txns: Vec<Transaction> = (0..rng.gen_range(1usize..8))
                 .map(|t| {
-                    Transaction::new(
-                        ClientId(b as u64 + 1),
-                        RequestId(t as u64 + 1),
-                        gen_op(rng, true),
-                    )
+                    Transaction::new(ClientId(b as u64 + 1), RequestId(t as u64 + 1), gen_op(rng))
                 })
                 .collect();
             Batch::new(txns, Digest::from_u64_tag(b as u64 + 1))
@@ -78,16 +72,10 @@ fn gen_batches(rng: &mut Gen, batches: usize) -> Vec<Batch> {
 }
 
 /// Executes `batches` at seqs 1.. in `submission` order and returns every
-/// per-op result (in sequence/batch order) plus the final state digest.
-fn run(
-    batches: &[Batch],
-    submission: &[usize],
-    shards: usize,
-    workers: usize,
-) -> (Vec<(SeqNum, Vec<KvResult>)>, Digest) {
-    let mut store = KvStore::with_dataset(KEYS, 8);
-    store.reshard(shards);
-    let mut queue = ExecutionQueue::with_workers(store, workers);
+/// per-op result, in the order the queue executed them, plus the final
+/// state digest.
+fn run(batches: &[Batch], submission: &[usize]) -> (Vec<(SeqNum, Vec<KvResult>)>, Digest) {
+    let mut queue = ExecutionQueue::with_store(KvStore::with_dataset(KEYS, 8));
     let mut executed = Vec::new();
     for &index in submission {
         for done in queue.submit(SeqNum(index as u64 + 1), batches[index].clone()) {
@@ -97,7 +85,6 @@ fn run(
             ));
         }
     }
-    executed.sort_by_key(|(seq, _)| *seq);
     (executed, queue.state_digest())
 }
 
@@ -133,14 +120,13 @@ fn gen_journal_batches(rng: &mut Gen, batches: usize, keys: u64) -> Vec<Batch> {
 /// stabilisations, an install and rollbacks, checked after every step
 /// against `oracle[seq]`: the snapshot and digest of a serial store after
 /// executing exactly `seq` batches.
-fn journal_case(seed: u64, workers: usize) -> Result<(), TestCaseError> {
+fn journal_case(seed: u64) -> Result<(), TestCaseError> {
     let mut rng = Gen::seed_from_u64(seed);
     let keys = rng.gen_range(0u64..24);
     let batch_count = rng.gen_range(12usize..40);
     let batches = gen_journal_batches(&mut rng, batch_count, keys);
     let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
     cfg.checkpoint_interval = rng.gen_range(1u64..6);
-    cfg.exec_workers = workers;
     let interval = cfg.checkpoint_interval;
 
     let mut store = KvStore::with_dataset(keys, 8);
@@ -236,78 +222,45 @@ fn journal_case(seed: u64, workers: usize) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The checkpoint journal against a snapshot-at-every-step oracle,
-    /// under serial and four-worker execution.
+    /// The checkpoint journal against a snapshot-at-every-step oracle.
     #[test]
     fn journal_boundaries_equal_oracle_snapshots(seed in any::<u64>()) {
-        journal_case(seed, 1)?;
-        journal_case(seed, 4)?;
+        journal_case(seed)?;
     }
 
-    /// The tentpole pin: sharded parallel execution is observationally
-    /// identical to serial execution for every (shard, worker) config and
-    /// any out-of-order submission pattern.
+    /// However committed batches arrive, the queue executes them as if they
+    /// had been applied to the store in sequence order: the same per-op
+    /// results and the same state digest, `Scan`s included.
     #[test]
-    fn sharded_execution_equals_serial(seed in any::<u64>()) {
+    fn out_of_order_submission_equals_in_order(seed in any::<u64>()) {
         let mut rng = Gen::seed_from_u64(seed);
         let batch_count = rng.gen_range(4usize..16);
         let batches = gen_batches(&mut rng, batch_count);
 
-        // Reference: serial queue, in-order submission.
-        let in_order: Vec<usize> = (0..batches.len()).collect();
-        let (want, want_digest) = run(&batches, &in_order, 1, 1);
-        prop_assert_eq!(want.len(), batches.len());
+        // The oracle: every transaction applied straight to a store, in
+        // sequence order.
+        let mut store = KvStore::with_dataset(KEYS, 8);
+        let want: Vec<(SeqNum, Vec<KvResult>)> = (1..)
+            .map(SeqNum)
+            .zip(&batches)
+            .map(|(seq, batch)| {
+                (seq, batch.txns().iter().map(|txn| store.apply(txn.op())).collect())
+            })
+            .collect();
+        let want_digest = store.state_digest();
 
-        // A random submission permutation exercises group draining: a late
-        // head unblocks a multi-batch run executed as one scatter/gather.
+        // In order, a random permutation, and a late head: everything but
+        // seq 1 parks until seq 1 unblocks the whole stream in one drain.
+        let in_order: Vec<usize> = (0..batches.len()).collect();
         let mut shuffled = in_order.clone();
         for i in (1..shuffled.len()).rev() {
             shuffled.swap(i, rng.gen_range(0..=i));
         }
-
-        for &shards in &[1usize, 2, 8, 13] {
-            for &workers in &[1usize, 2, 4] {
-                for submission in [&in_order, &shuffled] {
-                    let (got, got_digest) = run(&batches, submission, shards, workers);
-                    prop_assert_eq!(
-                        &got, &want,
-                        "results diverge: shards={} workers={}", shards, workers
-                    );
-                    prop_assert_eq!(
-                        got_digest, want_digest,
-                        "digest diverges: shards={} workers={}", shards, workers
-                    );
-                }
-            }
+        let late_head: Vec<usize> = (1..batches.len()).chain([0]).collect();
+        for submission in [&in_order, &shuffled, &late_head] {
+            let (got, got_digest) = run(&batches, submission);
+            prop_assert_eq!(&got, &want, "results diverge for {:?}", submission);
+            prop_assert_eq!(got_digest, want_digest, "digest diverges for {:?}", submission);
         }
-    }
-
-    /// The serial Scan lane composes with parallel segments: batches that
-    /// are pure scans interleaved with write-heavy batches still execute
-    /// in exact sequence order.
-    #[test]
-    fn scan_lane_interleaves_deterministically(seed in any::<u64>()) {
-        let mut rng = Gen::seed_from_u64(seed);
-        let batches: Vec<Batch> = (0..10)
-            .map(|b| {
-                let op = if b % 3 == 2 {
-                    KvOp::Scan { start_key: rng.gen_range(0..KEYS), count: 8 }
-                } else {
-                    gen_op(&mut rng, false)
-                };
-                Batch::new(
-                    vec![Transaction::new(ClientId(1), RequestId(b as u64 + 1), op)],
-                    Digest::from_u64_tag(b as u64 + 1),
-                )
-            })
-            .collect();
-        // Submit everything except seq 1, then unblock: the whole stream
-        // drains as one group with scan batches splitting the segments.
-        let submission: Vec<usize> = (1..batches.len()).chain([0]).collect();
-        let in_order: Vec<usize> = (0..batches.len()).collect();
-        let (want, want_digest) = run(&batches, &in_order, 1, 1);
-        let (got, got_digest) = run(&batches, &submission, 8, 4);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(got_digest, want_digest);
     }
 }

@@ -231,10 +231,10 @@ fn batch_equality_and_noop_flags_survive_the_shared_representation() {
 
 /// The PR 6 extension of the Arc discipline into the state machine: a
 /// value buffer is allocated once — at the client that generated it — and
-/// every execution of it, at every replica and on every shard worker,
-/// shares that allocation by reference. `value_payload_allocations`
-/// counts `ValueBytes` constructions process-wide exactly like its batch
-/// counterpart counts batch payloads.
+/// every execution of it, at every replica, shares that allocation by
+/// reference. `value_payload_allocations` counts `ValueBytes`
+/// constructions process-wide exactly like its batch counterpart counts
+/// batch payloads.
 #[test]
 fn executed_updates_share_the_client_value_allocation() {
     let _guard = serial();
@@ -255,11 +255,11 @@ fn executed_updates_share_the_client_value_allocation() {
         Digest::from_u64_tag(1),
     );
 
-    // Three "replicas", each executing the same committed batch on four
-    // shard workers: 150 logical updates, zero new value allocations.
+    // Three "replicas", each executing the same committed batch: 150
+    // logical updates, zero new value allocations.
     let before = value_payload_allocations();
     for _ in 0..3 {
-        let mut queue = ExecutionQueue::with_workers(KvStore::new(), 4);
+        let mut queue = ExecutionQueue::new();
         let executed = queue.submit(SeqNum(1), batch.clone());
         assert_eq!(executed.len(), 1);
         assert!(executed[0]
@@ -348,27 +348,25 @@ fn checkpoint_capture_fold_and_serve_share_the_stored_values() {
 }
 
 /// End to end through the threaded cluster: value allocations scale with
-/// the number of logical updates the clients generate — independent of
-/// replica fan-out AND of the execution worker count.
+/// the number of logical updates the clients generate, independent of
+/// replica fan-out.
 #[test]
 fn value_allocations_scale_with_updates_not_replicas_or_workers() {
     let _guard = serial();
-    for workers in [1usize, 4] {
-        // 100 update transactions through 4 replicas: the driver allocates
-        // one value per update; acceptance, storage and execution at every
-        // replica share it. A deep-copying execution plane would allocate
-        // ≥ one per replica per update (≥ 400).
-        let before = value_payload_allocations();
-        let cluster = Cluster::start_with_workers(ProtocolId::FlexiBft, 1, 10, workers);
-        let summary = cluster.run_workload(100, 4, Duration::from_secs(30));
-        cluster.shutdown();
-        let delta = value_payload_allocations() - before;
-        assert_eq!(summary.completed_txns, 100);
-        assert!(
-            (100..=120).contains(&delta),
-            "workers={workers}: {delta} value allocations for 100 logical updates"
-        );
-    }
+    // 100 update transactions through 4 replicas: the driver allocates one
+    // value per update; acceptance, storage and execution at every replica
+    // share it. A deep-copying execution plane would allocate ≥ one per
+    // replica per update (≥ 400).
+    let before = value_payload_allocations();
+    let cluster = Cluster::start(ProtocolId::FlexiBft, 1, 10);
+    let summary = cluster.run_workload(100, 4, Duration::from_secs(30));
+    cluster.shutdown();
+    let delta = value_payload_allocations() - before;
+    assert_eq!(summary.completed_txns, 100);
+    assert!(
+        (100..=120).contains(&delta),
+        "{delta} value allocations for 100 logical updates"
+    );
 
     // The simulator end to end (4 replicas, 50/50 read/update YCSB): the
     // workload generator's updates are the only value allocations; every

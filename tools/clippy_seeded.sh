@@ -108,11 +108,11 @@ sed -i -e 's/^    submit_streams: SubmitStreams,$/&\n    seeded: std::sync::Mute
 expect flexitrust-runtime 'disallowed type `std::sync::Mutex`'
 
 # A guard held across a blocking channel send.
-plant crates/exec/src/executor.rs
+plant crates/exec/src/queue.rs
 cat >>"$target" <<'EOF'
-fn seeded(m: &std::sync::Mutex<u8>, tx: &Sender<LaneJob>) {
+fn seeded(m: &std::sync::Mutex<u8>, tx: &std::sync::mpsc::Sender<Batch>) {
     let _guard = m.lock();
-    let _ = tx.send(Vec::new());
+    let _ = tx.send(Batch::noop(1));
 }
 EOF
 expect flexitrust-exec 'disallowed type `std::sync::Mutex`'
@@ -122,9 +122,9 @@ plant crates/runtime/src/tcp.rs
 echo 'fn seeded(tx: &Sender<Outbound>, o: Outbound) { _ = tx.try_send(o); }' >>"$target"
 expect flexitrust-runtime 'disallowed method `crossbeam::channel::Sender::try_send`'
 
-# Panics a worker thread or a peer's bytes could reach.
-plant crates/exec/src/executor.rs
-echo 'impl LaneOutcome { fn seeded(&self) -> usize { self.results[0].0 } }' >>"$target"
+# Panics execution or a peer's bytes could reach.
+plant crates/exec/src/queue.rs
+echo 'impl ExecutedBatch { fn seeded(&self) -> &TxnOutcome { &self.outcomes[0] } }' >>"$target"
 expect flexitrust-exec 'indexing may panic'
 
 plant crates/wire/src/codec.rs
