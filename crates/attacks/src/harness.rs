@@ -3,12 +3,12 @@
 //!
 //! The harness is the third host of the shared engine-hosting layer: like
 //! the simulator and the threaded runtime it drives engines through
-//! [`flexitrust_host::Dispatcher`], implementing only its environment
+//! [`flexitrust_protocol::host::Dispatcher`], implementing only its environment
 //! primitives — routing messages by the [`Fate`] the adversary's
 //! [`ChaosPlan`] decides (the [`ChaosState::fate`] the simulator consults)
 //! into per-replica queues and recording client-visible observations.
 
-use flexitrust_host::{Dispatcher, EngineHost, TimerToken};
+use flexitrust_protocol::host::{Dispatcher, EngineHost, TimerToken};
 use flexitrust_protocol::{ClientReply, ConsensusEngine, SharedMessage, TimerKind};
 use flexitrust_sim::{ChaosPlan, ChaosState, Fate};
 use flexitrust_types::{ReplicaId, Transaction};

@@ -17,7 +17,7 @@
 //!   while FlexiTrust replicas accept out-of-order proposals and merely
 //!   delay execution.
 //!
-//! Every engine comes from [`flexitrust_host::build_replica`], the factory
+//! Every engine comes from [`flexitrust_protocol::host::build_replica`], the factory
 //! the simulator and the threaded hosts start their replicas with, so each
 //! scenario is written once and takes the protocol as an input. Only the §5
 //! scenario routes messages: [`harness::drive`] delivers them by the

@@ -14,7 +14,7 @@
 //! most one of the conflicting transactions can ever commit.
 
 use flexitrust_crypto::make_batch;
-use flexitrust_host::build_replica;
+use flexitrust_protocol::host::build_replica;
 use flexitrust_protocol::{Message, Outbox};
 use flexitrust_trusted::{
     Attestation, AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, TrustedHardware,

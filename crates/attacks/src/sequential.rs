@@ -10,7 +10,7 @@
 //! are simply parked by the execution queue and executed once the gap fills.
 
 use flexitrust_crypto::make_batch;
-use flexitrust_host::build_replica;
+use flexitrust_protocol::host::build_replica;
 use flexitrust_protocol::{Message, Outbox};
 use flexitrust_trusted::{
     AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, TrustedHardware,

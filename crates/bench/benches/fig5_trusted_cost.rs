@@ -10,8 +10,8 @@
 //!   [f] all replicas TC + SA in PrePrepare;
 //!   [g] all replicas TC + SA in all three phases.
 
-use flexitrust::baselines::PbftFamilyEngine;
 use flexitrust::prelude::*;
+use flexitrust::protocol::PbftFamilyEngine;
 use flexitrust::sim::{build_replicas, ReplicaSetup};
 use flexitrust::trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry};
 use flexitrust::types::{PrimaryAttest, ProtocolStyle, ReplicaAttest};

@@ -60,7 +60,7 @@ pub fn mixed_elephant_spec(mut spec: ScenarioSpec) -> ScenarioSpec {
         scan_proportion: 0.01,
         max_scan_len: 300,
         record_count: 1_000,
-        distribution: flexitrust::workload::KeyDistribution::Uniform,
+        distribution: flexitrust::sim::workload::KeyDistribution::Uniform,
     };
     let mut bandwidth = BandwidthConfig::unlimited();
     bandwidth.client_mbps = Some(50);
@@ -90,7 +90,7 @@ pub fn mixed_elephant_rx_spec(mut spec: ScenarioSpec) -> ScenarioSpec {
         scan_proportion: 0.0,
         max_scan_len: 1,
         record_count: 1_000,
-        distribution: flexitrust::workload::KeyDistribution::Uniform,
+        distribution: flexitrust::sim::workload::KeyDistribution::Uniform,
     };
     spec.batch_size = 50;
     let mut bandwidth = BandwidthConfig::unlimited();

@@ -1,7 +1,6 @@
-//! The [`CryptoProvider`] trait and its real and counting implementations.
+//! The [`CryptoProvider`] trait and its one implementation, [`RealCrypto`].
 
 use crate::keys::KeyStore;
-use crate::stats::{CryptoOp, CryptoStats};
 use ed25519_dalek::{Signer as DalekSigner, Verifier};
 use flexitrust_types::{Error, NodeId, Result};
 use std::fmt;
@@ -12,7 +11,7 @@ use std::sync::Arc;
 pub struct Signature(pub [u8; 64]);
 
 impl Signature {
-    /// The all-zero signature, used as a placeholder by the counting provider.
+    /// The all-zero signature: a placeholder that verifies under no key.
     pub fn zero() -> Self {
         Signature([0u8; 64])
     }
@@ -51,8 +50,8 @@ impl fmt::Debug for Mac {
 
 /// The cryptographic operations the fabric needs.
 ///
-/// Implementations must be cheap to clone and shareable across threads; both
-/// provided implementations wrap their state in [`Arc`]s.
+/// Implementations must be cheap to clone and shareable across threads;
+/// [`RealCrypto`] wraps its key store in an [`Arc`].
 pub trait CryptoProvider: Send + Sync {
     /// Signs `bytes` on behalf of `signer` with its Ed25519 key.
     fn sign(&self, signer: NodeId, bytes: &[u8]) -> Result<Signature>;
@@ -65,9 +64,6 @@ pub trait CryptoProvider: Send + Sync {
 
     /// Verifies a channel MAC.
     fn verify_mac(&self, from: NodeId, to: NodeId, bytes: &[u8], mac: &Mac) -> Result<()>;
-
-    /// Returns the shared operation-count statistics for this provider.
-    fn stats(&self) -> &CryptoStats;
 }
 
 /// Production crypto: real Ed25519 signatures and HMAC-SHA256 MACs backed by
@@ -75,16 +71,12 @@ pub trait CryptoProvider: Send + Sync {
 #[derive(Clone)]
 pub struct RealCrypto {
     keys: Arc<KeyStore>,
-    stats: CryptoStats,
 }
 
 impl RealCrypto {
     /// Creates a provider over the given key store.
     pub fn new(keys: Arc<KeyStore>) -> Self {
-        RealCrypto {
-            keys,
-            stats: CryptoStats::default(),
-        }
+        RealCrypto { keys }
     }
 
     /// Access to the underlying key store (e.g. to hand public keys to
@@ -96,14 +88,12 @@ impl RealCrypto {
 
 impl CryptoProvider for RealCrypto {
     fn sign(&self, signer: NodeId, bytes: &[u8]) -> Result<Signature> {
-        self.stats.record(CryptoOp::Sign);
         let key = self.keys.signing_key(signer)?;
         let sig = key.sign(bytes);
         Ok(Signature(sig.to_bytes()))
     }
 
     fn verify(&self, signer: NodeId, bytes: &[u8], signature: &Signature) -> Result<()> {
-        self.stats.record(CryptoOp::Verify);
         let key = self.keys.verifying_key(signer)?;
         let sig = ed25519_dalek::Signature::from_bytes(signature.as_bytes());
         key.verify(bytes, &sig)
@@ -113,12 +103,10 @@ impl CryptoProvider for RealCrypto {
     }
 
     fn mac(&self, from: NodeId, to: NodeId, bytes: &[u8]) -> Result<Mac> {
-        self.stats.record(CryptoOp::MacCompute);
         Ok(self.keys.channel_mac(from, to, bytes))
     }
 
     fn verify_mac(&self, from: NodeId, to: NodeId, bytes: &[u8], mac: &Mac) -> Result<()> {
-        self.stats.record(CryptoOp::MacVerify);
         let expected = self.keys.channel_mac(from, to, bytes);
         if expected == *mac {
             Ok(())
@@ -127,104 +115,6 @@ impl CryptoProvider for RealCrypto {
                 context: format!("MAC verification failed on channel {from} -> {to}"),
             })
         }
-    }
-
-    fn stats(&self) -> &CryptoStats {
-        &self.stats
-    }
-}
-
-/// Simulation crypto: produces structurally valid artefacts without doing any
-/// cryptographic work, while recording operation counts.
-///
-/// The "signature" over a message is a keyed, deterministic (non-secure)
-/// fingerprint of the signer and the message bytes, so forgery by *honest
-/// simulation code* is still detectable (a mismatched signer or altered bytes
-/// fails verification), which keeps protocol-logic bugs observable in
-/// simulation, while costing only a few arithmetic operations.
-#[derive(Clone, Default)]
-pub struct CountingCrypto {
-    stats: CryptoStats,
-}
-
-impl CountingCrypto {
-    /// Creates a counting provider.
-    pub fn new() -> Self {
-        CountingCrypto::default()
-    }
-
-    fn fingerprint(salt: u64, bytes: &[u8]) -> u64 {
-        // FNV-1a over the salt and the message bytes.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in salt.to_le_bytes().iter().chain(bytes.iter()) {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
-    }
-
-    fn node_salt(node: NodeId) -> u64 {
-        match node {
-            NodeId::Replica(r) => 0x5245_0000_0000_0000 | u64::from(r.0),
-            NodeId::Client(c) => 0x434c_0000_0000_0000 ^ c.0,
-        }
-    }
-}
-
-impl CryptoProvider for CountingCrypto {
-    fn sign(&self, signer: NodeId, bytes: &[u8]) -> Result<Signature> {
-        self.stats.record(CryptoOp::Sign);
-        let fp = Self::fingerprint(Self::node_salt(signer), bytes);
-        let mut sig = [0u8; 64];
-        sig[..8].copy_from_slice(&fp.to_le_bytes());
-        Ok(Signature(sig))
-    }
-
-    fn verify(&self, signer: NodeId, bytes: &[u8], signature: &Signature) -> Result<()> {
-        self.stats.record(CryptoOp::Verify);
-        let fp = Self::fingerprint(Self::node_salt(signer), bytes);
-        if signature.as_bytes()[..8] == fp.to_le_bytes() {
-            Ok(())
-        } else {
-            Err(Error::InvalidSignature {
-                context: format!("counting-provider fingerprint mismatch for {signer}"),
-            })
-        }
-    }
-
-    fn mac(&self, from: NodeId, to: NodeId, bytes: &[u8]) -> Result<Mac> {
-        self.stats.record(CryptoOp::MacCompute);
-        let fp = Self::fingerprint(
-            Self::node_salt(from) ^ Self::node_salt(to).rotate_left(17),
-            bytes,
-        );
-        let mut mac = [0u8; 32];
-        mac[..8].copy_from_slice(&fp.to_le_bytes());
-        Ok(Mac(mac))
-    }
-
-    fn verify_mac(&self, from: NodeId, to: NodeId, bytes: &[u8], mac: &Mac) -> Result<()> {
-        self.stats.record(CryptoOp::MacVerify);
-        let expected = {
-            let fp = Self::fingerprint(
-                Self::node_salt(from) ^ Self::node_salt(to).rotate_left(17),
-                bytes,
-            );
-            let mut m = [0u8; 32];
-            m[..8].copy_from_slice(&fp.to_le_bytes());
-            Mac(m)
-        };
-        if expected == *mac {
-            Ok(())
-        } else {
-            Err(Error::InvalidSignature {
-                context: format!("counting-provider MAC mismatch on channel {from} -> {to}"),
-            })
-        }
-    }
-
-    fn stats(&self) -> &CryptoStats {
-        &self.stats
     }
 }
 
@@ -260,27 +150,8 @@ mod tests {
     }
 
     #[test]
-    fn counting_crypto_detects_tampering_and_counts() {
-        let crypto = CountingCrypto::new();
-        let (r, c) = nodes();
-        let sig = crypto.sign(r, b"msg").unwrap();
-        crypto.verify(r, b"msg", &sig).unwrap();
-        assert!(crypto.verify(r, b"other", &sig).is_err());
-        assert!(crypto.verify(c, b"msg", &sig).is_err());
-        let mac = crypto.mac(r, c, b"m").unwrap();
-        crypto.verify_mac(r, c, b"m", &mac).unwrap();
-        assert!(crypto.verify_mac(r, c, b"x", &mac).is_err());
-
-        let counts = crypto.stats().snapshot();
-        assert_eq!(counts.signs, 1);
-        assert_eq!(counts.verifies, 3);
-        assert_eq!(counts.mac_computes, 1);
-        assert_eq!(counts.mac_verifies, 2);
-    }
-
-    #[test]
     fn signatures_of_distinct_signers_differ() {
-        let crypto = CountingCrypto::new();
+        let crypto = RealCrypto::new(Arc::new(KeyStore::deterministic(4, 2)));
         let a = crypto.sign(NodeId::Replica(ReplicaId(1)), b"x").unwrap();
         let b = crypto.sign(NodeId::Replica(ReplicaId(2)), b"x").unwrap();
         assert_ne!(a, b);

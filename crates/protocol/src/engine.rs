@@ -10,7 +10,7 @@ use flexitrust_types::{Digest, ReplicaId, SeqNum, SystemConfig, Transaction, Vie
 
 /// Timers an engine may arm. The host schedules them against its own clock
 /// (simulated or real) and calls [`ConsensusEngine::on_timer`] on expiry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TimerKind {
     /// Primary-failure detection; on expiry the replica votes for a view
     /// change.
@@ -58,9 +58,11 @@ pub trait ConsensusEngine: Send {
 
     /// Called when a protocol message arrives from `from`.
     ///
-    /// The host has already verified transport authenticity (MACs); the
-    /// engine is responsible for protocol-level validation (views, quorums,
-    /// attestations) and must simply ignore malformed input.
+    /// No host authenticates the transport: the TCP frame's MAC field is
+    /// zeros and nothing checks it, so `from` is whatever the sender's
+    /// frame or channel says. The engine is responsible for protocol-level
+    /// validation (views, quorums, attestations) and must simply ignore
+    /// malformed input.
     fn on_message(&mut self, from: ReplicaId, msg: Message, out: &mut Outbox);
 
     /// Called when a previously armed timer expires.

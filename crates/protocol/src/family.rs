@@ -45,13 +45,13 @@
 //! the proofs, re-attestations and rollbacks a view change needs. The
 //! style-independent part — client glue, the primary's proposal window,
 //! checkpoint state transfer, the view-change state machine — is
-//! `flexitrust_protocol`'s [`ReplicaCore`].
+//! [`ReplicaCore`].
 
-use flexitrust_crypto::digest_transaction;
-use flexitrust_protocol::{
+use crate::{
     Binding, CertificateTracker, ConsensusEngine, Message, Outbox, PreparedProof, ReplicaCore,
     TimerKind,
 };
+use flexitrust_crypto::digest_transaction;
 use flexitrust_trusted::{AttestKind, Attestation, EnclaveRegistry, SharedEnclave};
 use flexitrust_types::{
     Batch, Digest, PrimaryAttest, ProtocolStyle, ReplicaAttest, ReplicaId, SeqNum, StateSnapshot,
@@ -769,50 +769,15 @@ impl ConsensusEngine for PbftFamilyEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexitrust_protocol::testing::{run_cluster_until_quiescent, TestNet};
+    use crate::testing::{self, run_cluster_until_quiescent, txns, TestNet};
+    use flexitrust_crypto::{make_batch, Signature};
     use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig};
-    use flexitrust_types::{ClientId, KvOp, ProtocolId, RequestId};
-
-    fn txns(count: usize) -> Vec<Transaction> {
-        (0..count)
-            .map(|i| {
-                Transaction::new(
-                    ClientId(1),
-                    RequestId(i as u64 + 1),
-                    KvOp::Update {
-                        key: i as u64,
-                        value: vec![1].into(),
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// One engine per replica of `style` over counting-mode enclaves of the
-    /// kind its row needs, in batches of two.
-    fn cluster(style: ProtocolStyle, f: usize) -> Vec<Box<dyn ConsensusEngine>> {
-        let mut cfg = SystemConfig::for_protocol(style.id, f);
-        cfg.batch_size = 2;
-        let registry = EnclaveRegistry::deterministic(cfg.n, AttestationMode::Counting);
-        cfg.replicas()
-            .map(|id| {
-                let enclave = EnclaveConfig::for_style(&style, id, AttestationMode::Counting)
-                    .map(Enclave::shared);
-                Box::new(PbftFamilyEngine::new(
-                    cfg.clone(),
-                    id,
-                    style,
-                    enclave,
-                    Some(registry.clone()),
-                )) as Box<dyn ConsensusEngine>
-            })
-            .collect()
-    }
+    use flexitrust_types::ProtocolId;
 
     #[test]
     fn pbft_cluster_commits_and_all_replicas_execute() {
-        let mut cluster = cluster(ProtocolId::Pbft.style(), 1);
-        run_cluster_until_quiescent(&mut cluster, vec![(0, txns(4))], 100);
+        let mut cluster = testing::cluster(ProtocolId::Pbft, 1, |c| c.batch_size = 2).0;
+        run_cluster_until_quiescent(&mut cluster, vec![(0, txns(1..5))], 100);
         for engine in &cluster {
             assert_eq!(engine.last_executed(), SeqNum(2), "replica {}", engine.id());
             assert_eq!(engine.executed_txns(), 4);
@@ -821,8 +786,8 @@ mod tests {
 
     #[test]
     fn minbft_cluster_commits_in_two_phases() {
-        let mut cluster = cluster(ProtocolId::MinBft.style(), 1);
-        run_cluster_until_quiescent(&mut cluster, vec![(0, txns(2))], 100);
+        let mut cluster = testing::cluster(ProtocolId::MinBft, 1, |c| c.batch_size = 2).0;
+        run_cluster_until_quiescent(&mut cluster, vec![(0, txns(1..3))], 100);
         for engine in &cluster {
             assert_eq!(engine.last_executed(), SeqNum(1));
             assert_eq!(engine.executed_txns(), 2);
@@ -831,9 +796,9 @@ mod tests {
 
     #[test]
     fn requests_sent_to_backups_are_forwarded_to_the_primary() {
-        let mut cluster = cluster(ProtocolId::Pbft.style(), 1);
+        let mut cluster = testing::cluster(ProtocolId::Pbft, 1, |c| c.batch_size = 2).0;
         // Client sends to replica 2 (not the primary of view 0).
-        run_cluster_until_quiescent(&mut cluster, vec![(2, txns(2))], 100);
+        run_cluster_until_quiescent(&mut cluster, vec![(2, txns(1..3))], 100);
         for engine in &cluster {
             assert_eq!(engine.executed_txns(), 2);
         }
@@ -841,8 +806,8 @@ mod tests {
 
     #[test]
     fn speculative_style_executes_on_preprepare_without_votes() {
-        let mut cluster = cluster(ProtocolId::Zyzzyva.style(), 1);
-        let delivered = run_cluster_until_quiescent(&mut cluster, vec![(0, txns(2))], 100);
+        let mut cluster = testing::cluster(ProtocolId::Zyzzyva, 1, |c| c.batch_size = 2).0;
+        let delivered = run_cluster_until_quiescent(&mut cluster, vec![(0, txns(1..3))], 100);
         for engine in &cluster {
             assert_eq!(engine.executed_txns(), 2);
         }
@@ -862,8 +827,8 @@ mod tests {
             None,
         );
         let mut out = Outbox::new();
-        let batch_a = flexitrust_crypto::make_batch(txns(1));
-        let batch_b = flexitrust_crypto::make_batch(txns(2));
+        let batch_a = make_batch(txns(1..2));
+        let batch_b = make_batch(txns(1..3));
         engine.on_message(
             ReplicaId(0),
             Message::PrePrepare {
@@ -908,7 +873,7 @@ mod tests {
             Message::PrePrepare {
                 view: View(0),
                 seq: SeqNum(1),
-                batch: flexitrust_crypto::make_batch(txns(1)),
+                batch: make_batch(txns(1..2)),
                 attestation: None,
             },
             &mut out,
@@ -936,7 +901,7 @@ mod tests {
             Message::PrePrepare {
                 view: View(0),
                 seq: SeqNum(1),
-                batch: flexitrust_crypto::make_batch(txns(1)),
+                batch: make_batch(txns(1..2)),
                 attestation: None,
             },
             &mut out,
@@ -964,8 +929,8 @@ mod tests {
         // A Byzantine primary holds two *valid* attestations from its own
         // trusted counter: (1, A) and (2, A).
         let primary_enclave = counter(0);
-        let a = flexitrust_crypto::make_batch(txns(1));
-        let b = flexitrust_crypto::make_batch(txns(2));
+        let a = make_batch(txns(1..2));
+        let b = make_batch(txns(1..3));
         let for_1_a = primary_enclave
             .append(0, 1, a.digest())
             .expect("attest (1, A)");
@@ -1010,14 +975,14 @@ mod tests {
             Some(Enclave::shared(enclave)),
             Some(registry),
         );
-        let batch = flexitrust_crypto::make_batch(txns(1));
+        let batch = make_batch(txns(1..2));
         let forged = Attestation {
             host: ReplicaId(0),
             counter: 0,
             value: 1,
             digest: batch.digest(),
             kind: AttestKind::CounterBind,
-            signature: flexitrust_crypto::Signature::zero(),
+            signature: Signature::zero(),
         };
         let mut out = Outbox::new();
         backup.on_message(
@@ -1036,7 +1001,7 @@ mod tests {
 
     #[test]
     fn view_change_replaces_a_silent_primary() {
-        let mut cluster = cluster(ProtocolId::Pbft.style(), 1);
+        let mut cluster = testing::cluster(ProtocolId::Pbft, 1, |c| c.batch_size = 2).0;
         // The primary says nothing; every backup's view-change timer fires.
         let mut net = TestNet::new(cluster.len());
         for backup in 1..cluster.len() {
@@ -1059,12 +1024,12 @@ mod tests {
             ProtocolId::CheapBft,
             ProtocolId::FlexiBft,
         ] {
-            let mut cluster = cluster(id.style(), 1);
+            let mut cluster = testing::cluster(id, 1, |c| c.batch_size = 2).0;
             let last = cluster.len() - 1;
             // The last replica's inbox is held back while the others agree.
             let mut net = TestNet::new(cluster.len());
             net.pause(last);
-            net.client_request(&mut cluster, 0, txns(2));
+            net.client_request(&mut cluster, 0, txns(1..3));
             net.run(&mut cluster, 100);
             // Every vote reaches it before the proposal they vote for: the
             // certificates complete with nothing to commit yet.
@@ -1102,7 +1067,7 @@ mod tests {
             ReplicaId(0),
             AttestationMode::Counting,
         ));
-        let batch = flexitrust_crypto::make_batch(txns(1));
+        let batch = make_batch(txns(1..2));
         let att = primary_enclave.append(0, 1, batch.digest()).ok();
         let mut out = Outbox::new();
         passive.on_message(
@@ -1141,7 +1106,7 @@ mod tests {
                 })
                 .collect();
             let mut refs: Vec<&mut PbftFamilyEngine> = engines.iter_mut().collect();
-            run_cluster_until_quiescent(&mut refs, vec![(0, txns(10))], 300);
+            run_cluster_until_quiescent(&mut refs, vec![(0, txns(1..11))], 300);
             for e in &engines {
                 let name = format!("{:?} replica {}", style.id, e.id());
                 assert_eq!(e.last_executed(), SeqNum(10), "{name}");

@@ -1,13 +1,10 @@
-//! The shared engine-hosting layer.
+//! The engine-hosting layer every driver of engines shares.
 //!
-//! Three environments drive [`ConsensusEngine`]s in this workspace: the
-//! discrete-event simulator (`flexitrust-sim`), the threaded runtime
-//! (`flexitrust-runtime`) and the adversarial attack harness
-//! (`flexitrust-attacks`). Historically each re-implemented the
-//! [`Action`]-to-effect translation by hand, which meant every new action
-//! kind, timer rule or accounting hook had to be patched in three places.
-//!
-//! This crate centralises that translation:
+//! Five places drive [`ConsensusEngine`]s: the discrete-event simulator
+//! (`flexitrust-sim`), the threaded runtime's two networks
+//! (`flexitrust-runtime`), the attack harness (`flexitrust-attacks`) and
+//! this crate's own [`TestNet`](crate::testing::TestNet). All of them go
+//! through this module:
 //!
 //! * [`EngineHost`] is the environment contract — the handful of primitives
 //!   an environment must supply (deliver a message, deliver a reply, schedule
@@ -21,27 +18,59 @@
 //!   which leave in one [`EngineHost::replies`] call per dispatch.
 //!
 //! Environments implement only what is genuinely environment-specific:
-//! scheduling an event (simulator), sending on a channel (runtime), or
-//! recording into an observation log (attack harness).
+//! scheduling an event (simulator), sending on a channel or a socket
+//! (runtime), recording into an observation log (attack harness) or
+//! queueing into an inbox (tests).
 //!
 //! Two more things every host needs exist once, here: [`build_replica`],
 //! the configuration → engine factory, and [`CrashWindow`] / [`WindowPhase`],
 //! the commit-progress-triggered crash-recovery state machine.
 
-#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
-
-mod factory;
 mod window;
 
-pub use factory::{build_replica, ReplicaSetup};
 pub use window::{recovery_request, CrashWindow, WindowEvent, WindowPhase};
 
-use flexitrust_protocol::{
+use crate::family::PbftFamilyEngine;
+use crate::{
     unshare, Action, ClientReply, ConsensusEngine, Message, Outbox, SharedMessage, TimerKind,
 };
-use flexitrust_types::{ClientId, ReplicaId, RequestId, SeqNum, Transaction};
-use std::collections::HashMap;
+use flexitrust_trusted::{Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave, TrustedHardware};
+use flexitrust_types::{ClientId, ReplicaId, RequestId, SeqNum, SystemConfig, Transaction};
+use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// One replica as every host starts it: its engine and (when the protocol
+/// uses one) its trusted component, which the simulator observes to charge
+/// access latency.
+pub struct ReplicaSetup {
+    /// The protocol engine.
+    pub engine: Box<dyn ConsensusEngine>,
+    /// The replica's trusted component, if the protocol uses one.
+    pub enclave: Option<SharedEnclave>,
+}
+
+/// Builds replica `id` of a `config.protocol` cluster: the one engine with
+/// the protocol's row, and the enclave the row's primary attestation needs.
+/// Every engine of one cluster shares `config` and the registry's key table
+/// by reference count. The enclave attests in the registry's mode —
+/// counting for the simulator (which charges signing *cost* through its
+/// cost model instead), real Ed25519 for the threaded hosts — on the given
+/// `hardware`.
+pub fn build_replica(
+    config: Arc<SystemConfig>,
+    id: ReplicaId,
+    registry: EnclaveRegistry,
+    hardware: TrustedHardware,
+) -> ReplicaSetup {
+    let style = config.protocol.style();
+    let enclave = EnclaveConfig::for_style(&style, id, registry.mode())
+        .map(|enclave| Enclave::shared(enclave.with_hardware(hardware)));
+    let engine = PbftFamilyEngine::new(config, id, style, enclave.clone(), Some(registry));
+    ReplicaSetup {
+        engine: Box::new(engine),
+        enclave,
+    }
+}
 
 /// One committed transaction, as observed by its issuing client: the
 /// consensus slot it executed at and its identity.
@@ -175,7 +204,7 @@ enum Effect {
 #[derive(Debug)]
 pub struct Dispatcher {
     replicas: usize,
-    armed: HashMap<(ReplicaId, TimerKind), u64>,
+    armed: BTreeMap<(ReplicaId, TimerKind), u64>,
     next_token: u64,
 }
 
@@ -184,7 +213,7 @@ impl Dispatcher {
     pub fn new(replicas: usize) -> Self {
         Dispatcher {
             replicas,
-            armed: HashMap::new(),
+            armed: BTreeMap::new(),
             next_token: 0,
         }
     }
@@ -203,7 +232,7 @@ impl Dispatcher {
     /// resulting actions into `env`.
     pub fn client_request<E: EngineHost>(
         &mut self,
-        engine: &mut dyn ConsensusEngine,
+        engine: &mut (impl ConsensusEngine + ?Sized),
         txns: Vec<Transaction>,
         env: &mut E,
     ) {
@@ -218,10 +247,10 @@ impl Dispatcher {
     ///
     /// The shared handle is unwrapped at this boundary: the last holder
     /// moves the message out for free, earlier holders pay only a shallow
-    /// skeleton clone ([`flexitrust_protocol::unshare`]).
+    /// skeleton clone ([`unshare`]).
     pub fn deliver<E: EngineHost>(
         &mut self,
-        engine: &mut dyn ConsensusEngine,
+        engine: &mut (impl ConsensusEngine + ?Sized),
         from: ReplicaId,
         msg: SharedMessage,
         env: &mut E,
@@ -239,7 +268,7 @@ impl Dispatcher {
     /// `false` without touching the engine.
     pub fn timer_expired<E: EngineHost>(
         &mut self,
-        engine: &mut dyn ConsensusEngine,
+        engine: &mut (impl ConsensusEngine + ?Sized),
         timer: TimerKind,
         token: TimerToken,
         env: &mut E,
@@ -258,7 +287,7 @@ impl Dispatcher {
     /// directly).
     pub fn fire_timer<E: EngineHost>(
         &mut self,
-        engine: &mut dyn ConsensusEngine,
+        engine: &mut (impl ConsensusEngine + ?Sized),
         timer: TimerKind,
         env: &mut E,
     ) {
@@ -450,10 +479,10 @@ mod tests {
 
     /// Answers every message with three replies around a broadcast, the
     /// shape of a committing delivery that also votes.
-    struct ReplyingEngine(flexitrust_protocol::ReplicaCore);
+    struct ReplyingEngine(crate::ReplicaCore);
 
     impl ConsensusEngine for ReplyingEngine {
-        fn replica(&self) -> &flexitrust_protocol::ReplicaCore {
+        fn replica(&self) -> &crate::ReplicaCore {
             &self.0
         }
         fn on_client_request(&mut self, _txns: Vec<Transaction>, _out: &mut Outbox) {}
@@ -469,7 +498,7 @@ mod tests {
     fn replying_engine() -> ReplyingEngine {
         let config =
             flexitrust_types::SystemConfig::for_protocol(flexitrust_types::ProtocolId::Pbft, 1);
-        ReplyingEngine(flexitrust_protocol::ReplicaCore::new(config, ReplicaId(1)))
+        ReplyingEngine(crate::ReplicaCore::new(config, ReplicaId(1)))
     }
 
     #[test]
@@ -575,9 +604,9 @@ mod tests {
         let second = env.scheduled[1].3;
         assert_ne!(first, second);
 
-        struct NoTimerEngine(flexitrust_protocol::ReplicaCore, u32);
+        struct NoTimerEngine(crate::ReplicaCore, u32);
         impl ConsensusEngine for NoTimerEngine {
-            fn replica(&self) -> &flexitrust_protocol::ReplicaCore {
+            fn replica(&self) -> &crate::ReplicaCore {
                 &self.0
             }
             fn on_client_request(&mut self, _txns: Vec<Transaction>, _out: &mut Outbox) {}
@@ -588,10 +617,7 @@ mod tests {
         }
         let config =
             flexitrust_types::SystemConfig::for_protocol(flexitrust_types::ProtocolId::Pbft, 1);
-        let mut engine = NoTimerEngine(
-            flexitrust_protocol::ReplicaCore::new(config, ReplicaId(1)),
-            0,
-        );
+        let mut engine = NoTimerEngine(crate::ReplicaCore::new(config, ReplicaId(1)), 0);
         assert!(!dispatcher.timer_expired(&mut engine, TimerKind::ViewChange, first, &mut env));
         assert_eq!(engine.1, 0, "stale token must not reach the engine");
         assert!(dispatcher.timer_expired(&mut engine, TimerKind::ViewChange, second, &mut env));

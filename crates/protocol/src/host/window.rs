@@ -1,6 +1,6 @@
 //! Commit-progress-triggered crash windows, shared by every host.
 
-use flexitrust_protocol::{ConsensusEngine, Message, SharedMessage};
+use crate::{ConsensusEngine, Message, SharedMessage};
 use flexitrust_types::ReplicaId;
 use std::sync::Arc;
 

@@ -1,69 +1,61 @@
 //! A synchronous, loss-free "perfect network" for driving a cluster of
-//! engines without a host: the one router the engine tests of every crate
-//! and the root `view_change` test share.
+//! engines without a clock: the one router the engine tests of every crate
+//! and the root `protocols` and `view_change` tests share, and the cluster
+//! they build through [`build_replica`].
 //!
 //! [`run_cluster_until_quiescent`] is the common case. [`TestNet`] is the
 //! same loop opened up for tests about order and faults: a paused replica's
 //! inbox fills without being delivered (a silent primary; a proposal held
 //! back behind the votes for it), timers are fired by hand, and the net
-//! remembers which timers each replica has armed.
+//! remembers which timers each replica has armed. It is an [`EngineHost`]
+//! like every other host: the one [`Dispatcher`] routes what the engines
+//! emit.
 
-use crate::actions::{Action, Outbox};
 use crate::engine::{ConsensusEngine, TimerKind};
-use crate::messages::Message;
-use flexitrust_types::{ReplicaId, Transaction};
-use std::ops::DerefMut;
+use crate::host::{build_replica, Dispatcher, EngineHost, TimerToken};
+use crate::messages::{unshare, ClientReply, Message, SharedMessage};
+use flexitrust_trusted::{AttestationMode, EnclaveRegistry, SharedEnclave, TrustedHardware};
+use flexitrust_types::{
+    ClientId, KvOp, ProtocolId, ReplicaId, RequestId, SystemConfig, Transaction,
+};
+use std::ops::{DerefMut, Range};
+use std::sync::Arc;
 
-/// The inboxes and timers of one test cluster. The engines are passed to
-/// each call: `Vec<Box<dyn ConsensusEngine>>`, or `Vec<&mut FlexiBft>` when
+/// The inboxes of one test cluster. The engines are passed to each call:
+/// `Vec<Box<dyn ConsensusEngine>>`, or `Vec<&mut PbftFamilyEngine>` when
 /// the test inspects concrete state afterwards.
 #[derive(Debug)]
 pub struct TestNet {
-    inboxes: Vec<Vec<(ReplicaId, Message)>>,
+    dispatcher: Dispatcher,
+    inboxes: Inboxes,
     paused: Vec<bool>,
-    timers: Vec<Vec<TimerKind>>,
+}
+
+/// What the dispatcher hands this host: messages queue in the inbox of the
+/// replica they are for; timers wait to be fired by hand, and execution and
+/// replies show in the engines' own state.
+#[derive(Debug)]
+struct Inboxes(Vec<Vec<(ReplicaId, SharedMessage)>>);
+
+impl EngineHost for Inboxes {
+    fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
+        if let Some(inbox) = self.0.get_mut(to.as_usize()) {
+            inbox.push((from, msg));
+        }
+    }
+
+    fn reply(&mut self, _from: ReplicaId, _reply: ClientReply) {}
+
+    fn schedule_timer(&mut self, _: ReplicaId, _: TimerKind, _: u64, _: TimerToken) {}
 }
 
 impl TestNet {
     /// A quiet network between `n` replicas.
     pub fn new(n: usize) -> Self {
         TestNet {
-            inboxes: vec![Vec::new(); n],
+            dispatcher: Dispatcher::new(n),
+            inboxes: Inboxes(vec![Vec::new(); n]),
             paused: vec![false; n],
-            timers: vec![Vec::new(); n],
-        }
-    }
-
-    /// Runs one engine entry point at `replica` and routes what it emits.
-    fn step<E: DerefMut<Target: ConsensusEngine>>(
-        &mut self,
-        engines: &mut [E],
-        replica: usize,
-        event: impl FnOnce(&mut E::Target, &mut Outbox),
-    ) {
-        let mut out = Outbox::new();
-        event(&mut engines[replica], &mut out);
-        let from = engines[replica].id();
-        for action in out.drain() {
-            match action {
-                Action::Send { to, msg } => {
-                    if let Some(inbox) = self.inboxes.get_mut(to.as_usize()) {
-                        inbox.push((from, msg));
-                    }
-                }
-                Action::Broadcast { msg } => {
-                    for inbox in &mut self.inboxes {
-                        inbox.push((from, msg.clone()));
-                    }
-                }
-                Action::SetTimer { timer, .. } if !self.timer_armed(replica, timer) => {
-                    self.timers[replica].push(timer)
-                }
-                Action::CancelTimer { timer } => self.timers[replica].retain(|t| *t != timer),
-                // Execution shows in the engines' own state; replies are not
-                // in `drain()` at all.
-                _ => {}
-            }
         }
     }
 
@@ -74,7 +66,9 @@ impl TestNet {
         target: usize,
         txns: Vec<Transaction>,
     ) {
-        self.step(engines, target, |e, out| e.on_client_request(txns, out));
+        let engine = &mut *engines[target];
+        self.dispatcher
+            .client_request(engine, txns, &mut self.inboxes);
     }
 
     /// Expires `timer` at `replica`, whether or not it was armed.
@@ -84,8 +78,8 @@ impl TestNet {
         replica: usize,
         timer: TimerKind,
     ) {
-        self.timers[replica].retain(|t| *t != timer);
-        self.step(engines, replica, |e, out| e.on_timer(timer, out));
+        let engine = &mut *engines[replica];
+        self.dispatcher.fire_timer(engine, timer, &mut self.inboxes);
     }
 
     /// Delivers one message to replica `to` right now.
@@ -96,7 +90,10 @@ impl TestNet {
         from: ReplicaId,
         msg: Message,
     ) {
-        self.step(engines, to, |e, out| e.on_message(from, msg, out));
+        let engine = &mut *engines[to];
+        let msg = Arc::new(msg);
+        self.dispatcher
+            .deliver(engine, from, msg, &mut self.inboxes);
     }
 
     /// Delivers queued messages, round after round, until no unpaused
@@ -110,13 +107,15 @@ impl TestNet {
         let mut delivered = 0;
         for _ in 0..max_rounds {
             let before = delivered;
-            for to in 0..engines.len() {
+            for (to, engine) in engines.iter_mut().enumerate() {
                 if self.paused[to] {
                     continue;
                 }
-                for (from, msg) in self.take_inbox(to) {
+                for (from, msg) in std::mem::take(&mut self.inboxes.0[to]) {
                     delivered += 1;
-                    self.deliver(engines, to, from, msg);
+                    let engine = &mut **engine;
+                    self.dispatcher
+                        .deliver(engine, from, msg, &mut self.inboxes);
                 }
             }
             if delivered == before {
@@ -135,13 +134,17 @@ impl TestNet {
     /// Empties `replica`'s inbox into the caller's hands, to drop it or to
     /// [`Self::deliver`] it in an order of the test's choosing.
     pub fn take_inbox(&mut self, replica: usize) -> Vec<(ReplicaId, Message)> {
-        std::mem::take(&mut self.inboxes[replica])
+        std::mem::take(&mut self.inboxes.0[replica])
+            .into_iter()
+            .map(|(from, msg)| (from, unshare(msg)))
+            .collect()
     }
 
     /// Whether `replica` set `timer` and has neither cancelled it nor seen
     /// it fire since.
     pub fn timer_armed(&self, replica: usize, timer: TimerKind) -> bool {
-        self.timers[replica].contains(&timer)
+        self.dispatcher
+            .timer_armed(ReplicaId(replica as u32), timer)
     }
 }
 
@@ -158,4 +161,41 @@ pub fn run_cluster_until_quiescent<E: DerefMut<Target: ConsensusEngine>>(
         net.client_request(engines, target, txns);
     }
     net.run(engines, max_rounds)
+}
+
+/// One engine per replica of a `protocol` cluster at fault threshold `f`,
+/// as [`build_replica`] makes them over counting-mode attestations, after
+/// `tune` adjusted the protocol's default configuration; and the enclaves
+/// they hold, in replica order.
+pub fn cluster(
+    protocol: ProtocolId,
+    f: usize,
+    tune: impl FnOnce(&mut SystemConfig),
+) -> (Vec<Box<dyn ConsensusEngine>>, Vec<SharedEnclave>) {
+    let mut config = SystemConfig::for_protocol(protocol, f);
+    tune(&mut config);
+    let config = Arc::new(config);
+    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
+    let mut enclaves = Vec::new();
+    let engines = config
+        .replicas()
+        .map(|id| {
+            let hardware = TrustedHardware::default_enclave();
+            let replica = build_replica(Arc::clone(&config), id, registry.clone(), hardware);
+            enclaves.extend(replica.enclave);
+            replica.engine
+        })
+        .collect();
+    (engines, enclaves)
+}
+
+/// Client 1's requests `requests`, request `i` writing one byte to key `i`.
+pub fn txns(requests: Range<u64>) -> Vec<Transaction> {
+    let update = |key| KvOp::Update {
+        key,
+        value: vec![1].into(),
+    };
+    requests
+        .map(|i| Transaction::new(ClientId(1), RequestId(i), update(i)))
+        .collect()
 }

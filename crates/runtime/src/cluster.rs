@@ -5,7 +5,7 @@
 //! socket network is in `crate::tcp`.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use flexitrust_host::{
+use flexitrust_protocol::host::{
     build_replica, recovery_request, CommittedTxn, CrashWindow, Dispatcher, EngineHost, TimerToken,
     WindowEvent, WindowPhase,
 };

@@ -4,7 +4,7 @@
 //! completions arrive.
 
 use crossbeam::channel::Receiver;
-use flexitrust_host::CommittedTxn;
+use flexitrust_protocol::host::CommittedTxn;
 use flexitrust_protocol::{ClientLibrary, ClientReply, ProtocolProperties, RequestStatus};
 use flexitrust_types::{ClientId, KvOp, RequestId, SystemConfig, Transaction};
 use std::sync::atomic::{AtomicU64, Ordering};

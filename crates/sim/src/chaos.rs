@@ -11,7 +11,7 @@
 //! rejoins through the checkpoint state-transfer path (`CheckpointRequest`
 //! / `CheckpointState`), replaying from the latest stable checkpoint.
 
-use flexitrust_host::{CrashWindow, WindowEvent, WindowPhase};
+use flexitrust_protocol::host::{CrashWindow, WindowEvent, WindowPhase};
 use flexitrust_protocol::Message;
 use flexitrust_types::ReplicaId;
 use rand::{Rng, SeedableRng};

@@ -22,7 +22,8 @@
 //!
 //! Scenarios are described by [`ScenarioSpec`], run by [`runner::Simulation`]
 //! and summarised in a [`metrics::SimReport`]. [`registry`] builds engine
-//! clusters for every protocol in the repository.
+//! clusters for every protocol in the repository, and [`workload`]
+//! generates the YCSB-style transactions the simulated clients submit.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
@@ -34,6 +35,7 @@ pub mod net;
 pub mod registry;
 pub mod runner;
 pub mod spec;
+pub mod workload;
 
 pub use chaos::{ChaosEvent, ChaosPlan, ChaosState, Fate, LinkChaos, MessageClass, WithholdRule};
 pub use cost::CostModel;

@@ -3,7 +3,7 @@
 use flexitrust_types::{Digest, ProtocolId};
 
 pub use crate::link::{Direction, LinkClass, LinkUsage, Nic};
-pub use flexitrust_host::CommittedTxn;
+pub use flexitrust_protocol::host::CommittedTxn;
 
 /// The summary a simulation run produces.
 #[derive(Debug, Clone)]

@@ -1,8 +1,8 @@
 //! Builds engine clusters for every protocol in the repository.
 
 use crate::spec::ScenarioSpec;
-use flexitrust_host::build_replica;
-pub use flexitrust_host::ReplicaSetup;
+use flexitrust_protocol::host::build_replica;
+pub use flexitrust_protocol::host::ReplicaSetup;
 use flexitrust_trusted::{AttestationMode, EnclaveRegistry};
 use flexitrust_types::ReplicaId;
 use std::sync::Arc;

@@ -13,7 +13,7 @@
 //!   statistics) are serialised and charged the hardware access latency plus
 //!   in-enclave signing cost; and
 //! * the **engine** itself, hosted behind the shared
-//!   [`flexitrust_host::Dispatcher`]: the engine's emitted actions are
+//!   [`flexitrust_protocol::host::Dispatcher`]: the engine's emitted actions are
 //!   translated once, in the host layer, into simulator events (message
 //!   deliveries after sender-NIC queueing plus wire-size/bandwidth
 //!   transmission time plus latency — see [`crate::link::LinkQueues`] —
@@ -42,14 +42,14 @@ use crate::metrics::{latency_stats_ms, CommittedTxn, RunLog, SimReport};
 use crate::net::NetworkModel;
 use crate::registry::{build_replicas, ReplicaSetup};
 use crate::spec::ScenarioSpec;
-use flexitrust_host::{recovery_request, Dispatcher, EngineHost, TimerToken};
+use crate::workload::WorkloadGenerator;
+use flexitrust_protocol::host::{recovery_request, Dispatcher, EngineHost, TimerToken};
 use flexitrust_protocol::{
     result_key, result_matches_key, ClientReply, ConsensusEngine, KvResultKey, Message,
     SharedMessage, TimerKind, Voters,
 };
 use flexitrust_trusted::SharedEnclave;
 use flexitrust_types::{ClientId, QuorumRule, ReplicaId, RequestId, SeqNum, Transaction};
-use flexitrust_workload::WorkloadGenerator;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -1554,11 +1554,11 @@ mod tests {
         spec.clients = 2_000;
         spec.warmup_us = 20_000;
         spec.duration_us = 100_000;
-        spec.workload = flexitrust_workload::WorkloadConfig {
+        spec.workload = crate::workload::WorkloadConfig {
             value_size: 4096,
             record_count: 1_000,
-            distribution: flexitrust_workload::KeyDistribution::Uniform,
-            ..flexitrust_workload::WorkloadConfig::update_only()
+            distribution: crate::workload::KeyDistribution::Uniform,
+            ..crate::workload::WorkloadConfig::update_only()
         };
         spec.bandwidth = BandwidthConfig::unlimited();
         spec.bandwidth.local_mbps = Some(10_000);

@@ -2,9 +2,9 @@
 
 use crate::chaos::ChaosPlan;
 use crate::cost::CostModel;
+use crate::workload::WorkloadConfig;
 use flexitrust_trusted::TrustedHardware;
 use flexitrust_types::{BandwidthConfig, ProtocolId, SystemConfig};
-use flexitrust_workload::WorkloadConfig;
 
 /// Everything needed to run one simulated experiment.
 #[derive(Debug, Clone)]

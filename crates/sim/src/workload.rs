@@ -1,10 +1,18 @@
-//! The YCSB-style transaction generator.
+//! YCSB-style workload generation.
+//!
+//! The paper evaluates every protocol on the Yahoo! Cloud Serving Benchmark
+//! (YCSB) over a 600 k-record key-value store. This module reproduces that
+//! workload: a configurable mix of reads, updates, inserts, read-modify-write
+//! and scans over keys drawn from a uniform or zipfian distribution, with
+//! deterministic seeding so simulations and tests are reproducible.
 
-use crate::zipfian::ZipfianGenerator;
+mod zipfian;
+
 use flexitrust_types::{ClientId, KvOp, RequestId, Transaction, ValueBytes};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+pub use zipfian::ZipfianGenerator;
 
 /// How keys are chosen from the record space.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -99,10 +99,9 @@ impl fmt::Display for Attestation {
 
 /// How enclaves sign attestations.
 ///
-/// `Real` uses Ed25519; `Counting` uses the same cheap keyed fingerprint as
-/// [`flexitrust_crypto::CountingCrypto`], letting the simulator verify
-/// structural integrity without paying for public-key cryptography on every
-/// simulated message.
+/// `Real` uses Ed25519; `Counting` uses a cheap keyed fingerprint, letting
+/// the simulator verify structural integrity without paying for public-key
+/// cryptography on every simulated message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttestationMode {
     /// Ed25519 signatures (threaded runtime, correctness tests).

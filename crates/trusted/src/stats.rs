@@ -6,7 +6,6 @@
 //! counters make that measurable — the simulator charges hardware latency
 //! per recorded access and the tests assert the per-protocol access budgets.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -84,7 +83,6 @@ struct TcCounters {
     log_appends: AtomicU64,
     log_lookups: AtomicU64,
     rejected: AtomicU64,
-    history: Mutex<Vec<TcStatsSnapshot>>,
 }
 
 impl TcStats {
@@ -120,17 +118,6 @@ impl TcStats {
             log_lookups: self.inner.log_lookups.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
         }
-    }
-
-    /// Appends the current snapshot to the internal history.
-    pub fn checkpoint(&self) {
-        let snap = self.snapshot();
-        self.inner.history.lock().push(snap);
-    }
-
-    /// Returns the recorded history.
-    pub fn history(&self) -> Vec<TcStatsSnapshot> {
-        self.inner.history.lock().clone()
     }
 }
 
@@ -170,15 +157,5 @@ mod tests {
         assert_eq!(delta.counter_appends, 1);
         assert_eq!(delta.log_lookups, 1);
         assert_eq!(delta.counter_creates, 0);
-    }
-
-    #[test]
-    fn history_checkpoints_accumulate() {
-        let stats = TcStats::new();
-        stats.checkpoint();
-        stats.record(TcAccessKind::LogAppend);
-        stats.checkpoint();
-        assert_eq!(stats.history().len(), 2);
-        assert_eq!(stats.history()[1].log_appends, 1);
     }
 }

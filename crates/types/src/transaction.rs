@@ -202,8 +202,10 @@ pub enum KvResult {
 /// One client request: a key-value operation tagged with the issuing client
 /// and a per-client monotonically increasing request id.
 ///
-/// The client-side signature is modelled by the crypto substrate; engines
-/// treat requests whose envelope passed verification as well-formed.
+/// Requests carry no client signature, and no host verifies the envelope:
+/// engines take every request they are handed as well-formed. The
+/// simulator's cost model still charges an authentication check per
+/// request, which no real host performs.
 ///
 /// The identity fields are immutable after construction — private behind
 /// accessors, so a digest or signature computed over the transaction can

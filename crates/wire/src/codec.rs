@@ -242,8 +242,8 @@ fn decode_op(r: &mut Reader<'_>) -> Result<KvOp, WireError> {
 }
 
 /// Encodes one transaction: client id, request id, operation, and the
-/// 64-byte client-signature slot (zero-filled — signatures are modelled by
-/// the crypto substrate, but the slot is real wire bytes).
+/// 64-byte client-signature slot (zero-filled — no host signs or checks
+/// requests, but the slot is real wire bytes).
 pub fn encode_transaction(out: &mut Vec<u8>, txn: &Transaction) {
     out.extend_from_slice(&txn.client().0.to_le_bytes());
     out.extend_from_slice(&txn.request().0.to_le_bytes());

@@ -25,12 +25,11 @@
 //! * `mac` is the 32-byte channel-authenticator slot (HMAC-SHA256),
 //!   present on peer-message and reply frames. [`Frame::Submit`] frames
 //!   carry **no** MAC slot — each submitted transaction already embeds
-//!   its own 64-byte client-signature slot, which is what authenticates
-//!   client traffic. The in-process transports carry zeroes in these
-//!   slots — channel keys are modelled by the crypto substrate and their
-//!   verification is charged by the CPU cost model — but the bytes are on
-//!   the wire, exactly as the paper's ResilientDB-based deployment pays
-//!   for them.
+//!   its own 64-byte client-signature slot instead. No host fills or
+//!   checks either slot: every transport carries zeroes in them, and
+//!   only the simulator's CPU cost model charges their verification —
+//!   but the bytes are on the wire, exactly as the paper's
+//!   ResilientDB-based deployment pays for them.
 //!
 //! A reply frame is a 42-byte fixed head, then the result, then the MAC:
 //!

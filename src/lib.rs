@@ -3,25 +3,33 @@
 //! This is the facade crate of a from-scratch Rust reproduction of the
 //! EuroSys 2023 paper. It re-exports the public API of every sub-crate so
 //! that applications, the examples and the benchmark harness can depend on a
-//! single crate:
+//! single crate.
 //!
-//! * [`types`] — identifiers, transactions, batches, configuration.
-//! * [`crypto`] — digests, MACs, Ed25519 signatures, counting providers.
+//! ## Architecture
+//!
+//! Each crate depends only on the crates to its left:
+//!
+//! ```text
+//! types ← crypto ← {trusted, exec} ← protocol ← wire ← {sim, runtime} ← attacks
+//! ```
+//!
+//! * [`types`] — identifiers, transactions, batches, configuration, and the
+//!   design table (`ProtocolId::style`) that says what each protocol is.
+//! * [`crypto`] — SHA-256 digests, HMAC channel MACs, Ed25519-style
+//!   signatures and the key store.
 //! * [`trusted`] — trusted counters/logs, attestations, rollback and
 //!   latency models.
-//! * [`workload`] — the YCSB-style workload generator.
 //! * [`exec`] — the key-value state machine and in-order execution queue.
-//! * [`protocol`] — the engine trait and shared consensus infrastructure.
+//! * [`protocol`] — the one consensus engine every protocol runs on, the
+//!   view change and replica skeleton it is built from, and
+//!   [`protocol::host`], the layer every host drives engines through (the
+//!   `EngineHost` contract, the one `Action` dispatcher, `build_replica`).
 //! * [`wire`] — the canonical binary codec: the frame bytes the TCP
 //!   transport carries and the simulator's bandwidth model charges.
-//! * [`host`] — the shared engine-hosting layer (the `EngineHost`
-//!   environment contract and the single `Action` dispatcher) every
-//!   environment below builds on.
-//! * [`baselines`] — the one consensus engine every protocol runs on; what
-//!   each protocol is lives in `types`' design table (`ProtocolId::style`).
-//! * [`attacks`] — the §5–§7 attack scenarios.
-//! * [`sim`] — the discrete-event simulator behind every figure.
+//! * [`sim`] — the discrete-event simulator behind every figure, with
+//!   [`sim::workload`], the YCSB-style workload generator.
 //! * [`runtime`] — the real threaded deployment used by the examples.
+//! * [`attacks`] — the §5–§7 attack scenarios.
 //!
 //! ## Quick start
 //!
@@ -38,26 +46,104 @@
 //! ```
 
 pub use flexitrust_attacks as attacks;
-pub use flexitrust_baselines as baselines;
 pub use flexitrust_crypto as crypto;
 pub use flexitrust_exec as exec;
-pub use flexitrust_host as host;
 pub use flexitrust_protocol as protocol;
+pub use flexitrust_protocol::host;
 pub use flexitrust_runtime as runtime;
 pub use flexitrust_sim as sim;
+pub use flexitrust_sim::workload;
 pub use flexitrust_trusted as trusted;
 pub use flexitrust_types as types;
 pub use flexitrust_wire as wire;
-pub use flexitrust_workload as workload;
+
+/// One-constructor forwards to [`protocol::PbftFamilyEngine`], kept only
+/// for `benchmark/` (its trace host names them) until that host builds its
+/// engines through [`host::build_replica`]; then they go.
+pub mod baselines {
+    use flexitrust_protocol::PbftFamilyEngine;
+    use flexitrust_trusted::{EnclaveRegistry, SharedEnclave};
+    use flexitrust_types::{ReplicaId, SystemConfig};
+    use std::sync::Arc;
+
+    /// The engine of `config`'s row over `enclave`.
+    fn forward(
+        config: Arc<SystemConfig>,
+        id: ReplicaId,
+        enclave: Option<SharedEnclave>,
+        registry: Option<EnclaveRegistry>,
+    ) -> PbftFamilyEngine {
+        let style = config.protocol.style();
+        PbftFamilyEngine::new(config, id, style, enclave, registry)
+    }
+
+    /// Forwards to the one engine, with no enclave.
+    pub struct Pbft;
+
+    impl Pbft {
+        /// The engine for replica `id` of `config.protocol`, with no enclave.
+        pub fn engine(config: Arc<SystemConfig>, id: ReplicaId) -> PbftFamilyEngine {
+            forward(config, id, None, None)
+        }
+    }
+
+    /// Forwards to the one engine, over an enclave.
+    pub struct MinBft;
+
+    impl MinBft {
+        /// The engine for replica `id` of `config.protocol`, over `enclave`.
+        pub fn engine(
+            config: Arc<SystemConfig>,
+            id: ReplicaId,
+            enclave: SharedEnclave,
+            registry: EnclaveRegistry,
+        ) -> PbftFamilyEngine {
+            forward(config, id, Some(enclave), Some(registry))
+        }
+    }
+
+    /// Forwards to the one engine, over an enclave.
+    pub struct FlexiBft;
+
+    impl FlexiBft {
+        /// The engine for replica `id` of `config.protocol`, over `enclave`.
+        #[expect(clippy::new_ret_no_self, reason = "forwards to the one engine")]
+        pub fn new(
+            config: Arc<SystemConfig>,
+            id: ReplicaId,
+            enclave: SharedEnclave,
+            registry: EnclaveRegistry,
+        ) -> PbftFamilyEngine {
+            forward(config, id, Some(enclave), Some(registry))
+        }
+    }
+
+    /// Forwards to the one engine, over an enclave.
+    pub struct FlexiZz;
+
+    impl FlexiZz {
+        /// The engine for replica `id` of `config.protocol`, over `enclave`.
+        #[expect(clippy::new_ret_no_self, reason = "forwards to the one engine")]
+        pub fn new(
+            config: Arc<SystemConfig>,
+            id: ReplicaId,
+            enclave: SharedEnclave,
+            registry: EnclaveRegistry,
+        ) -> PbftFamilyEngine {
+            forward(config, id, Some(enclave), Some(registry))
+        }
+    }
+}
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use flexitrust_baselines::{FlexiBft, FlexiZz};
-    pub use flexitrust_host::{CrashWindow, Dispatcher, EngineHost};
+    pub use crate::baselines::{FlexiBft, FlexiZz};
+    pub use flexitrust_protocol::host::{CrashWindow, Dispatcher, EngineHost};
     pub use flexitrust_protocol::{
         ClientLibrary, ConsensusEngine, Message, Outbox, ProtocolProperties, TimerKind,
     };
     pub use flexitrust_runtime::{Cluster, ClusterSummary, PrimaryTracker, TcpCluster, TcpIoStats};
+    pub use flexitrust_sim::workload::{WorkloadConfig, WorkloadGenerator};
     pub use flexitrust_sim::{
         ChaosEvent, ChaosPlan, CostModel, Direction, LinkChaos, LinkClass, LinkQueues, LinkUsage,
         MessageClass, NetworkModel, Nic, ScenarioSpec, SimReport, Simulation,
@@ -71,5 +157,4 @@ pub mod prelude {
         client_upload_wire_size, decode_frame, decode_message, encode_frame, encode_message,
         read_frame, write_frame, Frame, WireError,
     };
-    pub use flexitrust_workload::{WorkloadConfig, WorkloadGenerator};
 }

@@ -1,6 +1,6 @@
 //! Integration tests for the paper's three analytical claims (§5, §6, §7),
 //! exercised across crates: attack scenarios built in `flexitrust-attacks`,
-//! engines from `flexitrust-host`'s factory, trusted components from
+//! engines from `protocol::host`'s factory, trusted components from
 //! `flexitrust-trusted`.
 
 use flexitrust::attacks::{

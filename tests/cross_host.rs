@@ -1,6 +1,6 @@
 //! Cross-host equivalence: the discrete-event simulator, the threaded
 //! channel cluster and the loopback-TCP cluster drive the same engines
-//! through the same shared host layer (`flexitrust-host`), so the same
+//! through the same shared host layer (`protocol::host`), so the same
 //! workload must commit the same transactions at the same sequence numbers
 //! in all three environments.
 //!
@@ -10,8 +10,8 @@
 //! in the TCP transport's encode/decode path shows up as a diverging
 //! commit log.
 
-use flexitrust::host::CommittedTxn;
 use flexitrust::prelude::*;
+use flexitrust::protocol::host::CommittedTxn;
 use flexitrust::runtime::{Network, ThreadedCluster};
 use std::time::{Duration, Instant};
 

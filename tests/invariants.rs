@@ -3,9 +3,9 @@
 //! arbitrary tampering, deterministic execution, and consensus safety of
 //! Flexi-BFT under arbitrary message reorderings.
 
-use flexitrust::baselines::PbftFamilyEngine;
 use flexitrust::crypto::make_batch;
 use flexitrust::prelude::*;
+use flexitrust::protocol::PbftFamilyEngine;
 use flexitrust::protocol::{Message, Outbox};
 use flexitrust::trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry};
 use flexitrust::types::{Digest, KvOp};

@@ -6,8 +6,8 @@
 
 use flexitrust::baselines::{FlexiBft, FlexiZz, MinBft, Pbft};
 use flexitrust::crypto::make_batch;
-use flexitrust::host::build_replica;
-use flexitrust::protocol::testing::{run_cluster_until_quiescent, TestNet};
+use flexitrust::protocol::host::build_replica;
+use flexitrust::protocol::testing::{self, run_cluster_until_quiescent, txns, TestNet};
 use flexitrust::protocol::{
     Action, ConsensusEngine, MemoryFootprint, Message, Outbox, ProtocolProperties, TimerKind,
     TrustedAbstraction,
@@ -17,52 +17,12 @@ use flexitrust::trusted::{
     SharedEnclave, TrustedHardware,
 };
 use flexitrust::types::{
-    Batch, ClientId, Digest, KvOp, ProtocolId, QuorumRule, ReplicaId, ReplicationFactor, RequestId,
-    SeqNum, SystemConfig, Transaction, View,
+    Batch, Digest, ProtocolId, QuorumRule, ReplicaId, ReplicationFactor, SeqNum, SystemConfig,
+    Transaction, View,
 };
 use std::sync::Arc;
 
 type Engines = Vec<Box<dyn ConsensusEngine>>;
-
-/// One engine per replica of a `protocol` cluster at fault threshold `f`,
-/// cutting batches of `batch` transactions, as `build_replica` makes them
-/// over counting-mode attestations; and the enclaves they hold.
-fn cluster(protocol: ProtocolId, f: usize, batch: usize) -> (Engines, Vec<SharedEnclave>) {
-    let mut config = SystemConfig::for_protocol(protocol, f);
-    config.batch_size = batch;
-    let config = Arc::new(config);
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
-    let mut enclaves = Vec::new();
-    let engines = config
-        .replicas()
-        .map(|id| {
-            let replica = build_replica(
-                Arc::clone(&config),
-                id,
-                registry.clone(),
-                TrustedHardware::default_enclave(),
-            );
-            enclaves.extend(replica.enclave);
-            replica.engine
-        })
-        .collect();
-    (engines, enclaves)
-}
-
-fn txns(count: usize) -> Vec<Transaction> {
-    (0..count)
-        .map(|i| {
-            Transaction::new(
-                ClientId(1),
-                RequestId(i as u64 + 1),
-                KvOp::Update {
-                    key: i as u64,
-                    value: vec![1].into(),
-                },
-            )
-        })
-        .collect()
-}
 
 /// Delivers every message between `engines` until quiescence.
 fn run(engines: &mut Engines, inject: Vec<(usize, Vec<Transaction>)>) -> usize {
@@ -232,8 +192,8 @@ fn the_benchmark_forwards_build_what_build_replica_builds() {
                 Box::new(engine) as Box<dyn ConsensusEngine>
             })
             .collect();
-        let (mut built, _) = cluster(protocol, 1, 2);
-        let inject = || vec![(0, txns(6))];
+        let (mut built, _) = testing::cluster(protocol, 1, |c| c.batch_size = 2);
+        let inject = || vec![(0, txns(1..7))];
         let delivered = run(&mut forwarded, inject());
         assert_eq!(run(&mut built, inject()), delivered, "{protocol}");
         for (a, b) in forwarded.iter().zip(&built) {
@@ -250,8 +210,8 @@ mod pbft {
 
     #[test]
     fn commits_with_three_phases_and_parallel_slots() {
-        let (mut engines, _) = cluster(ProtocolId::Pbft, 1, 1);
-        run(&mut engines, vec![(0, txns(5))]);
+        let (mut engines, _) = testing::cluster(ProtocolId::Pbft, 1, |c| c.batch_size = 1);
+        run(&mut engines, vec![(0, txns(1..6))]);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(5));
             assert_eq!(e.executed_txns(), 5);
@@ -263,10 +223,10 @@ mod pbft {
     fn tolerates_f_silent_backups() {
         // With f = 1 and 4 replicas, a backup that never hears anything
         // must not block commit.
-        let (mut engines, _) = cluster(ProtocolId::Pbft, 1, 2);
+        let (mut engines, _) = testing::cluster(ProtocolId::Pbft, 1, |c| c.batch_size = 2);
         let mut net = TestNet::new(engines.len());
         net.pause(3);
-        net.client_request(&mut engines, 0, txns(2));
+        net.client_request(&mut engines, 0, txns(1..3));
         net.run(&mut engines, 200);
         for e in engines.iter().take(3) {
             assert_eq!(e.executed_txns(), 2, "replica {}", e.id());
@@ -280,8 +240,8 @@ mod zyzzyva {
 
     #[test]
     fn replicas_execute_speculatively_in_one_phase() {
-        let (mut engines, _) = cluster(ProtocolId::Zyzzyva, 1, 1);
-        let delivered = run(&mut engines, vec![(0, txns(3))]);
+        let (mut engines, _) = testing::cluster(ProtocolId::Zyzzyva, 1, |c| c.batch_size = 1);
+        let delivered = run(&mut engines, vec![(0, txns(1..4))]);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(3));
         }
@@ -292,8 +252,8 @@ mod zyzzyva {
 
     #[test]
     fn speculative_replies_are_flagged_speculative() {
-        let (mut engines, _) = cluster(ProtocolId::Zyzzyva, 1, 1);
-        let preprepare = proposal(&mut *engines[0], txns(1));
+        let (mut engines, _) = testing::cluster(ProtocolId::Zyzzyva, 1, |c| c.batch_size = 1);
+        let preprepare = proposal(&mut *engines[0], txns(1..2));
         let mut out = Outbox::new();
         engines[1].on_message(ReplicaId(0), preprepare, &mut out);
         assert_eq!(out.replies().len(), 1);
@@ -306,9 +266,9 @@ mod pbft_ea {
 
     #[test]
     fn runs_with_2f_plus_1_replicas_and_small_quorums() {
-        let (mut engines, _) = cluster(ProtocolId::PbftEa, 1, 1);
+        let (mut engines, _) = testing::cluster(ProtocolId::PbftEa, 1, |c| c.batch_size = 1);
         assert_eq!(engines.len(), 3);
-        run(&mut engines, vec![(0, txns(2))]);
+        run(&mut engines, vec![(0, txns(1..3))]);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(2));
         }
@@ -316,8 +276,8 @@ mod pbft_ea {
 
     #[test]
     fn every_consensus_message_costs_a_trusted_log_access() {
-        let (mut engines, enclaves) = cluster(ProtocolId::PbftEa, 1, 1);
-        run(&mut engines, vec![(0, txns(1))]);
+        let (mut engines, enclaves) = testing::cluster(ProtocolId::PbftEa, 1, |c| c.batch_size = 1);
+        run(&mut engines, vec![(0, txns(1..2))]);
         // The primary logs its PrePrepare; every replica logs its Prepare and
         // its Commit. So each replica's enclave sees at least 2 log appends
         // and the primary's at least 3 — this O(n) access pattern per
@@ -336,8 +296,8 @@ mod opbft_ea {
 
     #[test]
     fn cluster_commits_multiple_instances() {
-        let (mut engines, _) = cluster(ProtocolId::OpbftEa, 1, 1);
-        run(&mut engines, vec![(0, txns(4))]);
+        let (mut engines, _) = testing::cluster(ProtocolId::OpbftEa, 1, |c| c.batch_size = 1);
+        run(&mut engines, vec![(0, txns(1..5))]);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(4));
         }
@@ -349,8 +309,8 @@ mod minbft {
 
     #[test]
     fn commits_in_two_phases_with_f_plus_1_quorums() {
-        let (mut engines, _) = cluster(ProtocolId::MinBft, 2, 1); // n = 5
-        run(&mut engines, vec![(0, txns(3))]);
+        let (mut engines, _) = testing::cluster(ProtocolId::MinBft, 2, |c| c.batch_size = 1); // n = 5
+        run(&mut engines, vec![(0, txns(1..4))]);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(3));
             assert_eq!(e.executed_txns(), 3);
@@ -359,8 +319,8 @@ mod minbft {
 
     #[test]
     fn every_replica_accesses_its_counter_per_consensus() {
-        let (mut engines, enclaves) = cluster(ProtocolId::MinBft, 1, 1);
-        run(&mut engines, vec![(0, txns(2))]);
+        let (mut engines, enclaves) = testing::cluster(ProtocolId::MinBft, 1, |c| c.batch_size = 1);
+        run(&mut engines, vec![(0, txns(1..3))]);
         for (i, enclave) in enclaves.iter().enumerate() {
             let appends = enclave.stats().snapshot().counter_appends;
             assert!(
@@ -372,8 +332,8 @@ mod minbft {
 
     #[test]
     fn counter_values_track_sequence_numbers() {
-        let (mut engines, enclaves) = cluster(ProtocolId::MinBft, 1, 1);
-        run(&mut engines, vec![(0, txns(4))]);
+        let (mut engines, enclaves) = testing::cluster(ProtocolId::MinBft, 1, |c| c.batch_size = 1);
+        run(&mut engines, vec![(0, txns(1..5))]);
         // The primary bound batches 1..=4 to its counter.
         assert_eq!(enclaves[0].counter_value(0), Some(4));
     }
@@ -384,8 +344,8 @@ mod minzz {
 
     #[test]
     fn executes_speculatively_in_a_single_phase() {
-        let (mut engines, _) = cluster(ProtocolId::MinZz, 1, 1);
-        let delivered = run(&mut engines, vec![(0, txns(2))]);
+        let (mut engines, _) = testing::cluster(ProtocolId::MinZz, 1, |c| c.batch_size = 1);
+        let delivered = run(&mut engines, vec![(0, txns(1..3))]);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(2));
         }
@@ -395,8 +355,8 @@ mod minzz {
 
     #[test]
     fn only_the_primary_attests_per_consensus_but_it_is_still_per_message() {
-        let (mut engines, enclaves) = cluster(ProtocolId::MinZz, 1, 1);
-        run(&mut engines, vec![(0, txns(3))]);
+        let (mut engines, enclaves) = testing::cluster(ProtocolId::MinZz, 1, |c| c.batch_size = 1);
+        run(&mut engines, vec![(0, txns(1..4))]);
         // The primary attests each PrePrepare; backups execute speculatively
         // and (in the failure-free path) make no counter accesses.
         assert_eq!(enclaves[0].stats().snapshot().counter_appends, 3);
@@ -408,8 +368,8 @@ mod cheapbft {
 
     #[test]
     fn active_replicas_commit_with_f_plus_1_votes() {
-        let (mut engines, _) = cluster(ProtocolId::CheapBft, 1, 1); // n = 3, active = 2
-        run(&mut engines, vec![(0, txns(2))]);
+        let (mut engines, _) = testing::cluster(ProtocolId::CheapBft, 1, |c| c.batch_size = 1); // n = 3, active = 2
+        run(&mut engines, vec![(0, txns(1..3))]);
         // Active replicas (0 and 1) execute; the passive replica also learns
         // the result because it receives the same quorum of Prepare votes.
         assert_eq!(engines[0].last_executed(), SeqNum(2));
@@ -418,8 +378,9 @@ mod cheapbft {
 
     #[test]
     fn passive_replicas_never_access_their_counters() {
-        let (mut engines, enclaves) = cluster(ProtocolId::CheapBft, 1, 1);
-        run(&mut engines, vec![(0, txns(2))]);
+        let (mut engines, enclaves) =
+            testing::cluster(ProtocolId::CheapBft, 1, |c| c.batch_size = 1);
+        run(&mut engines, vec![(0, txns(1..3))]);
         let passive = enclaves.last().unwrap().stats().snapshot();
         assert_eq!(passive.counter_appends, 0);
         assert!(enclaves[0].stats().snapshot().counter_appends > 0);
@@ -430,13 +391,13 @@ mod flexi_bft {
     use super::*;
 
     fn flexi_bft(batch: usize) -> (Engines, Vec<SharedEnclave>) {
-        cluster(ProtocolId::FlexiBft, 1, batch)
+        testing::cluster(ProtocolId::FlexiBft, 1, |c| c.batch_size = batch)
     }
 
     #[test]
     fn cluster_commits_in_two_phases_with_2f_plus_1_quorums() {
         let (mut engines, _) = flexi_bft(2);
-        run(&mut engines, vec![(0, txns(4))]);
+        run(&mut engines, vec![(0, txns(1..5))]);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(2), "replica {}", e.id());
             assert_eq!(e.executed_txns(), 4);
@@ -447,7 +408,7 @@ mod flexi_bft {
     fn primary_proposes_with_contiguous_counter_values() {
         let (mut engines, enclaves) = flexi_bft(1);
         let mut out = Outbox::new();
-        engines[0].on_client_request(txns(3), &mut out);
+        engines[0].on_client_request(txns(1..4), &mut out);
         let seqs: Vec<u64> = out
             .broadcasts()
             .iter()
@@ -461,7 +422,7 @@ mod flexi_bft {
     #[test]
     fn only_the_primary_accesses_its_trusted_counter() {
         let (mut engines, enclaves) = flexi_bft(1);
-        run(&mut engines, vec![(0, txns(5))]);
+        run(&mut engines, vec![(0, txns(1..6))]);
         assert_eq!(enclaves[0].stats().snapshot().counter_append_fs, 5);
         for (i, enclave) in enclaves.iter().enumerate().skip(1) {
             let accesses = enclave.stats().snapshot().total_accesses();
@@ -472,7 +433,7 @@ mod flexi_bft {
     #[test]
     fn backups_never_touch_their_enclave_on_acceptance() {
         let (mut engines, enclaves) = flexi_bft(1);
-        let preprepare = proposal(&mut *engines[0], txns(1));
+        let preprepare = proposal(&mut *engines[0], txns(1..2));
         assert!(accepts(&mut *engines[1], 0, preprepare));
         assert_eq!(enclaves[1].stats().snapshot().total_accesses(), 0);
     }
@@ -485,7 +446,7 @@ mod flexi_bft {
             seq,
             batch,
             attestation,
-        } = proposal(&mut *engines[0], txns(1))
+        } = proposal(&mut *engines[0], txns(1..2))
         else {
             panic!("expected a PrePrepare");
         };
@@ -508,7 +469,7 @@ mod flexi_bft {
             pp(SeqNum(9), &batch, Some(wrong_seq))
         ));
         // Attestation bound to a different batch.
-        let other = make_batch(txns(2));
+        let other = make_batch(txns(1..3));
         assert!(!accepts(
             &mut *engines[1],
             0,
@@ -541,7 +502,7 @@ mod flexi_bft {
     fn parallel_instances_are_in_flight_simultaneously() {
         let (mut engines, _) = flexi_bft(1);
         let mut out = Outbox::new();
-        engines[0].on_client_request(txns(10), &mut out);
+        engines[0].on_client_request(txns(1..11), &mut out);
         // All ten proposals go out before any commit, i.e. ten instances are
         // outstanding concurrently (G1).
         assert_eq!(engines[0].replica().outstanding(), 10);
@@ -550,11 +511,11 @@ mod flexi_bft {
 
     #[test]
     fn sequential_ablation_proposes_one_instance_at_a_time() {
-        let (mut engines, _) = cluster(ProtocolId::OFlexiBft, 1, 1);
+        let (mut engines, _) = testing::cluster(ProtocolId::OFlexiBft, 1, |c| c.batch_size = 1);
         let primary = &mut engines[0];
         assert_eq!(primary.properties().id, ProtocolId::OFlexiBft);
         let mut out = Outbox::new();
-        primary.on_client_request(txns(10), &mut out);
+        primary.on_client_request(txns(1..11), &mut out);
         assert_eq!(primary.replica().outstanding(), 1);
         assert_eq!(out.broadcasts().len(), 1);
     }
@@ -562,7 +523,7 @@ mod flexi_bft {
     #[test]
     fn commit_requires_2f_plus_1_prepares() {
         let (mut engines, _) = flexi_bft(1);
-        let preprepare = proposal(&mut *engines[0], txns(1));
+        let preprepare = proposal(&mut *engines[0], txns(1..2));
         let digest = match &preprepare {
             Message::PrePrepare { batch, .. } => batch.digest(),
             _ => unreachable!(),
@@ -586,7 +547,7 @@ mod flexi_bft {
         // The primary proposed three batches; replica 1 accepted them all
         // but saw no votes.
         let mut out = Outbox::new();
-        engines[0].on_client_request(txns(3), &mut out);
+        engines[0].on_client_request(txns(1..4), &mut out);
         for msg in out.broadcasts() {
             engines[1].on_message(ReplicaId(0), msg.clone(), &mut Outbox::new());
         }
@@ -641,7 +602,7 @@ mod flexi_bft {
     #[test]
     fn view_change_preserves_accepted_batches() {
         let (mut engines, _) = flexi_bft(1);
-        run(&mut engines, vec![(0, txns(3))]);
+        run(&mut engines, vec![(0, txns(1..4))]);
         // Everyone executed 3 batches in view 0. Now the primary goes silent
         // and the backups time out.
         let mut net = TestNet::new(engines.len());
@@ -663,13 +624,13 @@ mod flexi_zz {
     use super::*;
 
     fn flexi_zz(f: usize) -> (Engines, Vec<SharedEnclave>) {
-        cluster(ProtocolId::FlexiZz, f, 1)
+        testing::cluster(ProtocolId::FlexiZz, f, |c| c.batch_size = 1)
     }
 
     #[test]
     fn single_phase_speculative_commit() {
-        let (mut engines, _) = cluster(ProtocolId::FlexiZz, 1, 2);
-        run(&mut engines, vec![(0, txns(4))]);
+        let (mut engines, _) = testing::cluster(ProtocolId::FlexiZz, 1, |c| c.batch_size = 2);
+        run(&mut engines, vec![(0, txns(1..5))]);
         for e in &engines {
             assert_eq!(e.last_executed(), SeqNum(2));
             assert_eq!(e.executed_txns(), 4);
@@ -679,7 +640,7 @@ mod flexi_zz {
     #[test]
     fn replies_are_speculative() {
         let (mut engines, _) = flexi_zz(2);
-        let preprepare = proposal(&mut *engines[0], txns(1));
+        let preprepare = proposal(&mut *engines[0], txns(1..2));
         let mut out = Outbox::new();
         engines[3].on_message(ReplicaId(0), preprepare, &mut out);
         assert_eq!(out.replies().len(), 1);
@@ -689,7 +650,7 @@ mod flexi_zz {
     #[test]
     fn only_the_primary_accesses_its_trusted_counter() {
         let (mut engines, enclaves) = flexi_zz(1);
-        run(&mut engines, vec![(0, txns(6))]);
+        run(&mut engines, vec![(0, txns(1..7))]);
         assert_eq!(enclaves[0].stats().snapshot().counter_append_fs, 6);
         for enclave in &enclaves[1..] {
             assert_eq!(enclave.stats().snapshot().total_accesses(), 0);
@@ -702,7 +663,7 @@ mod flexi_zz {
         // three still execute and reply — enough for the 2f + 1 = 3 reply
         // rule, unlike MinZZ/Zyzzyva which would need all replicas.
         let (mut engines, _) = flexi_zz(1);
-        let preprepare = proposal(&mut *engines[0], txns(1));
+        let preprepare = proposal(&mut *engines[0], txns(1..2));
         let mut replies = 0;
         for engine in engines.iter_mut().take(3) {
             let mut out = Outbox::new();
@@ -716,7 +677,7 @@ mod flexi_zz {
     #[test]
     fn client_retry_is_answered_from_the_reply_cache() {
         let (mut engines, _) = flexi_zz(1);
-        let request = txns(1);
+        let request = txns(1..2);
         run(&mut engines, vec![(0, request.clone())]);
         let mut out = Outbox::new();
         let retry = Message::ClientRetry {
@@ -730,7 +691,7 @@ mod flexi_zz {
     /// Hands replica 2 a retry of a request it never saw; returns the tag of
     /// the timer that arms.
     fn unserved_retry(engines: &mut Engines, out: &mut Outbox) -> u64 {
-        let txn = txns(1).remove(0);
+        let txn = txns(1..2).remove(0);
         engines[2].on_message(ReplicaId(1), Message::ClientRetry { txn }, out);
         out.actions()
             .iter()
@@ -769,7 +730,7 @@ mod flexi_zz {
     #[test]
     fn view_change_reproposes_executed_batches_and_preserves_results() {
         let (mut engines, _) = flexi_zz(1);
-        run(&mut engines, vec![(0, txns(2))]);
+        run(&mut engines, vec![(0, txns(1..3))]);
         // Primary goes silent; every backup times out and votes.
         let mut net = TestNet::new(engines.len());
         for backup in 1..engines.len() {

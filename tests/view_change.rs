@@ -9,51 +9,15 @@
 //! retry that armed a timer nothing disarmed, a proposal accepted everywhere
 //! but committed nowhere, and a speculative execution the new view drops.
 
-use flexitrust::host::build_replica;
 use flexitrust::prelude::*;
-use flexitrust::protocol::testing::TestNet;
+use flexitrust::protocol::testing::{self, txns, TestNet};
 use flexitrust::protocol::Action;
-use flexitrust::trusted::AttestationMode;
-use flexitrust::types::KvOp;
-use std::sync::Arc;
-
-fn cluster(protocol: ProtocolId) -> Vec<Box<dyn ConsensusEngine>> {
-    cluster_with(protocol, |_| {})
-}
-
-fn cluster_with(
-    protocol: ProtocolId,
-    tune: impl FnOnce(&mut SystemConfig),
-) -> Vec<Box<dyn ConsensusEngine>> {
-    let mut config = SystemConfig::for_protocol(protocol, 1);
-    config.batch_size = 1;
-    tune(&mut config);
-    let config = Arc::new(config);
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
-    config
-        .replicas()
-        .map(|id| {
-            let hardware = TrustedHardware::default_enclave();
-            build_replica(Arc::clone(&config), id, registry.clone(), hardware).engine
-        })
-        .collect()
-}
-
-fn txns(requests: std::ops::Range<u64>) -> Vec<Transaction> {
-    let update = |key| KvOp::Update {
-        key,
-        value: vec![7].into(),
-    };
-    requests
-        .map(|i| Transaction::new(ClientId(1), RequestId(i), update(i)))
-        .collect()
-}
 
 #[test]
 fn a_silent_primary_is_replaced_in_every_protocol() {
     for protocol in ProtocolId::ALL {
         let name = protocol.name();
-        let mut engines = cluster(protocol);
+        let (mut engines, _) = testing::cluster(protocol, 1, |config| config.batch_size = 1);
         let n = engines.len();
         let mut net = TestNet::new(n);
 
@@ -150,7 +114,7 @@ fn run_losing(
 fn a_client_retry_that_commits_leaves_no_view_change_behind() {
     for protocol in ProtocolId::ALL {
         let name = protocol.name();
-        let mut engines = cluster(protocol);
+        let (mut engines, _) = testing::cluster(protocol, 1, |config| config.batch_size = 1);
         let mut net = TestNet::new(engines.len());
         let backup = 2;
 
@@ -191,7 +155,7 @@ fn a_client_retry_that_commits_leaves_no_view_change_behind() {
 fn a_proposal_accepted_everywhere_but_committed_nowhere_commits_in_the_next_view() {
     for protocol in ProtocolId::ALL {
         let name = protocol.name();
-        let mut engines = cluster(protocol);
+        let (mut engines, _) = testing::cluster(protocol, 1, |config| config.batch_size = 1);
         let n = engines.len();
         let mut net = TestNet::new(n);
 
@@ -241,7 +205,10 @@ fn an_overshooting_speculative_replica_rolls_back_and_rejoins_the_others() {
     ];
     for protocol in speculative {
         let name = protocol.name();
-        let mut engines = cluster_with(protocol, |config| config.checkpoint_interval = 2);
+        let (mut engines, _) = testing::cluster(protocol, 1, |config| {
+            config.batch_size = 1;
+            config.checkpoint_interval = 2;
+        });
         let n = engines.len();
         let last = n - 1;
         let mut net = TestNet::new(n);

@@ -22,8 +22,8 @@
 //! bounds spuriously.
 
 use flexitrust::exec::{ExecutionQueue, KvStore};
-use flexitrust::host::{Dispatcher, EngineHost, TimerToken};
 use flexitrust::prelude::*;
+use flexitrust::protocol::host::{Dispatcher, EngineHost, TimerToken};
 use flexitrust::protocol::{Action, ClientReply, ReplicaCore, SharedMessage};
 use flexitrust::types::{
     batch_payload_allocations, value_payload_allocations, Digest, KvOp, KvResult, SeqNum,

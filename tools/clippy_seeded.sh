@@ -72,9 +72,9 @@ plant crates/protocol/src/lib.rs
 echo 'pub fn seeded() -> std::time::Instant { std::time::Instant::now() }' >>"$target"
 expect flexitrust-protocol 'disallowed type `std::time::Instant`'
 
-plant crates/host/src/lib.rs
+plant crates/protocol/src/host.rs
 echo 'pub fn seeded() { std::thread::sleep(std::time::Duration::ZERO) }' >>"$target"
-expect flexitrust-host 'disallowed method `std::thread::sleep`'
+expect flexitrust-protocol 'disallowed method `std::thread::sleep`'
 
 # `types` has no `rand` dependency; `crypto` holds the one real OsRng use.
 plant crates/crypto/src/lib.rs
@@ -89,15 +89,15 @@ plant crates/exec/src/lib.rs
 echo 'pub fn seeded(x: Option<u8>) -> u8 { x.unwrap() }' >>"$target"
 expect flexitrust-exec 'used `unwrap()`'
 
-plant crates/workload/src/lib.rs
+plant crates/sim/src/workload.rs
 echo 'pub fn seeded() { println!("seeded"); }' >>"$target"
-expect flexitrust-workload 'use of `println!`'
+expect flexitrust-sim 'use of `println!`'
 
 # The engine's two state-transfer arms folded into a trailing wildcard.
-plant crates/baselines/src/common.rs
+plant crates/protocol/src/family.rs
 sed -i -e '/Message::CheckpointRequest { last_executed } => {/,+7c\            _ => {}' \
     "$target"
-expect flexitrust-baselines 'wildcard match will also match any future added variants'
+expect flexitrust-protocol 'wildcard match will also match any future added variants'
 
 # A second lock beside the submission cache: each lock is named once,
 # under an #[expect] that says what it is held across.
