@@ -1,12 +1,12 @@
 //! The client-side library.
 //!
-//! The client library sends a signed transaction to the primary and waits
-//! for "enough" matching replies before reporting the result to the
-//! application (§3). How many replies are enough is protocol-specific:
-//! `f + 1` for PBFT, MinBFT and Flexi-BFT; `2f + 1` for Flexi-ZZ; all
-//! `n` for Zyzzyva and MinZZ's single-round fast path. [`ClientLibrary`]
-//! implements that matching/counting logic once, including the retry and
-//! fast-path-fallback behaviour the harnesses need.
+//! A client accepts a result once "enough" replicas have answered with it
+//! (§3). [`ClientLibrary`] counts each request's replies per `(seq, result)`
+//! candidate against the protocol's reply rule: `f + 1` matching replies for
+//! PBFT, MinBFT and Flexi-BFT; `2f + 1` for Flexi-ZZ; all `n` for Zyzzyva
+//! and MinZZ's single-round fast path, with a smaller fallback threshold once
+//! that fast path has timed out. Sending requests and timing out are the
+//! caller's: every client, threaded or simulated, counts replies here.
 //!
 //! # State per request
 //!
@@ -19,7 +19,7 @@
 //! A request the application began holds a list of *candidates*: one
 //! `(seq, result)` pair per distinct answer seen, each with the set of
 //! replicas that gave it. Failure-free there is exactly one candidate,
-//! stored inline; a reply probes the list by fingerprint ([`result_key`])
+//! stored inline; a reply probes the list by result fingerprint
 //! and sets one bit, so the hit path neither allocates nor clones. The first
 //! candidate to reach the threshold is the request's outcome.
 //!
@@ -62,14 +62,14 @@ pub enum RequestStatus {
 /// below 128 as bits of an inline mask, larger ones (no deployment has that
 /// many replicas, but the id arrives off the wire) in a list.
 #[derive(Debug, Default)]
-pub struct Voters {
+struct Voters {
     low: u128,
     high: Vec<ReplicaId>,
 }
 
 impl Voters {
     /// Adds `replica`; a replica already in the set counts once.
-    pub fn insert(&mut self, replica: ReplicaId) {
+    fn insert(&mut self, replica: ReplicaId) {
         if replica.0 < u128::BITS {
             self.low |= 1 << replica.0;
         } else if !self.high.contains(&replica) {
@@ -77,19 +77,23 @@ impl Voters {
         }
     }
 
+    /// Adds every replica of `other`.
+    fn union(&mut self, other: &Voters) {
+        self.low |= other.low;
+        for replica in &other.high {
+            self.insert(*replica);
+        }
+    }
+
     /// Number of distinct replicas in the set.
-    #[expect(
-        clippy::len_without_is_empty,
-        reason = "a voter set only grows; callers compare its size with a quorum"
-    )]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.low.count_ones() as usize + self.high.len()
     }
 }
 
 /// One distinct answer to a request and who gave it: the first reply's
 /// `(seq, result)`, joined by every later reply that carries the same seq
-/// and a result of the same fingerprint ([`result_key`]).
+/// and a result of the same fingerprint.
 #[derive(Debug)]
 struct Candidate {
     seq: SeqNum,
@@ -213,6 +217,10 @@ impl RequestWindow {
         (index < self.slots.len()).then_some(index)
     }
 
+    fn get(&self, request: RequestId) -> Option<&PendingRequest> {
+        self.slots.get(self.index(request)?)?.as_ref()
+    }
+
     fn get_mut(&mut self, request: RequestId) -> Option<&mut PendingRequest> {
         let index = self.index(request)?;
         self.slots.get_mut(index)?.as_mut()
@@ -221,12 +229,17 @@ impl RequestWindow {
     /// Holds `request`, unless it is stale, held already, or more than
     /// [`MAX_AHEAD`] past the newest request held. With nothing held, any id
     /// from `base` on opens, and the window starts over there.
+    ///
+    /// The first open reserves a single slot, not `VecDeque`'s default four:
+    /// a client with one request outstanding at a time (the simulator keeps
+    /// thousands of them) holds one slot of heap, and reuses it.
     fn open(&mut self, request: RequestId) {
         let Some(offset) = request.0.checked_sub(self.base) else {
             return;
         };
         let Some(newest) = self.slots.len().checked_sub(1) else {
             self.base = request.0;
+            self.slots.reserve_exact(1);
             self.slots.push_back(Some(PendingRequest::default()));
             return;
         };
@@ -259,13 +272,12 @@ impl RequestWindow {
     }
 }
 
-/// Hashable, ordered fingerprint of a [`KvResult`] used for reply
-/// matching — the "digest" half of a `(seq, digest)` reply-vote candidate.
-/// Public so that harnesses counting reply quorums outside this library
-/// (the simulator's aggregate client model) match replies exactly the way
-/// [`ClientLibrary`] does.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum KvResultKey {
+/// Ordered fingerprint of a [`KvResult`] — the "digest" half of a
+/// `(seq, digest)` reply candidate. Candidates match by
+/// `same_fingerprint` without building one; the key only orders them, to
+/// break a tie at fallback.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum KvResultKey {
     /// A read's value (or absence); cloning the result into the key is a
     /// refcount bump on the shared buffer, not a byte copy.
     Value(Option<ValueBytes>),
@@ -275,22 +287,6 @@ pub enum KvResultKey {
     RangeLen(usize, u64),
     /// A no-op.
     Noop,
-}
-
-/// Returns `true` when `result` fingerprints to `key`: the same match
-/// [`result_key`] would produce, but without cloning the result's bytes
-/// into a fresh key — for vote-counting hot paths that probe existing
-/// candidates far more often than they create one.
-pub fn result_matches_key(result: &KvResult, key: &KvResultKey) -> bool {
-    match (result, key) {
-        (KvResult::Value(v), KvResultKey::Value(kv)) => v == kv,
-        (KvResult::Written, KvResultKey::Written) => true,
-        (KvResult::Noop, KvResultKey::Noop) => true,
-        (KvResult::Range(rows), KvResultKey::RangeLen(len, key_sum)) => {
-            rows.len() == *len && range_key_sum(rows) == *key_sum
-        }
-        _ => false,
-    }
 }
 
 /// `result_key(a) == result_key(b)`, without building either key.
@@ -309,8 +305,8 @@ fn range_key_sum(rows: &[(u64, ValueBytes)]) -> u64 {
     rows.iter().map(|(k, _)| *k).sum()
 }
 
-/// Fingerprint of a [`KvResult`] for reply-vote matching.
-pub fn result_key(result: &KvResult) -> KvResultKey {
+/// Fingerprint of a [`KvResult`] for ordering reply candidates.
+fn result_key(result: &KvResult) -> KvResultKey {
     match result {
         KvResult::Value(v) => KvResultKey::Value(v.clone()),
         KvResult::Written => KvResultKey::Written,
@@ -440,6 +436,28 @@ impl ClientLibrary {
         let outcome = entry.settle(index)?;
         self.completed += 1;
         Some(outcome)
+    }
+
+    /// Whether `request`'s fast path has failed, so the caller should arm its
+    /// fallback: a fallback quorum of distinct replicas replied without
+    /// completing it, and either the rule needs more replies than the
+    /// fallback accepts (every replica, for Zyzzyva and MinZZ — a crashed one
+    /// never answers) or the replies diverged across candidates, so no one
+    /// of them may ever reach the threshold. `false` for a request that is
+    /// settled, forgotten or never begun.
+    pub fn fast_path_failed(&self, request: RequestId) -> bool {
+        let Some(entry) = self.window.get(request).filter(|e| !e.settled) else {
+            return false;
+        };
+        let diverged = entry.candidates().nth(1).is_some();
+        if !diverged && self.needed <= self.fallback_needed {
+            return false;
+        }
+        let mut repliers = Voters::default();
+        for candidate in entry.candidates() {
+            repliers.union(&candidate.voters);
+        }
+        repliers.len() >= self.fallback_needed
     }
 
     /// Drops state for a completed request (bounded-memory clients).
@@ -577,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn both_fingerprint_matches_agree_with_result_key() {
+    fn same_fingerprint_agrees_with_result_key() {
         let results = [
             KvResult::Value(Some(vec![1, 2, 3].into())),
             KvResult::Value(Some(vec![1, 2, 4].into())),
@@ -590,14 +608,75 @@ mod tests {
         for a in &results {
             for b in &results {
                 let same = result_key(a) == result_key(b);
-                assert_eq!(
-                    result_matches_key(a, &result_key(b)),
-                    same,
-                    "{a:?} vs {b:?}"
-                );
                 assert_eq!(same_fingerprint(a, b), same, "{a:?} vs {b:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_tied_fallback_goes_to_the_greatest_seq_and_result() {
+        // Zyzzyva f = 1: the fast path wants all 4 replies, the fallback 3.
+        // Three candidates hold 3 voters each (a replica that re-executed
+        // after a view change answers twice): (5, a), (6, a), (6, b). A
+        // fourth, (7, a), has fewer voters, so most voters beats a later seq.
+        let config = SystemConfig::for_protocol(ProtocolId::Zyzzyva, 1);
+        let mut lib = ClientLibrary::new(ClientId(1), &config, QuorumRule::AllReplicas);
+        lib.begin(RequestId(1));
+        let votes = [
+            (&[0, 1, 2][..], 5, 1),
+            (&[3][..], 7, 1),
+            (&[1, 2, 3][..], 6, 1),
+            (&[0, 2, 3][..], 6, 2),
+        ];
+        for (replicas, seq, value) in votes {
+            for &replica in replicas {
+                let status = lib.on_reply(&reply(replica, 1, seq, value));
+                assert!(matches!(status, RequestStatus::Pending { .. }));
+            }
+        }
+        assert_eq!(
+            lib.try_fallback_complete(RequestId(1)),
+            Some(RequestStatus::Complete {
+                result: KvResult::Value(Some(vec![2].into())),
+                seq: SeqNum(6),
+                matching: 3,
+            })
+        );
+    }
+
+    #[test]
+    fn the_fast_path_fails_on_a_fallback_quorum_that_cannot_complete() {
+        use ProtocolId::{FlexiBft, Zyzzyva};
+        use QuorumRule::{AllReplicas, FPlusOne};
+        // Whether request 1 reports a failed fast path after `replies`, as
+        // `(replica, seq, value)` at f = 2; with `forget`, once settled by
+        // its fallback and forgotten.
+        let failed = |protocol, rule, replies: &[(u32, u64, u8)], forget: bool| {
+            let mut lib = library(protocol, rule);
+            lib.begin(RequestId(1));
+            for &(replica, seq, value) in replies {
+                lib.on_reply(&reply(replica, 1, seq, value));
+            }
+            if forget {
+                lib.try_fallback_complete(RequestId(1))
+                    .expect("a fallback quorum");
+                lib.forget(RequestId(1));
+            }
+            lib.fast_path_failed(RequestId(1))
+        };
+        let agreeing = |count: u32| (0..count).map(|r| (r, 5, 1)).collect::<Vec<_>>();
+        // Zyzzyva needs all 7; 2f + 1 = 5 agreeing is its fallback quorum.
+        assert!(failed(Zyzzyva, AllReplicas, &agreeing(5), false));
+        assert!(!failed(Zyzzyva, AllReplicas, &agreeing(4), false));
+        // Flexi-BFT completes at f + 1 = 3 agreeing: three repliers split
+        // over two candidates have failed, f agreeing ones may yet succeed.
+        let split = [(0, 5, 1), (1, 5, 1), (2, 6, 1)];
+        assert!(failed(FlexiBft, FPlusOne, &split, false));
+        assert!(!failed(FlexiBft, FPlusOne, &agreeing(2), false));
+        // Settled, or settled and forgotten: nothing to fall back from.
+        let settled = [(0, 5, 1), (1, 6, 1), (2, 5, 1), (3, 5, 1)];
+        assert!(!failed(FlexiBft, FPlusOne, &settled, false));
+        assert!(!failed(Zyzzyva, AllReplicas, &agreeing(5), true));
     }
 
     #[test]

@@ -44,9 +44,7 @@ pub mod viewchange;
 
 pub use actions::{Action, Outbox};
 pub use batcher::Batcher;
-pub use client::{
-    result_key, result_matches_key, ClientLibrary, KvResultKey, RequestStatus, Voters,
-};
+pub use client::{ClientLibrary, RequestStatus};
 pub use engine::{ConsensusEngine, TimerKind};
 pub use family::PbftFamilyEngine;
 pub use messages::{unshare, ClientReply, Message, PreparedProof, SharedMessage};

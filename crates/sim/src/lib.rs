@@ -17,8 +17,9 @@
 //!   message is serialized on the replica's trusted component and charged
 //!   the hardware's access latency (Figure 8's knob), and
 //! * **closed-loop client load** — a configurable number of logical clients,
-//!   each with one outstanding transaction, completing when the protocol's
-//!   reply quorum of replicas has executed it ([`spec::ScenarioSpec`]).
+//!   each with one outstanding transaction, completing when the client's
+//!   `ClientLibrary` holds the protocol's reply quorum of matching replies
+//!   ([`spec::ScenarioSpec`]).
 //!
 //! Scenarios are described by [`ScenarioSpec`], run by [`runner::Simulation`]
 //! and summarised in a [`metrics::SimReport`]. [`registry`] builds engine

@@ -27,13 +27,14 @@
 //! decides which lanes it crosses and how it lands (a delivery, a tallied
 //! reply, a client arrival); a hop with no wire time is skipped.
 //!
-//! Clients are closed-loop and modelled in aggregate: each of the
-//! `spec.clients` logical clients keeps exactly one transaction outstanding,
-//! tracked in that client's slot of one table indexed by client id; a
-//! transaction completes when the protocol's reply quorum of distinct
-//! replicas has replied (with the Zyzzyva/MinZZ fallback path modelled as a
-//! timeout plus an extra round trip when the full-replica quorum cannot be
-//! reached), after which the client immediately submits a fresh transaction.
+//! Clients are closed-loop: each of the `spec.clients` logical clients keeps
+//! exactly one transaction outstanding, in that client's slot of one table
+//! indexed by client id. The slot's [`ClientLibrary`] counts the replies, as
+//! it does for the threaded clients; a transaction completes when the library
+//! says so, after which the client immediately submits a fresh one. When the
+//! library reports the fast path failed (the Zyzzyva/MinZZ all-replica rule
+//! without a crashed replica's reply, or divergent replies), the fallback is
+//! modelled as a client timeout plus one extra round trip.
 
 use crate::chaos::{ChaosState, Fate};
 use crate::cost::CostModel;
@@ -45,11 +46,10 @@ use crate::spec::ScenarioSpec;
 use crate::workload::WorkloadGenerator;
 use flexitrust_protocol::host::{recovery_request, Dispatcher, EngineHost, TimerToken};
 use flexitrust_protocol::{
-    result_key, result_matches_key, ClientReply, ConsensusEngine, KvResultKey, Message,
-    SharedMessage, TimerKind, Voters,
+    ClientLibrary, ClientReply, ConsensusEngine, Message, RequestStatus, SharedMessage, TimerKind,
 };
 use flexitrust_trusted::SharedEnclave;
-use flexitrust_types::{ClientId, QuorumRule, ReplicaId, RequestId, SeqNum, Transaction};
+use flexitrust_types::{ClientId, ReplicaId, RequestId, SeqNum, Transaction};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -180,52 +180,17 @@ struct Host {
     tc_seen: u64,
 }
 
-/// The reply tally of the one request a closed-loop client has outstanding.
-struct RequestTracker {
-    request: RequestId,
-    submit: Ns,
-    /// Votes per `(seq, result digest)` candidate, mirroring
-    /// `ClientLibrary`: divergent speculative replies must not count
-    /// towards one quorum, however many distinct replicas sent them.
-    /// A small insertion-ordered list, probed by comparing against the
-    /// incoming reply without cloning its result bytes — almost every
-    /// request only ever has one candidate.
-    votes: Vec<((SeqNum, KvResultKey), Voters)>,
-    /// Every distinct replica that replied, across all candidates. Arms the
-    /// fast-path fallback timer: hearing from a fallback quorum of replicas
-    /// without completing means the fast path has failed, whether the
-    /// replies agree or not.
-    repliers: Voters,
-    /// Sequence number of the candidate that completed the request; set
-    /// when the quorum (or fallback) is reached. Completion empties the
-    /// client's slot, so a tracker's presence *is* the not-yet-completed
-    /// state.
-    seq: SeqNum,
+/// One closed-loop client: its reply counter, and the one request it has
+/// outstanding.
+struct ClientSlot {
+    library: ClientLibrary,
+    /// The outstanding request and its first submit time; `None` from a
+    /// completion until the next request reaches the primary.
+    outstanding: Option<(RequestId, Ns)>,
+    /// Whether the outstanding request's fast-path fallback is armed.
     fallback_scheduled: bool,
-}
-
-impl RequestTracker {
-    fn new(request: RequestId, submit: Ns) -> Self {
-        RequestTracker {
-            request,
-            submit,
-            votes: Vec::new(),
-            repliers: Voters::default(),
-            seq: SeqNum(0),
-            fallback_scheduled: false,
-        }
-    }
-
-    /// The strongest `(seq, digest)` candidate and its vote count, chosen
-    /// as `ClientLibrary::try_fallback_complete` chooses: most voters, a tie
-    /// going to the greatest `(seq, digest)`.
-    fn best_candidate(&self) -> Option<(SeqNum, usize)> {
-        self.votes
-            .iter()
-            .map(|((seq, key), voters)| (voters.len(), *seq, key))
-            .max()
-            .map(|(count, seq, _)| (seq, count))
-    }
+    /// The id of the client's next fresh request.
+    next_request: u64,
 }
 
 /// The simulator's [`EngineHost`] implementation: one engine invocation's
@@ -364,18 +329,6 @@ impl EngineHost for SimEnv<'_> {
     }
 }
 
-/// The slot index and tracker of `client`'s outstanding request, if that
-/// request is `request`.
-fn outstanding_mut(
-    outstanding: &mut [Option<RequestTracker>],
-    client: ClientId,
-    request: RequestId,
-) -> Option<(usize, &mut RequestTracker)> {
-    let slot = usize::try_from(client.0).ok()?;
-    let tracker = outstanding.get_mut(slot)?.as_mut()?;
-    (tracker.request == request).then_some((slot, tracker))
-}
-
 /// A single simulation run.
 pub struct Simulation {
     spec: ScenarioSpec,
@@ -388,19 +341,15 @@ pub struct Simulation {
     events: BinaryHeap<Reverse<Event>>,
     event_seq: u64,
     now: Ns,
-    /// One slot per closed-loop client, indexed by client id: the request
-    /// it is waiting on, if any. Empty until [`Self::run`] opens it.
-    outstanding: Vec<Option<RequestTracker>>,
-    next_request_id: Vec<u64>,
+    /// One slot per closed-loop client, indexed by client id. Empty until
+    /// [`Self::run`] opens it.
+    clients: Vec<ClientSlot>,
     op_generator: WorkloadGenerator,
     latencies: RunLog<Ns>,
     completed_txns: u64,
     commit_log: RunLog<CommittedTxn>,
     messages_delivered: u64,
     events_processed: u64,
-    reply_quorum: usize,
-    fallback_quorum: usize,
-    all_replicas_rule: bool,
     /// Transactions the closed-loop clients will resubmit, each with its
     /// own deadline: several clients completing in one event drain must not
     /// clobber each other's resubmit time.
@@ -424,8 +373,7 @@ impl Simulation {
     /// combinations).
     pub fn with_replicas(spec: ScenarioSpec, replicas: Vec<ReplicaSetup>) -> Self {
         let config = spec.system_config();
-        let properties = replicas[0].engine.properties();
-        let workers = if properties.out_of_order {
+        let workers = if replicas[0].engine.properties().out_of_order {
             spec.workers_per_replica.max(1)
         } else {
             1
@@ -448,7 +396,6 @@ impl Simulation {
             .collect();
         Simulation {
             op_generator: WorkloadGenerator::new(spec.workload.clone(), ClientId(0), spec.seed),
-            next_request_id: vec![1; spec.clients],
             net,
             links: LinkQueues::new(),
             dispatcher: Dispatcher::new(hosts.len()),
@@ -456,15 +403,12 @@ impl Simulation {
             events: BinaryHeap::new(),
             event_seq: 0,
             now: 0,
-            outstanding: Vec::new(),
+            clients: Vec::new(),
             latencies: RunLog::new(),
             completed_txns: 0,
             commit_log: RunLog::new(),
             messages_delivered: 0,
             events_processed: 0,
-            reply_quorum: config.quorum(properties.reply_quorum),
-            fallback_quorum: config.fallback_quorum(properties.reply_quorum),
-            all_replicas_rule: properties.reply_quorum == QuorumRule::AllReplicas,
             pending_resubmits: Vec::new(),
             chaos: ChaosState::new(&spec.chaos, config.n),
             spec,
@@ -481,8 +425,9 @@ impl Simulation {
     }
 
     fn fresh_txn(&mut self, client: usize) -> Transaction {
-        let request = self.next_request_id[client];
-        self.next_request_id[client] += 1;
+        let slot = &mut self.clients[client];
+        let request = slot.next_request;
+        slot.next_request += 1;
         let template = self.op_generator.next_transaction();
         Transaction::new(
             ClientId(client as u64),
@@ -495,7 +440,16 @@ impl Simulation {
     /// the benchmark's `setup_s` times construction, and the table is part
     /// of the run.
     fn open_client_slots(&mut self) {
-        self.outstanding.resize_with(self.spec.clients, || None);
+        let config = self.spec.system_config();
+        let rule = self.hosts[0].engine.properties().reply_quorum;
+        self.clients = (0..self.spec.clients as u64)
+            .map(|client| ClientSlot {
+                library: ClientLibrary::new(ClientId(client), &config, rule),
+                outstanding: None,
+                fallback_scheduled: false,
+                next_request: 1,
+            })
+            .collect();
     }
 
     /// Whether a replica is currently crashed under the fault plan.
@@ -690,7 +644,7 @@ impl Simulation {
             }
         }
         for reply in &replies {
-            self.record_reply(replica, reply, reply_arrival);
+            self.record_reply(reply, reply_arrival);
         }
     }
 
@@ -739,7 +693,7 @@ impl Simulation {
             Cargo::Message { from, to, msg, .. } => {
                 self.push_event(at, EventKind::Deliver { to, from, msg })
             }
-            Cargo::Reply { from, reply } => self.record_reply(from, &reply, at),
+            Cargo::Reply { reply, .. } => self.record_reply(&reply, at),
             Cargo::Upload { txns, .. } => self.push_event(at, EventKind::ClientArrival { txns }),
         }
     }
@@ -914,27 +868,27 @@ impl Simulation {
     }
 
     fn on_fallback(&mut self, client: ClientId, request: RequestId) {
-        let Some((slot, tracker)) = outstanding_mut(&mut self.outstanding, client, request) else {
-            // Unknown or already completed (completion empties the slot):
-            // nothing to do.
+        let Some(slot) = self.slot_mut(client) else {
             return;
         };
+        if slot.outstanding.map(|(held, _)| held) != Some(request) {
+            // Already completed: nothing to do.
+            return;
+        }
         // The fallback round trip gathers a commit certificate for the
         // strongest (seq, digest) candidate — divergent speculative replies
         // still do not count together.
-        if let Some((seq, count)) = tracker.best_candidate() {
-            if count >= self.fallback_quorum {
-                tracker.seq = seq;
-                self.complete_request(slot, self.now);
-                return;
+        match slot.library.try_fallback_complete(request) {
+            Some(RequestStatus::Complete { seq, .. }) => {
+                self.complete_request(client, self.now, seq)
             }
+            // No candidate holds a fallback quorum yet (replies diverged,
+            // e.g. across a view change): the client keeps waiting and
+            // retries the certificate round after another timeout, so the
+            // request cannot wedge out of the closed loop while late replies
+            // may still reconcile it.
+            _ => self.schedule_fallback(client, request, self.now),
         }
-        // No candidate holds a fallback quorum yet (replies diverged, e.g.
-        // across a view change): the client keeps waiting and retries the
-        // certificate round after another timeout, so the request cannot
-        // wedge out of the closed loop while late replies may still
-        // reconcile it.
-        self.schedule_fallback(client, request, self.now);
     }
 
     /// Arms (or re-arms) the fast-path fallback for a request: a client
@@ -954,97 +908,74 @@ impl Simulation {
     // Client accounting.
     // ------------------------------------------------------------------
 
+    /// `client`'s slot; `None` for a client id outside the table, which is
+    /// no closed-loop client of this run and is not tracked.
+    fn slot_mut(&mut self, client: ClientId) -> Option<&mut ClientSlot> {
+        self.clients.get_mut(usize::try_from(client.0).ok()?)
+    }
+
     /// Opens `client`'s slot for `request`, submitted at `submit`. A
     /// retransmission of the request the slot holds keeps its first submit
-    /// time, so latency covers the whole client wait. A client id outside
-    /// the table is no closed-loop client of this run and is not tracked.
+    /// time, so latency covers the whole client wait.
     fn begin_request(&mut self, client: ClientId, request: RequestId, submit: Ns) {
-        let Some(slot) = usize::try_from(client.0)
-            .ok()
-            .and_then(|c| self.outstanding.get_mut(c))
-        else {
+        let Some(slot) = self.slot_mut(client) else {
             return;
         };
-        if slot.as_ref().is_some_and(|t| t.request == request) {
+        if slot.outstanding.is_some_and(|(held, _)| held == request) {
             return;
         }
         // At most one request outstanding per client: a closed-loop client
         // issues its next request only from `complete_request`, which has
         // emptied this slot first.
         debug_assert!(
-            slot.is_none(),
+            slot.outstanding.is_none(),
             "client {} submitted {} with another request outstanding",
             client.0,
             request.0
         );
-        *slot = Some(RequestTracker::new(request, submit));
+        slot.library.begin(request);
+        slot.outstanding = Some((request, submit));
+        slot.fallback_scheduled = false;
     }
 
-    fn record_reply(&mut self, replica: ReplicaId, reply: &ClientReply, at: Ns) {
-        let Some((slot, tracker)) =
-            outstanding_mut(&mut self.outstanding, reply.client, reply.request)
-        else {
-            // Unknown or already completed (completion empties the slot):
-            // late replies are normal in BFT systems.
+    /// Counts `reply`, which reached its client at `at`. The library holds
+    /// only the outstanding request, so a late reply (normal in BFT
+    /// systems) counts for nothing.
+    fn record_reply(&mut self, reply: &ClientReply, at: Ns) {
+        let Some(slot) = self.slot_mut(reply.client) else {
             return;
         };
-        // Mirror `ClientLibrary`: a quorum is a set of distinct replicas
-        // voting for the same (seq, result digest) candidate. Divergent
-        // speculative replies — same request, different seq or result —
-        // accumulate in separate candidates and can never complete one
-        // quorum between them. Probe existing candidates without cloning
-        // the reply's result bytes; a key is only built when a new
-        // candidate first appears.
-        let voters = match tracker.votes.iter().position(|((seq, result), _)| {
-            *seq == reply.seq && result_matches_key(&reply.result, result)
-        }) {
-            Some(i) => &mut tracker.votes[i].1,
-            None => {
-                tracker
-                    .votes
-                    .push(((reply.seq, result_key(&reply.result)), Voters::default()));
-                &mut tracker.votes.last_mut().expect("just pushed").1
-            }
-        };
-        voters.insert(replica);
-        let count = voters.len();
-        tracker.repliers.insert(replica);
-        if count >= self.reply_quorum {
-            tracker.seq = reply.seq;
-            self.complete_request(slot, at);
-        } else if !tracker.fallback_scheduled
-            && tracker.repliers.len() >= self.fallback_quorum
-            && (self.all_replicas_rule || tracker.votes.len() > 1)
-        {
-            // Two ways the fast path can have failed despite a fallback
-            // quorum of distinct repliers: Zyzzyva / MinZZ need every
-            // replica and will never hear from a crashed one, or replies
-            // diverged across candidates (e.g. over a view change) so no
-            // single (seq, digest) can complete. Either way the client
-            // falls back after a timeout plus an extra round trip
-            // (gathering/distributing a commit certificate); `on_fallback`
-            // completes the strongest candidate once it holds the fallback
-            // quorum and re-arms otherwise, so a divergent request can
-            // still converge instead of silently dropping its client out
-            // of the closed loop.
-            tracker.fallback_scheduled = true;
+        if let RequestStatus::Complete { seq, .. } = slot.library.on_reply(reply) {
+            self.complete_request(reply.client, at, seq);
+        } else if !slot.fallback_scheduled && slot.library.fast_path_failed(reply.request) {
+            // The client falls back after a timeout plus an extra round
+            // trip (gathering/distributing a commit certificate);
+            // `on_fallback` completes the strongest candidate once it holds
+            // the fallback quorum and re-arms otherwise, so a divergent
+            // request can still converge instead of silently dropping its
+            // client out of the closed loop.
+            slot.fallback_scheduled = true;
             self.schedule_fallback(reply.client, reply.request, at);
         }
     }
 
-    /// Completes the request in client slot `client`, emptying the slot.
-    fn complete_request(&mut self, client: usize, at: Ns) {
+    /// Completes `client`'s outstanding request, which executed at `seq`,
+    /// and empties its slot.
+    fn complete_request(&mut self, client: ClientId, at: Ns, seq: SeqNum) {
         let warmup_ns = self.spec.warmup_us * 1_000;
         let total_ns = self.spec.total_time_us() * 1_000;
-        let Some(tracker) = self.outstanding.get_mut(client).and_then(Option::take) else {
+        let Some((request, submit)) = self.slot_mut(client).and_then(|slot| {
+            let outstanding = slot.outstanding.take()?;
+            slot.library.forget(outstanding.0);
+            Some(outstanding)
+        }) else {
             return;
         };
-        let submit = tracker.submit;
         if self.spec.record_commit_log {
             self.commit_log.push(CommittedTxn {
-                seq: tracker.seq,
-                client: ClientId(client as u64),
-                request: tracker.request,
+                seq,
+                client,
+                request,
             });
         }
         if submit >= warmup_ns && at <= total_ns {
@@ -1059,7 +990,7 @@ impl Simulation {
         // the current primary, which may have moved since the run started.
         // The deadline rides with the transaction: several clients
         // completing in one drain each keep their own resubmit time.
-        let txn = self.fresh_txn(client);
+        let txn = self.fresh_txn(client.0 as usize);
         let primary = self.current_primary();
         let resubmit_at = at + 2 * self.net.client_latency_us(primary) * 1_000;
         self.pending_resubmits.push((resubmit_at, txn));
@@ -1142,9 +1073,11 @@ mod tests {
         sim
     }
 
-    /// The tracker of `client`'s outstanding request, if it is `request`.
-    fn tracker(sim: &mut Simulation, client: u64, request: u64) -> Option<&mut RequestTracker> {
-        outstanding_mut(&mut sim.outstanding, ClientId(client), RequestId(request)).map(|(_, t)| t)
+    /// The id of `client`'s outstanding request, if any.
+    fn outstanding(sim: &Simulation, client: usize) -> Option<u64> {
+        sim.clients[client]
+            .outstanding
+            .map(|(request, _)| request.0)
     }
 
     #[test]
@@ -1160,7 +1093,7 @@ mod tests {
         let retry = txns.clone();
         sim.on_client_arrival(txns);
         // The transactions stay tracked — the closed loop must not wedge…
-        assert!(sim.outstanding.iter().all(Option::is_some));
+        assert!(sim.clients.iter().all(|c| c.outstanding.is_some()));
         // …and the batch is rescheduled after the client timeout instead of
         // vanishing (unlimited client bandwidth: a direct arrival event).
         let Reverse(event) = sim.events.pop().expect("a retransmission is scheduled");
@@ -1171,8 +1104,8 @@ mod tests {
         // so the eventual latency covers the whole client wait.
         sim.now = 5_000 + timeout_ns;
         sim.on_client_arrival(retry);
-        for tracker in sim.outstanding.iter().flatten() {
-            assert_eq!(tracker.submit, 5_000);
+        for client in &sim.clients {
+            assert_eq!(client.outstanding.map(|(_, submit)| submit), Some(5_000));
         }
     }
 
@@ -1181,13 +1114,13 @@ mod tests {
         let mut sim = opened(ScenarioSpec::quick_test(ProtocolId::FlexiBft));
         sim.begin_request(ClientId(1), RequestId(4), 1_000);
         sim.begin_request(ClientId(1), RequestId(4), 9_000);
-        assert_eq!(tracker(&mut sim, 1, 4).map(|t| t.submit), Some(1_000));
+        assert_eq!(sim.clients[1].outstanding, Some((RequestId(4), 1_000)));
     }
 
     #[test]
     fn a_reply_from_outside_the_client_table_is_ignored() {
         let mut sim = opened(ScenarioSpec::quick_test(ProtocolId::FlexiBft));
-        let clients = sim.outstanding.len();
+        let clients = sim.clients.len();
         let stranger = ClientReply {
             client: ClientId(clients as u64 + 5),
             request: RequestId(1),
@@ -1198,16 +1131,20 @@ mod tests {
             speculative: false,
         };
         for replica in 0..4 {
-            sim.record_reply(ReplicaId(replica), &stranger, 100);
+            let stranger = ClientReply {
+                replica: ReplicaId(replica),
+                ..stranger.clone()
+            };
+            sim.record_reply(&stranger, 100);
         }
         sim.begin_request(stranger.client, stranger.request, 100);
-        assert_eq!(sim.outstanding.len(), clients, "the table did not grow");
-        assert!(sim.outstanding.iter().all(Option::is_none));
+        assert_eq!(sim.clients.len(), clients, "the table did not grow");
+        assert!(sim.clients.iter().all(|c| c.outstanding.is_none()));
         assert!(sim.commit_log.last().is_none() && sim.pending_resubmits.is_empty());
     }
 
     #[test]
-    fn a_late_reply_after_completion_leaves_no_tracker_behind() {
+    fn a_late_reply_after_completion_leaves_nothing_outstanding() {
         let mut sim = opened(ScenarioSpec::quick_test(ProtocolId::FlexiBft));
         let reply = |replica: u32| ClientReply {
             client: ClientId(0),
@@ -1219,73 +1156,16 @@ mod tests {
             speculative: false,
         };
         sim.begin_request(ClientId(0), RequestId(1), 0);
-        sim.record_reply(ReplicaId(0), &reply(0), 100);
-        sim.record_reply(ReplicaId(1), &reply(1), 100);
-        assert!(
-            sim.outstanding[0].is_none(),
-            "f + 1 = 2 replies complete it"
-        );
-        sim.record_reply(ReplicaId(2), &reply(2), 200);
-        sim.record_reply(ReplicaId(3), &reply(3), 200);
-        assert!(sim.outstanding[0].is_none());
+        sim.record_reply(&reply(0), 100);
+        sim.record_reply(&reply(1), 100);
+        assert_eq!(outstanding(&sim, 0), None, "f + 1 = 2 replies complete it");
+        sim.record_reply(&reply(2), 200);
+        sim.record_reply(&reply(3), 200);
+        assert_eq!(outstanding(&sim, 0), None);
+        assert_eq!(sim.clients[0].library.outstanding(), 0);
         // One completion: one logged commit, one next request.
         assert_eq!(sim.commit_log.last().map(|c| c.seq), Some(SeqNum(3)));
         assert_eq!(sim.pending_resubmits.len(), 1);
-    }
-
-    #[test]
-    fn tied_fallback_candidates_resolve_as_the_client_library_does() {
-        use flexitrust_protocol::{ClientLibrary, RequestStatus};
-        // Zyzzyva f = 1: the fast path wants all 4 replies, the fallback 3.
-        // Three candidates hold 3 voters each (a replica that re-executed
-        // after a view change answers twice): (5, a), (6, a), (6, b).
-        let spec = ScenarioSpec::quick_test(ProtocolId::Zyzzyva);
-        let config = spec.system_config();
-        let mut sim = opened(spec);
-        let mut library = ClientLibrary::new(ClientId(0), &config, QuorumRule::AllReplicas);
-        assert_eq!(library.fallback_needed(), sim.fallback_quorum);
-        sim.begin_request(ClientId(0), RequestId(1), 0);
-        library.begin(RequestId(1));
-        let reply = |replica: u32, seq: u64, value: u8| ClientReply {
-            client: ClientId(0),
-            request: RequestId(1),
-            seq: SeqNum(seq),
-            view: View(0),
-            replica: ReplicaId(replica),
-            result: KvResult::Value(Some(vec![value].into())),
-            speculative: true,
-        };
-        for (replicas, seq, value) in [([0, 1, 2], 5, 1), ([1, 2, 3], 6, 1), ([0, 2, 3], 6, 2)] {
-            for replica in replicas {
-                let reply = reply(replica, seq, value);
-                sim.record_reply(ReplicaId(replica), &reply, 100);
-                library.on_reply(&reply);
-            }
-        }
-        let Some(RequestStatus::Complete { seq, .. }) = library.try_fallback_complete(RequestId(1))
-        else {
-            panic!("the library completes on the fallback quorum");
-        };
-        assert_eq!(seq, SeqNum(6));
-        sim.on_fallback(ClientId(0), RequestId(1));
-        assert_eq!(sim.commit_log.last().map(|c| c.seq), Some(seq));
-    }
-
-    #[test]
-    fn reply_thresholds_match_the_client_library_for_every_protocol() {
-        use flexitrust_protocol::ClientLibrary;
-        for protocol in ProtocolId::ALL {
-            let spec = ScenarioSpec::quick_test(protocol);
-            let config = spec.system_config();
-            let sim = Simulation::new(spec);
-            let rule = sim.hosts[0].engine.properties().reply_quorum;
-            let library = ClientLibrary::new(ClientId(0), &config, rule);
-            assert_eq!(
-                (library.needed(), library.fallback_needed()),
-                (sim.reply_quorum, sim.fallback_quorum),
-                "{protocol}"
-            );
-        }
     }
 
     #[test]
@@ -1308,8 +1188,8 @@ mod tests {
         // Two clients complete in the same drain with different reply
         // arrival times: each must resubmit after its *own* round trip, not
         // whichever deadline was written last.
-        sim.complete_request(0, 1_000_000);
-        sim.complete_request(1, 2_000_000);
+        sim.complete_request(ClientId(0), 1_000_000, SeqNum(1));
+        sim.complete_request(ClientId(1), 2_000_000, SeqNum(2));
         assert_eq!(sim.pending_resubmits.len(), 2);
         sim.flush_resubmits();
         let Reverse(first) = sim.events.pop().unwrap();
@@ -1324,7 +1204,11 @@ mod tests {
     fn divergent_speculative_replies_cannot_complete_a_quorum() {
         let spec = ScenarioSpec::quick_test(ProtocolId::FlexiBft);
         let mut sim = opened(spec);
-        assert_eq!(sim.reply_quorum, 2, "Flexi-BFT f=1 completes at f + 1");
+        assert_eq!(
+            sim.clients[0].library.needed(),
+            2,
+            "Flexi-BFT f=1 completes at f + 1"
+        );
         sim.begin_request(ClientId(0), RequestId(1), 0);
         let reply = |replica: u32, seq: u64, value: u8| ClientReply {
             client: ClientId(0),
@@ -1338,21 +1222,22 @@ mod tests {
         // Three distinct replicas reply, but no two agree on (seq, result):
         // under distinct-replier counting this would already have completed
         // twice over.
-        sim.record_reply(ReplicaId(0), &reply(0, 5, 1), 100);
-        sim.record_reply(ReplicaId(1), &reply(1, 6, 1), 100); // divergent seq
-        sim.record_reply(ReplicaId(2), &reply(2, 5, 2), 100); // divergent result
-                                                              // Observed divergence arms the fallback watchdog even for a
-                                                              // quorum-rule protocol, so the request can converge later instead
-                                                              // of wedging its client out of the closed loop.
-        assert!(
-            tracker(&mut sim, 0, 1)
-                .expect("divergent replies must not form a quorum")
-                .fallback_scheduled
+        sim.record_reply(&reply(0, 5, 1), 100);
+        sim.record_reply(&reply(1, 6, 1), 100); // divergent seq
+        sim.record_reply(&reply(2, 5, 2), 100); // divergent result
+        assert_eq!(
+            outstanding(&sim, 0),
+            Some(1),
+            "divergent replies must not form a quorum"
         );
+        // Observed divergence arms the fallback watchdog even for a
+        // quorum-rule protocol, so the request can converge later instead
+        // of wedging its client out of the closed loop.
+        assert!(sim.clients[0].fallback_scheduled);
         // A second vote for the (5, value 1) candidate completes it — and
         // logs the candidate's sequence number, not a bystander's.
-        sim.record_reply(ReplicaId(3), &reply(3, 5, 1), 100);
-        assert!(tracker(&mut sim, 0, 1).is_none());
+        sim.record_reply(&reply(3, 5, 1), 100);
+        assert_eq!(outstanding(&sim, 0), None);
         let logged = sim.commit_log.last().expect("completion is logged");
         assert_eq!(logged.seq, SeqNum(5));
         // Duplicate votes from one replica still count once.
@@ -1361,9 +1246,9 @@ mod tests {
             request: RequestId(2),
             ..reply(0, seq, 1)
         };
-        sim.record_reply(ReplicaId(0), &dup(7), 100);
-        sim.record_reply(ReplicaId(0), &dup(7), 100);
-        assert!(tracker(&mut sim, 0, 2).is_some());
+        sim.record_reply(&dup(7), 100);
+        sim.record_reply(&dup(7), 100);
+        assert_eq!(outstanding(&sim, 0), Some(2));
     }
 
     #[test]
@@ -1376,9 +1261,8 @@ mod tests {
         // the closed loop.
         let spec = ScenarioSpec::quick_test(ProtocolId::MinZz);
         let mut sim = opened(spec);
-        assert!(sim.all_replicas_rule);
-        assert_eq!(sim.reply_quorum, 3);
-        assert_eq!(sim.fallback_quorum, 2);
+        let library = &sim.clients[0].library;
+        assert_eq!((library.needed(), library.fallback_needed()), (3, 2));
         sim.begin_request(ClientId(0), RequestId(1), 0);
         let reply = |replica: u32, seq: u64| ClientReply {
             client: ClientId(0),
@@ -1389,25 +1273,25 @@ mod tests {
             result: KvResult::Written,
             speculative: true,
         };
-        sim.record_reply(ReplicaId(0), &reply(0, 5), 100);
-        sim.record_reply(ReplicaId(1), &reply(1, 6), 100); // divergent seq
-        assert!(tracker(&mut sim, 0, 1).unwrap().fallback_scheduled);
+        sim.record_reply(&reply(0, 5), 100);
+        sim.record_reply(&reply(1, 6), 100); // divergent seq
+        assert!(sim.clients[0].fallback_scheduled);
         let Reverse(armed) = sim.events.pop().expect("fallback timer armed");
         assert!(matches!(armed.kind, EventKind::FallbackComplete { .. }));
         // The timer fires with no candidate at quorum: the request stays
         // alive and the timer re-arms.
         sim.now = armed.at;
         sim.on_fallback(ClientId(0), RequestId(1));
-        assert!(tracker(&mut sim, 0, 1).is_some());
+        assert_eq!(outstanding(&sim, 0), Some(1));
         let Reverse(rearmed) = sim.events.pop().expect("fallback timer re-armed");
         assert!(matches!(rearmed.kind, EventKind::FallbackComplete { .. }));
         assert!(rearmed.at > armed.at);
         // A third reply joins the (seq 5) candidate: the next fallback
         // completes on it and logs its sequence number.
-        sim.record_reply(ReplicaId(2), &reply(2, 5), 200);
+        sim.record_reply(&reply(2, 5), 200);
         sim.now = rearmed.at;
         sim.on_fallback(ClientId(0), RequestId(1));
-        assert!(tracker(&mut sim, 0, 1).is_none());
+        assert_eq!(outstanding(&sim, 0), None);
         assert_eq!(sim.commit_log.last().unwrap().seq, SeqNum(5));
     }
 

@@ -105,10 +105,9 @@ fn pbft_commits_identically_in_all_three_hosts() {
 }
 
 /// Flexi-ZZ replies speculatively after a single phase, so the client-side
-/// quorum logic is load-bearing: the simulator's aggregate client model
-/// must count votes per (seq, result digest) exactly like the
-/// `ClientLibrary` the threaded clusters use, or the hosts drift on when a
-/// request completes.
+/// quorum logic is load-bearing: every host's clients count votes per
+/// (seq, result digest) with the one `ClientLibrary`, and the hosts agree on
+/// when a request completes only while they feed it the same replies.
 #[test]
 fn flexi_zz_speculative_replies_commit_identically_in_all_three_hosts() {
     assert_same_commit_sequence(ProtocolId::FlexiZz);
