@@ -32,8 +32,9 @@
 //!   pre-load votes for a request id the client has yet to issue.
 
 use crate::messages::ClientReply;
+use crate::quorum::Voters;
 use flexitrust_types::{
-    ClientId, KvResult, QuorumRule, ReplicaId, RequestId, SeqNum, SystemConfig, ValueBytes,
+    ClientId, KvResult, QuorumRule, RequestId, SeqNum, SystemConfig, ValueBytes,
 };
 use std::collections::VecDeque;
 
@@ -56,39 +57,6 @@ pub enum RequestStatus {
         /// How many matching replies supported it.
         matching: usize,
     },
-}
-
-/// A set of distinct replicas — the voters for one reply candidate: ids
-/// below 128 as bits of an inline mask, larger ones (no deployment has that
-/// many replicas, but the id arrives off the wire) in a list.
-#[derive(Debug, Default)]
-struct Voters {
-    low: u128,
-    high: Vec<ReplicaId>,
-}
-
-impl Voters {
-    /// Adds `replica`; a replica already in the set counts once.
-    fn insert(&mut self, replica: ReplicaId) {
-        if replica.0 < u128::BITS {
-            self.low |= 1 << replica.0;
-        } else if !self.high.contains(&replica) {
-            self.high.push(replica);
-        }
-    }
-
-    /// Adds every replica of `other`.
-    fn union(&mut self, other: &Voters) {
-        self.low |= other.low;
-        for replica in &other.high {
-            self.insert(*replica);
-        }
-    }
-
-    /// Number of distinct replicas in the set.
-    fn len(&self) -> usize {
-        self.low.count_ones() as usize + self.high.len()
-    }
 }
 
 /// One distinct answer to a request and who gave it: the first reply's
@@ -342,11 +310,6 @@ impl ClientLibrary {
         }
     }
 
-    /// The client this library belongs to.
-    pub fn client(&self) -> ClientId {
-        self.client
-    }
-
     /// Number of matching replies required on the normal path.
     pub fn needed(&self) -> usize {
         self.needed
@@ -385,18 +348,8 @@ impl ClientLibrary {
     /// without changing anything (late replies are normal in BFT systems);
     /// see the module docs for what that status is.
     pub fn on_reply(&mut self, reply: &ClientReply) -> RequestStatus {
-        self.on_reply_with_threshold(reply, self.needed)
-    }
-
-    /// Like [`Self::on_reply`], but checks against the fallback threshold.
-    /// Harnesses call this after a fast-path timeout for protocols whose
-    /// normal rule is "all replicas" (Zyzzyva, MinZZ).
-    pub fn on_reply_fallback(&mut self, reply: &ClientReply) -> RequestStatus {
-        self.on_reply_with_threshold(reply, self.fallback_needed)
-    }
-
-    fn on_reply_with_threshold(&mut self, reply: &ClientReply, needed: usize) -> RequestStatus {
         debug_assert_eq!(reply.client, self.client);
+        let needed = self.needed;
         let Some(entry) = self.window.get_mut(reply.request) else {
             return RequestStatus::Pending {
                 matching: 0,
@@ -469,7 +422,7 @@ impl ClientLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexitrust_types::{ProtocolId, View};
+    use flexitrust_types::{ProtocolId, ReplicaId, View};
 
     fn reply(replica: u32, request: u64, seq: u64, value: u8) -> ClientReply {
         ClientReply {
@@ -711,9 +664,8 @@ mod tests {
             }
         );
         // A fourth replica answers with another value at another sequence:
-        // the client is told what it was told before, under either rule.
+        // the client is told what it was told before.
         assert_eq!(lib.on_reply(&reply(3, 1, 6, 7)), agreed);
-        assert_eq!(lib.on_reply_fallback(&reply(3, 1, 6, 7)), agreed);
         assert_eq!(lib.on_reply(&reply(4, 1, 5, 9)), agreed);
         assert_eq!(lib.completed(), 1);
     }
@@ -766,15 +718,6 @@ mod tests {
             }
         );
         assert_eq!(lib.outstanding(), 1);
-    }
-
-    #[test]
-    fn voters_beyond_the_inline_mask_count_once_each() {
-        let mut voters = Voters::default();
-        for id in [0, 127, 128, 128, 4_000_000_000, 127, 0] {
-            voters.insert(ReplicaId(id));
-        }
-        assert_eq!(voters.len(), 4);
     }
 
     /// The implementation this module had before candidates became an
@@ -1018,7 +961,7 @@ mod tests {
                         }
                         proptest::prop_assert_eq!(shape, (lib.window.base, lib.window.slots.len()));
                     }
-                    kind => {
+                    _ => {
                         let replica = match (op >> 16) % 8 {
                             7 => 200 + (op >> 20) as u32 % 2,
                             id => id as u32 % config.n as u32,
@@ -1028,13 +971,8 @@ mod tests {
                             result: results[(op >> 28) as usize % results.len()].clone(),
                             ..reply(replica, request.0, 0, 0)
                         };
-                        let fallback = kind == 5;
-                        let needed = if fallback { lib.fallback_needed() } else { lib.needed() };
-                        let status = if fallback {
-                            lib.on_reply_fallback(&reply)
-                        } else {
-                            lib.on_reply(&reply)
-                        };
+                        let needed = lib.needed();
+                        let status = lib.on_reply(&reply);
                         // A reply alone never opens, moves or grows the
                         // window.
                         proptest::prop_assert_eq!(shape, (lib.window.base, lib.window.slots.len()));

@@ -8,18 +8,72 @@
 //! exactly once per key.
 
 use flexitrust_types::ReplicaId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+
+/// A set of distinct replicas — the voters for one certificate or one
+/// reply candidate: ids below 128 as bits of an inline mask, larger ones
+/// (no deployment has that many replicas, but the id arrives off the wire)
+/// in a sorted list.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Voters {
+    low: u128,
+    high: Vec<ReplicaId>,
+}
+
+impl Voters {
+    /// Adds `replica`; a replica already in the set counts once.
+    pub(crate) fn insert(&mut self, replica: ReplicaId) {
+        if replica.0 < u128::BITS {
+            self.low |= 1 << replica.0;
+        } else if let Err(index) = self.high.binary_search(&replica) {
+            self.high.insert(index, replica);
+        }
+    }
+
+    /// Adds every replica of `other`.
+    pub(crate) fn union(&mut self, other: &Voters) {
+        self.low |= other.low;
+        for replica in &other.high {
+            self.insert(*replica);
+        }
+    }
+
+    /// Number of distinct replicas in the set.
+    pub(crate) fn len(&self) -> usize {
+        self.low.count_ones() as usize + self.high.len()
+    }
+
+    /// The replicas in ascending id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ReplicaId> + '_ {
+        let mut low = self.low;
+        let low = std::iter::from_fn(move || {
+            (low != 0).then(|| {
+                let id = low.trailing_zeros();
+                low &= low - 1;
+                ReplicaId(id)
+            })
+        });
+        low.chain(self.high.iter().copied())
+    }
+}
+
+/// One key's votes: who voted, and whether the key reached the threshold.
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    voters: Voters,
+    complete: bool,
+}
 
 /// Tracks votes per key and fires once when a key reaches the threshold.
 ///
-/// Keys live in `BTreeMap`s (`K: Ord`): certificate state is part of the
-/// deterministic core, and ordered maps keep any future iteration over it
-/// — debugging dumps included — identical across processes.
+/// Keys live in a `BTreeMap` (`K: Ord`): certificate state is part of the
+/// deterministic core, and an ordered map keeps any future iteration over
+/// it — debugging dumps included — identical across processes. A vote is
+/// one map lookup and one bit set.
 #[derive(Debug, Clone)]
 pub struct CertificateTracker<K: Ord + Clone> {
     threshold: usize,
-    votes: BTreeMap<K, BTreeSet<ReplicaId>>,
-    completed: BTreeMap<K, bool>,
+    tallies: BTreeMap<K, Tally>,
 }
 
 impl<K: Ord + Clone> CertificateTracker<K> {
@@ -27,8 +81,7 @@ impl<K: Ord + Clone> CertificateTracker<K> {
     pub fn new(threshold: usize) -> Self {
         CertificateTracker {
             threshold: threshold.max(1),
-            votes: BTreeMap::new(),
-            completed: BTreeMap::new(),
+            tallies: BTreeMap::new(),
         }
     }
 
@@ -38,51 +91,45 @@ impl<K: Ord + Clone> CertificateTracker<K> {
     }
 
     /// Records a vote. Returns `true` exactly once per key: on the vote that
-    /// brings the key to the threshold.
+    /// brings the key to the threshold. Late votes after completion are
+    /// counted but never re-fire.
     pub fn vote(&mut self, key: K, voter: ReplicaId) -> bool {
-        if self.completed.get(&key).copied().unwrap_or(false) {
-            // Late votes after completion are counted but never re-fire.
-            self.votes.entry(key).or_default().insert(voter);
+        let tally = self.tallies.entry(key).or_default();
+        tally.voters.insert(voter);
+        if tally.complete || tally.voters.len() < self.threshold {
             return false;
         }
-        let entry = self.votes.entry(key.clone()).or_default();
-        entry.insert(voter);
-        if entry.len() >= self.threshold {
-            self.completed.insert(key, true);
-            true
-        } else {
-            false
-        }
+        tally.complete = true;
+        true
     }
 
     /// Number of distinct voters recorded for `key`.
     pub fn count(&self, key: &K) -> usize {
-        self.votes.get(key).map(BTreeSet::len).unwrap_or(0)
+        self.tallies.get(key).map_or(0, |t| t.voters.len())
     }
 
     /// Whether `key` has reached the threshold.
     pub fn is_complete(&self, key: &K) -> bool {
-        self.completed.get(key).copied().unwrap_or(false)
+        self.tallies.get(key).is_some_and(|t| t.complete)
     }
 
-    /// The distinct voters recorded for `key`.
+    /// The distinct voters recorded for `key`, in ascending id order.
     pub fn voters(&self, key: &K) -> Vec<ReplicaId> {
-        self.votes
+        self.tallies
             .get(key)
-            .map(|s| s.iter().copied().collect())
+            .map(|t| t.voters.iter().collect())
             .unwrap_or_default()
     }
 
     /// Forgets every key for which `retain` returns `false`; used for
     /// garbage collection below the checkpoint low-water mark.
     pub fn retain<F: Fn(&K) -> bool>(&mut self, retain: F) {
-        self.votes.retain(|k, _| retain(k));
-        self.completed.retain(|k, _| retain(k));
+        self.tallies.retain(|k, _| retain(k));
     }
 
     /// Number of keys currently tracked.
     pub fn tracked_keys(&self) -> usize {
-        self.votes.len()
+        self.tallies.len()
     }
 }
 
@@ -160,6 +207,80 @@ mod tests {
         t.vote(key(1), ReplicaId(1));
         t.vote(key(1), ReplicaId(3));
         assert_eq!(t.voters(&key(1)), vec![ReplicaId(1), ReplicaId(3)]);
+    }
+
+    #[test]
+    fn voters_beyond_the_inline_mask_count_once_each() {
+        let mut voters = Voters::default();
+        for id in [0, 127, 4_000_000_000, 128, 128, 127, 0] {
+            voters.insert(ReplicaId(id));
+        }
+        assert_eq!(voters.len(), 4);
+        let ids: Vec<u32> = voters.iter().map(|r| r.0).collect();
+        assert_eq!(ids, [0, 127, 128, 4_000_000_000]);
+    }
+
+    /// The tracker as it was before tallies: a `BTreeSet` of voters per
+    /// key and a separate map of completed keys. The reference the
+    /// property test below compares against.
+    #[derive(Default)]
+    struct Model {
+        votes: std::collections::BTreeMap<u64, std::collections::BTreeSet<ReplicaId>>,
+        completed: std::collections::BTreeMap<u64, bool>,
+    }
+
+    impl Model {
+        fn vote(&mut self, threshold: usize, key: u64, voter: ReplicaId) -> bool {
+            let voters = self.votes.entry(key).or_default();
+            voters.insert(voter);
+            let complete = self.completed.entry(key).or_default();
+            if *complete || voters.len() < threshold {
+                return false;
+            }
+            *complete = true;
+            true
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Votes from small and large replica ids (inside and past the
+        /// inline mask, duplicates included) over a few keys, with
+        /// garbage collection in between: the tallies answer like a
+        /// `BTreeSet` per key.
+        #[test]
+        fn tallies_answer_like_a_set_per_key(
+            threshold in 1usize..6,
+            ops in proptest::collection::vec(proptest::any::<u64>(), 1..200),
+        ) {
+            const IDS: [u32; 10] = [0, 1, 2, 3, 5, 126, 127, 128, 300, u32::MAX];
+            let mut t: CertificateTracker<u64> = CertificateTracker::new(threshold);
+            let mut model = Model::default();
+            for op in ops {
+                let key = (op >> 8) % 6;
+                if op % 16 == 0 {
+                    let floor = (op >> 16) % 6;
+                    t.retain(|k| *k >= floor);
+                    model.votes.retain(|k, _| *k >= floor);
+                    model.completed.retain(|k, _| *k >= floor);
+                } else {
+                    let voter = ReplicaId(IDS[(op >> 16) as usize % IDS.len()]);
+                    proptest::prop_assert_eq!(t.vote(key, voter), model.vote(threshold, key, voter));
+                }
+                let voters = model.votes.get(&key);
+                proptest::prop_assert_eq!(t.count(&key), voters.map_or(0, |v| v.len()));
+                proptest::prop_assert_eq!(
+                    t.voters(&key),
+                    voters.map(|v| v.iter().copied().collect::<Vec<_>>()).unwrap_or_default()
+                );
+                proptest::prop_assert_eq!(
+                    t.is_complete(&key),
+                    model.completed.get(&key).copied().unwrap_or(false)
+                );
+                proptest::prop_assert_eq!(t.tracked_keys(), model.votes.len());
+            }
+        }
     }
 
     #[test]

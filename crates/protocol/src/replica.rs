@@ -307,7 +307,9 @@ impl ReplicaCore {
     /// Discards speculative execution past the stable checkpoint: the store
     /// returns to the newest boundary this replica captured at or below its
     /// low-water mark and execution resumes after it. With none later, that
-    /// is sequence 0 and the store the replica started on.
+    /// is sequence 0 and the store the replica started on. The cached
+    /// replies of discarded executions go too: a retry of such a request
+    /// must wait for its new execution, not hear the old one.
     pub fn rollback_to_stable(&mut self) {
         let (seq, snapshot) = self
             .journal
@@ -315,6 +317,7 @@ impl ReplicaCore {
             .unwrap_or_default();
         let store = KvStore::from_snapshot(&snapshot);
         self.exec.rollback_to(seq, store);
+        self.reply_cache.retain(|_, (_, reply)| reply.seq <= seq);
     }
 
     /// Serves a peer's `CheckpointRequest`: when this replica's stable
@@ -672,6 +675,23 @@ mod tests {
         fresh.rollback_to_stable();
         assert_eq!(fresh.last_executed(), SeqNum(0));
         assert!(fresh.exec().store().is_empty());
+    }
+
+    #[test]
+    fn a_rolled_back_execution_is_not_answered_from_the_reply_cache() {
+        let mut c = core();
+        let mut out = Outbox::new();
+        c.commit_batch(SeqNum(1), batch(1), true, &mut out);
+        let txn = batch(1).txns()[0].clone();
+        assert!(c.cached_reply(txn.client(), txn.request()).is_some());
+        c.rollback_to_stable();
+        assert_eq!(c.last_executed(), SeqNum(0));
+        let mut out = Outbox::new();
+        let timer = TimerKind::RequestForwarded(1);
+        let forwarded = c.on_client_retry(txn, timer, |_| None, &mut out);
+        assert!(out.replies().is_empty(), "{:?}", out.replies());
+        // The backup forwards the retry, so the request executes again.
+        assert!(forwarded);
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod cost;
 pub mod link;
 pub mod metrics;
 pub mod net;
+pub mod queue;
 pub mod registry;
 pub mod runner;
 pub mod spec;

@@ -41,9 +41,14 @@
 //! (cloned, shared) `NetworkModel`, and double as the accounting point for
 //! per-link utilisation and queueing delay reported in
 //! [`crate::metrics::SimReport`].
+//!
+//! The lanes are one dense array: six per replica (three classes, two
+//! directions), indexed by replica id, after the client pool's six. A
+//! reservation is an index computation, not a map lookup. The array grows
+//! to the highest replica id reserved, and a lane nothing has crossed is
+//! left out of the reports.
 
 use flexitrust_types::ReplicaId;
-use std::collections::BTreeMap;
 
 /// Simulated time in nanoseconds.
 type Ns = u64;
@@ -113,7 +118,9 @@ impl Direction {
     }
 }
 
-/// Per-link occupancy and accounting.
+/// Per-link occupancy and accounting. A lane with `busy_ns == 0` was never
+/// reserved: every reservation that reaches the state adds a non-zero
+/// transmit time.
 #[derive(Debug, Clone, Copy, Default)]
 struct LinkState {
     /// The link transmits earlier reservations until this instant.
@@ -158,13 +165,44 @@ impl LinkUsage {
     }
 }
 
+/// Every link class, in its discriminant (and `Ord`) order.
+const CLASSES: [LinkClass; 3] = [LinkClass::Local, LinkClass::Wan, LinkClass::Client];
+/// Both directions, in their discriminant (and `Ord`) order.
+const DIRECTIONS: [Direction; 2] = [Direction::Egress, Direction::Ingress];
+/// Lanes per NIC: one per (link class, direction).
+const LANES_PER_NIC: usize = CLASSES.len() * DIRECTIONS.len();
+
+/// The index of the `(nic, class, direction)` lane in [`LinkQueues`]'
+/// array: the client pool's lanes first, then each replica's, in
+/// `(class, direction)` order.
+fn lane_index(nic: Nic, class: LinkClass, direction: Direction) -> usize {
+    let base = match nic {
+        Nic::ClientPool => 0,
+        Nic::Replica(id) => (id.as_usize() + 1) * LANES_PER_NIC,
+    };
+    base + class as usize * DIRECTIONS.len() + direction as usize
+}
+
+/// The lane at `index` of [`LinkQueues`]' array: the inverse of
+/// [`lane_index`].
+fn lane_key(index: usize) -> (Nic, LinkClass, Direction) {
+    let nic = match index / LANES_PER_NIC {
+        0 => Nic::ClientPool,
+        n => Nic::Replica(ReplicaId((n - 1) as u32)),
+    };
+    let lane = index % LANES_PER_NIC;
+    let class = CLASSES[lane / DIRECTIONS.len()];
+    (nic, class, DIRECTIONS[lane % DIRECTIONS.len()])
+}
+
 /// FIFO occupancy state for every (NIC, link class, direction) lane.
 ///
 /// Owned by the simulation runner; the network model itself stays stateless
 /// and shareable.
 #[derive(Debug, Clone, Default)]
 pub struct LinkQueues {
-    links: BTreeMap<(Nic, LinkClass, Direction), LinkState>,
+    /// Every lane's state, by [`lane_index`].
+    lanes: Vec<LinkState>,
 }
 
 impl LinkQueues {
@@ -219,7 +257,13 @@ impl LinkQueues {
         if transmit_ns == 0 {
             return ready;
         }
-        let link = self.links.entry((nic, class, direction)).or_default();
+        let index = lane_index(nic, class, direction);
+        if index >= self.lanes.len() {
+            let nics = index / LANES_PER_NIC + 1;
+            self.lanes
+                .resize(nics * LANES_PER_NIC, LinkState::default());
+        }
+        let link = &mut self.lanes[index];
         let start = ready.max(link.busy_until);
         let done = start.saturating_add(transmit_ns);
         link.busy_until = done;
@@ -231,33 +275,39 @@ impl LinkQueues {
         done
     }
 
-    /// Per-lane usage in (NIC, class, direction) order — the map's key
-    /// order — for deterministic reporting.
+    /// Usage of every lane a transfer crossed, in (NIC, class, direction)
+    /// order — replicas by id, then the client pool — for deterministic
+    /// reporting.
     pub fn usage(&self) -> Vec<LinkUsage> {
-        self.links
-            .iter()
-            .map(|((nic, class, direction), s)| LinkUsage {
-                nic: *nic,
-                class: *class,
-                direction: *direction,
-                busy_ns: s.busy_ns,
-                queue_delay_ns: s.queue_delay_ns,
-                messages: s.messages,
+        let pool = 0..LANES_PER_NIC.min(self.lanes.len());
+        (LANES_PER_NIC..self.lanes.len())
+            .chain(pool)
+            .filter_map(|index| {
+                let s = &self.lanes[index];
+                let (nic, class, direction) = lane_key(index);
+                (s.busy_ns > 0).then_some(LinkUsage {
+                    nic,
+                    class,
+                    direction,
+                    busy_ns: s.busy_ns,
+                    queue_delay_ns: s.queue_delay_ns,
+                    messages: s.messages,
+                })
             })
             .collect()
     }
 
     /// Total wire-occupancy time across every link, nanoseconds.
     pub fn total_busy_ns(&self) -> u64 {
-        self.links
-            .values()
+        self.lanes
+            .iter()
             .fold(0u64, |acc, s| acc.saturating_add(s.busy_ns))
     }
 
     /// Total queueing delay across every link, nanoseconds.
     pub fn total_queue_delay_ns(&self) -> u64 {
-        self.links
-            .values()
+        self.lanes
+            .iter()
             .fold(0u64, |acc, s| acc.saturating_add(s.queue_delay_ns))
     }
 }
@@ -368,6 +418,112 @@ mod tests {
         assert_eq!(done, u64::MAX);
         // The next reservation on the dead link also saturates.
         assert_eq!(q.reserve(NIC, LinkClass::Wan, TX, 2_000, 1), u64::MAX);
+    }
+
+    /// The lanes as a map keyed by `(nic, class, direction)`: what the
+    /// dense array must report.
+    #[derive(Default)]
+    struct MapModel {
+        links: std::collections::BTreeMap<(Nic, LinkClass, Direction), LinkState>,
+    }
+
+    impl MapModel {
+        fn reserve(
+            &mut self,
+            lane: (Nic, LinkClass, Direction),
+            ready: Ns,
+            transmit_ns: u64,
+            count: bool,
+        ) -> Ns {
+            if transmit_ns == 0 {
+                return ready;
+            }
+            let link = self.links.entry(lane).or_default();
+            let start = ready.max(link.busy_until);
+            let done = start.saturating_add(transmit_ns);
+            link.busy_until = done;
+            link.busy_ns = link.busy_ns.saturating_add(transmit_ns);
+            link.queue_delay_ns = link.queue_delay_ns.saturating_add(start - ready);
+            link.messages += u64::from(count);
+            done
+        }
+
+        fn usage(&self) -> Vec<LinkUsage> {
+            let lanes = self.links.iter();
+            lanes
+                .map(|(&(nic, class, direction), s)| LinkUsage {
+                    nic,
+                    class,
+                    direction,
+                    busy_ns: s.busy_ns,
+                    queue_delay_ns: s.queue_delay_ns,
+                    messages: s.messages,
+                })
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Reservations on sparse replica ids and the client pool, every
+        /// class and direction, zero and saturating transmit times: the
+        /// dense lanes answer and report like the map.
+        #[test]
+        fn dense_lanes_report_like_a_map(
+            ops in proptest::collection::vec(proptest::any::<u64>(), 0..300),
+        ) {
+            const NICS: [Nic; 5] = [
+                Nic::Replica(ReplicaId(0)),
+                Nic::Replica(ReplicaId(3)),
+                Nic::Replica(ReplicaId(17)),
+                Nic::Replica(ReplicaId(200)),
+                Nic::ClientPool,
+            ];
+            let mut q = LinkQueues::new();
+            let mut model = MapModel::default();
+            for op in ops {
+                let lane = (
+                    NICS[(op % 5) as usize],
+                    CLASSES[(op / 5 % 3) as usize],
+                    DIRECTIONS[(op / 15 % 2) as usize],
+                );
+                let ready = (op >> 32) % 100_000;
+                let transmit_ns = match op / 30 % 8 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => (op >> 16) % 5_000,
+                };
+                let count = op / 240 % 2 == 0;
+                let done = if count {
+                    q.reserve(lane.0, lane.1, lane.2, ready, transmit_ns)
+                } else {
+                    q.reserve_continuation(lane.0, lane.1, lane.2, ready, transmit_ns)
+                };
+                proptest::prop_assert_eq!(done, model.reserve(lane, ready, transmit_ns, count));
+            }
+            proptest::prop_assert_eq!(q.usage(), model.usage());
+            let busy = model.links.values().fold(0u64, |a, s| a.saturating_add(s.busy_ns));
+            let queued = model.links.values().fold(0u64, |a, s| a.saturating_add(s.queue_delay_ns));
+            proptest::prop_assert_eq!(q.total_busy_ns(), busy);
+            proptest::prop_assert_eq!(q.total_queue_delay_ns(), queued);
+        }
+    }
+
+    #[test]
+    fn lane_key_inverts_lane_index() {
+        for nic in [
+            Nic::ClientPool,
+            Nic::Replica(ReplicaId(0)),
+            Nic::Replica(ReplicaId(96)),
+        ] {
+            for class in CLASSES {
+                for direction in DIRECTIONS {
+                    let index = lane_index(nic, class, direction);
+                    assert_eq!(lane_key(index), (nic, class, direction));
+                }
+            }
+        }
     }
 
     #[test]
