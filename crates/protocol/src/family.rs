@@ -439,9 +439,15 @@ impl PbftFamilyEngine {
     // Checkpoints and garbage collection.
     // ------------------------------------------------------------------
 
-    fn on_checkpoint(&mut self, from: ReplicaId, seq: SeqNum, state_digest: Digest) {
-        if let Some(stable) = self.core.record_checkpoint_vote(from, seq, state_digest) {
+    /// Records a checkpoint vote. A checkpoint turned stable past this
+    /// replica's frontier drops slots it never executed, whose proposals
+    /// will not come again: it asks for the state instead.
+    fn on_checkpoint(&mut self, from: ReplicaId, seq: SeqNum, digest: Digest, out: &mut Outbox) {
+        if let Some(stable) = self.core.record_checkpoint_vote(from, seq, digest) {
             self.forget_through(stable);
+            if stable > self.core.last_executed() {
+                self.core.request_checkpoint(out);
+            }
         }
     }
 
@@ -715,7 +721,7 @@ impl ConsensusEngine for PbftFamilyEngine {
             } => self.on_commit(from, view, seq, digest, out),
             Message::Checkpoint {
                 seq, state_digest, ..
-            } => self.on_checkpoint(from, seq, state_digest),
+            } => self.on_checkpoint(from, seq, state_digest, out),
             Message::ViewChange {
                 new_view,
                 last_stable,
@@ -1044,6 +1050,127 @@ mod tests {
             }
             // Accepting the late proposal must pick the recorded quorums up.
             assert_eq!(cluster[last].last_executed(), SeqNum(1), "{id:?}");
+        }
+    }
+
+    /// What `replica` sent to `peer` since the net was last quiescent, handed
+    /// on to `peer` after it was read.
+    fn sent_to(
+        net: &mut TestNet,
+        cluster: &mut [Box<dyn ConsensusEngine>],
+        replica: usize,
+        peer: usize,
+    ) -> Vec<Message> {
+        let mut sent = Vec::new();
+        for (from, msg) in net.take_inbox(peer) {
+            if from.as_usize() == replica {
+                sent.push(msg.clone());
+            }
+            net.deliver(cluster, peer, from, msg);
+        }
+        sent
+    }
+
+    /// Delivers `replica`'s held-back inbox, and whatever the cluster sends
+    /// it in turn, until the net is quiet.
+    fn drain(net: &mut TestNet, cluster: &mut [Box<dyn ConsensusEngine>], replica: usize) {
+        loop {
+            net.run(cluster, 100);
+            let inbox = net.take_inbox(replica);
+            if inbox.is_empty() {
+                return;
+            }
+            for (from, msg) in inbox {
+                net.deliver(cluster, replica, from, msg);
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_stable_past_the_frontier_asks_for_the_state() {
+        for id in [ProtocolId::Pbft, ProtocolId::FlexiBft] {
+            let mut cluster = testing::cluster(id, 1, |c| {
+                c.batch_size = 1;
+                c.checkpoint_interval = 2;
+            })
+            .0;
+            let backup = cluster.len() - 1;
+            // The others run four slots and two checkpoints without it.
+            let mut net = TestNet::new(cluster.len());
+            net.pause(backup);
+            net.client_request(&mut cluster, 0, txns(1..5));
+            net.run(&mut cluster, 100);
+            assert_eq!(cluster[0].last_executed(), SeqNum(4), "{id:?}");
+            // Their checkpoint votes overtake the primary's proposals: the
+            // slots the stable checkpoints cover are gone, and their
+            // proposals will be dropped when they come.
+            let (proposals, votes): (Vec<_>, Vec<_>) = net
+                .take_inbox(backup)
+                .into_iter()
+                .partition(|(_, msg)| msg.kind() == "PrePrepare");
+            assert_eq!(proposals.len(), 4, "{id:?}");
+            for (from, msg) in votes {
+                net.deliver(&mut cluster, backup, from, msg);
+            }
+            assert_eq!(cluster[backup].last_executed(), SeqNum(0), "{id:?}");
+            // One request per checkpoint turned stable past its frontier.
+            let asked = sent_to(&mut net, &mut cluster, backup, 1);
+            let request = Message::CheckpointRequest {
+                last_executed: SeqNum(0),
+            };
+            assert_eq!(asked, [request.clone(), request], "{id:?}");
+            // The peers answer with their checkpoint at 4; the backup
+            // installs one, and the late proposals change nothing.
+            net.run(&mut cluster, 100);
+            for (from, msg) in net.take_inbox(backup).into_iter().chain(proposals) {
+                net.deliver(&mut cluster, backup, from, msg);
+            }
+            assert_eq!(cluster[backup].last_executed(), SeqNum(4), "{id:?}");
+            // It executes the proposals that follow, to the same state.
+            net.client_request(&mut cluster, 0, txns(5..9));
+            drain(&mut net, &mut cluster, backup);
+            for engine in &cluster {
+                assert_eq!(engine.last_executed(), SeqNum(8), "{id:?}");
+                assert_eq!(engine.state_digest(), cluster[0].state_digest(), "{id:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_stable_within_the_frontier_asks_for_nothing() {
+        for id in [ProtocolId::Pbft, ProtocolId::FlexiBft] {
+            let mut cluster = testing::cluster(id, 1, |c| {
+                c.batch_size = 1;
+                c.checkpoint_interval = 2;
+            })
+            .0;
+            let backup = cluster.len() - 1;
+            let mut net = TestNet::new(cluster.len());
+            net.pause(backup);
+            net.client_request(&mut cluster, 0, txns(1..5));
+            net.run(&mut cluster, 100);
+            // Proposals and votes first: the backup executes all four
+            // slots before any checkpoint turns stable for it.
+            let (checkpoints, rest): (Vec<_>, Vec<_>) = net
+                .take_inbox(backup)
+                .into_iter()
+                .partition(|(_, msg)| msg.kind() == "Checkpoint");
+            for (from, msg) in rest.into_iter().chain(checkpoints) {
+                net.deliver(&mut cluster, backup, from, msg);
+            }
+            assert_eq!(cluster[backup].last_executed(), SeqNum(4), "{id:?}");
+            assert_eq!(
+                cluster[backup].replica().low_water_mark(),
+                SeqNum(4),
+                "{id:?}"
+            );
+            // Its own votes went out, and no request.
+            let sent = sent_to(&mut net, &mut cluster, backup, 1);
+            assert!(sent.iter().any(|msg| msg.kind() == "Checkpoint"), "{id:?}");
+            assert!(
+                sent.iter().all(|msg| msg.kind() != "CheckpointRequest"),
+                "{id:?}: {sent:?}"
+            );
         }
     }
 

@@ -28,7 +28,7 @@
 
 mod window;
 
-pub use window::{recovery_request, CrashWindow, WindowEvent, WindowPhase};
+pub use window::{CrashWindow, WindowEvent, WindowPhase};
 
 use crate::family::PbftFamilyEngine;
 use crate::{
@@ -296,6 +296,15 @@ impl Dispatcher {
         let mut out = Outbox::new();
         engine.on_timer(timer, &mut out);
         self.dispatch_outbox(replica, out, env);
+    }
+
+    /// Brings a recovered replica back: `engine` asks every peer for the
+    /// latest stable checkpoint past its frontier, through `env` like any
+    /// engine output (it asks by itself when one turns stable past it).
+    pub fn rejoin<E: EngineHost>(&mut self, engine: &(impl ConsensusEngine + ?Sized), env: &mut E) {
+        let mut out = Outbox::new();
+        engine.replica().request_checkpoint(&mut out);
+        self.dispatch_outbox(engine.id(), out, env);
     }
 
     /// Translates `actions` emitted by `from` into environment primitives;

@@ -1,13 +1,13 @@
 //! Commit-progress-triggered crash windows, shared by every host.
 
-use crate::{ConsensusEngine, Message, SharedMessage};
 use flexitrust_types::ReplicaId;
-use std::sync::Arc;
 
 /// A crash/recover window keyed on commit progress rather than time, so
 /// one value pins the same behaviour on the simulator and the threaded
 /// cluster (whose clocks are incomparable). While down the replica hears
-/// nothing and fires no timers; it rejoins via [`recovery_request`].
+/// nothing and fires no timers; on recovery the host calls
+/// [`Dispatcher::rejoin`](super::Dispatcher::rejoin), and the engine
+/// catches up by checkpoint state transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashWindow {
     /// The replica that crashes and later rejoins.
@@ -37,7 +37,9 @@ impl CrashWindow {
 pub enum WindowEvent {
     /// Take the replica down: discard its input and pending timers.
     Crash,
-    /// Bring the replica back and send its [`recovery_request`] to peers.
+    /// Bring the replica back and [`rejoin`](super::Dispatcher::rejoin) it:
+    /// it asks its peers for their latest stable checkpoint at once, and
+    /// asks again whenever a checkpoint turns stable past its frontier.
     Recover,
 }
 
@@ -74,15 +76,6 @@ impl WindowPhase {
             _ => None,
         }
     }
-}
-
-/// The message a recovering replica sends every peer: a request for the
-/// latest stable checkpoint past its own frontier, answered with
-/// `CheckpointState` (snapshot plus replay batches).
-pub fn recovery_request(engine: &dyn ConsensusEngine) -> SharedMessage {
-    Arc::new(Message::CheckpointRequest {
-        last_executed: engine.last_executed(),
-    })
 }
 
 #[cfg(test)]

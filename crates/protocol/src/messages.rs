@@ -179,8 +179,9 @@ pub enum Message {
         /// The transactions being forwarded.
         txns: Vec<Transaction>,
     },
-    /// A recovering replica asking peers for checkpoint state transfer: it
-    /// has executed up to `last_executed` and wants the latest stable
+    /// A replica left behind asking peers for checkpoint state transfer
+    /// (on recovery, or when a checkpoint turned stable past its frontier):
+    /// it has executed up to `last_executed` and wants the latest stable
     /// checkpoint past that point.
     CheckpointRequest {
         /// The requester's last executed sequence number.

@@ -320,6 +320,14 @@ impl ReplicaCore {
         self.reply_cache.retain(|_, (_, reply)| reply.seq <= seq);
     }
 
+    /// Asks every peer for the latest stable checkpoint past this replica's
+    /// frontier: the one place a `CheckpointRequest` is built.
+    pub fn request_checkpoint(&self, out: &mut Outbox) {
+        out.broadcast(Message::CheckpointRequest {
+            last_executed: self.last_executed(),
+        });
+    }
+
     /// Serves a peer's `CheckpointRequest`: when this replica's stable
     /// checkpoint is past the requester's execution frontier, replies with
     /// the boundary snapshot plus every batch after it that this replica has

@@ -6,8 +6,8 @@
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use flexitrust_protocol::host::{
-    build_replica, recovery_request, CommittedTxn, CrashWindow, Dispatcher, EngineHost, TimerToken,
-    WindowEvent, WindowPhase,
+    build_replica, CommittedTxn, CrashWindow, Dispatcher, EngineHost, TimerToken, WindowEvent,
+    WindowPhase,
 };
 use flexitrust_protocol::{ClientReply, ConsensusEngine, SharedMessage, TimerKind};
 use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
@@ -460,15 +460,6 @@ impl<T: Transport> EngineHost for ThreadEnv<T> {
     }
 }
 
-/// How often a rejoining replica repeats its `CheckpointRequest` (several
-/// turns of the loop's 5 ms poll) until the answers have carried it to
-/// where the others were when it came back. One request is not enough: a
-/// peer answers only from a stable checkpoint past the requester's
-/// frontier, and at the instant of recovery there may be none yet, or only
-/// one that ends short of the proposals the rejoiner missed. Stale or
-/// duplicate answers are refused by the engine.
-const RECOVERY_RETRY: Duration = Duration::from_millis(20);
-
 /// One replica's event loop, shared by the channel and TCP deployments.
 ///
 /// Each turn handles one input (or none, when a timer is due first), fires
@@ -477,11 +468,11 @@ const RECOVERY_RETRY: Duration = Duration::from_millis(20);
 /// left — and hands the turn's replies over before it blocks again. After
 /// each delivery the crash window, if any, is stepped: a replica it takes
 /// down loses the copies still queued, as a crashed process loses its
-/// memory, and hears nothing until it recovers.
+/// memory, and hears nothing until it recovers; then it asks its peers for
+/// their latest stable checkpoint ([`Dispatcher::rejoin`]), once.
 #[expect(
     clippy::disallowed_types,
-    reason = "clock reads pick the receive timeout, the due timers and the rejoin retry; \
-              no message carries one"
+    reason = "clock reads pick the receive timeout and the due timers; no message carries one"
 )]
 fn replica_loop<T: Transport>(
     engine: &mut dyn ConsensusEngine,
@@ -500,9 +491,6 @@ fn replica_loop<T: Transport>(
         local: VecDeque::new(),
     };
     let mut window = chaos.window.map(|w| (w, WindowPhase::Armed));
-    // While rejoining after a crash: the others' frontier at recovery, and
-    // when to ask them for a checkpoint (again).
-    let mut rejoining: Option<(u64, Instant)> = None;
     // The frontier last written to the shared board: it is written again
     // only when it moves, so the replica loop stores nothing per message.
     let mut published = None;
@@ -562,8 +550,10 @@ fn replica_loop<T: Transport>(
                         env.timers.clear();
                         env.local.clear();
                     }
-                    // Rejoin via state transfer, starting now.
-                    Some(WindowEvent::Recover) => rejoining = Some((others, now)),
+                    // Rejoin via state transfer: ask the peers for their
+                    // latest stable checkpoint now; the engine asks again
+                    // whenever one turns stable past its frontier.
+                    Some(WindowEvent::Recover) => dispatcher.rejoin(engine, &mut env),
                     None => {}
                 }
             }
@@ -576,18 +566,6 @@ fn replica_loop<T: Transport>(
         // before the loop blocks for input again.
         if !env.replies.is_empty() {
             env.transport.send_replies(std::mem::take(&mut env.replies));
-        }
-
-        match &mut rejoining {
-            Some((target, _)) if engine.last_executed().0 >= *target => rejoining = None,
-            // Ask every peer for the latest stable checkpoint past our
-            // frontier.
-            Some((_, ask_at)) if *ask_at <= now => {
-                env.transport
-                    .broadcast_peer(id, n, recovery_request(engine));
-                *ask_at = now + RECOVERY_RETRY;
-            }
-            _ => {}
         }
 
         // Publish our view so submission paths can find the primary.
@@ -956,7 +934,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_rejoiner_repeats_its_checkpoint_request_until_it_is_answered() {
+    fn a_recovery_broadcasts_one_checkpoint_request() {
         // Replica 2 is down from the start and recovers at once: the others
         // are already at sequence 10.
         let id = ReplicaId(2);
@@ -981,13 +959,14 @@ pub(crate) mod tests {
             replica_loop(&mut *engine, rx, Recording(sent_tx), tracker, chaos);
         });
 
-        // Three rounds of requests arrive although no input ever does; one
-        // request per recovery would leave this waiting forever.
+        // One request to each peer, although no input ever answers it: the
+        // loop keeps no clock of its own to ask again by. Asking again is
+        // the engine's, when a checkpoint turns stable past its frontier.
         let mut asked = vec![0; config.n];
-        while asked != [3, 3, 0, 3] {
+        while asked != [1, 1, 0, 1] {
             let Seen::Peer(to, msg) = sent
                 .recv_timeout(Duration::from_secs(30))
-                .expect("the request is repeated")
+                .expect("the request is sent")
             else {
                 continue;
             };
@@ -998,6 +977,11 @@ pub(crate) mod tests {
             );
             asked[to.as_usize()] += 1;
         }
+        // Twenty turns of the loop's 5 ms poll to ask again in.
+        assert!(
+            sent.recv_timeout(Duration::from_millis(100)).is_err(),
+            "the loop asked again"
+        );
         assert!(
             inbox.send(Input::Shutdown).is_ok(),
             "the replica is running"

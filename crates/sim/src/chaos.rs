@@ -9,7 +9,8 @@
 //! the plan's own seeded ChaCha stream — never the thread RNG — so an
 //! identical plan reproduces a bit-identical event schedule. Recovery
 //! rejoins through the checkpoint state-transfer path (`CheckpointRequest`
-//! / `CheckpointState`), replaying from the latest stable checkpoint.
+//! / `CheckpointState`), replaying from the latest stable checkpoint; a
+//! healed partition minority catches up the same way.
 
 use flexitrust_protocol::host::{CrashWindow, WindowEvent, WindowPhase};
 use flexitrust_protocol::Message;
@@ -46,7 +47,8 @@ pub enum ChaosEvent {
     },
     /// Recover a crashed replica: it comes back up and immediately asks
     /// every peer for the latest stable checkpoint (`CheckpointRequest`),
-    /// rejoining via state transfer plus replay.
+    /// rejoining via state transfer plus replay; it asks again whenever a
+    /// checkpoint turns stable past its frontier.
     Recover {
         /// Virtual time of the recovery, nanoseconds.
         at_ns: u64,
@@ -406,8 +408,8 @@ impl ChaosState {
 
     /// Applies the scripted events due at `now`, in schedule order, and
     /// returns as soon as one recovers a replica — `(recovery time,
-    /// replica)` — so the host can send that replica's recovery request
-    /// before later events change who is up. Call until it returns `None`.
+    /// replica)` — so the host can rejoin that replica before later events
+    /// change who is up. Call until it returns `None`.
     pub fn advance(&mut self, now: u64) -> Option<(u64, ReplicaId)> {
         while let Some(event) = self.plan.schedule.get(self.cursor) {
             let at = event.at_ns();
@@ -442,7 +444,7 @@ impl ChaosState {
     /// Steps every crash window at time `now` against the cluster's
     /// execution frontiers (`frontier(i)` is replica `i`'s last-executed
     /// sequence); returns the replicas that just recovered, for the host to
-    /// send their recovery requests.
+    /// rejoin.
     pub fn poll_windows(&mut self, now: u64, frontier: impl Fn(usize) -> u64) -> Vec<ReplicaId> {
         let mut recovered = Vec::new();
         for i in 0..self.windows.len() {

@@ -35,6 +35,10 @@
 //! array) and cuts its span with one wire-time call: the hop's whole wire
 //! time is fixed when the hop starts.
 //!
+//! A replica that recovers from a [`crate::chaos`] crash rejoins through
+//! [`Dispatcher::rejoin`]: its checkpoint request pays its send cost and
+//! crosses the links like any engine output.
+//!
 //! Clients are closed-loop: each of the `spec.clients` logical clients keeps
 //! exactly one transaction outstanding, in that client's slot of one table
 //! indexed by client id. The slot's [`ClientLibrary`] counts the replies, as
@@ -53,7 +57,7 @@ use crate::queue::EventQueue;
 use crate::registry::{build_replicas, ReplicaSetup};
 use crate::spec::ScenarioSpec;
 use crate::workload::WorkloadGenerator;
-use flexitrust_protocol::host::{recovery_request, Dispatcher, EngineHost, TimerToken};
+use flexitrust_protocol::host::{Dispatcher, EngineHost, TimerToken};
 use flexitrust_protocol::{
     ClientLibrary, ClientReply, ConsensusEngine, Message, RequestStatus, SharedMessage, TimerKind,
 };
@@ -499,10 +503,12 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Applies every scripted chaos event whose time has come (the clock is
-    /// about to advance to `upto`), rejoining each replica it recovers.
+    /// about to advance to `upto`), rejoining each replica it recovers at
+    /// its scripted instant.
     fn advance_chaos(&mut self, upto: Ns) {
         while let Some((at, replica)) = self.chaos.as_mut().and_then(|c| c.advance(upto)) {
-            self.inject_recovery(replica, at);
+            self.now = at;
+            self.rejoin(replica);
         }
     }
 
@@ -515,31 +521,15 @@ impl Simulation {
         let hosts = &self.hosts;
         let recovered = chaos.poll_windows(self.now, |i| hosts[i].engine.last_executed().0);
         for replica in recovered {
-            self.inject_recovery(replica, self.now);
+            self.rejoin(replica);
         }
     }
 
-    /// A recovered replica immediately asks every live peer for the latest
-    /// stable checkpoint. The injected requests bypass the bandwidth model —
-    /// they are header-only and rare, not part of the throughput the link
-    /// model accounts.
-    fn inject_recovery(&mut self, replica: ReplicaId, at: Ns) {
-        let msg = recovery_request(&*self.hosts[replica.as_usize()].engine);
-        for peer in 0..self.hosts.len() {
-            let to = ReplicaId(peer as u32);
-            if to == replica || self.is_down(to) {
-                continue;
-            }
-            let latency_ns = self.net.replica_latency_us(replica, to) * 1_000;
-            self.push_event(
-                at + latency_ns,
-                EventKind::Deliver {
-                    to,
-                    from: replica,
-                    msg: msg.clone(),
-                },
-            );
-        }
+    /// Rejoins a recovered replica through the dispatcher (module doc).
+    fn rejoin(&mut self, replica: ReplicaId) {
+        self.run_engine(replica, 0, |dispatcher, engine, env| {
+            dispatcher.rejoin(engine, env)
+        });
     }
 
     fn flush_resubmits(&mut self) {
@@ -1330,13 +1320,37 @@ mod tests {
                 50_000_000,
                 120_000_000,
             );
+            let window = spec.system_config().max_in_flight;
             let report = Simulation::new(spec).run();
             assert_eq!(report.chaos_disruptions, 1, "{protocol}");
             assert_eq!(report.last_restore_ns, 120_000_000, "{protocol}");
             report
                 .check_chaos_invariants()
                 .unwrap_or_else(|e| panic!("{protocol}: {e}"));
+            // The healed minority caught up by state transfer once the
+            // majority's next checkpoint turned stable past its frontier.
+            assert_caught_up(&report, ReplicaId(3), window, protocol);
         }
+    }
+
+    /// Asserts that `replica` ended within the proposal window of the
+    /// furthest replica.
+    fn assert_caught_up(
+        report: &SimReport,
+        replica: ReplicaId,
+        window: usize,
+        protocol: ProtocolId,
+    ) {
+        let frontiers: Vec<u64> = report
+            .replica_frontiers
+            .iter()
+            .map(|(seq, _)| *seq)
+            .collect();
+        let lead = frontiers.iter().max().copied().unwrap_or(0);
+        assert!(
+            frontiers[replica.as_usize()] + window as u64 >= lead,
+            "{protocol}: replica {replica} ends behind the others: {frontiers:?}"
+        );
     }
 
     #[test]
@@ -1348,18 +1362,15 @@ mod tests {
             // checkpoints and recovery exercises real state transfer.
             spec.checkpoint_interval = Some(10);
             spec.chaos = ChaosPlan::crash_then_recover(11, ReplicaId(2), 40_000_000, 100_000_000);
+            let window = spec.system_config().max_in_flight;
             let report = Simulation::new(spec).run();
             assert_eq!(report.chaos_disruptions, 1, "{protocol}");
             report
                 .check_chaos_invariants()
                 .unwrap_or_else(|e| panic!("{protocol}: {e}"));
-            // The recovered replica rejoined via checkpoint state transfer:
-            // its frontier moved past at least one full checkpoint interval.
-            assert!(
-                report.replica_frontiers[2].0 >= 10,
-                "{protocol}: recovered replica stuck at {:?}",
-                report.replica_frontiers[2]
-            );
+            // The recovered replica rejoined via checkpoint state transfer
+            // and kept up with the others to the end of the run.
+            assert_caught_up(&report, ReplicaId(2), window, protocol);
         }
     }
 

@@ -293,8 +293,8 @@ const CRASH_RECOVER: &[Pin] = &[
     Pin {
         protocol: ProtocolId::Pbft,
         completed: 73660,
-        messages: 240609,
-        events: 248319,
+        messages: 241129,
+        events: 248839,
         commit_len: 77590,
         avg_ms: 1.043635896,
         busy_ns: 0,
@@ -304,31 +304,31 @@ const CRASH_RECOVER: &[Pin] = &[
             (7759, "63938f89"),
             (7759, "63938f89"),
             (7759, "63938f89"),
-            (6475, "170c2ea7"),
+            (7759, "63938f89"),
         ],
     },
     Pin {
         protocol: ProtocolId::Zyzzyva,
         completed: 63270,
-        messages: 38323,
-        events: 114447,
+        messages: 38324,
+        events: 114448,
         commit_len: 69190,
-        avg_ms: 1.299657988,
+        avg_ms: 1.299662545,
         busy_ns: 0,
         tc_total: 0,
         tc_primary: 0,
         frontiers: &[
-            (6922, "2ddbde48"),
-            (6919, "6f7da18e"),
-            (6919, "6f7da18e"),
-            (6919, "6f7da18e"),
+            (6922, "27a80649"),
+            (6919, "039b1b5e"),
+            (6919, "039b1b5e"),
+            (6919, "039b1b5e"),
         ],
     },
     Pin {
         protocol: ProtocolId::PbftEa,
         completed: 6830,
-        messages: 12501,
-        events: 13243,
+        messages: 12502,
+        events: 13244,
         commit_len: 7380,
         avg_ms: 15.720254138,
         busy_ns: 0,
@@ -339,8 +339,8 @@ const CRASH_RECOVER: &[Pin] = &[
     Pin {
         protocol: ProtocolId::MinBft,
         completed: 8280,
-        messages: 9082,
-        events: 9975,
+        messages: 9083,
+        events: 9976,
         commit_len: 8910,
         avg_ms: 12.955922797,
         busy_ns: 0,
@@ -351,10 +351,10 @@ const CRASH_RECOVER: &[Pin] = &[
     Pin {
         protocol: ProtocolId::MinZz,
         completed: 31450,
-        messages: 13038,
-        events: 53096,
+        messages: 13039,
+        events: 53097,
         commit_len: 34350,
-        avg_ms: 3.114490381,
+        avg_ms: 3.114500569,
         busy_ns: 0,
         tc_total: 10068,
         tc_primary: 3438,
@@ -363,20 +363,20 @@ const CRASH_RECOVER: &[Pin] = &[
     Pin {
         protocol: ProtocolId::OpbftEa,
         completed: 42130,
-        messages: 75588,
-        events: 80049,
+        messages: 75815,
+        events: 80276,
         commit_len: 44390,
-        avg_ms: 2.200012001,
+        avg_ms: 2.200031699,
         busy_ns: 0,
         tc_total: 27359,
         tc_primary: 13324,
-        frontiers: &[(4439, "a01c04ae"), (4439, "a01c04ae"), (3694, "d0abcc0b")],
+        frontiers: &[(4439, "a01c04ae"), (4439, "a01c04ae"), (4439, "a01c04ae")],
     },
     Pin {
         protocol: ProtocolId::CheapBft,
         completed: 8280,
-        messages: 7525,
-        events: 8418,
+        messages: 7526,
+        events: 8419,
         commit_len: 8910,
         avg_ms: 12.955922800,
         busy_ns: 0,
@@ -387,8 +387,8 @@ const CRASH_RECOVER: &[Pin] = &[
     Pin {
         protocol: ProtocolId::FlexiBft,
         completed: 83390,
-        messages: 156830,
-        events: 165573,
+        messages: 157419,
+        events: 166162,
         commit_len: 87610,
         avg_ms: 0.865030097,
         busy_ns: 0,
@@ -398,14 +398,14 @@ const CRASH_RECOVER: &[Pin] = &[
             (8761, "96029c08"),
             (8761, "96029c08"),
             (8761, "96029c08"),
-            (7299, "d3909529"),
+            (8761, "96029c08"),
         ],
     },
     Pin {
         protocol: ProtocolId::FlexiZz,
         completed: 102630,
-        messages: 52751,
-        events: 63533,
+        messages: 52752,
+        events: 63534,
         commit_len: 107890,
         avg_ms: 0.609785769,
         busy_ns: 0,
@@ -420,11 +420,11 @@ const CRASH_RECOVER: &[Pin] = &[
     },
     Pin {
         protocol: ProtocolId::OFlexiBft,
-        completed: 9260,
-        messages: 17811,
-        events: 18808,
+        completed: 9270,
+        messages: 17883,
+        events: 18880,
         commit_len: 9950,
-        avg_ms: 11.550538580,
+        avg_ms: 11.549362298,
         busy_ns: 0,
         tc_total: 996,
         tc_primary: 996,
@@ -432,14 +432,14 @@ const CRASH_RECOVER: &[Pin] = &[
             (995, "0701c084"),
             (995, "0701c084"),
             (995, "0701c084"),
-            (829, "dc52a49b"),
+            (995, "0701c084"),
         ],
     },
     Pin {
         protocol: ProtocolId::OFlexiZz,
         completed: 52220,
-        messages: 26930,
-        events: 32438,
+        messages: 26931,
+        events: 32439,
         commit_len: 55090,
         avg_ms: 1.676518226,
         busy_ns: 0,
