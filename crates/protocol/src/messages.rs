@@ -169,7 +169,8 @@ pub enum Message {
     /// A client re-broadcasting a transaction it believes is stuck; replicas
     /// either answer from their reply cache or forward it to the primary and
     /// start a view-change timer (Flexi-ZZ §8.3, and the complaint step of
-    /// the §5 responsiveness analysis).
+    /// the §5 responsiveness analysis). A retry older than the client's
+    /// latest cached reply is stale and dropped.
     ClientRetry {
         /// The transaction the client wants executed.
         txn: Transaction,

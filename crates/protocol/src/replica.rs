@@ -2,11 +2,13 @@
 //!
 //! [`ReplicaCore`] bundles the pieces every engine needs regardless of the
 //! protocol: configuration, current view, the execution queue (in-order
-//! execution against the KV store), the per-client reply cache (for
-//! retransmitted requests) and checkpoint tracking — and the replica
-//! skeleton every protocol of the paper inherits unchanged from PBFT: the
-//! client glue, the primary's proposal window, checkpoint state transfer
-//! and (in [`crate::viewchange`]) the view change. How a batch gets its
+//! execution against the KV store), the reply cache (each client's latest
+//! reply, as in PBFT, for retransmitted requests: a table of client-id
+//! chunks, so a reply's write is one lookup among `clients / 64` keys) and
+//! checkpoint tracking — and the replica skeleton every protocol of the
+//! paper inherits unchanged from PBFT: the client glue, the primary's
+//! proposal window, checkpoint state transfer and (in
+//! [`crate::viewchange`]) the view change. How a batch gets its
 //! sequence number is the one thing the protocols disagree on there, so the
 //! proposing entry points take the engine's `bind` closure: `AppendF` on
 //! the trusted counter for FlexiTrust, the next host-chosen number plus the
@@ -20,16 +22,19 @@ use crate::batcher::Batcher;
 use crate::engine::TimerKind;
 use crate::messages::{ClientReply, Message};
 use crate::viewchange::ViewChangeState;
+use client_table::ClientTable;
 use flexitrust_exec::{
     Checkpoint, CheckpointJournal, CheckpointLog, ExecutedBatch, ExecutionQueue, KvStore,
 };
 use flexitrust_trusted::Attestation;
 use flexitrust_types::{
-    Batch, ClientId, Digest, ReplicaId, RequestId, SeqNum, StateSnapshot, SystemConfig,
+    Batch, ClientId, Digest, KvResult, ReplicaId, RequestId, SeqNum, StateSnapshot, SystemConfig,
     Transaction, View,
 };
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
+
+mod client_table;
 
 /// What an engine's `bind` closure gives a batch about to be proposed: its
 /// sequence number and the attestation that travels with the `PrePrepare`.
@@ -51,7 +56,10 @@ pub struct ReplicaCore {
     exec: ExecutionQueue,
     batcher: Batcher,
     checkpoints: CheckpointLog,
-    reply_cache: BTreeMap<ClientId, (RequestId, ClientReply)>,
+    /// Each client's latest reply (PBFT keeps exactly this): what a retry
+    /// of that request is answered from, and the request id below which a
+    /// retry is stale.
+    reply_cache: ClientTable<ClientReply>,
     executed_txns: u64,
     /// The executed state at this replica's checkpoint boundaries, from the
     /// newest stable one it captured onwards: what it serves to a recovering
@@ -88,7 +96,7 @@ impl ReplicaCore {
             batcher: Batcher::new(config.batch_size),
             checkpoints: CheckpointLog::new(config.checkpoint_interval, checkpoint_quorum),
             exec: ExecutionQueue::with_store(store),
-            reply_cache: BTreeMap::new(),
+            reply_cache: ClientTable::default(),
             executed_txns: 0,
             journal,
             pending_batches: VecDeque::new(),
@@ -170,16 +178,17 @@ impl ReplicaCore {
     /// Looks up a cached reply for a retransmitted client request.
     pub fn cached_reply(&self, client: ClientId, request: RequestId) -> Option<&ClientReply> {
         self.reply_cache
-            .get(&client)
-            .filter(|(req, _)| *req == request)
-            .map(|(_, reply)| reply)
+            .get(client)
+            .filter(|reply| reply.request == request)
     }
 
     /// Submits a committed (or speculatively executable) batch at `seq`:
     /// executes everything now in order, emits one reply per transaction and
     /// an `Executed` notification per batch, and returns the executed
     /// batches so the engine can trigger protocol-specific follow-ups
-    /// (checkpoint messages, speculative bookkeeping, ...).
+    /// (checkpoint messages, speculative bookkeeping, ...). Each outcome's
+    /// result has moved into its reply: the returned outcomes of answered
+    /// transactions read `KvResult::Noop`.
     ///
     /// Execution pauses at every checkpoint boundary it reaches so the
     /// journal captures the state at exactly that sequence number, however
@@ -208,10 +217,10 @@ impl ReplicaCore {
             self.journal.capture(boundary, self.exec.store());
         }
         out.reserve_replies(executed.iter().map(|done| done.outcomes.len()).sum());
-        for done in &executed {
+        for done in &mut executed {
             self.executed_txns += done.outcomes.len() as u64;
             out.executed(done.seq, done.outcomes.len());
-            for outcome in &done.outcomes {
+            for outcome in &mut done.outcomes {
                 // No-op filler transactions have no real client to answer.
                 if outcome.client == ClientId(u64::MAX) {
                     continue;
@@ -222,11 +231,10 @@ impl ReplicaCore {
                     seq: done.seq,
                     view: self.view,
                     replica: self.id,
-                    result: outcome.result.clone(),
+                    result: std::mem::replace(&mut outcome.result, KvResult::Noop),
                     speculative,
                 };
-                self.reply_cache
-                    .insert(outcome.client, (outcome.request, reply.clone()));
+                self.reply_cache.insert(outcome.client, reply.clone());
                 out.reply(reply);
             }
         }
@@ -317,7 +325,7 @@ impl ReplicaCore {
             .unwrap_or_default();
         let store = KvStore::from_snapshot(&snapshot);
         self.exec.rollback_to(seq, store);
-        self.reply_cache.retain(|_, (_, reply)| reply.seq <= seq);
+        self.reply_cache.retain(|reply| reply.seq <= seq);
     }
 
     /// Asks every peer for the latest stable checkpoint past this replica's
@@ -463,11 +471,14 @@ impl ReplicaCore {
         }
     }
 
-    /// An unhappy client re-sent `txn` to every replica. Already executed:
-    /// answer from the reply cache. Otherwise the primary queues it, and a
-    /// backup forwards it and arms `timer`: if the primary never proposes
-    /// it, the expiry makes this replica suspect the primary. Returns `true`
-    /// when the request was forwarded (and `timer` armed).
+    /// An unhappy client re-sent `txn` to every replica. Its latest reply
+    /// is cached: answer from the cache. Older than the client's cached
+    /// request: stale (a duplicated or reordered retry of a request that
+    /// has executed), so nothing is answered, forwarded or queued, as in
+    /// PBFT. Otherwise the primary queues it, and a backup forwards it and
+    /// arms `timer`: if the primary never proposes it, the expiry makes
+    /// this replica suspect the primary. Returns `true` when the request
+    /// was forwarded (and `timer` armed).
     pub fn on_client_retry(
         &mut self,
         txn: Transaction,
@@ -475,14 +486,15 @@ impl ReplicaCore {
         bind: impl FnMut(&Batch) -> Binding,
         out: &mut Outbox,
     ) -> bool {
-        if let Some(reply) = self.cached_reply(txn.client(), txn.request()) {
-            out.reply(reply.clone());
-        } else if self.is_primary() {
-            self.enqueue(vec![txn], bind, out);
-        } else {
-            out.send(self.primary(), Message::ForwardRequest { txns: vec![txn] });
-            out.set_timer(timer, self.config.view_timeout_us);
-            return true;
+        match self.reply_cache.get(txn.client()) {
+            Some(reply) if reply.request == txn.request() => out.reply(reply.clone()),
+            Some(reply) if reply.request > txn.request() => {}
+            _ if self.is_primary() => self.enqueue(vec![txn], bind, out),
+            _ => {
+                out.send(self.primary(), Message::ForwardRequest { txns: vec![txn] });
+                out.set_timer(timer, self.config.view_timeout_us);
+                return true;
+            }
         }
         false
     }
@@ -546,15 +558,114 @@ mod tests {
         assert_eq!(out.replies()[0].replica, ReplicaId(1));
     }
 
+    /// Client ids on both sides of the first chunk edges, and far out.
+    const EDGE_CLIENTS: [u64; 6] = [0, 63, 64, 65, 1 << 40, u64::MAX - 1];
+
+    /// A batch of one update per `(client, request)`.
+    fn batch_of(requests: impl IntoIterator<Item = (u64, u64)>, tag: u64) -> Batch {
+        let txns = requests.into_iter().map(|(client, request)| {
+            let op = KvOp::Update {
+                key: client,
+                value: vec![1].into(),
+            };
+            Transaction::new(ClientId(client), RequestId(request), op)
+        });
+        Batch::new(txns.collect(), Digest::from_u64_tag(tag))
+    }
+
     #[test]
     fn reply_cache_returns_latest_reply_per_client() {
         let mut c = core();
         let mut out = Outbox::new();
+        for request in [1, 2] {
+            let requests = EDGE_CLIENTS.map(|client| (client, request));
+            c.commit_batch(
+                SeqNum(request),
+                batch_of(requests, request),
+                false,
+                &mut out,
+            );
+        }
+        for client in EDGE_CLIENTS.map(ClientId) {
+            let reply = c.cached_reply(client, RequestId(2)).expect("latest");
+            assert_eq!((reply.client, reply.seq), (client, SeqNum(2)));
+            assert!(c.cached_reply(client, RequestId(1)).is_none());
+        }
+        // Neighbours in the same chunks were never answered.
+        for client in [1, 62, 66, (1 << 40) + 1, u64::MAX - 2] {
+            assert!(c.cached_reply(ClientId(client), RequestId(2)).is_none());
+        }
+    }
+
+    #[test]
+    fn a_rollback_drops_exactly_the_replies_past_the_stable_boundary() {
+        let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiZz, 1);
+        cfg.checkpoint_interval = 2;
+        let mut c = ReplicaCore::new(cfg, ReplicaId(1));
+        let mut out = Outbox::new();
+        let batches = [
+            vec![(0, 1), (1 << 40, 1)],
+            vec![(64, 1)],
+            vec![(0, 2), (65, 1), (u64::MAX - 1, 1)],
+        ];
+        for (seq, requests) in (1..).zip(batches) {
+            for done in c.commit_batch(SeqNum(seq), batch_of(requests, seq), true, &mut out) {
+                c.maybe_emit_checkpoint(done.seq, &mut out);
+            }
+        }
+        assert_eq!(c.reply_cache.chunks(), 4);
+        stabilise(&mut c, SeqNum(2), checkpoint_votes(&out)[0].1);
+        c.rollback_to_stable();
+        assert_eq!(c.last_executed(), SeqNum(2));
+        let cached = |client, request| c.cached_reply(ClientId(client), RequestId(request));
+        // Executed at or below 2: kept.
+        assert_eq!(cached(1 << 40, 1).map(|r| r.seq), Some(SeqNum(1)));
+        assert_eq!(cached(64, 1).map(|r| r.seq), Some(SeqNum(2)));
+        // Executed at 3: gone, and client 0's reply at 1 was replaced by it.
+        for (client, request) in [(0, 2), (0, 1), (65, 1), (u64::MAX - 1, 1)] {
+            assert!(cached(client, request).is_none(), "{client}/{request}");
+        }
+        // Client 0's chunk and the far client's chunk emptied and were freed.
+        assert_eq!(c.reply_cache.chunks(), 2);
+    }
+
+    /// Client 3's requests 1 and 2 executed at `c`; then a stale retry of
+    /// request 1 arrives. Returns what the retry emitted and whether it was
+    /// forwarded.
+    fn stale_retry(c: &mut ReplicaCore) -> (Outbox, bool) {
+        let mut out = Outbox::new();
         c.commit_batch(SeqNum(1), batch(1), false, &mut out);
         c.commit_batch(SeqNum(2), batch(2), false, &mut out);
-        assert!(c.cached_reply(ClientId(3), RequestId(2)).is_some());
-        assert!(c.cached_reply(ClientId(3), RequestId(1)).is_none());
-        assert!(c.cached_reply(ClientId(9), RequestId(2)).is_none());
+        let mut out = Outbox::new();
+        let stale = batch(1).txns()[0].clone();
+        let timer = TimerKind::RequestForwarded(1);
+        let forwarded = c.on_client_retry(stale, timer, |_| Some((SeqNum(3), None)), &mut out);
+        (out, forwarded)
+    }
+
+    #[test]
+    fn a_backup_neither_answers_nor_forwards_a_stale_retry() {
+        let mut c = core();
+        let (out, forwarded) = stale_retry(&mut c);
+        assert!(!forwarded);
+        assert!(out.is_empty());
+        // The latest request is still answered, a newer one forwarded.
+        let mut out = Outbox::new();
+        let timer = TimerKind::RequestForwarded(2);
+        assert!(!c.on_client_retry(batch(2).txns()[0].clone(), timer, |_| None, &mut out));
+        assert_eq!(out.replies().len(), 1);
+        assert!(c.on_client_retry(batch(3).txns()[0].clone(), timer, |_| None, &mut out));
+    }
+
+    #[test]
+    fn a_primary_does_not_queue_a_stale_retry() {
+        let cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
+        let mut c = ReplicaCore::new(cfg, ReplicaId(0));
+        let (out, forwarded) = stale_retry(&mut c);
+        assert!(!forwarded);
+        assert!(out.is_empty());
+        assert_eq!(c.batcher().pending_len(), 0);
+        assert_eq!(c.outstanding(), 0);
     }
 
     #[test]
