@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// Everything observed while driving the cluster.
 #[derive(Debug, Default)]
-pub struct Observations {
+pub(crate) struct Observations {
     /// Replies emitted towards clients, tagged with the sending replica.
     pub replies: Vec<ClientReply>,
     /// View-change messages observed on the wire (even if dropped).
@@ -89,7 +89,7 @@ impl EngineHost for RecordingEnv {
 /// in `inject` are handed to the listed replica first; `fire_timers` lists
 /// replicas whose view-change timer is fired once after the network
 /// quiesces (modelling the client complaint / timeout path).
-pub fn drive(
+pub(crate) fn drive(
     engines: &mut [Box<dyn ConsensusEngine>],
     plan: &ChaosPlan,
     inject: Vec<(usize, Vec<Transaction>)>,

@@ -44,7 +44,7 @@ impl ResponsivenessReport {
     }
 
     /// Whether the complaining replicas could force a view change.
-    pub fn view_change_possible(&self) -> bool {
+    pub(crate) fn view_change_possible(&self) -> bool {
         self.view_change_votes >= self.view_change_quorum
     }
 

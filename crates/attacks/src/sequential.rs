@@ -32,12 +32,12 @@ pub struct SequentialReport {
 }
 
 /// Probes MinBFT: sequence number 2 is delivered before sequence number 1.
-pub fn out_of_order_probe_minbft(f: usize) -> SequentialReport {
+pub(crate) fn out_of_order_probe_minbft(f: usize) -> SequentialReport {
     probe(ProtocolId::MinBft, f)
 }
 
 /// Probes Flexi-ZZ with the same out-of-order delivery.
-pub fn out_of_order_probe_flexizz(f: usize) -> SequentialReport {
+pub(crate) fn out_of_order_probe_flexizz(f: usize) -> SequentialReport {
     probe(ProtocolId::FlexiZz, f)
 }
 

@@ -13,16 +13,6 @@ pub fn sha256(bytes: &[u8]) -> Digest {
     Digest(hasher.finalize())
 }
 
-/// Hashes the concatenation of several byte slices without allocating an
-/// intermediate buffer.
-pub fn sha256_concat<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Digest {
-    let mut hasher = Sha256::new();
-    for p in parts {
-        hasher.update(p);
-    }
-    Digest(hasher.finalize())
-}
-
 /// Computes the digest Δ of a single transaction (`Hash(⟨T⟩_c)`).
 pub fn digest_transaction(txn: &Transaction) -> Digest {
     digest_batch(std::slice::from_ref(txn))
@@ -92,15 +82,6 @@ mod tests {
         let c = digest_batch(&[txn(1, 1), txn(1, 2)]);
         assert_ne!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn concat_matches_single_buffer_hash() {
-        let x = b"hello ".to_vec();
-        let y = b"world".to_vec();
-        let concat = sha256_concat([x.as_slice(), y.as_slice()]);
-        let single = sha256(b"hello world");
-        assert_eq!(concat, single);
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl KeyStore {
         }
     }
 
-    /// Number of replica keys held.
-    pub fn replica_count(&self) -> usize {
-        self.replica_keys.len()
-    }
-
     /// Returns the signing key of a node.
     pub fn signing_key(&self, node: NodeId) -> Result<&SigningKey> {
         match node {
@@ -97,7 +92,7 @@ impl KeyStore {
     }
 
     /// Computes the HMAC for the ordered channel `from → to`.
-    pub fn channel_mac(&self, from: NodeId, to: NodeId, bytes: &[u8]) -> Mac {
+    pub(crate) fn channel_mac(&self, from: NodeId, to: NodeId, bytes: &[u8]) -> Mac {
         let mut key = Vec::with_capacity(32 + 18);
         key.extend_from_slice(&self.channel_secret);
         key.extend_from_slice(&node_tag(from));
@@ -108,24 +103,6 @@ impl KeyStore {
         let mut result = [0u8; 32];
         result.copy_from_slice(&out);
         Mac(result)
-    }
-
-    /// Exports the public-key ring (verifying keys only) so that verifiers —
-    /// most importantly the software enclaves in `flexitrust-trusted` — can
-    /// check signatures without holding private keys.
-    pub fn public_ring(&self) -> PublicKeyRing {
-        PublicKeyRing {
-            replicas: self
-                .replica_keys
-                .iter()
-                .map(SigningKey::verifying_key)
-                .collect(),
-            clients: self
-                .client_keys
-                .iter()
-                .map(|(c, k)| (*c, k.verifying_key()))
-                .collect(),
-        }
     }
 }
 
@@ -142,34 +119,6 @@ fn node_tag(node: NodeId) -> [u8; 9] {
         }
     }
     tag
-}
-
-/// Verifying keys of every node; safe to hand to trusted-component verifiers.
-#[derive(Clone)]
-pub struct PublicKeyRing {
-    replicas: Vec<VerifyingKey>,
-    clients: BTreeMap<u64, VerifyingKey>,
-}
-
-impl PublicKeyRing {
-    /// Returns the verifying key of a node.
-    pub fn verifying_key(&self, node: NodeId) -> Result<&VerifyingKey> {
-        match node {
-            NodeId::Replica(ReplicaId(r)) => {
-                self.replicas.get(r as usize).ok_or(Error::MissingKey {
-                    owner: format!("replica {r}"),
-                })
-            }
-            NodeId::Client(ClientId(c)) => self.clients.get(&c).ok_or(Error::MissingKey {
-                owner: format!("client {c}"),
-            }),
-        }
-    }
-
-    /// Number of replica keys in the ring.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
 }
 
 #[cfg(test)]
@@ -212,17 +161,6 @@ mod tests {
         let b = NodeId::Replica(ReplicaId(1));
         assert_ne!(ks.channel_mac(a, b, b"m"), ks.channel_mac(b, a, b"m"));
         assert_eq!(ks.channel_mac(a, b, b"m"), ks.channel_mac(a, b, b"m"));
-    }
-
-    #[test]
-    fn public_ring_matches_keystore_keys() {
-        let ks = KeyStore::deterministic(3, 1);
-        let ring = ks.public_ring();
-        assert_eq!(ring.replica_count(), 3);
-        let node = NodeId::Replica(ReplicaId(2));
-        let msg = b"attestation";
-        let sig = ks.signing_key(node).unwrap().sign(msg);
-        ring.verifying_key(node).unwrap().verify(msg, &sig).unwrap();
     }
 
     #[test]

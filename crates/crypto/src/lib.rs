@@ -17,10 +17,10 @@
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
-pub mod hashing;
-pub mod keys;
-pub mod provider;
+mod hashing;
+mod keys;
+mod provider;
 
-pub use hashing::{digest_batch, digest_transaction, make_batch, sha256, sha256_concat};
-pub use keys::{KeyStore, PublicKeyRing};
+pub use hashing::{digest_batch, digest_transaction, make_batch, sha256};
+pub use keys::KeyStore;
 pub use provider::{CryptoProvider, Mac, RealCrypto, Signature};

@@ -52,11 +52,6 @@ impl CheckpointLog {
         self.interval
     }
 
-    /// Returns `true` when `seq` is a checkpoint boundary.
-    pub fn is_checkpoint_seq(&self, seq: SeqNum) -> bool {
-        seq.0 > 0 && seq.0.is_multiple_of(self.interval)
-    }
-
     /// The first checkpoint boundary after `seq`.
     pub fn next_boundary(&self, seq: SeqNum) -> SeqNum {
         SeqNum((seq.0 / self.interval + 1).saturating_mul(self.interval))
@@ -102,7 +97,8 @@ impl CheckpointLog {
     }
 
     /// Number of distinct (seq, digest) candidates currently tracked.
-    pub fn tracked_candidates(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tracked_candidates(&self) -> usize {
         self.votes.len()
     }
 
@@ -324,16 +320,6 @@ mod tests {
     use flexitrust_types::{ClientId, KvOp, RequestId, Transaction};
 
     #[test]
-    fn checkpoint_boundaries_follow_interval() {
-        let log = CheckpointLog::new(100, 3);
-        assert!(!log.is_checkpoint_seq(SeqNum(0)));
-        assert!(!log.is_checkpoint_seq(SeqNum(99)));
-        assert!(log.is_checkpoint_seq(SeqNum(100)));
-        assert!(log.is_checkpoint_seq(SeqNum(200)));
-        assert_eq!(log.interval(), 100);
-    }
-
-    #[test]
     fn stability_requires_quorum_of_matching_votes() {
         let mut log = CheckpointLog::new(10, 3);
         let d = Digest::from_u64_tag(1);
@@ -403,7 +389,6 @@ mod tests {
     fn zero_interval_is_clamped() {
         let log = CheckpointLog::new(0, 0);
         assert_eq!(log.interval(), 1);
-        assert!(log.is_checkpoint_seq(SeqNum(1)));
     }
 
     fn write(key: u64, byte: u8) -> Batch {

@@ -23,9 +23,9 @@
     deny(clippy::indexing_slicing, clippy::panic, clippy::unreachable)
 )]
 
-pub mod checkpoint;
-pub mod kvstore;
-pub mod queue;
+mod checkpoint;
+mod kvstore;
+mod queue;
 
 pub use checkpoint::{Checkpoint, CheckpointJournal, CheckpointLog};
 pub use kvstore::KvStore;

@@ -90,17 +90,17 @@ impl Outbox {
 
     /// Makes room for `additional` more replies (a committed batch knows
     /// how many it will answer before it builds the first).
-    pub fn reserve_replies(&mut self, additional: usize) {
+    pub(crate) fn reserve_replies(&mut self, additional: usize) {
         self.replies.reserve(additional);
     }
 
     /// Arms a timer.
-    pub fn set_timer(&mut self, timer: TimerKind, delay_us: u64) {
+    pub(crate) fn set_timer(&mut self, timer: TimerKind, delay_us: u64) {
         self.actions.push(Action::SetTimer { timer, delay_us });
     }
 
     /// Cancels a timer.
-    pub fn cancel_timer(&mut self, timer: TimerKind) {
+    pub(crate) fn cancel_timer(&mut self, timer: TimerKind) {
         self.actions.push(Action::CancelTimer { timer });
     }
 

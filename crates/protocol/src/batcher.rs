@@ -15,7 +15,6 @@ use std::collections::VecDeque;
 pub struct Batcher {
     batch_size: usize,
     pending: VecDeque<Transaction>,
-    batches_produced: u64,
 }
 
 impl Batcher {
@@ -24,7 +23,6 @@ impl Batcher {
         Batcher {
             batch_size: batch_size.max(1),
             pending: VecDeque::new(),
-            batches_produced: 0,
         }
     }
 
@@ -38,18 +36,12 @@ impl Batcher {
         self.pending.len()
     }
 
-    /// Total number of batches produced so far.
-    pub fn batches_produced(&self) -> u64 {
-        self.batches_produced
-    }
-
     /// Adds transactions and returns every *full* batch they complete.
     pub fn push(&mut self, txns: Vec<Transaction>) -> Vec<Batch> {
         self.pending.extend(txns);
         let mut out = Vec::new();
         while self.pending.len() >= self.batch_size {
             let txns: Vec<Transaction> = self.pending.drain(..self.batch_size).collect();
-            self.batches_produced += 1;
             out.push(make_batch(txns));
         }
         out
@@ -62,7 +54,6 @@ impl Batcher {
             return None;
         }
         let txns: Vec<Transaction> = self.pending.drain(..).collect();
-        self.batches_produced += 1;
         Some(make_batch(txns))
     }
 }
@@ -94,7 +85,6 @@ mod tests {
         assert_eq!(out[0].len(), 10);
         assert_eq!(out[1].len(), 10);
         assert_eq!(b.pending_len(), 0);
-        assert_eq!(b.batches_produced(), 2);
     }
 
     #[test]

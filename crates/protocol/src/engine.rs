@@ -85,8 +85,8 @@ pub trait ConsensusEngine: Send {
 
     /// Digest of the replica's executed state. The chaos invariant checker
     /// compares these across replicas that report the same `last_executed`.
-    fn state_digest(&self) -> Option<Digest> {
-        Some(self.replica().state_digest())
+    fn state_digest(&self) -> Digest {
+        self.replica().state_digest()
     }
 
     /// Returns `true` when this replica is the primary of its current view.

@@ -3,7 +3,7 @@
 //!
 //! Every protocol in this repository — the BFT / trust-BFT baselines and
 //! the FlexiTrust suite, one row each of `flexitrust-types`' design table —
-//! runs on one engine, [`family::PbftFamilyEngine`]: a pure, event-driven
+//! runs on one engine, [`PbftFamilyEngine`]: a pure, event-driven
 //! state machine implementing the [`ConsensusEngine`] trait. It receives
 //! client requests, peer messages and timer expirations, and emits
 //! [`Action`]s (sends, broadcasts, client replies, timer updates). Engines
@@ -12,14 +12,14 @@
 //! and under the discrete-event simulator (`flexitrust-sim`).
 //!
 //! The crate also holds what the engine is built from: the unified message
-//! vocabulary ([`messages::Message`]), quorum certificates
-//! ([`quorum::CertificateTracker`]), request batching ([`batcher::Batcher`]),
+//! vocabulary ([`Message`]), quorum certificates
+//! ([`CertificateTracker`]), request batching ([`Batcher`]),
 //! the per-replica common state and replica skeleton
-//! ([`replica::ReplicaCore`]: client glue, the primary's proposal window,
-//! checkpoint state transfer), the view change ([`viewchange`]: the state
-//! machine and the new-view planning), the client-side library
-//! ([`client::ClientLibrary`]) and the Figure 1 protocol property table
-//! ([`properties::ProtocolProperties`]).
+//! ([`ReplicaCore`]: client glue, the primary's proposal window,
+//! checkpoint state transfer), the view change (its state machine
+//! and the new-view planning), the client-side library
+//! ([`ClientLibrary`]) and the Figure 1 protocol property table
+//! ([`ProtocolProperties`]).
 //!
 //! Every host drives engines through [`host`]: the one configuration →
 //! engine factory ([`host::build_replica`]), the one `Action` dispatcher
@@ -29,18 +29,18 @@
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
-pub mod actions;
-pub mod batcher;
-pub mod client;
-pub mod engine;
-pub mod family;
+mod actions;
+mod batcher;
+mod client;
+mod engine;
+mod family;
 pub mod host;
-pub mod messages;
-pub mod properties;
-pub mod quorum;
-pub mod replica;
+mod messages;
+mod properties;
+mod quorum;
+mod replica;
 pub mod testing;
-pub mod viewchange;
+mod viewchange;
 
 pub use actions::{Action, Outbox};
 pub use batcher::Batcher;
@@ -51,4 +51,3 @@ pub use messages::{unshare, ClientReply, Message, PreparedProof, SharedMessage};
 pub use properties::{MemoryFootprint, ProtocolProperties, TrustedAbstraction};
 pub use quorum::CertificateTracker;
 pub use replica::{Binding, ReplicaCore};
-pub use viewchange::{NewViewPlan, NewViewPlanner};

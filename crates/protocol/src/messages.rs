@@ -347,15 +347,6 @@ impl Message {
             }
         }
     }
-
-    /// Whether this message kind is on the consensus critical path (used by
-    /// the simulator to prioritise work at saturated replicas).
-    pub fn is_critical_path(&self) -> bool {
-        matches!(
-            self,
-            Message::PrePrepare { .. } | Message::Prepare { .. } | Message::Commit { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -396,7 +387,6 @@ mod tests {
         assert_eq!(m.kind(), "PrePrepare");
         assert_eq!(m.view(), Some(View(3)));
         assert_eq!(m.seq(), Some(SeqNum(7)));
-        assert!(m.is_critical_path());
 
         let vc = Message::ViewChange {
             new_view: View(4),
@@ -405,7 +395,6 @@ mod tests {
         };
         assert_eq!(vc.view(), Some(View(4)));
         assert_eq!(vc.seq(), None);
-        assert!(!vc.is_critical_path());
     }
 
     #[test]
@@ -512,7 +501,6 @@ mod tests {
         assert_eq!(request.kind(), "CheckpointRequest");
         assert_eq!(request.seq(), None);
         assert_eq!(request.attestation_count(), 0);
-        assert!(!request.is_critical_path());
 
         let state = Message::CheckpointState {
             seq: SeqNum(100),

@@ -109,7 +109,7 @@ impl<K: Ord + Clone> CertificateTracker<K> {
     }
 
     /// Whether `key` has reached the threshold.
-    pub fn is_complete(&self, key: &K) -> bool {
+    pub(crate) fn is_complete(&self, key: &K) -> bool {
         self.tallies.get(key).is_some_and(|t| t.complete)
     }
 
@@ -128,7 +128,8 @@ impl<K: Ord + Clone> CertificateTracker<K> {
     }
 
     /// Number of keys currently tracked.
-    pub fn tracked_keys(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tracked_keys(&self) -> usize {
         self.tallies.len()
     }
 }

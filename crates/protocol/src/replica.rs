@@ -28,8 +28,8 @@ use flexitrust_exec::{
 };
 use flexitrust_trusted::Attestation;
 use flexitrust_types::{
-    Batch, ClientId, Digest, KvResult, ReplicaId, RequestId, SeqNum, StateSnapshot, SystemConfig,
-    Transaction, View,
+    Batch, ClientId, Digest, KvResult, ReplicaId, SeqNum, StateSnapshot, SystemConfig, Transaction,
+    View,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -124,7 +124,7 @@ impl ReplicaCore {
     }
 
     /// Moves to `view` (monotonically; going backwards is ignored).
-    pub fn enter_view(&mut self, view: View) {
+    pub(crate) fn enter_view(&mut self, view: View) {
         if view > self.view {
             self.view = view;
         }
@@ -176,7 +176,12 @@ impl ReplicaCore {
     }
 
     /// Looks up a cached reply for a retransmitted client request.
-    pub fn cached_reply(&self, client: ClientId, request: RequestId) -> Option<&ClientReply> {
+    #[cfg(test)]
+    pub(crate) fn cached_reply(
+        &self,
+        client: ClientId,
+        request: flexitrust_types::RequestId,
+    ) -> Option<&ClientReply> {
         self.reply_cache
             .get(client)
             .filter(|reply| reply.request == request)
@@ -330,7 +335,7 @@ impl ReplicaCore {
 
     /// Asks every peer for the latest stable checkpoint past this replica's
     /// frontier: the one place a `CheckpointRequest` is built.
-    pub fn request_checkpoint(&self, out: &mut Outbox) {
+    pub(crate) fn request_checkpoint(&self, out: &mut Outbox) {
         out.broadcast(Message::CheckpointRequest {
             last_executed: self.last_executed(),
         });
@@ -341,7 +346,7 @@ impl ReplicaCore {
     /// the boundary snapshot plus every batch after it that this replica has
     /// executed, so the requester can install the checkpoint and replay
     /// forward. `held` lends the engine's accepted batches in sequence order.
-    pub fn serve_checkpoint_request<'a>(
+    pub(crate) fn serve_checkpoint_request<'a>(
         &self,
         from: ReplicaId,
         last_executed: SeqNum,
@@ -371,7 +376,7 @@ impl ReplicaCore {
     /// with what it executed, for the bookkeeping of the engine's normal
     /// execution path. Returns `true` when the snapshot itself was installed
     /// (the caller then drops its per-sequence state up to `seq`).
-    pub fn replay_checkpoint_state(
+    pub(crate) fn replay_checkpoint_state(
         &mut self,
         seq: SeqNum,
         snapshot: &StateSnapshot,
@@ -420,7 +425,7 @@ impl ReplicaCore {
     }
 
     /// Cuts the partial batch (on the `BatchFlush` timer) and proposes.
-    pub fn flush_batch(&mut self, bind: impl FnMut(&Batch) -> Binding, out: &mut Outbox) {
+    pub(crate) fn flush_batch(&mut self, bind: impl FnMut(&Batch) -> Binding, out: &mut Outbox) {
         if let Some(batch) = self.batcher.flush() {
             self.pending_batches.push_back(batch);
         }
@@ -428,7 +433,11 @@ impl ReplicaCore {
     }
 
     /// Proposes as many pending batches as the in-flight window allows.
-    pub fn try_propose(&mut self, mut bind: impl FnMut(&Batch) -> Binding, out: &mut Outbox) {
+    pub(crate) fn try_propose(
+        &mut self,
+        mut bind: impl FnMut(&Batch) -> Binding,
+        out: &mut Outbox,
+    ) {
         if !self.is_primary() || self.in_view_change() {
             return;
         }
@@ -452,7 +461,7 @@ impl ReplicaCore {
 
     /// Marks a consensus instance as no longer outstanding (it executed);
     /// [`Self::try_propose`] then refills the window.
-    pub fn instance_finished(&mut self, seq: SeqNum) {
+    pub(crate) fn instance_finished(&mut self, seq: SeqNum) {
         self.outstanding.remove(&seq.0);
     }
 
@@ -479,7 +488,7 @@ impl ReplicaCore {
     /// arms `timer`: if the primary never proposes it, the expiry makes
     /// this replica suspect the primary. Returns `true` when the request
     /// was forwarded (and `timer` armed).
-    pub fn on_client_retry(
+    pub(crate) fn on_client_retry(
         &mut self,
         txn: Transaction,
         timer: TimerKind,
@@ -509,7 +518,7 @@ impl ReplicaCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexitrust_types::{KvOp, ProtocolId, Transaction};
+    use flexitrust_types::{KvOp, ProtocolId, RequestId, Transaction};
 
     fn core() -> ReplicaCore {
         let cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 
 /// The merged re-proposal plan for a new view.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NewViewPlan {
+pub(crate) struct NewViewPlan {
     /// The view this plan starts.
     pub view: View,
     /// How many `ViewChange` messages back the plan.
@@ -50,7 +50,7 @@ impl NewViewPlan {
     /// (re-attested) `proposals`, and disarms the announcing replica's own
     /// `ViewChange` timer: the change it voted for is over, and a timer left
     /// running would make the new primary vote itself out of its own view.
-    pub fn announce(
+    pub(crate) fn announce(
         &self,
         proposals: Vec<(SeqNum, Batch, Option<Attestation>)>,
         counter_attestation: Option<Attestation>,
@@ -69,7 +69,7 @@ impl NewViewPlan {
 /// Collects `ViewChange` messages for one target view and produces the
 /// [`NewViewPlan`] once a quorum is reached.
 #[derive(Debug)]
-pub struct NewViewPlanner {
+pub(crate) struct NewViewPlanner {
     target_view: View,
     votes: CertificateTracker<View>,
     /// Best prepared proof seen per sequence number (highest view, then most
@@ -82,7 +82,7 @@ pub struct NewViewPlanner {
 impl NewViewPlanner {
     /// Creates a planner for `target_view` requiring `quorum` view-change
     /// votes.
-    pub fn new(target_view: View, quorum: usize) -> Self {
+    pub(crate) fn new(target_view: View, quorum: usize) -> Self {
         NewViewPlanner {
             target_view,
             votes: CertificateTracker::new(quorum.max(1)),
@@ -93,18 +93,13 @@ impl NewViewPlanner {
     }
 
     /// Number of distinct view-change votes received so far.
-    pub fn votes(&self) -> usize {
+    pub(crate) fn votes(&self) -> usize {
         self.votes.count(&self.target_view)
-    }
-
-    /// Whether the plan has already been produced.
-    pub fn produced(&self) -> bool {
-        self.produced
     }
 
     /// Records one `ViewChange` message. Returns the plan exactly once, on
     /// the message that completes the quorum.
-    pub fn record_view_change(
+    pub(crate) fn record_view_change(
         &mut self,
         from: ReplicaId,
         last_stable: SeqNum,
@@ -163,7 +158,7 @@ impl NewViewPlanner {
 
 /// One replica's progress through view changes.
 #[derive(Debug)]
-pub struct ViewChangeState {
+pub(crate) struct ViewChangeState {
     in_view_change: bool,
     /// The highest view this replica has broadcast a `ViewChange` for.
     highest_vc_vote: View,
@@ -212,7 +207,7 @@ impl ReplicaCore {
     /// Suspects the primary: broadcasts a `ViewChange` for the next view
     /// carrying the engine's `prepared` proofs, and re-arms the timer so
     /// that a view change that does not complete moves on to the next view.
-    pub fn start_view_change(&mut self, prepared: Vec<PreparedProof>, out: &mut Outbox) {
+    pub(crate) fn start_view_change(&mut self, prepared: Vec<PreparedProof>, out: &mut Outbox) {
         let new_view = self.view().next();
         if self.view_change.vote_for(new_view) {
             let last_stable = self.low_water_mark();
@@ -238,7 +233,7 @@ impl ReplicaCore {
         clippy::too_many_arguments,
         reason = "the fields of one ViewChange, plus the quorum and the replica's own proofs"
     )]
-    pub fn on_view_change(
+    pub(crate) fn on_view_change(
         &mut self,
         from: ReplicaId,
         new_view: View,
@@ -280,7 +275,7 @@ impl ReplicaCore {
     /// `view` must be ahead of this replica or the one it is still changing
     /// into. Returns whether the view was entered; adopting the
     /// re-proposals is the engine's.
-    pub fn on_new_view(
+    pub(crate) fn on_new_view(
         &mut self,
         from: ReplicaId,
         view: View,
@@ -351,7 +346,6 @@ mod tests {
         assert!(planner
             .record_view_change(ReplicaId(3), SeqNum(0), vec![])
             .is_none());
-        assert!(planner.produced());
     }
 
     #[test]

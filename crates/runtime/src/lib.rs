@@ -36,7 +36,7 @@
 
 mod cluster;
 mod driver;
-pub mod primary;
+mod primary;
 mod tcp;
 
 pub use cluster::{Cluster, ClusterSummary, Network, ThreadedCluster};

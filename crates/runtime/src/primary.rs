@@ -44,7 +44,7 @@ impl PrimaryTracker {
     }
 
     /// The most advanced view any replica has published.
-    pub fn current_view(&self) -> View {
+    pub(crate) fn current_view(&self) -> View {
         View(
             self.views
                 .iter()
@@ -54,7 +54,8 @@ impl PrimaryTracker {
         )
     }
 
-    /// The primary of [`Self::current_view`] — where new client
+    /// The primary of the most advanced view any replica has published —
+    /// where new client
     /// transactions should be submitted.
     pub fn current_primary(&self) -> ReplicaId {
         self.current_view().primary(self.replicas().max(1))

@@ -59,7 +59,7 @@ pub enum ChaosEvent {
 
 impl ChaosEvent {
     /// The virtual time this event fires at.
-    pub fn at_ns(&self) -> u64 {
+    pub(crate) fn at_ns(&self) -> u64 {
         match self {
             ChaosEvent::PartitionForm { at_ns, .. }
             | ChaosEvent::PartitionHeal { at_ns }
@@ -140,7 +140,7 @@ impl LinkChaos {
     }
 
     /// Whether this chaos applies to the given message.
-    pub fn applies_to(&self, msg: &Message) -> bool {
+    pub(crate) fn applies_to(&self, msg: &Message) -> bool {
         self.classes.is_empty() || self.classes.contains(&MessageClass::of(msg))
     }
 }
@@ -236,7 +236,8 @@ impl ChaosPlan {
     }
 
     /// Partition the replicas into `groups` at `form_ns`, heal at `heal_ns`.
-    pub fn partition_then_heal(
+    #[cfg(test)]
+    pub(crate) fn partition_then_heal(
         seed: u64,
         groups: Vec<Vec<ReplicaId>>,
         form_ns: u64,
@@ -281,7 +282,8 @@ impl ChaosPlan {
     /// `round % n` for `down_ns`, then `period_ns` later the next one, for
     /// `rounds` rounds. Crashing replica `v` while it leads view `v` forces
     /// a view change, so the rotation repeatedly exercises that path.
-    pub fn churn(
+    #[cfg(test)]
+    pub(crate) fn churn(
         seed: u64,
         n: usize,
         start_ns: u64,
@@ -445,7 +447,11 @@ impl ChaosState {
     /// execution frontiers (`frontier(i)` is replica `i`'s last-executed
     /// sequence); returns the replicas that just recovered, for the host to
     /// rejoin.
-    pub fn poll_windows(&mut self, now: u64, frontier: impl Fn(usize) -> u64) -> Vec<ReplicaId> {
+    pub(crate) fn poll_windows(
+        &mut self,
+        now: u64,
+        frontier: impl Fn(usize) -> u64,
+    ) -> Vec<ReplicaId> {
         let mut recovered = Vec::new();
         for i in 0..self.windows.len() {
             let (window, mut phase) = self.windows[i];
@@ -518,7 +524,7 @@ impl ChaosState {
     }
 
     /// A client request completed at `at`.
-    pub fn record_completion(&mut self, at: u64) {
+    pub(crate) fn record_completion(&mut self, at: u64) {
         if at >= self.last_restore_ns {
             self.completed_after_restore += 1;
         }

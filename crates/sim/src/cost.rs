@@ -70,7 +70,7 @@ impl CostModel {
     }
 
     /// CPU nanoseconds to receive, authenticate and process `msg`.
-    pub fn receive_cost_ns(&self, msg: &Message) -> u64 {
+    pub(crate) fn receive_cost_ns(&self, msg: &Message) -> u64 {
         let mut cost = self.base_receive_ns + self.mac_verify_ns;
         cost += (msg.wire_size_bytes() as u64 * self.per_byte_ns_x100) / 100;
         let attestations = msg.attestation_count() as u64;
@@ -97,7 +97,7 @@ impl CostModel {
     /// CPU nanoseconds for the attestation *generation* work of one trusted
     /// component access (in addition to the hardware access latency charged
     /// separately): signing inside the enclave when attestations are signed.
-    pub fn attestation_generation_ns(&self) -> u64 {
+    pub(crate) fn attestation_generation_ns(&self) -> u64 {
         if self.attestations_are_signed {
             self.sig_sign_ns
         } else {
@@ -113,7 +113,7 @@ impl CostModel {
     /// CPU nanoseconds to batch and admit `txns` incoming client
     /// transactions at the primary (request authentication is the dominant
     /// term; ResilientDB verifies client request MACs).
-    pub fn client_request_cost_ns(&self, txns: usize) -> u64 {
+    pub(crate) fn client_request_cost_ns(&self, txns: usize) -> u64 {
         txns as u64 * (self.mac_verify_ns + self.hash_per_txn_ns)
     }
 }

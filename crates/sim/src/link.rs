@@ -156,7 +156,7 @@ impl LinkUsage {
     /// time reserved on the link divided by the window. Values above 1.0
     /// mean the link was oversubscribed — more wire time was demanded than
     /// the window could carry, so a backlog (queueing delay) built up.
-    pub fn utilization(&self, duration_ns: u64) -> f64 {
+    pub(crate) fn utilization(&self, duration_ns: u64) -> f64 {
         if duration_ns == 0 {
             0.0
         } else {
@@ -305,7 +305,7 @@ impl LinkQueues {
     }
 
     /// Total queueing delay across every link, nanoseconds.
-    pub fn total_queue_delay_ns(&self) -> u64 {
+    pub(crate) fn total_queue_delay_ns(&self) -> u64 {
         self.lanes
             .iter()
             .fold(0u64, |acc, s| acc.saturating_add(s.queue_delay_ns))

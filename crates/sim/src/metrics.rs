@@ -2,7 +2,7 @@
 
 use flexitrust_types::{Digest, ProtocolId};
 
-pub use crate::link::{Direction, LinkClass, LinkUsage, Nic};
+use crate::link::{Direction, LinkUsage};
 pub use flexitrust_protocol::host::CommittedTxn;
 
 /// The summary a simulation run produces.
@@ -36,7 +36,7 @@ pub struct SimReport {
     /// Discrete events processed by the simulation loop during the whole
     /// run (deliveries, transmit/ingest chunks, timers, client arrivals).
     /// Divided by wall-clock time this is the simulator's native speed —
-    /// the figure the zero-copy throughput harness gates on.
+    /// the benchmark's per-layer row `sim.events_per_s`.
     pub events_processed: u64,
     /// Total trusted-component accesses across all replicas.
     pub tc_accesses_total: u64,
@@ -58,9 +58,8 @@ pub struct SimReport {
     /// only when `ingress_mbps` is configured) are what they ingested.
     pub link_usage: Vec<LinkUsage>,
     /// Per-replica `(last_executed, state digest)` at the end of the run —
-    /// the basis of the chaos safety check. `None` digests come from
-    /// engines that do not expose one.
-    pub replica_frontiers: Vec<(u64, Option<Digest>)>,
+    /// the basis of the chaos safety check.
+    pub replica_frontiers: Vec<(u64, Digest)>,
     /// Disruptive chaos events applied (partitions formed, crashes — both
     /// scripted and commit-triggered).
     pub chaos_disruptions: u64,
@@ -144,13 +143,11 @@ impl SimReport {
                 if seq_a != seq_b {
                     continue;
                 }
-                if let (Some(a), Some(b)) = (digest_a, digest_b) {
-                    if a != b {
-                        return Err(format!(
-                            "safety violation: replicas {i} and {j} both executed \
-                             through seq {seq_a} with divergent state digests"
-                        ));
-                    }
+                if digest_a != digest_b {
+                    return Err(format!(
+                        "safety violation: replicas {i} and {j} both executed \
+                         through seq {seq_a} with divergent state digests"
+                    ));
                 }
             }
         }
@@ -269,6 +266,7 @@ pub(crate) fn latency_stats_ms(samples: &mut [u64]) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::{LinkClass, Nic};
 
     fn report() -> SimReport {
         SimReport {
@@ -316,7 +314,7 @@ mod tests {
                     messages: 600,
                 },
             ],
-            replica_frontiers: vec![(100, Some(Digest::from_u64_tag(1))); 4],
+            replica_frontiers: vec![(100, Digest::from_u64_tag(1)); 4],
             chaos_disruptions: 0,
             last_restore_ns: 0,
             completed_after_restore: 0,
@@ -329,16 +327,13 @@ mod tests {
         let mut r = report();
         assert!(r.check_chaos_invariants().is_ok());
         // Divergence at the same frontier is a safety violation…
-        r.replica_frontiers[2] = (100, Some(Digest::from_u64_tag(9)));
+        r.replica_frontiers[2] = (100, Digest::from_u64_tag(9));
         assert!(r
             .check_chaos_invariants()
             .unwrap_err()
             .contains("safety violation"));
         // …but a replica still catching up (different frontier) is not.
-        r.replica_frontiers[2] = (60, Some(Digest::from_u64_tag(9)));
-        assert!(r.check_chaos_invariants().is_ok());
-        // Engines without a digest are skipped rather than failed.
-        r.replica_frontiers[2] = (100, None);
+        r.replica_frontiers[2] = (60, Digest::from_u64_tag(9));
         assert!(r.check_chaos_invariants().is_ok());
     }
 

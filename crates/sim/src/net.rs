@@ -65,12 +65,6 @@ impl NetworkModel {
         self
     }
 
-    /// Sets the self-delivery (loopback) latency.
-    pub fn with_loopback_us(mut self, loopback_us: u64) -> Self {
-        self.loopback_us = loopback_us;
-        self
-    }
-
     /// The region map in use.
     pub fn regions(&self) -> &RegionMap {
         &self.regions
@@ -81,13 +75,8 @@ impl NetworkModel {
         &self.bandwidth
     }
 
-    /// The self-delivery latency, in microseconds.
-    pub fn loopback_us(&self) -> u64 {
-        self.loopback_us
-    }
-
     /// One-way latency between two replicas, in microseconds.
-    pub fn replica_latency_us(&self, from: ReplicaId, to: ReplicaId) -> u64 {
+    pub(crate) fn replica_latency_us(&self, from: ReplicaId, to: ReplicaId) -> u64 {
         if from == to {
             return self.loopback_us;
         }
@@ -127,7 +116,7 @@ impl NetworkModel {
     }
 
     /// Transmission time (nanoseconds) of `bytes` over a client link.
-    pub fn client_transmit_ns(&self, bytes: usize) -> u64 {
+    pub(crate) fn client_transmit_ns(&self, bytes: usize) -> u64 {
         BandwidthConfig::transmit_time_ns(self.bandwidth.client_mbps, bytes)
     }
 
@@ -135,7 +124,7 @@ impl NetworkModel {
     /// self-delivery (no NIC involved) or when no ingress bandwidth is
     /// configured — receivers then ingest for free, the sender-side-only
     /// model.
-    pub fn replica_ingress_ns(&self, from: ReplicaId, to: ReplicaId, bytes: usize) -> u64 {
+    pub(crate) fn replica_ingress_ns(&self, from: ReplicaId, to: ReplicaId, bytes: usize) -> u64 {
         if from == to {
             return 0;
         }
@@ -146,7 +135,7 @@ impl NetworkModel {
     /// lane (request uploads landing at the primary). Replies to the
     /// aggregate client pool pay no ingress — the pool stands for many
     /// independent client NICs, not one ingest pipe.
-    pub fn client_ingress_ns(&self, bytes: usize) -> u64 {
+    pub(crate) fn client_ingress_ns(&self, bytes: usize) -> u64 {
         BandwidthConfig::transmit_time_ns(self.bandwidth.ingress_mbps, bytes)
     }
 
@@ -161,7 +150,7 @@ impl NetworkModel {
     ///
     /// Clients are modelled as co-located with the first region (where the
     /// initial primary lives), as in the paper's WAN experiment.
-    pub fn client_latency_us(&self, replica: ReplicaId) -> u64 {
+    pub(crate) fn client_latency_us(&self, replica: ReplicaId) -> u64 {
         let client_region = self.regions.region_of(ReplicaId(0));
         let replica_region = self.regions.region_of(replica);
         if client_region == replica_region {
@@ -169,18 +158,6 @@ impl NetworkModel {
         } else {
             self.wan.latency_us(client_region, replica_region)
         }
-    }
-
-    /// The slowest one-way replica-to-replica latency in the deployment;
-    /// useful for sizing timeouts.
-    pub fn max_latency_us(&self, n: usize) -> u64 {
-        let mut max = self.local_one_way_us;
-        for a in 0..n {
-            for b in 0..n {
-                max = max.max(self.replica_latency_us(ReplicaId(a as u32), ReplicaId(b as u32)));
-            }
-        }
-        max
     }
 }
 
@@ -194,7 +171,6 @@ mod tests {
         assert_eq!(net.replica_latency_us(ReplicaId(0), ReplicaId(3)), 250);
         assert_eq!(net.replica_latency_us(ReplicaId(1), ReplicaId(1)), 1);
         assert_eq!(net.client_latency_us(ReplicaId(2)), 250);
-        assert_eq!(net.max_latency_us(4), 250);
     }
 
     #[test]
@@ -205,14 +181,6 @@ mod tests {
         assert!(cross >= 30_000, "got {cross}");
         // Replica 0 to replica 6 (both San Jose) stays local.
         assert_eq!(net.replica_latency_us(ReplicaId(0), ReplicaId(6)), 250);
-        assert!(net.max_latency_us(12) >= 150_000);
-    }
-
-    #[test]
-    fn more_regions_increase_worst_case_latency() {
-        let two = NetworkModel::wan(12, 2).max_latency_us(12);
-        let six = NetworkModel::wan(12, 6).max_latency_us(12);
-        assert!(six > two);
     }
 
     #[test]
@@ -224,9 +192,9 @@ mod tests {
 
     #[test]
     fn self_delivery_routes_through_the_loopback_field() {
-        let net = NetworkModel::lan(4).with_loopback_us(7);
+        let mut net = NetworkModel::lan(4);
+        net.loopback_us = 7;
         assert_eq!(net.replica_latency_us(ReplicaId(2), ReplicaId(2)), 7);
-        assert_eq!(net.loopback_us(), 7);
         // Loopback pays no transmission time even under tight bandwidth.
         let tight = NetworkModel::lan(4).with_bandwidth(BandwidthConfig::uniform(1));
         assert_eq!(

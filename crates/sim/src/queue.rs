@@ -70,7 +70,7 @@ struct Link {
 
 /// A priority queue of simulator events, popped in `(at, seq)` order.
 #[derive(Debug)]
-pub struct EventQueue<T> {
+pub(crate) struct EventQueue<T> {
     /// Payloads, `CHUNK` slots a chunk: slot `i` is `slab[i / CHUNK][i % CHUNK]`.
     slab: Vec<Box<[Slot<T>]>>,
     /// Each slot's link, chunked like `slab`.
@@ -116,23 +116,25 @@ impl<T> Default for EventQueue<T> {
 
 impl<T> EventQueue<T> {
     /// An empty queue. Allocates nothing until the first push.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no event is pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Schedules `payload` at `at`, after every event already pushed for
     /// the same instant.
-    pub fn push(&mut self, at: Ns, payload: T) {
+    pub(crate) fn push(&mut self, at: Ns, payload: T) {
         self.seq += 1;
         let seq = self.seq;
         if self.free == NIL {
@@ -149,7 +151,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes the earliest event: `(at, seq, payload)`.
-    pub fn pop(&mut self) -> Option<(Ns, u64, T)> {
+    pub(crate) fn pop(&mut self) -> Option<(Ns, u64, T)> {
         let key = match self.behind.pop() {
             Some(Reverse(key)) => key,
             None => match self.current.pop_front() {

@@ -1471,7 +1471,9 @@ mod tests {
             value_size: 4096,
             record_count: 1_000,
             distribution: crate::workload::KeyDistribution::Uniform,
-            ..crate::workload::WorkloadConfig::update_only()
+            read_proportion: 0.0,
+            update_proportion: 1.0,
+            ..crate::workload::WorkloadConfig::paper_default()
         };
         spec.bandwidth = BandwidthConfig::unlimited();
         spec.bandwidth.local_mbps = Some(10_000);

@@ -115,7 +115,7 @@ impl ScenarioSpec {
     }
 
     /// Total simulated time (warm-up + measurement) in microseconds.
-    pub fn total_time_us(&self) -> u64 {
+    pub(crate) fn total_time_us(&self) -> u64 {
         self.duration_us + self.warmup_us
     }
 }

@@ -12,7 +12,7 @@ use flexitrust_types::{ClientId, KvOp, RequestId, Transaction, ValueBytes};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
-pub use zipfian::ZipfianGenerator;
+use zipfian::ZipfianGenerator;
 
 /// How keys are chosen from the record space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,38 +69,6 @@ impl WorkloadConfig {
         }
     }
 
-    /// YCSB workload A: 50% reads, 50% updates.
-    pub fn ycsb_a() -> Self {
-        Self::paper_default()
-    }
-
-    /// YCSB workload B: 95% reads, 5% updates.
-    pub fn ycsb_b() -> Self {
-        WorkloadConfig {
-            read_proportion: 0.95,
-            update_proportion: 0.05,
-            ..Self::paper_default()
-        }
-    }
-
-    /// YCSB workload C: 100% reads.
-    pub fn ycsb_c() -> Self {
-        WorkloadConfig {
-            read_proportion: 1.0,
-            update_proportion: 0.0,
-            ..Self::paper_default()
-        }
-    }
-
-    /// A write-heavy mix used by some ablations: 100% updates.
-    pub fn update_only() -> Self {
-        WorkloadConfig {
-            read_proportion: 0.0,
-            update_proportion: 1.0,
-            ..Self::paper_default()
-        }
-    }
-
     /// A small configuration for unit tests (1 k records, tiny values).
     pub fn tiny() -> Self {
         WorkloadConfig {
@@ -108,16 +76,6 @@ impl WorkloadConfig {
             value_size: 8,
             ..Self::paper_default()
         }
-    }
-
-    /// Validates that the proportions sum to 1 (within rounding error).
-    pub fn is_valid(&self) -> bool {
-        let total = self.read_proportion
-            + self.update_proportion
-            + self.insert_proportion
-            + self.rmw_proportion
-            + self.scan_proportion;
-        (total - 1.0).abs() < 1e-9 && self.record_count > 0
     }
 }
 
@@ -172,7 +130,7 @@ impl WorkloadGenerator {
     }
 
     /// Generates the next transaction for this client.
-    pub fn next_transaction(&mut self) -> Transaction {
+    pub(crate) fn next_transaction(&mut self) -> Transaction {
         let request = self.next_request;
         self.next_request = self.next_request.next();
 
@@ -214,18 +172,6 @@ impl WorkloadGenerator {
     pub fn next_batch(&mut self, size: usize) -> Vec<Transaction> {
         (0..size).map(|_| self.next_transaction()).collect()
     }
-
-    /// Generates the initial records to pre-load the store with
-    /// (`record_count` inserts with deterministic values).
-    pub fn initial_records(config: &WorkloadConfig) -> impl Iterator<Item = (u64, Vec<u8>)> + '_ {
-        (0..config.record_count).map(move |key| {
-            let mut value = vec![0u8; config.value_size];
-            for (i, b) in value.iter_mut().enumerate() {
-                *b = (key as u8).wrapping_add(i as u8);
-            }
-            (key, value)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -233,23 +179,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_default_is_valid_and_600k_records() {
-        let cfg = WorkloadConfig::paper_default();
-        assert!(cfg.is_valid());
-        assert_eq!(cfg.record_count, 600_000);
-    }
-
-    #[test]
-    fn presets_are_valid() {
-        for cfg in [
-            WorkloadConfig::ycsb_a(),
-            WorkloadConfig::ycsb_b(),
-            WorkloadConfig::ycsb_c(),
-            WorkloadConfig::update_only(),
-            WorkloadConfig::tiny(),
-        ] {
-            assert!(cfg.is_valid(), "{cfg:?}");
-        }
+    fn paper_default_has_600k_records() {
+        assert_eq!(WorkloadConfig::paper_default().record_count, 600_000);
     }
 
     #[test]
@@ -282,7 +213,12 @@ mod tests {
 
     #[test]
     fn mix_respects_proportions_roughly() {
-        let mut g = WorkloadGenerator::new(WorkloadConfig::ycsb_b(), ClientId(1), 42);
+        let cfg = WorkloadConfig {
+            read_proportion: 0.95,
+            update_proportion: 0.05,
+            ..WorkloadConfig::paper_default()
+        };
+        let mut g = WorkloadGenerator::new(cfg, ClientId(1), 42);
         let batch = g.next_batch(5_000);
         let reads = batch
             .iter()
@@ -294,7 +230,12 @@ mod tests {
 
     #[test]
     fn read_only_workload_generates_only_reads() {
-        let mut g = WorkloadGenerator::new(WorkloadConfig::ycsb_c(), ClientId(1), 11);
+        let cfg = WorkloadConfig {
+            read_proportion: 1.0,
+            update_proportion: 0.0,
+            ..WorkloadConfig::paper_default()
+        };
+        let mut g = WorkloadGenerator::new(cfg, ClientId(1), 11);
         assert!(g
             .next_batch(500)
             .iter()
@@ -313,16 +254,6 @@ mod tests {
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn initial_records_cover_the_whole_space() {
-        let cfg = WorkloadConfig::tiny();
-        let records: Vec<_> = WorkloadGenerator::initial_records(&cfg).collect();
-        assert_eq!(records.len(), 1_000);
-        assert_eq!(records[0].0, 0);
-        assert_eq!(records.last().unwrap().0, 999);
-        assert_eq!(records[5].1.len(), cfg.value_size);
     }
 
     #[test]

@@ -9,23 +9,22 @@ use rand::Rng;
 
 /// A zipfian generator over the integer range `[0, items)`.
 #[derive(Debug, Clone)]
-pub struct ZipfianGenerator {
+pub(crate) struct ZipfianGenerator {
     items: u64,
     theta: f64,
     alpha: f64,
     zeta_n: f64,
-    zeta_two: f64,
     eta: f64,
 }
 
 impl ZipfianGenerator {
     /// The skew parameter used by YCSB's default zipfian workloads.
-    pub const YCSB_THETA: f64 = 0.99;
+    pub(crate) const YCSB_THETA: f64 = 0.99;
 
     /// Creates a generator over `[0, items)` with skew `theta` (0 < theta < 1).
     ///
     /// `theta` close to 0 approaches a uniform distribution; YCSB uses 0.99.
-    pub fn new(items: u64, theta: f64) -> Self {
+    pub(crate) fn new(items: u64, theta: f64) -> Self {
         assert!(items > 0, "zipfian needs at least one item");
         assert!(
             theta > 0.0 && theta < 1.0,
@@ -40,14 +39,8 @@ impl ZipfianGenerator {
             theta,
             alpha,
             zeta_n,
-            zeta_two,
             eta,
         }
-    }
-
-    /// Creates a generator with the YCSB default skew.
-    pub fn ycsb(items: u64) -> Self {
-        Self::new(items, Self::YCSB_THETA)
     }
 
     fn zeta(n: u64, theta: f64) -> f64 {
@@ -55,18 +48,8 @@ impl ZipfianGenerator {
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
     }
 
-    /// Number of items covered by the generator.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
-    /// Skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     /// Draws the next key.
-    pub fn next_key<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn next_key<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
         let uz = u * self.zeta_n;
         if uz < 1.0 {
@@ -77,11 +60,6 @@ impl ZipfianGenerator {
         }
         let spread = (self.eta * u - self.eta + 1.0).powf(self.alpha);
         ((self.items as f64) * spread) as u64 % self.items
-    }
-
-    /// Exposes `zeta(2, theta)`; useful to validate the constants in tests.
-    pub fn zeta_two(&self) -> f64 {
-        self.zeta_two
     }
 }
 
@@ -102,7 +80,7 @@ mod tests {
 
     #[test]
     fn distribution_is_skewed_toward_low_ranks() {
-        let gen = ZipfianGenerator::ycsb(10_000);
+        let gen = ZipfianGenerator::new(10_000, ZipfianGenerator::YCSB_THETA);
         let mut rng = StdRng::seed_from_u64(7);
         let mut hot = 0usize;
         let samples = 50_000;
@@ -135,22 +113,13 @@ mod tests {
 
     #[test]
     fn deterministic_under_fixed_seed() {
-        let gen = ZipfianGenerator::ycsb(600_000);
+        let gen = ZipfianGenerator::new(600_000, ZipfianGenerator::YCSB_THETA);
         let draw = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..100).map(|_| gen.next_key(&mut rng)).collect::<Vec<_>>()
         };
         assert_eq!(draw(9), draw(9));
         assert_ne!(draw(9), draw(10));
-    }
-
-    #[test]
-    fn zeta_two_matches_formula() {
-        let gen = ZipfianGenerator::new(100, 0.5);
-        let expected = 1.0 + 1.0 / 2f64.powf(0.5);
-        assert!((gen.zeta_two() - expected).abs() < 1e-12);
-        assert_eq!(gen.items(), 100);
-        assert!((gen.theta() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -125,8 +125,7 @@ impl EnclaveRegistry {
     /// Builds a registry for `n` replicas with deterministic enclave keys.
     ///
     /// Enclave signing keys are derived deterministically from the replica
-    /// index so that tests and simulations are reproducible; see
-    /// [`enclave_signing_key`].
+    /// index so that tests and simulations are reproducible.
     pub fn deterministic(n: usize, mode: AttestationMode) -> Self {
         let keys = (0..n)
             .map(|i| enclave_signing_key(ReplicaId(i as u32)).verifying_key())
@@ -190,7 +189,7 @@ impl EnclaveRegistry {
 /// The derivation seed is disjoint from the replica/client key seeds used by
 /// [`flexitrust_crypto::KeyStore::deterministic`], so a host key can never
 /// verify as an enclave key or vice versa.
-pub fn enclave_signing_key(host: ReplicaId) -> ed25519_dalek::SigningKey {
+pub(crate) fn enclave_signing_key(host: ReplicaId) -> ed25519_dalek::SigningKey {
     let mut bytes = [0u8; 32];
     bytes[..8].copy_from_slice(&(0xE0C1_A0E0_0000_0000u64 | u64::from(host.0)).to_le_bytes());
     bytes[8..16].copy_from_slice(

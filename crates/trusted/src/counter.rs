@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 
 /// State of one monotonic counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterState {
+pub(crate) struct CounterState {
     /// Current value of the counter.
     pub value: u64,
     /// Digest most recently bound to the counter value.
@@ -44,7 +44,7 @@ impl CounterSet {
 
     /// Creates a counter set with `count` counters initialised to zero, with
     /// identifiers `0..count`. Most protocols use a single counter (`q = 0`).
-    pub fn with_counters(count: u64) -> Self {
+    pub(crate) fn with_counters(count: u64) -> Self {
         let counters = (0..count)
             .map(|q| {
                 (
@@ -78,14 +78,16 @@ impl CounterSet {
     }
 
     /// Digest last bound to counter `q`, if it exists.
-    pub fn last_digest(&self, q: u64) -> Option<Digest> {
+    #[cfg(test)]
+    pub(crate) fn last_digest(&self, q: u64) -> Option<Digest> {
         self.counters.get(&q).map(|c| c.last_digest)
     }
 
     /// Approximate in-enclave memory footprint in bytes; counters are tiny
     /// (identifier + value + last digest), which is the "Low" memory column
     /// of Figure 1.
-    pub fn memory_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.counters.len() * (8 + 8 + 32)
     }
 

@@ -47,7 +47,7 @@ impl EnclaveConfig {
 
     /// Log-based enclave, as used by PBFT-EA: one log per consensus phase
     /// (pre-prepare, prepare, commit) plus one monotonic counter.
-    pub fn log_based(host: ReplicaId, mode: AttestationMode) -> Self {
+    pub(crate) fn log_based(host: ReplicaId, mode: AttestationMode) -> Self {
         EnclaveConfig {
             host,
             mode,
@@ -153,7 +153,8 @@ impl Enclave {
     }
 
     /// Approximate in-enclave memory use of counters and logs in bytes.
-    pub fn memory_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn memory_bytes(&self) -> usize {
         let state = self.state.lock();
         state.counters.memory_bytes() + state.logs.memory_bytes()
     }
@@ -240,7 +241,8 @@ impl Enclave {
 
     /// `Lookup(q, k)` on a trusted log: returns an attestation of the digest
     /// stored at slot `k`.
-    pub fn log_lookup(&self, q: u64, k: u64) -> Result<Attestation> {
+    #[cfg(test)]
+    pub(crate) fn log_lookup(&self, q: u64, k: u64) -> Result<Attestation> {
         let result = self.state.lock().logs.lookup(q, k);
         match result {
             Ok(digest) => {

@@ -66,11 +66,6 @@ impl TrustedHardware {
         TrustedHardware::Tpm { access_us: 100_000 }
     }
 
-    /// Typical ADAM-CS deployment (~5 ms/access).
-    pub fn typical_adam_cs() -> Self {
-        TrustedHardware::AdamCs { access_us: 5_000 }
-    }
-
     /// Latency of one access to the trusted component, in microseconds.
     pub fn access_latency_us(&self) -> u64 {
         match *self {
@@ -150,13 +145,6 @@ mod tests {
             assert!(hw.access_latency_us() >= 30_000, "{hw}");
             assert!(hw.rollback_protected(), "{hw}");
         }
-    }
-
-    #[test]
-    fn adam_cs_is_the_middle_ground() {
-        let hw = TrustedHardware::typical_adam_cs();
-        assert!(hw.access_latency_us() < 10_000);
-        assert!(hw.rollback_protected());
     }
 
     #[test]

@@ -24,49 +24,37 @@ struct LogState {
 
 /// A set of append-only logs, keyed by log identifier `q`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TrustedLog {
+pub(crate) struct TrustedLog {
     logs: BTreeMap<u64, LogState>,
 }
 
 impl TrustedLog {
-    /// Creates an empty log set.
-    pub fn new() -> Self {
-        TrustedLog::default()
-    }
-
     /// Creates a log set with `count` logs, identifiers `0..count`.
     ///
     /// PBFT-EA keeps one log per consensus phase (five in the original
     /// design); the protocols in this repository use one log per phase they
     /// attest.
-    pub fn with_logs(count: u64) -> Self {
+    pub(crate) fn with_logs(count: u64) -> Self {
         TrustedLog {
             logs: (0..count).map(|q| (q, LogState::default())).collect(),
         }
     }
 
-    /// Number of logs in the set.
-    pub fn len(&self) -> usize {
-        self.logs.len()
-    }
-
-    /// Returns `true` when the set holds no logs.
-    pub fn is_empty(&self) -> bool {
-        self.logs.is_empty()
-    }
-
     /// The highest slot written in log `q` (0 if nothing was written).
-    pub fn last_slot(&self, q: u64) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn last_slot(&self, q: u64) -> Option<u64> {
         self.logs.get(&q).map(|l| l.last_slot)
     }
 
     /// Number of entries currently stored in log `q`.
-    pub fn entries(&self, q: u64) -> usize {
+    #[cfg(test)]
+    pub(crate) fn entries(&self, q: u64) -> usize {
         self.logs.get(&q).map(|l| l.slots.len()).unwrap_or(0)
     }
 
     /// Approximate in-enclave memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.logs
             .values()
             .map(|l| l.slots.len() * (8 + 32) + 16)
@@ -82,7 +70,7 @@ impl TrustedLog {
     ///   never re-writes or back-fills a slot).
     ///
     /// Returns the slot at which `digest` was stored.
-    pub fn append(&mut self, q: u64, k_new: Option<u64>, digest: Digest) -> Result<u64> {
+    pub(crate) fn append(&mut self, q: u64, k_new: Option<u64>, digest: Digest) -> Result<u64> {
         let log = self
             .logs
             .get_mut(&q)
@@ -104,7 +92,8 @@ impl TrustedLog {
     }
 
     /// `Lookup(q, k)`: returns the digest stored at slot `k` of log `q`.
-    pub fn lookup(&self, q: u64, k: u64) -> Result<Digest> {
+    #[cfg(test)]
+    pub(crate) fn lookup(&self, q: u64, k: u64) -> Result<Digest> {
         self.logs
             .get(&q)
             .and_then(|l| l.slots.get(&k))
@@ -114,7 +103,7 @@ impl TrustedLog {
 
     /// Truncates every log, dropping entries at slots `<= up_to`; called when
     /// a stable checkpoint is reached.
-    pub fn truncate(&mut self, up_to: u64) {
+    pub(crate) fn truncate(&mut self, up_to: u64) {
         for log in self.logs.values_mut() {
             log.slots = log.slots.split_off(&(up_to + 1));
         }

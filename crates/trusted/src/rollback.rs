@@ -45,7 +45,6 @@ impl RollbackSnapshot {
 pub struct RollbackControl {
     state: Arc<Mutex<EnclaveState>>,
     rollback_protected: bool,
-    rollbacks_performed: Mutex<u64>,
 }
 
 impl RollbackControl {
@@ -53,14 +52,7 @@ impl RollbackControl {
         RollbackControl {
             state,
             rollback_protected,
-            rollbacks_performed: Mutex::new(0),
         }
-    }
-
-    /// Whether the backing hardware prevents rollback; if `true`, `restore`
-    /// will always fail.
-    pub fn is_protected(&self) -> bool {
-        self.rollback_protected
     }
 
     /// Captures the current enclave state (always possible — observing state
@@ -81,13 +73,7 @@ impl RollbackControl {
             });
         }
         self.state.lock().restore(snapshot);
-        *self.rollbacks_performed.lock() += 1;
         Ok(())
-    }
-
-    /// Number of successful rollbacks performed through this handle.
-    pub fn rollbacks_performed(&self) -> u64 {
-        *self.rollbacks_performed.lock()
     }
 }
 
@@ -110,7 +96,6 @@ mod tests {
         ));
         let registry = crate::attestation::EnclaveRegistry::deterministic(1, AttestationMode::Real);
         let control = enclave.rollback_control();
-        assert!(!control.is_protected());
 
         let snap = control.snapshot();
         let (v1, att_t) = enclave.append_f(0, Digest::from_u64_tag(0xAAAA)).unwrap();
@@ -122,7 +107,6 @@ mod tests {
         assert_ne!(att_t.digest, att_t_prime.digest);
         registry.verify(&att_t).unwrap();
         registry.verify(&att_t_prime).unwrap();
-        assert_eq!(control.rollbacks_performed(), 1);
     }
 
     #[test]
@@ -132,11 +116,9 @@ mod tests {
                 .with_hardware(TrustedHardware::typical_tpm()),
         );
         let control = enclave.rollback_control();
-        assert!(control.is_protected());
         let snap = control.snapshot();
         enclave.append_f(0, Digest::from_u64_tag(1)).unwrap();
         assert!(control.restore(&snap).is_err());
-        assert_eq!(control.rollbacks_performed(), 0);
         // Counter keeps its post-append value.
         assert_eq!(enclave.counter_value(0), Some(1));
     }

@@ -104,7 +104,7 @@ impl TcStats {
     }
 
     /// Records a rejected access.
-    pub fn record_rejected(&self) {
+    pub(crate) fn record_rejected(&self) {
         self.inner.rejected.fetch_add(1, Ordering::Relaxed);
     }
 

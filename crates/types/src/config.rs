@@ -74,7 +74,7 @@ impl ProtocolId {
     }
 
     /// Returns the replication factor the protocol is designed for.
-    pub fn replication_factor(self) -> ReplicationFactor {
+    pub(crate) fn replication_factor(self) -> ReplicationFactor {
         self.style().replication
     }
 }
@@ -108,7 +108,8 @@ impl ReplicationFactor {
     /// trusted component already rules out equivocation) and `f + 1` under
     /// `3f + 1` (an honest replica beyond the `f` Byzantine ones), and the
     /// `n - f` replicas left after `f` crashes must still form one.
-    pub fn admits_quorum(self, f: usize, quorum: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn admits_quorum(self, f: usize, quorum: usize) -> bool {
         let n = self.replicas(f);
         let shared = match self {
             ReplicationFactor::TwoFPlusOne => 1,
@@ -211,7 +212,7 @@ impl SystemConfig {
     }
 
     /// Size of a `2f + 1` quorum.
-    pub fn large_quorum(&self) -> usize {
+    pub(crate) fn large_quorum(&self) -> usize {
         2 * self.f + 1
     }
 

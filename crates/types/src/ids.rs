@@ -18,11 +18,6 @@ impl ReplicaId {
     pub fn as_usize(self) -> usize {
         self.0 as usize
     }
-
-    /// Builds a replica id from a numeric index.
-    pub fn from_usize(idx: usize) -> Self {
-        ReplicaId(idx as u32)
-    }
 }
 
 impl fmt::Display for ReplicaId {
@@ -34,13 +29,6 @@ impl fmt::Display for ReplicaId {
 /// Identifier of a client of the replicated service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u64);
-
-impl ClientId {
-    /// Returns the numeric index of this client.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
 
 impl fmt::Display for ClientId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -56,29 +44,6 @@ pub enum NodeId {
     Replica(ReplicaId),
     /// A client of the replicated service.
     Client(ClientId),
-}
-
-impl NodeId {
-    /// Returns the replica id if this node is a replica.
-    pub fn as_replica(self) -> Option<ReplicaId> {
-        match self {
-            NodeId::Replica(r) => Some(r),
-            NodeId::Client(_) => None,
-        }
-    }
-
-    /// Returns the client id if this node is a client.
-    pub fn as_client(self) -> Option<ClientId> {
-        match self {
-            NodeId::Client(c) => Some(c),
-            NodeId::Replica(_) => None,
-        }
-    }
-
-    /// Returns `true` when the node is a replica.
-    pub fn is_replica(self) -> bool {
-        matches!(self, NodeId::Replica(_))
-    }
 }
 
 impl From<ReplicaId> for NodeId {
@@ -133,22 +98,9 @@ impl fmt::Display for View {
 pub struct SeqNum(pub u64);
 
 impl SeqNum {
-    /// The first sequence number assigned by the protocols.
-    pub const FIRST: SeqNum = SeqNum(1);
-
     /// Returns the next sequence number.
     pub fn next(self) -> SeqNum {
         SeqNum(self.0 + 1)
-    }
-
-    /// Returns the previous sequence number, or `None` at zero.
-    pub fn prev(self) -> Option<SeqNum> {
-        self.0.checked_sub(1).map(SeqNum)
-    }
-
-    /// Returns the raw value.
-    pub fn as_u64(self) -> u64 {
-        self.0
     }
 }
 
@@ -201,22 +153,16 @@ mod tests {
     }
 
     #[test]
-    fn seqnum_next_and_prev_are_inverses() {
-        let k = SeqNum(41);
-        assert_eq!(k.next(), SeqNum(42));
-        assert_eq!(k.next().prev(), Some(k));
-        assert_eq!(SeqNum(0).prev(), None);
+    fn seqnum_next_is_the_successor() {
+        assert_eq!(SeqNum(41).next(), SeqNum(42));
     }
 
     #[test]
     fn node_id_conversions() {
         let r: NodeId = ReplicaId(3).into();
         let c: NodeId = ClientId(7).into();
-        assert!(r.is_replica());
-        assert!(!c.is_replica());
-        assert_eq!(r.as_replica(), Some(ReplicaId(3)));
-        assert_eq!(r.as_client(), None);
-        assert_eq!(c.as_client(), Some(ClientId(7)));
+        assert_eq!(r, NodeId::Replica(ReplicaId(3)));
+        assert_eq!(c, NodeId::Client(ClientId(7)));
     }
 
     #[test]

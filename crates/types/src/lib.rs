@@ -14,15 +14,15 @@
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
-pub mod config;
-pub mod digest;
-pub mod error;
-pub mod ids;
-pub mod region;
-pub mod snapshot;
-pub mod style;
-pub mod tally;
-pub mod transaction;
+mod config;
+mod digest;
+mod error;
+mod ids;
+mod region;
+mod snapshot;
+mod style;
+mod tally;
+mod transaction;
 
 pub use config::{ProtocolId, QuorumRule, ReplicationFactor, SystemConfig};
 pub use digest::Digest;

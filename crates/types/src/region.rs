@@ -45,13 +45,6 @@ impl Region {
             .position(|r| *r == self)
             .expect("region is a member of ALL")
     }
-
-    /// Returns `true` for the North-American regions; the paper observes that
-    /// quorums are satisfied by the NA replicas alone, which is why WAN
-    /// throughput stays roughly flat.
-    pub fn is_north_america(self) -> bool {
-        matches!(self, Region::SanJose | Region::Ashburn | Region::Montreal)
-    }
 }
 
 impl fmt::Display for Region {
@@ -291,7 +284,8 @@ impl RegionMap {
     }
 
     /// Number of replicas assigned to `region`.
-    pub fn count_in(&self, region: Region) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_in(&self, region: Region) -> usize {
         self.assignment.iter().filter(|r| **r == region).count()
     }
 
@@ -315,16 +309,6 @@ mod tests {
         for (i, r) in Region::ALL.iter().enumerate() {
             assert_eq!(r.index(), i);
         }
-    }
-
-    #[test]
-    fn north_america_classification() {
-        assert!(Region::SanJose.is_north_america());
-        assert!(Region::Ashburn.is_north_america());
-        assert!(Region::Montreal.is_north_america());
-        assert!(!Region::Sydney.is_north_america());
-        assert!(!Region::SaoPaulo.is_north_america());
-        assert!(!Region::Marseille.is_north_america());
     }
 
     #[test]

@@ -251,14 +251,6 @@ pub fn encode_transaction(out: &mut Vec<u8>, txn: &Transaction) {
     out.extend_from_slice(&[0u8; 64]);
 }
 
-/// Decodes one transaction (skipping its signature slot).
-pub fn decode_transaction(bytes: &[u8]) -> Result<Transaction, WireError> {
-    let mut r = Reader::new(bytes);
-    let txn = read_transaction(&mut r)?;
-    r.finish()?;
-    Ok(txn)
-}
-
 pub(crate) fn read_transaction(r: &mut Reader<'_>) -> Result<Transaction, WireError> {
     let client = ClientId(r.u64("txn client")?);
     let request = RequestId(r.u64("txn request")?);
@@ -666,4 +658,13 @@ pub(crate) fn read_message_body(
             })
         }
     })
+}
+
+#[cfg(test)]
+/// Decodes one transaction (skipping its signature slot).
+pub(crate) fn decode_transaction(bytes: &[u8]) -> Result<Transaction, WireError> {
+    let mut r = Reader::new(bytes);
+    let txn = read_transaction(&mut r)?;
+    r.finish()?;
+    Ok(txn)
 }

@@ -11,17 +11,17 @@ use std::io::{self, BufRead, Write};
 
 /// The `sender` field value of frames originated by a client rather than a
 /// replica.
-pub const CLIENT_SENDER: u32 = u32::MAX;
+pub(crate) const CLIENT_SENDER: u32 = u32::MAX;
 
 /// Frame kind tag of a client transaction batch ([`Frame::Submit`]).
-pub const KIND_SUBMIT: u8 = 8;
+pub(crate) const KIND_SUBMIT: u8 = 8;
 
 /// Frame kind tag of a client reply ([`Frame::Reply`]).
-pub const KIND_REPLY: u8 = 9;
+pub(crate) const KIND_REPLY: u8 = 9;
 
 /// Refuse frames larger than this (64 MiB): a corrupt length prefix must
 /// not look like a multi-gigabyte allocation request.
-pub const MAX_FRAME_BYTES: usize = 64 << 20;
+pub(crate) const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// The channel-authenticator slot appended to every frame.
 const MAC_BYTES: usize = 32;
@@ -191,7 +191,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
 /// The fixed head is read as one `REPLY_HEAD_BYTES` chunk. A one-byte
 /// result (`Written`, `Noop`) followed by exactly the MAC slot, the reply
 /// to every write, takes no further bounds check.
-pub fn decode_reply(frame: &[u8]) -> Result<ClientReply, WireError> {
+pub(crate) fn decode_reply(frame: &[u8]) -> Result<ClientReply, WireError> {
     let (head, tail) = frame
         .split_first_chunk::<REPLY_HEAD_BYTES>()
         .ok_or_else(|| truncated("reply head"))?;

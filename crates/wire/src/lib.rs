@@ -18,10 +18,10 @@
 //! ```
 //!
 //! * `len` counts every byte after the length field itself.
-//! * `sender` is the sending replica id, or [`CLIENT_SENDER`] for frames
+//! * `sender` is the sending replica id, or `u32::MAX` for frames
 //!   originated by a client.
-//! * `kind` is the [`Message`](flexitrust_protocol::Message) variant tag (0..=7), [`KIND_SUBMIT`] (8) for
-//!   a client transaction batch, or [`KIND_REPLY`] (9) for a reply.
+//! * `kind` is the [`Message`](flexitrust_protocol::Message) variant tag (0..=7), 8 for
+//!   a client transaction batch, or 9 for a reply.
 //! * `mac` is the 32-byte channel-authenticator slot (HMAC-SHA256),
 //!   present on peer-message and reply frames. [`Frame::Submit`] frames
 //!   carry **no** MAC slot — each submitted transaction already embeds
@@ -43,8 +43,8 @@
 //!          | 3:u8                                           Noop
 //! ```
 //!
-//! [`encode_reply_into`] writes the head from one stack array and
-//! [`decode_reply`] reads it as one chunk, so a reply to a write costs a
+//! [`encode_reply_into`] writes the head from one stack array and the
+//! decoder reads it as one chunk, so a reply to a write costs a
 //! 75-byte copy each way. [`decode_replies`] decodes every reply frame
 //! already whole in a buffer in one pass.
 //!
@@ -68,11 +68,8 @@
 mod codec;
 mod frame;
 
-pub use codec::{
-    decode_attestation, decode_transaction, encode_attestation, encode_transaction, WireError,
-};
+pub use codec::{decode_attestation, encode_attestation, encode_transaction, WireError};
 pub use frame::{
-    client_upload_wire_size, decode_frame, decode_message, decode_replies, decode_reply,
-    encode_frame, encode_message, encode_reply_into, read_frame, write_frame, Frame, CLIENT_SENDER,
-    KIND_REPLY, KIND_SUBMIT, MAX_FRAME_BYTES,
+    client_upload_wire_size, decode_frame, decode_message, decode_replies, encode_frame,
+    encode_message, encode_reply_into, read_frame, write_frame, Frame,
 };

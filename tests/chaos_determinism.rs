@@ -35,7 +35,7 @@ fn chaos_spec(seed: u64) -> ScenarioSpec {
 
 /// Everything a chaos run observably is: the event schedule length, the
 /// delivered-message count, the commit sequence and the replica frontiers.
-type Fingerprint = (u64, u64, Vec<CommittedTxn>, Vec<(u64, Option<Digest>)>);
+type Fingerprint = (u64, u64, Vec<CommittedTxn>, Vec<(u64, Digest)>);
 
 fn fingerprint(report: &SimReport) -> Fingerprint {
     (

@@ -47,10 +47,7 @@ fn row(protocol: ProtocolId, report: &SimReport) -> String {
     let frontiers: Vec<String> = report
         .replica_frontiers
         .iter()
-        .map(|(seq, digest)| {
-            let digest = digest.map_or_else(|| "-".to_string(), |d| d.short_hex());
-            format!("({seq}, \"{digest}\")")
-        })
+        .map(|(seq, digest)| format!("({seq}, \"{}\")", digest.short_hex()))
         .collect();
     format!(
         "    Pin {{\n        protocol: ProtocolId::{protocol:?},\n        completed: {},\n        \
@@ -72,12 +69,7 @@ fn matches(pin: &Pin, report: &SimReport) -> bool {
     let frontiers: Vec<(u64, String)> = report
         .replica_frontiers
         .iter()
-        .map(|(seq, digest)| {
-            (
-                *seq,
-                digest.map_or_else(|| "-".to_string(), |d| d.short_hex()),
-            )
-        })
+        .map(|(seq, digest)| (*seq, digest.short_hex()))
         .collect();
     let pinned: Vec<(u64, String)> = pin
         .frontiers

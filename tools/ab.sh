@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # A/B comparison of two prebuilt benchmark binaries on one workload.
 #
-#   tools/ab.sh <parent-bin> <change-bin> <workload> <pairs> [seconds]
+#   tools/ab.sh <parent-bin> <change-bin> <workload|all> <pairs> [seconds]
 #
-# Runs <pairs> alternated pairs: pair i runs both binaries at seed
+# With `all`, every workload BENCHMARK.json lists is compared in turn, one
+# table each. Runs <pairs> alternated pairs per workload: pair i runs both binaries at seed
 # 1000 i + 17, and which side goes first flips every pair so slow drift of
 # the machine hits both alike. Seconds per run default to BENCHMARK.json's
 # run_seconds. Prints, per end-to-end metric, each side's median with its
@@ -21,28 +22,36 @@ if [[ $# -lt 4 ]]; then
   sed -n '4p' "$0" | sed 's/^# *//' >&2
   exit 2
 fi
-parent=$1 change=$2 workload=$3 pairs=$4
+parent=$1 change=$2 pairs=$4
 seconds=${5:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}
-out=$(mktemp -d "${TMPDIR:-/tmp}/ab.$workload.XXXXXX")
-echo "runs kept in $out"
+workloads=$3
+if [[ $3 == all ]]; then
+  workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+fi
 
-for ((i = 0; i < pairs; i++)); do
-  order="parent change"
-  ((i % 2)) && order="change parent"
-  for side in $order; do
-    bin=$parent
-    [[ $side == change ]] && bin=$change
-    seed=$((1000 * i + 17))
-    echo "== $workload pair $((i + 1))/$pairs $side seed $seed" >&2
-    # An incorrect run exits non-zero; its JSON line is still kept.
-    run=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) || true
-    tail -n 1 <<<"$run" >>"$out/$side.jsonl"
-    # Host workloads report "N stalled, M msgs dropped" above the JSON.
-    grep -oE '[0-9]+ stalled, [0-9]+ msgs dropped' <<<"$run" >>"$out/$side.notes" || true
+# compare WORKLOAD: runs its pairs and prints its table.
+compare() {
+  local workload=$1 out i order side bin seed run
+  out=$(mktemp -d "${TMPDIR:-/tmp}/ab.$workload.XXXXXX")
+  echo "runs kept in $out"
+
+  for ((i = 0; i < pairs; i++)); do
+    order="parent change"
+    ((i % 2)) && order="change parent"
+    for side in $order; do
+      bin=$parent
+      [[ $side == change ]] && bin=$change
+      seed=$((1000 * i + 17))
+      echo "== $workload pair $((i + 1))/$pairs $side seed $seed" >&2
+      # An incorrect run exits non-zero; its JSON line is still kept.
+      run=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) || true
+      tail -n 1 <<<"$run" >>"$out/$side.jsonl"
+      # Host workloads report "N stalled, M msgs dropped" above the JSON.
+      grep -oE '[0-9]+ stalled, [0-9]+ msgs dropped' <<<"$run" >>"$out/$side.notes" || true
+    done
   done
-done
 
-python3 - "$out" "$workload" <<'PY'
+  python3 - "$out" "$workload" <<'PY'
 import json, statistics, sys
 out, workload = sys.argv[1], sys.argv[2]
 manifest = json.load(open("BENCHMARK.json"))
@@ -78,3 +87,8 @@ for s, rows in runs.items():
     if bad or stuck:
         print(f"{s}: {len(bad)} incorrect or failing runs; {stuck}")
 PY
+}
+
+for workload in $workloads; do
+  compare "$workload"
+done

@@ -134,7 +134,7 @@ expect flexitrust-wire 'used `unwrap()`'
 # An index into the reply decoder's fixed head, which is read as one
 # chunk: the fixed layout stays under the crate's indexing deny.
 plant crates/wire/src/frame.rs
-sed -i 's/^pub fn decode_reply(frame: &\[u8\]) -> Result<ClientReply, WireError> {$/&\n    let _speculative = frame[41];/' \
+sed -i 's/^pub(crate) fn decode_reply(frame: &\[u8\]) -> Result<ClientReply, WireError> {$/&\n    let _speculative = frame[41];/' \
     "$target"
 expect flexitrust-wire 'indexing may panic'
 
@@ -154,6 +154,16 @@ fn seeded() -> flexitrust_protocol::Message {
 }
 EOF
 expect flexitrust-runtime 'disallowed type `std::time::Instant`'
+
+# The public surface: a `pub` item that the crate root does not re-export
+# (unreachable_pub), and a crate-private item that nothing calls (dead_code).
+plant crates/sim/src/queue.rs
+echo 'pub fn seeded() {}' >>"$target"
+expect flexitrust-sim 'unreachable `pub` item'
+
+plant crates/protocol/src/batcher.rs
+echo 'pub(crate) fn seeded() {}' >>"$target"
+expect flexitrust-protocol 'function `seeded` is never used'
 
 # Suppressions: a stale #[expect], a bare #[allow], a reasonless #[expect].
 plant crates/protocol/src/messages.rs
