@@ -18,18 +18,20 @@
 //!   trusted component, while FlexiTrust replicas accept out-of-order
 //!   proposals and merely delay execution.
 //!
-//! Every engine comes from [`flexitrust_protocol::host::build_replica`], the factory
-//! the simulator and the threaded hosts start their replicas with, so each
-//! scenario is written once and takes the protocol as an input. Only the §5
-//! scenario routes messages: the crate's harness delivers them by the
-//! simulator's one fault model ([`flexitrust_sim::ChaosPlan`], interpreted
-//! by the same [`flexitrust_sim::ChaosState::fate`]), so that attack plan
-//! can also be replayed at scale inside the discrete-event simulation
-//! (Figure 2) and composed with crashes, partitions and link chaos, and the
-//! client counts its replies with [`flexitrust_protocol::ClientLibrary`].
-//! The §6 and §7 scenarios hand-deliver a few messages to backups directly.
+//! Every scenario runs on the one router and cluster that the engine tests
+//! use, [`flexitrust_protocol::testing`]: engines from the factory the
+//! simulator and the threaded hosts start their replicas with, over
+//! counting-mode attestations, and messages that move only through the one
+//! [`flexitrust_protocol::host::Dispatcher`]. So each scenario is written
+//! once and takes the protocol as an input. The §5 adversary relays each
+//! inbox through the simulator's one fault model
+//! ([`flexitrust_sim::ChaosPlan`], interpreted by the same
+//! [`flexitrust_sim::ChaosState::fate`]), so that attack plan can also be
+//! replayed at scale inside the discrete-event simulation (Figure 2) and
+//! composed with crashes, partitions and link chaos; its client counts
+//! replies with [`flexitrust_protocol::ClientLibrary`]. The §6 and §7
+//! scenarios hand a few messages to backups in the adversary's order.
 
-mod harness;
 mod responsiveness;
 mod rollback;
 mod sequential;

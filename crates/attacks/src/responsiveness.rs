@@ -13,10 +13,11 @@
 //! replicas; the `2f + 1` quorum the protocol needs necessarily contains
 //! `f + 1` honest replicas, all of which execute and reply.
 
-use crate::harness::drive;
-use flexitrust_protocol::{ClientLibrary, ConsensusEngine, RequestStatus};
-use flexitrust_sim::{build_replicas, ChaosPlan, ScenarioSpec};
-use flexitrust_types::{ClientId, KvOp, ProtocolId, ReplicaId, RequestId, Transaction};
+use flexitrust_protocol::testing::{cluster, txns, TestNet};
+use flexitrust_protocol::{ClientLibrary, ConsensusEngine, Message, RequestStatus, TimerKind};
+use flexitrust_sim::{ChaosPlan, ChaosState, Fate};
+use flexitrust_types::{ClientId, ProtocolId, ReplicaId, RequestId, View};
+use std::collections::BTreeSet;
 
 /// Outcome of the responsiveness scenario for one protocol.
 #[derive(Debug, Clone)]
@@ -54,13 +55,55 @@ impl ResponsivenessReport {
     }
 }
 
+/// Rounds of delivery after which a phase counts as quiescent.
+const MAX_ROUNDS: usize = 200;
+
+/// The adversary's network: every send waits in a [`TestNet`] inbox until
+/// [`Self::relay`] hands it through the plan's [`ChaosState::fate`], the
+/// one the simulator consults. The network has no clock, so a delayed copy
+/// arrives once everything prompt has settled, and a dropped one never.
+struct Adversary {
+    net: TestNet,
+    chaos: ChaosState,
+    /// Delayed copies as `(to, from, message)`, in send order.
+    late: Vec<(usize, ReplicaId, Message)>,
+    /// View-change votes seen on the wire (even if dropped) as distinct
+    /// `(sender, new view)` pairs.
+    votes: BTreeSet<(ReplicaId, View)>,
+}
+
+impl Adversary {
+    /// Delivers the prompt copies of every inbox, round after round, until
+    /// a round delivers nothing.
+    fn relay(&mut self, engines: &mut [Box<dyn ConsensusEngine>]) {
+        for _ in 0..MAX_ROUNDS {
+            let mut delivered = false;
+            for to in 0..engines.len() {
+                for (from, msg) in self.net.take_inbox(to) {
+                    if let Message::ViewChange { new_view, .. } = &msg {
+                        self.votes.insert((from, *new_view));
+                    }
+                    match self.chaos.fate(from, ReplicaId(to as u32), &msg) {
+                        Fate::Deliver { extra_ns: 0, .. } => {
+                            delivered = true;
+                            self.net.deliver(engines, to, from, msg);
+                        }
+                        Fate::Deliver { .. } => self.late.push((to, from, msg)),
+                        Fate::Drop => {}
+                    }
+                }
+            }
+            if !delivered {
+                break;
+            }
+        }
+    }
+}
+
 /// Runs the §5 attack against `protocol` with fault threshold `f`.
 pub fn responsiveness_attack(protocol: ProtocolId, f: usize) -> ResponsivenessReport {
-    let mut spec = ScenarioSpec::quick_test(protocol);
-    spec.f = f;
-    spec.batch_size = 1;
-    let config = spec.system_config();
-    let n = config.n;
+    let (mut engines, _) = cluster(protocol, f, |c| c.batch_size = 1);
+    let n = engines.len();
 
     // Byzantine set F: the primary plus the next f-1 replicas.
     let byzantine: Vec<ReplicaId> = (0..f as u32).map(ReplicaId).collect();
@@ -70,40 +113,40 @@ pub fn responsiveness_attack(protocol: ProtocolId, f: usize) -> ResponsivenessRe
     let delayed = ReplicaId(f as u32);
     let plan =
         ChaosPlan::responsiveness_attack(byzantine.clone(), victims.clone(), delayed, 10_000_000);
+    let mut adversary = Adversary {
+        net: TestNet::new(n),
+        chaos: ChaosState::new(&plan, n).expect("the attack plan is not empty"),
+        late: Vec::new(),
+        votes: BTreeSet::new(),
+    };
 
-    let mut engines: Vec<Box<dyn ConsensusEngine>> = build_replicas(&spec)
-        .into_iter()
-        .map(|setup| setup.engine)
-        .collect();
+    // Phase 1: prompt delivery of everything the adversary lets through.
+    adversary.net.client_request(&mut engines, 0, txns(1..2));
+    adversary.relay(&mut engines);
 
-    let txn = Transaction::new(
-        ClientId(1),
-        RequestId(1),
-        KvOp::Update {
-            key: 7,
-            value: vec![1, 2, 3].into(),
-        },
-    );
-    // The replicas kept in the dark eventually complain (their timers fire);
-    // Byzantine replicas of course do not help.
-    let timer_targets: Vec<usize> = victims.iter().map(|r| r.as_usize()).collect();
-    let obs = drive(
-        &mut engines,
-        &plan,
-        vec![(0, vec![txn])],
-        &timer_targets,
-        200,
-    );
+    // Phase 2: the replicas kept in the dark complain (their view-change
+    // timers fire); Byzantine replicas of course do not help.
+    for victim in &victims {
+        let victim = victim.as_usize();
+        adversary
+            .net
+            .fire(&mut engines, victim, TimerKind::ViewChange);
+    }
+    adversary.relay(&mut engines);
+
+    // Phase 3: partial synchrony — the delayed messages finally arrive.
+    for (to, from, msg) in std::mem::take(&mut adversary.late) {
+        adversary.net.deliver(&mut engines, to, from, msg);
+    }
+    adversary.relay(&mut engines);
 
     // The client counts only the replies it can actually receive promptly:
     // replies from Byzantine replicas are withheld from the client as well.
     let rule = engines[0].properties().reply_quorum;
-    let mut client = ClientLibrary::new(ClientId(1), &config, rule);
+    let mut client = ClientLibrary::new(ClientId(1), engines[0].config(), rule);
     client.begin(RequestId(1));
-    let honest = obs
-        .replies
-        .iter()
-        .filter(|r| !byzantine.contains(&r.replica));
+    let replies = adversary.net.take_replies();
+    let honest = replies.iter().filter(|r| !byzantine.contains(&r.replica));
     let matching_replies = honest
         .map(|reply| match client.on_reply(reply) {
             RequestStatus::Pending { matching, .. } | RequestStatus::Complete { matching, .. } => {
@@ -119,7 +162,7 @@ pub fn responsiveness_attack(protocol: ProtocolId, f: usize) -> ResponsivenessRe
         f,
         matching_replies,
         replies_needed: client.needed(),
-        view_change_votes: obs.view_change_votes,
+        view_change_votes: adversary.votes.len(),
         view_change_quorum: n - f,
     }
 }

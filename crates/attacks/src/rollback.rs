@@ -14,16 +14,12 @@
 //! most one of the conflicting transactions can ever commit.
 
 use flexitrust_crypto::make_batch;
-use flexitrust_protocol::host::build_replica;
-use flexitrust_protocol::{Message, Outbox};
-use flexitrust_trusted::{
-    Attestation, AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, TrustedHardware,
-};
+use flexitrust_protocol::testing::{cluster, TestNet};
+use flexitrust_protocol::Message;
+use flexitrust_trusted::{Attestation, AttestationMode, Enclave, EnclaveConfig, TrustedHardware};
 use flexitrust_types::{
-    Batch, ClientId, Digest, KvOp, ProtocolId, ReplicaId, RequestId, SeqNum, SystemConfig,
-    Transaction, View,
+    Batch, ClientId, Digest, KvOp, ProtocolId, ReplicaId, RequestId, SeqNum, Transaction, View,
 };
-use std::sync::Arc;
 
 /// Outcome of the rollback attack against one protocol.
 #[derive(Debug, Clone)]
@@ -61,7 +57,8 @@ fn txn(tag: u64) -> Transaction {
 /// refused the rollback.
 fn equivocating_proposals(hardware: TrustedHardware) -> Option<[(Batch, Attestation); 2]> {
     let primary_enclave = Enclave::shared(
-        EnclaveConfig::counter_only(ReplicaId(0), AttestationMode::Real).with_hardware(hardware),
+        EnclaveConfig::counter_only(ReplicaId(0), AttestationMode::Counting)
+            .with_hardware(hardware),
     );
     let control = primary_enclave.rollback_control();
     let snapshot = control.snapshot();
@@ -120,65 +117,47 @@ fn rollback_attack(protocol: ProtocolId, f: usize, hardware: TrustedHardware) ->
         };
     };
 
-    let mut config = SystemConfig::for_protocol(protocol, f);
-    config.batch_size = 1;
-    let config = Arc::new(config);
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
-    // Honest backups 1..n; the Byzantine primary is replica 0.
-    let mut backups: Vec<_> = (1..config.n as u32)
-        .map(|i| {
-            build_replica(
-                Arc::clone(&config),
-                ReplicaId(i),
-                registry.clone(),
-                hardware,
-            )
-            .engine
-        })
-        .collect();
+    // Honest backups 1..n; the Byzantine primary is replica 0, whose own
+    // engine stays idle.
+    let (mut engines, _) = cluster(protocol, f, |c| c.batch_size = 1);
+    let mut net = TestNet::new(engines.len());
+    let backups = 1..engines.len();
     let split = backups.len() / 2;
-    let half = |i: usize| usize::from(i >= split);
+    let half = |replica: usize| usize::from(replica > split);
 
     // Each backup accepts its half's proposal and votes for it.
-    let mut prepares: [Vec<(ReplicaId, Message)>; 2] = Default::default();
-    for (i, backup) in backups.iter_mut().enumerate() {
-        let (batch, att) = &proposals[half(i)];
+    for backup in backups.clone() {
+        let (batch, att) = &proposals[half(backup)];
         let preprepare = Message::PrePrepare {
             view: View(0),
             seq: SeqNum(1),
             batch: batch.clone(),
             attestation: Some(att.clone()),
         };
-        let mut out = Outbox::new();
-        backup.on_message(ReplicaId(0), preprepare, &mut out);
-        let votes = out
-            .broadcasts()
-            .into_iter()
-            .filter(|m| m.kind() == "Prepare");
-        prepares[half(i)].extend(votes.map(|m| (backup.id(), m.clone())));
+        net.deliver(&mut engines, backup, ReplicaId(0), preprepare);
     }
-    // The Byzantine primary adds its own attested Prepare to both halves.
-    for (votes, (batch, att)) in prepares.iter_mut().zip(&proposals) {
-        votes.push((
-            ReplicaId(0),
-            Message::Prepare {
-                view: View(0),
-                seq: SeqNum(1),
-                digest: batch.digest(),
-                attestation: Some(att.clone()),
-            },
-        ));
-    }
+    let inboxes: Vec<_> = backups.clone().map(|b| net.take_inbox(b)).collect();
 
-    // Deliver each half's Prepares within that half only (the adversary
-    // schedules messages, §6) and count who executes what.
+    // Each backup hears only its own half's Prepares (the adversary
+    // schedules messages, §6), then the Byzantine primary's attested Prepare
+    // for that half's proposal; count who executes what.
     let mut executed = [0; 2];
-    for (i, backup) in backups.iter_mut().enumerate() {
-        for (from, msg) in &prepares[half(i)] {
-            backup.on_message(*from, msg.clone(), &mut Outbox::new());
+    for (backup, inbox) in backups.zip(inboxes) {
+        let (batch, att) = &proposals[half(backup)];
+        let primary_vote = Message::Prepare {
+            view: View(0),
+            seq: SeqNum(1),
+            digest: batch.digest(),
+            attestation: Some(att.clone()),
+        };
+        let votes = inbox
+            .into_iter()
+            .filter(|(from, msg)| msg.kind() == "Prepare" && half(from.as_usize()) == half(backup));
+        for (from, msg) in votes.chain([(ReplicaId(0), primary_vote)]) {
+            net.deliver(&mut engines, backup, from, msg);
         }
-        if backup.last_executed() >= SeqNum(1) {
-            executed[half(i)] += 1;
+        if engines[backup].last_executed() >= SeqNum(1) {
+            executed[half(backup)] += 1;
         }
     }
 

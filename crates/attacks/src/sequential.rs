@@ -10,15 +10,9 @@
 //! are simply parked by the execution queue and executed once the gap fills.
 
 use flexitrust_crypto::make_batch;
-use flexitrust_protocol::host::build_replica;
-use flexitrust_protocol::{Message, Outbox};
-use flexitrust_trusted::{
-    AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, TrustedHardware,
-};
-use flexitrust_types::{
-    ClientId, KvOp, ProtocolId, ReplicaId, RequestId, SeqNum, SystemConfig, Transaction, View,
-};
-use std::sync::Arc;
+use flexitrust_protocol::testing::{cluster, txns, TestNet};
+use flexitrust_protocol::Message;
+use flexitrust_types::{ProtocolId, ReplicaId, SeqNum, View};
 
 /// Outcome of delivering proposals out of order to one replica.
 #[derive(Debug, Clone)]
@@ -47,50 +41,35 @@ pub fn out_of_order_probe(f: usize) -> (SequentialReport, SequentialReport) {
 }
 
 /// Delivers the proposals for sequence numbers 2 and then 1 to backup 1 of
-/// a `protocol` cluster and reads its trusted counter's rejections.
+/// a `protocol` cluster and reads its trusted counter's rejections. Both
+/// probed protocols give every replica a trusted component.
 fn probe(protocol: ProtocolId, f: usize) -> SequentialReport {
-    let mut config = SystemConfig::for_protocol(protocol, f);
-    config.batch_size = 1;
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
-    let backup = build_replica(
-        Arc::new(config),
-        ReplicaId(1),
-        registry,
-        TrustedHardware::default_enclave(),
-    );
-    let (mut engine, enclave) = (backup.engine, backup.enclave);
+    let (mut engines, enclaves) = cluster(protocol, f, |c| c.batch_size = 1);
+    let mut net = TestNet::new(engines.len());
 
     // The (honest but concurrent) primary attested both proposals in order.
-    let primary = Enclave::shared(EnclaveConfig::counter_only(
-        ReplicaId(0),
-        AttestationMode::Real,
-    ));
     let proposals = [1, 2].map(|k| {
-        let batch = make_batch(vec![Transaction::new(
-            ClientId(1),
-            RequestId(k),
-            KvOp::Read { key: k },
-        )]);
-        let (seq, att) = primary.append_f(0, batch.digest()).expect("fresh counter");
-        (SeqNum(seq), batch, att)
+        let batch = make_batch(txns(k..k + 1));
+        let (seq, att) = enclaves[0]
+            .append_f(0, batch.digest())
+            .expect("fresh counter");
+        Message::PrePrepare {
+            view: View(0),
+            seq: SeqNum(seq),
+            batch,
+            attestation: Some(att),
+        }
     });
 
     // Deliver out of order: seq 2 first, then seq 1.
-    let mut out = Outbox::new();
-    for (seq, batch, att) in proposals.into_iter().rev() {
-        let preprepare = Message::PrePrepare {
-            view: View(0),
-            seq,
-            batch,
-            attestation: Some(att),
-        };
-        engine.on_message(ReplicaId(0), preprepare, &mut out);
+    for preprepare in proposals.into_iter().rev() {
+        net.deliver(&mut engines, 1, ReplicaId(0), preprepare);
     }
 
     SequentialReport {
         protocol,
-        tc_rejections: enclave.map_or(0, |e| e.stats().snapshot().rejected),
-        both_executed: engine.last_executed() >= SeqNum(2),
+        tc_rejections: enclaves[1].stats().snapshot().rejected,
+        both_executed: engines[1].last_executed() >= SeqNum(2),
     }
 }
 

@@ -1,10 +1,11 @@
 //! The engine-hosting layer every driver of engines shares.
 //!
-//! Five places drive [`ConsensusEngine`]s: the discrete-event simulator
+//! Four places drive [`ConsensusEngine`]s: the discrete-event simulator
 //! (`flexitrust-sim`), the threaded runtime's two networks
-//! (`flexitrust-runtime`), the attack harness (`flexitrust-attacks`) and
-//! this crate's own [`TestNet`](crate::testing::TestNet). All of them go
-//! through this module:
+//! (`flexitrust-runtime`) and this crate's own
+//! [`TestNet`](crate::testing::TestNet), which the engine tests and the
+//! attack scenarios (`flexitrust-attacks`) share. All of them go through
+//! this module:
 //!
 //! * [`EngineHost`] is the environment contract — the handful of primitives
 //!   an environment must supply (deliver a message, deliver a reply, schedule
@@ -19,8 +20,7 @@
 //!
 //! Environments implement only what is genuinely environment-specific:
 //! scheduling an event (simulator), sending on a channel or a socket
-//! (runtime), recording into an observation log (attack harness) or
-//! queueing into an inbox (tests).
+//! (runtime) or queueing into an inbox (tests and attack scenarios).
 //!
 //! Two more things every host needs exist once, here: [`build_replica`],
 //! the configuration → engine factory, and [`CrashWindow`] / [`WindowPhase`],
@@ -110,7 +110,7 @@ impl TimerToken {
 /// Only [`send`](EngineHost::send), [`reply`](EngineHost::reply) and
 /// [`schedule_timer`](EngineHost::schedule_timer) are required; the
 /// accounting hooks default to no-ops so that environments without a cost
-/// model (the threaded runtime, the attack harness) implement nothing extra.
+/// model (the threaded runtime, the test net) implement nothing extra.
 pub trait EngineHost {
     /// Deliver `msg` from `from` to `to` over this environment's network.
     /// The message arrives as a shared handle: environments queue or route
@@ -120,8 +120,7 @@ pub trait EngineHost {
     /// Deliver `msg` from `from` to every replica (the sender included, so
     /// engines handle their own votes uniformly). The default fans out to
     /// [`send`](EngineHost::send), one reference-count bump per
-    /// destination; environments override it when a broadcast is observed
-    /// as one event (e.g. vote counting in the attack harness) or encoded
+    /// destination; environments override it when a broadcast is encoded
     /// once for all destinations (the TCP transport).
     fn broadcast(&mut self, from: ReplicaId, replicas: usize, msg: SharedMessage) {
         for to in 0..replicas {
@@ -199,7 +198,7 @@ enum Effect {
 /// timer-token bookkeeping shared by every host.
 ///
 /// One `Dispatcher` serves a whole cluster in single-threaded hosts (the
-/// simulator, the attack harness); the threaded runtime creates one per
+/// simulator, the test net); the threaded runtime creates one per
 /// replica thread, each tracking only that replica's timers.
 #[derive(Debug)]
 pub struct Dispatcher {
@@ -282,9 +281,9 @@ impl Dispatcher {
         true
     }
 
-    /// Forces a timer expiry regardless of arming state (the attack harness
-    /// models the client-complaint path by firing view-change timers
-    /// directly).
+    /// Forces a timer expiry regardless of arming state (the test net fires
+    /// timers by hand; the §5 attack models the client-complaint path by
+    /// firing view-change timers directly).
     pub fn fire_timer<E: EngineHost>(
         &mut self,
         engine: &mut (impl ConsensusEngine + ?Sized),

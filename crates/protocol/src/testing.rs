@@ -1,15 +1,17 @@
 //! A synchronous, loss-free "perfect network" for driving a cluster of
-//! engines without a clock: the one router the engine tests of every crate
-//! and the root `protocols` and `view_change` tests share, and the cluster
-//! they build through [`build_replica`].
+//! engines without a clock: the one router that the engine tests of every
+//! crate, the root `protocols` and `view_change` tests and the §5–§7 attack
+//! scenarios (`flexitrust-attacks`) share, and the cluster they build
+//! through [`build_replica`].
 //!
 //! [`run_cluster_until_quiescent`] is the common case. [`TestNet`] is the
 //! same loop opened up for tests about order and faults: a paused replica's
 //! inbox fills without being delivered (a silent primary; a proposal held
-//! back behind the votes for it), timers are fired by hand, and the net
-//! remembers which timers each replica has armed. It is an [`EngineHost`]
-//! like every other host: the one [`Dispatcher`] routes what the engines
-//! emit.
+//! back behind the votes for it), timers are fired by hand, the net
+//! remembers which timers each replica has armed, and it records the client
+//! replies the engines emit until [`TestNet::take_replies`] collects them.
+//! It is an [`EngineHost`] like every other host: the one [`Dispatcher`]
+//! routes what the engines emit.
 
 use crate::engine::{ConsensusEngine, TimerKind};
 use crate::host::{build_replica, Dispatcher, EngineHost, TimerToken};
@@ -32,19 +34,25 @@ pub struct TestNet {
 }
 
 /// What the dispatcher hands this host: messages queue in the inbox of the
-/// replica they are for; timers wait to be fired by hand, and execution and
-/// replies show in the engines' own state.
+/// replica they are for and client replies in one list, until the test
+/// takes them; timers wait to be fired by hand, and execution shows in the
+/// engines' own state.
 #[derive(Debug)]
-struct Inboxes(Vec<Vec<(ReplicaId, SharedMessage)>>);
+struct Inboxes {
+    messages: Vec<Vec<(ReplicaId, SharedMessage)>>,
+    replies: Vec<ClientReply>,
+}
 
 impl EngineHost for Inboxes {
     fn send(&mut self, from: ReplicaId, to: ReplicaId, msg: SharedMessage) {
-        if let Some(inbox) = self.0.get_mut(to.as_usize()) {
+        if let Some(inbox) = self.messages.get_mut(to.as_usize()) {
             inbox.push((from, msg));
         }
     }
 
-    fn reply(&mut self, _from: ReplicaId, _reply: ClientReply) {}
+    fn reply(&mut self, _from: ReplicaId, reply: ClientReply) {
+        self.replies.push(reply);
+    }
 
     fn schedule_timer(&mut self, _: ReplicaId, _: TimerKind, _: u64, _: TimerToken) {}
 }
@@ -54,7 +62,10 @@ impl TestNet {
     pub fn new(n: usize) -> Self {
         TestNet {
             dispatcher: Dispatcher::new(n),
-            inboxes: Inboxes(vec![Vec::new(); n]),
+            inboxes: Inboxes {
+                messages: vec![Vec::new(); n],
+                replies: Vec::new(),
+            },
             paused: vec![false; n],
         }
     }
@@ -111,7 +122,7 @@ impl TestNet {
                 if self.paused[to] {
                     continue;
                 }
-                for (from, msg) in std::mem::take(&mut self.inboxes.0[to]) {
+                for (from, msg) in std::mem::take(&mut self.inboxes.messages[to]) {
                     delivered += 1;
                     let engine = &mut **engine;
                     self.dispatcher
@@ -134,10 +145,16 @@ impl TestNet {
     /// Empties `replica`'s inbox into the caller's hands, to drop it or to
     /// [`Self::deliver`] it in an order of the test's choosing.
     pub fn take_inbox(&mut self, replica: usize) -> Vec<(ReplicaId, Message)> {
-        std::mem::take(&mut self.inboxes.0[replica])
+        std::mem::take(&mut self.inboxes.messages[replica])
             .into_iter()
             .map(|(from, msg)| (from, unshare(msg)))
             .collect()
+    }
+
+    /// Every client reply the engines emitted since the last call, in
+    /// emission order.
+    pub fn take_replies(&mut self) -> Vec<ClientReply> {
+        std::mem::take(&mut self.inboxes.replies)
     }
 
     /// Whether `replica` set `timer` and has neither cancelled it nor seen

@@ -345,7 +345,7 @@ impl Fate {
 }
 
 /// A [`ChaosPlan`] bound to one cluster: the one interpreter of fault
-/// plans, shared by the simulator and the attack harness.
+/// plans, shared by the simulator and the §5 attack scenario.
 #[derive(Debug)]
 pub struct ChaosState {
     /// The plan, minus entries naming replicas outside the cluster.

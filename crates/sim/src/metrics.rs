@@ -16,8 +16,6 @@ pub struct SimReport {
     pub n: usize,
     /// Number of closed-loop clients.
     pub clients: usize,
-    /// Measured (post-warm-up) duration in seconds.
-    pub duration_s: f64,
     /// Whole-run simulated time (warm-up included) in seconds — the window
     /// link accounting spans.
     pub total_duration_s: f64,
@@ -42,9 +40,6 @@ pub struct SimReport {
     pub tc_accesses_total: u64,
     /// Trusted-component accesses at the (initial) primary.
     pub tc_accesses_primary: u64,
-    /// Total transactions executed at the busiest replica (sanity check that
-    /// execution kept up with client completion).
-    pub max_replica_executed: u64,
     /// Total wire-occupancy (transmission) time across every link of the
     /// run, nanoseconds. Zero under `BandwidthConfig::unlimited()`.
     pub net_busy_ns: u64,
@@ -274,7 +269,6 @@ mod tests {
             f: 8,
             n: 25,
             clients: 1000,
-            duration_s: 0.8,
             total_duration_s: 1.0,
             completed_txns: 50_000,
             throughput_tps: 50_000.0,
@@ -285,7 +279,6 @@ mod tests {
             events_processed: 250_000,
             tc_accesses_total: 500,
             tc_accesses_primary: 500,
-            max_replica_executed: 50_000,
             net_busy_ns: 600_000_000,
             net_queue_delay_ns: 150_000_000,
             link_usage: vec![

@@ -17,22 +17,15 @@
 //! The set is pure state — signing, latency modelling and access statistics
 //! live in [`crate::enclave::Enclave`].
 
-use flexitrust_types::{Digest, Error, Result};
+use flexitrust_types::{Error, Result};
 use std::collections::BTreeMap;
 
-/// State of one monotonic counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CounterState {
-    /// Current value of the counter.
-    pub value: u64,
-    /// Digest most recently bound to the counter value.
-    pub last_digest: Digest,
-}
-
-/// A set of monotonic counters, keyed by counter identifier `q`.
+/// A set of monotonic counters: each counter's value, keyed by counter
+/// identifier `q`. The digest an append binds goes into the attestation
+/// only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSet {
-    counters: BTreeMap<u64, CounterState>,
+    counters: BTreeMap<u64, u64>,
     next_fresh_id: u64,
 }
 
@@ -45,17 +38,7 @@ impl CounterSet {
     /// Creates a counter set with `count` counters initialised to zero, with
     /// identifiers `0..count`. Most protocols use a single counter (`q = 0`).
     pub(crate) fn with_counters(count: u64) -> Self {
-        let counters = (0..count)
-            .map(|q| {
-                (
-                    q,
-                    CounterState {
-                        value: 0,
-                        last_digest: Digest::ZERO,
-                    },
-                )
-            })
-            .collect();
+        let counters = (0..count).map(|q| (q, 0)).collect();
         CounterSet {
             counters,
             next_fresh_id: count,
@@ -74,54 +57,45 @@ impl CounterSet {
 
     /// Current value of counter `q`, if it exists.
     pub fn value(&self, q: u64) -> Option<u64> {
-        self.counters.get(&q).map(|c| c.value)
-    }
-
-    /// Digest last bound to counter `q`, if it exists.
-    #[cfg(test)]
-    pub(crate) fn last_digest(&self, q: u64) -> Option<Digest> {
-        self.counters.get(&q).map(|c| c.last_digest)
+        self.counters.get(&q).copied()
     }
 
     /// Approximate in-enclave memory footprint in bytes; counters are tiny
-    /// (identifier + value + last digest), which is the "Low" memory column
-    /// of Figure 1.
+    /// (identifier + value), which is the "Low" memory column of Figure 1.
     #[cfg(test)]
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.counters.len() * (8 + 8 + 32)
+        self.counters.len() * (8 + 8)
     }
 
     /// trust-bft `Append`: the host proposes `k_new`; it must be strictly
     /// greater than the counter's current value.
     ///
     /// Returns the accepted value (always `k_new`).
-    pub fn append(&mut self, q: u64, k_new: u64, digest: Digest) -> Result<u64> {
-        let counter = self
-            .counters
-            .get_mut(&q)
-            .ok_or(Error::TrustedSlotEmpty { log: q, slot: 0 })?;
-        if k_new <= counter.value {
+    pub fn append(&mut self, q: u64, k_new: u64) -> Result<u64> {
+        let value = self.counter(q)?;
+        if k_new <= *value {
             return Err(Error::TrustedMonotonicityViolation {
                 counter: q,
-                current: counter.value,
+                current: *value,
                 requested: k_new,
             });
         }
-        counter.value = k_new;
-        counter.last_digest = digest;
+        *value = k_new;
         Ok(k_new)
     }
 
-    /// FlexiTrust `AppendF`: the component increments the counter internally
-    /// and binds the new value to `digest`. Returns the new value.
-    pub fn append_f(&mut self, q: u64, digest: Digest) -> Result<u64> {
-        let counter = self
-            .counters
+    /// FlexiTrust `AppendF`: the component increments the counter
+    /// internally. Returns the new value.
+    pub fn append_f(&mut self, q: u64) -> Result<u64> {
+        let value = self.counter(q)?;
+        *value += 1;
+        Ok(*value)
+    }
+
+    fn counter(&mut self, q: u64) -> Result<&mut u64> {
+        self.counters
             .get_mut(&q)
-            .ok_or(Error::TrustedSlotEmpty { log: q, slot: 0 })?;
-        counter.value += 1;
-        counter.last_digest = digest;
-        Ok(counter.value)
+            .ok_or(Error::TrustedSlotEmpty { log: q, slot: 0 })
     }
 
     /// `Create(k)`: creates a fresh counter (with a never-previously-used
@@ -129,13 +103,7 @@ impl CounterSet {
     pub fn create(&mut self, initial: u64) -> u64 {
         let q = self.next_fresh_id;
         self.next_fresh_id += 1;
-        self.counters.insert(
-            q,
-            CounterState {
-                value: initial,
-                last_digest: Digest::ZERO,
-            },
-        );
+        self.counters.insert(q, initial);
         q
     }
 
@@ -158,33 +126,29 @@ mod tests {
     #[test]
     fn append_requires_strictly_increasing_values() {
         let mut set = CounterSet::with_counters(1);
-        assert_eq!(set.append(0, 1, Digest::from_u64_tag(1)).unwrap(), 1);
-        assert_eq!(set.append(0, 5, Digest::from_u64_tag(2)).unwrap(), 5);
+        assert_eq!(set.append(0, 1).unwrap(), 1);
+        assert_eq!(set.append(0, 5).unwrap(), 5);
         // Same value refused.
-        assert!(set.append(0, 5, Digest::from_u64_tag(3)).is_err());
+        assert!(set.append(0, 5).is_err());
         // Lower value refused.
-        assert!(set.append(0, 4, Digest::from_u64_tag(3)).is_err());
+        assert!(set.append(0, 4).is_err());
         assert_eq!(set.value(0), Some(5));
     }
 
     #[test]
     fn append_on_missing_counter_fails() {
         let mut set = CounterSet::with_counters(1);
-        assert!(set.append(3, 1, Digest::ZERO).is_err());
-        assert!(set.append_f(3, Digest::ZERO).is_err());
+        assert!(set.append(3, 1).is_err());
+        assert!(set.append_f(3).is_err());
     }
 
     #[test]
     fn append_f_increments_contiguously() {
         let mut set = CounterSet::with_counters(1);
         for expected in 1..=100u64 {
-            assert_eq!(
-                set.append_f(0, Digest::from_u64_tag(expected)).unwrap(),
-                expected
-            );
+            assert_eq!(set.append_f(0).unwrap(), expected);
         }
         assert_eq!(set.value(0), Some(100));
-        assert_eq!(set.last_digest(0), Some(Digest::from_u64_tag(100)));
     }
 
     #[test]
@@ -203,24 +167,24 @@ mod tests {
     fn created_counter_continues_monotonic() {
         let mut set = CounterSet::new();
         let q = set.create(7);
-        assert!(set.append(q, 7, Digest::ZERO).is_err());
-        assert_eq!(set.append(q, 8, Digest::ZERO).unwrap(), 8);
-        assert_eq!(set.append_f(q, Digest::ZERO).unwrap(), 9);
+        assert!(set.append(q, 7).is_err());
+        assert_eq!(set.append(q, 8).unwrap(), 8);
+        assert_eq!(set.append_f(q).unwrap(), 9);
     }
 
     #[test]
     fn memory_footprint_tracks_counter_count() {
         let set = CounterSet::with_counters(5);
-        assert_eq!(set.memory_bytes(), 5 * 48);
+        assert_eq!(set.memory_bytes(), 5 * 16);
         assert!(!set.is_empty());
     }
 
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut set = CounterSet::with_counters(1);
-        set.append_f(0, Digest::from_u64_tag(1)).unwrap();
+        set.append_f(0).unwrap();
         let snap = set.snapshot();
-        set.append_f(0, Digest::from_u64_tag(2)).unwrap();
+        set.append_f(0).unwrap();
         assert_eq!(set.value(0), Some(2));
         set.restore(snap);
         assert_eq!(set.value(0), Some(1));

@@ -20,8 +20,6 @@ pub enum TcAccessKind {
     CounterCreate,
     /// Append to a trusted log.
     LogAppend,
-    /// Lookup (attested read) from a trusted log.
-    LogLookup,
 }
 
 /// A snapshot of trusted-component access counts.
@@ -35,8 +33,6 @@ pub struct TcStatsSnapshot {
     pub counter_creates: u64,
     /// Number of log appends.
     pub log_appends: u64,
-    /// Number of log lookups.
-    pub log_lookups: u64,
     /// Number of accesses that were *rejected* (monotonicity violations,
     /// missing slots); rejected accesses still cost hardware latency.
     pub rejected: u64,
@@ -50,7 +46,6 @@ impl TcStatsSnapshot {
             + self.counter_append_fs
             + self.counter_creates
             + self.log_appends
-            + self.log_lookups
             + self.rejected
     }
 
@@ -63,7 +58,6 @@ impl TcStatsSnapshot {
                 .saturating_sub(earlier.counter_append_fs),
             counter_creates: self.counter_creates.saturating_sub(earlier.counter_creates),
             log_appends: self.log_appends.saturating_sub(earlier.log_appends),
-            log_lookups: self.log_lookups.saturating_sub(earlier.log_lookups),
             rejected: self.rejected.saturating_sub(earlier.rejected),
         }
     }
@@ -81,7 +75,6 @@ struct TcCounters {
     counter_append_fs: AtomicU64,
     counter_creates: AtomicU64,
     log_appends: AtomicU64,
-    log_lookups: AtomicU64,
     rejected: AtomicU64,
 }
 
@@ -98,7 +91,6 @@ impl TcStats {
             TcAccessKind::CounterAppendF => &self.inner.counter_append_fs,
             TcAccessKind::CounterCreate => &self.inner.counter_creates,
             TcAccessKind::LogAppend => &self.inner.log_appends,
-            TcAccessKind::LogLookup => &self.inner.log_lookups,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -115,7 +107,6 @@ impl TcStats {
             counter_append_fs: self.inner.counter_append_fs.load(Ordering::Relaxed),
             counter_creates: self.inner.counter_creates.load(Ordering::Relaxed),
             log_appends: self.inner.log_appends.load(Ordering::Relaxed),
-            log_lookups: self.inner.log_lookups.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
         }
     }
@@ -152,10 +143,8 @@ mod tests {
         stats.record(TcAccessKind::CounterAppend);
         let a = stats.snapshot();
         stats.record(TcAccessKind::CounterAppend);
-        stats.record(TcAccessKind::LogLookup);
         let delta = stats.snapshot().since(&a);
         assert_eq!(delta.counter_appends, 1);
-        assert_eq!(delta.log_lookups, 1);
         assert_eq!(delta.counter_creates, 0);
     }
 }

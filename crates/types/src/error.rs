@@ -1,6 +1,6 @@
 //! Error types shared across the workspace.
 
-use crate::ids::{ReplicaId, SeqNum, View};
+use crate::ids::ReplicaId;
 use std::fmt;
 
 /// Convenience alias used by every crate in the workspace.
@@ -11,7 +11,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Protocol engines are designed to *ignore* malformed input (the standard
 /// BFT stance: a bad message is simply dropped), so most of these errors are
 /// surfaced by the substrates (crypto, trusted components, execution) and by
-/// harness/configuration code.
+/// configuration checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// A digital signature or MAC failed verification.
@@ -45,20 +45,6 @@ pub enum Error {
         /// Human-readable description of the inconsistency.
         reason: String,
     },
-    /// A message referenced a view this replica has already abandoned.
-    StaleView {
-        /// View carried by the message.
-        got: View,
-        /// Current view of the replica.
-        current: View,
-    },
-    /// A replica attempted to execute a sequence number out of order.
-    OutOfOrderExecution {
-        /// Sequence number whose execution was attempted.
-        requested: SeqNum,
-        /// Next sequence number the execution queue expects.
-        expected: SeqNum,
-    },
     /// The named replica is not part of the configured replica set.
     UnknownReplica {
         /// The offending replica id.
@@ -68,16 +54,6 @@ pub enum Error {
     MissingKey {
         /// Human-readable owner description.
         owner: String,
-    },
-    /// Serialization or deserialization of a message failed.
-    Serialization {
-        /// Human-readable description.
-        context: String,
-    },
-    /// The simulator or runtime was driven into an unsupported state.
-    Harness {
-        /// Human-readable description.
-        reason: String,
     },
 }
 
@@ -102,20 +78,8 @@ impl fmt::Display for Error {
                 write!(f, "trusted log {log} has no value at slot {slot}")
             }
             Error::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
-            Error::StaleView { got, current } => {
-                write!(f, "stale view {got}, replica is in {current}")
-            }
-            Error::OutOfOrderExecution {
-                requested,
-                expected,
-            } => write!(
-                f,
-                "out-of-order execution: requested {requested}, expected {expected}"
-            ),
             Error::UnknownReplica { replica } => write!(f, "unknown replica {replica}"),
             Error::MissingKey { owner } => write!(f, "missing key material for {owner}"),
-            Error::Serialization { context } => write!(f, "serialization failure: {context}"),
-            Error::Harness { reason } => write!(f, "harness error: {reason}"),
         }
     }
 }
@@ -126,13 +90,6 @@ impl Error {
     /// Builds an [`Error::InvalidConfig`] from anything printable.
     pub fn config(reason: impl Into<String>) -> Self {
         Error::InvalidConfig {
-            reason: reason.into(),
-        }
-    }
-
-    /// Builds an [`Error::Harness`] from anything printable.
-    pub fn harness(reason: impl Into<String>) -> Self {
-        Error::Harness {
             reason: reason.into(),
         }
     }
@@ -156,7 +113,6 @@ mod tests {
     #[test]
     fn helpers_build_expected_variants() {
         assert!(matches!(Error::config("x"), Error::InvalidConfig { .. }));
-        assert!(matches!(Error::harness("x"), Error::Harness { .. }));
     }
 
     #[test]

@@ -128,58 +128,64 @@ fn every_attack_outcome_is_pinned() {
         );
     }
 
-    // (matching_replies, replies_needed, client_stuck()) at f = 1, 2, 3.
+    // (matching_replies, replies_needed, view_change_votes, client_stuck())
+    // at f = 1, 2, 3.
     let responsiveness = [
         (
             ProtocolId::Pbft,
-            [(2, 2, false), (3, 3, false), (4, 4, false)],
+            [(2, 2, 1, false), (3, 3, 2, false), (4, 4, 3, false)],
         ),
         (
             ProtocolId::Zyzzyva,
-            [(2, 4, true), (3, 7, true), (4, 10, true)],
+            [(2, 4, 1, true), (3, 7, 2, true), (4, 10, 3, true)],
         ),
         (
             ProtocolId::PbftEa,
-            [(1, 2, true), (1, 3, true), (1, 4, true)],
+            [(1, 2, 1, true), (1, 3, 2, true), (1, 4, 3, true)],
         ),
         (
             ProtocolId::MinBft,
-            [(1, 2, true), (1, 3, true), (1, 4, true)],
+            [(1, 2, 1, true), (1, 3, 2, true), (1, 4, 3, true)],
         ),
         (
             ProtocolId::MinZz,
-            [(1, 3, true), (1, 5, true), (1, 7, true)],
+            [(1, 3, 1, true), (1, 5, 2, true), (1, 7, 3, true)],
         ),
         (
             ProtocolId::OpbftEa,
-            [(1, 2, true), (1, 3, true), (1, 4, true)],
+            [(1, 2, 1, true), (1, 3, 2, true), (1, 4, 3, true)],
         ),
         (
             ProtocolId::CheapBft,
-            [(1, 2, true), (1, 3, true), (1, 4, true)],
+            [(1, 2, 1, true), (1, 3, 2, true), (1, 4, 3, true)],
         ),
         (
             ProtocolId::FlexiBft,
-            [(2, 2, false), (3, 3, false), (4, 4, false)],
+            [(2, 2, 1, false), (3, 3, 2, false), (4, 4, 3, false)],
         ),
         (
             ProtocolId::FlexiZz,
-            [(2, 3, true), (3, 5, true), (4, 7, true)],
+            [(2, 3, 1, true), (3, 5, 2, true), (4, 7, 3, true)],
         ),
         (
             ProtocolId::OFlexiBft,
-            [(2, 2, false), (3, 3, false), (4, 4, false)],
+            [(2, 2, 1, false), (3, 3, 2, false), (4, 4, 3, false)],
         ),
         (
             ProtocolId::OFlexiZz,
-            [(2, 3, true), (3, 5, true), (4, 7, true)],
+            [(2, 3, 1, true), (3, 5, 2, true), (4, 7, 3, true)],
         ),
     ];
     assert_eq!(responsiveness.len(), ProtocolId::ALL.len());
     for (protocol, rows) in responsiveness {
         for (f, expected) in (1usize..).zip(rows) {
             let r = responsiveness_attack(protocol, f);
-            let outcome = (r.matching_replies, r.replies_needed, r.client_stuck());
+            let outcome = (
+                r.matching_replies,
+                r.replies_needed,
+                r.view_change_votes,
+                r.client_stuck(),
+            );
             assert_eq!(outcome, expected, "{} f={f}", protocol.name());
         }
     }

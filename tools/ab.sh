@@ -11,6 +11,9 @@
 # quartiles, the change in per cent and how many pairs the change won (by
 # the metric's direction in BENCHMARK.json), then any run that was
 # incorrect, had failed operations, stalled rounds or dropped messages.
+# A metric whose change median is worse than the parent median by more
+# than its BENCHMARK.json bound is marked OVER BOUND, and the script then
+# exits 1 once every workload has run.
 # Each run's JSON line is kept in the directory printed first.
 #
 # Build each side's benchmark in its own tree first
@@ -51,7 +54,7 @@ compare() {
     done
   done
 
-  python3 - "$out" "$workload" <<'PY'
+  python3 - "$out" "$workload" <<'PY' || over_bound=1
 import json, statistics, sys
 out, workload = sys.argv[1], sys.argv[2]
 manifest = json.load(open("BENCHMARK.json"))
@@ -67,6 +70,7 @@ def quartiles(values):
     q = statistics.quantiles(values, n=4)
     return q[0], q[2]
 
+over = False
 print(f"{workload}: {pairs} pairs")
 print(f"{'metric':<16}{'parent median [quartiles]':>36}{'change median [quartiles]':>36}{'change':>9}{'won':>7}")
 for m in manifest["end_to_end"]:
@@ -79,16 +83,22 @@ for m in manifest["end_to_end"]:
     sign = 1 if m["better"] == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
     delta = (change - parent) / parent if parent else 0.0
-    print(f"{m['name']:<16}{cells['parent']:>36}{cells['change']:>36}{delta:>+9.1%}{won:>4}/{pairs}")
+    flag = ""
+    if -sign * delta > m["bound"]:
+        flag, over = "  OVER BOUND", True
+    print(f"{m['name']:<16}{cells['parent']:>36}{cells['change']:>36}{delta:>+9.1%}{won:>4}/{pairs}{flag}")
 for s, rows in runs.items():
     bad = [r for r in rows if not r["correct"] or r["failed"]]
     notes = [l.strip() for l in open(f"{out}/{s}.notes")]
     stuck = [n for n in notes if not n.startswith("0 stalled, 0 msgs")]
     if bad or stuck:
         print(f"{s}: {len(bad)} incorrect or failing runs; {stuck}")
+sys.exit(1 if over else 0)
 PY
 }
 
+over_bound=0
 for workload in $workloads; do
   compare "$workload"
 done
+exit "$over_bound"
