@@ -6,13 +6,18 @@
 //!   [b] primary accesses a TC in the PrePrepare phase;
 //!   [c] primary TC + SA in PrePrepare;
 //!   [d] primary TC + SA in all three phases;
-//!   [e] all replicas TC in PrePrepare;
-//!   [f] all replicas TC + SA in PrePrepare;
 //!   [g] all replicas TC + SA in all three phases.
+//!
+//! The paper's bars [e] and [f] (all replicas: TC, and TC + SA, in
+//! PrePrepare) are not drawn. This engine touches a backup's trusted
+//! component only to attest the backup's own votes, and in the PrePrepare
+//! phase a backup only checks the primary's attestation; so those bars ran
+//! the clusters of [b] and [c] with idle enclaves at the backups and
+//! printed the same throughputs again.
 
+use flexitrust::host::ReplicaSetup;
 use flexitrust::prelude::*;
 use flexitrust::protocol::PbftFamilyEngine;
-use flexitrust::sim::{build_replicas, ReplicaSetup};
 use flexitrust::trusted::{AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry};
 use flexitrust::types::{PrimaryAttest, ProtocolStyle, ReplicaAttest};
 use flexitrust_bench::{eval_spec, print_table};
@@ -58,20 +63,6 @@ fn bars() -> Vec<Bar> {
             signed: true,
         },
         Bar {
-            label: "[e] All: TC in Prep",
-            primary_attest: P::HostCounter,
-            replica_attest: R::None,
-            all_replicas_have_tc: true,
-            signed: false,
-        },
-        Bar {
-            label: "[f] All: TC+SA in Prep",
-            primary_attest: P::HostCounter,
-            replica_attest: R::None,
-            all_replicas_have_tc: true,
-            signed: true,
-        },
-        Bar {
             label: "[g] All: TC+SA all phases",
             primary_attest: P::HostCounter,
             replica_attest: R::Counter,
@@ -96,35 +87,34 @@ fn run_bar(bar: &Bar) -> f64 {
         replica_attest: bar.replica_attest,
         ..ProtocolId::Pbft.style()
     };
-    let replicas: Vec<ReplicaSetup> = if bar.primary_attest == PrimaryAttest::None {
-        build_replicas(&spec)
-    } else {
-        (0..config.n)
-            .map(|i| {
-                let id = ReplicaId(i as u32);
-                // Bars [b]-[d]: only the primary holds an (active) enclave;
-                // bars [e]-[g]: every replica does.
-                let enclave = if i == 0 || bar.all_replicas_have_tc {
-                    Some(Enclave::shared(
-                        EnclaveConfig::counter_only(id, AttestationMode::Counting)
-                            .with_hardware(spec.hardware),
-                    ))
-                } else {
-                    None
-                };
-                ReplicaSetup {
-                    engine: Box::new(PbftFamilyEngine::new(
-                        config.clone(),
-                        id,
-                        style,
-                        enclave.clone(),
-                        Some(registry.clone()),
-                    )),
-                    enclave,
-                }
-            })
-            .collect()
-    };
+    if bar.primary_attest == PrimaryAttest::None {
+        return Simulation::new(spec).run().throughput_tps;
+    }
+    let replicas: Vec<ReplicaSetup> = (0..config.n)
+        .map(|i| {
+            let id = ReplicaId(i as u32);
+            // Bars [b]-[d]: only the primary holds an (active) enclave;
+            // bar [g]: every replica does.
+            let enclave = if i == 0 || bar.all_replicas_have_tc {
+                Some(Enclave::shared(
+                    EnclaveConfig::counter_only(id, AttestationMode::Counting)
+                        .with_hardware(spec.hardware),
+                ))
+            } else {
+                None
+            };
+            ReplicaSetup {
+                engine: Box::new(PbftFamilyEngine::new(
+                    config.clone(),
+                    id,
+                    style,
+                    enclave.clone(),
+                    Some(registry.clone()),
+                )),
+                enclave,
+            }
+        })
+        .collect();
     Simulation::with_replicas(spec, replicas)
         .run()
         .throughput_tps

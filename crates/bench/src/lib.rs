@@ -4,7 +4,8 @@
 //! the paper's evaluation (§9) and prints the same rows/series the paper
 //! reports. The absolute numbers come from the discrete-event simulator and
 //! are not expected to match the paper's 97-node cloud deployment; the
-//! orderings and crossovers are (see `EXPERIMENTS.md`).
+//! orderings and crossovers are (see the "Paper figures → benches" table
+//! in `README.md`).
 //!
 //! The parameters here are deliberately scaled down (smaller `f`, shorter
 //! simulated windows, fewer clients) so that the whole suite runs in minutes

@@ -43,13 +43,13 @@
 //! once: the slot table, the `PrePrepare` / `Prepare` / `Commit` phases and
 //! their certificates, how each message is attested, the retry timers, and
 //! the proofs, re-attestations and rollbacks a view change needs. The
-//! style-independent part — client glue, the primary's proposal window,
-//! checkpoint state transfer, the view-change state machine — is
+//! style-independent part — client glue, the primary's proposal window and
+//! the sequencer that binds its batches, the one execution path that commit
+//! and checkpoint state transfer share, the view-change state machine — is
 //! [`ReplicaCore`].
 
 use crate::{
-    Binding, CertificateTracker, ConsensusEngine, Message, Outbox, PreparedProof, ReplicaCore,
-    TimerKind,
+    CertificateTracker, ConsensusEngine, Message, Outbox, PreparedProof, ReplicaCore, TimerKind,
 };
 use flexitrust_crypto::digest_transaction;
 use flexitrust_trusted::{AttestKind, Attestation, EnclaveRegistry, SharedEnclave};
@@ -82,56 +82,10 @@ struct SlotState {
     committed: bool,
 }
 
-/// How this replica, when primary, binds a batch to a sequence number: it
-/// picks the next number itself — or, under `AppendF`, lets its trusted
-/// counter pick it — and has its trusted component (when the style uses
-/// one) attest the pair.
-struct Sequencer {
-    next_seq: u64,
-    /// Trusted counter identifier used by the current primary (a new counter
-    /// is created after each view change).
-    counter_id: u64,
-    enclave: Option<SharedEnclave>,
-    attest: PrimaryAttest,
-}
-
-impl Sequencer {
-    fn attestation(&self, seq: SeqNum, digest: Digest) -> Option<Attestation> {
-        let enclave = self.enclave.as_ref()?;
-        match self.attest {
-            PrimaryAttest::None => None,
-            PrimaryAttest::HostCounter => enclave.append(self.counter_id, seq.0, digest).ok(),
-            PrimaryAttest::Log => enclave.log_append(0, Some(seq.0), digest).ok(),
-            PrimaryAttest::AppendF => {
-                let (value, attestation) = enclave.append_f(self.counter_id, digest).ok()?;
-                debug_assert_eq!(value, seq.0, "re-proposals must stay contiguous");
-                Some(attestation)
-            }
-        }
-    }
-
-    /// The `bind` the shared proposal window and client glue take. Should
-    /// an `AppendF` counter be unusable (it is not for an honest primary)
-    /// the batch stays queued.
-    fn bind(&mut self) -> impl FnMut(&Batch) -> Binding + '_ {
-        move |batch| {
-            if self.attest == PrimaryAttest::AppendF {
-                let enclave = self.enclave.as_ref()?;
-                let (seq, attestation) = enclave.append_f(self.counter_id, batch.digest()).ok()?;
-                return Some((SeqNum(seq), Some(attestation)));
-            }
-            let seq = SeqNum(self.next_seq);
-            self.next_seq += 1;
-            Some((seq, self.attestation(seq, batch.digest())))
-        }
-    }
-}
-
 /// A configurable PBFT-family replica engine.
 pub struct PbftFamilyEngine {
     style: ProtocolStyle,
     core: ReplicaCore,
-    sequencer: Sequencer,
     registry: Option<EnclaveRegistry>,
 
     slots: BTreeMap<u64, SlotState>,
@@ -158,17 +112,11 @@ impl PbftFamilyEngine {
         let prepare_quorum = config.quorum(style.prepare_quorum_rule);
         let commit_quorum = config.quorum(style.commit_quorum_rule);
         PbftFamilyEngine {
-            core: ReplicaCore::new(config, id),
+            core: ReplicaCore::with_sequencer(config, id, style.primary_attest, enclave),
             prepare_votes: CertificateTracker::new(prepare_quorum),
             commit_votes: CertificateTracker::new(commit_quorum),
             slots: BTreeMap::new(),
             forwarded: BTreeSet::new(),
-            sequencer: Sequencer {
-                next_seq: 1,
-                counter_id: 0,
-                enclave,
-                attest: style.primary_attest,
-            },
             style,
             registry,
         }
@@ -192,7 +140,8 @@ impl PbftFamilyEngine {
     }
 
     fn replica_vote_attestation(&self, seq: SeqNum, digest: Digest) -> Option<Attestation> {
-        let enclave = self.sequencer.enclave.as_ref()?;
+        let sequencer = &self.core.sequencer;
+        let enclave = sequencer.enclave.as_ref()?;
         match self.style.replica_attest {
             ReplicaAttest::None => None,
             ReplicaAttest::Counter => {
@@ -200,9 +149,7 @@ impl PbftFamilyEngine {
                 // counter; the counter value is the sequence number being
                 // voted on (so out-of-order votes are rejected by the TC,
                 // which is the §7 sequentiality constraint).
-                enclave
-                    .append(self.sequencer.counter_id, seq.0, digest)
-                    .ok()
+                enclave.append(sequencer.counter_id, seq.0, digest).ok()
             }
             ReplicaAttest::Log => enclave.log_append(1, None, digest).ok(),
         }
@@ -289,7 +236,7 @@ impl PbftFamilyEngine {
             if self.style.replica_attest != ReplicaAttest::None && !self.core.is_primary() {
                 let _ = self.replica_vote_attestation(seq, digest);
             }
-            self.execute(seq, batch, true, out);
+            self.core.execute(seq, batch, true, out);
             return;
         }
 
@@ -352,7 +299,7 @@ impl PbftFamilyEngine {
         if !self.style.use_commit_phase {
             // MinBFT, CheapBFT, Flexi-BFT: prepared == committed.
             let batch = slot.batch.clone();
-            self.execute(seq, batch, false, out);
+            self.core.execute(seq, batch, false, out);
         } else if active {
             let view = slot.view;
             let attestation = self.replica_vote_attestation(seq, digest);
@@ -391,19 +338,7 @@ impl PbftFamilyEngine {
         }
         slot.committed = true;
         let batch = slot.batch.clone();
-        self.execute(seq, batch, false, out);
-    }
-
-    /// Executes `batch` at `seq` (and whatever parked successors it
-    /// releases), and refills the primary's proposal window after each
-    /// executed batch.
-    fn execute(&mut self, seq: SeqNum, batch: Batch, speculative: bool, out: &mut Outbox) {
-        let executed = self.core.commit_batch(seq, batch, speculative, out);
-        for done in &executed {
-            self.core.maybe_emit_checkpoint(done.seq, out);
-            self.core.instance_finished(done.seq);
-            self.core.try_propose(self.sequencer.bind(), out);
-        }
+        self.core.execute(seq, batch, false, out);
     }
 
     // ------------------------------------------------------------------
@@ -416,10 +351,7 @@ impl PbftFamilyEngine {
     fn on_client_retry(&mut self, txn: Transaction, out: &mut Outbox) {
         let tag = forwarded_tag(&txn);
         let timer = TimerKind::RequestForwarded(tag);
-        if self
-            .core
-            .on_client_retry(txn, timer, self.sequencer.bind(), out)
-        {
+        if self.core.on_client_retry(txn, timer, out) {
             self.forwarded.insert(tag);
         }
     }
@@ -457,7 +389,7 @@ impl PbftFamilyEngine {
         self.slots.retain(|s, _| *s > stable.0);
         self.prepare_votes.retain(|(_, s, _)| *s > stable);
         self.commit_votes.retain(|(_, s, _)| *s > stable);
-        if let Some(enclave) = &self.sequencer.enclave {
+        if let Some(enclave) = &self.core.sequencer.enclave {
             enclave.truncate_logs(stable.0);
         }
     }
@@ -474,9 +406,7 @@ impl PbftFamilyEngine {
     }
 
     /// Installs a peer's stable checkpoint (crash-recovery rejoin) and
-    /// replays the accompanying batches; as on the normal execution path,
-    /// each replayed batch moves this replica's own sequence counter past it
-    /// and frees its slot of the proposal window.
+    /// replays the accompanying batches on the normal execution path.
     fn on_checkpoint_state(
         &mut self,
         seq: SeqNum,
@@ -484,24 +414,11 @@ impl PbftFamilyEngine {
         batches: Vec<(SeqNum, Batch)>,
         out: &mut Outbox,
     ) {
-        let sequencer = &mut self.sequencer;
-        let installed = self.core.replay_checkpoint_state(
-            seq,
-            snapshot,
-            batches,
-            self.style.speculative,
-            |core, batch_seq, executed, out| {
-                sequencer.next_seq = sequencer.next_seq.max(batch_seq.0 + 1);
-                for done in executed {
-                    core.instance_finished(done.seq);
-                }
-                if !executed.is_empty() {
-                    core.try_propose(sequencer.bind(), out);
-                }
-            },
-            out,
-        );
-        if installed {
+        let speculative = self.style.speculative;
+        if self
+            .core
+            .replay_checkpoint_state(seq, snapshot, batches, speculative, out)
+        {
             self.forget_through(seq);
         }
     }
@@ -544,24 +461,13 @@ impl PbftFamilyEngine {
             return;
         };
         // This replica is the primary of the new view.
-        self.sequencer.next_seq = plan.next_seq.0;
-        // Counter-based primaries create a fresh counter positioned at the
-        // stable checkpoint, so re-proposals are attested from the lowest
-        // re-proposed sequence number on (§8.1 Create); FlexiTrust backups
-        // demand the proof of that creation (§8.2, §8.3).
-        let mut created = None;
-        if let (PrimaryAttest::HostCounter | PrimaryAttest::AppendF, Some(enclave)) =
-            (self.style.primary_attest, &self.sequencer.enclave)
-        {
-            let (counter_id, attestation) = enclave.create_counter(plan.stable_seq.0);
-            self.sequencer.counter_id = counter_id;
-            created = (self.style.primary_attest == PrimaryAttest::AppendF).then_some(attestation);
-        }
+        let sequencer = &mut self.core.sequencer;
+        let created = sequencer.take_over(plan.next_seq, plan.stable_seq);
         let proposals: Vec<(SeqNum, Batch, Option<Attestation>)> = plan
             .proposals
             .iter()
             .map(|(seq, batch)| {
-                let attestation = self.sequencer.attestation(*seq, batch.digest());
+                let attestation = sequencer.attestation(*seq, batch.digest());
                 (*seq, batch.clone(), attestation)
             })
             .collect();
@@ -621,7 +527,7 @@ impl PbftFamilyEngine {
             if self.core.exec().is_executed(seq) {
                 continue;
             }
-            self.sequencer.next_seq = self.sequencer.next_seq.max(seq.0 + 1);
+            self.core.sequencer.skip_past(seq);
             self.on_preprepare(from, view, seq, batch, attestation, out);
         }
     }
@@ -694,8 +600,7 @@ impl ConsensusEngine for PbftFamilyEngine {
     }
 
     fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
-        self.core
-            .on_client_request(txns, self.sequencer.bind(), out);
+        self.core.on_client_request(txns, out);
     }
 
     #[deny(
@@ -741,7 +646,7 @@ impl ConsensusEngine for PbftFamilyEngine {
                 out,
             ),
             Message::ClientRetry { txn } => self.on_client_retry(txn, out),
-            Message::ForwardRequest { txns } => self.core.enqueue(txns, self.sequencer.bind(), out),
+            Message::ForwardRequest { txns } => self.core.enqueue(txns, out),
             Message::CheckpointRequest { last_executed } => {
                 self.on_checkpoint_request(from, last_executed, out)
             }
@@ -755,7 +660,7 @@ impl ConsensusEngine for PbftFamilyEngine {
 
     fn on_timer(&mut self, timer: TimerKind, out: &mut Outbox) {
         match timer {
-            TimerKind::BatchFlush => self.core.flush_batch(self.sequencer.bind(), out),
+            TimerKind::BatchFlush => self.core.flush_batch(out),
             TimerKind::ViewChange => self.start_view_change(out),
             TimerKind::RequestForwarded(tag) => {
                 // The primary never proposed the forwarded transaction:

@@ -9,21 +9,22 @@
 //!
 //! * [`EngineHost`] is the environment contract — the handful of primitives
 //!   an environment must supply (deliver a message, deliver a reply, schedule
-//!   a timer) plus optional accounting hooks (per-action CPU cost, batch
-//!   start) that only the simulator implements.
+//!   a timer) plus one optional hook, [`EngineHost::begin_batch`], that shows
+//!   an invocation's actions before any of them is performed (the simulator
+//!   prices them there).
 //! * [`Dispatcher`] owns the **single** `Action` dispatch site in the
 //!   workspace: it drains an engine's [`Outbox`], performs timer-token
 //!   bookkeeping (so stale timer expirations are ignored uniformly across
-//!   hosts), totals the CPU cost of the emitted actions, and hands each
-//!   effect to the environment in emission order — except client replies,
-//!   which leave in one [`EngineHost::replies`] call per dispatch.
+//!   hosts), and hands each action to the environment in one pass, in
+//!   emission order — except client replies, which leave in one
+//!   [`EngineHost::replies`] call per dispatch.
 //!
 //! Environments implement only what is genuinely environment-specific:
 //! scheduling an event (simulator), sending on a channel or a socket
 //! (runtime) or queueing into an inbox (tests and attack scenarios).
 //!
-//! Two more things every host needs exist once, here: [`build_replica`],
-//! the configuration → engine factory, and [`CrashWindow`] / [`WindowPhase`],
+//! Two more things every host needs exist once, here: [`build_cluster`],
+//! the configuration → engines factory, and [`CrashWindow`] / [`WindowPhase`],
 //! the commit-progress-triggered crash-recovery state machine.
 
 mod window;
@@ -31,10 +32,10 @@ mod window;
 pub use window::{CrashWindow, WindowEvent, WindowPhase};
 
 use crate::family::PbftFamilyEngine;
-use crate::{
-    unshare, Action, ClientReply, ConsensusEngine, Message, Outbox, SharedMessage, TimerKind,
+use crate::{unshare, Action, ClientReply, ConsensusEngine, Outbox, SharedMessage, TimerKind};
+use flexitrust_trusted::{
+    AttestationMode, Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave, TrustedHardware,
 };
-use flexitrust_trusted::{Enclave, EnclaveConfig, EnclaveRegistry, SharedEnclave, TrustedHardware};
 use flexitrust_types::{ClientId, ReplicaId, RequestId, SeqNum, SystemConfig, Transaction};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -49,27 +50,31 @@ pub struct ReplicaSetup {
     pub enclave: Option<SharedEnclave>,
 }
 
-/// Builds replica `id` of a `config.protocol` cluster: the one engine with
-/// the protocol's row, and the enclave the row's primary attestation needs.
-/// Every engine of one cluster shares `config` and the registry's key table
-/// by reference count. The enclave attests in the registry's mode —
-/// counting for the simulator (which charges signing *cost* through its
-/// cost model instead), real Ed25519 for the threaded hosts — on the given
-/// `hardware`.
-pub fn build_replica(
-    config: Arc<SystemConfig>,
-    id: ReplicaId,
-    registry: EnclaveRegistry,
+/// Builds every replica of a `config.protocol` cluster, in replica order:
+/// the one engine with the protocol's row, and the enclave the row's
+/// primary attestation needs. The engines share `config` and one registry's
+/// key table by reference count. The enclaves attest in `mode` — counting
+/// for the simulator (which charges signing *cost* through its cost model
+/// instead), real Ed25519 for the threaded hosts — on the given `hardware`.
+pub fn build_cluster(
+    config: &Arc<SystemConfig>,
+    mode: AttestationMode,
     hardware: TrustedHardware,
-) -> ReplicaSetup {
+) -> Vec<ReplicaSetup> {
     let style = config.protocol.style();
-    let enclave = EnclaveConfig::for_style(&style, id, registry.mode())
-        .map(|enclave| Enclave::shared(enclave.with_hardware(hardware)));
-    let engine = PbftFamilyEngine::new(config, id, style, enclave.clone(), Some(registry));
-    ReplicaSetup {
-        engine: Box::new(engine),
-        enclave,
-    }
+    let registry = EnclaveRegistry::deterministic(config.n, mode);
+    let build = |id| {
+        let enclave = EnclaveConfig::for_style(&style, id, mode)
+            .map(|enclave| Enclave::shared(enclave.with_hardware(hardware)));
+        let registry = Some(registry.clone());
+        let engine =
+            PbftFamilyEngine::new(Arc::clone(config), id, style, enclave.clone(), registry);
+        ReplicaSetup {
+            engine: Box::new(engine),
+            enclave,
+        }
+    };
+    config.replicas().map(build).collect()
 }
 
 /// One committed transaction, as observed by its issuing client: the
@@ -108,9 +113,10 @@ impl TimerToken {
 /// The primitives an engine-hosting environment supplies.
 ///
 /// Only [`send`](EngineHost::send), [`reply`](EngineHost::reply) and
-/// [`schedule_timer`](EngineHost::schedule_timer) are required; the
-/// accounting hooks default to no-ops so that environments without a cost
-/// model (the threaded runtime, the test net) implement nothing extra.
+/// [`schedule_timer`](EngineHost::schedule_timer) are required; the other
+/// hooks default to no-ops (or, for the fan-outs, to those three), so that
+/// environments without a cost model (the threaded runtime, the test net)
+/// implement nothing extra.
 pub trait EngineHost {
     /// Deliver `msg` from `from` to `to` over this environment's network.
     /// The message arrives as a shared handle: environments queue or route
@@ -164,34 +170,12 @@ pub trait EngineHost {
     /// `replica`. Metrics only.
     fn executed(&mut self, _replica: ReplicaId, _seq: SeqNum, _txns: usize) {}
 
-    /// CPU cost (ns) of preparing and sending `msg` to `destinations`
-    /// replicas; summed over a dispatch batch and reported to
-    /// [`begin_batch`](EngineHost::begin_batch).
-    fn send_cost_ns(&self, _msg: &Message, _destinations: usize) -> u64 {
-        0
-    }
-
-    /// CPU cost (ns) of executing `txns` transactions.
-    fn execution_cost_ns(&self, _txns: usize) -> u64 {
-        0
-    }
-
-    /// Called once per dispatch batch, before any effect is emitted, with
-    /// the summed CPU cost of the batch's actions. The simulator computes
-    /// the invocation's departure time here; other environments ignore it.
-    fn begin_batch(&mut self, _from: ReplicaId, _actions_cost_ns: u64) {}
-}
-
-/// Host-internal intermediate form of one action: the single `Action` match
-/// below converts into this so effects can be emitted *after* the batch cost
-/// is known, while preserving the engine's emission order. Replies are not
-/// effects: they travel as one list and leave last.
-enum Effect {
-    Send { to: ReplicaId, msg: SharedMessage },
-    Broadcast { msg: SharedMessage },
-    SetTimer { timer: TimerKind, delay_us: u64 },
-    CancelTimer { timer: TimerKind },
-    Executed { seq: SeqNum, txns: usize },
+    /// Called once per dispatch, before any action is performed, with the
+    /// actions one engine invocation at `from` emitted (the replies the
+    /// engine's [`Outbox`] holds apart are not among them). The simulator
+    /// prices the invocation here and fixes its departure time; other
+    /// environments ignore it.
+    fn begin_batch(&mut self, _from: ReplicaId, _actions: &[Action]) {}
 }
 
 /// Translates engine [`Action`]s into [`EngineHost`] primitives and owns the
@@ -317,12 +301,11 @@ impl Dispatcher {
         self.emit(from, actions, replies, env);
     }
 
-    /// This is the single `Action` dispatch site in the workspace. The match
-    /// runs once per action, accumulating the batch's CPU cost and an
-    /// order-preserving effect list; `env.begin_batch` then fixes the batch's
-    /// departure point before the effects are emitted, and the replies —
-    /// the outbox's list, then any explicit `Action::Reply` — leave last,
-    /// in one hand-off.
+    /// This is the single `Action` dispatch site in the workspace.
+    /// `env.begin_batch` sees the invocation's actions first; one pass then
+    /// performs them in emission order, and the replies — the outbox's
+    /// list, then any explicit `Action::Reply` — leave last, in one
+    /// hand-off.
     fn emit<E: EngineHost>(
         &mut self,
         from: ReplicaId,
@@ -330,53 +313,26 @@ impl Dispatcher {
         mut replies: Vec<ClientReply>,
         env: &mut E,
     ) {
-        let replicas = self.replicas;
-        let mut cost_ns = 0u64;
-        let mut effects = Vec::with_capacity(actions.len());
+        env.begin_batch(from, &actions);
         for action in actions {
-            effects.push(match action {
-                Action::Send { to, msg } => {
-                    cost_ns += env.send_cost_ns(&msg, 1);
-                    // The single point where an outbound message becomes a
-                    // shared payload: everything downstream holds this one
-                    // allocation.
-                    Effect::Send {
-                        to,
-                        msg: Arc::new(msg),
-                    }
-                }
-                Action::Broadcast { msg } => {
-                    cost_ns += env.send_cost_ns(&msg, replicas.saturating_sub(1));
-                    Effect::Broadcast { msg: Arc::new(msg) }
-                }
-                Action::Reply { reply } => {
-                    replies.push(reply);
-                    continue;
-                }
-                Action::SetTimer { timer, delay_us } => Effect::SetTimer { timer, delay_us },
-                Action::CancelTimer { timer } => Effect::CancelTimer { timer },
-                Action::Executed { seq, txns } => {
-                    cost_ns += env.execution_cost_ns(txns);
-                    Effect::Executed { seq, txns }
-                }
-            });
-        }
-        env.begin_batch(from, cost_ns);
-        for effect in effects {
-            match effect {
-                Effect::Send { to, msg } => env.send(from, to, msg),
-                Effect::Broadcast { msg } => env.broadcast(from, replicas, msg),
-                Effect::SetTimer { timer, delay_us } => {
+            match action {
+                // The single point where an outbound message becomes a
+                // shared payload: everything downstream holds this one
+                // allocation.
+                Action::Send { to, msg } => env.send(from, to, Arc::new(msg)),
+                Action::Broadcast { msg } => env.broadcast(from, self.replicas, Arc::new(msg)),
+                Action::Reply { reply } => replies.push(reply),
+                Action::SetTimer { timer, delay_us } => {
                     self.next_token += 1;
                     let token = TimerToken(self.next_token);
                     self.armed.insert((from, timer), token.0);
                     env.schedule_timer(from, timer, delay_us, token);
                 }
-                Effect::CancelTimer { timer } => {
+                Action::CancelTimer { timer } => {
                     self.armed.remove(&(from, timer));
                     env.timer_cancelled(from, timer);
                 }
-                Effect::Executed { seq, txns } => env.executed(from, seq, txns),
+                Action::Executed { seq, txns } => env.executed(from, seq, txns),
             }
         }
         if !replies.is_empty() {
@@ -388,6 +344,7 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Message;
     use flexitrust_types::{Digest, View};
 
     #[derive(Default)]
@@ -399,7 +356,9 @@ mod tests {
         scheduled: Vec<(ReplicaId, TimerKind, u64, TimerToken)>,
         cancelled: Vec<TimerKind>,
         executed: Vec<(SeqNum, usize)>,
-        batches: Vec<u64>,
+        /// One entry per `begin_batch` call: how many sends had been made
+        /// when it came, and how many actions it was shown.
+        batches: Vec<(usize, usize)>,
     }
 
     impl EngineHost for RecordingEnv {
@@ -434,16 +393,8 @@ mod tests {
             self.executed.push((seq, txns));
         }
 
-        fn send_cost_ns(&self, _msg: &Message, destinations: usize) -> u64 {
-            100 * destinations as u64
-        }
-
-        fn execution_cost_ns(&self, txns: usize) -> u64 {
-            10 * txns as u64
-        }
-
-        fn begin_batch(&mut self, _from: ReplicaId, cost: u64) {
-            self.batches.push(cost);
+        fn begin_batch(&mut self, _from: ReplicaId, actions: &[Action]) {
+            self.batches.push((self.sends.len(), actions.len()));
         }
     }
 
@@ -560,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_fans_out_and_totals_costs() {
+    fn dispatch_shows_the_actions_first_then_fans_out() {
         let mut dispatcher = Dispatcher::new(4);
         let mut env = RecordingEnv::default();
         let actions = vec![
@@ -579,9 +530,8 @@ mod tests {
         // unicast.
         assert_eq!(env.sends.len(), 5);
         assert_eq!(env.sends[4], (ReplicaId(0), ReplicaId(2), "Prepare".into()));
-        // Cost: broadcast to n-1 destinations (300) + unicast (100) + 5 txns
-        // executed (50), reported before any effect.
-        assert_eq!(env.batches, vec![450]);
+        // All three actions were shown before any was performed.
+        assert_eq!(env.batches, vec![(0, 3)]);
         assert_eq!(env.executed, vec![(SeqNum(1), 5)]);
     }
 

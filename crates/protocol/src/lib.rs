@@ -15,14 +15,15 @@
 //! vocabulary ([`Message`]), quorum certificates
 //! ([`CertificateTracker`]), request batching ([`Batcher`]),
 //! the per-replica common state and replica skeleton
-//! ([`ReplicaCore`]: client glue, the primary's proposal window,
-//! checkpoint state transfer), the view change (its state machine
+//! ([`ReplicaCore`]: client glue, the primary's proposal window and the
+//! sequencer that binds its batches, execution and checkpoint state
+//! transfer), the view change (its state machine
 //! and the new-view planning), the client-side library
 //! ([`ClientLibrary`]) and the Figure 1 protocol property table
 //! ([`ProtocolProperties`]).
 //!
 //! Every host drives engines through [`host`]: the one configuration →
-//! engine factory ([`host::build_replica`]), the one `Action` dispatcher
+//! engines factory ([`host::build_cluster`]), the one `Action` dispatcher
 //! ([`host::Dispatcher`]) and the environment contract
 //! ([`host::EngineHost`]). [`testing`] is the synchronous host the engine
 //! tests of every crate share.
@@ -50,4 +51,4 @@ pub use family::PbftFamilyEngine;
 pub use messages::{unshare, ClientReply, Message, PreparedProof, SharedMessage};
 pub use properties::{MemoryFootprint, ProtocolProperties, TrustedAbstraction};
 pub use quorum::CertificateTracker;
-pub use replica::{Binding, ReplicaCore};
+pub use replica::ReplicaCore;

@@ -9,10 +9,10 @@
 //! paper inherits unchanged from PBFT: the client glue, the primary's
 //! proposal window, checkpoint state transfer and (in
 //! [`crate::viewchange`]) the view change. How a batch gets its
-//! sequence number is the one thing the protocols disagree on there, so the
-//! proposing entry points take the engine's `bind` closure: `AppendF` on
-//! the trusted counter for FlexiTrust, the next host-chosen number plus the
-//! style's attestation for the baselines.
+//! sequence number is the one thing the protocols disagree on there, and
+//! the window's own [`Sequencer`] decides it from the style's
+//! [`PrimaryAttest`]: `AppendF` on the trusted counter for FlexiTrust, the
+//! next host-chosen number plus the style's attestation for the baselines.
 //!
 //! The engine embeds a `ReplicaCore` and adds its phase state — the table
 //! of accepted proposals and the votes on them — on top.
@@ -26,20 +26,85 @@ use client_table::ClientTable;
 use flexitrust_exec::{
     Checkpoint, CheckpointJournal, CheckpointLog, ExecutedBatch, ExecutionQueue, KvStore,
 };
-use flexitrust_trusted::Attestation;
+use flexitrust_trusted::{Attestation, SharedEnclave};
 use flexitrust_types::{
-    Batch, ClientId, Digest, KvResult, ReplicaId, SeqNum, StateSnapshot, SystemConfig, Transaction,
-    View,
+    Batch, ClientId, Digest, KvResult, PrimaryAttest, ReplicaId, SeqNum, StateSnapshot,
+    SystemConfig, Transaction, View,
 };
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 mod client_table;
 
-/// What an engine's `bind` closure gives a batch about to be proposed: its
-/// sequence number and the attestation that travels with the `PrePrepare`.
-/// `None` declines — the batch stays queued and proposing stops.
-pub type Binding = Option<(SeqNum, Option<Attestation>)>;
+/// How this replica, when primary, binds a batch to a sequence number: it
+/// picks the next number itself — or, under `AppendF`, lets its trusted
+/// counter pick it — and has its trusted component (when the style uses
+/// one) attest the pair.
+pub(crate) struct Sequencer {
+    next_seq: u64,
+    /// Trusted counter identifier used by the current primary (a new counter
+    /// is created after each view change).
+    pub(crate) counter_id: u64,
+    pub(crate) enclave: Option<SharedEnclave>,
+    attest: PrimaryAttest,
+}
+
+impl Sequencer {
+    /// The attestation the proposal of `digest` at `seq` carries.
+    pub(crate) fn attestation(&self, seq: SeqNum, digest: Digest) -> Option<Attestation> {
+        let enclave = self.enclave.as_ref()?;
+        match self.attest {
+            PrimaryAttest::None => None,
+            PrimaryAttest::HostCounter => enclave.append(self.counter_id, seq.0, digest).ok(),
+            PrimaryAttest::Log => enclave.log_append(0, Some(seq.0), digest).ok(),
+            PrimaryAttest::AppendF => {
+                let (value, attestation) = enclave.append_f(self.counter_id, digest).ok()?;
+                debug_assert_eq!(value, seq.0, "re-proposals must stay contiguous");
+                Some(attestation)
+            }
+        }
+    }
+
+    /// The sequence number `batch` is proposed at and the attestation that
+    /// travels with its `PrePrepare`. `None` declines — should an `AppendF`
+    /// counter be unusable (it is not for an honest primary) — and the
+    /// batch stays queued.
+    fn bind(&mut self, batch: &Batch) -> Option<(SeqNum, Option<Attestation>)> {
+        if self.attest == PrimaryAttest::AppendF {
+            let enclave = self.enclave.as_ref()?;
+            let (seq, attestation) = enclave.append_f(self.counter_id, batch.digest()).ok()?;
+            return Some((SeqNum(seq), Some(attestation)));
+        }
+        let seq = SeqNum(self.next_seq);
+        self.next_seq += 1;
+        Some((seq, self.attestation(seq, batch.digest())))
+    }
+
+    /// Notes that `seq` is already bound to a batch: the next number this
+    /// primary picks is above it.
+    pub(crate) fn skip_past(&mut self, seq: SeqNum) {
+        self.next_seq = self.next_seq.max(seq.0 + 1);
+    }
+
+    /// Takes over as the primary of a new view that proposes from
+    /// `next_seq` on. Counter-based primaries create a fresh counter
+    /// positioned at the stable checkpoint `stable`, so re-proposals are
+    /// attested from the lowest re-proposed sequence number on (§8.1
+    /// Create); under `AppendF` the creation's attestation is returned, the
+    /// proof FlexiTrust backups demand (§8.2, §8.3).
+    pub(crate) fn take_over(&mut self, next_seq: SeqNum, stable: SeqNum) -> Option<Attestation> {
+        self.next_seq = next_seq.0;
+        if !matches!(
+            self.attest,
+            PrimaryAttest::HostCounter | PrimaryAttest::AppendF
+        ) {
+            return None;
+        }
+        let (counter_id, attestation) = self.enclave.as_ref()?.create_counter(stable.0);
+        self.counter_id = counter_id;
+        (self.attest == PrimaryAttest::AppendF).then_some(attestation)
+    }
+}
 
 /// How long a partially filled batch waits at the primary: short, so low
 /// client counts still make progress; it only matters for latency at low
@@ -69,15 +134,31 @@ pub struct ReplicaCore {
     pending_batches: VecDeque<Batch>,
     /// Sequence numbers this primary proposed that have not executed yet.
     outstanding: BTreeSet<u64>,
+    pub(crate) sequencer: Sequencer,
     pub(crate) view_change: ViewChangeState,
 }
 
 impl ReplicaCore {
     /// Creates the core state for replica `id` under `config`, executing
-    /// against an empty key-value store. Accepts either an owned
-    /// `SystemConfig` or an `Arc<SystemConfig>` shared across the cluster.
+    /// against an empty key-value store; as primary it numbers batches
+    /// itself and attests none. Accepts either an owned `SystemConfig` or
+    /// an `Arc<SystemConfig>` shared across the cluster.
     pub fn new(config: impl Into<Arc<SystemConfig>>, id: ReplicaId) -> Self {
         Self::with_store(config, id, KvStore::new())
+    }
+
+    /// Creates the core state of an engine whose primary binds batches as
+    /// `attest` says, over `enclave`.
+    pub(crate) fn with_sequencer(
+        config: Arc<SystemConfig>,
+        id: ReplicaId,
+        attest: PrimaryAttest,
+        enclave: Option<SharedEnclave>,
+    ) -> Self {
+        let mut core = Self::new(config, id);
+        core.sequencer.attest = attest;
+        core.sequencer.enclave = enclave;
+        core
     }
 
     /// Creates the core state with a pre-loaded store (e.g. the 600 k-record
@@ -101,6 +182,12 @@ impl ReplicaCore {
             journal,
             pending_batches: VecDeque::new(),
             outstanding: BTreeSet::new(),
+            sequencer: Sequencer {
+                next_seq: 1,
+                counter_id: 0,
+                enclave: None,
+                attest: PrimaryAttest::None,
+            },
             view_change: ViewChangeState::new(config.small_quorum()),
             view: View::ZERO,
             config,
@@ -246,6 +333,26 @@ impl ReplicaCore {
         executed
     }
 
+    /// Executes `batch` at `seq` (and whatever parked successors it
+    /// releases) through [`Self::commit_batch`]; then, for each executed
+    /// batch, votes for its checkpoint, frees its instance of the proposal
+    /// window and refills the window. Commit and state-transfer replay both
+    /// take this path.
+    pub(crate) fn execute(
+        &mut self,
+        seq: SeqNum,
+        batch: Batch,
+        speculative: bool,
+        out: &mut Outbox,
+    ) {
+        let executed = self.commit_batch(seq, batch, speculative, out);
+        for done in &executed {
+            self.maybe_emit_checkpoint(done.seq, out);
+            self.outstanding.remove(&done.seq.0);
+            self.try_propose(out);
+        }
+    }
+
     /// Broadcasts this replica's `Checkpoint` vote for a batch
     /// [`Self::commit_batch`] just executed, if `seq` is a checkpoint
     /// boundary: the digest certified is the one captured at the boundary,
@@ -371,18 +478,16 @@ impl ReplicaCore {
 
     /// Handles a peer's `CheckpointState` (the recovery rejoin path): adopts
     /// the snapshot when it is ahead of this replica, then replays the
-    /// carried batches in order, emitting replies and checkpoints exactly as
-    /// normal execution would. `replayed` runs after each replayed batch
-    /// with what it executed, for the bookkeeping of the engine's normal
-    /// execution path. Returns `true` when the snapshot itself was installed
-    /// (the caller then drops its per-sequence state up to `seq`).
+    /// carried batches in order on the normal execution path
+    /// ([`Self::execute`]), first moving the sequencer past each. Returns
+    /// `true` when the snapshot itself was installed (the caller then drops
+    /// its per-sequence state up to `seq`).
     pub(crate) fn replay_checkpoint_state(
         &mut self,
         seq: SeqNum,
         snapshot: &StateSnapshot,
         batches: Vec<(SeqNum, Batch)>,
         speculative: bool,
-        mut replayed: impl FnMut(&mut Self, SeqNum, &[ExecutedBatch], &mut Outbox),
         out: &mut Outbox,
     ) -> bool {
         let installed = self.install_checkpoint(seq, snapshot);
@@ -390,11 +495,8 @@ impl ReplicaCore {
             if batch_seq <= self.last_executed() {
                 continue;
             }
-            let executed = self.commit_batch(batch_seq, batch, speculative, out);
-            for done in &executed {
-                self.maybe_emit_checkpoint(done.seq, out);
-            }
-            replayed(self, batch_seq, &executed, out);
+            self.sequencer.skip_past(batch_seq);
+            self.execute(batch_seq, batch, speculative, out);
         }
         installed
     }
@@ -407,12 +509,7 @@ impl ReplicaCore {
     /// At the primary, queues client transactions for proposal and arms the
     /// `BatchFlush` timer when a partial batch remains; a backup (a forwarded
     /// request found it no longer primary) drops them.
-    pub fn enqueue(
-        &mut self,
-        txns: Vec<Transaction>,
-        bind: impl FnMut(&Batch) -> Binding,
-        out: &mut Outbox,
-    ) {
+    pub fn enqueue(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
         if !self.is_primary() {
             return;
         }
@@ -421,23 +518,20 @@ impl ReplicaCore {
         if self.batcher.pending_len() > 0 {
             out.set_timer(TimerKind::BatchFlush, BATCH_FLUSH_DELAY_US);
         }
-        self.try_propose(bind, out);
+        self.try_propose(out);
     }
 
     /// Cuts the partial batch (on the `BatchFlush` timer) and proposes.
-    pub(crate) fn flush_batch(&mut self, bind: impl FnMut(&Batch) -> Binding, out: &mut Outbox) {
+    pub(crate) fn flush_batch(&mut self, out: &mut Outbox) {
         if let Some(batch) = self.batcher.flush() {
             self.pending_batches.push_back(batch);
         }
-        self.try_propose(bind, out);
+        self.try_propose(out);
     }
 
-    /// Proposes as many pending batches as the in-flight window allows.
-    pub(crate) fn try_propose(
-        &mut self,
-        mut bind: impl FnMut(&Batch) -> Binding,
-        out: &mut Outbox,
-    ) {
+    /// Proposes as many pending batches as the in-flight window allows, each
+    /// bound by the [`Sequencer`].
+    fn try_propose(&mut self, out: &mut Outbox) {
         if !self.is_primary() || self.in_view_change() {
             return;
         }
@@ -445,7 +539,7 @@ impl ReplicaCore {
             let Some(batch) = self.pending_batches.pop_front() else {
                 return;
             };
-            let Some((seq, attestation)) = bind(&batch) else {
+            let Some((seq, attestation)) = self.sequencer.bind(&batch) else {
                 self.pending_batches.push_front(batch);
                 return;
             };
@@ -459,22 +553,11 @@ impl ReplicaCore {
         }
     }
 
-    /// Marks a consensus instance as no longer outstanding (it executed);
-    /// [`Self::try_propose`] then refills the window.
-    pub(crate) fn instance_finished(&mut self, seq: SeqNum) {
-        self.outstanding.remove(&seq.0);
-    }
-
     /// Client transactions arrived at this replica: the primary queues them
     /// for proposal, a backup forwards them to the primary.
-    pub fn on_client_request(
-        &mut self,
-        txns: Vec<Transaction>,
-        bind: impl FnMut(&Batch) -> Binding,
-        out: &mut Outbox,
-    ) {
+    pub fn on_client_request(&mut self, txns: Vec<Transaction>, out: &mut Outbox) {
         if self.is_primary() {
-            self.enqueue(txns, bind, out);
+            self.enqueue(txns, out);
         } else {
             out.send(self.primary(), Message::ForwardRequest { txns });
         }
@@ -492,13 +575,12 @@ impl ReplicaCore {
         &mut self,
         txn: Transaction,
         timer: TimerKind,
-        bind: impl FnMut(&Batch) -> Binding,
         out: &mut Outbox,
     ) -> bool {
         match self.reply_cache.get(txn.client()) {
             Some(reply) if reply.request == txn.request() => out.reply(reply.clone()),
             Some(reply) if reply.request > txn.request() => {}
-            _ if self.is_primary() => self.enqueue(vec![txn], bind, out),
+            _ if self.is_primary() => self.enqueue(vec![txn], out),
             _ => {
                 out.send(self.primary(), Message::ForwardRequest { txns: vec![txn] });
                 out.set_timer(timer, self.config.view_timeout_us);
@@ -518,6 +600,7 @@ impl ReplicaCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexitrust_trusted::{AttestationMode, Enclave, EnclaveConfig};
     use flexitrust_types::{KvOp, ProtocolId, RequestId, Transaction};
 
     fn core() -> ReplicaCore {
@@ -648,7 +731,7 @@ mod tests {
         let mut out = Outbox::new();
         let stale = batch(1).txns()[0].clone();
         let timer = TimerKind::RequestForwarded(1);
-        let forwarded = c.on_client_retry(stale, timer, |_| Some((SeqNum(3), None)), &mut out);
+        let forwarded = c.on_client_retry(stale, timer, &mut out);
         (out, forwarded)
     }
 
@@ -661,9 +744,9 @@ mod tests {
         // The latest request is still answered, a newer one forwarded.
         let mut out = Outbox::new();
         let timer = TimerKind::RequestForwarded(2);
-        assert!(!c.on_client_retry(batch(2).txns()[0].clone(), timer, |_| None, &mut out));
+        assert!(!c.on_client_retry(batch(2).txns()[0].clone(), timer, &mut out));
         assert_eq!(out.replies().len(), 1);
-        assert!(c.on_client_retry(batch(3).txns()[0].clone(), timer, |_| None, &mut out));
+        assert!(c.on_client_retry(batch(3).txns()[0].clone(), timer, &mut out));
     }
 
     #[test]
@@ -816,7 +899,7 @@ mod tests {
         assert_eq!(c.last_executed(), SeqNum(0));
         let mut out = Outbox::new();
         let timer = TimerKind::RequestForwarded(1);
-        let forwarded = c.on_client_retry(txn, timer, |_| None, &mut out);
+        let forwarded = c.on_client_retry(txn, timer, &mut out);
         assert!(out.replies().is_empty(), "{:?}", out.replies());
         // The backup forwards the retry, so the request executes again.
         assert!(forwarded);
@@ -882,28 +965,43 @@ mod tests {
     }
 
     #[test]
-    fn proposal_window_keeps_a_batch_the_binder_declines() {
+    fn proposal_window_keeps_a_batch_the_sequencer_declines() {
         let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
         cfg.batch_size = 1;
         cfg.max_in_flight = 2;
-        let mut primary = ReplicaCore::new(cfg, ReplicaId(0));
+        let attest = PrimaryAttest::AppendF;
+        let mut primary = ReplicaCore::with_sequencer(Arc::new(cfg), ReplicaId(0), attest, None);
         let txns = |tags: [u64; 3]| tags.map(|t| batch(t).txns()[0].clone()).to_vec();
         let mut out = Outbox::new();
         // An unusable counter: nothing goes out, nothing is lost.
-        primary.on_client_request(txns([1, 2, 3]), |_| None, &mut out);
+        primary.on_client_request(txns([1, 2, 3]), &mut out);
         assert!(out.is_empty());
-        // A working binder fills the window, no further.
-        let mut next = 0;
-        let mut bind = |_: &Batch| {
-            next += 1;
-            Some((SeqNum(next), None))
-        };
-        primary.try_propose(&mut bind, &mut out);
+        // A working counter fills the window, no further.
+        let enclave = EnclaveConfig::counter_only(ReplicaId(0), AttestationMode::Counting);
+        primary.sequencer.enclave = Some(Enclave::shared(enclave));
+        primary.try_propose(&mut out);
         assert_eq!(out.broadcasts().len(), 2);
         assert_eq!(primary.outstanding(), 2);
-        primary.instance_finished(SeqNum(1));
-        primary.try_propose(&mut bind, &mut out);
+        // Executing the first frees its instance, and the third goes out.
+        primary.execute(SeqNum(1), batch(1), false, &mut out);
+        assert_eq!(primary.outstanding(), 2);
         assert_eq!(out.broadcasts()[2].seq(), Some(SeqNum(3)));
+    }
+
+    #[test]
+    fn a_replayed_batch_moves_the_primary_sequencer_past_it() {
+        let mut cfg = SystemConfig::for_protocol(ProtocolId::FlexiBft, 1);
+        cfg.batch_size = 1;
+        let mut primary = ReplicaCore::new(cfg, ReplicaId(0));
+        let mut out = Outbox::new();
+        // Nothing past the frontier to install: the trailing batches replay.
+        let trailing = (1..=3).map(|tag| (SeqNum(tag), batch(tag))).collect();
+        let snapshot = StateSnapshot::default();
+        primary.replay_checkpoint_state(SeqNum(0), &snapshot, trailing, false, &mut out);
+        assert_eq!(primary.last_executed(), SeqNum(3));
+        let mut out = Outbox::new();
+        primary.enqueue(batch(4).txns().to_vec(), &mut out);
+        assert_eq!(out.broadcasts()[0].seq(), Some(SeqNum(4)));
     }
 
     #[test]

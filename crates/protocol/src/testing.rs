@@ -2,7 +2,7 @@
 //! engines without a clock: the one router that the engine tests of every
 //! crate, the root `protocols` and `view_change` tests and the §5–§7 attack
 //! scenarios (`flexitrust-attacks`) share, and the cluster they build
-//! through [`build_replica`].
+//! through [`build_cluster`].
 //!
 //! [`run_cluster_until_quiescent`] is the common case. [`TestNet`] is the
 //! same loop opened up for tests about order and faults: a paused replica's
@@ -14,9 +14,9 @@
 //! routes what the engines emit.
 
 use crate::engine::{ConsensusEngine, TimerKind};
-use crate::host::{build_replica, Dispatcher, EngineHost, TimerToken};
+use crate::host::{build_cluster, Dispatcher, EngineHost, TimerToken};
 use crate::messages::{unshare, ClientReply, Message, SharedMessage};
-use flexitrust_trusted::{AttestationMode, EnclaveRegistry, SharedEnclave, TrustedHardware};
+use flexitrust_trusted::{AttestationMode, SharedEnclave, TrustedHardware};
 use flexitrust_types::{
     ClientId, KvOp, ProtocolId, ReplicaId, RequestId, SystemConfig, Transaction,
 };
@@ -181,7 +181,7 @@ pub fn run_cluster_until_quiescent<E: DerefMut<Target: ConsensusEngine>>(
 }
 
 /// One engine per replica of a `protocol` cluster at fault threshold `f`,
-/// as [`build_replica`] makes them over counting-mode attestations, after
+/// as [`build_cluster`] makes them over counting-mode attestations, after
 /// `tune` adjusted the protocol's default configuration; and the enclaves
 /// they hold, in replica order.
 pub fn cluster(
@@ -191,14 +191,12 @@ pub fn cluster(
 ) -> (Vec<Box<dyn ConsensusEngine>>, Vec<SharedEnclave>) {
     let mut config = SystemConfig::for_protocol(protocol, f);
     tune(&mut config);
-    let config = Arc::new(config);
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
+    let hardware = TrustedHardware::default_enclave();
+    let replicas = build_cluster(&Arc::new(config), AttestationMode::Counting, hardware);
     let mut enclaves = Vec::new();
-    let engines = config
-        .replicas()
-        .map(|id| {
-            let hardware = TrustedHardware::default_enclave();
-            let replica = build_replica(Arc::clone(&config), id, registry.clone(), hardware);
+    let engines = replicas
+        .into_iter()
+        .map(|replica| {
             enclaves.extend(replica.enclave);
             replica.engine
         })

@@ -6,11 +6,11 @@
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use flexitrust_protocol::host::{
-    build_replica, CommittedTxn, CrashWindow, Dispatcher, EngineHost, TimerToken, WindowEvent,
+    build_cluster, CommittedTxn, CrashWindow, Dispatcher, EngineHost, TimerToken, WindowEvent,
     WindowPhase,
 };
 use flexitrust_protocol::{ClientReply, ConsensusEngine, SharedMessage, TimerKind};
-use flexitrust_trusted::{AttestationMode, EnclaveRegistry, TrustedHardware};
+use flexitrust_trusted::{AttestationMode, TrustedHardware};
 use flexitrust_types::{ProtocolId, ReplicaId, SystemConfig, Transaction};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -273,16 +273,15 @@ impl<N: Network> ThreadedCluster<N> {
             (0..config.n).map(|_| bounded::<Input>(1 << 16)).unzip();
         let wired = N::connect(&inboxes, reply_tx, &dropped);
         N::map(wired, |(network, transports)| {
-            let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
+            let hardware = TrustedHardware::default_enclave();
+            let replicas = build_cluster(&config, AttestationMode::Real, hardware);
             let tracker = PrimaryTracker::new(config.n);
             let frontiers: Arc<Vec<AtomicU64>> =
                 Arc::new((0..config.n).map(|_| AtomicU64::new(0)).collect());
-            let handles = (inbox_rxs.into_iter().zip(transports).enumerate())
-                .map(|(i, (rx, transport))| {
-                    let id = ReplicaId(i as u32);
-                    let hardware = TrustedHardware::default_enclave();
-                    let mut engine =
-                        build_replica(Arc::clone(&config), id, registry.clone(), hardware).engine;
+            let handles = (replicas.into_iter().zip(inbox_rxs).zip(transports))
+                .map(|((replica, rx), transport)| {
+                    let mut engine = replica.engine;
+                    let id = engine.id();
                     let chaos = ReplicaChaos {
                         frontiers: Arc::clone(&frontiers),
                         window: window.filter(|w| w.replica == id),
@@ -939,9 +938,10 @@ pub(crate) mod tests {
         // are already at sequence 10.
         let id = ReplicaId(2);
         let config = Arc::new(cluster_config(ProtocolId::FlexiBft, 1, 10));
-        let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Real);
         let hardware = TrustedHardware::default_enclave();
-        let mut engine = build_replica(Arc::clone(&config), id, registry, hardware).engine;
+        let mut engine = build_cluster(&config, AttestationMode::Real, hardware)
+            .swap_remove(id.as_usize())
+            .engine;
         let frontiers: Vec<AtomicU64> = (0..config.n).map(|_| AtomicU64::new(0)).collect();
         frontiers[0].store(10, Ordering::Relaxed);
         let chaos = ReplicaChaos {

@@ -9,7 +9,7 @@
 //!
 //! All costs are expressed in nanoseconds of CPU time on one worker thread.
 
-use flexitrust_protocol::Message;
+use flexitrust_protocol::{Action, Message};
 
 /// CPU cost parameters (nanoseconds per operation).
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +61,7 @@ impl CostModel {
     }
 
     /// A variant where attestations carry no digital signature (only the
-    /// trusted-counter access is paid); used by Figure 5 bars `[b]` and `[e]`.
+    /// trusted-counter access is paid); used by Figure 5 bar `[b]`.
     pub fn unsigned_attestations() -> Self {
         CostModel {
             attestations_are_signed: false,
@@ -84,8 +84,21 @@ impl CostModel {
         cost
     }
 
+    /// CPU nanoseconds for the actions one engine invocation emitted in a
+    /// cluster of `replicas`: each send to its destinations (a broadcast's
+    /// copy to the sender itself is free) and each executed batch.
+    pub(crate) fn actions_cost_ns(&self, actions: &[Action], replicas: usize) -> u64 {
+        let cost = |action: &Action| match action {
+            Action::Send { msg, .. } => self.send_cost_ns(msg, 1),
+            Action::Broadcast { msg } => self.send_cost_ns(msg, replicas.saturating_sub(1)),
+            Action::Executed { txns, .. } => self.execution_cost_ns(*txns),
+            Action::Reply { .. } | Action::SetTimer { .. } | Action::CancelTimer { .. } => 0,
+        };
+        actions.iter().map(cost).sum()
+    }
+
     /// CPU nanoseconds to prepare and send `msg` to `destinations` replicas.
-    pub fn send_cost_ns(&self, msg: &Message, destinations: usize) -> u64 {
+    fn send_cost_ns(&self, msg: &Message, destinations: usize) -> u64 {
         let mut cost = destinations as u64 * self.mac_compute_ns;
         cost += (msg.wire_size_bytes() as u64 * self.per_byte_ns_x100) / 100;
         if let Message::PrePrepare { batch, .. } = msg {
@@ -106,7 +119,7 @@ impl CostModel {
     }
 
     /// CPU nanoseconds to execute `txns` transactions.
-    pub fn execution_cost_ns(&self, txns: usize) -> u64 {
+    fn execution_cost_ns(&self, txns: usize) -> u64 {
         txns as u64 * self.exec_per_txn_ns
     }
 
@@ -200,6 +213,31 @@ mod tests {
         let model = CostModel::calibrated();
         let msg = attested_prepare();
         assert!(model.send_cost_ns(&msg, 96) > model.send_cost_ns(&msg, 3));
+    }
+
+    #[test]
+    fn an_invocation_costs_the_sum_of_its_actions() {
+        let model = CostModel::calibrated();
+        let msg = attested_prepare();
+        let actions = [
+            Action::Broadcast { msg: msg.clone() },
+            Action::Send {
+                to: ReplicaId(2),
+                msg: msg.clone(),
+            },
+            Action::Executed {
+                seq: SeqNum(1),
+                txns: 5,
+            },
+            Action::CancelTimer {
+                timer: flexitrust_protocol::TimerKind::ViewChange,
+            },
+        ];
+        // A broadcast in a cluster of four reaches three peers.
+        let sends = model.send_cost_ns(&msg, 3) + model.send_cost_ns(&msg, 1);
+        let expected = sends + model.execution_cost_ns(5);
+        assert_eq!(model.actions_cost_ns(&actions, 4), expected);
+        assert_eq!(model.actions_cost_ns(&[], 4), 0);
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //!   ([`ScenarioSpec`]).
 //!
 //! Scenarios are described by [`ScenarioSpec`], run by [`Simulation`]
-//! and summarised in a [`SimReport`]. [`build_replicas`] builds engine
-//! clusters for every protocol in the repository, and [`workload`]
-//! generates the YCSB-style transactions the simulated clients submit.
+//! and summarised in a [`SimReport`]; [`workload`] generates the
+//! YCSB-style transactions the simulated clients submit.
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
@@ -34,7 +33,6 @@ mod link;
 mod metrics;
 mod net;
 mod queue;
-mod registry;
 mod runner;
 mod spec;
 pub mod workload;
@@ -44,6 +42,5 @@ pub use cost::CostModel;
 pub use link::{Direction, LinkClass, LinkQueues, LinkUsage, Nic};
 pub use metrics::{CommittedTxn, SimReport};
 pub use net::NetworkModel;
-pub use registry::{build_replicas, ReplicaSetup};
 pub use runner::Simulation;
 pub use spec::ScenarioSpec;

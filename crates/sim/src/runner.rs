@@ -54,16 +54,16 @@ use crate::link::{Direction, LinkClass, LinkQueues, Nic};
 use crate::metrics::{latency_stats_ms, CommittedTxn, RunLog, SimReport};
 use crate::net::NetworkModel;
 use crate::queue::EventQueue;
-use crate::registry::{build_replicas, ReplicaSetup};
 use crate::spec::ScenarioSpec;
 use crate::workload::WorkloadGenerator;
-use flexitrust_protocol::host::{Dispatcher, EngineHost, TimerToken};
+use flexitrust_protocol::host::{build_cluster, Dispatcher, EngineHost, ReplicaSetup, TimerToken};
 use flexitrust_protocol::{
-    ClientLibrary, ClientReply, ConsensusEngine, Message, RequestStatus, SharedMessage, TimerKind,
+    Action, ClientLibrary, ClientReply, ConsensusEngine, RequestStatus, SharedMessage, TimerKind,
 };
-use flexitrust_trusted::SharedEnclave;
+use flexitrust_trusted::{AttestationMode, SharedEnclave};
 use flexitrust_types::{ClientId, ReplicaId, RequestId, SeqNum, Transaction};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 type Ns = u64;
 
@@ -198,8 +198,9 @@ struct ClientSlot {
 /// The simulator's [`EngineHost`] implementation: one engine invocation's
 /// view of the world. Effects are buffered (events to schedule, replies to
 /// account) and applied by the simulation loop once the dispatch batch
-/// completes; `begin_batch` performs the CPU / trusted-component accounting
-/// that fixes the batch's departure time.
+/// completes; `begin_batch` prices the invocation's actions and performs
+/// the CPU / trusted-component accounting that fixes the batch's departure
+/// time.
 struct SimEnv<'a> {
     start: Ns,
     base_cost_ns: Ns,
@@ -209,6 +210,8 @@ struct SimEnv<'a> {
     tc_seen: &'a mut u64,
     worker: &'a mut Ns,
     cost: &'a CostModel,
+    /// Cluster size: the destinations a broadcast is priced for.
+    replicas: usize,
     net: &'a NetworkModel,
     /// The bound fault plan; `None` whenever the plan is empty (the
     /// zero-cost fault-free path).
@@ -302,15 +305,8 @@ impl EngineHost for SimEnv<'_> {
         ));
     }
 
-    fn send_cost_ns(&self, msg: &Message, destinations: usize) -> u64 {
-        self.cost.send_cost_ns(msg, destinations)
-    }
-
-    fn execution_cost_ns(&self, txns: usize) -> u64 {
-        self.cost.execution_cost_ns(txns)
-    }
-
-    fn begin_batch(&mut self, _from: ReplicaId, actions_cost_ns: u64) {
+    fn begin_batch(&mut self, _from: ReplicaId, actions: &[Action]) {
+        let actions_cost_ns = self.cost.actions_cost_ns(actions, self.replicas);
         // Trusted-component accesses observed during this invocation are
         // serialised on the component and charged its access latency.
         let mut tc_end = self.start + self.base_cost_ns;
@@ -361,10 +357,14 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation from a scenario, constructing the engines via the
-    /// protocol registry.
+    /// Builds a simulation from a scenario, constructing the engines through
+    /// [`build_cluster`]. All enclaves use counting-mode attestations
+    /// (structurally checked but not cryptographically signed) so that
+    /// simulating millions of messages stays cheap; the *cost* of
+    /// signing/verifying is charged by the [`CostModel`] instead.
     pub fn new(spec: ScenarioSpec) -> Self {
-        let replicas = build_replicas(&spec);
+        let config = Arc::new(spec.system_config());
+        let replicas = build_cluster(&config, AttestationMode::Counting, spec.hardware);
         Self::with_replicas(spec, replicas)
     }
 
@@ -601,6 +601,7 @@ impl Simulation {
             tc_seen,
             worker: &mut workers[widx],
             cost: &self.spec.cost,
+            replicas: self.dispatcher.replicas(),
             net: &self.net,
             chaos: self.chaos.as_mut(),
             at: start + base_cost_ns,
@@ -1107,6 +1108,21 @@ mod tests {
         for client in &sim.clients {
             assert_eq!(client.outstanding.map(|(_, submit)| submit), Some(5_000));
         }
+    }
+
+    #[test]
+    fn enclaves_inherit_the_scenario_hardware() {
+        let mut spec = ScenarioSpec::quick_test(ProtocolId::MinBft);
+        spec.hardware = flexitrust_trusted::TrustedHardware::Custom {
+            access_us: 5_000,
+            rollback_protected: true,
+        };
+        let sim = Simulation::new(spec);
+        let enclave = sim.hosts[0]
+            .enclave
+            .as_ref()
+            .expect("MinBFT holds a counter");
+        assert_eq!(enclave.access_latency_us(), 5_000);
     }
 
     #[test]

@@ -133,11 +133,6 @@ impl EnclaveRegistry {
         EnclaveRegistry { mode, keys }
     }
 
-    /// The attestation mode of this deployment.
-    pub fn mode(&self) -> AttestationMode {
-        self.mode
-    }
-
     /// Number of registered enclaves.
     pub fn len(&self) -> usize {
         self.keys.len()

@@ -23,7 +23,7 @@
 //! * [`protocol`] — the one consensus engine every protocol runs on, the
 //!   view change and replica skeleton it is built from, and
 //!   [`protocol::host`], the layer every host drives engines through (the
-//!   `EngineHost` contract, the one `Action` dispatcher, `build_replica`).
+//!   `EngineHost` contract, the one `Action` dispatcher, `build_cluster`).
 //! * [`wire`] — the canonical binary codec: the frame bytes the TCP
 //!   transport carries and the simulator's bandwidth model charges.
 //! * [`sim`] — the discrete-event simulator behind every figure, with
@@ -59,7 +59,7 @@ pub use flexitrust_wire as wire;
 
 /// One-constructor forwards to [`protocol::PbftFamilyEngine`], kept only
 /// for `benchmark/` (its trace host names them) until that host builds its
-/// engines through [`host::build_replica`]; then they go.
+/// engines through [`host::build_cluster`]; then they go.
 pub mod baselines {
     use flexitrust_protocol::PbftFamilyEngine;
     use flexitrust_trusted::{EnclaveRegistry, SharedEnclave};

@@ -1,12 +1,12 @@
 //! What each protocol is and how it behaves, over the engines every host
 //! runs: the design table pinned for all eleven protocol ids, the
-//! benchmark's trace-host forwards checked against `build_replica`, and the
+//! benchmark's trace-host forwards checked against `build_cluster`, and the
 //! per-protocol behaviour of the paper's descriptions, each cluster built
-//! through `build_replica`.
+//! through `build_cluster`.
 
 use flexitrust::baselines::{FlexiBft, FlexiZz, MinBft, Pbft};
 use flexitrust::crypto::make_batch;
-use flexitrust::protocol::host::build_replica;
+use flexitrust::protocol::host::build_cluster;
 use flexitrust::protocol::testing::{self, run_cluster_until_quiescent, txns, TestNet};
 use flexitrust::protocol::{
     Action, ConsensusEngine, MemoryFootprint, Message, Outbox, ProtocolProperties, TimerKind,
@@ -65,17 +65,12 @@ enum EnclaveKind {
     Log,
 }
 
-/// What `build_replica` gives replica 0 of a `protocol` cluster: no
+/// What `build_cluster` gives replica 0 of a `protocol` cluster: no
 /// enclave, or one that does or does not hold trusted logs.
 fn enclave_kind(protocol: ProtocolId) -> EnclaveKind {
     let config = Arc::new(SystemConfig::for_protocol(protocol, 1));
-    let registry = EnclaveRegistry::deterministic(config.n, AttestationMode::Counting);
-    let replica = build_replica(
-        config,
-        ReplicaId(0),
-        registry,
-        TrustedHardware::default_enclave(),
-    );
+    let hardware = TrustedHardware::default_enclave();
+    let replica = build_cluster(&config, AttestationMode::Counting, hardware).swap_remove(0);
     match replica.enclave {
         None => EnclaveKind::None,
         Some(enclave) if enclave.log_append(0, None, Digest::ZERO).is_ok() => EnclaveKind::Log,
@@ -95,7 +90,7 @@ fn every_protocol_row_is_pinned() {
     // them (n, trusted abstraction, BFT liveness, out of order, trusted
     // memory, primary-only TC, phases, reply quorum, speculative); the
     // rendered line; `n` and the default window at f = 1 and f = 8; and the
-    // enclave `build_replica` gives a replica.
+    // enclave `build_cluster` gives a replica.
     #[rustfmt::skip]
     let table = [
         (P::Pbft, N3, T::None, true, true, M::None, false, 3, Q::FPlusOne, false,
@@ -163,10 +158,10 @@ fn every_protocol_row_is_pinned() {
 }
 
 /// The four builders the benchmark's trace host still calls build the
-/// engine `build_replica` builds: the same cluster through either commits
+/// engine `build_cluster` builds: the same cluster through either commits
 /// the same batches to the same state.
 #[test]
-fn the_benchmark_forwards_build_what_build_replica_builds() {
+fn the_benchmark_forwards_build_what_build_cluster_builds() {
     for protocol in [
         ProtocolId::Pbft,
         ProtocolId::MinBft,
