@@ -71,30 +71,6 @@ pub struct ClientReply {
     pub speculative: bool,
 }
 
-impl ClientReply {
-    /// Exact wire size of the reply in bytes, equal to the canonical
-    /// codec's reply frame (`flexitrust-wire`): the frame header (length
-    /// prefix + sender replica + kind tag), the client / request / seq /
-    /// view identifiers, the speculative flag, the encoded execution
-    /// result, and the 32-byte channel-authenticator slot. Feeds the
-    /// simulator's client-link bandwidth model.
-    pub fn wire_size_bytes(&self) -> usize {
-        // len prefix + sender + kind tag.
-        const FRAME: usize = 4 + 4 + 1;
-        const FIELDS: usize = 8 + 8 + 8 + 8 + 1;
-        const MAC: usize = 32;
-        let result = match &self.result {
-            KvResult::Value(None) => 1 + 1,
-            KvResult::Value(Some(v)) => 1 + 1 + 4 + v.len(),
-            KvResult::Written | KvResult::Noop => 1,
-            KvResult::Range(rows) => {
-                1 + 4 + rows.iter().map(|(_, v)| 8 + 4 + v.len()).sum::<usize>()
-            }
-        };
-        FRAME + FIELDS + result + MAC
-    }
-}
-
 /// Protocol messages exchanged between replicas (and, for
 /// [`Message::ClientRetry`], from clients to replicas).
 #[derive(Debug, Clone, PartialEq)]
@@ -266,87 +242,6 @@ impl Message {
             | Message::CheckpointState { .. } => 0,
         }
     }
-
-    /// Exact wire size of the message in bytes: the length of the frame the
-    /// canonical codec (`flexitrust-wire`) produces for it, pinned equal by
-    /// proptest (`tests/wire_codec.rs`). The frame is the length prefix,
-    /// the sender id, the kind tag, two fixed `u64` header slots (the
-    /// variant's view/seq-shaped pair), the variant body — batches,
-    /// digests, optional attestations at the exact trusted-substrate
-    /// encoding ([`Attestation::WIRE_SIZE`]) behind one-byte presence
-    /// flags — and the 32-byte channel-authenticator slot. The simulator's
-    /// bandwidth model (delivery time = latency + size/bandwidth) and
-    /// per-byte CPU model both consume this, so the sim charges the same
-    /// bytes the TCP transport carries.
-    #[deny(
-        clippy::wildcard_enum_match_arm,
-        clippy::match_wildcard_for_single_variants
-    )]
-    pub fn wire_size_bytes(&self) -> usize {
-        // Length prefix + sender id + kind tag + the two header slots.
-        const FIELDS: usize = 4 + 4 + 1 + 8 + 8;
-        // HMAC-SHA256 channel authenticator.
-        const MAC: usize = 32;
-        const HEADER: usize = FIELDS + MAC;
-        // An optional attestation: presence byte, plus the encoding.
-        const ATTEST: usize = 1 + Attestation::WIRE_SIZE;
-        const NO_ATTEST: usize = 1;
-        const DIGEST: usize = 32;
-        // A `u32` collection count prefix.
-        const COUNT: usize = 4;
-        let att = |a: &Option<Attestation>| if a.is_some() { ATTEST } else { NO_ATTEST };
-        match self {
-            Message::PrePrepare {
-                batch, attestation, ..
-            } => HEADER + att(attestation) + batch.wire_size(),
-            Message::Prepare { attestation, .. } | Message::Commit { attestation, .. } => {
-                HEADER + DIGEST + att(attestation)
-            }
-            Message::Checkpoint { attestation, .. } => HEADER + DIGEST + att(attestation),
-            Message::ViewChange { prepared, .. } => {
-                HEADER
-                    + COUNT
-                    + prepared
-                        .iter()
-                        .map(|p| {
-                            // Per-proof header (view + seq + digest + vote
-                            // count) plus the re-proposable batch and its
-                            // attestation slot.
-                            8 + 8 + DIGEST + 4 + p.batch.wire_size() + att(&p.attestation)
-                        })
-                        .sum::<usize>()
-            }
-            Message::NewView {
-                proposals,
-                counter_attestation,
-                ..
-            } => {
-                HEADER
-                    + att(counter_attestation)
-                    + COUNT
-                    + proposals
-                        .iter()
-                        .map(|(_, b, a)| 8 + b.wire_size() + att(a))
-                        .sum::<usize>()
-            }
-            Message::ClientRetry { txn } => HEADER + txn.wire_size(),
-            Message::ForwardRequest { txns } => {
-                HEADER + COUNT + txns.iter().map(Transaction::wire_size).sum::<usize>()
-            }
-            Message::CheckpointRequest { .. } => HEADER,
-            Message::CheckpointState {
-                snapshot, batches, ..
-            } => {
-                HEADER
-                    + snapshot.wire_size()
-                    + COUNT
-                    + batches
-                        .iter()
-                        .map(|(_, b)| 8 + b.wire_size())
-                        .sum::<usize>()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -441,60 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_sizes_scale_with_payload() {
-        let small = Message::Prepare {
-            view: View(0),
-            seq: SeqNum(1),
-            digest: Digest::ZERO,
-            attestation: None,
-        };
-        let preprepare = Message::PrePrepare {
-            view: View(0),
-            seq: SeqNum(1),
-            batch: batch(),
-            attestation: Some(attestation()),
-        };
-        assert!(preprepare.wire_size_bytes() > small.wire_size_bytes());
-        let attested_prepare = Message::Prepare {
-            view: View(0),
-            seq: SeqNum(1),
-            digest: Digest::ZERO,
-            attestation: Some(attestation()),
-        };
-        assert!(attested_prepare.wire_size_bytes() > small.wire_size_bytes());
-    }
-
-    #[test]
-    fn wire_size_bytes_accounts_for_attestations_and_batch_bytes() {
-        let plain = Message::Prepare {
-            view: View(0),
-            seq: SeqNum(1),
-            digest: Digest::ZERO,
-            attestation: None,
-        };
-        let attested = Message::Prepare {
-            view: View(0),
-            seq: SeqNum(1),
-            digest: Digest::ZERO,
-            attestation: Some(attestation()),
-        };
-        // An attestation adds exactly its trusted-substrate encoding.
-        assert_eq!(
-            attested.wire_size_bytes() - plain.wire_size_bytes(),
-            Attestation::WIRE_SIZE
-        );
-        // A pre-prepare carries the whole batch.
-        let preprepare = Message::PrePrepare {
-            view: View(0),
-            seq: SeqNum(1),
-            batch: batch(),
-            attestation: None,
-        };
-        assert!(preprepare.wire_size_bytes() >= plain.wire_size_bytes() - 32 + batch().wire_size());
-    }
-
-    #[test]
-    fn checkpoint_transfer_messages_report_kind_seq_and_size() {
+    fn checkpoint_transfer_messages_report_kind_and_seq() {
         let request = Message::CheckpointRequest {
             last_executed: SeqNum(40),
         };
@@ -514,11 +356,6 @@ mod tests {
         assert_eq!(state.kind(), "CheckpointState");
         assert_eq!(state.seq(), Some(SeqNum(100)));
         assert_eq!(state.attestation_count(), 0);
-        // The state transfer carries the snapshot and the replay batches.
-        assert_eq!(
-            state.wire_size_bytes(),
-            request.wire_size_bytes() + (8 + 8 + 4 + (8 + 4 + 16)) + 4 + (8 + batch().wire_size())
-        );
     }
 
     #[test]
@@ -531,17 +368,5 @@ mod tests {
         };
         assert_eq!(nv.attestation_count(), 2);
         assert_eq!(nv.kind(), "NewView");
-        // Every attestation the receiver verifies is also on the wire: the
-        // counter attestation contributes exactly its encoding.
-        let without_counter = Message::NewView {
-            view: View(2),
-            supporting_votes: 5,
-            proposals: vec![(SeqNum(1), batch(), Some(attestation()))],
-            counter_attestation: None,
-        };
-        assert_eq!(
-            nv.wire_size_bytes() - without_counter.wire_size_bytes(),
-            Attestation::WIRE_SIZE
-        );
     }
 }

@@ -71,7 +71,9 @@
 use crossbeam::channel::{bounded, Receiver, Sender};
 use flexitrust_protocol::{ClientReply, SharedMessage};
 use flexitrust_types::{ReplicaId, Striped, Transaction};
-use flexitrust_wire::{decode_replies, encode_reply_into, read_frame, write_frame, Frame};
+use flexitrust_wire::{
+    decode_replies, encode_reply_into, read_frame, reply_wire_size, write_frame, Frame,
+};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -234,7 +236,7 @@ impl Transport for SocketTransport {
     }
 
     fn send_replies(&mut self, replies: Vec<ClientReply>) {
-        let size = replies.iter().map(ClientReply::wire_size_bytes).sum();
+        let size = replies.iter().map(reply_wire_size).sum();
         let mut bytes = Vec::with_capacity(size);
         for reply in &replies {
             encode_reply_into(&mut bytes, reply);
@@ -1035,7 +1037,7 @@ mod tests {
             result: KvResult::Range((0..3).map(|k| (k, vec![5; 30_000].into())).collect()),
             ..reply(6)
         };
-        assert!(big.wire_size_bytes() > IO_BUFFER_BYTES);
+        assert!(reply_wire_size(&big) > IO_BUFFER_BYTES);
         let mut first = reply_shapes(1);
         first.push(big);
         let deliveries = [first, (7..2_007).map(reply).collect(), reply_shapes(2_007)];

@@ -72,7 +72,7 @@ impl CostModel {
     /// CPU nanoseconds to receive, authenticate and process `msg`.
     pub(crate) fn receive_cost_ns(&self, msg: &Message) -> u64 {
         let mut cost = self.base_receive_ns + self.mac_verify_ns;
-        cost += (msg.wire_size_bytes() as u64 * self.per_byte_ns_x100) / 100;
+        cost += (flexitrust_wire::message_wire_size(msg) as u64 * self.per_byte_ns_x100) / 100;
         let attestations = msg.attestation_count() as u64;
         if self.attestations_are_signed {
             cost += attestations * self.sig_verify_ns;
@@ -100,7 +100,7 @@ impl CostModel {
     /// CPU nanoseconds to prepare and send `msg` to `destinations` replicas.
     fn send_cost_ns(&self, msg: &Message, destinations: usize) -> u64 {
         let mut cost = destinations as u64 * self.mac_compute_ns;
-        cost += (msg.wire_size_bytes() as u64 * self.per_byte_ns_x100) / 100;
+        cost += (flexitrust_wire::message_wire_size(msg) as u64 * self.per_byte_ns_x100) / 100;
         if let Message::PrePrepare { batch, .. } = msg {
             cost += batch.len() as u64 * self.hash_per_txn_ns;
         }

@@ -253,7 +253,7 @@ impl EngineHost for SimEnv<'_> {
                 }),
             ));
         }
-        let bytes = wire_bytes(msg.wire_size_bytes());
+        let bytes = wire_bytes(flexitrust_wire::message_wire_size(&msg));
         let cargo = Cargo::Message {
             from,
             to,
@@ -273,7 +273,7 @@ impl EngineHost for SimEnv<'_> {
             // Finite client links: each reply crosses the replica's client
             // lane on its own.
             for reply in replies {
-                let bytes = wire_bytes(reply.wire_size_bytes());
+                let bytes = wire_bytes(flexitrust_wire::reply_wire_size(&reply));
                 let cargo = Cargo::Reply { from, reply };
                 self.effects
                     .push((self.at, Effect::Launch { cargo, bytes }));

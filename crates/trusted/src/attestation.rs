@@ -46,12 +46,6 @@ pub struct Attestation {
 }
 
 impl Attestation {
-    /// Exact wire size of an attestation in bytes: host id (4) + counter id
-    /// (8) + value (8) + digest (32) + kind tag (1) + Ed25519 signature (64).
-    /// The protocol layer's `Message::wire_size_bytes` and the simulator's
-    /// bandwidth model derive message sizes from this.
-    pub const WIRE_SIZE: usize = 4 + 8 + 8 + 32 + 1 + 64;
-
     /// The canonical byte encoding that is signed by the enclave.
     pub fn signed_bytes(
         host: ReplicaId,
@@ -76,11 +70,6 @@ impl Attestation {
     /// The canonical bytes of *this* attestation.
     pub fn bytes_to_sign(&self) -> Vec<u8> {
         Self::signed_bytes(self.host, self.counter, self.value, &self.digest, self.kind)
-    }
-
-    /// Wire size in bytes (used by the simulator bandwidth model).
-    pub fn wire_size(&self) -> usize {
-        Self::WIRE_SIZE
     }
 }
 
@@ -131,16 +120,6 @@ impl EnclaveRegistry {
             .map(|i| enclave_signing_key(ReplicaId(i as u32)).verifying_key())
             .collect();
         EnclaveRegistry { mode, keys }
-    }
-
-    /// Number of registered enclaves.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Returns `true` when no enclaves are registered.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Verifies an attestation against the registered enclave key.
@@ -319,16 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn display_and_wire_size() {
+    fn display_names_the_counter() {
         let att = make_attestation(AttestationMode::Counting);
         assert!(att.to_string().contains("q=0"));
-        assert!(att.wire_size() > 64);
-    }
-
-    #[test]
-    fn registry_len() {
-        let registry = EnclaveRegistry::deterministic(5, AttestationMode::Real);
-        assert_eq!(registry.len(), 5);
-        assert!(!registry.is_empty());
     }
 }

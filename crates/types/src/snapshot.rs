@@ -23,37 +23,3 @@ pub struct StateSnapshot {
     /// The store's commutative fingerprint at the boundary.
     pub fingerprint: u64,
 }
-
-impl StateSnapshot {
-    /// Modeled wire size: both counters, a record count, and per record a
-    /// key, a value-length prefix and the value bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + 8
-            + 4
-            + self
-                .entries
-                .iter()
-                .map(|(_, value)| 8 + 4 + value.len())
-                .sum::<usize>()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_size_counts_counters_and_records() {
-        let snapshot = StateSnapshot {
-            entries: vec![(1, vec![0u8; 10].into()), (2, vec![0u8; 3].into())],
-            applied_mutations: 2,
-            fingerprint: 99,
-        };
-        assert_eq!(snapshot.wire_size(), 8 + 8 + 4 + (8 + 4 + 10) + (8 + 4 + 3));
-    }
-
-    #[test]
-    fn empty_snapshot_is_counters_plus_count() {
-        assert_eq!(StateSnapshot::default().wire_size(), 20);
-    }
-}

@@ -10,7 +10,7 @@ use crate::ids::{ClientId, RequestId};
 use crate::tally::Tally;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Counts every [`Batch`] payload allocation (one per `BatchInner`). A
 /// batch *clone* is a reference-count bump and does not count; only
@@ -158,19 +158,6 @@ impl KvOp {
         matches!(self, KvOp::Read { .. } | KvOp::Scan { .. } | KvOp::Noop)
     }
 
-    /// Exact wire size of the operation in bytes, equal to the canonical
-    /// codec's encoding (`flexitrust-wire`): a one-byte kind tag, the key,
-    /// and — for writes — a `u32` length prefix plus the value bytes.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            KvOp::Read { .. } => 1 + 8,
-            KvOp::Update { value, .. } | KvOp::Insert { value, .. } => 1 + 8 + 4 + value.len(),
-            KvOp::ReadModifyWrite { value, .. } => 1 + 8 + 4 + value.len(),
-            KvOp::Scan { .. } => 1 + 8 + 4,
-            KvOp::Noop => 1,
-        }
-    }
-
     /// Returns the primary key touched by the operation, if any.
     pub fn key(&self) -> Option<u64> {
         match self {
@@ -261,13 +248,6 @@ impl Transaction {
         matches!(self.op, KvOp::Noop) && self.client == ClientId(u64::MAX)
     }
 
-    /// Exact wire size in bytes of this transaction, equal to the canonical
-    /// codec's encoding: client id + request id + op payload + the 64-byte
-    /// client-signature slot (Ed25519).
-    pub fn wire_size(&self) -> usize {
-        8 + 8 + self.op.wire_size() + 64
-    }
-
     /// Feeds the stable byte encoding that digests and signatures cover to
     /// `sink`, in order and in at most two pieces: a header of at most 29
     /// bytes built on the stack (client and request id little-endian, the
@@ -318,16 +298,13 @@ pub struct TxnOutcome {
 
 /// The payload of a [`Batch`], allocated exactly once per distinct batch
 /// and shared by reference everywhere after.
-#[derive(Debug)]
 struct BatchInner {
     /// The transactions in proposal order.
     txns: Vec<Transaction>,
     /// Digest of the canonical encoding of all transactions (Δ).
     digest: Digest,
-    /// Exact wire size of the batch's canonical-codec encoding, computed
-    /// once at construction so `wire_size()` is O(1) however often the
-    /// bandwidth model asks.
-    wire_size: usize,
+    /// The batch's encoded length, as the wire codec first counted it.
+    wire_len: OnceLock<usize>,
 }
 
 /// A batch of transactions: the unit over which consensus is run.
@@ -340,11 +317,23 @@ struct BatchInner {
 /// A `Batch` is a shared handle: the transactions live behind an `Arc`, so
 /// cloning — a broadcast fanning one proposal out to n replicas, an engine
 /// parking an accepted proposal, the execution queue holding it — is a
-/// reference-count bump, never a copy of the payload bytes. The wire size
-/// is computed once at construction, so it is O(1) on the hot path.
-#[derive(Debug, Clone)]
+/// reference-count bump, never a copy of the payload bytes. The wire codec
+/// counts the batch's encoded length once per payload, and every clone
+/// reads that count ([`Batch::wire_len`]).
+#[derive(Clone)]
 pub struct Batch {
     inner: Arc<BatchInner>,
+}
+
+/// Prints the payload, never the length memo: what a batch prints does not
+/// depend on whether something has sized it.
+impl fmt::Debug for Batch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Batch")
+            .field("txns", &self.inner.txns)
+            .field("digest", &self.inner.digest)
+            .finish()
+    }
 }
 
 impl PartialEq for Batch {
@@ -364,12 +353,11 @@ impl Batch {
     /// packages the two together.
     pub fn new(txns: Vec<Transaction>, digest: Digest) -> Self {
         BATCH_PAYLOAD_ALLOCATIONS.add(1);
-        let wire_size = 32 + 4 + txns.iter().map(Transaction::wire_size).sum::<usize>();
         Batch {
             inner: Arc::new(BatchInner {
                 txns,
                 digest,
-                wire_size,
+                wire_len: OnceLock::new(),
             }),
         }
     }
@@ -412,11 +400,11 @@ impl Batch {
         self.inner.txns.is_empty()
     }
 
-    /// Exact wire size of the batch in bytes, equal to the canonical
-    /// codec's encoding: the batch digest, a `u32` transaction count, and
-    /// every member transaction. Memoized at construction — O(1).
-    pub fn wire_size(&self) -> usize {
-        self.inner.wire_size
+    /// The batch's encoded length: `count`'s result the first time the
+    /// payload is asked, kept with it, so every clone after reads it for
+    /// free. The wire codec supplies `count`; this crate knows no format.
+    pub fn wire_len(&self, count: impl FnOnce(&Batch) -> usize) -> usize {
+        *self.inner.wire_len.get_or_init(|| count(self))
     }
 }
 
@@ -494,20 +482,21 @@ mod tests {
         let b = Batch::new(vec![txn(1, 1, 1), txn(1, 2, 2)], Digest::from_u64_tag(9));
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
-        assert!(b.wire_size() > 2 * 80);
     }
 
     #[test]
-    fn wire_size_grows_with_value_length() {
-        let small = KvOp::Update {
-            key: 1,
-            value: vec![0; 10].into(),
-        };
-        let big = KvOp::Update {
-            key: 1,
-            value: vec![0; 1000].into(),
-        };
-        assert!(big.wire_size() > small.wire_size());
+    fn the_length_memo_is_counted_once_per_payload() {
+        let b = Batch::new(vec![txn(1, 1, 1)], Digest::from_u64_tag(9));
+        let again = Batch::new(vec![txn(1, 1, 1)], Digest::from_u64_tag(9));
+        assert_eq!(b.wire_len(|_| 7), 7);
+        assert_eq!(
+            b.clone().wire_len(|_| unreachable!("clones read the memo")),
+            7
+        );
+        // An equal batch of its own allocation has its own count, and what a
+        // batch prints does not show whether it was counted.
+        assert_eq!(format!("{b:?}"), format!("{again:?}"));
+        assert_eq!(again.wire_len(|_| 8), 8);
     }
 
     #[test]
@@ -525,13 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn equal_payloads_are_equal_batches_and_the_wire_size_covers_the_encoding() {
+    fn equal_payloads_are_equal_batches() {
         let b = Batch::new(vec![txn(3, 4, 5)], Digest::from_u64_tag(2));
         let again = Batch::new(vec![txn(3, 4, 5)], Digest::from_u64_tag(2));
         assert_eq!(b, again);
-        // The wire size upper-bounds the canonical encoding (it additionally
-        // accounts for the batch digest and per-transaction signatures).
-        assert!(b.wire_size() > canonical(&txn(3, 4, 5)).len());
     }
 
     #[test]

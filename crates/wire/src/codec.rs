@@ -136,6 +136,55 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Where an encoder writes. Every encoder is written once, against this
+/// trait: run on a `Vec<u8>` it produces the bytes, run on a [`Len`] it
+/// counts them, so a size is the encoder itself and cannot drift from it.
+pub(crate) trait Sink: Sized {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends one byte.
+    fn byte(&mut self, byte: u8);
+
+    /// Appends a batch: its digest, then its counted transactions.
+    fn batch(&mut self, batch: &Batch) {
+        write_batch(self, batch);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn byte(&mut self, byte: u8) {
+        self.push(byte);
+    }
+}
+
+/// A sink that only counts what is written to it.
+pub(crate) struct Len(pub(crate) usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn byte(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    /// Counts a batch once per payload allocation: the first count is kept
+    /// with the payload, and every clone of the batch reads it from there.
+    fn batch(&mut self, batch: &Batch) {
+        self.0 += batch.wire_len(|batch| {
+            let mut len = Len(0);
+            write_batch(&mut len, batch);
+            len.0
+        });
+    }
+}
+
 /// A length or count as its little-endian `u32` wire prefix: the one
 /// narrowing cast on the encode side.
 #[expect(
@@ -151,12 +200,8 @@ pub(crate) fn len_prefix(len: usize) -> [u8; 4] {
 /// Writes a `u32`-counted collection: the encode-side twin of
 /// [`read_vec`], so a future collection field cannot forget its count
 /// prefix on one side only.
-pub(crate) fn write_vec<T>(
-    out: &mut Vec<u8>,
-    items: &[T],
-    mut write: impl FnMut(&mut Vec<u8>, &T),
-) {
-    out.extend_from_slice(&len_prefix(items.len()));
+pub(crate) fn write_vec<S: Sink, T>(out: &mut S, items: &[T], mut write: impl FnMut(&mut S, &T)) {
+    out.put(&len_prefix(items.len()));
     for item in items {
         write(out, item);
     }
@@ -183,36 +228,36 @@ pub(crate) fn read_vec<'a, T>(
 // Operations and transactions.
 // ---------------------------------------------------------------------------
 
-fn encode_op(out: &mut Vec<u8>, op: &KvOp) {
+fn encode_op(out: &mut impl Sink, op: &KvOp) {
     match op {
         KvOp::Read { key } => {
-            out.push(0);
-            out.extend_from_slice(&key.to_le_bytes());
+            out.byte(0);
+            out.put(&key.to_le_bytes());
         }
         KvOp::Update { key, value } => {
-            out.push(1);
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&len_prefix(value.len()));
-            out.extend_from_slice(value);
+            out.byte(1);
+            out.put(&key.to_le_bytes());
+            out.put(&len_prefix(value.len()));
+            out.put(value);
         }
         KvOp::Insert { key, value } => {
-            out.push(2);
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&len_prefix(value.len()));
-            out.extend_from_slice(value);
+            out.byte(2);
+            out.put(&key.to_le_bytes());
+            out.put(&len_prefix(value.len()));
+            out.put(value);
         }
         KvOp::ReadModifyWrite { key, value } => {
-            out.push(3);
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&len_prefix(value.len()));
-            out.extend_from_slice(value);
+            out.byte(3);
+            out.put(&key.to_le_bytes());
+            out.put(&len_prefix(value.len()));
+            out.put(value);
         }
         KvOp::Scan { start_key, count } => {
-            out.push(4);
-            out.extend_from_slice(&start_key.to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
+            out.byte(4);
+            out.put(&start_key.to_le_bytes());
+            out.put(&count.to_le_bytes());
         }
-        KvOp::Noop => out.push(5),
+        KvOp::Noop => out.byte(5),
     }
 }
 
@@ -244,11 +289,11 @@ fn decode_op(r: &mut Reader<'_>) -> Result<KvOp, WireError> {
 /// Encodes one transaction: client id, request id, operation, and the
 /// 64-byte client-signature slot (zero-filled — no host signs or checks
 /// requests, but the slot is real wire bytes).
-pub fn encode_transaction(out: &mut Vec<u8>, txn: &Transaction) {
-    out.extend_from_slice(&txn.client().0.to_le_bytes());
-    out.extend_from_slice(&txn.request().0.to_le_bytes());
+pub(crate) fn encode_transaction(out: &mut impl Sink, txn: &Transaction) {
+    out.put(&txn.client().0.to_le_bytes());
+    out.put(&txn.request().0.to_le_bytes());
     encode_op(out, txn.op());
-    out.extend_from_slice(&[0u8; 64]);
+    out.put(&[0u8; 64]);
 }
 
 pub(crate) fn read_transaction(r: &mut Reader<'_>) -> Result<Transaction, WireError> {
@@ -259,8 +304,8 @@ pub(crate) fn read_transaction(r: &mut Reader<'_>) -> Result<Transaction, WireEr
     Ok(Transaction::new(client, request, op))
 }
 
-pub(crate) fn write_batch(out: &mut Vec<u8>, batch: &Batch) {
-    out.extend_from_slice(batch.digest().as_bytes());
+pub(crate) fn write_batch(out: &mut impl Sink, batch: &Batch) {
+    out.put(batch.digest().as_bytes());
     write_vec(out, batch.txns(), encode_transaction);
 }
 
@@ -274,28 +319,19 @@ pub(crate) fn read_batch(r: &mut Reader<'_>) -> Result<Batch, WireError> {
 // Attestations.
 // ---------------------------------------------------------------------------
 
-/// Encodes an attestation in exactly [`Attestation::WIRE_SIZE`] bytes:
-/// host (4) + counter (8) + value (8) + digest (32) + kind (1) +
-/// signature (64).
-pub fn encode_attestation(out: &mut Vec<u8>, att: &Attestation) {
-    out.extend_from_slice(&att.host.0.to_le_bytes());
-    out.extend_from_slice(&att.counter.to_le_bytes());
-    out.extend_from_slice(&att.value.to_le_bytes());
-    out.extend_from_slice(att.digest.as_bytes());
-    out.push(match att.kind {
+/// Encodes an attestation in 117 bytes: host (4) + counter (8) + value (8)
+/// + digest (32) + kind (1) + signature (64).
+pub(crate) fn encode_attestation(out: &mut impl Sink, att: &Attestation) {
+    out.put(&att.host.0.to_le_bytes());
+    out.put(&att.counter.to_le_bytes());
+    out.put(&att.value.to_le_bytes());
+    out.put(att.digest.as_bytes());
+    out.byte(match att.kind {
         AttestKind::CounterBind => 0,
         AttestKind::CounterCreate => 1,
         AttestKind::LogSlot => 2,
     });
-    out.extend_from_slice(att.signature.as_bytes());
-}
-
-/// Decodes an attestation from exactly [`Attestation::WIRE_SIZE`] bytes.
-pub fn decode_attestation(bytes: &[u8]) -> Result<Attestation, WireError> {
-    let mut r = Reader::new(bytes);
-    let att = read_attestation(&mut r)?;
-    r.finish()?;
-    Ok(att)
+    out.put(att.signature.as_bytes());
 }
 
 pub(crate) fn read_attestation(r: &mut Reader<'_>) -> Result<Attestation, WireError> {
@@ -326,11 +362,11 @@ pub(crate) fn read_attestation(r: &mut Reader<'_>) -> Result<Attestation, WireEr
 }
 
 /// An optional attestation: a presence byte, then the fixed encoding.
-pub(crate) fn write_att_opt(out: &mut Vec<u8>, att: &Option<Attestation>) {
+pub(crate) fn write_att_opt(out: &mut impl Sink, att: &Option<Attestation>) {
     match att {
-        None => out.push(0),
+        None => out.byte(0),
         Some(att) => {
-            out.push(1);
+            out.byte(1);
             encode_attestation(out, att);
         }
     }
@@ -351,29 +387,29 @@ pub(crate) fn read_att_opt(r: &mut Reader<'_>) -> Result<Option<Attestation>, Wi
 // Results (reply payloads).
 // ---------------------------------------------------------------------------
 
-pub(crate) fn write_result(out: &mut Vec<u8>, result: &KvResult) {
+pub(crate) fn write_result(out: &mut impl Sink, result: &KvResult) {
     match result {
         KvResult::Value(v) => {
-            out.push(0);
+            out.byte(0);
             match v {
-                None => out.push(0),
+                None => out.byte(0),
                 Some(bytes) => {
-                    out.push(1);
-                    out.extend_from_slice(&len_prefix(bytes.len()));
-                    out.extend_from_slice(bytes);
+                    out.byte(1);
+                    out.put(&len_prefix(bytes.len()));
+                    out.put(bytes);
                 }
             }
         }
-        KvResult::Written => out.push(1),
+        KvResult::Written => out.byte(1),
         KvResult::Range(rows) => {
-            out.push(2);
+            out.byte(2);
             write_vec(out, rows, |out, (key, value)| {
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&len_prefix(value.len()));
-                out.extend_from_slice(value);
+                out.put(&key.to_le_bytes());
+                out.put(&len_prefix(value.len()));
+                out.put(value);
             });
         }
-        KvResult::Noop => out.push(3),
+        KvResult::Noop => out.byte(3),
     }
 }
 
@@ -462,13 +498,13 @@ pub(crate) fn message_kind_tag(msg: &Message) -> u8 {
 }
 
 /// Writes a state snapshot: the two digest counters, then the record set.
-fn write_snapshot(out: &mut Vec<u8>, snapshot: &StateSnapshot) {
-    out.extend_from_slice(&snapshot.applied_mutations.to_le_bytes());
-    out.extend_from_slice(&snapshot.fingerprint.to_le_bytes());
+fn write_snapshot(out: &mut impl Sink, snapshot: &StateSnapshot) {
+    out.put(&snapshot.applied_mutations.to_le_bytes());
+    out.put(&snapshot.fingerprint.to_le_bytes());
     write_vec(out, &snapshot.entries, |out, (key, value)| {
-        out.extend_from_slice(&key.to_le_bytes());
-        out.extend_from_slice(&len_prefix(value.len()));
-        out.extend_from_slice(value);
+        out.put(&key.to_le_bytes());
+        out.put(&len_prefix(value.len()));
+        out.put(value);
     });
 }
 
@@ -487,12 +523,12 @@ fn read_snapshot(r: &mut Reader<'_>) -> Result<StateSnapshot, WireError> {
     })
 }
 
-fn write_proof(out: &mut Vec<u8>, proof: &PreparedProof) {
-    out.extend_from_slice(&proof.view.0.to_le_bytes());
-    out.extend_from_slice(&proof.seq.0.to_le_bytes());
-    out.extend_from_slice(proof.digest.as_bytes());
-    out.extend_from_slice(&len_prefix(proof.prepare_votes));
-    write_batch(out, &proof.batch);
+fn write_proof(out: &mut impl Sink, proof: &PreparedProof) {
+    out.put(&proof.view.0.to_le_bytes());
+    out.put(&proof.seq.0.to_le_bytes());
+    out.put(proof.digest.as_bytes());
+    out.put(&len_prefix(proof.prepare_votes));
+    out.batch(&proof.batch);
     write_att_opt(out, &proof.attestation);
 }
 
@@ -513,13 +549,13 @@ fn read_proof(r: &mut Reader<'_>) -> Result<PreparedProof, WireError> {
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants
 )]
-pub(crate) fn write_message_body(out: &mut Vec<u8>, msg: &Message) {
+pub(crate) fn write_message_body(out: &mut impl Sink, msg: &Message) {
     match msg {
         Message::PrePrepare {
             batch, attestation, ..
         } => {
             write_att_opt(out, attestation);
-            write_batch(out, batch);
+            out.batch(batch);
         }
         Message::Prepare {
             digest,
@@ -531,7 +567,7 @@ pub(crate) fn write_message_body(out: &mut Vec<u8>, msg: &Message) {
             attestation,
             ..
         } => {
-            out.extend_from_slice(digest.as_bytes());
+            out.put(digest.as_bytes());
             write_att_opt(out, attestation);
         }
         Message::Checkpoint {
@@ -539,7 +575,7 @@ pub(crate) fn write_message_body(out: &mut Vec<u8>, msg: &Message) {
             attestation,
             ..
         } => {
-            out.extend_from_slice(state_digest.as_bytes());
+            out.put(state_digest.as_bytes());
             write_att_opt(out, attestation);
         }
         Message::ViewChange { prepared, .. } => {
@@ -552,8 +588,8 @@ pub(crate) fn write_message_body(out: &mut Vec<u8>, msg: &Message) {
         } => {
             write_att_opt(out, counter_attestation);
             write_vec(out, proposals, |out, (seq, batch, attestation)| {
-                out.extend_from_slice(&seq.0.to_le_bytes());
-                write_batch(out, batch);
+                out.put(&seq.0.to_le_bytes());
+                out.batch(batch);
                 write_att_opt(out, attestation);
             });
         }
@@ -568,8 +604,8 @@ pub(crate) fn write_message_body(out: &mut Vec<u8>, msg: &Message) {
         } => {
             write_snapshot(out, snapshot);
             write_vec(out, batches, |out, (seq, batch)| {
-                out.extend_from_slice(&seq.0.to_le_bytes());
-                write_batch(out, batch);
+                out.put(&seq.0.to_le_bytes());
+                out.batch(batch);
             });
         }
     }
@@ -667,4 +703,13 @@ pub(crate) fn decode_transaction(bytes: &[u8]) -> Result<Transaction, WireError>
     let txn = read_transaction(&mut r)?;
     r.finish()?;
     Ok(txn)
+}
+
+#[cfg(test)]
+/// Decodes one attestation from exactly its 117 bytes.
+pub(crate) fn decode_attestation(bytes: &[u8]) -> Result<Attestation, WireError> {
+    let mut r = Reader::new(bytes);
+    let att = read_attestation(&mut r)?;
+    r.finish()?;
+    Ok(att)
 }

@@ -2,8 +2,8 @@
 
 use crate::codec::{
     encode_transaction, header_slots, len_prefix, message_kind_tag, read_message_body, read_result,
-    read_transaction, read_vec, truncated, write_message_body, write_result, write_vec, Reader,
-    WireError,
+    read_transaction, read_vec, truncated, write_message_body, write_result, write_vec, Len,
+    Reader, Sink, WireError,
 };
 use flexitrust_protocol::{ClientReply, Message};
 use flexitrust_types::{ClientId, KvResult, ReplicaId, RequestId, SeqNum, Transaction, View};
@@ -58,10 +58,11 @@ pub enum Frame {
 
 /// Encodes a frame to its complete wire bytes (length prefix included).
 ///
-/// The encoded length of a [`Frame::Peer`] equals the message's
-/// `wire_size_bytes()`, and that of a [`Frame::Reply`] equals the reply's
-/// `wire_size_bytes()` — the pin that makes this codec the ground truth of
-/// the simulator's bandwidth model.
+/// The encoded length of a [`Frame::Peer`] is [`message_wire_size`], that of
+/// a [`Frame::Reply`] is [`reply_wire_size`] and that of a
+/// [`Frame::Submit`] is [`client_upload_wire_size`]: each size runs the
+/// frame's own writer on a counter, so the simulator's bandwidth model
+/// charges exactly these bytes.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     match frame {
         Frame::Peer { from, msg } => encode_message(*from, msg),
@@ -74,17 +75,14 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     }
 }
 
-/// Starts a frame of exactly `size` bytes at the end of `out` and returns
-/// where it starts. The frame length is known up front (the size functions
-/// are pinned equal to the encoding), so one reservation suffices — a
-/// broadcast-sized batch must not pay a doubling-realloc ladder per
-/// destination. The length prefix is a placeholder patched by
-/// [`finish_frame`].
-fn start_frame(out: &mut Vec<u8>, size: usize) -> usize {
-    let start = out.len();
-    out.reserve(size);
-    out.extend_from_slice(&[0u8; 4]);
-    start
+/// Starts a frame of `size` bytes: the frame's writer counted it first, so
+/// one allocation holds it, and a broadcast-sized batch pays no
+/// doubling-realloc ladder. The length prefix is a placeholder that
+/// [`finish_frame`] patches.
+fn start_frame(size: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(size);
+    out.put(&[0u8; 4]);
+    out
 }
 
 /// The length prefix of a frame `size` bytes long, prefix included.
@@ -103,35 +101,36 @@ fn frame_prefix(size: usize) -> [u8; 4] {
     len_prefix(body)
 }
 
-/// Patches the length prefix of the frame begun at `start` and checks the
-/// size pin held.
-fn finish_frame(out: &mut [u8], start: usize, size: usize) {
-    let prefix = frame_prefix(out.len() - start);
-    if let Some(slot) = out.get_mut(start..).and_then(<[u8]>::first_chunk_mut) {
+/// Patches the length prefix of the frame `out` holds.
+fn finish_frame(out: &mut [u8]) {
+    let prefix = frame_prefix(out.len());
+    if let Some(slot) = out.first_chunk_mut() {
         *slot = prefix;
     }
-    debug_assert_eq!(out.len() - start, size, "size function drifted from codec");
 }
 
 fn encode_submit(txns: &[Transaction]) -> Vec<u8> {
-    let size = client_upload_wire_size(txns);
-    let mut out = Vec::new();
-    let start = start_frame(&mut out, size);
-    out.extend_from_slice(&CLIENT_SENDER.to_le_bytes());
-    out.push(KIND_SUBMIT);
-    write_vec(&mut out, txns, encode_transaction);
-    // Submissions carry per-transaction client signatures, no frame MAC.
-    finish_frame(&mut out, start, size);
+    let mut out = start_frame(client_upload_wire_size(txns));
+    write_submit(&mut out, txns);
+    finish_frame(&mut out);
     out
+}
+
+/// A submission frame after its length prefix. Submissions carry
+/// per-transaction client signatures, no frame MAC.
+fn write_submit(out: &mut impl Sink, txns: &[Transaction]) {
+    out.put(&CLIENT_SENDER.to_le_bytes());
+    out.byte(KIND_SUBMIT);
+    write_vec(out, txns, encode_transaction);
 }
 
 /// Appends `reply`'s complete frame — the bytes
 /// `encode_frame(&Frame::Reply { .. })` returns — to `out`, so the replies
 /// of one delivery are encoded straight into the buffer that carries them.
-/// The frame's size is computed once, up front, so the fixed head is
+/// The frame's size is counted once, up front, so the fixed head is
 /// written whole, length prefix included, from one stack array.
 pub fn encode_reply_into(out: &mut Vec<u8>, reply: &ClientReply) {
-    let size = reply.wire_size_bytes();
+    let size = reply_wire_size(reply);
     let mut head = [0u8; REPLY_HEAD_BYTES];
     head[0..4].copy_from_slice(&frame_prefix(size));
     head[4..8].copy_from_slice(&reply.replica.0.to_le_bytes());
@@ -141,12 +140,18 @@ pub fn encode_reply_into(out: &mut Vec<u8>, reply: &ClientReply) {
     head[25..33].copy_from_slice(&reply.seq.0.to_le_bytes());
     head[33..41].copy_from_slice(&reply.view.0.to_le_bytes());
     head[41] = u8::from(reply.speculative);
-    let start = out.len();
     out.reserve(size);
-    out.extend_from_slice(&head);
+    out.put(&head);
     write_result(out, &reply.result);
-    out.extend_from_slice(&[0u8; MAC_BYTES]);
-    debug_assert_eq!(out.len() - start, size, "size function drifted from codec");
+    out.put(&[0u8; MAC_BYTES]);
+}
+
+/// Wire bytes of `reply`'s frame: the fixed head, the result and the MAC
+/// slot. The simulator charges client replies exactly this.
+pub fn reply_wire_size(reply: &ClientReply) -> usize {
+    let mut len = Len(REPLY_HEAD_BYTES + MAC_BYTES);
+    write_result(&mut len, &reply.result);
+    len.0
 }
 
 /// Decodes a complete frame (length prefix included), strictly: truncated,
@@ -295,22 +300,33 @@ pub fn decode_replies(buf: &[u8], out: &mut Vec<ClientReply>) -> Result<usize, W
     Ok(buf.len() - rest.len())
 }
 
-/// Encodes one peer message frame directly from the borrow (the transport
-/// hot path encodes per broadcast destination — no message clone); its
-/// length equals `msg.wire_size_bytes()`.
+/// Encodes one peer message frame directly from the borrow (no message
+/// clone); its length is [`message_wire_size`].
 pub fn encode_message(from: ReplicaId, msg: &Message) -> Vec<u8> {
-    let size = msg.wire_size_bytes();
-    let mut out = Vec::new();
-    let start = start_frame(&mut out, size);
-    out.extend_from_slice(&from.0.to_le_bytes());
-    out.push(message_kind_tag(msg));
-    let (a, b) = header_slots(msg);
-    out.extend_from_slice(&a.to_le_bytes());
-    out.extend_from_slice(&b.to_le_bytes());
-    write_message_body(&mut out, msg);
-    out.extend_from_slice(&[0u8; MAC_BYTES]);
-    finish_frame(&mut out, start, size);
+    let mut out = start_frame(message_wire_size(msg));
+    write_peer(&mut out, from, msg);
+    finish_frame(&mut out);
     out
+}
+
+/// A peer frame after its length prefix: sender, kind, the two header
+/// slots, the body and the MAC slot.
+fn write_peer(out: &mut impl Sink, from: ReplicaId, msg: &Message) {
+    out.put(&from.0.to_le_bytes());
+    out.byte(message_kind_tag(msg));
+    let (a, b) = header_slots(msg);
+    out.put(&a.to_le_bytes());
+    out.put(&b.to_le_bytes());
+    write_message_body(out, msg);
+    out.put(&[0u8; MAC_BYTES]);
+}
+
+/// Wire bytes of `msg`'s peer frame, whoever sends it. The simulator's
+/// bandwidth and per-byte CPU models charge exactly this.
+pub fn message_wire_size(msg: &Message) -> usize {
+    let mut len = Len(4);
+    write_peer(&mut len, ReplicaId(0), msg);
+    len.0
 }
 
 /// Decodes a peer message frame back to `(from, message)`.
@@ -324,11 +340,12 @@ pub fn decode_message(bytes: &[u8]) -> Result<(ReplicaId, Message), WireError> {
     }
 }
 
-/// Wire bytes of a client submission frame carrying `txns`: the frame
-/// header (length prefix + sender + kind + count) plus every transaction's
-/// encoding. The simulator charges client uploads exactly this.
+/// Wire bytes of a client submission frame carrying `txns`. The simulator
+/// charges client uploads exactly this.
 pub fn client_upload_wire_size(txns: &[Transaction]) -> usize {
-    4 + 4 + 1 + 4 + txns.iter().map(Transaction::wire_size).sum::<usize>()
+    let mut len = Len(4);
+    write_submit(&mut len, txns);
+    len.0
 }
 
 /// Writes one frame to a blocking stream.
@@ -482,16 +499,11 @@ mod tests {
     }
 
     #[test]
-    fn every_message_variant_round_trips_and_matches_wire_size() {
+    fn every_message_variant_round_trips_at_its_counted_size() {
         for msg in sample_messages() {
             let from = ReplicaId(3);
             let bytes = encode_message(from, &msg);
-            assert_eq!(
-                bytes.len(),
-                msg.wire_size_bytes(),
-                "{}: encoded length diverges from wire_size_bytes",
-                msg.kind()
-            );
+            assert_eq!(bytes.len(), message_wire_size(&msg), "{}", msg.kind());
             let (decoded_from, decoded) = decode_message(&bytes).expect("decodes");
             assert_eq!(decoded_from, from, "{}", msg.kind());
             assert_eq!(decoded, msg, "{}", msg.kind());
@@ -499,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn replies_round_trip_and_match_wire_size() {
+    fn replies_round_trip_at_their_counted_size() {
         let results = [
             KvResult::Value(None),
             KvResult::Value(Some(vec![1, 2, 3].into())),
@@ -521,7 +533,7 @@ mod tests {
                 reply: reply.clone(),
             };
             let bytes = encode_frame(&frame);
-            assert_eq!(bytes.len(), reply.wire_size_bytes(), "result #{i}");
+            assert_eq!(bytes.len(), reply_wire_size(&reply), "result #{i}");
             assert_eq!(decode_frame(&bytes).expect("decodes"), frame);
         }
     }
@@ -789,15 +801,79 @@ mod tests {
         let att = attestation();
         let mut bytes = Vec::new();
         encode_attestation(&mut bytes, &att);
-        assert_eq!(bytes.len(), Attestation::WIRE_SIZE);
+        assert_eq!(bytes.len(), 117);
         assert_eq!(decode_attestation(&bytes).unwrap(), att);
 
         let t = txn(32);
         let mut bytes = Vec::new();
         encode_transaction(&mut bytes, &t);
-        assert_eq!(bytes.len(), t.wire_size());
         assert_eq!(decode_transaction(&bytes).unwrap(), t);
     }
 
-    use crate::codec::{decode_attestation, decode_transaction, encode_attestation};
+    fn prepare(attestation: Option<Attestation>) -> Message {
+        Message::Prepare {
+            view: View(0),
+            seq: SeqNum(1),
+            digest: Digest::ZERO,
+            attestation,
+        }
+    }
+
+    fn new_view(counter_attestation: Option<Attestation>) -> Message {
+        Message::NewView {
+            view: View(2),
+            supporting_votes: 5,
+            proposals: vec![(SeqNum(1), batch(), Some(attestation()))],
+            counter_attestation,
+        }
+    }
+
+    #[test]
+    fn an_attestation_adds_exactly_its_encoding() {
+        let att = Some(attestation());
+        assert_eq!(
+            message_wire_size(&prepare(att.clone())) - message_wire_size(&prepare(None)),
+            117
+        );
+        assert_eq!(
+            message_wire_size(&new_view(att)) - message_wire_size(&new_view(None)),
+            117
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_state_is_a_request_plus_its_snapshot_and_batches() {
+        let request = Message::CheckpointRequest {
+            last_executed: SeqNum(40),
+        };
+        let state = Message::CheckpointState {
+            seq: SeqNum(100),
+            snapshot: flexitrust_types::StateSnapshot {
+                entries: vec![(7, vec![1u8; 16].into())],
+                applied_mutations: 1,
+                fingerprint: 42,
+            },
+            batches: vec![(SeqNum(101), batch())],
+        };
+        let mut batch_bytes = Vec::new();
+        write_batch(&mut batch_bytes, &batch());
+        // Snapshot: both counters, the record count, one record (key, length,
+        // value); then the batch count, and per batch its seq and encoding.
+        assert_eq!(
+            message_wire_size(&state),
+            message_wire_size(&request) + (8 + 8 + 4 + (8 + 4 + 16)) + 4 + (8 + batch_bytes.len())
+        );
+    }
+
+    #[test]
+    fn a_write_grows_with_its_value() {
+        let retry = |value_len| {
+            message_wire_size(&Message::ClientRetry {
+                txn: txn(value_len),
+            })
+        };
+        assert_eq!(retry(1000) - retry(10), 990);
+    }
+
+    use crate::codec::{decode_attestation, decode_transaction, encode_attestation, write_batch};
 }

@@ -1,12 +1,13 @@
 //! The canonical binary wire codec.
 //!
 //! Every byte the TCP transport (`flexitrust-runtime::tcp`) puts on a socket
-//! is produced here, and every byte the simulator charges to a link is the
-//! length of an encoding produced here: `Message::wire_size_bytes()`,
-//! `ClientReply::wire_size_bytes()` and [`client_upload_wire_size`] are
-//! pinned — by proptest, see `tests/wire_codec.rs` — to equal the encoded
-//! frame length exactly, so the bandwidth model and the sockets can never
-//! drift apart.
+//! is produced here, and every byte the simulator charges to a link is
+//! counted here: each encoder writes into a sink, and
+//! [`message_wire_size`], [`reply_wire_size`] and
+//! [`client_upload_wire_size`] run the same encoder on a sink that only
+//! counts. The format is written once, so the bandwidth model and the
+//! sockets cannot drift apart; `tests/wire_codec.rs` pins the two equal by
+//! proptest all the same.
 //!
 //! ## Frame layout
 //!
@@ -49,10 +50,10 @@
 //! already whole in a buffer in one pass.
 //!
 //! Peer message bodies open with two fixed slots `a:u64 | b:u64` holding the
-//! variant's (view, seq)-shaped pair (zero when the variant has none), so
-//! every header field of the hand-maintained size estimate this codec
-//! replaced corresponds to real bytes. Client-signature slots (64 B per
-//! transaction) are likewise materialised as bytes.
+//! variant's (view, seq)-shaped pair (zero when the variant has none).
+//! Client-signature slots (64 B per transaction) are materialised as
+//! bytes, and an attestation is 117 bytes: host (4), counter (8), value
+//! (8), digest (32), kind (1) and signature (64).
 //!
 //! Decoding is strict: a frame that ends early, has trailing bytes, or
 //! carries an unknown tag is a [`WireError`], never a partial value.
@@ -68,8 +69,9 @@
 mod codec;
 mod frame;
 
-pub use codec::{decode_attestation, encode_attestation, encode_transaction, WireError};
+pub use codec::WireError;
 pub use frame::{
     client_upload_wire_size, decode_frame, decode_message, decode_replies, encode_frame,
-    encode_message, encode_reply_into, read_frame, write_frame, Frame,
+    encode_message, encode_reply_into, message_wire_size, read_frame, reply_wire_size, write_frame,
+    Frame,
 };

@@ -629,9 +629,9 @@ fn chunked_ingress_cuts_tail_latency_under_elephant_preprepares() {
 /// the pure-latency schedule bit-exactly: identical completion counts,
 /// message counts, commit logs and mean latency. The expected values are a
 /// snapshot of the seed (pre-link-queue) simulator on the same
-/// deterministic scenarios, re-based when `wire_size_bytes()` became the
-/// canonical codec's exact encoded length (the per-byte CPU cost now
-/// charges the true frame bytes, shifting schedules slightly).
+/// deterministic scenarios, re-based when message sizes became the canonical
+/// wire codec's exact encoded length (the per-byte CPU cost now charges the
+/// true frame bytes, shifting schedules slightly).
 #[test]
 fn unlimited_bandwidth_reproduces_the_latency_only_schedule_bit_exactly() {
     struct Pin {
@@ -701,9 +701,9 @@ fn unlimited_bandwidth_reproduces_the_latency_only_schedule_bit_exactly() {
 /// schedule bit-exactly: identical completions, message counts, commit
 /// logs, mean latency and — byte for byte — the same wire occupancy and
 /// queueing totals. The pinned values are a snapshot of that simulator on
-/// the same deterministic scenarios, re-based when `wire_size_bytes()`
-/// became the canonical codec's exact encoded length (links now carry the
-/// true frame bytes, so occupancy totals moved with the sizes).
+/// the same deterministic scenarios, re-based when message sizes became the
+/// canonical wire codec's exact encoded length (links now carry the true
+/// frame bytes, so occupancy totals moved with the sizes).
 #[test]
 fn atomic_transfers_with_free_ingest_reproduce_the_pr2_schedule_bit_exactly() {
     struct Pin {

@@ -13,7 +13,11 @@
 # incorrect, had failed operations, stalled rounds or dropped messages.
 # A metric whose change median is worse than the parent median by more
 # than its BENCHMARK.json bound is marked OVER BOUND, and the script then
-# exits 1 once every workload has run.
+# exits 1 once every workload has run. A metric whose parent runs spread
+# wider than its bound (interquartile range over median) is marked
+# UNRESOLVED, unless every change run beats every parent run: its runs
+# cannot tell a change within the bound from none. That mark is
+# informational and leaves the exit status alone.
 # Each run's JSON line is kept in the directory printed first.
 #
 # Build each side's benchmark in its own tree first
@@ -86,6 +90,10 @@ for m in manifest["end_to_end"]:
     flag = ""
     if -sign * delta > m["bound"]:
         flag, over = "  OVER BOUND", True
+    lo, hi = quartiles(values["parent"])
+    beats_all = all(sign * (c - p) > 0 for p in values["parent"] for c in values["change"])
+    if parent and (hi - lo) / abs(parent) > m["bound"] and not beats_all:
+        flag += "  UNRESOLVED"
     print(f"{m['name']:<16}{cells['parent']:>36}{cells['change']:>36}{delta:>+9.1%}{won:>4}/{pairs}{flag}")
 for s, rows in runs.items():
     bad = [r for r in rows if not r["correct"] or r["failed"]]

@@ -99,6 +99,13 @@ sed -i -e '/Message::CheckpointRequest { last_executed } => {/,+7c\            _
     "$target"
 expect flexitrust-protocol 'wildcard match will also match any future added variants'
 
+# The codec's two state-transfer arms folded into a trailing wildcard: that
+# one match gives a new variant both its bytes and its size.
+plant crates/wire/src/codec.rs
+sed -i -e '/^        Message::CheckpointRequest { .. } => {}$/,+9c\        _ => {}' \
+    "$target"
+expect flexitrust-wire 'wildcard match will also match any future added variants'
+
 # A second lock beside the submission cache: each lock is named once,
 # under an #[expect] that says what it is held across.
 plant crates/runtime/src/tcp.rs
